@@ -49,6 +49,7 @@ import importlib
 import itertools
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -207,6 +208,15 @@ class CacheEntry:
         return self.row is not None and not self.stale_code
 
 
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
+
+def is_fingerprint(text: Any) -> bool:
+    """True for the output format of :meth:`ExperimentConfig.fingerprint`
+    (64 lower-case hex digits) and nothing else."""
+    return isinstance(text, str) and _FINGERPRINT.fullmatch(text) is not None
+
+
 class ResultCache:
     """On-disk store of :class:`ResultRow` records keyed by config fingerprint.
 
@@ -227,6 +237,11 @@ class ResultCache:
         self.code_aware = code_aware
 
     def path_for(self, fingerprint: str) -> Path:
+        """The file of ``fingerprint``.  Anything but a config fingerprint
+        is refused: the name may have come in over HTTP, and a separator or
+        ``..`` in it would name a file outside the cache directory."""
+        if not is_fingerprint(fingerprint):
+            raise ValueError(f"not a config fingerprint: {fingerprint!r}")
         return self.directory / f"{fingerprint}.json"
 
     def _load(self, path: Path) -> Optional[ResultRow]:
@@ -250,8 +265,12 @@ class ResultCache:
     def load_entry(self, fingerprint: str) -> Optional[CacheEntry]:
         """The parsed :class:`CacheEntry` for ``fingerprint``, or ``None``
         when no such file exists.  Unlike :meth:`get`, a stale-code entry is
-        *returned* (with ``stale_code`` set) rather than hidden."""
-        path = self.path_for(fingerprint)
+        *returned* (with ``stale_code`` set) rather than hidden.  A string
+        that is not a fingerprint names no entry."""
+        try:
+            path = self.path_for(fingerprint)
+        except ValueError:
+            return None
         if not path.exists():
             return None
         return self._read_entry(path)

@@ -61,7 +61,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.experiments.queue import TaskQueue
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.sweep import ResultCache, code_fingerprint
+from repro.experiments.sweep import ResultCache, code_fingerprint, is_fingerprint
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
 from repro.metrics.report import format_tail_cdf, load_cached_rows, render_rows_report
 from repro.registry import UnknownNameError
@@ -313,6 +313,10 @@ class ResultsService:
     # ------------------------------------------------------------------
     def cell(self, fingerprint: str) -> Dict[str, Any]:
         """One raw :class:`ResultRow` by config fingerprint (409 on stale)."""
+        if not is_fingerprint(fingerprint):
+            # The path segment arrives percent-decoded: ``..%2F..%2Fx``
+            # must never be joined onto the cache directory.
+            raise ServiceError(404, f"{fingerprint!r} is not a config fingerprint")
         entry = self.cache.load_entry(fingerprint)
         source = "cache"
         if (entry is None or entry.row is None) and self._parts is not None:

@@ -181,7 +181,7 @@ class Host:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link) -> None:
         """Dispatch an arriving frame to the right QP."""
-        if packet.is_pfc():
+        if packet.pfc_frame:
             if self.uplink_port is not None:
                 if packet.ptype is PacketType.PFC_PAUSE:
                     self.uplink_port.pause()

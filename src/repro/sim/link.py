@@ -22,7 +22,7 @@ unbatched model; only the pull *decision points* are coarser.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Deque, List, Optional, Protocol
 
 from repro.sim.packet import Packet
 
@@ -115,7 +115,7 @@ class OutputPort:
     propagates for the link delay before arriving at the peer.
 
     One pull commits up to ``max_batch_packets`` back-to-back packets (the
-    departure batch); the port tracks when the wire frees (``_free_at``) and
+    departure batch); the port tracks when the wire frees (``free_at``) and
     schedules a wake-up pull only when one is actually needed -- when the
     batch limit cut the pull short, or when a kick arrives while the wire is
     busy.  An idle-source busy period therefore costs zero wake-up events.
@@ -148,8 +148,23 @@ class OutputPort:
         self.max_batch_bytes = max_batch_bytes
         self.paused = False
 
-        self._free_at = 0.0
+        #: When the committed departures finish serializing: the wire is
+        #: free from this time on (``busy`` is ``sim.now < free_at``).
+        self.free_at = 0.0
         self._pull_event: Optional["Event"] = None
+
+        # Scheduling state of a *switch* output (unused on a host NIC): the
+        # switch keeps it here, on the object it already has in hand on
+        # every enqueue and every pull, instead of in dicts keyed by port.
+        #: ``voqs[i]``: frames input port ``i`` holds for this output
+        #: (``None`` until that input first queues one).
+        self.voqs: List[Optional[Deque[Packet]]] = []
+        #: Bit ``i`` set <=> ``voqs[i]`` is non-empty.
+        self.active_mask = 0
+        #: Bytes queued for this output across all inputs (the ECN depth).
+        self.queued_bytes = 0
+        #: Round-robin pointer: index of the input served last, plus one.
+        self.rr_pointer = 0
 
         # Statistics
         self.pause_count = 0
@@ -171,7 +186,7 @@ class OutputPort:
     @property
     def busy(self) -> bool:
         """True while a committed departure batch still occupies the wire."""
-        return self.sim.now < self._free_at
+        return self.sim.now < self.free_at
 
     # ------------------------------------------------------------------
     # PFC pause handling
@@ -208,30 +223,36 @@ class OutputPort:
         if self.paused:
             return
         now = self.sim.now
-        if now < self._free_at:
+        if now < self.free_at:
             # Wire busy: remember (at most once) to pull when it frees.
             if self._pull_event is None:
-                self._pull_event = self.sim.schedule_at(self._free_at, self._pull)
+                self._pull_event = self.sim.schedule_at(self.free_at, self._pull)
             return
-        self._start_batch(now)
+        self.start_batch(now)
 
     def _pull(self) -> None:
         self._pull_event = None
         if self.paused:
             return
         now = self.sim.now
-        if now < self._free_at:
+        if now < self.free_at:
             # A kick at this exact timestamp (but scheduled earlier) already
             # started a new batch before this wake-up fired: the wire is
             # committed again.  Re-arm for the new free time instead of
             # double-committing the wire, which would interleave two batches
             # and reorder the flow.
-            self._pull_event = self.sim.schedule_at(self._free_at, self._pull)
+            self._pull_event = self.sim.schedule_at(self.free_at, self._pull)
             return
-        self._start_batch(now)
+        self.start_batch(now)
 
-    def _start_batch(self, now: float) -> None:
-        """Commit up to ``max_batch_packets`` departures starting at ``now``."""
+    def start_batch(self, now: float, head: Optional[Packet] = None) -> None:
+        """Commit up to ``max_batch_packets`` departures starting at ``now``.
+
+        The caller has checked that the port is not paused and the wire is
+        free.  ``head``, when given, is a frame the source hands over
+        instead of queueing it (a switch cutting through an idle output):
+        it leaves first, exactly as if the first pull had returned it.
+        """
         link = self.link
         sim = self.sim
         next_packet = self.source.next_packet
@@ -249,9 +270,12 @@ class OutputPort:
                 # A limit (not an empty source) is ending this pull.
                 limited = True
                 break
-            packet = next_packet(self)
-            if packet is None:
-                break
+            if head is not None:
+                packet, head = head, None
+            else:
+                packet = next_packet(self)
+                if packet is None:
+                    break
             # Re-stamp the send time at this packet's serialization start:
             # transports build batch members at the pull timestamp, but RTT
             # consumers (Timely, iWARP's adaptive RTO) must see the same
@@ -270,7 +294,7 @@ class OutputPort:
             committed_bytes += packet.size_bytes
         if count:
             self.batches_sent += 1
-            self._free_at = free_at
+            self.free_at = free_at
             if limited:
                 # The batch limit (not an empty source) ended the pull, so
                 # nothing will kick us: arrange the next pull ourselves.

@@ -39,7 +39,7 @@ PFC_FRAME_BYTES = 64
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A single frame in flight.
 
@@ -113,12 +113,16 @@ class Packet:
     size_bytes: int = field(init=False, repr=False, default=0)
     #: Total wire size in bits.
     size_bits: int = field(init=False, repr=False, default=0)
+    #: True for PFC pause/resume frames.  ``ptype`` never changes after
+    #: construction, and every node tests this once per arriving frame.
+    pfc_frame: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
         if self.ptype is PacketType.DATA:
             self.size_bytes = self.payload_bytes + self.header_bytes
         elif self.ptype in (PacketType.PFC_PAUSE, PacketType.PFC_RESUME):
             self.size_bytes = PFC_FRAME_BYTES
+            self.pfc_frame = True
         else:
             self.size_bytes = CONTROL_FRAME_BYTES
         self.size_bits = self.size_bytes * 8
@@ -129,7 +133,7 @@ class Packet:
 
     def is_pfc(self) -> bool:
         """True for PFC pause/resume frames."""
-        return self.ptype in (PacketType.PFC_PAUSE, PacketType.PFC_RESUME)
+        return self.pfc_frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -70,20 +70,17 @@ def headroom_for_link(
 
 
 class PfcState:
-    """Tracks pause state and statistics for one input port."""
+    """Tracks pause state and statistics for one input port.
+
+    The switch sends X-OFF when ``occupancy >= pause_threshold`` and no
+    X-OFF is outstanding, and X-ON when one is and ``occupancy <
+    resume_threshold``; it tests both inline, on its enqueue and dequeue.
+    """
 
     def __init__(self) -> None:
         self.upstream_paused = False
         self.pause_frames_sent = 0
         self.resume_frames_sent = 0
-
-    def should_pause(self, occupancy: int, threshold: int) -> bool:
-        """True when an X-OFF frame must be sent for the current occupancy."""
-        return not self.upstream_paused and occupancy >= threshold
-
-    def should_resume(self, occupancy: int, threshold: int) -> bool:
-        """True when an X-ON frame must be sent for the current occupancy."""
-        return self.upstream_paused and occupancy < threshold
 
     def mark_paused(self) -> None:
         self.upstream_paused = True

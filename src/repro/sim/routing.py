@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Routing(Protocol):
     """Strategy that picks the next hop for a packet at a switch."""
 
+    #: True when ``next_hop`` is a pure function of ``(switch, packet.dst,
+    #: packet.flow_id)``; a switch then resolves each flow once and serves
+    #: later packets from its own route cache.
+    per_flow: bool
+
     def next_hop(self, node: "Switch", packet: Packet) -> str:
         """Name of the neighbor the packet should be forwarded to."""
 
@@ -80,11 +85,10 @@ class EcmpRouting:
     switch name), which matches how datacenter ECMP keys on the five-tuple.
     """
 
+    per_flow = True
+
     def __init__(self, next_hops: Dict[str, Dict[str, List[str]]]) -> None:
         self._next_hops = next_hops
-        # ECMP is a pure function of (switch, destination, flow); memoize it
-        # so the per-packet cost is one dict probe instead of a CRC32 hash.
-        self._hop_cache: Dict[tuple, str] = {}
 
     def candidates(self, node_name: str, dst: str) -> List[str]:
         """All equal-cost next hops from ``node_name`` toward ``dst``."""
@@ -94,16 +98,10 @@ class EcmpRouting:
             raise KeyError(f"no route from {node_name} to {dst}") from exc
 
     def next_hop(self, node: "Switch", packet: Packet) -> str:
-        key = (node.name, packet.dst, packet.flow_id)
-        hop = self._hop_cache.get(key)
-        if hop is None:
-            options = self.candidates(node.name, packet.dst)
-            if len(options) == 1:
-                hop = options[0]
-            else:
-                hop = options[stable_hash(packet.flow_id, node.name) % len(options)]
-            self._hop_cache[key] = hop
-        return hop
+        options = self.candidates(node.name, packet.dst)
+        if len(options) == 1:
+            return options[0]
+        return options[stable_hash(packet.flow_id, node.name) % len(options)]
 
     def path(self, src: str, dst: str, flow_id: int) -> List[str]:
         """The sequence of node names a flow's packets traverse (src..dst)."""
@@ -134,6 +132,8 @@ class PacketSprayRouting(EcmpRouting):
     maximizes path diversity but reorders packets within a flow.  Only
     transports that tolerate out-of-order delivery (IRN, iWARP) can use it.
     """
+
+    per_flow = False  # hashes ``packet.uid``: every packet is routed afresh
 
     def next_hop(self, node: "Switch", packet: Packet) -> str:
         options = self.candidates(node.name, packet.dst)

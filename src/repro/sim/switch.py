@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.link import Link, OutputPort
 from repro.sim.packet import Packet, PacketType
@@ -55,25 +55,29 @@ class SwitchConfig:
 
 
 class _InputPort:
-    """Buffer and VOQs for one incoming link."""
+    """Buffer accounting and PFC state for one incoming link.
 
-    def __init__(self, link: Link, buffer_bytes: int, pfc_config: PfcConfig) -> None:
+    The frames themselves sit in the virtual output queues, one per output
+    port, which live on the :class:`~repro.sim.link.OutputPort` they feed
+    (``out_port.voqs[in_port.index]``).
+    """
+
+    __slots__ = ("link", "index", "bit", "buffer_bytes", "occupancy", "pfc",
+                 "pause_threshold", "resume_threshold")
+
+    def __init__(self, link: Link, index: int, buffer_bytes: int, pfc_config: PfcConfig) -> None:
         self.link = link
+        #: Position in the switch's round-robin order, and its mask bit.
+        self.index = index
+        self.bit = 1 << index
         self.buffer_bytes = buffer_bytes
         self.occupancy = 0
-        self.voqs: Dict[OutputPort, Deque[Packet]] = {}
+        #: ``pfc.upstream_paused`` is the one copy of "X-OFF sent, X-ON due".
         self.pfc = PfcState()
         # Thresholds are pure functions of the (fixed) buffer size; computed
         # once here instead of per received packet.
         self.pause_threshold = pfc_config.pause_threshold(buffer_bytes)
         self.resume_threshold = pfc_config.resume_threshold(buffer_bytes)
-
-    def voq(self, port: OutputPort) -> Deque[Packet]:
-        queue = self.voqs.get(port)
-        if queue is None:
-            queue = deque()
-            self.voqs[port] = queue
-        return queue
 
 
 class Switch:
@@ -89,13 +93,14 @@ class Switch:
         self.sim = sim
         self.name = name
         self.config = config or SwitchConfig()
-        self.routing = routing
+        # Read once: the configuration of a built switch does not change.
+        self._pfc_enabled = self.config.pfc.enabled
+        self._ecn_enabled = self.config.ecn.enabled
 
         self.output_ports: Dict[str, OutputPort] = {}   # neighbor name -> port
         self.input_ports: Dict[Link, _InputPort] = {}   # incoming link -> input port
-        self._in_port_list: List[_InputPort] = []       # stable scan order for RR
-        self._rr_pointer: Dict[OutputPort, int] = {}    # round-robin state
-        self._out_queue_bytes: Dict[OutputPort, int] = {}
+        self._in_port_list: List[_InputPort] = []       # round-robin order
+        self.routing = routing
 
         # Statistics
         self.packets_forwarded = 0
@@ -110,22 +115,39 @@ class Switch:
         #: packet -- the §4.4 congestion-spreading queue-depth distribution.
         self.queue_depth_digest = None
 
+    @property
+    def routing(self) -> Optional["Routing"]:
+        """The routing strategy; assigning one forgets every cached route."""
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing: Optional["Routing"]) -> None:
+        self._routing = routing
+        #: ``(dst, flow_id) -> OutputPort`` for per-flow routing; ``None``
+        #: when every packet must be routed afresh (packet spraying).
+        self._route_cache: Optional[Dict[Tuple[str, int], OutputPort]] = (
+            {} if routing is not None and routing.per_flow else None
+        )
+
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def add_output_link(self, link: Link) -> OutputPort:
         """Attach an outgoing link; returns the created output port."""
         port = OutputPort(self.sim, link, source=self)
+        port.voqs = [None] * len(self._in_port_list)
         self.output_ports[link.dst.name] = port
-        self._rr_pointer[port] = 0
-        self._out_queue_bytes[port] = 0
         return port
 
     def add_input_link(self, link: Link) -> None:
         """Register an incoming link (creates its input-port buffer)."""
-        in_port = _InputPort(link, self.config.buffer_bytes_per_port, self.config.pfc)
+        in_port = _InputPort(
+            link, len(self._in_port_list), self.config.buffer_bytes_per_port, self.config.pfc
+        )
         self.input_ports[link] = in_port
         self._in_port_list.append(in_port)
+        for port in self.output_ports.values():
+            port.voqs.append(None)
 
     def port_towards(self, neighbor_name: str) -> OutputPort:
         """The output port facing ``neighbor_name``."""
@@ -139,80 +161,132 @@ class Switch:
     # Receive path
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link) -> None:
-        """Handle a frame arriving on ``link``."""
-        if packet.is_pfc():
+        """Handle a frame arriving on ``link``.
+
+        The frame is admitted (buffer check, ECN marking) and then either
+        *cut through* -- handed to the output port as the head of a new
+        departure batch in this same call, when that output has nothing
+        queued, is not paused, its wire is free and no PFC edge is involved
+        -- or queued in its VOQ for :meth:`next_packet`.  Cut-through skips
+        the enqueue and the dequeue, never the wire model: it leaves every
+        counter, the round-robin pointer, the RNG and the event stream
+        exactly as enqueue + ``kick`` + ``next_packet`` would.
+        """
+        if packet.pfc_frame:
             self._handle_pfc(packet, link)
             return
 
-        in_port = self.input_ports.get(link)
-        if in_port is None:
-            raise RuntimeError(f"{self.name}: packet arrived on unregistered link {link.name}")
+        try:
+            in_port = self.input_ports[link]
+        except KeyError:
+            raise RuntimeError(
+                f"{self.name}: packet arrived on unregistered link {link.name}"
+            ) from None
+        routes = self._route_cache
+        if routes is None:
+            out_port = self._route(packet)
+        else:
+            try:
+                out_port = routes[packet.dst, packet.flow_id]
+            except KeyError:
+                out_port = routes[packet.dst, packet.flow_id] = self._route(packet)
 
-        next_hop = self._next_hop(packet)
-        out_port = self.output_ports.get(next_hop)
-        if out_port is None:
-            raise RuntimeError(f"{self.name}: no port towards {next_hop} for {packet}")
-
-        if in_port.occupancy + packet.size_bytes > in_port.buffer_bytes:
+        size = packet.size_bytes
+        occupancy = in_port.occupancy + size
+        if occupancy > in_port.buffer_bytes:
             # Buffer overrun.  With correctly-configured PFC this should not
             # happen; without PFC this is a normal congestion drop.
             self.packets_dropped += 1
-            self.bytes_dropped += packet.size_bytes
+            self.bytes_dropped += size
             return
 
-        if self.config.ecn.enabled:
-            self._maybe_mark_ecn(packet, out_port)
-
-        in_port.voq(out_port).append(packet)
-        in_port.occupancy += packet.size_bytes
-        self._out_queue_bytes[out_port] += packet.size_bytes
+        if self._ecn_enabled and packet.ptype is PacketType.DATA:
+            self._maybe_mark_ecn(packet, out_port.queued_bytes)
 
         if self.queue_depth_digest is not None:
-            self.queue_depth_digest.add(in_port.occupancy)
+            self.queue_depth_digest.add(occupancy)
 
-        if self.config.pfc.enabled:
-            if in_port.pfc.should_pause(in_port.occupancy, in_port.pause_threshold):
-                in_port.pfc.mark_paused()
-                self.pause_frames_sent += 1
-                self._send_pfc(link, PacketType.PFC_PAUSE)
+        pfc = self._pfc_enabled
+        now = self.sim.now
+        if (
+            not out_port.active_mask
+            and not out_port.paused
+            and now >= out_port.free_at
+            and not (pfc and (in_port.pfc.upstream_paused
+                              or occupancy >= in_port.pause_threshold))
+        ):
+            # Cut-through.  The frame would be the only one queued for this
+            # output and would leave in this very event, so the buffer
+            # occupancy, ``queued_bytes`` and the mask end where they began.
+            # With PFC on, an input that has X-OFF outstanding or reaches
+            # its threshold with this frame is excluded: its pause / resume
+            # frames are sent from the queued path.  The port commits the
+            # frame like any batch head (wire, counters, wake-up pull), and
+            # its next pull finds the mask empty.
+            self.packets_forwarded += 1
+            out_port.rr_pointer = in_port.index + 1
+            out_port.start_batch(now, packet)
+            return
 
+        queue = out_port.voqs[in_port.index]
+        if queue is None:  # first frame this input ever queues for this output
+            queue = out_port.voqs[in_port.index] = deque()
+        queue.append(packet)
+        out_port.active_mask |= in_port.bit
+        out_port.queued_bytes += size
+        in_port.occupancy = occupancy
+        if pfc and occupancy >= in_port.pause_threshold and not in_port.pfc.upstream_paused:
+            in_port.pfc.mark_paused()
+            self.pause_frames_sent += 1
+            self._send_pfc(link, PacketType.PFC_PAUSE)
         out_port.kick()
 
     # ------------------------------------------------------------------
     # Transmit path (PacketSource protocol)
     # ------------------------------------------------------------------
     def next_packet(self, port: OutputPort) -> Optional[Packet]:
-        """Round-robin over input ports with traffic queued for ``port``."""
-        if not self._out_queue_bytes[port]:
-            # Nothing queued for this output anywhere: O(1) miss.  Departure
-            # batching probes until the source runs dry, so misses are as
-            # frequent as batches and must not scan every input port.
-            return None
-        in_ports = self._in_port_list
-        if not in_ports:
-            return None
-        start = self._rr_pointer.get(port, 0) % len(in_ports)
-        for offset in range(len(in_ports)):
-            idx = (start + offset) % len(in_ports)
-            in_port = in_ports[idx]
-            queue = in_port.voqs.get(port)
-            if queue:
-                packet = queue.popleft()
-                in_port.occupancy -= packet.size_bytes
-                self._out_queue_bytes[port] -= packet.size_bytes
-                self._rr_pointer[port] = idx + 1
-                self.packets_forwarded += 1
-                self._maybe_resume(in_port)
-                return packet
-        return None
+        """Round-robin over input ports with traffic queued for ``port``.
 
-    def queued_bytes_for_output(self, port: OutputPort) -> int:
-        """Bytes currently queued (across all inputs) for ``port``."""
-        return self._out_queue_bytes.get(port, 0)
+        ``port.active_mask`` has bit ``i`` set exactly when input ``i``
+        holds a frame for ``port``, so the next input in round-robin order
+        is the lowest set bit at or after the pointer, else the lowest set
+        bit: the input a scan from the pointer would find, without the scan.
+        """
+        mask = port.active_mask
+        if not mask:
+            # Nothing queued for this output anywhere.  Departure batching
+            # probes until the source runs dry, so misses are as frequent
+            # as batches.
+            return None
+        pointer = port.rr_pointer  # <= number of inputs, so no wrap needed
+        ahead = mask >> pointer
+        if ahead:
+            idx = pointer + (ahead & -ahead).bit_length() - 1
+        else:
+            idx = (mask & -mask).bit_length() - 1
+        queue = port.voqs[idx]
+        packet = queue.popleft()
+        in_port = self._in_port_list[idx]
+        if not queue:
+            port.active_mask = mask ^ in_port.bit
+        size = packet.size_bytes
+        in_port.occupancy -= size
+        port.queued_bytes -= size
+        port.rr_pointer = idx + 1
+        self.packets_forwarded += 1
+        if (
+            self._pfc_enabled
+            and in_port.pfc.upstream_paused
+            and in_port.occupancy < in_port.resume_threshold
+        ):
+            in_port.pfc.mark_resumed()
+            self.resume_frames_sent += 1
+            self._send_pfc(in_port.link, PacketType.PFC_RESUME)
+        return packet
 
     def total_queued_bytes(self) -> int:
         """Bytes currently buffered in the switch."""
-        return sum(p.occupancy for p in self.input_ports.values())
+        return sum(p.occupancy for p in self._in_port_list)
 
     def total_queued_packets(self) -> int:
         """Packets currently buffered in the switch (all VOQs).
@@ -222,23 +296,27 @@ class Switch:
         """
         return sum(
             len(queue)
-            for in_port in self.input_ports.values()
-            for queue in in_port.voqs.values()
+            for port in self.output_ports.values()
+            for queue in port.voqs
+            if queue
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_hop(self, packet: Packet) -> str:
-        if self.routing is None:
+    def _route(self, packet: Packet) -> OutputPort:
+        """Ask the routing strategy for ``packet``'s output port."""
+        if self._routing is None:
             raise RuntimeError(f"{self.name}: no routing configured")
-        return self.routing.next_hop(self, packet)
+        next_hop = self._routing.next_hop(self, packet)
+        out_port = self.output_ports.get(next_hop)
+        if out_port is None:
+            raise RuntimeError(f"{self.name}: no port towards {next_hop} for {packet}")
+        return out_port
 
-    def _maybe_mark_ecn(self, packet: Packet, out_port: OutputPort) -> None:
+    def _maybe_mark_ecn(self, packet: Packet, depth: int) -> None:
+        """Mark a data ``packet`` given its output's depth before enqueue."""
         ecn = self.config.ecn
-        if packet.ptype is not PacketType.DATA:
-            return
-        depth = self._out_queue_bytes[out_port]
         if ecn.step_marking:
             if depth >= ecn.kmin_bytes:
                 packet.ecn = True
@@ -254,14 +332,6 @@ class Switch:
         if self.sim.rng.random() < probability:
             packet.ecn = True
             self.packets_marked += 1
-
-    def _maybe_resume(self, in_port: _InputPort) -> None:
-        if not self.config.pfc.enabled:
-            return
-        if in_port.pfc.should_resume(in_port.occupancy, in_port.resume_threshold):
-            in_port.pfc.mark_resumed()
-            self.resume_frames_sent += 1
-            self._send_pfc(in_port.link, PacketType.PFC_RESUME)
 
     def _send_pfc(self, congested_link: Link, ptype: PacketType) -> None:
         """Send a pause/resume frame to the node feeding ``congested_link``."""

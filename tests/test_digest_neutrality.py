@@ -62,3 +62,21 @@ def test_fabric_digests_are_byte_neutral(seed):
         payload_off.pop(field, None)
         payload_on.pop(field, None)
     assert payload_off == payload_on
+
+
+def test_optional_taps_are_absent_when_switched_off():
+    """No fault plan, no recovery tracking, ``fabric_digests`` off: nothing
+    wraps any ``receive`` and no probe is attached, so the per-hop path pays
+    one ``is not None`` test per probe and nothing else."""
+    config = _fuzzed_config(3)
+    assert config.fault_plan is None and not config.fabric_digests
+    network = run_experiment(config).collector.network
+
+    for node in list(network.hosts.values()) + list(network.switches.values()):
+        assert "receive" not in vars(node), f"{node.name}: receive is wrapped"
+    for switch in network.switches.values():
+        assert switch.queue_depth_digest is None
+    ports = list(network.output_ports())
+    assert ports
+    for port in ports:
+        assert port.pause_digest is None

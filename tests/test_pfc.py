@@ -30,19 +30,6 @@ class TestPfcConfig:
 
 
 class TestPfcState:
-    def test_pause_only_once_until_resumed(self):
-        state = PfcState()
-        assert state.should_pause(100, threshold=50)
-        state.mark_paused()
-        assert not state.should_pause(200, threshold=50)
-
-    def test_resume_only_when_paused(self):
-        state = PfcState()
-        assert not state.should_resume(0, threshold=50)
-        state.mark_paused()
-        assert state.should_resume(10, threshold=50)
-        assert not state.should_resume(60, threshold=50)
-
     def test_frame_counters(self):
         state = PfcState()
         state.mark_paused()
@@ -50,11 +37,6 @@ class TestPfcState:
         state.mark_paused()
         assert state.pause_frames_sent == 2
         assert state.resume_frames_sent == 1
-
-    def test_below_threshold_does_not_pause(self):
-        state = PfcState()
-        assert not state.should_pause(49, threshold=50)
-        assert state.should_pause(50, threshold=50)
 
 
 class TestHeadroomWithByteCap:

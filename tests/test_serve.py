@@ -238,6 +238,31 @@ class TestCells:
         status, payload = get_json(server, "/cells/deadbeef")
         assert status == 404
 
+    def test_only_a_fingerprint_names_a_cell(self, server, warm):
+        """Path segments are percent-decoded after splitting, so an encoded
+        separator reaches the handler: it must never reach the filesystem."""
+        cache_dir, sweep = warm
+        fingerprint = next(iter(sweep.rows.values())).fingerprint
+        entry = os.path.join(cache_dir, f"{fingerprint}.json")
+        outside = os.path.join(os.path.dirname(cache_dir), "outside")
+        os.makedirs(outside, exist_ok=True)
+        with open(entry) as src, open(os.path.join(outside, "secret.json"), "w") as dst:
+            dst.write(src.read())        # a perfectly servable row, one level up
+
+        for name in (
+            "..%2Foutside%2Fsecret",     # encoded separators
+            "%2E%2E%2Foutside%2Fsecret",
+            f"..%2F{os.path.basename(cache_dir)}%2F{fingerprint}",
+            fingerprint.upper(),
+            fingerprint[:-1],            # short
+            fingerprint + "0",           # over-long
+            fingerprint + "%0A",
+        ):
+            status, payload = get_json(server, f"/cells/{name}")
+            assert status == 404, name
+            assert "row" not in payload
+        assert get_json(server, f"/cells/{fingerprint}")[0] == 200
+
 
 class TestCdf:
     def test_cdf_points_come_from_the_stored_digests(self, server, warm):

@@ -282,6 +282,23 @@ class TestResultCache:
         redo = run_sweep({"cell": config}, workers=1, cache=cache)
         assert redo.runs_executed == 1
 
+    def test_only_a_fingerprint_names_an_entry(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        config = tiny_config()
+        run_sweep({"cell": config}, workers=1, cache=cache)
+        fingerprint = config.fingerprint()
+        entry = cache.path_for(fingerprint)
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "secret.json").write_text(entry.read_text())
+
+        assert cache.load_entry(fingerprint).row is not None
+        for name in ("../outside/secret", f"../cache/{fingerprint}", f"./{fingerprint}",
+                     fingerprint.upper(), fingerprint[:-1], fingerprint + "0",
+                     fingerprint + "\n", "", None):
+            assert cache.load_entry(name) is None, name
+            with pytest.raises(ValueError, match="not a config fingerprint"):
+                cache.path_for(name)
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         run_sweep({"cell": tiny_config()}, workers=1, cache=cache)
