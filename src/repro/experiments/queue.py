@@ -78,6 +78,7 @@ from repro.experiments.sweep import (
     _run_cell,
     code_fingerprint,
     import_plugins,
+    is_fingerprint,
 )
 
 __all__ = [
@@ -161,21 +162,31 @@ class TaskQueue:
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
+    @staticmethod
+    def _spool_path(directory: Path, fingerprint: str, suffix: str = ".json") -> Path:
+        """``directory/<fingerprint><suffix>``.  Anything but a config
+        fingerprint is refused: names reach here from spool directories and
+        a manifest that other hosts write to, and a separator or ``..`` in
+        one would name a file outside the queue directory."""
+        if not is_fingerprint(fingerprint):
+            raise ValueError(f"not a config fingerprint: {fingerprint!r}")
+        return directory / f"{fingerprint}{suffix}"
+
     def task_path(self, fingerprint: str) -> Path:
-        return self.tasks_dir / f"{fingerprint}.json"
+        return self._spool_path(self.tasks_dir, fingerprint)
 
     def lease_path(self, fingerprint: str) -> Path:
-        return self.leases_dir / f"{fingerprint}.json"
+        return self._spool_path(self.leases_dir, fingerprint)
 
     def part_path(self, fingerprint: str) -> Path:
-        return self.parts_dir / f"{fingerprint}.json"
+        return self._spool_path(self.parts_dir, fingerprint)
 
     def failed_path(self, fingerprint: str) -> Path:
-        return self.failed_dir / f"{fingerprint}.json"
+        return self._spool_path(self.failed_dir, fingerprint)
 
     def heartbeat_path(self, fingerprint: str) -> Path:
         """The lease's liveness file (``.hb`` so lease globs ignore it)."""
-        return self.leases_dir / f"{fingerprint}.hb"
+        return self._spool_path(self.leases_dir, fingerprint, ".hb")
 
     def default_cache(self) -> ResultCache:
         """The cache workers share by default (``<queue-dir>/cache``)."""
@@ -228,6 +239,8 @@ class TaskQueue:
         """
         for path in sorted(self.tasks_dir.glob("*.json")):
             fingerprint = path.stem
+            if not is_fingerprint(fingerprint):
+                continue  # not a task this queue wrote
             if self.part_row(fingerprint) is not None:
                 path.unlink(missing_ok=True)
                 continue
@@ -252,6 +265,9 @@ class TaskQueue:
             try:
                 payload = json.loads(lease_text)
                 task = Task.from_payload(payload)
+                if task.fingerprint != fingerprint:
+                    # Every later path is built from the payload's copy.
+                    raise ValueError("task file names another fingerprint")
             except (ValueError, KeyError, TypeError) as exc:
                 # Genuinely unreadable task: surface as a failure marker,
                 # not a hang.
@@ -367,6 +383,8 @@ class TaskQueue:
         reclaimed: List[str] = []
         for lease in sorted(self.leases_dir.glob("*.json")):
             fingerprint = lease.stem
+            if not is_fingerprint(fingerprint):
+                continue  # not a lease this queue wrote
             try:
                 freshest = lease.stat().st_mtime
             except FileNotFoundError:
@@ -395,7 +413,9 @@ class TaskQueue:
 
         Parts are validated exactly like cache entries: a part written by a
         different source tree (or schema version) reads as missing, so a
-        resumed sweep never mixes rows from two simulator versions.
+        resumed sweep never mixes rows from two simulator versions.  A name
+        that is not a fingerprint (``part_path`` raises ``ValueError``)
+        reads as missing too.
         """
         try:
             payload = json.loads(self.part_path(fingerprint).read_text())
@@ -446,8 +466,10 @@ class PartsTail:
     append): once on the first poll, whenever the manifest file is missing,
     and periodically every ``rescan_every`` polls as a safety net.
 
-    Each fingerprint is reported exactly once; callers that find a reported
-    part unreadable (stale code, still-propagating network filesystem) call
+    Each fingerprint is reported exactly once, and nothing but fingerprints
+    is reported (a foreign manifest line or file name never reaches the path
+    helpers); callers that find a reported part unreadable (stale code,
+    still-propagating network filesystem) call
     :meth:`forget` so a later poll re-reports it.
     """
 
@@ -484,10 +506,14 @@ class PartsTail:
     def poll(self, force_scan: bool = False) -> List[str]:
         """Fingerprints of parts completed since the last poll."""
         new: List[str] = []
-        for fingerprint in self._read_manifest():
-            if fingerprint not in self._seen:
+
+        def report(fingerprint: str) -> None:
+            if is_fingerprint(fingerprint) and fingerprint not in self._seen:
                 self._seen.add(fingerprint)
                 new.append(fingerprint)
+
+        for fingerprint in self._read_manifest():
+            report(fingerprint)
         self._polls_since_scan += 1
         if (
             force_scan
@@ -495,10 +521,7 @@ class PartsTail:
             or not self.queue.manifest_path.exists()
         ):
             for path in sorted(self.queue.parts_dir.glob("*.json")):
-                fingerprint = path.stem
-                if fingerprint not in self._seen:
-                    self._seen.add(fingerprint)
-                    new.append(fingerprint)
+                report(path.stem)
             self._polls_since_scan = 0
         return new
 

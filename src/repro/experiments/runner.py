@@ -262,7 +262,7 @@ def bucket_width_for(config: ExperimentConfig) -> float:
 
 
 def _make_simulator(config: ExperimentConfig) -> Simulator:
-    """Build the engine for ``config`` (heap escape hatch via REPRO_ENGINE)."""
+    """Build the engine for ``config``: its seed and its bucket width."""
     return Simulator(seed=config.seed, bucket_width_s=bucket_width_for(config))
 
 

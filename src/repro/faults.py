@@ -9,8 +9,8 @@ sweep caches while any fault-enabled cell gets its own cache identity.
 
 The :class:`FaultEngine` turns a plan into ordinary simulator events on the
 shared timer wheel — no side channel, no wall clock — so fault-enabled runs
-stay byte-identical across the heap, calendar, and compiled calendar
-scheduler cores.  Fault drops are counted in dedicated counters
+stay byte-identical on the calendar and on the reference heap it is
+tested against.  Fault drops are counted in dedicated counters
 (``flap_drops`` / ``corruption_drops``), *never* folded into switch buffer
 drops: the verifier's packet-conservation invariant holds modulo these
 explicit counters, and the losslessness invariant treats an injected drop

@@ -1,41 +1,36 @@
 """The discrete-event simulation engine.
 
-Two interchangeable scheduler cores sit behind one :class:`Simulator` front:
+:class:`Simulator` is the one production scheduler: a **hierarchical
+calendar queue** keyed on link-delay quanta.  Near-future events append to
+fixed-width time buckets (O(1)); each bucket is sorted once when the clock
+reaches it.  Above level 0 sit ``NUM_LEVELS - 1`` further bucket arrays with
+geometrically wider buckets (each level ``NUM_BUCKETS`` times wider than the
+one below), so propagation-scale horizons -- WAN links hundreds to thousands
+of serialization quanta long -- are still O(1) appends; a slot *cascades*
+down one level when its window approaches.  Only events beyond the top
+level's horizon live in a heap-backed *far-future band* and migrate into the
+hierarchy as the windows rotate forward.  A dedicated **hashed timer wheel**
+stages cancellable timers (:meth:`Simulator.set_timer`): cancellation is an
+O(1) mark and cancelled timers are dropped wholesale when their wheel slot
+is flushed -- the set-then-cancel retransmission pattern of the transports
+never creates tombstones in the sorted structures at all.
 
-* ``queue="calendar"`` (the default) -- a **hierarchical calendar queue**
-  keyed on link-delay quanta.  Near-future events append to fixed-width time
-  buckets (O(1)); each bucket is sorted once when the clock reaches it.
-  Above level 0 sit up to ``num_levels - 1`` further bucket arrays with
-  geometrically wider buckets (each level ``num_buckets`` times wider than
-  the one below), so propagation-scale horizons -- WAN links hundreds to
-  thousands of serialization quanta long -- are still O(1) appends; a slot
-  *cascades* down one level when its window approaches.  Only events beyond
-  the top level's horizon live in a heap-backed *far-future band* and
-  migrate into the hierarchy as the windows rotate forward.  A dedicated
-  **hashed timer wheel**
-  stages cancellable timers (:meth:`Simulator.set_timer`): cancellation is an
-  O(1) mark and cancelled timers are dropped wholesale when their wheel slot
-  is flushed -- the set-then-cancel retransmission pattern of the transports
-  never creates tombstones in the sorted structures at all.
-* ``queue="heap"`` -- the original binary-heap loop, kept as an escape hatch
-  and as the reference for determinism tests.  Cancelled events are
-  tombstones compacted away when they dominate the heap.
+:class:`HeapSimulator` is the **reference implementation** the calendar is
+tested against: the original ~100-line binary-heap loop.  Nothing in the
+product constructs it -- only ``tests/`` and :mod:`repro.verify` do, to
+compare ``(time, seq)`` traces and whole ResultRows with the calendar's.
 
-Both cores execute events in exactly the same order: time is kept in seconds
-as a float and event ordering between equal timestamps is FIFO by insertion
-order (a single ``(time, seq)`` key shared by regular events and timers), so
-runs are fully deterministic for a given seed and **byte-for-byte identical
-across cores** -- ``tests/test_engine_determinism.py`` pins this.
-
-The core is selected per instance (``Simulator(queue=...)``) or process-wide
-with the ``REPRO_ENGINE`` environment variable.
+Both execute events in exactly the same order: time is kept in seconds as a
+float and event ordering between equal timestamps is FIFO by insertion order
+(a single ``(time, seq)`` key shared by regular events and timers), so runs
+are fully deterministic for a given seed and **byte-for-byte identical on
+either class** -- ``tests/test_engine_determinism.py`` pins this.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from bisect import insort
 from typing import Any, Callable, Optional
@@ -45,23 +40,33 @@ from typing import Any, Callable, Optional
 _COMPACT_MIN_SIZE = 2048
 
 #: Default calendar-queue bucket width.  One bucket per link-delay quantum is
-#: the sweet spot; the experiment runner passes the configured MTU
-#: serialization time explicitly (see ``run_experiment``).
+#: the sweet spot; the experiment runner passes the departure-batch
+#: serialization time explicitly (see ``runner.bucket_width_for``).  It is
+#: the engine's only tuning knob, and it only affects speed, never order.
 DEFAULT_BUCKET_WIDTH_S = 1e-6
 
-#: Default number of calendar buckets (rounded up to a power of two).
-DEFAULT_NUM_BUCKETS = 256
+#: Buckets per calendar level (a power of two, so a level index is the
+#: level-0 index shifted right).  256 keeps a level-0 window (~0.8 ms at a
+#: ~3 us batch quantum) wider than a datacenter RTT while the three bucket
+#: arrays stay small enough to sweep.
+NUM_BUCKETS = 256
 
-#: Default number of hierarchical calendar levels.  With 256 buckets and a
-#: ~3 us batch quantum, level 0 spans ~0.8 ms, level 1 ~0.2 s and level 2
-#: ~54 s -- WAN propagation delays land in level 1 as O(1) appends instead
-#: of overflow-heap pushes.  ``num_levels=1`` is the pre-hierarchy
-#: single-quantum calendar, bit for bit.
-DEFAULT_NUM_LEVELS = 3
+#: Calendar levels.  With 256 buckets and a ~3 us batch quantum, level 0
+#: spans ~0.8 ms, level 1 ~0.2 s and level 2 ~54 s -- WAN propagation delays
+#: land in level 1 as O(1) appends instead of far-future heap pushes.
+#: ``_cascade`` rebases level 0 by hand when it pops a level-2 slot; a
+#: fourth level would need the same for level 1.
+NUM_LEVELS = 3
 
-#: Default timer-wheel slot width.  Retransmission timeouts are 100us-64ms,
-#: so a 64us slot keeps the wheel shallow while still batching cancellations.
-DEFAULT_WHEEL_SLOT_S = 64e-6
+#: Timer-wheel slot width.  Retransmission timeouts are 100us-64ms, so a
+#: 64us slot keeps the wheel shallow while still batching cancellations.
+WHEEL_SLOT_S = 64e-6
+
+_MASK = NUM_BUCKETS - 1
+#: Bits between adjacent level indices (the level-``lvl`` index is the
+#: level-0 index ``>> (_SHIFT * lvl)``).
+_SHIFT = NUM_BUCKETS.bit_length() - 1
+_INV_WHEEL = 1.0 / WHEEL_SLOT_S
 
 _INF = float("inf")
 
@@ -71,7 +76,7 @@ class Event:
 
     Events compare by ``(time, seq)`` so that simultaneous events fire in the
     order they were scheduled.  Cancelled events are skipped, without
-    running, when the engine reaches them; in the calendar core a cancelled
+    running, when the engine reaches them; in the calendar a cancelled
     timer parked on the wheel is dropped in O(1) when its slot flushes.
     """
 
@@ -98,67 +103,11 @@ class Event:
         self.cancelled = True
 
 
-class Simulator:
-    """Event loop, simulation clock and random-number source.
+class _SimulatorBase:
+    """Clock, random-number source, counters and the scheduling surface
+    shared by :class:`Simulator` and its reference :class:`HeapSimulator`."""
 
-    Parameters
-    ----------
-    seed:
-        Seed for the simulator-owned :class:`random.Random`.  Every stochastic
-        component (workload generation, ECN marking, ECMP tie-breaks) draws
-        from this RNG so a run is reproducible from its seed.
-    queue:
-        Scheduler core: ``"calendar"`` (default) or ``"heap"``.  ``None``
-        reads the ``REPRO_ENGINE`` environment variable before falling back
-        to the default.  Both cores execute identical event orders.
-    bucket_width_s, num_buckets, wheel_slot_s, num_levels:
-        Calendar-core tuning knobs (ignored by the heap core): level-0 bucket
-        width in seconds (ideally one link-delay quantum), per-level bucket
-        count (rounded to a power of two), timer-wheel slot width, and the
-        number of hierarchical calendar levels (each level's buckets are
-        ``num_buckets`` times wider than the level below; ``1`` selects the
-        flat single-quantum calendar).
-    """
-
-    #: Name of the scheduler core (``"heap"`` / ``"calendar"`` /
-    #: ``"calendar_c"``).
-    queue_kind: str = "abstract"
-
-    #: Event class used at every construction site.  The compiled core
-    #: swaps in the C extension type; ordering semantics are identical.
-    _event_cls: type = Event
-
-    def __new__(
-        cls,
-        seed: int = 0,
-        queue: Optional[str] = None,
-        **kwargs: Any,
-    ) -> "Simulator":
-        if cls is Simulator:
-            name = queue or os.environ.get("REPRO_ENGINE") or "calendar"
-            try:
-                impl = _QUEUE_IMPLS[name]
-            except KeyError:
-                raise ValueError(
-                    f"unknown engine queue {name!r}; valid: {sorted(_QUEUE_IMPLS)}"
-                ) from None
-            if impl is _CCalendarSimulator and compiled_event_class() is None:
-                # Always-working fallback: the compiled core degrades to the
-                # pure-Python calendar when the extension has not been built.
-                impl = _CalendarSimulator
-            return super().__new__(impl)
-        return super().__new__(cls)
-
-    def __init__(
-        self,
-        seed: int = 0,
-        queue: Optional[str] = None,
-        *,
-        bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S,
-        num_buckets: int = DEFAULT_NUM_BUCKETS,
-        wheel_slot_s: float = DEFAULT_WHEEL_SLOT_S,
-        num_levels: int = DEFAULT_NUM_LEVELS,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self._seq = itertools.count()
@@ -168,7 +117,7 @@ class Simulator:
         self._stopped = False
         #: Execution trace: when a list, every executed event appends
         #: ``(time, seq)``.  Off (None) by default -- the verify harness
-        #: enables it to check monotone-clock and cross-core order identity.
+        #: enables it to check monotone-clock and calendar/heap order identity.
         self._trace: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -188,10 +137,10 @@ class Simulator:
         """Schedule a *cancellable timer* ``delay`` seconds from now.
 
         Semantically identical to :meth:`schedule`, but optimized for the
-        set-then-cancel pattern (retransmission timeouts): the calendar core
+        set-then-cancel pattern (retransmission timeouts): the calendar
         parks timers on a hashed wheel where cancellation is O(1) unlinking
         and a cancelled timer never touches the sorted event structures.
-        The heap core maps this to a plain :meth:`schedule`.
+        The reference heap maps this to a plain :meth:`schedule`.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule a timer in the past (delay={delay})")
@@ -246,8 +195,9 @@ class Simulator:
     def enable_trace(self) -> list:
         """Record ``(time, seq)`` for every executed event from now on.
 
-        Returns the (live) trace list.  Two cores fed the same workload must
-        produce byte-identical traces; the times must be non-decreasing.
+        Returns the (live) trace list.  The calendar and the reference heap
+        fed the same workload must produce byte-identical traces; the times
+        must be non-decreasing.
         Tracing is off by default and costs one ``None``-check per event.
         """
         if self._trace is None:
@@ -291,128 +241,44 @@ class Simulator:
         self.run(until=None, max_events=max_events)
 
 
-class _HeapSimulator(Simulator):
-    """The original binary-heap core (``queue="heap"``).
+class Simulator(_SimulatorBase):
+    """Event loop, simulation clock and random-number source: a hierarchical
+    calendar queue with a far-future band and a hashed timer wheel.
 
-    Cancelled events are *tombstones*: they stay in the heap and are discarded
-    when they reach the head.  Because the transports set and almost always
-    cancel one retransmission timer per data packet, tombstones can outnumber
-    live events; the core therefore compacts the heap in place whenever the
-    dead fraction grows past one half (amortized O(1) per event).
-    """
-
-    queue_kind = "heap"
-
-    def __init__(self, seed: int = 0, queue: Optional[str] = None, **kwargs: Any) -> None:
-        super().__init__(seed, queue, **kwargs)
-        self._heap: list[Event] = []
-        self._compact_watermark = _COMPACT_MIN_SIZE
-
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule an event in the past (time={time}, now={self.now})"
-            )
-        event = self._event_cls(time, next(self._seq), fn, args)
-        self._events_scheduled += 1
-        heap = self._heap
-        heapq.heappush(heap, event)
-        if len(heap) >= self._compact_watermark:
-            self._compact()
-        return event
-
-    #: Timers are plain events on the heap core (cancel leaves a tombstone).
-    set_timer_at = schedule_at
-
-    def _compact(self) -> None:
-        """Drop cancelled tombstones if they dominate the heap.
-
-        Called whenever the heap grows past a watermark.  The watermark
-        doubles with the surviving heap so the O(n) scan is amortized O(1)
-        per scheduled event.
-        """
-        heap = self._heap
-        live = [event for event in heap if not event.cancelled]
-        if 2 * len(live) <= len(heap):
-            self._events_cancelled += len(heap) - len(live)
-            # Replace contents in place: ``run`` holds a reference to the
-            # list, so the object identity must be preserved.
-            heap[:] = live
-            heapq.heapify(heap)
-        self._compact_watermark = max(_COMPACT_MIN_SIZE, 2 * len(heap))
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self._stopped = False
-        # Hot path: bind everything the loop touches to locals.  This loop
-        # runs hundreds of thousands of times per simulated second, so each
-        # avoided attribute/global lookup is measurable (see
-        # benchmarks/perf_engine.py).
-        heap = self._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        executed = 0
-        cancelled = 0
-        try:
-            while heap and not self._stopped:
-                event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    cancelled += 1
-                    continue
-                time = event.time
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                self.now = time
-                if trace is not None:
-                    trace.append((time, event.seq))
-                event.fn(*event.args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
-        finally:
-            self._events_processed += executed
-            self._events_cancelled += cancelled
-        if until is not None and not self._stopped and self.now < until:
-            # Discard tombstones so the advance decision sees the live head.
-            while heap and heap[0].cancelled:
-                heappop(heap)
-                self._events_cancelled += 1
-            if not heap or heap[0].time > until:
-                self.now = until
-
-
-class _CalendarSimulator(Simulator):
-    """Hierarchical calendar-queue core with a far-future band and a hashed
-    timer wheel.
+    Parameters
+    ----------
+    seed:
+        Seed for the simulator-owned :class:`random.Random`.  Every stochastic
+        component (workload generation, ECN marking, ECMP tie-breaks) draws
+        from this RNG so a run is reproducible from its seed.
+    bucket_width_s:
+        Level-0 bucket width in seconds, ideally one link-delay quantum
+        (``runner.bucket_width_for`` computes it from the config).  It only
+        affects speed, never event order.
 
     Three bands, by event horizon:
 
-    * **levels** -- ``num_levels`` cascading bucket arrays.  Level 0 is the
+    * **levels** -- ``NUM_LEVELS`` cascading bucket arrays.  Level 0 is the
       classic calendar: fixed-width time buckets covering the rotating
       window ``(win_lo, win_hi)`` of bucket indices.  Each level above it
-      uses buckets ``num_buckets`` times wider than the level below, so one
-      top-level window spans ``num_buckets ** num_levels`` level-0 quanta.
+      uses buckets ``NUM_BUCKETS`` times wider than the level below, so one
+      top-level window spans ``NUM_BUCKETS ** NUM_LEVELS`` level-0 quanta.
       Every level index is the level-0 index (``int(time * inv_width)``)
-      shifted right by ``k * level`` bits (``num_buckets == 2**k``) -- one
-      shared float computation, so cross-level boundaries are exact and
+      shifted right by ``_SHIFT * level`` bits -- one shared float
+      computation, so cross-level boundaries are exact and
       insertion/cascade routing can never disagree by one ulp.  Insertion
       is an O(1) append at whichever level's window covers the event; a
       bucket is sorted (by the shared ``(time, seq)`` key) only when the
       clock reaches it.  The level-0 bucket currently draining (``_cur``)
       stays sorted, so same-time insertions during callbacks ``insort``
-      into it.  When level 0 empties, the minimal occupied slot of the
-      lowest non-empty level *cascades* down one level (rebasing the window
-      below to exactly cover it), repeating until level 0 refills.
+      into it -- as does anything earlier than level 0's floor.  When level
+      0 empties, the minimal occupied slot of the lowest non-empty level
+      *cascades* down one level (rebasing the windows below onto it),
+      repeating until level 0 refills.
     * **far-future band** -- a heap for events beyond the top level's window
-      (with the default three levels, tens of simulated seconds out).  When
-      every level empties, the windows are rebased onto the heap's head and
-      everything inside the new top window migrates directly to its final
-      level.
+      (tens of simulated seconds out).  When every level empties, the
+      windows are rebased onto the heap's head and everything inside the new
+      top window migrates directly to its final level.
     * **wheel** -- a hashed timer wheel (``dict`` of slot -> list) staging
       :meth:`set_timer` timers.  A slot is flushed into the calendar only
       when execution is about to pass its start time; timers cancelled
@@ -421,46 +287,26 @@ class _CalendarSimulator(Simulator):
       sorted bands.
 
     Window invariant linking the levels: ``win_hi[lvl-1] >= (win_lo[lvl] +
-    1) << k`` (equality after every cascade/rebase), so any event refused by
-    level ``lvl-1``'s window provably lies past level ``lvl``'s floor and
-    the insertion loop only has to check upper bounds.  The bands are
-    strictly time-ordered -- every level-``lvl`` event precedes every
+    1) << _SHIFT`` (equality after every cascade/rebase), so any event
+    refused by level ``lvl-1``'s window provably lies past level ``lvl``'s
+    floor and the insertion loop only has to check upper bounds.  The bands
+    are strictly time-ordered -- every level-``lvl`` event precedes every
     level-``lvl+1`` event precedes the far-future heap -- which is what
     makes cascading the minimal slot always the correct progress step.
 
-    Execution order is identical to the heap core: every pop yields the
-    globally minimal ``(time, seq)``.
+    Execution order is identical to :class:`HeapSimulator`: every pop yields
+    the globally minimal ``(time, seq)``.
     """
 
-    queue_kind = "calendar"
-
     def __init__(
-        self,
-        seed: int = 0,
-        queue: Optional[str] = None,
-        *,
-        bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S,
-        num_buckets: int = DEFAULT_NUM_BUCKETS,
-        wheel_slot_s: float = DEFAULT_WHEEL_SLOT_S,
-        num_levels: int = DEFAULT_NUM_LEVELS,
+        self, seed: int = 0, *, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S
     ) -> None:
-        super().__init__(seed, queue)
+        super().__init__(seed)
         if bucket_width_s <= 0:
             raise ValueError("bucket_width_s must be positive")
-        if wheel_slot_s <= 0:
-            raise ValueError("wheel_slot_s must be positive")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be positive")
-        if num_levels < 1:
-            raise ValueError("num_levels must be positive")
-        nb = 1
-        while nb < num_buckets:
-            nb *= 2
-        self._nb = nb
-        self._mask = nb - 1
         self._inv_width = 1.0 / bucket_width_s
         self.bucket_width_s = bucket_width_s
-        self._buckets: list[list[Event]] = [[] for _ in range(nb)]
+        self._buckets: list[list[Event]] = [[] for _ in range(NUM_BUCKETS)]
         self._num_bucketed = 0
         #: Min-heap of absolute indices of occupied buckets (pushed on each
         #: empty->non-empty transition; entries gone stale through sweeps are
@@ -470,31 +316,23 @@ class _CalendarSimulator(Simulator):
         #: Bucket indices are *absolute* (int(time / width)); the window
         #: covers (win_lo, win_hi) and only ever moves forward.
         self._win_lo = -1
-        self._win_hi = nb - 1
+        self._win_hi = NUM_BUCKETS - 1
         self._cur: list[Event] = []
         self._cur_idx = 0
         # Hierarchy ----------------------------------------------------
-        #: Bits between adjacent level indices (level-lvl index is the
-        #: level-0 index >> (_shift * lvl)).  A 1-bucket calendar has no
-        #: index bit to shift, so the hierarchy degenerates to one level.
-        self._shift = nb.bit_length() - 1
-        self.num_levels = num_levels if self._shift else 1
-        self._num_levels = self.num_levels
-        nlv = self._num_levels
         #: Per upper level (index 0 unused): bucket array, occupied-slot
         #: min-heap, event count, and the (lo, hi)-exclusive window in that
         #: level's index units.  Initial windows mirror level 0's.
         self._hi_buckets: list[list[list[Event]]] = [
-            [[] for _ in range(nb)] if lvl else [] for lvl in range(nlv)
+            [[] for _ in range(NUM_BUCKETS)] if lvl else []
+            for lvl in range(NUM_LEVELS)
         ]
-        self._hi_heads: list[list[int]] = [[] for _ in range(nlv)]
-        self._hi_counts: list[int] = [0] * nlv
-        self._hi_lo: list[int] = [-1] * nlv
-        self._hi_hi: list[int] = [nb - 1] * nlv
+        self._hi_heads: list[list[int]] = [[] for _ in range(NUM_LEVELS)]
+        self._hi_counts: list[int] = [0] * NUM_LEVELS
+        self._hi_lo: list[int] = [-1] * NUM_LEVELS
+        self._hi_hi: list[int] = [NUM_BUCKETS - 1] * NUM_LEVELS
         self._overflow: list[Event] = []
         # Timer wheel --------------------------------------------------
-        self._inv_wheel = 1.0 / wheel_slot_s
-        self.wheel_slot_s = wheel_slot_s
         self._wheel: dict[int, list[Event]] = {}
         self._wheel_heads: list[int] = []   # min-heap of occupied slot indices
         self._wheel_count = 0
@@ -512,13 +350,13 @@ class _CalendarSimulator(Simulator):
             raise ValueError(
                 f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
-        event = self._event_cls(time, next(self._seq), fn, args)
+        event = Event(time, next(self._seq), fn, args)
         self._events_scheduled += 1
         # Inlined _insert: this is the hottest schedule path.
         idx = int(time * self._inv_width)
         if idx > self._win_lo:
             if idx < self._win_hi:
-                bucket = self._buckets[idx & self._mask]
+                bucket = self._buckets[idx & _MASK]
                 if not bucket:
                     heapq.heappush(self._bucket_heads, idx)
                 bucket.append(event)
@@ -537,20 +375,20 @@ class _CalendarSimulator(Simulator):
             raise ValueError(
                 f"cannot schedule a timer in the past (time={time}, now={self.now})"
             )
-        slot = int(time * self._inv_wheel)
+        slot = int(time * _INV_WHEEL)
         if slot <= self._wheel_flushed_thru:
             # The slot's flush horizon already passed: behave like schedule.
-            event = self._event_cls(time, next(self._seq), fn, args)
+            event = Event(time, next(self._seq), fn, args)
             self._events_scheduled += 1
             self._insert(event)
             return event
-        event = self._event_cls(time, next(self._seq), fn, args)
+        event = Event(time, next(self._seq), fn, args)
         self._events_scheduled += 1
         bucket = self._wheel.get(slot)
         if bucket is None:
             self._wheel[slot] = [event]
             heapq.heappush(self._wheel_heads, slot)
-            self._wheel_next_due = self._wheel_heads[0] / self._inv_wheel
+            self._wheel_next_due = self._wheel_heads[0] / _INV_WHEEL
         else:
             bucket.append(event)
         self._wheel_count += 1
@@ -564,7 +402,7 @@ class _CalendarSimulator(Simulator):
         idx = int(event.time * self._inv_width)
         if idx > self._win_lo:
             if idx < self._win_hi:
-                bucket = self._buckets[idx & self._mask]
+                bucket = self._buckets[idx & _MASK]
                 if not bucket:
                     heapq.heappush(self._bucket_heads, idx)
                 bucket.append(event)
@@ -579,15 +417,14 @@ class _CalendarSimulator(Simulator):
         whose window still covers it, else the far-future heap.
 
         Only upper bounds are checked: ``idx >= win_hi[lvl-1]`` (the reason
-        we are here) already implies ``(idx >> k) > win_lo[lvl]`` via the
+        we are here) already implies ``(idx >> _SHIFT) > win_lo[lvl]`` via the
         window invariant, so a single comparison per level routes exactly.
         """
-        k = self._shift
         hi = self._hi_hi
-        for lvl in range(1, self._num_levels):
-            hidx = idx >> (k * lvl)
+        for lvl in range(1, NUM_LEVELS):
+            hidx = idx >> (_SHIFT * lvl)
             if hidx < hi[lvl]:
-                bucket = self._hi_buckets[lvl][hidx & self._mask]
+                bucket = self._hi_buckets[lvl][hidx & _MASK]
                 if not bucket:
                     heapq.heappush(self._hi_heads[lvl], hidx)
                 bucket.append(event)
@@ -604,16 +441,15 @@ class _CalendarSimulator(Simulator):
         pay-off lands)."""
         heads = self._wheel_heads
         wheel = self._wheel
-        inv_wheel = self._inv_wheel
         heappop = heapq.heappop
         insert = self._insert
         # Due-ness is judged with the exact arithmetic that produced
-        # ``_wheel_next_due`` (slot / inv_wheel).  Deriving a slot *limit*
-        # via ``int(time * inv_wheel)`` instead can round one slot low when
+        # ``_wheel_next_due`` (slot / _INV_WHEEL).  Deriving a slot *limit*
+        # via ``int(time * _INV_WHEEL)`` instead can round one slot low when
         # ``time`` equals a slot boundary, leaving the due head unflushed --
         # and the caller spinning, since ``_wheel_next_due`` would be
         # recomputed unchanged.
-        while heads and heads[0] / inv_wheel <= time:
+        while heads and heads[0] / _INV_WHEEL <= time:
             slot = heappop(heads)
             for event in wheel.pop(slot, ()):
                 self._wheel_count -= 1
@@ -623,13 +459,12 @@ class _CalendarSimulator(Simulator):
                     insert(event)
             if slot > self._wheel_flushed_thru:
                 self._wheel_flushed_thru = slot
-        self._wheel_next_due = heads[0] / self._inv_wheel if heads else _INF
+        self._wheel_next_due = heads[0] / _INV_WHEEL if heads else _INF
 
     def _load_bucket(self) -> None:
         """Pop the next occupied level-0 bucket into ``_cur`` (the caller
         has checked ``_num_bucketed``)."""
         buckets = self._buckets
-        mask = self._mask
         heads = self._bucket_heads
         heappop = heapq.heappop
         while heads:
@@ -637,15 +472,15 @@ class _CalendarSimulator(Simulator):
             # Stale-head checks: an index at or below win_lo is from a
             # bucket consumed or swept before a window rebase -- its slot
             # may since have been refilled by an ALIASED in-window index
-            # (i' != i, i' & mask == i & mask), so the emptiness of the
+            # (i' != i, i' & _MASK == i & _MASK), so the emptiness of the
             # slot alone is not proof of liveness.  The aliased index has
             # its own head entry, so dropping the stale one loses nothing.
             if i <= self._win_lo:
                 continue
-            lst = buckets[i & mask]
+            lst = buckets[i & _MASK]
             if not lst:
                 continue  # emptied by a sweep within the current window
-            buckets[i & mask] = []
+            buckets[i & _MASK] = []
             self._num_bucketed -= len(lst)
             if len(lst) > 1:
                 lst.sort()
@@ -663,24 +498,20 @@ class _CalendarSimulator(Simulator):
 
         The window of the level below is rebased to exactly cover the popped
         slot (restoring the invariant ``win_hi[lvl-1] == (win_lo[lvl] + 1)
-        << k``) and the slot's events are redistributed by the same
+        << _SHIFT``) and the slot's events are redistributed by the same
         ``int(time * inv_width)`` + shift computation insertion used, so
         each lands in the slot insertion would have chosen.  Cancelled
-        events are discarded here instead of travelling down.  Nothing
-        executes during a cascade chain, so no insertion can observe an
-        intermediate window state.  Returns ``False`` when every upper
-        level is empty.
+        events are discarded here instead of travelling down.  Returns
+        ``False`` when every upper level is empty.
         """
         counts = self._hi_counts
-        nlv = self._num_levels
         lvl = 1
-        while lvl < nlv and not counts[lvl]:
+        while lvl < NUM_LEVELS and not counts[lvl]:
             lvl += 1
-        if lvl == nlv:
+        if lvl == NUM_LEVELS:
             return False
         heads = self._hi_heads[lvl]
         buckets = self._hi_buckets[lvl]
-        mask = self._mask
         heappop = heapq.heappop
         lo = self._hi_lo[lvl]
         lst = None
@@ -688,24 +519,23 @@ class _CalendarSimulator(Simulator):
             j = heappop(heads)
             if j <= lo:
                 continue  # stale head (see _load_bucket)
-            lst = buckets[j & mask]
+            lst = buckets[j & _MASK]
             if lst:
                 break
         if not lst:
             raise RuntimeError(
                 "calendar-queue invariant violated: leveled events not found in window"
             )
-        buckets[j & mask] = []
+        buckets[j & _MASK] = []
         counts[lvl] -= len(lst)
         self._hi_lo[lvl] = j
-        k = self._shift
         inv_width = self._inv_width
         heappush = heapq.heappush
         cancelled = 0
         added = 0
         if lvl == 1:
-            self._win_lo = (j << k) - 1
-            self._win_hi = (j + 1) << k
+            self._win_lo = (j << _SHIFT) - 1
+            self._win_hi = (j + 1) << _SHIFT
             below = self._buckets
             below_heads = self._bucket_heads
             for event in lst:
@@ -713,16 +543,24 @@ class _CalendarSimulator(Simulator):
                     cancelled += 1
                     continue
                 idx = int(event.time * inv_width)
-                bucket = below[idx & mask]
+                bucket = below[idx & _MASK]
                 if not bucket:
                     heappush(below_heads, idx)
                 bucket.append(event)
                 added += 1
             self._num_bucketed += added
         else:
-            self._hi_lo[lvl - 1] = (j << k) - 1
-            self._hi_hi[lvl - 1] = (j + 1) << k
-            shift = k * (lvl - 1)
+            self._hi_lo[lvl - 1] = (j << _SHIFT) - 1
+            self._hi_hi[lvl - 1] = (j + 1) << _SHIFT
+            # Level 0 follows, as an empty window ending where the slot
+            # starts: a slot of nothing but cancelled events ends the chain
+            # here, and a level 0 left behind would hand the next event due
+            # before the slot (a flushed timer, say) to ``_insert_high``,
+            # which checks upper bounds only and would file it below level
+            # 1's new floor.  This way it insorts into ``_cur``.
+            self._win_hi = j << (_SHIFT * lvl)
+            self._win_lo = self._win_hi - 1
+            shift = _SHIFT * (lvl - 1)
             below = self._hi_buckets[lvl - 1]
             below_heads = self._hi_heads[lvl - 1]
             for event in lst:
@@ -730,7 +568,7 @@ class _CalendarSimulator(Simulator):
                     cancelled += 1
                     continue
                 idx = int(event.time * inv_width) >> shift
-                bucket = below[idx & mask]
+                bucket = below[idx & _MASK]
                 if not bucket:
                     heappush(below_heads, idx)
                 bucket.append(event)
@@ -746,33 +584,27 @@ class _CalendarSimulator(Simulator):
         The migration bound uses the exact insertion computation
         (``int(time * inv_width)`` plus integer shifts) so float rounding
         can never place an event in a slot outside the scanned windows.
-        With more than one level the top window spans ``nb**num_levels``
-        level-0 buckets, so almost everything leaves the heap in one pass --
-        each event landing directly at its final level -- and the heap keeps
-        only the true far future.
+        The top window spans ``NUM_BUCKETS ** NUM_LEVELS`` level-0 buckets,
+        so almost everything leaves the heap in one pass -- each event
+        landing directly at its final level -- and the heap keeps only the
+        true far future.
         """
         inv_width = self._inv_width
         idx0 = int(head_time * inv_width)
-        k = self._shift
-        nlv = self._num_levels
-        top = nlv - 1
+        top = NUM_LEVELS - 1
         self._win_lo = idx0 - 1
-        for lvl in range(1, nlv):
-            h = idx0 >> (k * lvl)
+        for lvl in range(1, NUM_LEVELS):
+            h = idx0 >> (_SHIFT * lvl)
             self._hi_lo[lvl] = h
             if lvl == 1:
-                self._win_hi = (h + 1) << k
+                self._win_hi = (h + 1) << _SHIFT
             else:
-                self._hi_hi[lvl - 1] = (h + 1) << k
-        top_shift = k * top
-        top_hi = (idx0 >> top_shift) + self._nb - 1
-        if top:
-            self._hi_hi[top] = top_hi
-        else:
-            self._win_hi = top_hi
+                self._hi_hi[lvl - 1] = (h + 1) << _SHIFT
+        top_shift = _SHIFT * top
+        top_hi = (idx0 >> top_shift) + NUM_BUCKETS - 1
+        self._hi_hi[top] = top_hi
         overflow = self._overflow
         buckets = self._buckets
-        mask = self._mask
         win_hi = self._win_hi
         heads = self._bucket_heads
         heappop = heapq.heappop
@@ -785,7 +617,7 @@ class _CalendarSimulator(Simulator):
                 continue
             idx = int(event.time * inv_width)
             if idx < win_hi:
-                bucket = buckets[idx & mask]
+                bucket = buckets[idx & _MASK]
                 if not bucket:
                     heappush(heads, idx)
                 bucket.append(event)
@@ -864,7 +696,7 @@ class _CalendarSimulator(Simulator):
 
         Triggered every ``watermark`` insertions; the watermark doubles with
         the surviving population so the O(n) walk is amortized O(1) per
-        insertion, exactly like the heap core's compaction.
+        insertion, exactly like :class:`HeapSimulator`'s compaction.
         """
         self._since_sweep = 0
         total = self.pending_events
@@ -875,7 +707,7 @@ class _CalendarSimulator(Simulator):
         dead += sum(1 for e in self._cur[self._cur_idx:] if e.cancelled)
         for lst in self._buckets:
             dead += sum(1 for e in lst if e.cancelled)
-        for lvl in range(1, self._num_levels):
+        for lvl in range(1, NUM_LEVELS):
             for lst in self._hi_buckets[lvl]:
                 dead += sum(1 for e in lst if e.cancelled)
         dead += sum(1 for e in self._overflow if e.cancelled)
@@ -893,7 +725,7 @@ class _CalendarSimulator(Simulator):
             if lst:
                 self._buckets[slot] = [e for e in lst if not e.cancelled]
         self._num_bucketed = sum(len(lst) for lst in self._buckets)
-        for lvl in range(1, self._num_levels):
+        for lvl in range(1, NUM_LEVELS):
             blist = self._hi_buckets[lvl]
             for slot in range(len(blist)):
                 lst = blist[slot]
@@ -912,7 +744,7 @@ class _CalendarSimulator(Simulator):
         self._wheel_count = sum(len(lst) for lst in self._wheel.values())
         self._wheel_heads = sorted(self._wheel)
         self._wheel_next_due = (
-            self._wheel_heads[0] / self._inv_wheel if self._wheel_heads else _INF
+            self._wheel_heads[0] / _INV_WHEEL if self._wheel_heads else _INF
         )
         self._events_cancelled += dead
         self._sweep_watermark = max(_COMPACT_MIN_SIZE, 2 * self.pending_events)
@@ -966,15 +798,14 @@ class _CalendarSimulator(Simulator):
                     # (= once per event when buckets are sparse): pop the
                     # next occupied bucket off the heads heap.
                     buckets = self._buckets
-                    mask = self._mask
                     heads = self._bucket_heads
                     win_lo = self._win_lo
                     lst = None
                     while heads:
                         i = heapq.heappop(heads)
                         if i <= win_lo:
-                            continue  # stale head (see _step_sources)
-                        lst = buckets[i & mask]
+                            continue  # stale head (see _load_bucket)
+                        lst = buckets[i & _MASK]
                         if lst:
                             break
                     if not lst:
@@ -982,7 +813,7 @@ class _CalendarSimulator(Simulator):
                             "calendar-queue invariant violated: "
                             "bucketed events not found in window"
                         )
-                    buckets[i & mask] = []
+                    buckets[i & _MASK] = []
                     self._num_bucketed -= len(lst)
                     if len(lst) > 1:
                         lst.sort()
@@ -1002,45 +833,102 @@ class _CalendarSimulator(Simulator):
                 self.now = until
 
 
-def compiled_event_class() -> Optional[type]:
-    """The C ``CEvent`` type, or ``None`` when the extension is not built.
+class HeapSimulator(_SimulatorBase):
+    """The reference implementation: a plain binary heap of events.
 
-    Import is delegated to :mod:`repro.sim.compiled`, which caches the
-    probe; this stays cheap enough to call from ``Simulator.__new__``.
-    """
-    from repro.sim import compiled
+    Short enough to be checked by reading, it defines the execution order
+    :class:`Simulator` must reproduce.  It is constructed only by ``tests/``
+    and :mod:`repro.verify`, which compare ``(time, seq)`` traces and whole
+    ResultRows between the two classes; no product-side option selects it.
+    ``bucket_width_s`` is accepted (and ignored) so the class can stand in
+    for :class:`Simulator` at any construction site.
 
-    if not compiled.available():
-        return None
-    return compiled.load().CEvent
-
-
-class _CCalendarSimulator(_CalendarSimulator):
-    """Calendar core running on the compiled ``CEvent`` type
-    (``queue="calendar_c"``).
-
-    Identical structure and event order to :class:`_CalendarSimulator`; only
-    the per-event fixed costs (allocation, ``(time, seq)`` comparison in
-    sorts/heaps) move to C.  Requires ``python -m repro.sim.compiled
-    --build``; :class:`Simulator` falls back to the pure-Python calendar when
-    the extension is absent, so ``calendar_c`` is always safe to request.
+    Cancelled events are *tombstones*: they stay in the heap and are discarded
+    when they reach the head.  Because the transports set and almost always
+    cancel one retransmission timer per data packet, tombstones can outnumber
+    live events; the heap is therefore compacted in place whenever the
+    dead fraction grows past one half (amortized O(1) per event).
     """
 
-    queue_kind = "calendar_c"
+    def __init__(
+        self, seed: int = 0, *, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S
+    ) -> None:
+        super().__init__(seed)
+        self._heap: list[Event] = []
+        self._compact_watermark = _COMPACT_MIN_SIZE
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        event_cls = compiled_event_class()
-        if event_cls is None:  # pragma: no cover - guarded by __new__
-            raise RuntimeError(
-                "compiled engine core requested but repro.sim._cevent is not "
-                "built; run `python -m repro.sim.compiled --build`"
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
-        self._event_cls = event_cls
+        event = Event(time, next(self._seq), fn, args)
+        self._events_scheduled += 1
+        heap = self._heap
+        heapq.heappush(heap, event)
+        if len(heap) >= self._compact_watermark:
+            self._compact()
+        return event
 
+    #: Timers are plain events here (cancel leaves a tombstone).
+    set_timer_at = schedule_at
 
-_QUEUE_IMPLS: dict[str, type] = {
-    "heap": _HeapSimulator,
-    "calendar": _CalendarSimulator,
-    "calendar_c": _CCalendarSimulator,
-}
+    def _compact(self) -> None:
+        """Drop cancelled tombstones if they dominate the heap.
+
+        Called whenever the heap grows past a watermark.  The watermark
+        doubles with the surviving heap so the O(n) scan is amortized O(1)
+        per scheduled event.
+        """
+        heap = self._heap
+        live = [event for event in heap if not event.cancelled]
+        if 2 * len(live) <= len(heap):
+            self._events_cancelled += len(heap) - len(live)
+            # Replace contents in place: ``run`` holds a reference to the
+            # list, so the object identity must be preserved.
+            heap[:] = live
+            heapq.heapify(heap)
+        self._compact_watermark = max(_COMPACT_MIN_SIZE, 2 * len(heap))
+
+    @property
+    def pending_events(self) -> int:
+        return len(self._heap)
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        self._stopped = False
+        # Hot path: bind everything the loop touches to locals.  This loop
+        # runs hundreds of thousands of times per simulated second, so each
+        # avoided attribute/global lookup is measurable.
+        heap = self._heap
+        heappop = heapq.heappop
+        trace = self._trace
+        executed = 0
+        cancelled = 0
+        try:
+            while heap and not self._stopped:
+                event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    cancelled += 1
+                    continue
+                time = event.time
+                if until is not None and time > until:
+                    break
+                heappop(heap)
+                self.now = time
+                if trace is not None:
+                    trace.append((time, event.seq))
+                event.fn(*event.args)
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    break
+        finally:
+            self._events_processed += executed
+            self._events_cancelled += cancelled
+        if until is not None and not self._stopped and self.now < until:
+            # Discard tombstones so the advance decision sees the live head.
+            while heap and heap[0].cancelled:
+                heappop(heap)
+                self._events_cancelled += 1
+            if not heap or heap[0].time > until:
+                self.now = until

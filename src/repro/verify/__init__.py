@@ -2,7 +2,8 @@
 
 This package is the simulator's randomized test harness: it generates
 arbitrary fabrics (including cyclic ones), workloads and fault schedules
-from a single integer seed, runs every case on *both* engine cores, and
+from a single integer seed, runs every case on the calendar *and* on the
+reference heap, and
 asserts the invariant contract documented in ``docs/architecture.md`` --
 conservation of packets, PFC losslessness, per-QP delivery ordering, a
 monotone simulator clock, the engine accounting identity, and

@@ -6,12 +6,13 @@ produce), workload, transport scheme and fault schedule.  Reproducing a
 counterexample therefore needs nothing but its seed
 (``python -m repro.verify --seed N``).
 
-``run_case`` executes a case on one engine core and returns a
+``run_case`` executes a case on one engine class (the calendar
+``Simulator`` or the reference ``HeapSimulator``) and returns a
 :class:`CaseOutcome` -- the raw observations (execution trace, fabric and
 host counters, per-QP ordering violations) that
 :mod:`repro.verify.invariants` judges.  The harness in
-:mod:`repro.verify.harness` runs every case on *both* cores and also checks
-cross-core event-order identity.
+:mod:`repro.verify.harness` runs every case on *both* and also checks
+calendar-vs-heap event-order identity.
 
 Fault kinds (all deterministic, all scheduled before the run starts).
 The packet-touching kinds are the shared :mod:`repro.faults` dataclasses --
@@ -63,7 +64,7 @@ from repro.faults import (
     PauseStorm,
 )
 from repro.metrics.collector import MetricsCollector
-from repro.sim.engine import Simulator
+from repro.sim.engine import NUM_BUCKETS, Simulator
 from repro.sim.network import Network
 
 #: Topology families the fuzzer samples.  ``mesh`` is built directly (a
@@ -434,16 +435,23 @@ def install_faults(
             sim, network, FaultPlan(faults=promoted), seed=case.seed
         )
         engine.install()
+    # One level-2 calendar slot, in seconds, for this case's bucket width.
+    far_s = NUM_BUCKETS**2 * bucket_width_for(case.experiment_config())
     for fault in case.faults:
         if isinstance(fault, TimerStormFault):
-            sim.schedule_at(fault.time_s, _fire_timer_storm, sim, fault)
+            sim.schedule_at(fault.time_s, _fire_timer_storm, sim, fault, far_s)
     return engine
 
 
-def _fire_timer_storm(sim: Simulator, fault: TimerStormFault) -> None:
+def _fire_timer_storm(sim: Simulator, fault: TimerStormFault, far_s: float) -> None:
     timers = [sim.set_timer(delay, _noop) for delay in fault.delays]
     for index in fault.cancel_now:
         sim.cancel(timers[index])
+    # Cancelled regular events in the calendar's top level, with the live
+    # timers above due long before them: the window cascade must not strand
+    # those timers behind a slot that holds nothing but tombstones.
+    for delay in fault.delays[:3]:
+        sim.cancel(sim.schedule(far_s + delay, _noop))
     if fault.cancel_later:
         later = [timers[index] for index in fault.cancel_later]
         sim.schedule(
@@ -493,9 +501,9 @@ class OrderingTracker:
 # ---------------------------------------------------------------------------
 @dataclass
 class CaseOutcome:
-    """Raw observations from one run of one case on one engine core."""
+    """Raw observations from one run of one case on one engine class."""
 
-    queue_kind: str
+    core: str                   # name of the engine class that ran the case
     trace: List[Tuple[float, int]]
     events_scheduled: int
     events_processed: int
@@ -519,18 +527,15 @@ class CaseOutcome:
     pause_frames: int = 0
 
 
-def run_case(case: FuzzCase, queue: Optional[str] = None) -> CaseOutcome:
-    """Execute ``case`` on the requested engine core."""
+def run_case(case: FuzzCase, simulator_cls: type = Simulator) -> CaseOutcome:
+    """Execute ``case`` on ``simulator_cls`` (the calendar, or the reference
+    :class:`~repro.sim.engine.HeapSimulator` it is compared against)."""
     config = case.experiment_config()
     # Bucket width comes from the shared derivation the experiment runner
     # uses (the departure-batch quantum), not a fuzzer-private formula, so
     # the fuzzed calendars are sized exactly like production ones.  Width
     # only affects speed, never event order.
-    sim = Simulator(
-        seed=case.seed,
-        queue=queue,
-        bucket_width_s=bucket_width_for(config),
-    )
+    sim = simulator_cls(seed=case.seed, bucket_width_s=bucket_width_for(config))
     trace = sim.enable_trace()
     network = case.build_network(sim)
     collector = MetricsCollector(
@@ -559,7 +564,7 @@ def run_case(case: FuzzCase, queue: Optional[str] = None) -> CaseOutcome:
 
     hosts = network.hosts.values()
     return CaseOutcome(
-        queue_kind=sim.queue_kind,
+        core=simulator_cls.__name__,
         trace=trace,
         events_scheduled=sim.events_scheduled,
         events_processed=sim.events_processed,

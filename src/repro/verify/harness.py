@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.faults import PacketCorruption
+from repro.sim.engine import HeapSimulator, Simulator
 from repro.verify.fuzz import FuzzCase, run_case
 from repro.verify.invariants import check_outcome, check_pair
 
@@ -59,8 +60,8 @@ class FuzzReport:
 
 def check_case(case: FuzzCase) -> CaseReport:
     """Run ``case`` on both cores and apply every invariant."""
-    calendar = run_case(case, queue="calendar")
-    heap = run_case(case, queue="heap")
+    calendar = run_case(case, Simulator)
+    heap = run_case(case, HeapSimulator)
     violations = (
         check_outcome(case, calendar)
         + check_outcome(case, heap)

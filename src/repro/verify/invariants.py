@@ -42,7 +42,7 @@ from repro.verify.fuzz import CaseOutcome, FuzzCase
 def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
     """All single-run invariant violations for ``case`` on one core."""
     violations: List[str] = []
-    core = outcome.queue_kind
+    core = outcome.core
 
     # 1. Monotone simulator clock.
     trace = outcome.trace

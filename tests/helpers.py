@@ -1,10 +1,20 @@
-"""Shared test helpers for transport-level unit tests."""
+"""Shared test helpers: transport-level fakes and the engine-substitution hook."""
 
 from __future__ import annotations
 
 from repro.core.transport import Flow
-from repro.sim.engine import Simulator
+from repro.sim.engine import HeapSimulator, Simulator
 from repro.sim.packet import Packet, PacketType
+
+
+#: The production scheduler and the reference it must replay, by test id.
+ENGINES = {"calendar": Simulator, "heap": HeapSimulator}
+
+
+def use_engine(monkeypatch, name: str) -> None:
+    """Make ``run_experiment`` build ``ENGINES[name]`` for the rest of the
+    test -- the only way a whole experiment ever runs on the reference heap."""
+    monkeypatch.setattr("repro.experiments.runner.Simulator", ENGINES[name])
 
 
 class FakeHost:

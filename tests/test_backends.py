@@ -720,3 +720,85 @@ class TestPartsManifest:
             handle.write("456789\n")
         polled = tail.poll()
         assert polled == [] or polled == ["abcdef0123456789"]
+
+    def test_duplicated_manifest_line_is_reported_once(self, tmp_path):
+        from repro.experiments.queue import PartsTail
+
+        queue = TaskQueue(tmp_path / "q")
+        (fingerprint,) = self._completed(queue, 1)
+        with open(queue.manifest_path, "a") as handle:
+            handle.write(f"{fingerprint}\n{fingerprint}\n")
+        tail = PartsTail(queue)
+        assert tail.poll() == [fingerprint]
+        with open(queue.manifest_path, "a") as handle:
+            handle.write(f"{fingerprint}\n")
+        assert tail.poll(force_scan=True) == []
+
+
+class TestSpoolNamesAreFingerprints:
+    """Names read back from the queue directory -- manifest lines and file
+    stems that any host sharing it can write -- never reach a path unless
+    they are config fingerprints."""
+
+    #: A manifest line that would resolve to ``<queue>/../outside.json``.
+    TRAVERSAL = "../../outside"
+
+    @pytest.mark.parametrize("name", [TRAVERSAL, "A" * 64, "ab" * 31, "", "x/y"])
+    def test_path_helpers_refuse_anything_else(self, tmp_path, name):
+        queue = TaskQueue(tmp_path / "q")
+        for helper in (
+            queue.task_path, queue.lease_path, queue.part_path,
+            queue.failed_path, queue.heartbeat_path,
+        ):
+            with pytest.raises(ValueError, match="not a config fingerprint"):
+                helper(name)
+
+    def test_part_row_does_not_follow_a_traversal_name(self, tmp_path):
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        task = queue.claim("w1")
+        queue.complete(task, run_sweep({"cell": config}, workers=1)["cell"])
+        # A perfectly valid part envelope, but outside the queue directory.
+        outside = tmp_path / "outside.json"
+        outside.write_text(queue.part_path(task.fingerprint).read_text())
+        assert (queue.parts_dir / f"{self.TRAVERSAL}.json").resolve() == outside
+        assert queue.part_row(self.TRAVERSAL) is None
+        assert queue.part_row(task.fingerprint) is not None
+
+    def test_tail_skips_foreign_manifest_lines_and_files(self, tmp_path):
+        from repro.experiments.queue import PartsTail
+
+        queue = TaskQueue(tmp_path / "q")
+        real = "0123456789abcdef" * 4
+        with open(queue.manifest_path, "a") as handle:
+            handle.write(f"{self.TRAVERSAL}\n")      # traversal
+            handle.write(f"{real.upper()}\n")        # upper-case hex
+            handle.write(f"{real}\n")
+            handle.write(real[:40])                  # truncated trailing line
+        (queue.parts_dir / "README.json").write_text("{}")
+        tail = PartsTail(queue)
+        assert tail.poll(force_scan=True) == [real]
+        assert tail.poll(force_scan=True) == []
+
+    def test_claim_and_reclaim_skip_foreign_files(self, tmp_path):
+        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
+        (queue.tasks_dir / "notes.json").write_text("{}")
+        stray = queue.leases_dir / "notes.json"
+        stray.write_text("{}")
+        stale = time.time() - 3600.0
+        os.utime(stray, (stale, stale))
+        assert queue.claim("w1") is None
+        assert queue.reclaim_orphans() == []
+        assert stray.exists()
+
+    def test_task_file_naming_another_fingerprint_is_a_failure(self, tmp_path):
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        path = queue.task_path(config.fingerprint())
+        payload = json.loads(path.read_text())
+        payload["fingerprint"] = self.TRAVERSAL
+        path.write_text(json.dumps(payload))
+        assert queue.claim("w1") is None
+        assert "another fingerprint" in queue.failures()[config.fingerprint()]

@@ -19,8 +19,9 @@ from repro.experiments.runner import run_experiment
 from repro.sim.deadlock import PfcDeadlockDetector
 from repro.sim.engine import Simulator
 from repro.topology.cyclic import build_ring
+from tests.helpers import ENGINES, use_engine
 
-ENGINE_CORES = ("calendar", "heap")
+ENGINE_CORES = tuple(ENGINES)
 
 
 def _ring_config(transport: str, pfc_enabled: bool) -> ExperimentConfig:
@@ -42,7 +43,7 @@ def _ring_config(transport: str, pfc_enabled: bool) -> ExperimentConfig:
 
 
 def _run(config: ExperimentConfig, queue: str, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", queue)
+    use_engine(monkeypatch, queue)
     return run_experiment(config)
 
 
@@ -105,7 +106,7 @@ def roce_outcomes():
     mp = pytest.MonkeyPatch()
     try:
         for queue in ENGINE_CORES:
-            mp.setenv("REPRO_ENGINE", queue)
+            use_engine(mp, queue)
             results[queue] = run_experiment(config)
     finally:
         mp.undo()

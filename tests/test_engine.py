@@ -1,26 +1,39 @@
-"""Tests for the discrete-event engine (both scheduler cores).
+"""Tests for the discrete-event engine and its reference implementation.
 
 Everything in the shared contract -- ordering, cancellation, ``run``
 control, ``until``/``max_events`` semantics, cancellation accounting -- runs
-against **both** the heap core and the calendar/timer-wheel core via the
-``sim`` fixture.  Core-specific structure tests (heap compaction, calendar
-window rotation, wheel flushing) live in their own classes.
+against **both** :class:`Simulator` (the calendar) and :class:`HeapSimulator`
+(the reference) via the ``make_sim`` fixture.  Structure tests (calendar
+window rotation, cascade, wheel flushing; heap compaction) live in their own
+classes, and ``TestCalendarMatchesHeap`` holds the two against each other on
+generated plans of boundary-time operations.
 """
 
-import pytest
+import math
 
-from repro.sim.engine import _COMPACT_MIN_SIZE, Simulator
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import bucket_width_for
+from repro.sim.engine import (
+    _COMPACT_MIN_SIZE,
+    NUM_BUCKETS,
+    NUM_LEVELS,
+    WHEEL_SLOT_S,
+    HeapSimulator,
+    Simulator,
+)
+from tests.helpers import ENGINES
 
 
 @pytest.fixture(params=["heap", "calendar"])
 def make_sim(request):
-    """Factory for a simulator of each core (``make_sim(seed=...)``)."""
+    """Factory for a simulator of each class (``make_sim(seed=...)``)."""
 
     def factory(**kwargs):
-        kwargs.setdefault("queue", request.param)
-        return Simulator(**kwargs)
+        return ENGINES[request.param](**kwargs)
 
-    factory.queue = request.param
     return factory
 
 
@@ -401,149 +414,28 @@ class TestMassCancellationMemory:
         assert sim.events_processed == len(live)
 
 
+#: The structure tests run the production geometry on a 1 us bucket: level
+#: 0's window (= one level-1 slot) is ``L0`` wide, level 1's (= one level-2
+#: slot) ``L1``, level 2's ``L2``; past ``L2`` lies the far-future heap.
+assert NUM_LEVELS == 3
+W = 1e-6
+L0 = NUM_BUCKETS * W
+L1 = NUM_BUCKETS * L0
+L2 = NUM_BUCKETS * L1
+
+
 class TestCalendarStructure:
-    """Calendar-core specifics: window rotation, overflow band, wheel."""
+    """Calendar specifics: band routing, cascade, rebase, aliasing, wheel."""
 
-    def test_past_window_events_land_in_upper_levels(self):
-        # 8 buckets x 1us window: events at 100..140us fall past the level-0
-        # window but inside the upper levels' horizons, so the hierarchy --
-        # not the far-future heap -- absorbs them, and they cascade back
-        # down in exact time order.
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        ran = []
-        for i in range(40, 0, -1):
-            sim.schedule(100e-6 + i * 1e-6, ran.append, i)
-        assert sum(sim._hi_counts) == 40
-        assert not sim._overflow
-        sim.run_until_idle()
-        assert ran == list(range(1, 41))
-
-    def test_single_level_keeps_legacy_overflow_band(self):
-        # num_levels=1 is the pre-hierarchy calendar: everything past the
-        # one window parks in the overflow heap and migrates at rebase.
-        sim = Simulator(
-            queue="calendar", bucket_width_s=1e-6, num_buckets=8, num_levels=1
-        )
-        ran = []
-        for i in range(40, 0, -1):
-            sim.schedule(100e-6 + i * 1e-6, ran.append, i)
-        assert len(sim._overflow) == 40
-        sim.run_until_idle()
-        assert ran == list(range(1, 41))
-
-    def test_far_future_jump_skips_empty_windows(self):
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        ran = []
-        sim.schedule(1e-6, ran.append, "near")
-        sim.schedule(3.0, ran.append, "far")   # ~3M buckets ahead
-        sim.run_until_idle()
-        assert ran == ["near", "far"]
-        assert sim.now == pytest.approx(3.0)
-
-    def test_events_within_current_bucket_insort(self):
-        sim = Simulator(queue="calendar", bucket_width_s=10e-6, num_buckets=8)
-        order = []
-
-        def first():
-            order.append("first")
-            # Absolute time 2us: lands in the *currently draining* bucket,
-            # before the pre-scheduled 2.5us event.
-            sim.schedule(1e-6, order.append, "nested")
-
-        sim.schedule(1e-6, first)
-        sim.schedule(2.5e-6, order.append, "second")
-        sim.run_until_idle()
-        assert order == ["first", "nested", "second"]
-
-    def test_wheel_slot_flush_preserves_order(self):
-        sim = Simulator(queue="calendar", wheel_slot_s=64e-6)
-        order = []
-        # Two timers in one wheel slot, scheduled out of time order.
-        sim.set_timer(130e-6, order.append, "later")
-        sim.set_timer(129e-6, order.append, "earlier")
-        sim.schedule(131e-6, order.append, "event")
-        sim.run_until_idle()
-        assert order == ["earlier", "later", "event"]
-
-    def test_timer_into_flushed_slot_becomes_regular_event(self):
-        sim = Simulator(queue="calendar", wheel_slot_s=64e-6)
-        order = []
-
-        def late_set():
-            # now == 100us: slot 1 (64..128us) has been flushed; a timer for
-            # 110us must still fire, as a regular event.
-            sim.set_timer(10e-6, order.append, "late-timer")
-
-        sim.schedule(100e-6, late_set)
-        sim.run_until_idle()
-        assert order == ["late-timer"]
-        assert sim.now == pytest.approx(110e-6)
-
-    def test_pending_events_spans_all_bands(self):
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        sim.schedule(1e-6, lambda: None)     # bucket
-        sim.schedule(1e-3, lambda: None)     # overflow band
-        sim.set_timer(320e-6, lambda: None)  # wheel
-        assert sim.pending_events == 3
-        sim.run_until_idle()
-        assert sim.pending_events == 0
-        assert sim.events_processed == 3
-
-    def test_sweep_then_rebase_does_not_resurrect_stale_bucket_heads(self):
-        # Regression: a sweep that empties a bucket used to leave its index
-        # in the occupied-bucket heads heap; after a window rebase a later
-        # bucket aliasing the same slot (mod num_buckets) could then be
-        # loaded under the stale (smaller) index, executing far-future
-        # events early and driving the clock backwards.
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=256)
-        from repro.sim.engine import _COMPACT_MIN_SIZE
-
-        # Fill bucket 10 with cancel-churn so the sweep empties it but its
-        # head entry (index 10) survives.
-        for _ in range(_COMPACT_MIN_SIZE - 1):
-            sim.cancel(sim.schedule_at(10.5e-6, lambda: None))
-        order = []
-        # 290.5us rebases the window past bucket 255; 522.5us lands in
-        # bucket 522, which aliases slot 522 & 255 == 10.
-        sim.schedule_at(522.5e-6, order.append, "late")
-        sim.schedule_at(290.5e-6, order.append, "early")
-        times = []
-        sim.schedule_at(522.5e-6, lambda: times.append(sim.now))
-        sim.schedule_at(290.5e-6, lambda: times.append(sim.now))
-        sim.run_until_idle()
-        assert order == ["early", "late"]
-        assert times == sorted(times)
-
-    def test_invalid_tuning_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", bucket_width_s=0.0)
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", wheel_slot_s=-1e-6)
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", num_buckets=0)
-
-
-class TestHierarchicalCalendar:
-    """Multi-level specifics: cascade, per-level cancellation, rebase.
-
-    8 buckets x 1us level-0 quantum gives horizons of 8us (level 0), 64us
-    (level 1) and 512us (level 2) -- small enough that every band is easy
-    to hit deliberately.
-    """
-
-    def _sim(self, **kwargs):
-        kwargs.setdefault("queue", "calendar")
-        kwargs.setdefault("bucket_width_s", 1e-6)
-        kwargs.setdefault("num_buckets", 8)
-        kwargs.setdefault("num_levels", 3)
-        return Simulator(**kwargs)
+    def _sim(self):
+        return Simulator(bucket_width_s=W)
 
     def test_insertion_routes_to_the_right_band(self):
         sim = self._sim()
-        sim.schedule(2e-6, lambda: None)      # level 0
-        sim.schedule(20e-6, lambda: None)     # level 1
-        sim.schedule(100e-6, lambda: None)    # level 2
-        sim.schedule(1e-3, lambda: None)      # beyond level 2: far future
+        sim.schedule(2 * W, lambda: None)         # level 0
+        sim.schedule(2.5 * L0, lambda: None)      # level 1
+        sim.schedule(1.5625 * L1, lambda: None)   # level 2
+        sim.schedule(2 * L2, lambda: None)        # beyond level 2: far future
         assert sim._num_bucketed == 1
         assert sim._hi_counts[1] == 1
         assert sim._hi_counts[2] == 1
@@ -553,12 +445,42 @@ class TestHierarchicalCalendar:
         assert sim.events_processed == 4
         assert sim.pending_events == 0
 
+    def test_pending_events_spans_all_bands(self):
+        sim = self._sim()
+        sim.schedule(W, lambda: None)                    # level-0 bucket
+        sim.schedule(2 * L0, lambda: None)               # level 1
+        sim.schedule(2 * L1, lambda: None)               # level 2
+        sim.schedule(2 * L2, lambda: None)               # far-future heap
+        sim.set_timer(5 * WHEEL_SLOT_S, lambda: None)    # wheel
+        assert sim.pending_events == 5
+        sim.run_until_idle()
+        assert sim.pending_events == 0
+        assert sim.events_processed == 5
+
+    def test_past_window_events_land_in_upper_levels(self):
+        # 40 events an eighth of a level-0 window apart, straddling the
+        # boundary between level-2 slots 1 and 2: all past level 1's initial
+        # window and inside level 2's, so the hierarchy -- not the
+        # far-future heap -- absorbs them, and they cascade 2 -> 1 -> 0
+        # back down in exact time order.
+        sim = self._sim()
+        ran = []
+        for i in range(40, 0, -1):
+            sim.schedule(2 * L1 - 2.5 * L0 + i * L0 / 8, ran.append, i)
+        assert sim._hi_counts[2] == 40
+        assert not sim._overflow
+        sim.run_until_idle()
+        assert ran == list(range(1, 41))
+
     def test_cascade_preserves_order_across_levels(self):
         sim = self._sim()
         ran = []
         # Interleave events whose initial homes span all three levels plus
         # the far-future band; execution must still be globally sorted.
-        times = [2e-6, 20e-6, 100e-6, 1e-3, 5e-6, 60e-6, 400e-6, 2e-3]
+        times = [
+            2 * W, 2.5 * L0, 1.5625 * L1, 2 * L2,
+            5 * W, 7.5 * L0, 6.25 * L1, 4 * L2,
+        ]
         for t in times:
             sim.schedule(t, ran.append, t)
         sim.run_until_idle()
@@ -567,43 +489,53 @@ class TestHierarchicalCalendar:
     def test_cascade_observed_mid_run(self):
         sim = self._sim()
         seen = {}
-        # 100..140us all start in level 2 (their level-1 indices are past
-        # level 1's initial window); by the time the first one executes, the
+        # 41 events four level-1 slots apart, all starting in level 2 (28 in
+        # its slot 1, 13 in slot 2); by the time the first one executes, the
         # chain level2 -> level1 -> level0 must have partially drained the
         # top while leaving later slots up there.
         for i in range(41):
-            sim.schedule(100e-6 + i * 1e-6, lambda: None)
+            sim.schedule(1.5625 * L1 + i * L1 / 64, lambda: None)
 
         def probe():
             seen["counts"] = (sim._num_bucketed, sim._hi_counts[1], sim._hi_counts[2])
 
         assert sim._hi_counts[2] == 41
-        sim.schedule(100e-6, probe)
+        sim.schedule(1.5625 * L1, probe)
         sim.run_until_idle()
         bucketed, lvl1, lvl2 = seen["counts"]
-        assert lvl2 > 0, "level 2 should still hold the far slots"
-        assert lvl1 > 0, "level 1 should hold the cascaded middle"
+        assert lvl2 == 13, "level 2 should still hold its far slot"
+        assert lvl1 == 27, "level 1 should hold the cascaded middle"
         assert sim.events_processed == 42
 
     def test_cancellation_discards_at_every_level(self):
         sim = self._sim()
         ran = []
         victims = [
-            sim.schedule(2e-6, ran.append, "l0"),       # level-0 bucket
-            sim.schedule(20e-6, ran.append, "l1"),      # level 1
-            sim.schedule(100e-6, ran.append, "l2"),     # level 2
-            sim.schedule(1e-3, ran.append, "far"),      # far-future heap
-            sim.set_timer(200e-6, ran.append, "wheel"),  # timer wheel
+            sim.schedule(2 * W, ran.append, "l0"),                 # level-0 bucket
+            sim.schedule(2.5 * L0, ran.append, "l1"),              # level 1
+            sim.schedule(1.5625 * L1, ran.append, "l2"),           # level 2
+            sim.schedule(2 * L2, ran.append, "far"),               # far-future heap
+            sim.set_timer(3 * WHEEL_SLOT_S, ran.append, "wheel"),  # timer wheel
         ]
         for victim in victims:
             sim.cancel(victim)
-        sim.schedule(2e-3, ran.append, "end")
+        sim.schedule(4 * L2, ran.append, "end")
         sim.run_until_idle()
         assert ran == ["end"]
         assert sim.events_cancelled == 5
         assert sim.events_scheduled == (
             sim.events_processed + sim.events_cancelled + sim.pending_events
         )
+
+    def test_far_future_jump_skips_empty_windows(self):
+        sim = self._sim()
+        ran = []
+        sim.schedule(W, ran.append, "near")
+        sim.schedule(3 * L2, ran.append, "far")   # ~50M buckets ahead
+        assert len(sim._overflow) == 1
+        sim.run_until_idle()
+        assert ran == ["near", "far"]
+        assert sim.now == pytest.approx(3 * L2)
 
     def test_rebase_places_far_events_directly_at_their_level(self):
         sim = self._sim()
@@ -618,60 +550,97 @@ class TestHierarchicalCalendar:
             )
 
         # All four start in the far-future heap (past level 2's initial
-        # horizon).  The rebase onto the 1000us head must distribute each
-        # directly: head+5us to level 0, head+70us past the rebased level-1
-        # window into level 2, and 10s stays in the heap.
-        sim.schedule(1000e-6, probe)
-        sim.schedule(1005e-6, lambda: None)
-        sim.schedule(1070e-6, lambda: None)
-        sim.schedule(10.0, lambda: None)
+        # horizon).  The rebase onto the head must distribute each directly:
+        # head + 5 buckets to level 0, head + L1 past the rebased level-1
+        # window into level 2, and 4 * L2 stays in the heap.
+        head = 2 * L2 + 100.5 * L0 + 3 * W
+        sim.schedule(head, probe)
+        sim.schedule(head + 5 * W, lambda: None)
+        sim.schedule(head + L1, lambda: None)
+        sim.schedule(4 * L2, lambda: None)
         assert len(sim._overflow) == 4
         sim.run_until_idle()
         bucketed, lvl1, lvl2, far = seen["state"]
-        assert bucketed == 1      # 1005us, in its own level-0 bucket
-        assert lvl2 == 1          # 1070us went straight to level 2
-        assert far == 1           # 10s is genuinely far-future
+        assert bucketed == 1      # head + 5 buckets, in its own level-0 bucket
+        assert lvl1 == 0
+        assert lvl2 == 1          # head + L1 went straight to level 2
+        assert far == 1           # 4 * L2 is genuinely far-future
         assert sim.events_processed == 4
-        assert sim.now == pytest.approx(10.0)
+        assert sim.now == pytest.approx(4 * L2)
 
-    def test_order_identity_across_level_counts(self):
-        # The level count is a pure structure knob: 1, 2 and 3 levels must
-        # execute one mixed-horizon stream in the identical order.
-        def drive(num_levels):
-            sim = Simulator(
-                queue="calendar",
-                bucket_width_s=1e-6,
-                num_buckets=8,
-                num_levels=num_levels,
-            )
-            order = []
-            for i in range(60):
-                t = (i * 37 % 11) * 53e-6 + i * 1e-7
-                sim.schedule(t, order.append, (round(t * 1e9), i))
-                if i % 3 == 0:
-                    dead = sim.set_timer(t + 400e-6, order.append, ("dead", i))
-                    sim.cancel(dead)
-            sim.run_until_idle()
-            return order, sim.events_processed, sim.events_cancelled
+    def test_events_within_current_bucket_insort(self):
+        sim = Simulator(bucket_width_s=10e-6)
+        order = []
 
-        reference = drive(1)
-        assert drive(2) == reference
-        assert drive(3) == reference
+        def first():
+            order.append("first")
+            # Absolute time 2us: lands in the *currently draining* bucket,
+            # before the pre-scheduled 2.5us event.
+            sim.schedule(1e-6, order.append, "nested")
 
-    def test_invalid_num_levels_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", num_levels=0)
+        sim.schedule(1e-6, first)
+        sim.schedule(2.5e-6, order.append, "second")
+        sim.run_until_idle()
+        assert order == ["first", "nested", "second"]
 
-    @pytest.mark.parametrize("num_levels", [1, 3])
-    def test_wheel_flush_at_exact_slot_boundary(self, num_levels):
+    def test_sweep_then_rebase_does_not_resurrect_stale_bucket_heads(self):
+        # Regression: a sweep that empties a bucket used to leave its index
+        # in the occupied-bucket heads heap; after the window moved on, a
+        # later bucket aliasing the same slot (mod NUM_BUCKETS) could then
+        # be loaded under the stale (smaller) index, executing far-future
+        # events early and driving the clock backwards.
+        sim = self._sim()
+        # Fill bucket 10 with cancel-churn so the sweep empties it but its
+        # head entry (index 10) survives.
+        for _ in range(_COMPACT_MIN_SIZE - 1):
+            sim.cancel(sim.schedule_at(10.5 * W, lambda: None))
+        order = []
+        # ``early`` moves the window past the first NUM_BUCKETS buckets;
+        # ``late`` lands in bucket 2 * NUM_BUCKETS + 10, which aliases slot 10.
+        late = (2 * NUM_BUCKETS + 10.5) * W
+        early = (NUM_BUCKETS + 34.5) * W
+        sim.schedule_at(late, order.append, "late")
+        sim.schedule_at(early, order.append, "early")
+        times = []
+        sim.schedule_at(late, lambda: times.append(sim.now))
+        sim.schedule_at(early, lambda: times.append(sim.now))
+        sim.run_until_idle()
+        assert order == ["early", "late"]
+        assert times == sorted(times)
+
+    def test_wheel_slot_flush_preserves_order(self):
+        sim = self._sim()
+        order = []
+        # Two timers in one wheel slot, scheduled out of time order.
+        sim.set_timer(2 * WHEEL_SLOT_S + 2e-6, order.append, "later")
+        sim.set_timer(2 * WHEEL_SLOT_S + 1e-6, order.append, "earlier")
+        sim.schedule(2 * WHEEL_SLOT_S + 3e-6, order.append, "event")
+        sim.run_until_idle()
+        assert order == ["earlier", "later", "event"]
+
+    def test_timer_into_flushed_slot_becomes_regular_event(self):
+        sim = self._sim()
+        order = []
+
+        def late_set():
+            # now is half-way through wheel slot 1, which has been flushed; a
+            # timer for later in that slot must still fire, as a regular event.
+            sim.set_timer(10e-6, order.append, "late-timer")
+
+        sim.schedule(1.5 * WHEEL_SLOT_S, late_set)
+        sim.run_until_idle()
+        assert order == ["late-timer"]
+        assert sim.now == pytest.approx(1.5 * WHEEL_SLOT_S + 10e-6)
+
+    def test_wheel_flush_at_exact_slot_boundary(self):
         # A timer whose due time is exactly a wheel-slot boundary, with
         # every calendar band empty, forces the wheel-only flush branch.
         # Judging due-ness via int(time * inv_wheel) can round one slot
         # low at such boundaries (slot/inv * inv round-trips below slot),
         # leaving the due head unflushed and the engine spinning; the
         # flush must use the same division that computed the deadline.
-        sim = Simulator(queue="calendar", num_levels=num_levels)
-        inv = sim._inv_wheel
+        sim = Simulator()
+        inv = 1.0 / WHEEL_SLOT_S
         slot = next(
             s for s in range(1, 1_000_000) if int((s / inv) * inv) < s
         )
@@ -681,10 +650,144 @@ class TestHierarchicalCalendar:
         assert ran == ["boundary"]
         assert sim.pending_events == 0
 
+    def test_nonpositive_bucket_width_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator(bucket_width_s=0.0)
+        with pytest.raises(ValueError):
+            Simulator(bucket_width_s=-1e-6)
+
+
+class TestCascadeOverCancelledSlot:
+    """Regression: a level-2 slot holding only a cancelled event used to end
+    the cascade chain with level 1's window moved onto the slot and level
+    0's left behind, so the next event due *before* the slot was filed
+    below level 1's floor and the calendar raised ``leveled events not
+    found in window`` (the reference heap just fires it)."""
+
+    def test_earlier_timer_still_fires(self, make_sim):
+        sim = make_sim()
+        fired = []
+        sim.cancel(sim.schedule(0.1, fired.append, "dead"))
+        sim.set_timer(1e-3, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1e-3]
+        assert sim.now == 1e-3
+
+    def test_earlier_event_scheduled_after_the_run_returned(self, make_sim):
+        sim = make_sim()
+        fired = []
+        sim.cancel(sim.schedule(0.1, fired.append, "dead"))
+        sim.run()
+        sim.schedule_at(1e-3, lambda: fired.append(sim.now))
+        sim.schedule_at(0.05, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1e-3, 0.05]
+
+
+# ---------------------------------------------------------------------------
+# Differential property: the calendar replays the reference heap exactly
+# ---------------------------------------------------------------------------
+#: Bucket widths the experiments really use (100, 40 and 20 Gbps links), plus
+#: one far below any of them.
+WIDTHS = sorted(
+    {
+        bucket_width_for(ExperimentConfig(link_bandwidth_bps=bps))
+        for bps in (100e9, 40e9, 20e9)
+    }
+    | {1e-9}
+)
+
+
+def _near(base, k, ulps):
+    """``k * base``, or its float neighbour ``ulps`` (+-1) steps away."""
+    time = k * base
+    if ulps:
+        time = math.nextafter(time, math.copysign(math.inf, ulps))
+    return max(time, 0.0)
+
+
+def _boundary_times(width):
+    """Multiples of every band's unit -- the bucket, the wheel slot, and one
+    slot of each upper level up to the far-future horizon -- and the floats
+    on either side of each: where a float-to-index conversion can disagree
+    with itself by one."""
+    units = [width * NUM_BUCKETS**lvl for lvl in range(NUM_LEVELS + 1)]
+    return st.builds(
+        _near,
+        st.sampled_from(units + [WHEEL_SLOT_S]),
+        st.sampled_from((0, 1, 2, 3, NUM_BUCKETS - 1, NUM_BUCKETS, NUM_BUCKETS + 1)),
+        st.sampled_from((-1, 0, 1)),
+    )
+
+
+@st.composite
+def _plans(draw):
+    """``(width, ops, until)``.  Each op is ``(method, time, issuer,
+    cancel_now, victim)``: it is issued before the first run (``"start"``),
+    after ``run(until=...)`` returned (``"resume"``) or from inside the
+    callback of an earlier op (an int, taken modulo the op's own index);
+    its event is cancelled right away if ``cancel_now``; and its callback
+    cancels op ``victim``'s event (modulo the plan length) if it has one."""
+    width = draw(st.sampled_from(WIDTHS))
+    times = _boundary_times(width)
+    op = st.tuples(
+        st.sampled_from(("schedule_at", "set_timer_at")),
+        times,
+        st.one_of(st.sampled_from(("start", "resume")), st.integers(0, 30)),
+        st.booleans(),
+        st.none() | st.integers(0, 30),
+    )
+    return width, draw(st.lists(op, min_size=1, max_size=12)), draw(times)
+
+
+def _drive(engine_cls, width, ops, until):
+    """Run a plan on ``engine_cls``; the trace and final counters."""
+    sim = engine_cls(bucket_width_s=width)
+    trace = sim.enable_trace()
+    events = {}
+    children = {}
+    for n, (_, _, issuer, _, _) in enumerate(ops):
+        if isinstance(issuer, int):
+            issuer = issuer % n if n else "start"
+        children.setdefault(issuer, []).append(n)
+
+    def issue(n):
+        method, time, _, cancel_now, _ = ops[n]
+        # A plan time already behind the clock is issued for "now".
+        events[n] = getattr(sim, method)(max(time, sim.now), fire, n)
+        if cancel_now:
+            sim.cancel(events[n])
+
+    def fire(n):
+        victim = ops[n][4]
+        if victim is not None:
+            sim.cancel(events.get(victim % len(ops)))
+        for child in children.get(n, ()):
+            issue(child)
+
+    for n in children.get("start", ()):
+        issue(n)
+    sim.run(until=until)
+    for n in children.get("resume", ()):
+        issue(n)
+    sim.run_until_idle()
+    assert sim.events_scheduled == (
+        sim.events_processed + sim.events_cancelled + sim.pending_events
+    )
+    assert sim.pending_events == 0
+    return list(trace), sim.events_processed, sim.now
+
+
+class TestCalendarMatchesHeap:
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(plan=_plans())
+    def test_boundary_plans_replay_the_reference_exactly(self, plan):
+        assert _drive(Simulator, *plan) == _drive(HeapSimulator, *plan)
+
 
 class TestHeapCompaction:
     def test_mass_cancellation_compacts_the_heap(self):
-        sim = Simulator(queue="heap")
+        sim = HeapSimulator()
         total = 4 * _COMPACT_MIN_SIZE
         for i in range(total):
             sim.cancel(sim.schedule(1e-3 + i * 1e-9, lambda: None))

@@ -1,35 +1,25 @@
-"""Cross-core determinism: the calendar queue must replay the heap exactly.
+"""Determinism against the reference: the calendar must replay the heap exactly.
 
-The calendar/timer-wheel core reorders nothing: every pop yields the
-globally minimal ``(time, seq)``, so a full experiment must produce
-byte-for-byte identical results under ``queue="heap"`` and
-``queue="calendar"``.  These tests pin that contract on real figure cells
-(fig1's two schemes and a fig8 transport cell), comparing the *entire*
-serialized :class:`ResultRow` -- headline metrics, fabric counters and the
-quantile-digest payloads -- per seed.
-
-This is what keeps ``ExperimentConfig`` fingerprints engine-agnostic: a
-cached row is valid no matter which core computed it.
+The calendar reorders nothing: every pop yields the globally minimal
+``(time, seq)``, so a full experiment must produce byte-for-byte identical
+results on :class:`Simulator` and on the reference :class:`HeapSimulator`
+(swapped in through ``tests.helpers.use_engine``).  These tests pin that
+contract on real figure cells (fig1's two schemes and a fig8 transport
+cell), comparing the *entire* serialized :class:`ResultRow` -- headline
+metrics, fabric counters and the quantile-digest payloads -- per seed.
 """
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.experiments.spec import scenario
-from repro.sim import compiled
-from repro.sim.engine import Simulator, _CalendarSimulator, _HeapSimulator
-
-
-def _all_cores():
-    """Every selectable core: the compiled calendar only when built."""
-    cores = ["heap", "calendar"]
-    if compiled.available():
-        cores.append("calendar_c")
-    return cores
+from repro.sim.engine import NUM_BUCKETS, HeapSimulator, Simulator
+from tests.helpers import ENGINES, use_engine
 
 
 def _row_for(config, queue, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", queue)
+    use_engine(monkeypatch, queue)
     return run_experiment(config).to_row(label=config.name).to_dict()
 
 
@@ -38,60 +28,40 @@ def _scaled_cells(name, **overrides):
     return spec.configs(**overrides)
 
 
-class TestEngineSelection:
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert isinstance(Simulator(), _CalendarSimulator)
-        assert Simulator().queue_kind == "calendar"
+class TestEngineSubstitution:
+    """The helper every whole-experiment comparison below relies on."""
 
-    def test_heap_escape_hatch(self):
-        assert isinstance(Simulator(queue="heap"), _HeapSimulator)
-        assert Simulator(queue="heap").queue_kind == "heap"
+    def test_experiments_run_on_the_calendar(self):
+        config = next(iter(_scaled_cells("fig1", num_flows=4).values()))
+        assert type(runner._make_simulator(config)) is Simulator
 
-    def test_env_var_selects_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert Simulator().queue_kind == "heap"
-        monkeypatch.setenv("REPRO_ENGINE", "calendar")
-        assert Simulator().queue_kind == "calendar"
-
-    def test_explicit_queue_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert Simulator(queue="calendar").queue_kind == "calendar"
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine queue"):
-            Simulator(queue="wheelbarrow")
-
-    def test_compiled_core_request_always_safe(self):
-        """``calendar_c`` resolves to the compiled core when built, and
-        silently degrades to the pure-Python calendar when it is not --
-        either way the request must never fail."""
-        sim = Simulator(queue="calendar_c")
-        if compiled.available():
-            assert sim.queue_kind == "calendar_c"
-            assert sim._event_cls is compiled.load().CEvent
-        else:
-            assert sim.queue_kind == "calendar"
+    def test_use_engine_swaps_in_the_reference(self, monkeypatch):
+        config = next(iter(_scaled_cells("fig1", num_flows=4).values()))
+        use_engine(monkeypatch, "heap")
+        assert type(runner._make_simulator(config)) is HeapSimulator
 
 
 class TestUnitEventOrderIdentity:
-    """Both cores must execute one synthetic stream in the same order."""
+    """Both classes must execute one synthetic stream in the same order."""
 
     def _drive(self, queue):
-        sim = Simulator(seed=3, queue=queue, bucket_width_s=0.7e-6, num_buckets=16)
+        width = 0.7e-6
+        sim = ENGINES[queue](seed=3, bucket_width_s=width)
         order = []
 
         def emit(tag):
             order.append((round(sim.now * 1e9), tag))
 
         def burst(base, tag):
-            # Same-time FIFO ties, cross-bucket spreads, overflow-band times,
-            # and timers that interleave with regular events.
+            # Same-time FIFO ties, cross-bucket spreads, times past the
+            # level-0 and level-1 windows, and timers that interleave with
+            # regular events.
             for k in range(4):
                 sim.schedule(base + k * 0.3e-6, emit, f"{tag}-s{k}")
             sim.set_timer(base + 0.45e-6, emit, f"{tag}-t")
             dead = sim.set_timer(base + 200e-6, emit, f"{tag}-dead")
-            sim.schedule(base + 50e-6, emit, f"{tag}-far")
+            sim.schedule(base + 1.2 * NUM_BUCKETS * width, emit, f"{tag}-far")
+            sim.schedule(base + 1.2 * NUM_BUCKETS**2 * width, emit, f"{tag}-vfar")
             sim.cancel(dead)
 
         for i in range(40):
@@ -101,12 +71,11 @@ class TestUnitEventOrderIdentity:
 
     def test_heap_and_calendar_agree(self):
         heap_order, heap_n, heap_c = self._drive("heap")
-        for queue in _all_cores()[1:]:
-            order, n, c = self._drive(queue)
-            assert order == heap_order, f"{queue} reordered the stream"
-            assert n == heap_n
-            # Every core eventually discards every cancelled timer.
-            assert c == heap_c
+        order, n, c = self._drive("calendar")
+        assert order == heap_order, "the calendar reordered the stream"
+        assert n == heap_n
+        # Both eventually discard every cancelled timer.
+        assert c == heap_c
 
 
 class TestExperimentIdentity:
@@ -141,7 +110,7 @@ class TestCoalescingMatrix:
         config = _scaled_cells("fig1", num_flows=40, seed=1)[
             "IRN (without PFC)"
         ].with_overrides(ack_coalesce_n=ack_n)
-        rows = {queue: _row_for(config, queue, monkeypatch) for queue in _all_cores()}
+        rows = {queue: _row_for(config, queue, monkeypatch) for queue in ENGINES}
         reference = rows.pop("heap")
         for queue, row in rows.items():
             assert row == reference, f"{queue} diverged at ack_coalesce_n={ack_n}"
@@ -162,8 +131,7 @@ class TestWanMatrix:
     def test_wan_incast_cells_identical_across_cores(self, monkeypatch):
         for label, config in _scaled_cells("wan_incast", seed=1).items():
             rows = {
-                queue: _row_for(config, queue, monkeypatch)
-                for queue in _all_cores()
+                queue: _row_for(config, queue, monkeypatch) for queue in ENGINES
             }
             reference = rows.pop("heap")
             assert reference["c_latency_digest"] is not None
@@ -181,7 +149,7 @@ class TestWanMatrix:
         config = cells[label]
         rows = {
             queue: _row_for(config, queue, monkeypatch)
-            for queue in _all_cores()
+            for queue in ENGINES
         }
         reference = rows.pop("heap")
         for queue, row in rows.items():
@@ -228,8 +196,7 @@ class TestFaultMatrix:
         for label, config in self._variant_cells():
             config = config.with_overrides(fault_plan=self.PLAN)
             rows = {
-                queue: _row_for(config, queue, monkeypatch)
-                for queue in _all_cores()
+                queue: _row_for(config, queue, monkeypatch) for queue in ENGINES
             }
             reference = rows.pop("heap")
             assert reference["faults_enabled"] is True

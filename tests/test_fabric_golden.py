@@ -19,7 +19,7 @@ tests:
 * one ``fabric_digests=True`` cell (the queue-depth sample values).
 
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
-moved.  ``python tests/test_fabric_golden.py`` prints the table again.
+moved.  ``python -m tests.test_fabric_golden`` prints the table again.
 
 Why 12 digits: the simulation itself is bit-identical on CPython 3.10 to
 3.13, but ``avg_fct_s`` and ``avg_slowdown`` are ``sum(...) / n`` and 3.12
@@ -38,6 +38,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.spec import scenario
 from repro.sim import packet as packet_module
+from tests.helpers import use_engine
 
 
 def _spray(network):
@@ -136,7 +137,7 @@ def _digest(name):
 @pytest.mark.parametrize("queue", ["calendar", "heap"])
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_row_digest_is_pinned(name, queue, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", queue)
+    use_engine(monkeypatch, queue)
     assert _digest(name) == PINS[name], f"{name} ({queue}): the ResultRow moved"
 
 

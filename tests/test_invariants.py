@@ -38,8 +38,9 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.verify import FuzzCase, check_case, known_bad_case, run_case
 from repro.workload.distributions import HeavyTailedSizes, UniformSizes
+from tests.helpers import ENGINES
 
-ENGINE_CORES = ("calendar", "heap")
+ENGINE_CORES = tuple(ENGINES)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ FUZZ_SETTINGS = dict(deadline=None, max_examples=8, derandomize=True)
 @lru_cache(maxsize=256)
 def _fuzz_outcome(seed, queue):
     """One execution per (seed, core), shared by every invariant test."""
-    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed), queue=queue)
+    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed), ENGINES[queue])
 
 
 @pytest.mark.parametrize("queue", ENGINE_CORES)
