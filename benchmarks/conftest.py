@@ -25,7 +25,7 @@ here only add ``print`` so ``pytest -s`` shows the tables.
 from __future__ import annotations
 
 import os
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Union
 
 import pytest
 
@@ -42,11 +42,6 @@ AnyResult = Union[ResultRow, ExperimentResult]
 #: Flow count used by benchmark scenarios (smaller than the library default
 #: so the full suite of ~20 benchmarks finishes in minutes).
 BENCH_FLOWS = 120
-#: Seed axis shared by every simulation benchmark.  Flat-scenario benchmarks
-#: expand it with :func:`seed_replicas`; row/table benchmarks take the same
-#: axis from the spec-level ``seeds`` field (``scenario(name).seeds``) via
-#: ``spec.replicated()`` -- every registered scenario now carries (1, 2, 3).
-BENCH_SEEDS = (1, 2, 3)
 
 
 def _bench_workers() -> Optional[int]:
@@ -68,24 +63,6 @@ def run_scenarios(
         return dict(run_sweep(configs, workers=_bench_workers(), cache=_bench_cache()).rows)
 
     return benchmark.pedantic(_run_all, rounds=1, iterations=1)
-
-
-def seed_replicas(
-    configs: Dict[str, ExperimentConfig],
-    seeds: Sequence[int] = BENCH_SEEDS,
-) -> Dict[str, ExperimentConfig]:
-    """Expand scenario configs over a seed axis (labels stay unique).
-
-    Uses the same ``replica_label`` format as ``ScenarioSpec.replicated``,
-    so benchmarks indexing either path's results by label agree.
-    """
-    from repro.experiments.spec import replica_label
-
-    return {
-        replica_label(label, seed): config.with_overrides(seed=seed)
-        for label, config in configs.items()
-        for seed in seeds
-    }
 
 
 def aggregate_by_scheme(

@@ -11,7 +11,6 @@ than going through ``run_sweep``); the retransmission comparison sums over
 the replicas.
 """
 
-from repro.core.factory import TransportKind
 from repro.experiments import scenarios
 from repro.experiments.runner import (
     _build_network,
@@ -21,7 +20,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.collector import MetricsCollector
 
-from benchmarks.conftest import BENCH_SEEDS
+SEEDS = scenarios.scenario("fig1").seeds
 
 
 def _run_with_spray(config):
@@ -44,13 +43,10 @@ def _run_with_spray(config):
 def test_packet_spray_reordering_ablation(benchmark):
     def run_all():
         outcomes = {"irn": [], "roce": []}
-        for seed in BENCH_SEEDS:
-            irn_config = scenarios.default_config(
-                TransportKind.IRN, pfc_enabled=False, num_flows=80, seed=seed)
-            roce_config = scenarios.default_config(
-                TransportKind.ROCE, pfc_enabled=True, num_flows=80, seed=seed)
-            outcomes["irn"].append(_run_with_spray(irn_config))
-            outcomes["roce"].append(_run_with_spray(roce_config))
+        for seed in SEEDS:
+            cells = scenarios.scenario("fig1").configs(num_flows=80, seed=seed)
+            outcomes["irn"].append(_run_with_spray(cells["IRN (without PFC)"]))
+            outcomes["roce"].append(_run_with_spray(cells["RoCE (with PFC)"]))
         return outcomes
 
     outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -58,9 +54,9 @@ def test_packet_spray_reordering_ablation(benchmark):
     irn_rtx = sum(rtx for _, rtx in outcomes["irn"])
     roce_rtx = sum(rtx for _, rtx in outcomes["roce"])
     print("\n=== Ablation: per-packet spraying (packet reordering) ===")
-    for seed, (done, rtx) in zip(BENCH_SEEDS, outcomes["irn"]):
+    for seed, (done, rtx) in zip(SEEDS, outcomes["irn"]):
         print(f"IRN  (no PFC) seed={seed}: completed={done:.0%} retransmissions={rtx}")
-    for seed, (done, rtx) in zip(BENCH_SEEDS, outcomes["roce"]):
+    for seed, (done, rtx) in zip(SEEDS, outcomes["roce"]):
         print(f"RoCE (PFC)    seed={seed}: completed={done:.0%} retransmissions={rtx}")
 
     # IRN tolerates reordering: every flow completes in every replica, and

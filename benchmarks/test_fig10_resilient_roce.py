@@ -12,18 +12,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig10_resilient_roce_vs_irn(benchmark):
-    base = scenarios.fig10_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig10")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 10: Resilient RoCE vs IRN, per replica", results)
     assert_all_completed(results)
 
@@ -31,8 +30,8 @@ def test_fig10_resilient_roce_vs_irn(benchmark):
     irn = aggregates["IRN"]
     resilient = aggregates["Resilient RoCE"]
     for record in (irn, resilient):
-        assert record["replicas"] == len(BENCH_SEEDS)
-        assert record["seeds"] == sorted(BENCH_SEEDS)
+        assert record["replicas"] == len(spec.seeds)
+        assert record["seeds"] == sorted(spec.seeds)
     # IRN (no CC, no PFC) at least matches Resilient RoCE on the
     # seed-averaged metrics.
     assert irn["avg_slowdown_mean"] <= 1.1 * resilient["avg_slowdown_mean"]

@@ -12,18 +12,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig11_iwarp_vs_irn(benchmark):
-    base = scenarios.fig11_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig11")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 11: iWARP (TCP stack) vs IRN, per replica", results)
     assert_all_completed(results)
 
@@ -31,7 +30,7 @@ def test_fig11_iwarp_vs_irn(benchmark):
     iwarp = aggregates["iWARP"]
     irn = aggregates["IRN"]
     irn_aimd = aggregates["IRN + AIMD"]
-    assert iwarp["replicas"] == len(BENCH_SEEDS)
+    assert iwarp["replicas"] == len(spec.seeds)
     # IRN (no slow start) has lower seed-averaged slowdown than the TCP stack.
     assert irn["avg_slowdown_mean"] <= iwarp["avg_slowdown_mean"]
     # Adding AIMD on top of IRN does not make it worse than iWARP either.

@@ -12,18 +12,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig12_worst_case_overheads(benchmark):
-    base = scenarios.fig12_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig12")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 12: IRN implementation overheads, per replica", results)
     assert_all_completed(results)
 
@@ -31,7 +30,7 @@ def test_fig12_worst_case_overheads(benchmark):
     plain = aggregates["IRN (no overheads)"]
     worst = aggregates["IRN (worst-case overheads)"]
     roce = aggregates["RoCE (with PFC)"]
-    assert plain["replicas"] == len(BENCH_SEEDS)
+    assert plain["replicas"] == len(spec.seeds)
     # The modelled overheads cost only a few percent on seed-averaged FCT...
     assert worst["avg_fct_s_mean"] <= 1.15 * plain["avg_fct_s_mean"]
     # ...and IRN stays at least competitive with the RoCE+PFC baseline.

@@ -13,18 +13,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig1_irn_vs_roce(benchmark):
-    base = scenarios.fig1_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig1")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 1: IRN (no PFC) vs RoCE (PFC), per replica", results)
     assert_all_completed(results)
 
@@ -32,8 +31,8 @@ def test_fig1_irn_vs_roce(benchmark):
     irn = aggregates["IRN (without PFC)"]
     roce = aggregates["RoCE (with PFC)"]
     for record in (irn, roce):
-        assert record["replicas"] == len(BENCH_SEEDS)
-        assert record["seeds"] == sorted(BENCH_SEEDS)
+        assert record["replicas"] == len(spec.seeds)
+        assert record["seeds"] == sorted(spec.seeds)
     # The paper's headline claim, on seed-averaged metrics: IRN without PFC
     # outperforms RoCE with PFC.
     assert irn["avg_slowdown_mean"] <= roce["avg_slowdown_mean"]

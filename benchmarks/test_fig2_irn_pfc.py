@@ -13,18 +13,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig2_enabling_pfc_with_irn(benchmark):
-    base = scenarios.fig2_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig2")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 2: IRN with vs without PFC, per replica", results)
     assert_all_completed(results)
 
@@ -32,8 +31,8 @@ def test_fig2_enabling_pfc_with_irn(benchmark):
     without_pfc = aggregates["IRN (without PFC)"]
     with_pfc = aggregates["IRN with PFC"]
     for record in (without_pfc, with_pfc):
-        assert record["replicas"] == len(BENCH_SEEDS)
-        assert record["seeds"] == sorted(BENCH_SEEDS)
+        assert record["replicas"] == len(spec.seeds)
+        assert record["seeds"] == sorted(spec.seeds)
     # IRN does not require PFC: running lossy costs at most a small factor on
     # the seed-averaged metrics (the paper shows it actually helps by 1.5-2x
     # at full scale).

@@ -11,20 +11,19 @@ single seed's draw.
 from repro.experiments import scenarios
 
 from benchmarks.conftest import (
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig3_disabling_pfc_with_roce(benchmark):
     # Run at 90% load: the cost of go-back-N on a lossy fabric grows with
     # congestion, which is exactly the regime the paper's claim is about.
-    base = scenarios.fig3_configs(num_flows=150, target_load=0.9)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig3")
+    base = spec.configs(num_flows=150, target_load=0.9)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=150, target_load=0.9))
     print_metric_table("Figure 3: RoCE with vs without PFC, per replica", results)
     assert_all_completed(results)
 
@@ -32,8 +31,8 @@ def test_fig3_disabling_pfc_with_roce(benchmark):
     with_pfc = aggregates["RoCE (with PFC)"]
     without_pfc = aggregates["RoCE without PFC"]
     for record in (with_pfc, without_pfc):
-        assert record["replicas"] == len(BENCH_SEEDS)
-        assert record["seeds"] == sorted(BENCH_SEEDS)
+        assert record["replicas"] == len(spec.seeds)
+        assert record["seeds"] == sorted(spec.seeds)
     # RoCE requires PFC: completion times degrade clearly without it -- on
     # seed-averaged metrics.  (The average slowdown, dominated by
     # single-packet RPCs, degrades less at benchmark scale.)

@@ -11,18 +11,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig4_irn_vs_roce_with_congestion_control(benchmark):
-    base = scenarios.fig4_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig4")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 4: IRN vs RoCE with Timely / DCQCN, per replica", results)
     assert_all_completed(results)
 
@@ -30,7 +29,7 @@ def test_fig4_irn_vs_roce_with_congestion_control(benchmark):
     for cc in ("timely", "dcqcn"):
         irn = aggregates[f"IRN +{cc}"]
         roce = aggregates[f"RoCE +{cc}"]
-        assert irn["replicas"] == len(BENCH_SEEDS)
+        assert irn["replicas"] == len(spec.seeds)
         # IRN (no PFC) remains at least competitive with RoCE (PFC) under CC
         # on seed-averaged slowdown.
         assert irn["avg_slowdown_mean"] <= 1.15 * roce["avg_slowdown_mean"]

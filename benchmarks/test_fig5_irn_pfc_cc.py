@@ -12,18 +12,17 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig5_pfc_with_irn_under_congestion_control(benchmark):
-    base = scenarios.fig5_configs(num_flows=BENCH_FLOWS)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig5")
+    base = spec.configs(num_flows=BENCH_FLOWS)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=BENCH_FLOWS))
     print_metric_table("Figure 5: IRN +/- PFC with Timely / DCQCN, per replica", results)
     assert_all_completed(results)
 
@@ -31,7 +30,7 @@ def test_fig5_pfc_with_irn_under_congestion_control(benchmark):
     for cc in ("timely", "dcqcn"):
         with_pfc = aggregates[f"IRN with PFC +{cc}"]
         without_pfc = aggregates[f"IRN +{cc}"]
-        assert with_pfc["replicas"] == len(BENCH_SEEDS)
+        assert with_pfc["replicas"] == len(spec.seeds)
         # PFC makes little difference to IRN once congestion control is on --
         # on seed-averaged FCT.
         ratio = without_pfc["avg_fct_s_mean"] / with_pfc["avg_fct_s_mean"]

@@ -11,18 +11,17 @@ Each scheme runs over a three-seed axis; the fabric-counter assertions use
 from repro.experiments import scenarios
 
 from benchmarks.conftest import (
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig6_pfc_with_roce_under_congestion_control(benchmark):
-    base = scenarios.fig6_configs(num_flows=100, target_load=0.9)
-    results = run_scenarios(benchmark, seed_replicas(base))
+    spec = scenarios.scenario("fig6")
+    base = spec.configs(num_flows=100, target_load=0.9)
+    results = run_scenarios(benchmark, spec.replicated(num_flows=100, target_load=0.9))
     print_metric_table("Figure 6: RoCE +/- PFC with Timely / DCQCN, per replica", results)
     assert_all_completed(results)
 
@@ -30,7 +29,7 @@ def test_fig6_pfc_with_roce_under_congestion_control(benchmark):
     for cc in ("timely", "dcqcn"):
         with_pfc = aggregates[f"RoCE with PFC +{cc}"]
         without_pfc = aggregates[f"RoCE without PFC +{cc}"]
-        assert with_pfc["replicas"] == len(BENCH_SEEDS)
+        assert with_pfc["replicas"] == len(spec.seeds)
         # The mechanism behind the paper's claim that RoCE still needs PFC:
         # the lossless fabric absorbs congestion with pauses (never drops),
         # while the lossy fabric exposes go-back-N to drops and redundant

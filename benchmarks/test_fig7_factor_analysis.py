@@ -15,20 +15,22 @@ from repro.experiments import scenarios
 
 from benchmarks.conftest import (
     BENCH_FLOWS,
-    BENCH_SEEDS,
     aggregate_by_scheme,
     assert_all_completed,
     print_metric_table,
     run_scenarios,
-    seed_replicas,
 )
 
 
 def test_fig7_factor_analysis(benchmark):
-    base = scenarios.fig7_configs(num_flows=BENCH_FLOWS)
-    base.update(scenarios.no_sack_configs(num_flows=BENCH_FLOWS))
-    # The plain-IRN config appears in both sets; the dict merge keeps one copy.
-    results = run_scenarios(benchmark, seed_replicas(base))
+    fig7, no_sack = scenarios.scenario("fig7"), scenarios.scenario("no_sack")
+    # The plain-IRN config appears in both sets; the dict merges keep one copy.
+    base = {**fig7.configs(num_flows=BENCH_FLOWS), **no_sack.configs(num_flows=BENCH_FLOWS)}
+    replicas = {
+        **fig7.replicated(num_flows=BENCH_FLOWS),
+        **no_sack.replicated(num_flows=BENCH_FLOWS),
+    }
+    results = run_scenarios(benchmark, replicas)
     print_metric_table("Figure 7: IRN factor analysis, per replica", results)
     assert_all_completed(results)
 
@@ -37,7 +39,7 @@ def test_fig7_factor_analysis(benchmark):
     gbn = aggregates["IRN with Go-Back-N"]
     no_bdpfc = aggregates["IRN without BDP-FC"]
     no_sack = aggregates["IRN without SACK"]
-    assert irn["replicas"] == len(BENCH_SEEDS)
+    assert irn["replicas"] == len(fig7.seeds)
 
     # Both ablations hurt relative to full IRN (allowing a little noise) on
     # seed-averaged FCT.

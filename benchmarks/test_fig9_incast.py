@@ -12,28 +12,35 @@ not one of the digest-aggregated headline metrics, so it is averaged here).
 from repro.experiments import scenarios
 from repro.metrics.stats import mean
 
-from benchmarks.conftest import BENCH_SEEDS, run_scenarios, seed_replicas
+from benchmarks.conftest import run_scenarios
 from repro.experiments.spec import replica_label
+
+SEEDS = scenarios.scenario("fig9").seeds
 
 
 def _replica_mean(results, label, metric):
-    values = [getattr(results[replica_label(label, seed)], metric) for seed in BENCH_SEEDS]
+    values = [getattr(results[replica_label(label, seed)], metric) for seed in SEEDS]
     assert all(value is not None for value in values), label
     return mean(values)
 
 
 def test_fig9_incast_rct_ratio(benchmark):
     fan_ins = (5, 10)
-    configs = scenarios.fig9_configs(fan_ins=fan_ins, total_bytes=2_000_000)
+    configs = scenarios.scenario("fig9").with_rows(
+        scenarios.incast_rows(fan_ins, total_bytes=2_000_000)
+    ).replicated()
+    cross_incast = {
+        "total_bytes": 1_500_000, "fan_in": 8, "destination": "h0", "start_time": 1e-4,
+    }
     configs.update(
         {
             "cross-traffic " + label: config
-            for label, config in scenarios.incast_with_cross_traffic_configs(
-                fan_in=8, total_bytes=1_500_000, num_flows=60
+            for label, config in scenarios.scenario("incast_cross_traffic").replicated(
+                seeds=SEEDS, num_flows=60, incast=cross_incast
             ).items()
         }
     )
-    results = run_scenarios(benchmark, seed_replicas(configs))
+    results = run_scenarios(benchmark, configs)
 
     print("\n=== Figure 9: incast RCT, IRN (no PFC) vs RoCE (PFC), seed-averaged ===")
     print(f"{'fan-in M':>9} {'RoCE RCT (ms)':>14} {'IRN RCT (ms)':>14} {'IRN/RoCE':>9}")
@@ -48,7 +55,7 @@ def test_fig9_incast_rct_ratio(benchmark):
     print("\n=== §4.4.3: incast with 50%-load cross traffic, seed-averaged ===")
     print(f"{'scheme':<34} {'incast RCT (ms)':>16} {'bg avg slowdown':>16}")
     cross_labels = sorted(
-        {label for label in configs if label.startswith("cross-traffic")}
+        "cross-traffic " + label for label in scenarios.scenario("incast_cross_traffic").variants
     )
     bg_slowdown = {}
     for label in cross_labels:

@@ -7,7 +7,7 @@ Each (row, scheme) cell runs over the spec's three-seed replica axis; the
 robustness assertion compares :func:`aggregate_rows` means across rows.
 """
 
-from repro.experiments import scenarios
+from repro.experiments import ExperimentConfig, scenarios
 
 from benchmarks.conftest import (
     aggregate_by_scheme,
@@ -19,8 +19,10 @@ FLOWS = 90
 
 
 def test_table8_rto_high_sweep(benchmark):
-    base = scenarios.default_config().effective_rto_high_s()
-    spec = scenarios.scenario("table8").with_rows(
+    table8 = scenarios.scenario("table8")
+    # The ideal RTO_high is the one the table's own baseline derives.
+    base = ExperimentConfig(**table8.defaults).effective_rto_high_s()
+    spec = table8.with_rows(
         {f"{int(value * 1e6)}us": {"rto_high_s": value}
          for value in (base, 2 * base, 4 * base)}
     )

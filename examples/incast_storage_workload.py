@@ -24,11 +24,16 @@ def main() -> None:
     # Pure incast: vary the fan-in (Figure 9's x axis).  Cross-traffic
     # scenarios ride along in the same sweep under a label prefix.
     fan_ins = (5, 10)
-    configs = scenarios.fig9_configs(fan_ins=fan_ins, total_bytes=2_000_000)
+    configs = scenarios.scenario("fig9").with_rows(
+        scenarios.incast_rows(fan_ins, total_bytes=2_000_000)
+    ).configs()
+    cross_incast = {
+        "total_bytes": 1_500_000, "fan_in": 8, "destination": "h0", "start_time": 1e-4,
+    }
     configs.update({
         "cross-traffic " + label: config
-        for label, config in scenarios.incast_with_cross_traffic_configs(
-            fan_in=8, total_bytes=1_500_000, num_flows=80
+        for label, config in scenarios.scenario("incast_cross_traffic").configs(
+            num_flows=80, incast=cross_incast
         ).items()
     })
     sweep = run_sweep(configs)

@@ -30,15 +30,13 @@ The package provides:
 from repro.version import __version__
 
 from repro.sim.engine import Simulator
-from repro.experiments.config import ExperimentConfig, TransportKind, CongestionControl
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "__version__",
     "Simulator",
     "ExperimentConfig",
-    "TransportKind",
-    "CongestionControl",
     "ExperimentResult",
     "run_experiment",
 ]

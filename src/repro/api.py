@@ -41,14 +41,14 @@ from repro.congestion.factory import (
     make_congestion_control,
     register_congestion_control,
 )
-from repro.core.factory import TRANSPORTS, TransportKind, register_transport
+from repro.core.factory import TRANSPORTS, register_transport
 from repro.experiments.backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     SweepProgress,
     register_execution_backend,
 )
-from repro.experiments.config import CongestionControl, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.spec import (
@@ -101,12 +101,10 @@ __all__ = [
     "run_worker",
     # component registries
     "CONGESTION_SCHEMES",
-    "CongestionControl",
     "CongestionScheme",
     "PartialAggregator",
     "TOPOLOGIES",
     "TRANSPORTS",
-    "TransportKind",
     "WORKLOADS",
     "make_congestion_control",
     "register_congestion_control",

@@ -123,10 +123,6 @@ def make_congestion_control(
     kind: str,
     line_rate_bps: float,
     base_rtt_s: float,
-    dcqcn_params: Optional[DcqcnParams] = None,
-    timely_params: Optional[TimelyParams] = None,
-    aimd_params: Optional[AimdParams] = None,
-    dctcp_params: Optional[DctcpParams] = None,
     params: Optional[Any] = None,
 ) -> CongestionControl:
     """Build a per-flow congestion-control object by registered name.
@@ -136,9 +132,7 @@ def make_congestion_control(
     kind:
         A registered scheme name (``"none"``, ``"dcqcn"``, ``"timely"``,
         ``"aimd"``, ``"dctcp"``, or anything added via
-        :func:`register_congestion_control`).  A
-        :class:`~repro.experiments.config.CongestionControl` enum member is
-        accepted and resolves through the registry.
+        :func:`register_congestion_control`).
     line_rate_bps:
         Host link rate (rate-based algorithms start at line rate).
     base_rtt_s:
@@ -147,18 +141,9 @@ def make_congestion_control(
         the algorithms remain meaningful on scaled-down test fabrics.
     params:
         Optional algorithm-specific parameter object forwarded to the
-        factory; the legacy ``*_params`` keywords keep working for the
-        built-in schemes.
+        factory (``DcqcnParams`` for ``"dcqcn"`` and so on).
     """
-    scheme = CONGESTION_SCHEMES.get(kind)
-    if params is None:
-        params = {
-            "dcqcn": dcqcn_params,
-            "timely": timely_params,
-            "aimd": aimd_params,
-            "dctcp": dctcp_params,
-        }.get(scheme.name)
-    return scheme.build(line_rate_bps, base_rtt_s, params=params)
+    return CONGESTION_SCHEMES.get(kind).build(line_rate_bps, base_rtt_s, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,12 @@ from repro.core.roce import RoceConfig, RoceSender, RoceReceiver
 from repro.core.iwarp import TcpConfig, TcpSender
 from repro.core.factory import (
     TRANSPORTS,
-    TransportKind,
     make_flow_endpoints,
     register_transport,
 )
 
 __all__ = [
     "TRANSPORTS",
-    "TransportKind",
     "register_transport",
     "Flow",
     "BaseSender",

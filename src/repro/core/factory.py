@@ -3,9 +3,9 @@
 Transports are pluggable: each variant registers an *endpoint builder* in
 :data:`TRANSPORTS` under a name, and :func:`make_flow_endpoints` (the single
 entry point the runner uses) resolves the configured transport through that
-registry.  The legacy :class:`TransportKind` enum survives as a thin alias
-layer -- its members resolve through the registry via their ``.value`` -- so
-existing configs, cache fingerprints and call sites keep working.
+registry.  The paper's variants are registered at the bottom of this module:
+``irn``, ``roce``, ``iwarp`` and the §4.3 factor-analysis ablations
+``irn_go_back_n``, ``irn_no_bdpfc`` and ``irn_no_sack``.
 
 A registered builder has the signature::
 
@@ -29,8 +29,7 @@ package without changing the runner::
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
 from repro.core.iwarp import TcpConfig, TcpSender
@@ -54,31 +53,11 @@ def register_transport(name: str, *, aliases: Sequence[str] = (), replace: bool 
     return TRANSPORTS.register(name, aliases=aliases, replace=replace)
 
 
-class TransportKind(Enum):
-    """Transport variants evaluated in the paper.
-
-    .. deprecated::
-        Kept as a thin alias layer over the :data:`TRANSPORTS` registry --
-        each member resolves through the registry via its ``.value``.  New
-        code (and new transports) should use plain string names.
-    """
-
-    IRN = "irn"
-    ROCE = "roce"
-    IWARP = "iwarp"
-    #: §4.3 factor analysis: IRN with go-back-N instead of SACK recovery.
-    IRN_GO_BACK_N = "irn_go_back_n"
-    #: §4.3 factor analysis: IRN without the BDP-FC in-flight cap.
-    IRN_NO_BDPFC = "irn_no_bdpfc"
-    #: §4.3 factor analysis: selective retransmit without SACK state.
-    IRN_NO_SACK = "irn_no_sack"
-
-
 def make_flow_endpoints(
     sim: "Simulator",
     src_host: "Host",
     flow: Flow,
-    kind: Union[TransportKind, str],
+    kind: str,
     irn_config: Optional[IrnConfig] = None,
     roce_config: Optional[RoceConfig] = None,
     tcp_config: Optional[TcpConfig] = None,
@@ -89,8 +68,7 @@ def make_flow_endpoints(
 ) -> Tuple[BaseSender, BaseReceiver]:
     """Instantiate the sender and receiver for ``flow`` under ``kind``.
 
-    ``kind`` is a registered transport name (or a :class:`TransportKind`
-    member, which resolves through the registry).  The caller is responsible
+    ``kind`` is a registered transport name.  The caller is responsible
     for registering the returned endpoints with their hosts
     (``src_host.register_sender`` / ``dst_host.register_receiver``); the
     factory only needs the source host to wire the sender's NIC callbacks.

@@ -1,12 +1,6 @@
 """Experiment harness: configurations, runner and paper scenario presets."""
 
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    TransportKind,
-    WorkloadKind,
-)
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
@@ -32,11 +26,7 @@ from repro.experiments.sweep import (
 from repro.experiments import scenarios
 
 __all__ = [
-    "CongestionControl",
     "ExperimentConfig",
-    "TopologyKind",
-    "TransportKind",
-    "WorkloadKind",
     "ExperimentResult",
     "ResultRow",
     "SCENARIOS",

@@ -7,14 +7,13 @@ parameters under study.  Presets for the paper's scenarios live in
 the ``SCENARIOS`` registry).
 
 The component fields (``topology``, ``transport``, ``congestion_control``,
-``workload``) name entries in the corresponding registries
-(:data:`repro.topology.TOPOLOGIES`, :data:`repro.core.factory.TRANSPORTS`,
-:data:`repro.congestion.factory.CONGESTION_SCHEMES`,
-:data:`repro.workload.WORKLOADS`).  They accept either a plain string -- the
-open, pluggable surface -- or one of the legacy kind enums below, which are
-kept as thin aliases: a string matching an enum value is normalized to the
-enum member, and both serialize identically, so config fingerprints (and
-therefore warm sweep caches) are unaffected by which spelling a caller uses.
+``workload``) are registry names -- plain strings naming entries in
+:data:`repro.topology.TOPOLOGIES`, :data:`repro.core.factory.TRANSPORTS`,
+:data:`repro.congestion.factory.CONGESTION_SCHEMES` and
+:data:`repro.workload.WORKLOADS`.  ``__post_init__`` stores each one in its
+registry's canonical spelling (case folded, aliases resolved), so every
+spelling of one component serializes, fingerprints and aggregates
+identically.
 """
 
 from __future__ import annotations
@@ -22,90 +21,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from enum import Enum
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.congestion.factory import CONGESTION_SCHEMES
-from repro.core.factory import TRANSPORTS, TransportKind
+from repro.core.factory import TRANSPORTS
 from repro.faults import FaultPlan
 from repro.sim.pfc import PfcConfig, headroom_for_link
 from repro.sim.switch import EcnConfig, SwitchConfig
 from repro.topology import TOPOLOGIES
 from repro.workload import WORKLOADS
-from repro.topology.fattree import FatTreeParams
-from repro.workload.distributions import (
-    FixedSizes,
-    FlowSizeDistribution,
-    HeavyTailedSizes,
-    UniformSizes,
-)
 from repro.workload.incast import IncastParams
-
-
-class CongestionControl(Enum):
-    """Congestion-control schemes evaluated in the paper.
-
-    .. deprecated::
-        Thin alias over the congestion-control registry; members resolve
-        through it via their ``.value``.  Use plain string names for schemes
-        registered outside :mod:`repro.congestion`.
-    """
-
-    NONE = "none"
-    TIMELY = "timely"
-    DCQCN = "dcqcn"
-    AIMD = "aimd"
-    DCTCP = "dctcp"
-
-
-class TopologyKind(Enum):
-    """Topology families shipped with the harness.
-
-    .. deprecated::
-        Thin alias over :data:`repro.topology.TOPOLOGIES`; members resolve
-        through the registry via their ``.value``.
-    """
-
-    FAT_TREE = "fat_tree"
-    STAR = "star"
-    DUMBBELL = "dumbbell"
-    PARKING_LOT = "parking_lot"
-
-
-class WorkloadKind(Enum):
-    """Workload families from the paper's evaluation.
-
-    .. deprecated::
-        Thin alias over :data:`repro.workload.WORKLOADS`; members resolve
-        through the registry via their ``.value``.
-    """
-
-    HEAVY_TAILED = "heavy_tailed"
-    UNIFORM = "uniform"
-    FIXED = "fixed"
-    NONE = "none"
-
-
-def _coerce_kind(value: Union[str, Enum], enum_cls, registry) -> Union[str, Enum]:
-    """Normalize a component name so every spelling of one component
-    serializes (and therefore fingerprints and aggregates) identically:
-    registry aliases resolve to their canonical name (``"off"`` ->
-    ``"none"``), case folds like registry keys, and strings matching an
-    enum value become the enum member (so identity checks like
-    ``config.transport is TransportKind.IRN`` keep working).  Unknown
-    strings -- components registered later -- pass through lowercased."""
-    if isinstance(value, (str, Enum)):
-        value = registry.canonical_name(value)
-        try:
-            return enum_cls(value)
-        except ValueError:
-            return value
-    return value
-
-
-def _kind_name(value: Union[str, Enum]) -> str:
-    """The registry name of a component field (enum member or string)."""
-    return value.value if isinstance(value, Enum) else value
 
 
 #: Config fields that never influence the physics of a run *or* the cached
@@ -116,6 +41,27 @@ def _kind_name(value: Union[str, Enum]) -> str:
 #: :class:`~repro.experiments.results.ResultRow` are kept either way).
 _NON_PHYSICAL_FIELDS = ("name", "keep_flow_records")
 
+#: ``field -> value at which the field is left out of the canonical dict``.
+#: A field may be listed only if a run at the listed value is byte-identical
+#: (events and :class:`~repro.experiments.results.ResultRow`) to a run from
+#: before the field existed; every other value is fingerprinted.  The
+#: mechanism exists because the fingerprint is part of the row and row
+#: digests are pinned (``tests/test_fabric_golden.py``,
+#: ``benchmarks/e2e/baseline.json``) -- see "What is in a fingerprint" in
+#: ``docs/architecture.md``.  The values are the *raw* knobs, never derived
+#: ones, so a fingerprint cannot depend on what is registered in a process.
+_OMITTED_AT: Dict[str, Any] = {
+    "port_batch_bytes": None,
+    "fabric_digests": False,
+    "ring_switches": 3,
+    "wan_delay_s": 1e-3,
+    "c_latency_ratios": False,
+    # Only per-packet ACKs match pre-knob runs; the default of 4 does not.
+    "ack_coalesce_n": 1,
+    "pacing_quantum_us": 0.0,
+    "fault_plan": None,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -124,22 +70,18 @@ class ExperimentConfig:
     name: str = "default"
 
     # --- topology ---------------------------------------------------------
-    topology: Union[TopologyKind, str] = TopologyKind.FAT_TREE
+    topology: str = "fat_tree"
     fat_tree_k: int = 4
     num_hosts: int = 8            # used by star/dumbbell topologies
     #: Switches on the ``ring`` topology's cycle (the circular-dependency
-    #: fabric behind the ``pfc_deadlock`` scenario).  Like
-    #: ``port_batch_bytes``, the default is dropped from the canonical
-    #: serialization so its introduction left existing cache entries valid.
+    #: fabric behind the ``pfc_deadlock`` scenario).
     ring_switches: int = 3
     link_bandwidth_bps: float = 10e9
     link_delay_s: float = 1e-6
     #: Long-haul propagation delay for the WAN topologies (``wan_dumbbell``'s
     #: inter-switch bottleneck, ``inter_dc_fattree``'s core-to-core links).
     #: The default is 1 ms -- 1000x the intra-DC ``link_delay_s`` default,
-    #: roughly 200 km of fiber.  Homogeneous topologies never read it, and
-    #: the default is dropped from the canonical serialization (like
-    #: ``ring_switches``) so its introduction left existing caches valid.
+    #: roughly 200 km of fiber.  Homogeneous topologies never read it.
     wan_delay_s: float = 1e-3
 
     # --- switch / PFC -------------------------------------------------------
@@ -153,14 +95,12 @@ class ExperimentConfig:
     #: pull; with jumbo MTUs that bursts several MTUs past a PFC pause, so
     #: this caps the committed bytes instead (a batch stops once it reaches
     #: the cap; it always commits at least one packet).  ``None`` keeps the
-    #: packet-count-only behavior -- and is excluded from the fingerprint,
-    #: so setting it never invalidates existing caches retroactively, while
-    #: any explicit value *is* fingerprinted (it changes departure timing
-    #: and the derived PFC headroom).
+    #: packet-count-only behavior; a value also changes the derived PFC
+    #: headroom.
     port_batch_bytes: Optional[int] = None
 
     # --- transport ------------------------------------------------------------
-    transport: Union[TransportKind, str] = TransportKind.IRN
+    transport: str = "irn"
     mtu_bytes: int = 1000
     header_bytes: int = 48
     #: IRN timeouts.  ``None`` derives them with the paper's rule (§4.1):
@@ -181,11 +121,7 @@ class ExperimentConfig:
     #: models the hardware and deletes most per-packet ACK events.  1
     #: restores the per-packet ACK stream exactly.  RTT-based schemes cap
     #: the effective window through their registry metadata
-    #: (``CongestionScheme.max_ack_coalesce``).  Fingerprint-relevant at
-    #: every value except 1 -- including this default, which changes ACK
-    #: timing vs the per-packet stream; only 1 (physics identical to
-    #: pre-knob runs) is dropped from the canonical dict (see
-    #: :meth:`to_canonical_dict`).
+    #: (``CongestionScheme.max_ack_coalesce``).
     ack_coalesce_n: int = 4
     #: Flush timeout (microseconds) for a partially filled coalescing
     #: window; clamped to half of the effective RTO_low so the total
@@ -200,10 +136,10 @@ class ExperimentConfig:
     pacing_quantum_us: float = 0.0
 
     # --- congestion control ------------------------------------------------------
-    congestion_control: Union[CongestionControl, str] = CongestionControl.NONE
+    congestion_control: str = "none"
 
     # --- workload ------------------------------------------------------------------
-    workload: Union[WorkloadKind, str] = WorkloadKind.HEAVY_TAILED
+    workload: str = "heavy_tailed"
     target_load: float = 0.7
     num_flows: int = 200
     #: Scale factor applied to the medium/large bands of the heavy-tailed mix
@@ -231,39 +167,37 @@ class ExperimentConfig:
     #: ResultRow` and pooled by ``aggregate_rows``.  Pure observation (no
     #: event, ordering or RNG impact: results are byte-identical either
     #: way), but unlike ``keep_flow_records`` it changes what the cached
-    #: *row* carries -- so it joins the fingerprint once enabled (the
-    #: ``False`` default is excluded, keeping old caches valid), and a
-    #: digest-collecting sweep never gets served digest-less rows.
+    #: *row* carries, so it is fingerprinted: a digest-collecting sweep
+    #: never gets served digest-less rows.
     fabric_digests: bool = False
     #: Collect per-flow c-latency ratios (FCT divided by the speed-of-light
     #: lower bound: the path's one-way propagation delay from the topology's
     #: hop delays), the "Towards a Speed of Light Internet" metric for
     #: propagation-dominated fabrics.  Streaming digest only (no event,
     #: ordering or RNG impact), but like ``fabric_digests`` it changes what
-    #: the cached row carries, so it joins the fingerprint once enabled.
+    #: the cached row carries.
     c_latency_ratios: bool = False
     #: Deterministic fault schedule (:class:`repro.faults.FaultPlan`).
     #: ``None`` -- and an *empty* plan, which normalizes to ``None`` -- run
-    #: fault-free and are excluded from the canonical serialization, so the
-    #: field's introduction keeps every existing cache entry valid.  Any
-    #: non-empty plan changes both the physics and what the cached row
-    #: carries (recovery observables), so it joins the fingerprint.
+    #: fault-free.  A non-empty plan changes both the physics and what the
+    #: cached row carries (recovery observables).
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        self.topology = _coerce_kind(self.topology, TopologyKind, TOPOLOGIES)
-        self.transport = _coerce_kind(self.transport, TransportKind, TRANSPORTS)
-        self.congestion_control = _coerce_kind(
-            self.congestion_control, CongestionControl, CONGESTION_SCHEMES
-        )
-        self.workload = _coerce_kind(self.workload, WorkloadKind, WORKLOADS)
+        # One spelling per component: aliases and case fold here, so they
+        # cannot split fingerprints or aggregation cells.  Names nothing has
+        # registered (yet) pass through lower-cased.
+        self.topology = TOPOLOGIES.canonical_name(self.topology)
+        self.transport = TRANSPORTS.canonical_name(self.transport)
+        self.congestion_control = CONGESTION_SCHEMES.canonical_name(self.congestion_control)
+        self.workload = WORKLOADS.canonical_name(self.workload)
         if isinstance(self.incast, dict):
             self.incast = IncastParams(**self.incast)
         if isinstance(self.fault_plan, dict):
             self.fault_plan = FaultPlan(**self.fault_plan)
         if self.fault_plan is not None and self.fault_plan.is_empty:
             # An empty plan is physically identical to no plan; normalizing
-            # here keeps it fingerprint-neutral (old cache rows still hit).
+            # here gives both one fingerprint.
             self.fault_plan = None
         if self.port_batch_bytes is not None and self.port_batch_bytes < 1:
             # A zero cap would silently stop every port from ever pulling a
@@ -277,34 +211,20 @@ class ExperimentConfig:
             raise ValueError("pacing_quantum_us must be >= 0 (0 disables quantization)")
 
     # ------------------------------------------------------------------
-    # Component registry names
+    # Read by benchmarks/e2e/orchestration.py (frozen with the benchmark);
+    # everything under src/ reads the fields themselves.
     # ------------------------------------------------------------------
     @property
     def topology_name(self) -> str:
-        return _kind_name(self.topology)
-
-    @property
-    def transport_name(self) -> str:
-        return _kind_name(self.transport)
-
-    @property
-    def congestion_control_name(self) -> str:
-        return _kind_name(self.congestion_control)
+        return self.topology
 
     @property
     def workload_name(self) -> str:
-        return _kind_name(self.workload)
+        return self.workload
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def fat_tree_params(self) -> FatTreeParams:
-        return FatTreeParams(
-            k=self.fat_tree_k,
-            link_bandwidth_bps=self.link_bandwidth_bps,
-            link_delay_s=self.link_delay_s,
-        )
-
     def max_hop_count(self) -> int:
         """Longest-path hop count, from the registered topology's metadata."""
         return TOPOLOGIES.get(self.topology).max_hop_count(self)
@@ -414,7 +334,7 @@ class ExperimentConfig:
         """Build the per-switch configuration implied by this experiment.
 
         ECN marking follows the registered scheme's declared needs (DCQCN and
-        DCTCP among the built-ins), not a hard-coded enum check, so schemes
+        DCTCP among the built-ins), not a hard-coded name check, so schemes
         registered by third parties get marked traffic automatically.
         """
         buffer_bytes = self.effective_buffer_bytes()
@@ -437,20 +357,6 @@ class ExperimentConfig:
             ecn=ecn,
         )
 
-    def size_distribution(self) -> Optional[FlowSizeDistribution]:
-        """The flow-size distribution for the built-in background workloads.
-
-        Custom registered workloads build their own flow lists; for them (and
-        for ``"none"``) this returns ``None``.
-        """
-        if self.workload is WorkloadKind.HEAVY_TAILED:
-            return HeavyTailedSizes(scale=self.flow_size_scale)
-        if self.workload is WorkloadKind.UNIFORM:
-            return UniformSizes(self.uniform_low_bytes, self.uniform_high_bytes)
-        if self.workload is WorkloadKind.FIXED:
-            return FixedSizes(self.fixed_size_bytes)
-        return None
-
     # ------------------------------------------------------------------
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """A copy of the config with the given fields replaced."""
@@ -465,10 +371,10 @@ class ExperimentConfig:
 
         Unlike :meth:`to_canonical_dict` this keeps the non-physical fields
         (``name`` binds the aggregation cell on the rebuilt side) and
-        preserves declaration order.  Enums collapse to their string values
-        and nested dataclasses to dicts; :meth:`from_dict` coerces both back,
-        so ``from_dict(to_dict())`` reconstructs an equal config with a
-        byte-identical :meth:`fingerprint`.
+        preserves declaration order.  Nested dataclasses collapse to dicts
+        and :meth:`from_dict` coerces them back, so ``from_dict(to_dict())``
+        reconstructs an equal config with a byte-identical
+        :meth:`fingerprint`.
         """
         return {key: _wire_safe(value) for key, value in asdict(self).items()}
 
@@ -484,52 +390,22 @@ class ExperimentConfig:
     def to_canonical_dict(self) -> Dict[str, Any]:
         """All simulation-relevant fields as JSON-safe values, stably ordered.
 
-        Enums collapse to their ``.value`` (identical to the plain-string
-        spelling of the same component) and nested dataclasses (e.g.
-        :class:`IncastParams`) to sorted dicts, so two configs that would run
-        identical simulations serialize identically across processes and
-        Python versions.  Fields in :data:`_NON_PHYSICAL_FIELDS` are
-        excluded: they never influence a run's physics, and including them
-        would make physically identical simulations miss the sweep cache.
+        Nested dataclasses (e.g. :class:`IncastParams`) collapse to sorted
+        dicts, so two configs that would run identical simulations serialize
+        identically across processes and Python versions.  Left out are the
+        :data:`_NON_PHYSICAL_FIELDS` (including them would make physically
+        identical simulations miss the sweep cache) and every field sitting
+        at its :data:`_OMITTED_AT` value.
         """
         payload = asdict(self)
         for field_name in _NON_PHYSICAL_FIELDS:
             del payload[field_name]
-        # Fingerprint-relevant *once set*: the inert defaults are dropped so
-        # these fields' introduction did not invalidate every pre-existing
-        # cache entry, while any explicit value keys its own entries
-        # (``port_batch_bytes`` changes the physics; ``fabric_digests``
-        # changes what the cached row carries).
-        if payload.get("port_batch_bytes") is None:
-            del payload["port_batch_bytes"]
-        if not payload.get("fabric_digests"):
-            del payload["fabric_digests"]
-        if payload.get("ring_switches") == 3:
-            del payload["ring_switches"]
-        if payload.get("wan_delay_s") == 1e-3:
-            del payload["wan_delay_s"]
-        if not payload.get("c_latency_ratios"):
-            del payload["c_latency_ratios"]
-        if payload.get("ack_coalesce_n") == 1:
-            # Coalescing off: the run is byte-identical to the pre-knob
-            # per-packet ACK stream, so both keys (the then-irrelevant
-            # flush timeout too) collapse onto the fingerprints of rows
-            # cached before the knobs existed.  Any other window changes
-            # ACK timing and must key its own cache entries -- *including*
-            # the default of 4, which is behavior-changing and so cannot
-            # share fingerprints with per-packet rows.  The raw knob is
-            # used rather than ``effective_ack_coalesce_n`` so the
-            # fingerprint never depends on which schemes happen to be
-            # registered in this process (a scheme cap, e.g. Timely's,
-            # just costs one conservative cache miss).
-            del payload["ack_coalesce_n"]
+        for field_name, omitted_at in _OMITTED_AT.items():
+            if payload[field_name] == omitted_at:
+                del payload[field_name]
+        if "ack_coalesce_n" not in payload:
+            # The flush timeout of a window that never coalesces is inert.
             del payload["ack_coalesce_us"]
-        if not payload.get("pacing_quantum_us"):
-            del payload["pacing_quantum_us"]
-        if payload.get("fault_plan") is None:
-            # ``__post_init__`` already collapsed empty plans to ``None``,
-            # so only genuinely fault-enabled configs key new cache entries.
-            del payload["fault_plan"]
         return _canonical(payload)
 
     def fingerprint(self) -> str:
@@ -541,12 +417,10 @@ class ExperimentConfig:
 
 
 def _json_normalize(value: Any, sort_keys: bool) -> Any:
-    """One JSON-normalizer for both serializations (enums -> values, nested
-    dataclass dicts/lists -> plain structures), so the canonical
-    (fingerprint) and wire (task-file) forms can never drift on value
-    handling -- they differ only in mapping-key order."""
-    if isinstance(value, Enum):
-        return value.value
+    """One JSON-normalizer for both serializations (nested dataclass
+    dicts/lists -> plain structures), so the canonical (fingerprint) and wire
+    (task-file) forms can never drift on value handling -- they differ only
+    in mapping-key order."""
     if isinstance(value, dict):
         items = sorted(value.items()) if sort_keys else value.items()
         return {key: _json_normalize(item, sort_keys) for key, item in items}

@@ -27,13 +27,12 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   heartbeat have gone untouched for ``lease_timeout_s`` -- so a slow cell
   on a live worker is never stolen, while a dead worker's lease is
   reclaimed one timeout after its last beat.
-* A finished cell becomes a *part-file*: the flat
-  :class:`~repro.experiments.results.ResultRow` wrapped in the same
-  ``{schema, code, row}`` envelope as sweep-cache entries, so parts are
-  code-aware exactly like the cache.  Workers also write through the shared
-  :class:`~repro.experiments.sweep.ResultCache` (``<queue-dir>/cache`` by
-  default), so a later sweep over the same configs is served without
-  re-simulating.
+* A finished cell becomes a *part-file*: ``parts/`` is a
+  :class:`~repro.experiments.sweep.ResultCache` (:attr:`TaskQueue.parts`),
+  so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
+  same reader and writer, code-aware the same way.  Workers also write
+  through the shared result cache (``<queue-dir>/cache`` by default), so a
+  later sweep over the same configs is served without re-simulating.
 * A cell that raises becomes a *failure marker* (``failed/<fp>.json``); the
   coordinating sweep surfaces it as an error instead of waiting forever.
 
@@ -72,11 +71,10 @@ from repro.experiments.backends import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.experiments.sweep import (
-    CACHE_SCHEMA_VERSION,
     ResultCache,
     _rebind_row,
     _run_cell,
-    code_fingerprint,
+    _write_json_atomic,
     import_plugins,
     is_fingerprint,
 )
@@ -96,12 +94,6 @@ TASK_SCHEMA_VERSION = 1
 #: Must comfortably exceed the longest single cell (cells are seconds-long;
 #: slow shared filesystems and swapped machines get a wide margin).
 DEFAULT_LEASE_TIMEOUT_S = 600.0
-
-
-def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    tmp.replace(path)
 
 
 @dataclass
@@ -151,12 +143,14 @@ class TaskQueue:
         self.tasks_dir = self.directory / "tasks"
         self.leases_dir = self.directory / "leases"
         self.parts_dir = self.directory / "parts"
+        #: The part-files, read and written as sweep-cache entries.
+        self.parts = ResultCache(self.parts_dir)
         self.failed_dir = self.directory / "failed"
         #: Append-only completion log: one fingerprint per line, fsync'd by
         #: :meth:`complete`, so pollers tail this file instead of rescanning
         #: the parts directory (see :class:`PartsTail`).
         self.manifest_path = self.parts_dir / "MANIFEST"
-        for sub in (self.tasks_dir, self.leases_dir, self.parts_dir, self.failed_dir):
+        for sub in (self.tasks_dir, self.leases_dir, self.failed_dir):
             sub.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -321,14 +315,7 @@ class TaskQueue:
 
     def complete(self, task: Task, row: ResultRow) -> None:
         """Publish ``row`` as the task's durable part-file and drop the lease."""
-        _write_json_atomic(
-            self.part_path(task.fingerprint),
-            {
-                "schema": CACHE_SCHEMA_VERSION,
-                "code": code_fingerprint(),
-                "row": row.to_dict(),
-            },
-        )
+        self.parts.put(row)
         self._append_manifest(task.fingerprint)
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
@@ -414,21 +401,10 @@ class TaskQueue:
         Parts are validated exactly like cache entries: a part written by a
         different source tree (or schema version) reads as missing, so a
         resumed sweep never mixes rows from two simulator versions.  A name
-        that is not a fingerprint (``part_path`` raises ``ValueError``)
-        reads as missing too.
+        that is not a fingerprint reads as missing too.
         """
-        try:
-            payload = json.loads(self.part_path(fingerprint).read_text())
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                return None
-            if code_aware and payload.get("code") != code_fingerprint():
-                return None
-            return ResultRow.from_dict(payload["row"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def part_fingerprints(self) -> List[str]:
-        return sorted(path.stem for path in self.parts_dir.glob("*.json"))
+        entry = self.parts.load_entry(fingerprint)
+        return None if entry is None else entry.row_if_current(code_aware)
 
     def failures(self) -> Dict[str, str]:
         """``fingerprint -> error text`` for every recorded failure."""

@@ -271,9 +271,9 @@ class ResultRow:
             label=label if label is not None else config.name,
             name=config.name,
             fingerprint=fingerprint if fingerprint is not None else config.fingerprint(),
-            transport=config.transport_name,
-            congestion_control=config.congestion_control_name,
-            topology=config.topology_name,
+            transport=config.transport,
+            congestion_control=config.congestion_control,
+            topology=config.topology,
             pfc_enabled=config.pfc_enabled,
             seed=config.seed,
             avg_slowdown=result.summary.avg_slowdown,

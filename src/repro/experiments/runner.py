@@ -186,10 +186,10 @@ class _FlowLauncher:
 
     def _make_cc(self):
         cfg = self.config
-        if cfg.congestion_control_name == "none":
+        if cfg.congestion_control == "none":
             return None
         cc = make_congestion_control(
-            cfg.congestion_control_name,
+            cfg.congestion_control,
             line_rate_bps=cfg.link_bandwidth_bps,
             base_rtt_s=cfg.base_rtt_s() + 8.0 * cfg.mtu_bytes * cfg.max_hop_count() / cfg.link_bandwidth_bps,
         )

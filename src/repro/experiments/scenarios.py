@@ -10,11 +10,9 @@ incast figure, a set of *rows* (the swept parameter).  Resolve one by name::
 
     sweep = load_scenario("fig8").sweep(workers=4)
 
-The ``figN_configs`` / ``tableN_configs`` functions that predate the spec
-layer survive as thin wrappers over ``scenario(name)`` with their historical
-signatures; they return the same labels and :class:`ExperimentConfig`
-contents (and therefore the same cache fingerprints) as the hand-written
-builders they replaced.
+``spec.configs(**overrides)`` / ``.tables(...)`` / ``.replicated(...)`` build
+the cells; ``spec.with_rows(...)`` sweeps a different parameter range
+(:func:`incast_rows` builds Figure 9's rows for other fan-ins).
 
 The *scaled default scenario* mirrors the paper's default (three-tier
 fat-tree, heavy-tailed workload at 70% load, buffers of twice the BDP, ECMP)
@@ -26,19 +24,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional
 
-from repro.core.factory import TransportKind
-from repro.experiments.config import CongestionControl, ExperimentConfig
-from repro.experiments.spec import (
-    ScenarioSpec,
-    auto_cell_name,
-    register_scenario,
-    scenario,
-)
+from repro.experiments.spec import ScenarioSpec, register_scenario, scenario
 
 __all__ = [
     "DEFAULT_NUM_FLOWS",
     "DEFAULT_SIZE_SCALE",
-    "default_config",
+    "incast_rows",
     "scenario",
 ]
 
@@ -63,33 +54,6 @@ SCALED_DEFAULTS: Dict[str, Any] = dict(
     flow_size_scale=DEFAULT_SIZE_SCALE,
     seed=1,
 )
-
-
-def default_config(
-    transport: TransportKind = TransportKind.IRN,
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    pfc_enabled: bool = False,
-    name: Optional[str] = None,
-    num_flows: int = DEFAULT_NUM_FLOWS,
-    seed: int = 1,
-    **overrides,
-) -> ExperimentConfig:
-    """One config on the scaled-down default scenario (§4.1)."""
-    fields = dict(SCALED_DEFAULTS)
-    fields.update(
-        transport=transport,
-        congestion_control=congestion_control,
-        pfc_enabled=pfc_enabled,
-        num_flows=num_flows,
-        seed=seed,
-    )
-    fields.update(overrides)
-    config = ExperimentConfig(name=name or "default", **fields)
-    if name is None:
-        config.name = auto_cell_name(
-            config.transport_name, config.congestion_control_name, config.pfc_enabled
-        )
-    return config
 
 
 def _scheme(
@@ -244,9 +208,10 @@ _paper_scenario(
 )
 
 
-def _incast_rows(
+def incast_rows(
     fan_ins: Iterable[int], total_bytes: int, start_time: float = 0.0
 ) -> Dict[str, Dict[str, Any]]:
+    """One ``M=<fan_in>`` row per incast fan-in (all senders target ``h0``)."""
     return {
         f"M={fan_in}": {
             "incast": {
@@ -269,8 +234,8 @@ _paper_scenario(
     },
     # The registered default tops out at M=15: the k=4 default fabric has 16
     # hosts, and an incast needs fan_in+1 of them.  (The paper's larger
-    # fan-ins run via fig9_configs(fan_ins=...) on scaled-up fabrics.)
-    rows=_incast_rows(fan_ins=(5, 10, 15), total_bytes=3_000_000),
+    # fan-ins run via with_rows(incast_rows(...)) on scaled-up fabrics.)
+    rows=incast_rows(fan_ins=(5, 10, 15), total_bytes=3_000_000),
     defaults={"workload": "none", "num_flows": 0},
     cell_label="{variant} {row}",
     name_template="incast-{transport}-m{incast.fan_in}",
@@ -603,173 +568,3 @@ _paper_scenario(
     cell_label="{variant} {row}",
     seeds=(1, 2, 3),
 )
-
-
-# ---------------------------------------------------------------------------
-# Legacy builder functions
-# ---------------------------------------------------------------------------
-# Thin wrappers over the registered specs, kept with their historical
-# signatures.  They return the same labels and configs (hence the same cache
-# fingerprints) the hand-written builders produced.
-
-def fig1_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 1: IRN (without PFC) vs RoCE (with PFC), no congestion control."""
-    return scenario("fig1").configs(**overrides)
-
-
-def fig2_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 2: impact of enabling PFC with IRN."""
-    return scenario("fig2").configs(**overrides)
-
-
-def fig3_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 3: impact of disabling PFC with RoCE."""
-    return scenario("fig3").configs(**overrides)
-
-
-def fig4_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 4: IRN vs RoCE with Timely and DCQCN."""
-    return scenario("fig4").configs(**overrides)
-
-
-def fig5_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 5: impact of enabling PFC with IRN under Timely and DCQCN."""
-    return scenario("fig5").configs(**overrides)
-
-
-def fig6_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 6: impact of disabling PFC with RoCE under Timely and DCQCN."""
-    return scenario("fig6").configs(**overrides)
-
-
-def fig7_configs(
-    congestion_control: CongestionControl = CongestionControl.NONE, **overrides
-) -> Dict[str, ExperimentConfig]:
-    """Figure 7: IRN vs IRN-with-go-back-N vs IRN-without-BDP-FC."""
-    return scenario("fig7").configs(congestion_control=congestion_control, **overrides)
-
-
-def no_sack_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """§4.3(2): selective retransmission without SACK state vs full IRN."""
-    return scenario("no_sack").configs(**overrides)
-
-
-def fig8_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 8: tail latency of single-packet messages, per CC scheme."""
-    return scenario("fig8").configs(**overrides)
-
-
-def fig9_configs(
-    fan_ins: Iterable[int] = (5, 10, 20),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    total_bytes: int = 3_000_000,
-    **overrides,
-) -> Dict[str, ExperimentConfig]:
-    """Figure 9: incast request completion time, IRN vs RoCE, vs fan-in M."""
-    spec = scenario("fig9").with_rows(_incast_rows(fan_ins, total_bytes))
-    return spec.configs(congestion_control=congestion_control, **overrides)
-
-
-def incast_with_cross_traffic_configs(
-    fan_in: int = 10,
-    total_bytes: int = 3_000_000,
-    **overrides,
-) -> Dict[str, ExperimentConfig]:
-    """§4.4.3: incast plus a 50%-load background workload."""
-    incast = {
-        "total_bytes": total_bytes,
-        "fan_in": fan_in,
-        "destination": "h0",
-        "start_time": 1e-4,
-    }
-    return scenario("incast_cross_traffic").configs(**{"incast": incast, **overrides})
-
-
-def fig10_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 10: Resilient RoCE (RoCE+DCQCN without PFC) vs plain IRN."""
-    return scenario("fig10").configs(**overrides)
-
-
-def fig11_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 11: iWARP's TCP stack vs IRN (no explicit congestion control)."""
-    return scenario("fig11").configs(**overrides)
-
-
-def fig12_configs(
-    congestion_control: CongestionControl = CongestionControl.NONE, **overrides
-) -> Dict[str, ExperimentConfig]:
-    """Figure 12: IRN with worst-case implementation overheads (§6.3)."""
-    return scenario("fig12").configs(congestion_control=congestion_control, **overrides)
-
-
-def table3_configs(
-    utilizations: Iterable[float] = (0.3, 0.5, 0.7, 0.9),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 3: link utilization sweep."""
-    return scenario("table3").with_rows(_load_rows(utilizations)).tables(
-        congestion_control=congestion_control, **overrides
-    )
-
-
-def table4_configs(
-    bandwidths_gbps: Iterable[float] = (5, 10, 25),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 4: link bandwidth sweep (paper: 10/40/100 Gbps)."""
-    return scenario("table4").with_rows(_bandwidth_rows(bandwidths_gbps)).tables(
-        congestion_control=congestion_control, **overrides
-    )
-
-
-def table5_configs(
-    arities: Iterable[int] = (4, 6),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 5: fat-tree scale sweep (paper: k = 6, 8, 10)."""
-    return scenario("table5").with_rows(_arity_rows(arities)).tables(
-        congestion_control=congestion_control, **overrides
-    )
-
-
-def table6_configs(
-    congestion_control: CongestionControl = CongestionControl.NONE, **overrides
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 6: heavy-tailed vs uniform workload."""
-    return scenario("table6").tables(congestion_control=congestion_control, **overrides)
-
-
-def table7_configs(
-    buffer_bytes: Iterable[int] = (15_000, 30_000, 60_000),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 7: per-port buffer size sweep (paper: 60-480 KB at 40 Gbps)."""
-    return scenario("table7").with_rows(_buffer_rows(buffer_bytes)).tables(
-        congestion_control=congestion_control, **overrides
-    )
-
-
-def table8_configs(
-    rto_high_values_s: Iterable[float] = (320e-6, 640e-6, 1280e-6),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 8: RTO_high sweep."""
-    return scenario("table8").with_rows(_rto_rows(rto_high_values_s)).tables(
-        congestion_control=congestion_control, **overrides
-    )
-
-
-def table9_configs(
-    n_values: Iterable[int] = (3, 10, 15),
-    congestion_control: CongestionControl = CongestionControl.NONE,
-    **overrides,
-) -> Dict[str, Dict[str, ExperimentConfig]]:
-    """Table 9: threshold N for using RTO_low."""
-    return scenario("table9").with_rows(_threshold_rows(n_values)).tables(
-        congestion_control=congestion_control, **overrides
-    )

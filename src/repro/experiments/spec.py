@@ -9,10 +9,7 @@ is JSON-safe, so specs round-trip through ``to_dict``/``from_dict`` and can
 be shipped to other processes or machines as the unit of sweep work.
 
 Cells are built as ``defaults < row < variant < call overrides`` (rightmost
-wins), exactly mirroring how the retired hand-written ``figN_configs``
-builders layered :func:`~repro.experiments.scenarios.default_config` and
-``**overrides`` -- so the :class:`ExperimentConfig` objects (and their cache
-fingerprints) are identical to what those builders produced.
+wins).
 
 Specs register themselves in the :data:`SCENARIOS` registry; resolve one
 with :func:`scenario` (or :func:`repro.api.load_scenario`)::
@@ -27,7 +24,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -57,21 +53,14 @@ __all__ = [
 
 
 def auto_cell_name(transport: str, congestion_control: str, pfc_enabled: bool) -> str:
-    """The historical auto-derived cell name, ``{transport}-{cc}-{pfc|nopfc}``.
-
-    One definition shared by :meth:`ScenarioSpec._build_cell` and the legacy
-    :func:`~repro.experiments.scenarios.default_config`: names group
-    aggregation cells, so the two construction paths must never drift.
-    """
+    """The auto-derived name of a flat scenario's cell,
+    ``{transport}-{cc}-{pfc|nopfc}`` (names group aggregation cells)."""
     return f"{transport}-{congestion_control}-{'pfc' if pfc_enabled else 'nopfc'}"
 
 
 def replica_label(label: str, seed: int) -> str:
-    """The label of one seed replica of a cell (``"<label> [seed=N]"``).
-
-    Shared with ``benchmarks/conftest.py``'s ``seed_replicas`` -- benchmark
-    assertions index results by this exact format.
-    """
+    """The label of one seed replica of a cell (``"<label> [seed=N]"``);
+    benchmark assertions index results by this exact format."""
     return f"{label} [seed={seed}]"
 
 #: Valid override keys: every ExperimentConfig field (including ``name``).
@@ -81,11 +70,9 @@ _PLACEHOLDER = re.compile(r"\{([^{}]+)\}")
 
 
 def _json_safe(value: Any) -> Any:
-    """Normalize an override value to plain JSON types (enums collapse to
-    their ``.value``, nested dataclasses to dicts, tuples to lists), so a
-    spec serializes identically however its overrides were spelled."""
-    if isinstance(value, Enum):
-        return value.value
+    """Normalize an override value to plain JSON types (nested dataclasses
+    to dicts, tuples to lists), so a spec serializes identically however its
+    overrides were spelled."""
     if is_dataclass(value) and not isinstance(value, type):
         return _json_safe(asdict(value))
     if isinstance(value, Mapping):
@@ -151,11 +138,11 @@ class ScenarioSpec:
         scenario.
     cell_label:
         Template for flat cell labels when ``rows`` is set.  Defaults to
-        ``"{row}|{variant}"`` (the shape the benchmarks always used);
+        ``"{row}|{variant}"``;
         Figure 9 uses ``"{variant} {row}"``.
     name_template:
         Template for each cell's ``config.name``.  ``None`` derives the
-        historical default: ``{transport}-{cc}-{pfc|nopfc}`` for flat
+        default: ``{transport}-{cc}-{pfc|nopfc}`` for flat
         scenarios, ``{scenario}|{row}|{variant}`` for row scenarios (unique
         per cell, so seed replicas aggregate per cell by ``name``).
     seeds:
@@ -309,7 +296,7 @@ class ScenarioSpec:
     def configs(self, **overrides: Any) -> Dict[str, ExperimentConfig]:
         """Flat ``label -> ExperimentConfig`` for every cell (rows outer,
         variants inner).  ``overrides`` apply to every cell and win over the
-        spec's own layers, exactly like the old builders' ``**overrides``."""
+        spec's own layers."""
         return {label: config for _, _, label, config in self._expand(overrides)}
 
     def tables(self, **overrides: Any) -> Dict[str, Dict[str, ExperimentConfig]]:

@@ -22,13 +22,13 @@ turns that embarrassingly parallel work into one call:
 
 Worked example::
 
-    from repro.experiments import ExperimentConfig, TransportKind
+    from repro.experiments import ExperimentConfig
     from repro.experiments.sweep import ParameterGrid, ResultCache, run_sweep
 
     grid = ParameterGrid(
         ExperimentConfig(num_flows=100),
         axes={
-            "transport": [TransportKind.IRN, TransportKind.ROCE],
+            "transport": ["irn", "roce"],
             "pfc_enabled": [False, True],
             "seed": [1, 2, 3],
         },
@@ -52,7 +52,6 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from pathlib import Path
 from typing import (
     Any,
@@ -77,16 +76,13 @@ from repro.metrics.partial import PartialAggregator
 #: payloads for FCT / slowdown / single-packet latency.)
 CACHE_SCHEMA_VERSION = 2
 
-#: Kept as an alias for the backend module's constant (historical home).
-from repro.experiments.backends import (  # noqa: E402, F401
-    MAX_AUTO_WORKERS as _MAX_AUTO_WORKERS,
-)
 
-
-def _format_axis_value(value: Any) -> str:
-    if isinstance(value, Enum):
-        return str(value.value)
-    return str(value)
+def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
+    """Write ``payload`` to ``path`` through a temp file and a rename, so a
+    concurrent reader sees the old file or the new one, never half of one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    tmp.replace(path)
 
 
 _CODE_FINGERPRINT: Optional[str] = None
@@ -149,9 +145,7 @@ class ParameterGrid:
 
     def label_for(self, overrides: Mapping[str, Any]) -> str:
         """The human-readable cell label, e.g. ``"transport=irn, seed=1"``."""
-        return ", ".join(
-            f"{name}={_format_axis_value(overrides[name])}" for name in self.axes
-        )
+        return ", ".join(f"{name}={overrides[name]}" for name in self.axes)
 
     def expand(self) -> Dict[str, ExperimentConfig]:
         """Labelled configs for every cell, in deterministic grid order.
@@ -202,10 +196,11 @@ class CacheEntry:
         """The row parsed but was produced by a different source tree."""
         return self.row is not None and self.code != code_fingerprint()
 
-    @property
-    def fresh(self) -> bool:
-        """The row parsed and matches the running simulator's code."""
-        return self.row is not None and not self.stale_code
+    def row_if_current(self, code_aware: bool) -> Optional[ResultRow]:
+        """The row a reader may use as a result: ``None`` when it did not
+        parse, or -- for a ``code_aware`` reader -- when a different source
+        tree wrote it."""
+        return None if code_aware and self.stale_code else self.row
 
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
@@ -244,20 +239,10 @@ class ResultCache:
             raise ValueError(f"not a config fingerprint: {fingerprint!r}")
         return self.directory / f"{fingerprint}.json"
 
-    def _load(self, path: Path) -> Optional[ResultRow]:
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                return None
-            if self.code_aware and payload.get("code") != code_fingerprint():
-                return None
-            return ResultRow.from_dict(payload["row"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
     def get(self, config: ExperimentConfig) -> Optional[ResultRow]:
         """The cached row for ``config``, or ``None`` (corrupt files = miss)."""
-        return self._load(self.path_for(config.fingerprint()))
+        entry = self._read_entry(self.path_for(config.fingerprint()))
+        return entry.row_if_current(self.code_aware)
 
     # ------------------------------------------------------------------
     # Indexing / iteration (the read-path surface of ``repro serve``)
@@ -309,6 +294,9 @@ class ResultCache:
         return tuple(sorted(entries))
 
     def _read_entry(self, path: Path) -> CacheEntry:
+        """Parse one ``{schema, code, row}`` file (the only reader of the
+        envelope :meth:`put` writes); a missing or corrupt file parses to an
+        entry without a row."""
         fingerprint = path.stem
         try:
             payload = json.loads(path.read_text())
@@ -328,20 +316,19 @@ class ResultCache:
 
     def put(self, row: ResultRow) -> None:
         """Store ``row`` under its fingerprint (atomic rename)."""
-        path = self.path_for(row.fingerprint)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "code": code_fingerprint(),
-            "row": row.to_dict(),
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        tmp.replace(path)
+        _write_json_atomic(
+            self.path_for(row.fingerprint),
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "code": code_fingerprint(),
+                "row": row.to_dict(),
+            },
+        )
 
     def rows(self) -> List[ResultRow]:
         """Every valid cached row, sorted by label (reporting without
         re-simulating; stale/corrupt entries are skipped)."""
-        loaded = (self._load(path) for path in sorted(self.directory.glob("*.json")))
+        loaded = (entry.row_if_current(self.code_aware) for entry in self.scan())
         return sorted((row for row in loaded if row is not None), key=lambda row: row.label)
 
     def clear(self) -> int:
@@ -573,14 +560,6 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-#: Kept as aliases: the aggregation math lives in :mod:`repro.metrics.partial`
-#: so the streaming (work-queue) path and this batch path can never drift.
-from repro.metrics.partial import (  # noqa: E402, F401
-    MEAN_P99_METRICS as _MEAN_P99_METRICS,
-    SUMMED_COUNTERS as _SUMMED_COUNTERS,
-)
-
 
 def aggregate_rows(
     rows: Iterable[ResultRow],

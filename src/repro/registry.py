@@ -2,7 +2,7 @@
 
 Topologies, workloads, transports, congestion-control schemes and scenarios
 are all looked up by name in a :class:`Registry` instead of being dispatched
-through closed ``if/elif`` chains over enums.  Third-party code registers a
+through closed ``if/elif`` chains.  Third-party code registers a
 new component with a decorator and never has to touch the engine::
 
     from repro.topology import register_topology
@@ -11,15 +11,12 @@ new component with a decorator and never has to touch the engine::
     def build_ring(sim, config, switch_config):
         ...
 
-The legacy enums (:class:`~repro.experiments.config.TopologyKind` and
-friends) survive as thin aliases: lookups accept an enum member and resolve
-it through its ``.value``, so existing configs and their fingerprints are
-unchanged.
+Names are plain strings; lookups fold case and resolve aliases, and
+:meth:`Registry.canonical_name` gives the one spelling a config stores.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar, Union
 
 T = TypeVar("T")
@@ -59,16 +56,15 @@ class DuplicateNameError(ValueError):
     """Registration under a name (or alias) that is already taken."""
 
 
-def normalize_name(name: Union[str, Enum]) -> str:
-    """Canonical registry key: enum members collapse to their ``.value``.
+def normalize_name(name: str) -> str:
+    """Canonical registry key: the name, lower-cased.
 
-    This is what keeps the deprecated kind-enums working: registries store
-    plain strings, and ``TopologyKind.FAT_TREE`` resolves to ``"fat_tree"``.
+    Anything but a string is refused rather than stringified, so a stray
+    object used as a component name fails at the lookup, not as a silently
+    different fingerprint.
     """
-    if isinstance(name, Enum):
-        name = name.value
     if not isinstance(name, str):
-        raise TypeError(f"component names must be strings or enums, got {name!r}")
+        raise TypeError(f"component names must be strings, got {name!r}")
     return name.lower()
 
 
@@ -92,7 +88,7 @@ class Registry(Generic[T]):
     # ------------------------------------------------------------------
     def register(
         self,
-        name: Union[str, Enum],
+        name: str,
         obj: Optional[T] = None,
         *,
         aliases: Sequence[str] = (),
@@ -131,7 +127,7 @@ class Registry(Generic[T]):
             self._aliases[alias_key] = key
         return obj
 
-    def unregister(self, name: Union[str, Enum]) -> None:
+    def unregister(self, name: str) -> None:
         """Remove ``name`` and any aliases pointing at it (test cleanup)."""
         key = normalize_name(name)
         key = self._aliases.get(key, key)
@@ -141,7 +137,7 @@ class Registry(Generic[T]):
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, name: Union[str, Enum]) -> T:
+    def get(self, name: str) -> T:
         """The object registered under ``name`` (or an alias of it).
 
         Raises :class:`UnknownNameError` -- whose message lists every valid
@@ -154,7 +150,7 @@ class Registry(Generic[T]):
         except KeyError:
             raise UnknownNameError(self.kind, key, self.names()) from None
 
-    def canonical_name(self, name: Union[str, Enum]) -> str:
+    def canonical_name(self, name: str) -> str:
         """The canonical spelling of ``name``: aliases resolve to the name
         they target; unregistered names pass through normalized.  Lets
         callers store one spelling per component, so alias spellings never

@@ -52,11 +52,12 @@ Consistency contract
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.experiments.queue import TaskQueue
@@ -79,6 +80,10 @@ __all__ = [
 
 #: Default listen port (``--port`` overrides; 0 picks an ephemeral port).
 DEFAULT_PORT = 8123
+
+#: Most tail-CDF points one ``/cdf`` request may ask for (the default is 12;
+#: the body and the request thread's time both grow linearly with it).
+MAX_CDF_POINTS = 1000
 
 
 class ServiceError(Exception):
@@ -111,10 +116,9 @@ class ResultsService:
         self.cache_dir = str(cache_dir)
         self.code_aware = code_aware
         self.cache = ResultCache(cache_dir, code_aware=code_aware)
+        #: Its part-files are cache entries too (``queue.parts``), so
+        #: ``/cells`` can serve parts not yet in the cache.
         self.queue = TaskQueue(queue_dir) if queue_dir is not None else None
-        #: Read-only view over the queue's part-files (they share the cache
-        #: envelope), so ``/cells`` can serve parts not yet in the cache.
-        self._parts = ResultCache(self.queue.parts_dir) if self.queue else None
         self._lock = threading.Lock()
         #: scenario name -> (cache signature, code fingerprint, response).
         self._warm: Dict[str, Tuple[Any, str, Dict[str, Any]]] = {}
@@ -319,8 +323,8 @@ class ResultsService:
             raise ServiceError(404, f"{fingerprint!r} is not a config fingerprint")
         entry = self.cache.load_entry(fingerprint)
         source = "cache"
-        if (entry is None or entry.row is None) and self._parts is not None:
-            part = self._parts.load_entry(fingerprint)
+        if (entry is None or entry.row is None) and self.queue is not None:
+            part = self.queue.parts.load_entry(fingerprint)
             if part is not None and part.row is not None:
                 entry, source = part, "queue-part"
         if entry is None or entry.row is None:
@@ -440,8 +444,14 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, self.service.cdf(
                     name,
-                    start_fraction=_number(params, "start", 0.90),
-                    points=int(_number(params, "points", 12)),
+                    start_fraction=_number(
+                        params, "start", 0.90, lambda v: 0 <= v < 1, "a number in [0, 1)"
+                    ),
+                    points=int(_number(
+                        params, "points", 12,
+                        lambda v: v.is_integer() and 2 <= v <= MAX_CDF_POINTS,
+                        f"an integer from 2 to {MAX_CDF_POINTS}",
+                    )),
                 ))
         elif endpoint == "follow":
             self._stream_follow(name, params)
@@ -466,9 +476,14 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
         events = follow_scenario(
             self.service,
             spec,
-            poll_interval_s=_number(params, "poll", 0.2),
-            timeout_s=_number(params, "timeout", 0) or None,
-            expect=int(_number(params, "expect", 0)),
+            poll_interval_s=_number(params, "poll", 0.2, lambda v: v > 0, "positive"),
+            timeout_s=_number(
+                params, "timeout", 0, lambda v: v >= 0, "zero (no timeout) or positive"
+            ) or None,
+            expect=int(_number(
+                params, "expect", 0, lambda v: v.is_integer() and v >= 0,
+                "a non-negative integer",
+            )),
             # A shutdown request drains the stream with a final ``closed``
             # event instead of severing the socket mid-stream.
             should_stop=shutting_down.is_set if shutting_down is not None else None,
@@ -490,14 +505,25 @@ def _flag(params: Dict[str, str], key: str) -> bool:
     return params.get(key, "").lower() in {"1", "true", "yes", "on"}
 
 
-def _number(params: Dict[str, str], key: str, default: float) -> float:
+def _number(
+    params: Dict[str, str],
+    key: str,
+    default: float,
+    valid: Callable[[float], bool],
+    expected: str,
+) -> float:
+    """The query parameter ``key`` as a finite number that satisfies
+    ``valid``; anything else answers 400 with the offending ``key=value``."""
     raw = params.get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ServiceError(400, f"query parameter {key}={raw!r} is not a number")
+        value = math.nan
+    if not (math.isfinite(value) and valid(value)):
+        raise ServiceError(400, f"query parameter {key}={raw!r} must be {expected}")
+    return value
 
 
 class ResultsServer(ThreadingHTTPServer):

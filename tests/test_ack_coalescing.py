@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.core.irn import IrnConfig, IrnReceiver
-from repro.experiments.config import ExperimentConfig, TopologyKind, WorkloadKind
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
@@ -182,13 +182,13 @@ class TestAdaptiveModeration:
 
 def _e2e_config(**overrides):
     base = dict(
-        topology=TopologyKind.STAR,
+        topology="star",
         num_hosts=6,
         link_bandwidth_bps=10e9,
         link_delay_s=2e-6,
         transport="irn",
         pfc_enabled=False,
-        workload=WorkloadKind.HEAVY_TAILED,
+        workload="heavy_tailed",
         flow_size_scale=0.3,
         num_flows=60,
         target_load=1.0,

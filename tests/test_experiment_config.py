@@ -4,14 +4,8 @@ import json
 
 import pytest
 
-from repro.core.factory import TransportKind
-from repro.experiments import scenarios
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    WorkloadKind,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenarios import incast_rows, scenario
 from repro.faults import FaultPlan, LinkFlap, PacketCorruption
 
 
@@ -49,25 +43,20 @@ class TestDerivedQuantities:
         assert worst.effective_header_bytes() == base.effective_header_bytes() + 16
 
     def test_switch_config_reflects_pfc_and_cc(self):
-        config = ExperimentConfig(pfc_enabled=False, congestion_control=CongestionControl.DCQCN)
+        config = ExperimentConfig(pfc_enabled=False, congestion_control="dcqcn")
         switch_config = config.switch_config()
         assert switch_config.pfc.enabled is False
         assert switch_config.ecn.enabled is True
         assert switch_config.ecn.step_marking is False
 
     def test_dctcp_uses_step_marking(self):
-        config = ExperimentConfig(congestion_control=CongestionControl.DCTCP)
+        config = ExperimentConfig(congestion_control="dctcp")
         assert config.switch_config().ecn.step_marking is True
 
     def test_no_ecn_without_ecn_based_cc(self):
-        for cc in (CongestionControl.NONE, CongestionControl.TIMELY, CongestionControl.AIMD):
+        for cc in ("none", "timely", "aimd"):
             config = ExperimentConfig(congestion_control=cc)
             assert config.switch_config().ecn.enabled is False
-
-    def test_size_distribution_selection(self):
-        assert ExperimentConfig(workload=WorkloadKind.HEAVY_TAILED).size_distribution() is not None
-        assert ExperimentConfig(workload=WorkloadKind.UNIFORM).size_distribution() is not None
-        assert ExperimentConfig(workload=WorkloadKind.NONE).size_distribution() is None
 
     def test_with_overrides_returns_modified_copy(self):
         config = ExperimentConfig(target_load=0.7)
@@ -104,7 +93,7 @@ class TestAckCoalescingKnobs:
         # schemes are registered in the fingerprinting process (a
         # coordinator can fingerprint configs for plugin schemes it never
         # loads).  The cap just costs one conservative cache miss.
-        timely = ExperimentConfig(congestion_control=CongestionControl.TIMELY)
+        timely = ExperimentConfig(congestion_control="timely")
         assert timely.effective_ack_coalesce_n() == 1
         assert timely.to_canonical_dict()["ack_coalesce_n"] == 4
 
@@ -189,9 +178,9 @@ class TestFaultPlanFingerprint:
     def test_effective_window_respects_scheme_cap(self):
         # Timely needs per-packet RTT samples: the scheme metadata caps the
         # coalescing window at 1 whatever the config asks for.
-        timely = ExperimentConfig(congestion_control=CongestionControl.TIMELY)
+        timely = ExperimentConfig(congestion_control="timely")
         assert timely.effective_ack_coalesce_n() == 1
-        dcqcn = ExperimentConfig(congestion_control=CongestionControl.DCQCN)
+        dcqcn = ExperimentConfig(congestion_control="dcqcn")
         assert dcqcn.effective_ack_coalesce_n() == 4
 
     def test_flush_timeout_clamped_below_rto(self):
@@ -201,75 +190,65 @@ class TestFaultPlanFingerprint:
 
 class TestScenarioPresets:
     def test_fig1_pairs_roce_pfc_with_irn_lossy(self):
-        configs = scenarios.fig1_configs()
+        configs = scenario("fig1").configs()
         roce = configs["RoCE (with PFC)"]
         irn = configs["IRN (without PFC)"]
-        assert roce.transport is TransportKind.ROCE and roce.pfc_enabled
-        assert irn.transport is TransportKind.IRN and not irn.pfc_enabled
+        assert roce.transport == "roce" and roce.pfc_enabled
+        assert irn.transport == "irn" and not irn.pfc_enabled
 
     def test_fig2_varies_only_pfc(self):
-        configs = scenarios.fig2_configs()
-        assert all(c.transport is TransportKind.IRN for c in configs.values())
+        configs = scenario("fig2").configs()
+        assert all(c.transport == "irn" for c in configs.values())
         assert {c.pfc_enabled for c in configs.values()} == {True, False}
 
     def test_fig4_covers_timely_and_dcqcn(self):
-        configs = scenarios.fig4_configs()
+        configs = scenario("fig4").configs()
         ccs = {c.congestion_control for c in configs.values()}
-        assert ccs == {CongestionControl.TIMELY, CongestionControl.DCQCN}
+        assert ccs == {"timely", "dcqcn"}
         assert len(configs) == 4
 
     def test_fig7_factor_analysis_variants(self):
-        configs = scenarios.fig7_configs()
+        configs = scenario("fig7").configs()
         kinds = {c.transport for c in configs.values()}
         assert kinds == {
-            TransportKind.IRN, TransportKind.IRN_GO_BACK_N, TransportKind.IRN_NO_BDPFC
+            "irn", "irn_go_back_n", "irn_no_bdpfc"
         }
 
     def test_fig9_varies_fan_in(self):
-        configs = scenarios.fig9_configs(fan_ins=(4, 8))
+        configs = scenario("fig9").with_rows(
+            incast_rows((4, 8), total_bytes=3_000_000)
+        ).configs()
         assert len(configs) == 4
         assert all(c.incast is not None for c in configs.values())
         assert {c.incast.fan_in for c in configs.values()} == {4, 8}
-        assert all(c.workload is WorkloadKind.NONE for c in configs.values())
+        assert all(c.workload == "none" for c in configs.values())
 
     def test_fig10_resilient_roce_is_dcqcn_without_pfc(self):
-        config = scenarios.fig10_configs()["Resilient RoCE"]
-        assert config.transport is TransportKind.ROCE
-        assert config.congestion_control is CongestionControl.DCQCN
+        config = scenario("fig10").configs()["Resilient RoCE"]
+        assert config.transport == "roce"
+        assert config.congestion_control == "dcqcn"
         assert not config.pfc_enabled
 
     def test_fig11_includes_iwarp(self):
-        configs = scenarios.fig11_configs()
-        assert configs["iWARP"].transport is TransportKind.IWARP
+        configs = scenario("fig11").configs()
+        assert configs["iWARP"].transport == "iwarp"
 
     def test_fig12_overhead_flag(self):
-        configs = scenarios.fig12_configs()
+        configs = scenario("fig12").configs()
         assert configs["IRN (worst-case overheads)"].worst_case_overheads
         assert not configs["IRN (no overheads)"].worst_case_overheads
 
     def test_appendix_tables_have_three_columns_per_row(self):
-        for table in (
-            scenarios.table3_configs(utilizations=(0.5, 0.9)),
-            scenarios.table4_configs(bandwidths_gbps=(10,)),
-            scenarios.table7_configs(buffer_bytes=(15_000,)),
-            scenarios.table8_configs(rto_high_values_s=(320e-6,)),
-            scenarios.table9_configs(n_values=(3,)),
-        ):
-            for row in table.values():
-                assert set(row) == {"IRN", "IRN+PFC", "RoCE+PFC"}
+        for name in ("table3", "table4", "table7", "table8", "table9"):
+            for row in scenario(name).tables().values():
+                assert set(row) == {"IRN", "IRN+PFC", "RoCE+PFC"}, name
 
     def test_table5_scales_topology(self):
-        table = scenarios.table5_configs(arities=(4, 6))
+        table = scenario("table5").tables()
         assert {row_label.split(" ")[0] for row_label in table} == {"k=4", "k=6"}
         assert table["k=6 (54 hosts)"]["IRN"].fat_tree_k == 6
 
     def test_table6_switches_workload(self):
-        table = scenarios.table6_configs()
-        assert table["Uniform"]["IRN"].workload is WorkloadKind.UNIFORM
-        assert table["Heavy-tailed"]["IRN"].workload is WorkloadKind.HEAVY_TAILED
-
-    def test_default_config_overrides_passthrough(self):
-        config = scenarios.default_config(num_flows=10, seed=9, target_load=0.4)
-        assert config.num_flows == 10
-        assert config.seed == 9
-        assert config.target_load == 0.4
+        table = scenario("table6").tables()
+        assert table["Uniform"]["IRN"].workload == "uniform"
+        assert table["Heavy-tailed"]["IRN"].workload == "heavy_tailed"

@@ -7,14 +7,8 @@ the paper's qualitative claims at miniature scale.
 
 import pytest
 
-from repro.core.factory import TransportKind
-from repro.experiments import scenarios
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    WorkloadKind,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.spec import scenario
 from repro.experiments.runner import run_experiment
 from repro.workload.incast import IncastParams
 
@@ -22,11 +16,11 @@ from repro.workload.incast import IncastParams
 def small_config(**overrides):
     """A fast star-topology experiment used across the integration tests."""
     base = dict(
-        topology=TopologyKind.STAR,
+        topology="star",
         num_hosts=6,
         link_bandwidth_bps=10e9,
         link_delay_s=1e-6,
-        workload=WorkloadKind.HEAVY_TAILED,
+        workload="heavy_tailed",
         flow_size_scale=0.1,
         num_flows=60,
         target_load=0.8,
@@ -39,25 +33,25 @@ def small_config(**overrides):
 
 class TestBasicCompletion:
     @pytest.mark.parametrize("transport", [
-        TransportKind.IRN, TransportKind.ROCE, TransportKind.IWARP,
-        TransportKind.IRN_GO_BACK_N, TransportKind.IRN_NO_BDPFC, TransportKind.IRN_NO_SACK,
+        "irn", "roce", "iwarp",
+        "irn_go_back_n", "irn_no_bdpfc", "irn_no_sack",
     ])
     def test_all_transports_complete_all_flows_without_pfc(self, transport):
         result = run_experiment(small_config(transport=transport, pfc_enabled=False))
         assert result.completion_fraction() == 1.0
         assert result.summary.num_flows == 60
 
-    @pytest.mark.parametrize("transport", [TransportKind.IRN, TransportKind.ROCE])
+    @pytest.mark.parametrize("transport", ["irn", "roce"])
     def test_all_transports_complete_all_flows_with_pfc(self, transport):
         result = run_experiment(small_config(transport=transport, pfc_enabled=True))
         assert result.completion_fraction() == 1.0
 
     @pytest.mark.parametrize("cc", [
-        CongestionControl.TIMELY, CongestionControl.DCQCN,
-        CongestionControl.AIMD, CongestionControl.DCTCP,
+        "timely", "dcqcn",
+        "aimd", "dctcp",
     ])
     def test_irn_completes_under_every_congestion_control(self, cc):
-        result = run_experiment(small_config(transport=TransportKind.IRN,
+        result = run_experiment(small_config(transport="irn",
                                              congestion_control=cc, pfc_enabled=False))
         assert result.completion_fraction() == 1.0
 
@@ -75,9 +69,9 @@ class TestBasicCompletion:
 
 class TestPaperClaims:
     def test_pfc_prevents_drops_and_lossy_fabric_drops(self):
-        lossless = run_experiment(small_config(transport=TransportKind.ROCE, pfc_enabled=True,
+        lossless = run_experiment(small_config(transport="roce", pfc_enabled=True,
                                                target_load=0.9))
-        lossy = run_experiment(small_config(transport=TransportKind.ROCE, pfc_enabled=False,
+        lossy = run_experiment(small_config(transport="roce", pfc_enabled=False,
                                             target_load=0.9))
         assert lossless.packets_dropped == 0
         assert lossless.pause_frames > 0
@@ -86,18 +80,18 @@ class TestPaperClaims:
 
     def test_roce_requires_pfc(self):
         """Figure 3: go-back-N RoCE degrades badly on a lossy fabric."""
-        with_pfc = run_experiment(small_config(transport=TransportKind.ROCE, pfc_enabled=True,
+        with_pfc = run_experiment(small_config(transport="roce", pfc_enabled=True,
                                                target_load=0.9))
-        without_pfc = run_experiment(small_config(transport=TransportKind.ROCE, pfc_enabled=False,
+        without_pfc = run_experiment(small_config(transport="roce", pfc_enabled=False,
                                                   target_load=0.9))
         assert without_pfc.summary.avg_fct > with_pfc.summary.avg_fct
         assert without_pfc.retransmissions > with_pfc.retransmissions
 
     def test_irn_tolerates_losing_pfc(self):
         """Figure 2's qualitative claim: IRN does not need a lossless fabric."""
-        with_pfc = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=True,
+        with_pfc = run_experiment(small_config(transport="irn", pfc_enabled=True,
                                                target_load=0.9))
-        without_pfc = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False,
+        without_pfc = run_experiment(small_config(transport="irn", pfc_enabled=False,
                                                   target_load=0.9))
         # Losing PFC costs IRN at most a small factor (the paper shows it
         # actually helps; at miniature scale we only require "no collapse").
@@ -115,9 +109,9 @@ class TestPaperClaims:
         irn_fct = roce_fct = 0.0
         irn_rtx = roce_rtx = 0
         for seed in (7, 10, 11, 12, 13):
-            irn = run_experiment(small_config(transport=TransportKind.IRN,
+            irn = run_experiment(small_config(transport="irn",
                                               pfc_enabled=False, target_load=0.9, seed=seed))
-            roce = run_experiment(small_config(transport=TransportKind.ROCE,
+            roce = run_experiment(small_config(transport="roce",
                                                pfc_enabled=False, target_load=0.9, seed=seed))
             irn_fct += irn.summary.avg_fct
             roce_fct += roce.summary.avg_fct
@@ -138,34 +132,34 @@ class TestPaperClaims:
             # Shallow port buffers force the drops the comparison needs:
             # with ACK coalescing on by default, the miniature hub no longer
             # overflows at 0.9 load on its default (2x BDP) buffers.
-            sack += run_experiment(small_config(transport=TransportKind.IRN,
+            sack += run_experiment(small_config(transport="irn",
                                                 pfc_enabled=False, target_load=0.9,
                                                 buffer_bytes_per_port=6000,
                                                 seed=seed)).retransmissions
-            gbn += run_experiment(small_config(transport=TransportKind.IRN_GO_BACK_N,
+            gbn += run_experiment(small_config(transport="irn_go_back_n",
                                                pfc_enabled=False, target_load=0.9,
                                                buffer_bytes_per_port=6000,
                                                seed=seed)).retransmissions
         assert gbn > sack
 
     def test_bdp_fc_reduces_queueing_or_drops(self):
-        with_cap = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False,
+        with_cap = run_experiment(small_config(transport="irn", pfc_enabled=False,
                                                target_load=0.9))
-        without_cap = run_experiment(small_config(transport=TransportKind.IRN_NO_BDPFC,
+        without_cap = run_experiment(small_config(transport="irn_no_bdpfc",
                                                   pfc_enabled=False, target_load=0.9))
         assert with_cap.packets_dropped <= without_cap.packets_dropped
 
     def test_congestion_control_reduces_drops_without_pfc(self):
-        none = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False,
+        none = run_experiment(small_config(transport="irn", pfc_enabled=False,
                                            target_load=0.9))
-        dcqcn = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False,
+        dcqcn = run_experiment(small_config(transport="irn", pfc_enabled=False,
                                             target_load=0.9,
-                                            congestion_control=CongestionControl.DCQCN))
+                                            congestion_control="dcqcn"))
         assert dcqcn.packets_dropped <= none.packets_dropped
 
     def test_worst_case_overheads_cost_only_a_few_percent(self):
-        plain = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False))
-        overhead = run_experiment(small_config(transport=TransportKind.IRN, pfc_enabled=False,
+        plain = run_experiment(small_config(transport="irn", pfc_enabled=False))
+        overhead = run_experiment(small_config(transport="irn", pfc_enabled=False,
                                                worst_case_overheads=True))
         assert overhead.summary.avg_fct <= 1.25 * plain.summary.avg_fct
 
@@ -175,25 +169,25 @@ class TestIncastIntegration:
         return small_config(
             transport=transport,
             pfc_enabled=pfc,
-            workload=WorkloadKind.NONE,
+            workload="none",
             num_flows=0,
             incast=IncastParams(total_bytes=400_000, fan_in=fan_in, destination="h0"),
         )
 
     def test_incast_completes_and_reports_rct(self):
-        result = run_experiment(self.incast_config(TransportKind.IRN, pfc=False))
+        result = run_experiment(self.incast_config("irn", pfc=False))
         assert result.incast_rct_s is not None
         assert result.incast_rct_s > 0
 
     def test_irn_rct_is_comparable_to_roce_with_pfc(self):
         """Figure 9: disabling PFC costs IRN only a few percent on incast."""
-        irn = run_experiment(self.incast_config(TransportKind.IRN, pfc=False))
-        roce = run_experiment(self.incast_config(TransportKind.ROCE, pfc=True))
+        irn = run_experiment(self.incast_config("irn", pfc=False))
+        roce = run_experiment(self.incast_config("roce", pfc=True))
         assert irn.incast_rct_s <= 1.3 * roce.incast_rct_s
 
     def test_incast_with_cross_traffic_reports_both_metrics(self):
         config = small_config(
-            transport=TransportKind.IRN,
+            transport="irn",
             pfc_enabled=False,
             target_load=0.5,
             num_flows=40,
@@ -208,7 +202,7 @@ class TestIncastIntegration:
 
 class TestFatTreeIntegration:
     def test_small_fat_tree_run_matches_fig1_direction(self):
-        configs = scenarios.fig1_configs(num_flows=60, seed=3)
+        configs = scenario("fig1").configs(num_flows=60, seed=3)
         irn = run_experiment(configs["IRN (without PFC)"])
         roce = run_experiment(configs["RoCE (with PFC)"])
         assert irn.completion_fraction() == 1.0
@@ -218,7 +212,7 @@ class TestFatTreeIntegration:
         assert irn.summary.avg_slowdown <= 1.2 * roce.summary.avg_slowdown
 
     def test_ecmp_spreads_flows_across_core_switches(self):
-        config = scenarios.default_config(num_flows=80, seed=5)
+        config = scenario("fig1").configs(num_flows=80, seed=5)["IRN (without PFC)"]
         result = run_experiment(config)
         # At least two core switches should have forwarded traffic.
         # (Forwarding statistics live on the Switch objects, which are not
@@ -230,6 +224,6 @@ class TestFatTreeIntegration:
         # every flow (the §7 "reordering due to load balancing" discussion).
         from repro.experiments import runner as runner_module
 
-        config = scenarios.default_config(num_flows=40, seed=7)
+        config = scenario("fig1").configs(num_flows=40, seed=7)["IRN (without PFC)"]
         result = run_experiment(config)
         assert result.completion_fraction() == 1.0

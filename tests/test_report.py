@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, TopologyKind, WorkloadKind
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import ResultCache, aggregate_rows, run_sweep
 from repro.metrics.report import (
     format_aggregate_table,
@@ -18,9 +18,9 @@ from repro.metrics.sketch import QuantileDigest
 def sweep_rows():
     config = ExperimentConfig(
         name="tiny",
-        topology=TopologyKind.STAR,
+        topology="star",
         num_hosts=4,
-        workload=WorkloadKind.FIXED,
+        workload="fixed",
         fixed_size_bytes=800,  # single-packet flows, so the CDF CLI has a tail to plot
         num_flows=6,
         max_sim_time_s=1.0,
@@ -78,8 +78,8 @@ class TestCacheReporting:
         # Two distinct configs cached under the same scenario label (same
         # preset at two flow counts) must both survive, not collapse.
         config = ExperimentConfig(
-            name="dup", topology=TopologyKind.STAR, num_hosts=4,
-            workload=WorkloadKind.FIXED, fixed_size_bytes=800, max_sim_time_s=1.0,
+            name="dup", topology="star", num_hosts=4,
+            workload="fixed", fixed_size_bytes=800, max_sim_time_s=1.0,
         )
         cache = ResultCache(tmp_path / "cache")
         for num_flows in (4, 8):

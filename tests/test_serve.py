@@ -284,6 +284,42 @@ class TestCdf:
         assert "single-packet latency tail" in body.decode()
 
 
+class TestQueryNumbers:
+    """Malformed numbers in a query string are the client's error (400 naming
+    the parameter), never a 500 or an unbounded amount of work."""
+
+    @pytest.mark.parametrize("query", [
+        "points=1", "points=-4", "points=nan", "points=inf", "points=2000000",
+        "points=12.5", "start=5", "start=-3", "start=1", "start=abc",
+    ])
+    def test_malformed_cdf_numbers_answer_400(self, server, query):
+        status, payload = get_json(server, f"/scenarios/serve_tiny/cdf?{query}")
+        assert status == 400
+        key, value = query.split("=")
+        assert f"{key}={value!r}" in payload["error"]
+
+    def test_explicit_defaults_serve_the_default_body(self, server):
+        default = get(server, "/scenarios/serve_tiny/cdf")
+        assert default[0] == 200
+        assert get(server, "/scenarios/serve_tiny/cdf?points=12&start=0.9") == default
+
+    @pytest.mark.parametrize("query", [
+        "poll=-1", "poll=0", "poll=inf", "timeout=-1", "expect=nan", "expect=-2",
+        "expect=1.5",
+    ])
+    def test_malformed_follow_numbers_answer_400(self, tmp_path, warm, query):
+        srv = make_server(warm[0], queue_dir=str(tmp_path / "q"), port=0, quiet=True)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        try:
+            status, payload = get_json(srv, f"/scenarios/serve_tiny/follow?{query}")
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert status == 400
+        key, value = query.split("=")
+        assert f"{key}={value!r}" in payload["error"]
+
+
 class TestConcurrency:
     def test_parallel_readers_agree(self, server):
         results, errors = [], []

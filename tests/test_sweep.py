@@ -5,13 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core.factory import TransportKind
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    WorkloadKind,
-)
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import (
@@ -26,9 +20,9 @@ def tiny_config(**overrides) -> ExperimentConfig:
     """A star-topology config that simulates in a few milliseconds."""
     base = ExperimentConfig(
         name="tiny",
-        topology=TopologyKind.STAR,
+        topology="star",
         num_hosts=4,
-        workload=WorkloadKind.FIXED,
+        workload="fixed",
         fixed_size_bytes=20_000,
         num_flows=6,
         max_sim_time_s=1.0,
@@ -41,7 +35,7 @@ def tiny_grid() -> ParameterGrid:
     return ParameterGrid(
         tiny_config(),
         axes={
-            "transport": [TransportKind.IRN, TransportKind.ROCE],
+            "transport": ["irn", "roce"],
             "pfc_enabled": [False, True],
             "seed": [1, 2, 3],
         },
@@ -65,7 +59,7 @@ class TestParameterGrid:
     def test_overrides_applied_and_name_set(self):
         cells = tiny_grid().expand()
         config = cells["transport=roce, pfc_enabled=True, seed=2"]
-        assert config.transport is TransportKind.ROCE
+        assert config.transport == "roce"
         assert config.pfc_enabled is True
         assert config.seed == 2
         assert config.name == "transport=roce, pfc_enabled=True, seed=2"
@@ -100,7 +94,7 @@ class TestFingerprint:
         base = tiny_config().fingerprint()
         assert tiny_config(seed=2).fingerprint() != base
         assert tiny_config(target_load=0.6).fingerprint() != base
-        assert tiny_config(congestion_control=CongestionControl.TIMELY).fingerprint() != base
+        assert tiny_config(congestion_control="timely").fingerprint() != base
 
     def test_canonical_dict_is_json_safe(self):
         import json
@@ -117,7 +111,7 @@ class TestResultRow:
         assert clone.label == "tiny run"
 
     def test_config_pickle_roundtrip(self):
-        config = tiny_config(congestion_control=CongestionControl.DCQCN)
+        config = tiny_config(congestion_control="dcqcn")
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_dict_roundtrip(self):
@@ -244,7 +238,7 @@ class TestResultCache:
         configs = {
             "good": tiny_config(seed=1),
             # No workload and no incast: _generate_flows raises ValueError.
-            "bad": tiny_config(workload=WorkloadKind.NONE, num_flows=0),
+            "bad": tiny_config(workload="none", num_flows=0),
         }
         with pytest.raises(ValueError, match="no flows"):
             run_sweep(configs, workers=1, cache=cache)
