@@ -141,26 +141,12 @@ class BaseSender:
     # ------------------------------------------------------------------
     # Interface used by the host NIC
     # ------------------------------------------------------------------
-    def has_packet_ready(self, now: float) -> bool:
-        """True when the NIC could send a packet of this flow right now."""
-        if self.completed:
-            return False
-        psn = self._select_packet(now)
-        if psn is None:
-            return False
-        release = self._pacing_release_time(now)
-        if release > now:
-            self._ensure_pacing_wakeup(release)
-            return False
-        return True
-
     def next_packet(self, now: float) -> Optional[Packet]:
         """Hand the next packet of this flow to the NIC (or ``None``).
 
-        Selection runs before the pacing gate, mirroring
-        :meth:`has_packet_ready`: a flow with nothing eligible returns
-        ``None`` *without* arming a pacing wake-up, so an idle-but-paced QP
-        never keeps the event loop alive on its own.
+        Selection runs before the pacing gate: a flow with nothing
+        eligible returns ``None`` *without* arming a pacing wake-up, so an
+        idle-but-paced QP never keeps the event loop alive on its own.
         """
         if self.completed:
             return None

@@ -30,9 +30,9 @@ either class** -- ``tests/test_engine_determinism.py`` pins this.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from bisect import insort
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 #: Structures smaller than this are never compacted/swept -- scanning them
@@ -71,36 +71,37 @@ _INV_WHEEL = 1.0 / WHEEL_SLOT_S
 _INF = float("inf")
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the list ``[time, seq, fn, args, cancelled]``.
 
-    Events compare by ``(time, seq)`` so that simultaneous events fire in the
-    order they were scheduled.  Cancelled events are skipped, without
+    Being a ``list``, entries are ordered by the interpreter's native
+    element-wise comparison -- ``sort``, ``insort`` and ``heapq`` never call
+    back into Python.  ``seq`` is unique per simulator, so a comparison is
+    always decided by ``time`` or ``seq`` and never reaches ``fn``: callbacks
+    and their arguments need not be comparable, and simultaneous events fire
+    in the order they were scheduled.  Cancelled events are skipped, without
     running, when the engine reaches them; in the calendar a cancelled
     timer parked on the wheel is dropped in O(1) when its slot flushes.
+
+    The engine reads entries by unpacking and by index; everyone else uses
+    the read-only properties and :meth:`cancel`.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple = ()) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    time = property(itemgetter(0), doc="Absolute simulation time the event fires at.")
+    seq = property(itemgetter(1), doc="Scheduling order: the tie-break between equal times.")
+    fn = property(itemgetter(2), doc="The callback.")
+    args = property(itemgetter(3), doc="Positional arguments of the callback.")
+    cancelled = property(itemgetter(4), doc="True once :meth:`cancel` was called.")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time!r}, seq={self.seq}{state})"
+        state = " cancelled" if self[4] else ""
+        return f"Event(t={self[0]!r}, seq={self[1]}{state})"
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it is reached."""
-        self.cancelled = True
+        self[4] = True
 
 
 class _SimulatorBase:
@@ -110,7 +111,7 @@ class _SimulatorBase:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._seq = itertools.count()
+        #: Events ever scheduled, which is also the next event's ``seq``.
         self._events_scheduled = 0
         self._events_processed = 0
         self._events_cancelled = 0
@@ -153,7 +154,7 @@ class _SimulatorBase:
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a previously scheduled event or timer (no-op for ``None``)."""
         if event is not None:
-            event.cancelled = True
+            event[4] = True
 
     # ------------------------------------------------------------------
     # Execution (shared surface)
@@ -339,8 +340,8 @@ class Simulator(_SimulatorBase):
         self._wheel_next_due = _INF         # start time of the earliest slot
         self._wheel_flushed_thru = -1       # highest slot index already flushed
         # Tombstone sweeping ------------------------------------------
-        self._since_sweep = 0
-        self._sweep_watermark = _COMPACT_MIN_SIZE
+        #: The ``seq`` whose scheduling triggers the next sweep.
+        self._sweep_due = _COMPACT_MIN_SIZE - 1
 
     # ------------------------------------------------------------------
     # Insertion
@@ -350,8 +351,9 @@ class Simulator(_SimulatorBase):
             raise ValueError(
                 f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
-        event = Event(time, next(self._seq), fn, args)
-        self._events_scheduled += 1
+        seq = self._events_scheduled
+        self._events_scheduled = seq + 1
+        event = Event((time, seq, fn, args, False))
         # Inlined _insert: this is the hottest schedule path.
         idx = int(time * self._inv_width)
         if idx > self._win_lo:
@@ -364,9 +366,8 @@ class Simulator(_SimulatorBase):
             else:
                 self._insert_high(event, idx)
         else:
-            insort(self._cur, event, lo=self._cur_idx)
-        self._since_sweep += 1
-        if self._since_sweep >= self._sweep_watermark:
+            insort(self._cur, event, self._cur_idx)
+        if seq >= self._sweep_due:
             self._sweep()
         return event
 
@@ -375,15 +376,14 @@ class Simulator(_SimulatorBase):
             raise ValueError(
                 f"cannot schedule a timer in the past (time={time}, now={self.now})"
             )
+        seq = self._events_scheduled
+        self._events_scheduled = seq + 1
+        event = Event((time, seq, fn, args, False))
         slot = int(time * _INV_WHEEL)
         if slot <= self._wheel_flushed_thru:
             # The slot's flush horizon already passed: behave like schedule.
-            event = Event(time, next(self._seq), fn, args)
-            self._events_scheduled += 1
             self._insert(event)
             return event
-        event = Event(time, next(self._seq), fn, args)
-        self._events_scheduled += 1
         bucket = self._wheel.get(slot)
         if bucket is None:
             self._wheel[slot] = [event]
@@ -392,14 +392,13 @@ class Simulator(_SimulatorBase):
         else:
             bucket.append(event)
         self._wheel_count += 1
-        self._since_sweep += 1
-        if self._since_sweep >= self._sweep_watermark:
+        if seq >= self._sweep_due:
             self._sweep()
         return event
 
     def _insert(self, event: Event) -> None:
         """Route an event into the band its time falls in (wheel excluded)."""
-        idx = int(event.time * self._inv_width)
+        idx = int(event[0] * self._inv_width)
         if idx > self._win_lo:
             if idx < self._win_hi:
                 bucket = self._buckets[idx & _MASK]
@@ -410,7 +409,7 @@ class Simulator(_SimulatorBase):
             else:
                 self._insert_high(event, idx)
         else:
-            insort(self._cur, event, lo=self._cur_idx)
+            insort(self._cur, event, self._cur_idx)
 
     def _insert_high(self, event: Event, idx: int) -> None:
         """Route an event past the level-0 window into the first upper level
@@ -453,7 +452,7 @@ class Simulator(_SimulatorBase):
             slot = heappop(heads)
             for event in wheel.pop(slot, ()):
                 self._wheel_count -= 1
-                if event.cancelled:
+                if event[4]:
                     self._events_cancelled += 1
                 else:
                     insert(event)
@@ -539,10 +538,10 @@ class Simulator(_SimulatorBase):
             below = self._buckets
             below_heads = self._bucket_heads
             for event in lst:
-                if event.cancelled:
+                if event[4]:
                     cancelled += 1
                     continue
-                idx = int(event.time * inv_width)
+                idx = int(event[0] * inv_width)
                 bucket = below[idx & _MASK]
                 if not bucket:
                     heappush(below_heads, idx)
@@ -564,10 +563,10 @@ class Simulator(_SimulatorBase):
             below = self._hi_buckets[lvl - 1]
             below_heads = self._hi_heads[lvl - 1]
             for event in lst:
-                if event.cancelled:
+                if event[4]:
                     cancelled += 1
                     continue
-                idx = int(event.time * inv_width) >> shift
+                idx = int(event[0] * inv_width) >> shift
                 bucket = below[idx & _MASK]
                 if not bucket:
                     heappush(below_heads, idx)
@@ -610,12 +609,12 @@ class Simulator(_SimulatorBase):
         heappop = heapq.heappop
         heappush = heapq.heappush
         insert_high = self._insert_high
-        while overflow and (int(overflow[0].time * inv_width) >> top_shift) < top_hi:
+        while overflow and (int(overflow[0][0] * inv_width) >> top_shift) < top_hi:
             event = heappop(overflow)
-            if event.cancelled:
+            if event[4]:
                 self._events_cancelled += 1
                 continue
-            idx = int(event.time * inv_width)
+            idx = int(event[0] * inv_width)
             if idx < win_hi:
                 bucket = buckets[idx & _MASK]
                 if not bucket:
@@ -640,11 +639,11 @@ class Simulator(_SimulatorBase):
                 self._load_bucket()
                 return True
         overflow = self._overflow
-        while overflow and overflow[0].cancelled:
+        while overflow and overflow[0][4]:
             heapq.heappop(overflow)
             self._events_cancelled += 1
         if overflow:
-            head_time = overflow[0].time
+            head_time = overflow[0][0]
             if head_time < self._wheel_next_due:
                 self._rebase(head_time)
                 return True
@@ -669,15 +668,15 @@ class Simulator(_SimulatorBase):
             blocked = False
             while idx < n:
                 event = cur[idx]
-                if event.cancelled:
+                if event[4]:
                     idx += 1
                     self._events_cancelled += 1
                     continue
-                if event.time >= self._wheel_next_due:
+                if event[0] >= self._wheel_next_due:
                     # Wheel timers may be due before this event: flush, then
                     # rescan (the flush can insort earlier events into _cur).
                     self._cur_idx = idx
-                    self._flush_wheel(event.time)
+                    self._flush_wheel(event[0])
                     blocked = True
                     break
                 self._cur_idx = idx
@@ -698,45 +697,46 @@ class Simulator(_SimulatorBase):
         the surviving population so the O(n) walk is amortized O(1) per
         insertion, exactly like :class:`HeapSimulator`'s compaction.
         """
-        self._since_sweep = 0
+        # Every exit re-arms the trigger ``watermark`` insertions from now.
+        rearm = self._events_scheduled - 1
         total = self.pending_events
         if total < _COMPACT_MIN_SIZE:
-            self._sweep_watermark = _COMPACT_MIN_SIZE
+            self._sweep_due = rearm + _COMPACT_MIN_SIZE
             return
         dead = 0
-        dead += sum(1 for e in self._cur[self._cur_idx:] if e.cancelled)
+        dead += sum(1 for e in self._cur[self._cur_idx:] if e[4])
         for lst in self._buckets:
-            dead += sum(1 for e in lst if e.cancelled)
+            dead += sum(1 for e in lst if e[4])
         for lvl in range(1, NUM_LEVELS):
             for lst in self._hi_buckets[lvl]:
-                dead += sum(1 for e in lst if e.cancelled)
-        dead += sum(1 for e in self._overflow if e.cancelled)
+                dead += sum(1 for e in lst if e[4])
+        dead += sum(1 for e in self._overflow if e[4])
         for lst in self._wheel.values():
-            dead += sum(1 for e in lst if e.cancelled)
+            dead += sum(1 for e in lst if e[4])
         if 2 * (total - dead) > total:
-            self._sweep_watermark = max(_COMPACT_MIN_SIZE, 2 * (total - dead))
+            self._sweep_due = rearm + max(_COMPACT_MIN_SIZE, 2 * (total - dead))
             return
         # Rebuild every band without its tombstones.
-        live_cur = [e for e in self._cur[self._cur_idx:] if not e.cancelled]
+        live_cur = [e for e in self._cur[self._cur_idx:] if not e[4]]
         self._cur = live_cur
         self._cur_idx = 0
         for slot in range(len(self._buckets)):
             lst = self._buckets[slot]
             if lst:
-                self._buckets[slot] = [e for e in lst if not e.cancelled]
+                self._buckets[slot] = [e for e in lst if not e[4]]
         self._num_bucketed = sum(len(lst) for lst in self._buckets)
         for lvl in range(1, NUM_LEVELS):
             blist = self._hi_buckets[lvl]
             for slot in range(len(blist)):
                 lst = blist[slot]
                 if lst:
-                    blist[slot] = [e for e in lst if not e.cancelled]
+                    blist[slot] = [e for e in lst if not e[4]]
             self._hi_counts[lvl] = sum(len(lst) for lst in blist)
-        live_overflow = [e for e in self._overflow if not e.cancelled]
+        live_overflow = [e for e in self._overflow if not e[4]]
         heapq.heapify(live_overflow)
         self._overflow = live_overflow
         for slot in list(self._wheel):
-            lst = [e for e in self._wheel[slot] if not e.cancelled]
+            lst = [e for e in self._wheel[slot] if not e[4]]
             if lst:
                 self._wheel[slot] = lst
             else:
@@ -747,7 +747,7 @@ class Simulator(_SimulatorBase):
             self._wheel_heads[0] / _INV_WHEEL if self._wheel_heads else _INF
         )
         self._events_cancelled += dead
-        self._sweep_watermark = max(_COMPACT_MIN_SIZE, 2 * self.pending_events)
+        self._sweep_due = rearm + max(_COMPACT_MIN_SIZE, 2 * self.pending_events)
 
     # ------------------------------------------------------------------
     # Execution
@@ -775,16 +775,15 @@ class Simulator(_SimulatorBase):
                 cur = self._cur
                 idx = self._cur_idx
                 if idx < len(cur):
-                    event = cur[idx]
-                    time = event.time
-                    if not event.cancelled and time < self._wheel_next_due:
+                    time, seq, fn, args, cancelled = cur[idx]
+                    if not cancelled and time < self._wheel_next_due:
                         if time > limit:
                             break
                         self._cur_idx = idx + 1
                         self.now = time
                         if trace is not None:
-                            trace.append((time, event.seq))
-                        event.fn(*event.args)
+                            trace.append((time, seq))
+                        fn(*args)
                         executed += 1
                         if budget is not None and executed >= budget:
                             break
@@ -829,7 +828,7 @@ class Simulator(_SimulatorBase):
             self._events_processed += executed
         if until is not None and not self._stopped and self.now < until:
             head = self._slow_peek()
-            if head is None or head.time > until:
+            if head is None or head[0] > until:
                 self.now = until
 
 
@@ -862,8 +861,9 @@ class HeapSimulator(_SimulatorBase):
             raise ValueError(
                 f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
-        event = Event(time, next(self._seq), fn, args)
-        self._events_scheduled += 1
+        seq = self._events_scheduled
+        self._events_scheduled = seq + 1
+        event = Event((time, seq, fn, args, False))
         heap = self._heap
         heapq.heappush(heap, event)
         if len(heap) >= self._compact_watermark:
@@ -881,7 +881,7 @@ class HeapSimulator(_SimulatorBase):
         per scheduled event.
         """
         heap = self._heap
-        live = [event for event in heap if not event.cancelled]
+        live = [event for event in heap if not event[4]]
         if 2 * len(live) <= len(heap):
             self._events_cancelled += len(heap) - len(live)
             # Replace contents in place: ``run`` holds a reference to the
@@ -906,19 +906,18 @@ class HeapSimulator(_SimulatorBase):
         cancelled = 0
         try:
             while heap and not self._stopped:
-                event = heap[0]
-                if event.cancelled:
+                time, seq, fn, args, dead = heap[0]
+                if dead:
                     heappop(heap)
                     cancelled += 1
                     continue
-                time = event.time
                 if until is not None and time > until:
                     break
                 heappop(heap)
                 self.now = time
                 if trace is not None:
-                    trace.append((time, event.seq))
-                event.fn(*event.args)
+                    trace.append((time, seq))
+                fn(*args)
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
@@ -927,8 +926,8 @@ class HeapSimulator(_SimulatorBase):
             self._events_cancelled += cancelled
         if until is not None and not self._stopped and self.now < until:
             # Discard tombstones so the advance decision sees the live head.
-            while heap and heap[0].cancelled:
+            while heap and heap[0][4]:
                 heappop(heap)
                 self._events_cancelled += 1
-            if not heap or heap[0].time > until:
+            if not heap or heap[0][0] > until:
                 self.now = until

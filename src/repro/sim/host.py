@@ -165,9 +165,8 @@ class Host:
             sender = self._senders.get(flow_id)
             if sender is None:
                 continue
-            # One call instead of has_packet_ready + next_packet: the QP
-            # returns None when it has nothing eligible (and arranges its
-            # own pacing wake-up), identically to the readiness probe.
+            # The QP returns None when it has nothing eligible (and
+            # arranges its own pacing wake-up).
             packet = sender.next_packet(now)
             if packet is None:
                 continue

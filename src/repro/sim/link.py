@@ -245,13 +245,11 @@ class OutputPort:
             return
         self.start_batch(now)
 
-    def start_batch(self, now: float, head: Optional[Packet] = None) -> None:
+    def start_batch(self, now: float) -> None:
         """Commit up to ``max_batch_packets`` departures starting at ``now``.
 
         The caller has checked that the port is not paused and the wire is
-        free.  ``head``, when given, is a frame the source hands over
-        instead of queueing it (a switch cutting through an idle output):
-        it leaves first, exactly as if the first pull had returned it.
+        free.
         """
         link = self.link
         sim = self.sim
@@ -270,12 +268,9 @@ class OutputPort:
                 # A limit (not an empty source) is ending this pull.
                 limited = True
                 break
-            if head is not None:
-                packet, head = head, None
-            else:
-                packet = next_packet(self)
-                if packet is None:
-                    break
+            packet = next_packet(self)
+            if packet is None:
+                break
             # Re-stamp the send time at this packet's serialization start:
             # transports build batch members at the pull timestamp, but RTT
             # consumers (Timely, iWARP's adaptive RTO) must see the same
@@ -300,6 +295,35 @@ class OutputPort:
                 # nothing will kick us: arrange the next pull ourselves.
                 if self._pull_event is None:
                     self._pull_event = sim.schedule_at(free_at, self._pull)
+
+    def cut_through(self, now: float, packet: Packet) -> None:
+        """Commit ``packet`` alone, starting at ``now``: a one-frame batch.
+
+        For a source that hands over a frame instead of queueing it (a
+        switch whose output has nothing queued): the caller has checked
+        that the port is not paused, the wire is free and the source holds
+        nothing else for this port.  Wire, counters and events are those of
+        :meth:`start_batch` pulling this frame and then finding the source
+        empty -- without the loop and without the pull that finds nothing.
+        """
+        link = self.link
+        sim = self.sim
+        packet.sent_time = now
+        delay = packet.size_bits / link.bandwidth_bps
+        link.busy_time += delay
+        size = packet.size_bytes
+        link.bytes_sent += size
+        link.packets_sent += 1
+        self.free_at = free_at = now + delay
+        sim.schedule_at(free_at + link.prop_delay_s, link.dst.receive, packet, link)
+        self.batches_sent += 1
+        byte_cap = self.max_batch_bytes
+        if self.max_batch_packets == 1 or (byte_cap is not None and size >= byte_cap):
+            # This frame alone reaches a batch limit, so ``start_batch``
+            # would have stopped on the limit, not on the empty source:
+            # arrange the next pull as it does.
+            if self._pull_event is None:
+                self._pull_event = sim.schedule_at(free_at, self._pull)
 
     def send_control_direct(self, packet: Packet) -> None:
         """Send a control frame bypassing the data queue (used for PFC).

@@ -10,7 +10,6 @@ same class with a different :class:`PacketType`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Optional
 
@@ -38,10 +37,20 @@ PFC_FRAME_BYTES = 64
 
 _packet_ids = itertools.count()
 
+# Looking a member up on the Enum class costs about as much as storing five
+# fields; the constructor tests the type up to three times per frame.
+_DATA = PacketType.DATA
+_PFC_PAUSE = PacketType.PFC_PAUSE
+_PFC_RESUME = PacketType.PFC_RESUME
 
-@dataclass(slots=True)
+
 class Packet:
     """A single frame in flight.
+
+    A plain ``__slots__`` class with a hand-written constructor: every data
+    frame, ACK, NACK, CNP and PFC frame of a run is built here, so
+    construction stores the fields and nothing else.  Packets compare and
+    hash by identity.
 
     Attributes
     ----------
@@ -58,74 +67,103 @@ class Packet:
     header_bytes:
         Wire overhead added to the payload.  IRN's worst-case overhead model
         (§6.3) inflates this by 16 bytes per data packet.
+    cumulative_ack:
+        Cumulative acknowledgement (the receiver's expected sequence number).
+    sack_psn:
+        Sequence number that triggered a NACK (IRN's simplified SACK field).
+    error_nack:
+        True when the NACK signals "receiver not ready" or another error that
+        must trigger go-back-N semantics even under IRN (§B.4).
+    ecn:
+        ECN Congestion Experienced codepoint, set by switches.
+    ecn_echo:
+        Echo of the ECN bit in ACKs (used by DCTCP-style control).
+    msg_id:
+        Identifier of the RDMA message this packet belongs to.
+    last_of_message:
+        True for the last packet of its message.
+    retransmitted:
+        True if this is a retransmission.
+    sent_time:
+        Time the packet (or the data packet an ACK acknowledges) was sent;
+        used for RTT estimation by Timely and the TCP stack.
+    echo_time:
+        Timestamp echoed back by the receiver in ACKs.
+    pfc_priority:
+        For PFC frames: the priority class being paused/resumed.
+    uid:
+        Unique id, in construction order; handy for debugging and for
+        per-packet ECMP spraying.
+    size_bytes, size_bits:
+        Total wire size of the frame, fixed at construction (every sizing
+        field is a constructor argument; later mutation only touches
+        marking/acknowledgement fields).  Plain attributes because the
+        serialization path reads them per transmitted packet.
+    pfc_frame:
+        True for PFC pause/resume frames.  ``ptype`` never changes after
+        construction, and every node tests this once per arriving frame.
     """
 
-    ptype: PacketType
-    flow_id: int
-    src: str
-    dst: str
-    psn: int = 0
-    payload_bytes: int = 0
-    header_bytes: int = DEFAULT_HEADER_BYTES
-    priority: int = 0
+    __slots__ = (
+        "ptype", "flow_id", "src", "dst", "psn", "payload_bytes", "header_bytes",
+        "priority", "cumulative_ack", "sack_psn", "error_nack", "ecn", "ecn_echo",
+        "msg_id", "last_of_message", "retransmitted", "sent_time", "echo_time",
+        "pfc_priority", "uid", "size_bytes", "size_bits", "pfc_frame",
+    )
 
-    # Acknowledgement fields -------------------------------------------------
-    #: Cumulative acknowledgement (the receiver's expected sequence number).
-    cumulative_ack: int = 0
-    #: Sequence number that triggered a NACK (IRN's simplified SACK field).
-    sack_psn: Optional[int] = None
-    #: True when the NACK signals "receiver not ready" or another error that
-    #: must trigger go-back-N semantics even under IRN (§B.4).
-    error_nack: bool = False
-
-    # Congestion signalling ---------------------------------------------------
-    #: ECN Congestion Experienced codepoint, set by switches.
-    ecn: bool = False
-    #: Echo of the ECN bit in ACKs (used by DCTCP-style control).
-    ecn_echo: bool = False
-
-    # Message bookkeeping ------------------------------------------------------
-    #: Identifier of the RDMA message this packet belongs to.
-    msg_id: int = 0
-    #: True for the last packet of its message.
-    last_of_message: bool = False
-    #: True if this is a retransmission.
-    retransmitted: bool = False
-
-    # Timestamps ---------------------------------------------------------------
-    #: Time the packet (or the data packet an ACK acknowledges) was sent;
-    #: used for RTT estimation by Timely and the TCP stack.
-    sent_time: float = 0.0
-    #: Timestamp echoed back by the receiver in ACKs.
-    echo_time: float = 0.0
-
-    # PFC ------------------------------------------------------------------------
-    #: For PFC frames: the priority class being paused/resumed.
-    pfc_priority: int = 0
-
-    #: Unique id, handy for debugging and for per-packet ECMP spraying.
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-
-    #: Total wire size of the frame, fixed at construction (every sizing
-    #: field is an init argument; post-construction mutation only touches
-    #: marking/acknowledgement fields).  Plain attributes because the
-    #: serialization path reads them per transmitted packet.
-    size_bytes: int = field(init=False, repr=False, default=0)
-    #: Total wire size in bits.
-    size_bits: int = field(init=False, repr=False, default=0)
-    #: True for PFC pause/resume frames.  ``ptype`` never changes after
-    #: construction, and every node tests this once per arriving frame.
-    pfc_frame: bool = field(init=False, repr=False, default=False)
-
-    def __post_init__(self) -> None:
-        if self.ptype is PacketType.DATA:
-            self.size_bytes = self.payload_bytes + self.header_bytes
-        elif self.ptype in (PacketType.PFC_PAUSE, PacketType.PFC_RESUME):
-            self.size_bytes = PFC_FRAME_BYTES
+    def __init__(
+        self,
+        ptype: PacketType,
+        flow_id: int,
+        src: str,
+        dst: str,
+        psn: int = 0,
+        payload_bytes: int = 0,
+        header_bytes: int = DEFAULT_HEADER_BYTES,
+        priority: int = 0,
+        cumulative_ack: int = 0,
+        sack_psn: Optional[int] = None,
+        error_nack: bool = False,
+        ecn: bool = False,
+        ecn_echo: bool = False,
+        msg_id: int = 0,
+        last_of_message: bool = False,
+        retransmitted: bool = False,
+        sent_time: float = 0.0,
+        echo_time: float = 0.0,
+        pfc_priority: int = 0,
+    ) -> None:
+        self.ptype = ptype
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.psn = psn
+        self.payload_bytes = payload_bytes
+        self.header_bytes = header_bytes
+        self.priority = priority
+        self.cumulative_ack = cumulative_ack
+        self.sack_psn = sack_psn
+        self.error_nack = error_nack
+        self.ecn = ecn
+        self.ecn_echo = ecn_echo
+        self.msg_id = msg_id
+        self.last_of_message = last_of_message
+        self.retransmitted = retransmitted
+        self.sent_time = sent_time
+        self.echo_time = echo_time
+        self.pfc_priority = pfc_priority
+        self.uid = next(_packet_ids)
+        if ptype is _DATA:
+            size = payload_bytes + header_bytes
+            self.pfc_frame = False
+        elif ptype is _PFC_PAUSE or ptype is _PFC_RESUME:
+            size = PFC_FRAME_BYTES
             self.pfc_frame = True
         else:
-            self.size_bytes = CONTROL_FRAME_BYTES
-        self.size_bits = self.size_bytes * 8
+            size = CONTROL_FRAME_BYTES
+            self.pfc_frame = False
+        self.size_bytes = size
+        self.size_bits = size * 8
 
     def is_control(self) -> bool:
         """True for ACK/NACK/CNP frames (not data, not PFC)."""

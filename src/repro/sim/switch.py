@@ -164,7 +164,7 @@ class Switch:
         """Handle a frame arriving on ``link``.
 
         The frame is admitted (buffer check, ECN marking) and then either
-        *cut through* -- handed to the output port as the head of a new
+        *cut through* -- handed to the output port as a one-frame
         departure batch in this same call, when that output has nothing
         queued, is not paused, its wire is free and no PFC edge is involved
         -- or queued in its VOQ for :meth:`next_packet`.  Cut-through skips
@@ -221,11 +221,11 @@ class Switch:
             # With PFC on, an input that has X-OFF outstanding or reaches
             # its threshold with this frame is excluded: its pause / resume
             # frames are sent from the queued path.  The port commits the
-            # frame like any batch head (wire, counters, wake-up pull), and
+            # frame as a one-frame batch (wire, counters, wake-up pull), and
             # its next pull finds the mask empty.
             self.packets_forwarded += 1
             out_port.rr_pointer = in_port.index + 1
-            out_port.start_batch(now, packet)
+            out_port.cut_through(now, packet)
             return
 
         queue = out_port.voqs[in_port.index]

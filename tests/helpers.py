@@ -56,7 +56,7 @@ def nack(flow: Flow, cumulative: int, sack: int | None, echo_time: float = 0.0,
 def drain(sender, now: float, limit: int = 10_000) -> list:
     """Pull packets from a sender until it reports nothing ready."""
     packets = []
-    while sender.has_packet_ready(now) and len(packets) < limit:
+    while len(packets) < limit:
         packet = sender.next_packet(now)
         if packet is None:
             break

@@ -10,9 +10,10 @@ generated plans of boundary-time operations.
 """
 
 import math
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import bucket_width_for
@@ -110,6 +111,88 @@ class TestScheduling:
         # The nested zero-delay event shares the timestamp but was scheduled
         # last, so FIFO ordering puts it after "second".
         assert order == ["first", "second", "nested"]
+
+
+#: Payloads no two of which can be ordered: ``<`` between any pair raises
+#: ``TypeError``.  An engine whose entry comparison ever got past
+#: ``(time, seq)`` would fail on them instead of misordering silently.
+UNORDERABLE = (None, {}, {"k": 1}, object(), lambda: None, [1], 1j)
+
+
+class TestEntryOrdering:
+    """Entries are ordered by ``(time, seq)`` alone: never by ``fn`` or
+    ``args``, and not by whether they have been cancelled."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plan=st.lists(
+        st.tuples(
+            st.sampled_from((1e-6, 2e-6, 3e-6)),         # few times: mostly ties
+            st.sampled_from(range(len(UNORDERABLE))),
+            st.booleans(),                                # cancelled when issued
+            st.none() | st.integers(0, 60),               # op its callback cancels
+        ),
+        min_size=2, max_size=60,
+    ))
+    def test_ties_run_in_seq_order_whatever_the_payload(self, make_sim, plan):
+        sim = make_sim()
+        trace = sim.enable_trace()
+        ran = []
+        events = []
+
+        def fire(n, payload):
+            ran.append(n)
+            victim = plan[n][3]
+            if victim is not None:
+                events[victim % len(plan)].cancel()
+
+        def issue(n):
+            time, payload, cancel_now, _ = plan[n]
+            # A fresh callable per entry: the ``fn`` slots cannot be ordered either.
+            events.append(sim.schedule_at(time, partial(fire, n), UNORDERABLE[payload]))
+            if cancel_now:
+                events[n].cancel()
+
+        def issue_rest():
+            # From inside the first event at 1 us: ties at 1 us land in the
+            # bucket being drained, the rest in buckets sorted later.
+            for n in range(len(plan) // 2, len(plan)):
+                issue(n)
+
+        sim.schedule_at(1e-6, issue_rest)
+        for n in range(len(plan) // 2):
+            issue(n)
+        sim.run_until_idle()
+
+        expected = []
+        dead = {n for n, op in enumerate(plan) if op[2]}
+        for n in sorted(range(len(plan)), key=lambda n: (plan[n][0], n)):
+            if n not in dead:
+                expected.append(n)
+                if plan[n][3] is not None:
+                    dead.add(plan[n][3] % len(plan))
+        assert ran == expected
+        # seq 0 is ``issue_rest``; op n was the (n + 1)-th event scheduled.
+        assert trace == [(1e-6, 0)] + [(plan[n][0], n + 1) for n in expected]
+        assert [event.seq for event in events] == list(range(1, len(plan) + 1))
+
+    def test_cancelling_a_sorted_entry_leaves_its_neighbours_in_place(self, make_sim):
+        sim = make_sim()
+        ran = []
+        events = {}
+
+        def fire(label, payload):
+            ran.append(label)
+            if label == "a":
+                events["c"].cancel()
+
+        for label, payload in zip("abcde", UNORDERABLE):
+            events[label] = sim.schedule_at(1e-6, partial(fire, label), payload)
+        sim.run_until_idle()
+        assert ran == ["a", "b", "d", "e"]
+        assert events["c"].cancelled and events["c"].time == 1e-6
+        assert [events[label].seq for label in "abcde"] == [0, 1, 2, 3, 4]
+        assert sim.events_cancelled == 1
 
 
 class TestTimers:
@@ -723,21 +806,32 @@ def _boundary_times(width):
 @st.composite
 def _plans(draw):
     """``(width, ops, until)``.  Each op is ``(method, time, issuer,
-    cancel_now, victim)``: it is issued before the first run (``"start"``),
-    after ``run(until=...)`` returned (``"resume"``) or from inside the
-    callback of an earlier op (an int, taken modulo the op's own index);
-    its event is cancelled right away if ``cancel_now``; and its callback
-    cancels op ``victim``'s event (modulo the plan length) if it has one."""
+    cancel_now, victim, payload)``: it is issued before the first run
+    (``"start"``), after ``run(until=...)`` returned (``"resume"``) or from
+    inside the callback of an earlier op (an int, taken modulo the op's own
+    index); its event is cancelled right away if ``cancel_now``; its
+    callback cancels op ``victim``'s event (modulo the plan length) if it
+    has one; and it carries ``UNORDERABLE[payload]`` as an argument.  A
+    drawn time of ``None`` stands for "the time of the op before" -- equal
+    times with payloads that cannot be ordered, so only ``seq`` can break
+    the tie."""
     width = draw(st.sampled_from(WIDTHS))
     times = _boundary_times(width)
     op = st.tuples(
         st.sampled_from(("schedule_at", "set_timer_at")),
-        times,
+        st.none() | times,
         st.one_of(st.sampled_from(("start", "resume")), st.integers(0, 30)),
         st.booleans(),
         st.none() | st.integers(0, 30),
+        st.sampled_from(range(len(UNORDERABLE))),
     )
-    return width, draw(st.lists(op, min_size=1, max_size=12)), draw(times)
+    until = draw(times)
+    ops = []
+    for method, time, *rest in draw(st.lists(op, min_size=1, max_size=12)):
+        if time is None:
+            time = ops[-1][1] if ops else until
+        ops.append((method, time, *rest))
+    return width, ops, until
 
 
 def _drive(engine_cls, width, ops, until):
@@ -746,19 +840,20 @@ def _drive(engine_cls, width, ops, until):
     trace = sim.enable_trace()
     events = {}
     children = {}
-    for n, (_, _, issuer, _, _) in enumerate(ops):
+    for n, (_, _, issuer, _, _, _) in enumerate(ops):
         if isinstance(issuer, int):
             issuer = issuer % n if n else "start"
         children.setdefault(issuer, []).append(n)
 
     def issue(n):
-        method, time, _, cancel_now, _ = ops[n]
+        method, time, _, cancel_now, _, payload = ops[n]
         # A plan time already behind the clock is issued for "now".
-        events[n] = getattr(sim, method)(max(time, sim.now), fire, n)
+        events[n] = getattr(sim, method)(
+            max(time, sim.now), partial(fire, n), UNORDERABLE[payload])
         if cancel_now:
             sim.cancel(events[n])
 
-    def fire(n):
+    def fire(n, payload):
         victim = ops[n][4]
         if victim is not None:
             sim.cancel(events.get(victim % len(ops)))

@@ -36,7 +36,7 @@ class TestBdpFc:
         packets = drain(sender, now=0.0)
         assert len(packets) == 8
         assert sender.in_flight() == 8
-        assert not sender.has_packet_ready(0.0)
+        assert sender.next_packet(0.0) is None
 
     def test_window_opens_as_acks_arrive(self):
         sim, host, flow, sender = make_sender(size_bytes=20_000, bdp_cap=8)

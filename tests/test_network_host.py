@@ -23,9 +23,6 @@ class ListSender:
         self.sent = 0
         self.controls = []
 
-    def has_packet_ready(self, now):
-        return self.sent < self.count
-
     def next_packet(self, now):
         if self.sent >= self.count:
             return None

@@ -1,5 +1,7 @@
 """Tests for packet and frame definitions."""
 
+import pytest
+
 from repro.sim.packet import (
     CONTROL_FRAME_BYTES,
     DEFAULT_HEADER_BYTES,
@@ -36,6 +38,52 @@ class TestPacketSizes:
     def test_size_bits(self):
         packet = Packet(PacketType.DATA, flow_id=1, src="a", dst="b", payload_bytes=100)
         assert packet.size_bits == packet.size_bytes * 8
+
+    @pytest.mark.parametrize("ptype", list(PacketType))
+    def test_sizes_and_pfc_flag_of_every_type(self, ptype):
+        # Only a data frame's size depends on payload and header.
+        size_bytes, pfc_frame = {
+            PacketType.DATA: (1000 + 52, False),
+            PacketType.ACK: (CONTROL_FRAME_BYTES, False),
+            PacketType.NACK: (CONTROL_FRAME_BYTES, False),
+            PacketType.CNP: (CONTROL_FRAME_BYTES, False),
+            PacketType.PFC_PAUSE: (PFC_FRAME_BYTES, True),
+            PacketType.PFC_RESUME: (PFC_FRAME_BYTES, True),
+        }[ptype]
+        packet = Packet(ptype, 1, "a", "b", payload_bytes=1000, header_bytes=52)
+        assert packet.size_bytes == size_bytes
+        assert packet.size_bits == size_bytes * 8
+        assert packet.pfc_frame is pfc_frame
+
+
+class TestPacketConstruction:
+    def test_positional_order(self):
+        packet = Packet(PacketType.DATA, 7, "a", "b", 3, 900, 60)
+        assert (packet.ptype, packet.flow_id, packet.src, packet.dst) == (
+            PacketType.DATA, 7, "a", "b")
+        assert (packet.psn, packet.payload_bytes, packet.header_bytes) == (3, 900, 60)
+        assert packet.size_bytes == 960
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            Packet(PacketType.DATA, 1, "a", "b", ttl=64)
+
+    def test_uids_increase_in_construction_order(self):
+        uids = [Packet(ptype, 1, "a", "b").uid for ptype in list(PacketType) * 3]
+        assert all(later > earlier for earlier, later in zip(uids, uids[1:]))
+
+    def test_every_default(self):
+        packet = Packet(PacketType.ACK, 3, "a", "b")
+        assert (packet.psn, packet.payload_bytes, packet.header_bytes, packet.priority) == (
+            0, 0, DEFAULT_HEADER_BYTES, 0)
+        assert (packet.cumulative_ack, packet.sack_psn, packet.error_nack) == (0, None, False)
+        assert (packet.ecn, packet.ecn_echo) == (False, False)
+        assert (packet.msg_id, packet.last_of_message, packet.retransmitted) == (0, False, False)
+        assert (packet.sent_time, packet.echo_time, packet.pfc_priority) == (0.0, 0.0, 0)
+
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            Packet(PacketType.DATA, 1, "a", "b").hop_count = 1
 
 
 class TestPacketClassification:

@@ -267,6 +267,7 @@ class _Slice:
     def __init__(self, switch_cls, inputs=2, outputs=("x", "y"), pfc=False,
                  buffer_bytes=100_000, headroom=0, ecn=None):
         self.sim = Simulator(seed=7)
+        self.trace = self.sim.enable_trace()
         config = SwitchConfig(
             buffer_bytes_per_port=buffer_bytes,
             pfc=PfcConfig(enabled=pfc, headroom_bytes=headroom),
@@ -317,7 +318,7 @@ class _Slice:
         """Everything the per-hop path may touch, in comparable form."""
         switch = self.switch
         state = {
-            "events": self.sim.events_processed,
+            "events": list(self.trace),      # (time, seq) of every event run
             "now": self.sim.now,
             "switch": (switch.packets_forwarded, switch.packets_dropped, switch.bytes_dropped,
                        switch.packets_marked, switch.pause_frames_sent,
@@ -431,6 +432,31 @@ class TestCutThroughEqualsQueuedPath:
 
         real = _twins(script)
         assert real.sim.events_processed == 2
+
+    @pytest.mark.parametrize("max_bytes", [None, 500, 1048])
+    @pytest.mark.parametrize("max_packets", [1, 4])
+    def test_single_frame_exit_under_every_batch_limit(self, max_packets, max_bytes):
+        """The cut-through exit against enqueue + ``kick`` for each way a
+        one-frame batch can end: on the empty source, on the packet limit,
+        on a byte cap the frame exceeds (500) or exactly reaches (1048)."""
+        def script(s):
+            for name in ("x", "y"):
+                s.port(name).max_batch_packets = max_packets
+                s.port(name).max_batch_bytes = max_bytes
+            s.arrive(0.0, 0, "x", psn=0, payload=1048)     # idle: exit taken
+            s.arrive(0.0, 1, "y", psn=0, payload=400)      # under every cap
+            s.arrive(0.2e-6, 1, "x", psn=0)                # wire busy: queued
+            s.arrive(0.3e-6, 0, "x", psn=1, payload=400)   # queued behind it
+            s.arrive(1.048e-6, 1, "x", psn=1)              # as the wire frees
+            s.arrive(10e-6, 0, "x", psn=2)                 # idle again
+            s.arrive(11e-6, 1, "x", psn=2, payload=1048)   # at free_at exactly
+            s.arrive(11e-6, 0, "y", psn=3, payload=1048)
+            s.arrive(20e-6, 1, "y", psn=3, ptype=PacketType.ACK)   # 64 B
+
+        real = _twins(script)
+        assert real.switch.packets_forwarded == 9
+        assert real.kicks["x"] + real.kicks["y"] < 9     # some frames took the exit
+        assert real.port("y").batches_sent == 3 and real.kicks["y"] == 0
 
     def test_frame_at_the_timestamp_of_a_pending_pull(self):
         def script(s):
