@@ -27,16 +27,12 @@ The package provides:
   ``python -m repro run`` CLI.
 """
 
-from repro.version import __version__
+from repro._lazy import lazy_exports
 
-from repro.sim.engine import Simulator
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
-
-__all__ = [
-    "__version__",
-    "Simulator",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "__version__": "repro.version",
+    "Simulator": "repro.sim.engine",
+    "ExperimentConfig": "repro.experiments.config",
+    "ExperimentResult": "repro.experiments.runner",
+    "run_experiment": "repro.experiments.runner",
+})

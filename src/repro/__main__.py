@@ -40,24 +40,25 @@ Examples::
 
 (``--set`` applies to *every* cell; setting a field a scenario sweeps as its
 row axis would collapse the sweep, so the CLI warns when that happens.)
+
+Each sub-command imports what it runs when it is dispatched, never
+``repro.api``: ``list`` and a fully cached ``run`` load no simulator,
+``run`` and ``worker`` load it when their first uncached cell executes, and
+only ``serve`` loads ``http.server``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Dict, List, Optional, Sequence
+import sys
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.api import (
-    SweepResult,
-    format_aggregate_table,
-    format_incast_table,
-    format_metric_table,
-    format_tail_cdf,
-    load_scenario,
-)
-from repro.experiments.spec import ScenarioSpec
-from repro.registry import UnknownNameError
+from repro.serve import add_serve_arguments
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.spec import ScenarioSpec
+    from repro.experiments.sweep import SweepResult
 
 
 def _parse_set_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
@@ -76,7 +77,21 @@ def _parse_set_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
     return overrides
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _print_report(spec: ScenarioSpec, sweep: SweepResult, show_cdf: bool) -> None:
+    from repro.metrics.report import (
+        format_aggregate_table,
+        format_incast_table,
+        format_metric_table,
+        format_tail_cdf,
+    )
+
     print(format_metric_table(f"{spec.name}: per-run metrics", sweep.rows))
     if any(row.incast_rct_s is not None for row in sweep.rows.values()):
         print()
@@ -124,15 +139,30 @@ def _make_follow_printer(spec: ScenarioSpec):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        spec = load_scenario(args.scenario)
-    except UnknownNameError as exc:
-        print(exc)
-        return 2
+    from repro.experiments.backends import EXECUTION_BACKENDS
+    from repro.experiments.spec import scenario
+    from repro.experiments.sweep import run_sweep
 
     overrides = _parse_set_overrides(args.set or [])
     if args.flows is not None:
         overrides["num_flows"] = args.flows
+    if args.quick and args.seeds is not None:
+        raise SystemExit("--quick (seed 1 only) and --seeds are mutually exclusive")
+    seeds: Optional[int] = 1 if args.quick else args.seeds
+
+    # What the user can get wrong -- the scenario, a --set field or value, a
+    # component or backend name -- is checked here, from declarations alone,
+    # before any cell runs: one line on stderr and exit code 2, no traceback.
+    try:
+        spec = scenario(args.scenario)
+        cells = spec.replicated(seeds=seeds, **overrides)
+        for config in cells.values():
+            config.check_components()
+        if args.backend is not None:
+            EXECUTION_BACKENDS.require(args.backend)
+    except ValueError as exc:  # repro.registry.UnknownNameError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # Overriding a field the scenario sweeps as its row axis would make every
     # row run the same simulation while keeping its distinct label -- warn.
@@ -147,9 +177,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: --set name=... gives every cell the same name, so "
               "the per-cell aggregate table pools all of them together")
 
-    if args.quick and args.seeds is not None:
-        raise SystemExit("--quick (seed 1 only) and --seeds are mutually exclusive")
-    seeds: Optional[int] = 1 if args.quick else args.seeds
     cache = None if args.no_cache else args.cache
 
     backend = args.backend
@@ -164,9 +191,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--queue-dir only applies with --backend queue")
 
     progress = _make_follow_printer(spec) if args.follow else None
-    sweep = spec.sweep(
-        seeds=seeds, workers=args.workers, cache=cache,
-        backend=backend, progress=progress, **overrides,
+    sweep = run_sweep(
+        cells, workers=args.workers, cache=cache, backend=backend,
+        progress=progress, progress_by=spec.aggregate_by,
     )
 
     executed = sweep.runs_executed
@@ -227,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario and print its report")
     run.add_argument("scenario", help="registered scenario name (see: python -m repro list)")
-    run.add_argument("--seeds", type=int, default=None, metavar="N",
+    run.add_argument("--seeds", type=_positive_int, default=None, metavar="N",
                      help="run seeds 1..N per cell (default: the spec's own seed axis)")
     run.add_argument("--workers", type=int, default=None, metavar="N",
                      help="worker processes (default: auto; 1 = serial)")
@@ -284,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lst = sub.add_parser("list", help="list registered scenarios")
     lst.set_defaults(func=_cmd_list)
-
-    from repro.serve.server import add_serve_arguments
 
     serve = sub.add_parser(
         "serve",

@@ -29,19 +29,27 @@ Note: registrations are process-local.  Components registered in a script
 (rather than an importable module) require ``workers=1`` when sweeping --
 parallel worker processes re-import a clean registry, and on spawn-based
 platforms (macOS/Windows) every cell would fail with an unknown-name error.
+
+Importing this module loads the whole *simulation* surface (so the first
+``run_experiment`` call imports nothing); the work-queue and results-service
+names (``QueueBackend``, ``TaskQueue``, ``run_worker``, ``ResultsService``,
+``make_server``, ``catalog_entries``, ``format_catalog``) resolve on first
+use, so a script that only simulates never loads ``http.server`` or the
+queue machinery.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.congestion.factory import (
+from repro._lazy import lazy_exports
+from repro.congestion.factory import make_congestion_control
+from repro.congestion.registry import (
     CONGESTION_SCHEMES,
     CongestionScheme,
-    make_congestion_control,
     register_congestion_control,
 )
-from repro.core.factory import TRANSPORTS, register_transport
+from repro.core.registry import TRANSPORTS, register_transport
 from repro.experiments.backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
@@ -49,7 +57,6 @@ from repro.experiments.backends import (
     register_execution_backend,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.spec import (
     SCENARIOS,
@@ -71,9 +78,18 @@ from repro.metrics.report import (
     format_metric_table,
     format_tail_cdf,
 )
-from repro.serve import ResultsService, catalog_entries, format_catalog, make_server
-from repro.topology import TOPOLOGIES, register_topology
-from repro.workload import WORKLOADS, register_workload
+from repro.topology.registry import TOPOLOGIES, register_topology
+from repro.workload.registry import WORKLOADS, register_workload
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "QueueBackend": "repro.experiments.queue",
+    "TaskQueue": "repro.experiments.queue",
+    "run_worker": "repro.experiments.queue",
+    "ResultsService": "repro.serve.server",
+    "catalog_entries": "repro.serve.catalog",
+    "format_catalog": "repro.serve.catalog",
+    "make_server": "repro.serve.server",
+})[:2]
 
 __all__ = [
     # scenarios

@@ -6,30 +6,21 @@ Timely (RTT-gradient rate control), and -- in §4.4.4/§4.6 -- conventional
 window-based schemes (TCP AIMD and DCTCP) layered on IRN.
 """
 
-from repro.congestion.base import CongestionControl, NoCongestionControl
-from repro.congestion.dcqcn import Dcqcn, DcqcnParams
-from repro.congestion.timely import Timely, TimelyParams
-from repro.congestion.window import AimdWindow, AimdParams, DctcpWindow, DctcpParams
-from repro.congestion.factory import (
-    CONGESTION_SCHEMES,
-    CongestionScheme,
-    make_congestion_control,
-    register_congestion_control,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CONGESTION_SCHEMES",
-    "CongestionScheme",
-    "register_congestion_control",
-    "CongestionControl",
-    "NoCongestionControl",
-    "Dcqcn",
-    "DcqcnParams",
-    "Timely",
-    "TimelyParams",
-    "AimdWindow",
-    "AimdParams",
-    "DctcpWindow",
-    "DctcpParams",
-    "make_congestion_control",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CONGESTION_SCHEMES": "repro.congestion.registry",
+    "CongestionScheme": "repro.congestion.registry",
+    "register_congestion_control": "repro.congestion.registry",
+    "CongestionControl": "repro.congestion.base",
+    "NoCongestionControl": "repro.congestion.base",
+    "Dcqcn": "repro.congestion.dcqcn",
+    "DcqcnParams": "repro.congestion.dcqcn",
+    "Timely": "repro.congestion.timely",
+    "TimelyParams": "repro.congestion.timely",
+    "AimdWindow": "repro.congestion.window",
+    "AimdParams": "repro.congestion.window",
+    "DctcpWindow": "repro.congestion.window",
+    "DctcpParams": "repro.congestion.window",
+    "make_congestion_control": "repro.congestion.factory",
+})

@@ -1,30 +1,22 @@
 """Transport logic: IRN (the paper's contribution), RoCE, iWARP and variants."""
 
-from repro.core.transport import Flow, BaseSender, BaseReceiver, TransportConfig
-from repro.core.irn import IrnConfig, IrnSender, IrnReceiver, LossRecovery
-from repro.core.roce import RoceConfig, RoceSender, RoceReceiver
-from repro.core.iwarp import TcpConfig, TcpSender
-from repro.core.factory import (
-    TRANSPORTS,
-    make_flow_endpoints,
-    register_transport,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TRANSPORTS",
-    "register_transport",
-    "Flow",
-    "BaseSender",
-    "BaseReceiver",
-    "TransportConfig",
-    "IrnConfig",
-    "IrnSender",
-    "IrnReceiver",
-    "LossRecovery",
-    "RoceConfig",
-    "RoceSender",
-    "RoceReceiver",
-    "TcpConfig",
-    "TcpSender",
-    "make_flow_endpoints",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TRANSPORTS": "repro.core.registry",
+    "register_transport": "repro.core.registry",
+    "Flow": "repro.core.transport",
+    "BaseSender": "repro.core.transport",
+    "BaseReceiver": "repro.core.transport",
+    "TransportConfig": "repro.core.transport",
+    "IrnConfig": "repro.core.irn",
+    "IrnSender": "repro.core.irn",
+    "IrnReceiver": "repro.core.irn",
+    "LossRecovery": "repro.core.irn",
+    "RoceConfig": "repro.core.roce",
+    "RoceSender": "repro.core.roce",
+    "RoceReceiver": "repro.core.roce",
+    "TcpConfig": "repro.core.iwarp",
+    "TcpSender": "repro.core.iwarp",
+    "make_flow_endpoints": "repro.core.factory",
+})

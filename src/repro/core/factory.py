@@ -3,9 +3,11 @@
 Transports are pluggable: each variant registers an *endpoint builder* in
 :data:`TRANSPORTS` under a name, and :func:`make_flow_endpoints` (the single
 entry point the runner uses) resolves the configured transport through that
-registry.  The paper's variants are registered at the bottom of this module:
-``irn``, ``roce``, ``iwarp`` and the §4.3 factor-analysis ablations
-``irn_go_back_n``, ``irn_no_bdpfc`` and ``irn_no_sack``.
+registry.  The registry itself lives in :mod:`repro.core.registry`, which
+declares the paper's variants by name; they are registered at the bottom of
+this module, their provider: ``irn``, ``roce``, ``iwarp`` and the §4.3
+factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
+``irn_no_sack``.
 
 A registered builder has the signature::
 
@@ -29,28 +31,18 @@ package without changing the runner::
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
 from repro.core.iwarp import TcpConfig, TcpSender
+from repro.core.registry import TRANSPORTS, register_transport
 from repro.core.roce import RoceConfig, RoceReceiver, RoceSender
 from repro.core.transport import BaseReceiver, BaseSender, Flow, FlowCallback
-from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congestion.base import CongestionControl
     from repro.sim.engine import Simulator
     from repro.sim.host import Host
-
-#: ``(sim, src_host, flow, **options) -> (sender, receiver)``.
-EndpointBuilder = Callable[..., Tuple[BaseSender, BaseReceiver]]
-
-TRANSPORTS: Registry[EndpointBuilder] = Registry("transport")
-
-
-def register_transport(name: str, *, aliases: Sequence[str] = (), replace: bool = False):
-    """Decorator registering a transport endpoint builder under ``name``."""
-    return TRANSPORTS.register(name, aliases=aliases, replace=replace)
 
 
 def make_flow_endpoints(

@@ -1,50 +1,27 @@
 """Experiment harness: configurations, runner and paper scenario presets."""
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    ExecutionBackend,
-    SweepProgress,
-    register_execution_backend,
-)
-from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
-from repro.experiments.results import ResultRow
-from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.spec import (
-    SCENARIOS,
-    ScenarioSpec,
-    register_scenario,
-    scenario,
-)
-from repro.experiments.sweep import (
-    ParameterGrid,
-    ResultCache,
-    SweepResult,
-    aggregate_rows,
-    run_sweep,
-)
-from repro.experiments import scenarios
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ResultRow",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "register_scenario",
-    "scenario",
-    "EXECUTION_BACKENDS",
-    "ExecutionBackend",
-    "ParameterGrid",
-    "QueueBackend",
-    "ResultCache",
-    "SweepProgress",
-    "SweepResult",
-    "TaskQueue",
-    "aggregate_rows",
-    "register_execution_backend",
-    "run_experiment",
-    "run_sweep",
-    "run_worker",
-    "scenarios",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ExperimentConfig": "repro.experiments.config",
+    "ExperimentResult": "repro.experiments.runner",
+    "ResultRow": "repro.experiments.results",
+    "SCENARIOS": "repro.experiments.spec",
+    "ScenarioSpec": "repro.experiments.spec",
+    "register_scenario": "repro.experiments.spec",
+    "scenario": "repro.experiments.spec",
+    "EXECUTION_BACKENDS": "repro.experiments.backends",
+    "ExecutionBackend": "repro.experiments.backends",
+    "ParameterGrid": "repro.experiments.sweep",
+    "QueueBackend": "repro.experiments.queue",
+    "ResultCache": "repro.experiments.sweep",
+    "SweepProgress": "repro.experiments.backends",
+    "SweepResult": "repro.experiments.sweep",
+    "TaskQueue": "repro.experiments.queue",
+    "aggregate_rows": "repro.experiments.sweep",
+    "register_execution_backend": "repro.experiments.backends",
+    "run_experiment": "repro.experiments.runner",
+    "run_sweep": "repro.experiments.sweep",
+    "run_worker": "repro.experiments.queue",
+    "scenarios": "repro.experiments.scenarios",
+})

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -135,7 +134,17 @@ class ExecutionBackend:
         raise NotImplementedError
 
 
-EXECUTION_BACKENDS: Registry[Callable[..., ExecutionBackend]] = Registry("execution backend")
+#: ``queue`` is declared here and provided by the queue module, which this
+#: module must not import (the queue machinery imports the sweep layer, and
+#: a sweep that never spools should not pay for it): naming it loads it.
+EXECUTION_BACKENDS: Registry[Callable[..., ExecutionBackend]] = Registry(
+    "execution backend",
+    builtins={
+        "serial": "repro.experiments.backends",
+        "process": "repro.experiments.backends",
+        "queue": "repro.experiments.queue",
+    },
+)
 
 
 def register_execution_backend(name: str, *, replace: bool = False):
@@ -202,6 +211,10 @@ class ProcessBackend(ExecutionBackend):
             workers_used = 1
 
         if pending and workers_used > 1:
+            # Imported here: only a sweep with cells left to fan out pays
+            # for the pool machinery and ``multiprocessing`` behind it.
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
             # The try blocks cover only pool machinery: store() runs outside
             # them so a cache-write failure propagates as itself instead of
             # being misread as a broken pool.
@@ -244,11 +257,6 @@ def resolve_backend(
     queue directory, so it must be constructed explicitly or through the
     CLI's ``--queue-dir``).
     """
-    # Imported for its registration side effect: the "queue" entry lives in
-    # the queue module, which this module must not import at its own top
-    # level (the queue machinery imports the sweep layer).
-    import repro.experiments.queue  # noqa: F401
-
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:

@@ -8,12 +8,18 @@ the ``SCENARIOS`` registry).
 
 The component fields (``topology``, ``transport``, ``congestion_control``,
 ``workload``) are registry names -- plain strings naming entries in
-:data:`repro.topology.TOPOLOGIES`, :data:`repro.core.factory.TRANSPORTS`,
-:data:`repro.congestion.factory.CONGESTION_SCHEMES` and
+:data:`repro.topology.TOPOLOGIES`, :data:`repro.core.TRANSPORTS`,
+:data:`repro.congestion.CONGESTION_SCHEMES` and
 :data:`repro.workload.WORKLOADS`.  ``__post_init__`` stores each one in its
 registry's canonical spelling (case folded, aliases resolved), so every
 spelling of one component serializes, fingerprints and aggregates
 identically.
+
+This module imports declarations only -- the four registries (which know
+their built-ins by name, see :mod:`repro.registry`) and the plan/parameter
+dataclasses a config carries -- so expanding, fingerprinting and looking up
+cells costs no simulator import.  The ``effective_*`` derivations resolve
+the topology or scheme *object* and load its provider on first use.
 """
 
 from __future__ import annotations
@@ -21,16 +27,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.congestion.factory import CONGESTION_SCHEMES
-from repro.core.factory import TRANSPORTS
+from repro.congestion.registry import CONGESTION_SCHEMES
+from repro.core.registry import TRANSPORTS
 from repro.faults import FaultPlan
 from repro.sim.pfc import PfcConfig, headroom_for_link
-from repro.sim.switch import EcnConfig, SwitchConfig
-from repro.topology import TOPOLOGIES
-from repro.workload import WORKLOADS
+from repro.topology.registry import TOPOLOGIES
 from repro.workload.incast import IncastParams
+from repro.workload.registry import WORKLOADS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.switch import SwitchConfig
 
 
 #: Config fields that never influence the physics of a run *or* the cached
@@ -210,6 +218,20 @@ class ExperimentConfig:
         if self.pacing_quantum_us < 0:
             raise ValueError("pacing_quantum_us must be >= 0 (0 disables quantization)")
 
+    def check_components(self) -> None:
+        """Raise :class:`~repro.registry.UnknownNameError` unless every
+        component field names something registered or declared.
+
+        A check of names only (no provider is imported), for callers that
+        are about to run the config.  ``__post_init__`` cannot do it: a
+        config may be built before the plugin registering its components is
+        imported.
+        """
+        TOPOLOGIES.require(self.topology)
+        TRANSPORTS.require(self.transport)
+        CONGESTION_SCHEMES.require(self.congestion_control)
+        WORKLOADS.require(self.workload)
+
     # ------------------------------------------------------------------
     # Read by benchmarks/e2e/orchestration.py (frozen with the benchmark);
     # everything under src/ reads the fields themselves.
@@ -337,6 +359,8 @@ class ExperimentConfig:
         DCTCP among the built-ins), not a hard-coded name check, so schemes
         registered by third parties get marked traffic automatically.
         """
+        from repro.sim.switch import EcnConfig, SwitchConfig
+
         buffer_bytes = self.effective_buffer_bytes()
         scheme = self.congestion_scheme()
         bdp = max(1, self.bdp_bytes())

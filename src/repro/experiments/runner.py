@@ -10,6 +10,13 @@ use.  It translates an :class:`ExperimentConfig` into a concrete simulation:
    with the hosts,
 4. run the event loop and return an :class:`ExperimentResult` with the
    paper's metrics plus fabric statistics (drops, PFC pauses, retransmissions).
+
+This is the one module that simulates, and it loads everything a cell can
+reach when it is imported -- the engine, the fabric, every declared built-in
+topology, workload, transport and congestion scheme -- so that no
+``run_experiment`` call pays for an import (``tests/test_import_graph.py``
+holds it to that).  Everything that only *describes* runs (configs, specs,
+the cache, reports, the results service) stays importable without it.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.congestion.factory import make_congestion_control
+from repro.congestion.registry import CONGESTION_SCHEMES
 from repro.core.factory import make_flow_endpoints
 from repro.core.irn import IrnConfig
 from repro.core.iwarp import TcpConfig
+from repro.core.registry import TRANSPORTS
 from repro.core.roce import RoceConfig
 from repro.core.transport import BaseReceiver, BaseSender, Flow
 from repro.experiments.config import ExperimentConfig
@@ -31,9 +40,14 @@ from repro.metrics.stats import MetricSummary
 from repro.sim.engine import Simulator
 from repro.sim.link import DEFAULT_PORT_BATCH
 from repro.sim.network import Network
-from repro.topology import TOPOLOGIES
-from repro.workload import WORKLOADS
+from repro.topology.registry import TOPOLOGIES
 from repro.workload.incast import build_incast_flows, request_completion_time
+from repro.workload.registry import WORKLOADS
+
+# Every provider a config can name, now -- not inside the first cell that
+# names it, where the import would be billed to the simulation.
+for _registry in (TOPOLOGIES, WORKLOADS, TRANSPORTS, CONGESTION_SCHEMES):
+    _registry.load_builtins()
 
 
 @dataclass

@@ -426,6 +426,10 @@ SCENARIOS: Registry[ScenarioSpec] = Registry("scenario")
 
 def register_scenario(spec: ScenarioSpec, *, replace: bool = False) -> ScenarioSpec:
     """Add ``spec`` to :data:`SCENARIOS` under its own name."""
+    # The paper presets always come first in the catalog, whatever registers
+    # before the first lookup (a no-op while the presets themselves load).
+    import repro.experiments.scenarios  # noqa: F401
+
     SCENARIOS.register(spec.name, spec, replace=replace)
     return spec
 

@@ -61,10 +61,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.sim.link import Link, OutputPort
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import PacketType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.link import Link, OutputPort
+    from repro.sim.packet import Packet
 
 __all__ = [
     "LinkFlap",

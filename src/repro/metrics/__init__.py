@@ -1,37 +1,21 @@
 """Metrics: FCTs, slowdowns, percentiles, mergeable digests and reports."""
 
-from repro.metrics.stats import percentile, summarize, tail_cdf, MetricSummary
-from repro.metrics.sketch import QuantileDigest, merge_digest_dicts
-from repro.metrics.collector import FlowMetrics, GroupStats, MetricsCollector
+from repro._lazy import lazy_exports
 
-#: Report formatters re-exported lazily (PEP 562) so ``python -m
-#: repro.metrics.report`` does not import the module twice.
-_REPORT_EXPORTS = (
-    "format_aggregate_table",
-    "format_incast_table",
-    "format_metric_table",
-    "format_ratio_table",
-    "format_tail_cdf",
-    "load_cached_rows",
-)
-
-__all__ = [
-    "percentile",
-    "summarize",
-    "tail_cdf",
-    "MetricSummary",
-    "QuantileDigest",
-    "merge_digest_dicts",
-    "FlowMetrics",
-    "GroupStats",
-    "MetricsCollector",
-    *_REPORT_EXPORTS,
-]
-
-
-def __getattr__(name):
-    if name in _REPORT_EXPORTS:
-        from repro.metrics import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "percentile": "repro.metrics.stats",
+    "summarize": "repro.metrics.stats",
+    "tail_cdf": "repro.metrics.stats",
+    "MetricSummary": "repro.metrics.stats",
+    "QuantileDigest": "repro.metrics.sketch",
+    "merge_digest_dicts": "repro.metrics.sketch",
+    "FlowMetrics": "repro.metrics.collector",
+    "GroupStats": "repro.metrics.collector",
+    "MetricsCollector": "repro.metrics.collector",
+    "format_aggregate_table": "repro.metrics.report",
+    "format_incast_table": "repro.metrics.report",
+    "format_metric_table": "repro.metrics.report",
+    "format_ratio_table": "repro.metrics.report",
+    "format_tail_cdf": "repro.metrics.report",
+    "load_cached_rows": "repro.metrics.report",
+})

@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.transport import Flow
+from repro.metrics.recovery import RecoveryTracker
 from repro.metrics.sketch import QuantileDigest
 from repro.metrics.stats import MetricSummary, summarize, tail_cdf
+from repro.sim.deadlock import PfcDeadlockDetector
 from repro.sim.packet import DEFAULT_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -235,8 +237,6 @@ class MetricsCollector:
         no randomness -- so it is installed unconditionally by the runner.
         Call once, after the network is built and before the run.
         """
-        from repro.sim.deadlock import PfcDeadlockDetector
-
         detector = PfcDeadlockDetector()
         detector.install(self.network)
         self.deadlock_detector = detector
@@ -250,8 +250,6 @@ class MetricsCollector:
         receivers, so injected drops never count as delivered goodput.
         Pure observation otherwise: no events, no randomness.
         """
-        from repro.metrics.recovery import RecoveryTracker
-
         tracker = RecoveryTracker(
             self.network.sim, bin_s=bin_s, stall_threshold_s=stall_threshold_s
         )

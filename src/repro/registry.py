@@ -13,11 +13,45 @@ new component with a decorator and never has to touch the engine::
 
 Names are plain strings; lookups fold case and resolve aliases, and
 :meth:`Registry.canonical_name` gives the one spelling a config stores.
+
+Built-ins are *declared*: a registry is created knowing the names it ships
+with, their aliases and the module whose import registers each one (its
+*provider*).  Everything that only needs names -- canonicalising a config,
+listing, membership, the "did you mean" of an :class:`UnknownNameError` --
+answers from the declaration and imports nothing; :meth:`Registry.get`
+imports the provider the first time the object itself is wanted::
+
+    TOPOLOGIES = Registry(
+        "topology",
+        builtins={"inter_dc_fattree": "repro.topology.fattree"},  # name -> provider
+        aliases={"inter_dc_fat_tree": "inter_dc_fattree"},        # alias -> name
+    )
+
+    # in repro/topology/fattree.py, the registration every component makes:
+    @register_topology("inter_dc_fattree", aliases=("inter_dc_fat_tree",), ...)
+    def build_inter_dc_fattree(sim, config, switch_config): ...
+
+A registration under a declared name from any other module is a duplicate,
+and a provider whose registration disagrees with its declaration (a missing
+name, other aliases) fails on import, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar, Union
+from importlib import import_module
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 T = TypeVar("T")
 
@@ -68,6 +102,10 @@ def normalize_name(name: str) -> str:
     return name.lower()
 
 
+#: What a declared name maps to until its provider has registered it.
+_DECLARED: Any = object()
+
+
 class Registry(Generic[T]):
     """An ordered name -> object mapping with decorator registration.
 
@@ -76,12 +114,25 @@ class Registry(Generic[T]):
     kind:
         Human-readable component kind (``"topology"``, ``"transport"`` ...),
         used in error messages.
+    builtins:
+        Declared built-ins, ``canonical name -> provider module``, in the
+        order :meth:`names` lists them.  The provider's own registration
+        fills the declared slot; until then the name is known (``in``,
+        :meth:`names`, :meth:`canonical_name`) but its object is not loaded.
+    aliases:
+        ``alias -> canonical name`` for the declared built-ins.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(
+        self,
+        kind: str,
+        builtins: Optional[Mapping[str, str]] = None,
+        aliases: Optional[Mapping[str, str]] = None,
+    ) -> None:
         self.kind = kind
-        self._entries: Dict[str, T] = {}
-        self._aliases: Dict[str, str] = {}
+        self._providers: Dict[str, str] = dict(builtins or {})
+        self._entries: Dict[str, T] = dict.fromkeys(self._providers, _DECLARED)
+        self._aliases: Dict[str, str] = dict(aliases or {})
 
     # ------------------------------------------------------------------
     # Registration
@@ -93,6 +144,7 @@ class Registry(Generic[T]):
         *,
         aliases: Sequence[str] = (),
         replace: bool = False,
+        provider: Optional[str] = None,
     ) -> Union[T, Callable[[T], T]]:
         """Register ``obj`` under ``name`` (plus optional ``aliases``).
 
@@ -103,22 +155,44 @@ class Registry(Generic[T]):
 
         Re-registering a taken name raises :class:`DuplicateNameError`
         unless ``replace=True`` (tests and interactive notebooks swap
-        components in place; libraries should pick fresh names).
+        components in place; libraries should pick fresh names).  A declared
+        built-in is taken from the start: only a registration from its
+        provider module (``provider``, by default the module that defines
+        ``obj``) fills it, and ``replace=True`` from anywhere else loads the
+        built-in first and then replaces it, exactly as if it had been
+        registered eagerly.
         """
         if obj is None:
             def decorator(decorated: T) -> T:
-                self.register(name, decorated, aliases=aliases, replace=replace)
+                self.register(
+                    name, decorated, aliases=aliases, replace=replace, provider=provider
+                )
                 return decorated
             return decorator
 
         key = normalize_name(name)
         alias_keys = [normalize_name(alias) for alias in aliases]
-        for candidate in (key, *alias_keys):
-            if not replace and (candidate in self._entries or candidate in self._aliases):
-                raise DuplicateNameError(
-                    f"{self.kind} {candidate!r} is already registered; "
-                    f"pass replace=True to override it"
+        filling = self._entries.get(key) is _DECLARED
+        if filling and self._providers[key] != (provider or getattr(obj, "__module__", None)):
+            if replace:
+                self._load(key)
+            filling = False
+        if filling:
+            # A declaration answers for the provider before it is imported,
+            # so the two must say the same thing.
+            declared = sorted(a for a, target in self._aliases.items() if target == key)
+            if sorted(alias_keys) != declared:
+                raise ValueError(
+                    f"{self.kind} {key!r} is declared with aliases {declared} but "
+                    f"{self._providers[key]} registers it with {sorted(alias_keys)}"
                 )
+        elif not replace:
+            for candidate in (key, *alias_keys):
+                if candidate in self._entries or candidate in self._aliases:
+                    raise DuplicateNameError(
+                        f"{self.kind} {candidate!r} is already registered; "
+                        f"pass replace=True to override it"
+                    )
         # A replaced name must become canonical: drop any stale alias entry
         # that would otherwise keep redirecting lookups to the old target.
         self._aliases.pop(key, None)
@@ -128,11 +202,37 @@ class Registry(Generic[T]):
         return obj
 
     def unregister(self, name: str) -> None:
-        """Remove ``name`` and any aliases pointing at it (test cleanup)."""
+        """Remove ``name``, any aliases pointing at it and, for a built-in,
+        its declaration (test cleanup)."""
         key = normalize_name(name)
         key = self._aliases.get(key, key)
         self._entries.pop(key, None)
+        self._providers.pop(key, None)
         self._aliases = {a: t for a, t in self._aliases.items() if t != key}
+
+    # ------------------------------------------------------------------
+    # Declared built-ins
+    # ------------------------------------------------------------------
+    def _load(self, key: str) -> T:
+        """Import the provider of the declared name ``key``; its
+        registration fills the slot."""
+        provider = self._providers[key]
+        import_module(provider)
+        obj = self._entries[key]
+        if obj is _DECLARED:
+            raise ImportError(
+                f"{provider} is declared as the provider of {self.kind} {key!r} "
+                f"but importing it did not register that name",
+                name=provider,
+            )
+        return obj
+
+    def load_builtins(self) -> None:
+        """Import every provider not loaded yet.  The module that simulates
+        calls this up front, so no cell pays for an import."""
+        for key, obj in list(self._entries.items()):
+            if obj is _DECLARED:
+                self._load(key)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -146,9 +246,12 @@ class Registry(Generic[T]):
         key = normalize_name(name)
         key = self._aliases.get(key, key)
         try:
-            return self._entries[key]
+            obj = self._entries[key]
         except KeyError:
             raise UnknownNameError(self.kind, key, self.names()) from None
+        if obj is _DECLARED:
+            obj = self._load(key)
+        return obj
 
     def canonical_name(self, name: str) -> str:
         """The canonical spelling of ``name``: aliases resolve to the name
@@ -158,11 +261,22 @@ class Registry(Generic[T]):
         key = normalize_name(name)
         return self._aliases.get(key, key)
 
+    def require(self, name: str) -> str:
+        """:meth:`canonical_name`, for a name that must exist: raises
+        :class:`UnknownNameError` unless ``name`` is registered or declared.
+        Like every name-only query it imports no provider."""
+        key = self.canonical_name(name)
+        if key not in self._entries:
+            raise UnknownNameError(self.kind, key, self.names())
+        return key
+
     def names(self) -> List[str]:
-        """Canonical registered names, in registration order (no aliases)."""
+        """Canonical names, declared built-ins first, then in registration
+        order (no aliases)."""
         return list(self._entries)
 
     def items(self):
+        self.load_builtins()
         return self._entries.items()
 
     def __contains__(self, name: object) -> bool:

@@ -1,7 +1,7 @@
 """``python -m repro.serve`` -- standalone entry to the results service.
 
 Equivalent to ``python -m repro serve`` (both parse the same arguments via
-:func:`repro.serve.server.add_serve_arguments`).
+:func:`repro.serve.add_serve_arguments`).
 """
 
 from repro.serve.server import main

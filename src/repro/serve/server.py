@@ -30,19 +30,22 @@ Consistency contract
 --------------------
 
 * **Zero simulation.**  The service never imports (let alone calls)
-  :func:`~repro.experiments.runner.run_experiment`; every byte served comes
-  from cache/part files and in-process aggregation.
+  :func:`~repro.experiments.runner.run_experiment` or the engine
+  (``tests/test_import_graph.py`` holds it to that); every byte served
+  comes from cache/part files and in-process aggregation.
 * **Code-aware invalidation.**  Rows record the source-tree fingerprint
   that produced them.  A row written by a *different* tree is never served
   as current: ``/cells`` answers **409 Conflict**, aggregates exclude such
   rows (reporting a ``stale_rows`` count) and answer 409 outright when
   nothing fresh remains.  ``--any-code`` opts out (archived result dirs).
-* **Warm aggregates.**  Aggregate tables are computed once and reused
-  across requests; validity is re-checked per request against a cheap
-  stat-based cache :meth:`~repro.experiments.sweep.ResultCache.signature`
-  (plus the code fingerprint), so a row landing in the cache -- e.g. from
-  a worker machine writing through the shared directory -- invalidates the
-  warm copy immediately without the server watching anything.
+* **Warm aggregates.**  Aggregate tables -- and the parsed rows behind
+  the ``?format=text`` and ``/cdf`` renderings -- are computed once and
+  reused across requests; validity is re-checked per request against a
+  cheap stat-based cache
+  :meth:`~repro.experiments.sweep.ResultCache.signature` (plus the code
+  fingerprint), so a row landing in the cache -- e.g. from a worker machine
+  writing through the shared directory -- invalidates the warm copy
+  immediately without the server watching anything.
 * **Bit-identical parity.**  Aggregate records equal the offline batch
   ``spec.aggregate(spec.sweep(...))`` output bit for bit: cached rows are
   re-sorted into the canonical batch absorption order
@@ -66,6 +69,7 @@ from repro.experiments.sweep import ResultCache, code_fingerprint, is_fingerprin
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
 from repro.metrics.report import format_tail_cdf, load_cached_rows, render_rows_report
 from repro.registry import UnknownNameError
+from repro.serve import DEFAULT_PORT, add_serve_arguments
 from repro.serve.catalog import catalog_entries, format_catalog
 
 __all__ = [
@@ -77,9 +81,6 @@ __all__ = [
     "main",
     "make_server",
 ]
-
-#: Default listen port (``--port`` overrides; 0 picks an ephemeral port).
-DEFAULT_PORT = 8123
 
 #: Most tail-CDF points one ``/cdf`` request may ask for (the default is 12;
 #: the body and the request thread's time both grow linearly with it).
@@ -122,6 +123,11 @@ class ResultsService:
         self._lock = threading.Lock()
         #: scenario name -> (cache signature, code fingerprint, response).
         self._warm: Dict[str, Tuple[Any, str, Dict[str, Any]]] = {}
+        #: (cache signature, code fingerprint, label -> row): the report
+        #: loader's view of the whole cache, valid under the same key as the
+        #: warm aggregates.  Rows are never mutated, so requests share them
+        #: (and the digests each row rebuilds once, on first use).
+        self._warm_rows: Optional[Tuple[Any, str, Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
     # Catalog
@@ -182,8 +188,18 @@ class ResultsService:
         loader (same ordering, same duplicate-label disambiguation), so the
         text rendering over these rows matches the CLI byte for byte."""
         wanted = set(self.cell_names(spec))
-        rows = load_cached_rows(self.cache_dir, code_aware=self.code_aware)
-        return {label: row for label, row in rows.items() if row.name in wanted}
+        signature = self.cache.signature()
+        code = code_fingerprint()
+        with self._lock:
+            warm = self._warm_rows
+        if warm is None or warm[0] != signature or warm[1] != code:
+            # Keyed by the signature taken *before* the read: a row landing
+            # in between is loaded now and reloaded by the next request.
+            warm = (signature, code,
+                    load_cached_rows(self.cache_dir, code_aware=self.code_aware))
+            with self._lock:
+                self._warm_rows = warm
+        return {label: row for label, row in warm[2].items() if row.name in wanted}
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -577,37 +593,6 @@ def make_server(
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-def add_serve_arguments(parser) -> None:
-    """Shared argument definitions for ``python -m repro serve`` and
-    ``python -m repro.serve`` (one definition, two entry points)."""
-    parser.add_argument(
-        "cache_dir",
-        help="warm sweep-cache directory to serve (ResultRow JSON files)",
-    )
-    parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="work-queue directory to tail for /follow streams "
-             "(the sweep's --queue-dir)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT, metavar="N",
-        help=f"listen port (default {DEFAULT_PORT}; 0 picks a free port)",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="bind address (default 127.0.0.1; 0.0.0.0 serves the network)",
-    )
-    parser.add_argument(
-        "--any-code", action="store_true",
-        help="serve rows written by any simulator version "
-             "(default: stale-code rows answer 409 Conflict)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-request access logging",
-    )
-
 
 def run_from_args(args) -> int:
     """Start serving from parsed :func:`add_serve_arguments` arguments."""

@@ -7,27 +7,20 @@ output queues and round-robin scheduling, Priority Flow Control (PFC),
 ECN marking, ECMP routing and host NICs that schedule queue pairs.
 """
 
-from repro.sim.deadlock import PfcDeadlockDetector
-from repro.sim.engine import Simulator, Event
-from repro.sim.packet import Packet, PacketType
-from repro.sim.link import Link, OutputPort
-from repro.sim.switch import Switch, SwitchConfig
-from repro.sim.host import Host
-from repro.sim.network import Network
-from repro.sim.routing import EcmpRouting, PacketSprayRouting
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PfcDeadlockDetector",
-    "Simulator",
-    "Event",
-    "Packet",
-    "PacketType",
-    "Link",
-    "OutputPort",
-    "Switch",
-    "SwitchConfig",
-    "Host",
-    "Network",
-    "EcmpRouting",
-    "PacketSprayRouting",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "PfcDeadlockDetector": "repro.sim.deadlock",
+    "Simulator": "repro.sim.engine",
+    "Event": "repro.sim.engine",
+    "Packet": "repro.sim.packet",
+    "PacketType": "repro.sim.packet",
+    "Link": "repro.sim.link",
+    "OutputPort": "repro.sim.link",
+    "Switch": "repro.sim.switch",
+    "SwitchConfig": "repro.sim.switch",
+    "Host": "repro.sim.host",
+    "Network": "repro.sim.network",
+    "EcmpRouting": "repro.sim.routing",
+    "PacketSprayRouting": "repro.sim.routing",
+})

@@ -14,23 +14,16 @@ with :func:`register_topology` -- no engine module needs editing::
         return network
 """
 
-from repro.topology.registry import TOPOLOGIES, TopologyBuilder, register_topology
-from repro.topology.cyclic import build_ring
-from repro.topology.fattree import FatTreeParams, build_fat_tree
-from repro.topology.simple import (
-    build_dumbbell,
-    build_parking_lot,
-    build_star,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TOPOLOGIES",
-    "TopologyBuilder",
-    "register_topology",
-    "FatTreeParams",
-    "build_fat_tree",
-    "build_dumbbell",
-    "build_parking_lot",
-    "build_ring",
-    "build_star",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TOPOLOGIES": "repro.topology.registry",
+    "TopologyBuilder": "repro.topology.registry",
+    "register_topology": "repro.topology.registry",
+    "FatTreeParams": "repro.topology.fattree",
+    "build_fat_tree": "repro.topology.fattree",
+    "build_dumbbell": "repro.topology.simple",
+    "build_parking_lot": "repro.topology.simple",
+    "build_ring": "repro.topology.cyclic",
+    "build_star": "repro.topology.simple",
+})

@@ -68,7 +68,19 @@ class TopologyBuilder:
         return self.build(sim, config, switch_config)
 
 
-TOPOLOGIES: Registry[TopologyBuilder] = Registry("topology")
+TOPOLOGIES: Registry[TopologyBuilder] = Registry(
+    "topology",
+    builtins={
+        "ring": "repro.topology.cyclic",
+        "fat_tree": "repro.topology.fattree",
+        "inter_dc_fattree": "repro.topology.fattree",
+        "star": "repro.topology.simple",
+        "dumbbell": "repro.topology.simple",
+        "wan_dumbbell": "repro.topology.simple",
+        "parking_lot": "repro.topology.simple",
+    },
+    aliases={"inter_dc_fat_tree": "inter_dc_fattree"},
+)
 
 
 def register_topology(
@@ -94,6 +106,7 @@ def register_topology(
             ),
             aliases=aliases,
             replace=replace,
+            provider=build.__module__,
         )
         return build
 

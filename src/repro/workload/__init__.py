@@ -5,27 +5,18 @@ Workloads are pluggable: each background traffic pattern registers itself in
 resolves ``ExperimentConfig.workload`` through that registry by name.
 """
 
-from repro.workload.registry import WORKLOADS, register_workload
-from repro.workload.distributions import (
-    FlowSizeDistribution,
-    HeavyTailedSizes,
-    UniformSizes,
-    FixedSizes,
-)
-from repro.workload.circular import circular_workload
-from repro.workload.generator import PoissonWorkload, WorkloadParams
-from repro.workload.incast import IncastParams, build_incast_flows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WORKLOADS",
-    "register_workload",
-    "FlowSizeDistribution",
-    "HeavyTailedSizes",
-    "UniformSizes",
-    "FixedSizes",
-    "PoissonWorkload",
-    "WorkloadParams",
-    "circular_workload",
-    "IncastParams",
-    "build_incast_flows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "WORKLOADS": "repro.workload.registry",
+    "register_workload": "repro.workload.registry",
+    "FlowSizeDistribution": "repro.workload.distributions",
+    "HeavyTailedSizes": "repro.workload.distributions",
+    "UniformSizes": "repro.workload.distributions",
+    "FixedSizes": "repro.workload.distributions",
+    "PoissonWorkload": "repro.workload.generator",
+    "WorkloadParams": "repro.workload.generator",
+    "circular_workload": "repro.workload.circular",
+    "IncastParams": "repro.workload.incast",
+    "build_incast_flows": "repro.workload.incast",
+})

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.transport import Flow
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.transport import Flow
 
 
 @dataclass
@@ -51,6 +52,10 @@ def build_incast_flows(
     first_flow_id: int = 0,
 ) -> List[Flow]:
     """Create the M synchronized flows of an incast request."""
+    # Once per cell, not at module level: a config carries ``IncastParams``,
+    # and building configs must not import the transports.
+    from repro.core.transport import Flow
+
     if len(hosts) < params.fan_in + 1:
         raise ValueError(
             f"need at least fan_in+1={params.fan_in + 1} hosts, got {len(hosts)}"

@@ -29,7 +29,16 @@ __all__ = ["WORKLOADS", "register_workload"]
 #: ``(config, hosts) -> flows`` builders for background traffic.
 WorkloadBuilder = Callable[[Any, Sequence[str]], List["Flow"]]
 
-WORKLOADS: Registry[WorkloadBuilder] = Registry("workload")
+WORKLOADS: Registry[WorkloadBuilder] = Registry(
+    "workload",
+    builtins={
+        "circular": "repro.workload.circular",
+        "heavy_tailed": "repro.workload.generator",
+        "uniform": "repro.workload.generator",
+        "fixed": "repro.workload.generator",
+        "none": "repro.workload.generator",
+    },
+)
 
 
 def register_workload(name: str, *, aliases: Sequence[str] = (), replace: bool = False):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+import textwrap
+
 from repro.core.transport import Flow
 from repro.sim.engine import HeapSimulator, Simulator
 from repro.sim.packet import Packet, PacketType
@@ -15,6 +20,18 @@ def use_engine(monkeypatch, name: str) -> None:
     """Make ``run_experiment`` build ``ENGINES[name]`` for the rest of the
     test -- the only way a whole experiment ever runs on the reference heap."""
     monkeypatch.setattr("repro.experiments.runner.Simulator", ENGINES[name])
+
+
+def in_fresh_interpreter(script: str):
+    """Run ``script`` (dedented) in a new interpreter and return the JSON
+    document it prints last -- for tests of what importing loads, which a
+    process that has already imported the test suite cannot observe."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 class FakeHost:

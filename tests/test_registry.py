@@ -2,6 +2,8 @@
 congestion schemes) and the generic registry semantics behind them."""
 
 import enum
+import sys
+import types
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.registry import DuplicateNameError, Registry, UnknownNameError, norma
 from repro.sim.network import Network
 from repro.topology import TOPOLOGIES, register_topology
 from repro.workload import WORKLOADS
+from tests.helpers import in_fresh_interpreter
 
 
 class TestRegistrySemantics:
@@ -92,6 +95,232 @@ class TestRegistrySemantics:
         assert registry.get("b") == "new"
         assert registry.get("a") == "old"
         assert registry.names() == ["a", "b"]
+
+
+#: Every registry with declared built-ins: where it lives, its canonical
+#: names in order, its aliases and each name's provider module.  Pinned here
+#: as well as declared in ``src`` so neither side can move alone.
+DECLARED = {
+    "repro.topology.registry:TOPOLOGIES": {
+        "names": ["ring", "fat_tree", "inter_dc_fattree", "star", "dumbbell",
+                  "wan_dumbbell", "parking_lot"],
+        "aliases": {"inter_dc_fat_tree": "inter_dc_fattree"},
+        "providers": {"repro.topology.cyclic", "repro.topology.fattree",
+                      "repro.topology.simple"},
+    },
+    "repro.workload.registry:WORKLOADS": {
+        "names": ["circular", "heavy_tailed", "uniform", "fixed", "none"],
+        "aliases": {},
+        "providers": {"repro.workload.circular", "repro.workload.generator"},
+    },
+    "repro.core.registry:TRANSPORTS": {
+        "names": ["roce", "iwarp", "irn", "irn_go_back_n", "irn_no_bdpfc", "irn_no_sack"],
+        "aliases": {},
+        "providers": {"repro.core.factory"},
+    },
+    "repro.congestion.registry:CONGESTION_SCHEMES": {
+        "names": ["none", "dcqcn", "timely", "aimd", "dctcp"],
+        "aliases": {"no_cc": "none", "off": "none"},
+        "providers": {"repro.congestion.factory"},
+    },
+    "repro.experiments.backends:EXECUTION_BACKENDS": {
+        "names": ["serial", "process", "queue"],
+        "aliases": {},
+        "providers": {"repro.experiments.backends", "repro.experiments.queue"},
+    },
+}
+
+
+def declared_registry_report(where: str) -> dict:
+    """In a fresh interpreter: what the registry at ``module:NAME`` answers
+    before any provider is imported, and what it holds after all are."""
+    module, name = where.split(":")
+    return in_fresh_interpreter(f"""
+        import json, sys
+        from {module} import {name} as registry
+
+        def view():
+            return {{
+                "names": registry.names(),
+                "iter": list(registry),
+                "len": len(registry),
+                "aliases": {{alias: registry.canonical_name(alias)
+                            for alias in registry._aliases}},
+                "contains": [n in registry for n in registry.names()]
+                            + [a.upper() in registry for a in registry._aliases],
+                "modules": sorted(sys.modules),
+            }}
+
+        before = view()
+        try:
+            registry.get("no_such_name")
+        except KeyError as exc:
+            before["unknown"] = str(exc)
+        before["modules_after_queries"] = sorted(sys.modules)
+        items = dict(registry.items())
+        after = view()
+        after["loaded"] = sorted(sys.modules)
+        after["item_names"] = list(items)
+        after["provider_of"] = {{
+            key: getattr(getattr(obj, "factory", None) or getattr(obj, "build", None) or obj,
+                         "__module__")
+            for key, obj in items.items()
+        }}
+        if "{name}" == "CONGESTION_SCHEMES":
+            after["metadata"] = {{
+                key: [obj.name, obj.needs_ecn, obj.step_marking, obj.rtt_based,
+                      obj.wants_cnp, obj.max_ack_coalesce, obj.cnp_interval_rtts]
+                for key, obj in items.items()
+            }}
+        print(json.dumps({{"before": before, "after": after,
+                          "declared_providers": registry._providers}}))
+    """)
+
+
+class TestDeclaredBuiltins:
+    @pytest.mark.parametrize("where", sorted(DECLARED))
+    def test_declaration_answers_without_importing_and_matches_registration(self, where):
+        expected = DECLARED[where]
+        report = declared_registry_report(where)
+        before, after = report["before"], report["after"]
+
+        # Names, order, aliases and membership come from the declaration...
+        assert before["names"] == before["iter"] == expected["names"]
+        assert before["len"] == len(expected["names"])
+        assert before["aliases"] == expected["aliases"]
+        assert all(before["contains"])
+        for name in expected["names"]:
+            assert name in before["unknown"]
+        # ...and asking for them imported no provider (the execution-backend
+        # registry lives in the module that provides two of its three names).
+        own_module = where.split(":")[0]
+        assert not (expected["providers"] - {own_module}) & set(before["modules_after_queries"])
+        assert before["modules_after_queries"] == before["modules"]
+
+        # Loading every provider fills the declared slots in place: same
+        # names, same order, same aliases, each object from its provider.
+        assert expected["providers"] <= set(after["loaded"])
+        assert after["names"] == after["item_names"] == expected["names"]
+        assert after["aliases"] == expected["aliases"]
+        assert after["provider_of"] == report["declared_providers"]
+        assert set(report["declared_providers"].values()) == expected["providers"]
+
+    def test_congestion_metadata_stays_with_the_registration(self):
+        report = declared_registry_report("repro.congestion.registry:CONGESTION_SCHEMES")
+        #        name      ecn    step   rtt    cnp    max_ack cnp_rtts
+        assert report["after"]["metadata"] == {
+            "none": ["none", False, False, False, False, None, 1.0],
+            "dcqcn": ["dcqcn", True, False, False, True, None, 1.0],
+            "timely": ["timely", False, False, True, False, 1, 1.0],
+            "aimd": ["aimd", False, False, False, False, None, 1.0],
+            "dctcp": ["dctcp", True, True, False, False, None, 1.0],
+        }
+
+    def test_plugin_against_a_real_declared_topology(self):
+        report = in_fresh_interpreter("""
+            import json, sys
+            from repro.registry import DuplicateNameError
+            from repro.topology.registry import TOPOLOGIES, register_topology
+
+            def plugin_fat_tree(sim, config, switch_config):
+                raise NotImplementedError
+
+            try:
+                register_topology("fat_tree", max_hop_count=2)(plugin_fat_tree)
+                refused = False
+            except DuplicateNameError:
+                refused = True
+            untouched = "repro.topology.fattree" not in sys.modules
+            register_topology("fat_tree", max_hop_count=2, replace=True)(plugin_fat_tree)
+            import repro.experiments.runner  # loads every provider
+            print(json.dumps({
+                "refused": refused,
+                "untouched": untouched,
+                "winner": TOPOLOGIES.get("fat_tree").build.__module__,
+                "sibling": TOPOLOGIES.get("inter_dc_fat_tree").build.__module__,
+                "names": TOPOLOGIES.names(),
+            }))
+        """)
+        assert report == {
+            "refused": True,
+            "untouched": True,
+            "winner": "__main__",
+            "sibling": "repro.topology.fattree",
+            "names": DECLARED["repro.topology.registry:TOPOLOGIES"]["names"],
+        }
+
+    @pytest.fixture()
+    def provider(self):
+        """A registry declaring ``alpha`` (alias ``first``) and ``beta``,
+        provided by a module that exists only in ``sys.modules``."""
+        registry = Registry(
+            "widget",
+            builtins={"alpha": "fake_widget_provider", "beta": "fake_widget_provider"},
+            aliases={"first": "alpha"},
+        )
+        module = types.ModuleType("fake_widget_provider")
+        imports = []
+
+        def load():  # what importing the provider would execute
+            imports.append(1)
+            registry.register("alpha", "builtin alpha", aliases=("first",),
+                              provider=module.__name__)
+            registry.register("beta", "builtin beta", provider=module.__name__)
+
+        module.load = load
+        sys.modules[module.__name__] = module
+        yield registry, module, imports
+        del sys.modules[module.__name__]
+
+    def test_get_loads_the_provider_once(self, provider, monkeypatch):
+        registry, module, imports = provider
+        monkeypatch.setattr(
+            "repro.registry.import_module", lambda name: sys.modules[name].load())
+        assert registry.names() == ["alpha", "beta"] and "FIRST" in registry
+        assert registry.require("first") == "alpha"
+        assert not imports
+        assert registry.get("first") == "builtin alpha"
+        assert registry.get("beta") == "builtin beta"
+        assert dict(registry.items()) == {"alpha": "builtin alpha", "beta": "builtin beta"}
+        assert len(imports) == 1
+
+    def test_plugin_cannot_take_a_declared_name(self, provider):
+        registry, _module, imports = provider
+        with pytest.raises(DuplicateNameError, match="already registered"):
+            registry.register("beta", "plugin beta")
+        with pytest.raises(DuplicateNameError, match="already registered"):
+            registry.register("gamma", "plugin gamma", aliases=("first",))
+        assert not imports
+
+    def test_replace_wins_and_survives_the_providers_import(self, provider, monkeypatch):
+        registry, module, imports = provider
+        monkeypatch.setattr(
+            "repro.registry.import_module", lambda name: sys.modules[name].load())
+        registry.register("beta", "plugin beta", replace=True)
+        assert len(imports) == 1  # the built-in registered first, then lost
+        assert registry.get("beta") == "plugin beta"
+        assert registry.get("alpha") == "builtin alpha"
+        assert registry.names() == ["alpha", "beta"]
+
+    def test_provider_that_does_not_register_its_declaration_is_named(
+            self, provider, monkeypatch):
+        registry, module, _imports = provider
+        monkeypatch.setattr("repro.registry.import_module", lambda name: None)
+        with pytest.raises(ImportError, match="fake_widget_provider.*'alpha'"):
+            registry.get("alpha")
+
+    def test_provider_disagreeing_with_its_declaration_is_refused(self, provider):
+        registry, module, _imports = provider
+        with pytest.raises(ValueError, match=r"declared with aliases \['first'\]"):
+            registry.register("alpha", "builtin alpha", provider=module.__name__)
+
+    def test_unregister_drops_the_declaration(self, provider):
+        registry, _module, imports = provider
+        registry.unregister("first")
+        assert registry.names() == ["beta"] and "first" not in registry
+        registry.register("alpha", "plugin alpha")  # a free name again
+        assert registry.get("alpha") == "plugin alpha"
+        assert not imports
 
 
 class TestBuiltinRegistrations:

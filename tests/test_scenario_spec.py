@@ -309,7 +309,33 @@ class TestCli:
 
         code = main(["run", "not_a_scenario"])
         assert code == 2
-        assert "unknown scenario" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown scenario")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "bogus_field=1"], "unknown ExperimentConfig field(s) ['bogus_field']"),
+        (["--backend", "bogus"],
+         "unknown execution backend 'bogus'; registered execution backends: "
+         "serial, process, queue"),
+        (["--set", "workload=nosuch"], "unknown workload 'nosuch'; registered workloads: "),
+        (["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+        (["--seeds", "-2"], "argument --seeds: must be at least 1, got -2"),
+    ])
+    def test_user_errors_exit_2_with_one_line_before_any_cell_runs(self, argv, message):
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "table3", "--workers", "1",
+             "--no-cache", "--flows", "3", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""  # nothing ran, nothing was reported
+        assert "Traceback" not in done.stderr
+        last_line = done.stderr.splitlines()[-1]
+        assert "error: " in last_line and message in last_line
 
     def test_list_names_every_scenario(self, capsys):
         from repro.__main__ import main

@@ -284,6 +284,73 @@ class TestCdf:
         assert "single-packet latency tail" in body.decode()
 
 
+class TestWarmReportRows:
+    """``?format=text`` and ``/cdf`` render from parsed rows kept under the
+    warm aggregate's ``(cache signature, code)`` key: an unchanged cache is
+    not re-read, a changed one is never served stale."""
+
+    @pytest.fixture()
+    def private(self, warm, tmp_path):
+        """A service over a private copy of the warm cache, plus a count of
+        row files parsed (every reader goes through ``_read_entry``)."""
+        import shutil
+
+        cache_dir = str(tmp_path / "cache")
+        shutil.copytree(warm[0], cache_dir)
+        return ResultsService(cache_dir), ResultCache(cache_dir)
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        parsed = []
+        read_entry = ResultCache._read_entry
+
+        def counting(self, path):
+            parsed.append(path.name)
+            return read_entry(self, path)
+
+        monkeypatch.setattr(ResultCache, "_read_entry", counting)
+        return parsed
+
+    def report_cli(self, cache_dir, capsys, *flags):
+        from repro.metrics.report import main as report_main
+
+        capsys.readouterr()
+        assert report_main([cache_dir, *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_unchanged_cache_is_not_read_again(self, private, reads, capsys):
+        service, cache = private
+        first = service.aggregate_text("serve_tiny", cdf=True)
+        assert len(reads) == 2 * len(cache)  # the aggregate's scan + the loader
+        del reads[:]
+        assert service.aggregate_text("serve_tiny", cdf=True) == first
+        assert service.aggregate_text("serve_tiny") in first
+        assert service.cdf("serve_tiny")["cells"]
+        assert service.cdf_text("serve_tiny") in first
+        assert reads == []
+        assert first + "\n" == self.report_cli(service.cache_dir, capsys, "--cdf")
+
+    def test_rewritten_and_added_rows_show_in_the_next_request(self, private, capsys):
+        service, cache = private
+        before_text = service.aggregate_text("serve_tiny")
+        before_cdf = service.cdf("serve_tiny")
+
+        victim = cache.rows()[0]
+        cache.put(type(victim).from_dict({**victim.to_dict(), "avg_slowdown": 98.75}))
+        rewritten = service.aggregate_text("serve_tiny")
+        assert rewritten != before_text and "98.75" in rewritten
+        assert rewritten + "\n" == self.report_cli(service.cache_dir, capsys)
+
+        extra = SPEC.sweep(seeds=[3], workers=1, cache=cache)
+        assert extra.runs_executed == 2
+        after_cdf = service.cdf("serve_tiny")
+        assert len(after_cdf["cells"]) == len(before_cdf["cells"]) + 2
+        assert {cell["label"] for cell in after_cdf["cells"]} >= set(extra.rows)
+        added = service.aggregate_text("serve_tiny", cdf=True)
+        assert all(label in added for label in extra.rows)
+        assert added + "\n" == self.report_cli(service.cache_dir, capsys, "--cdf")
+
+
 class TestQueryNumbers:
     """Malformed numbers in a query string are the client's error (400 naming
     the parameter), never a 500 or an unbounded amount of work."""
