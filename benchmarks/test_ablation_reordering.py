@@ -12,20 +12,16 @@ the replicas.
 """
 
 from repro.experiments import scenarios
-from repro.experiments.runner import (
-    _build_network,
-    _generate_flows,
-    _FlowLauncher,
-    _make_simulator,
-)
+from repro.experiments.runner import _build_network, _generate_flows, _FlowLauncher
 from repro.metrics.collector import MetricsCollector
+from repro.sim.engine import Simulator
 
 SEEDS = scenarios.scenario("fig1").seeds
 
 
 def _run_with_spray(config):
     """Run one experiment with per-packet-spray routing installed."""
-    sim = _make_simulator(config)
+    sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     network.build_routing(packet_spray=True)
     collector = MetricsCollector(network, mtu_bytes=config.mtu_bytes,

@@ -38,7 +38,6 @@ from repro.faults import FaultEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import MetricSummary
 from repro.sim.engine import Simulator
-from repro.sim.link import DEFAULT_PORT_BATCH
 from repro.sim.network import Network
 from repro.topology.registry import TOPOLOGIES
 from repro.workload.incast import build_incast_flows, request_completion_time
@@ -262,30 +261,9 @@ def _generate_flows(config: ExperimentConfig, network: Network) -> List[Flow]:
     return flows
 
 
-def bucket_width_for(config: ExperimentConfig) -> float:
-    """Calendar bucket width for ``config``: the departure-batch quantum.
-
-    Ports release serialization events one *batch* (``DEFAULT_PORT_BATCH``
-    MTUs) at a time, so keying buckets on the batch serialization time --
-    rather than a single MTU's -- puts each port's next departure in or near
-    the current bucket instead of four buckets ahead.  The width only
-    affects speed, never event order -- and, since bucket entries are
-    ordered by C comparisons, not much of that: on ``incast_pfc`` (fan-in,
-    where it once measured ~17%) the batch width against a single-MTU width
-    reads +1.5% on ``work_per_s`` medians over four alternating pairs, two
-    won each way, which is inside the run-to-run spread.
-    """
-    return DEFAULT_PORT_BATCH * config.mtu_bytes * 8.0 / config.link_bandwidth_bps
-
-
-def _make_simulator(config: ExperimentConfig) -> Simulator:
-    """Build the engine for ``config``: its seed and its bucket width."""
-    return Simulator(seed=config.seed, bucket_width_s=bucket_width_for(config))
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one simulation described by ``config`` and collect its metrics."""
-    sim = _make_simulator(config)
+    sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     if config.port_batch_bytes is not None:
         # Bytes-based departure-batch cap, fabric-wide (host NICs source

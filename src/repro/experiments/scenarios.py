@@ -515,8 +515,7 @@ _paper_scenario(
 # dominates -- the "Towards a Speed of Light Internet" regime.  Both use the
 # per-link delay overrides (``wan_delay_s``) of the WAN topologies, collect
 # c-latency-ratio digests (FCT over the speed-of-light bound), and sweep the
-# delay heterogeneity from 100x to 1000x the intra-DC hop -- the workloads
-# whose event mix exercises the hierarchical calendar's upper levels.
+# delay heterogeneity from 100x to 1000x the intra-DC hop.
 
 
 def _wan_delay_rows(delays_s: Iterable[float]) -> Dict[str, Dict[str, Any]]:

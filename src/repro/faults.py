@@ -7,10 +7,9 @@ Plans ride on :class:`~repro.experiments.config.ExperimentConfig` and are
 fingerprinted whenever non-empty, so fault-free runs keep hitting warm
 sweep caches while any fault-enabled cell gets its own cache identity.
 
-The :class:`FaultEngine` turns a plan into ordinary simulator events on the
-shared timer wheel — no side channel, no wall clock — so fault-enabled runs
-stay byte-identical on the calendar and on the reference heap it is
-tested against.  Fault drops are counted in dedicated counters
+The :class:`FaultEngine` turns a plan into ordinary simulator events — no
+side channel, no wall clock — so a fault-enabled run is as deterministic
+as any other.  Fault drops are counted in dedicated counters
 (``flap_drops`` / ``corruption_drops``), *never* folded into switch buffer
 drops: the verifier's packet-conservation invariant holds modulo these
 explicit counters, and the losslessness invariant treats an injected drop

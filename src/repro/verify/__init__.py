@@ -2,12 +2,10 @@
 
 This package is the simulator's randomized test harness: it generates
 arbitrary fabrics (including cyclic ones), workloads and fault schedules
-from a single integer seed, runs every case on the calendar *and* on the
-reference heap, and
-asserts the invariant contract documented in ``docs/architecture.md`` --
-conservation of packets, PFC losslessness, per-QP delivery ordering, a
-monotone simulator clock, the engine accounting identity, and
-calendar-vs-heap event-order identity.
+from a single integer seed, runs every case, and asserts the invariant
+contract documented in ``docs/architecture.md`` -- conservation of packets,
+PFC losslessness, per-QP delivery ordering, a monotone simulator clock, the
+engine accounting identity and completion sanity.
 
 Run it from the command line::
 
@@ -22,7 +20,7 @@ from repro.verify.fuzz import (
     TimerStormFault,
     run_case,
 )
-from repro.verify.invariants import check_outcome, check_pair
+from repro.verify.invariants import check_outcome
 from repro.verify.harness import (
     CaseReport,
     FuzzReport,
@@ -42,7 +40,6 @@ __all__ = [
     "TimerStormFault",
     "check_case",
     "check_outcome",
-    "check_pair",
     "default_budget",
     "known_bad_case",
     "run_case",

@@ -6,13 +6,9 @@ produce), workload, transport scheme and fault schedule.  Reproducing a
 counterexample therefore needs nothing but its seed
 (``python -m repro.verify --seed N``).
 
-``run_case`` executes a case on one engine class (the calendar
-``Simulator`` or the reference ``HeapSimulator``) and returns a
-:class:`CaseOutcome` -- the raw observations (execution trace, fabric and
-host counters, per-QP ordering violations) that
-:mod:`repro.verify.invariants` judges.  The harness in
-:mod:`repro.verify.harness` runs every case on *both* and also checks
-calendar-vs-heap event-order identity.
+``run_case`` executes a case and returns a :class:`CaseOutcome` -- the raw
+observations (execution trace, fabric and host counters, per-QP ordering
+violations) that :mod:`repro.verify.invariants` judges.
 
 Fault kinds (all deterministic, all scheduled before the run starts).
 The packet-touching kinds are the shared :mod:`repro.faults` dataclasses --
@@ -30,8 +26,8 @@ through one :class:`~repro.faults.FaultEngine` per case:
   (:class:`~repro.faults.DegradedLink`) -- drawn at seed-tail.
 * **timer storm** (fuzzer-private :class:`TimerStormFault`) -- a burst of
   set-then-mostly-cancel timers (the retransmission pattern at adversarial
-  volume), stressing the calendar core's wheel-flush and overflow-band
-  accounting.
+  volume), stressing the engine's tombstone compaction and its
+  cancellation accounting.
 
 All packet-touching faults are restricted to non-lossless cases: under PFC
 an injected drop (or a resume fighting the PFC state machine) would make
@@ -54,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.transport import Flow
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import _FlowLauncher, bucket_width_for
+from repro.experiments.runner import _FlowLauncher
 from repro.faults import (
     DegradedLink,
     FaultEngine,
@@ -64,7 +60,7 @@ from repro.faults import (
     PauseStorm,
 )
 from repro.metrics.collector import MetricsCollector
-from repro.sim.engine import NUM_BUCKETS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 #: Topology families the fuzzer samples.  ``mesh`` is built directly (a
@@ -84,8 +80,8 @@ DEFAULT_MAX_EVENTS = 2_000_000
 # ---------------------------------------------------------------------------
 # The packet-touching kinds (PauseStorm, PacketCorruption, LinkFlap,
 # DegradedLink) are the shared repro.faults dataclasses; only the timer
-# storm stays fuzzer-private -- it stresses the engine's timer wheel, not
-# the fabric, and has no meaning in an experiment's fault plan.
+# storm stays fuzzer-private -- it stresses the engine, not the fabric, and
+# has no meaning in an experiment's fault plan.
 @dataclass(frozen=True)
 class TimerStormFault:
     """At ``time_s`` set ``len(delays)`` timers; cancel ``cancel_now`` of
@@ -125,14 +121,12 @@ class FuzzCase:
     max_sim_time_s: float = 0.05
     max_events: int = DEFAULT_MAX_EVENTS
     #: Receiver ACK coalescing window (1 = per-packet ACKs).  Fuzzing this
-    #: exercises the flush-timer path against the accounting identity and
-    #: the cross-core trace pin.
+    #: exercises the flush-timer path against the accounting identity.
     ack_coalesce_n: int = 1
     ack_coalesce_us: float = 25.0
     #: Heterogeneous per-link delays: when non-zero, every switch-switch
     #: link is stretched to this propagation delay (100-1000x the host
-    #: links), pushing propagation-scale events into the hierarchical
-    #: calendar's upper levels.  0 keeps the fabric homogeneous.
+    #: links).  0 keeps the fabric homogeneous.
     wan_delay_s: float = 0.0
 
     # ------------------------------------------------------------------
@@ -278,11 +272,10 @@ class FuzzCase:
                 )
 
         # Heterogeneous delays, also at seed-tail: about a third of the
-        # cases stretch every switch-switch link to WAN scale, exercising
-        # the hierarchical calendar's upper levels and the cross-width
-        # cascade/rebase paths against the same invariants.  (Star fabrics
-        # have no switch-switch links; the draw still happens so later
-        # seeds stay position-stable.)
+        # cases stretch every switch-switch link to WAN scale and are held
+        # to the same invariants.  (Star fabrics have no switch-switch
+        # links; the draw still happens so later seeds stay
+        # position-stable.)
         wan_delay_s = 0.0
         if rng.random() < 0.35:
             wan_delay_s = delay * rng.choice((100.0, 1000.0))
@@ -435,23 +428,16 @@ def install_faults(
             sim, network, FaultPlan(faults=promoted), seed=case.seed
         )
         engine.install()
-    # One level-2 calendar slot, in seconds, for this case's bucket width.
-    far_s = NUM_BUCKETS**2 * bucket_width_for(case.experiment_config())
     for fault in case.faults:
         if isinstance(fault, TimerStormFault):
-            sim.schedule_at(fault.time_s, _fire_timer_storm, sim, fault, far_s)
+            sim.schedule_at(fault.time_s, _fire_timer_storm, sim, fault)
     return engine
 
 
-def _fire_timer_storm(sim: Simulator, fault: TimerStormFault, far_s: float) -> None:
-    timers = [sim.set_timer(delay, _noop) for delay in fault.delays]
+def _fire_timer_storm(sim: Simulator, fault: TimerStormFault) -> None:
+    timers = [sim.schedule(delay, _noop) for delay in fault.delays]
     for index in fault.cancel_now:
         sim.cancel(timers[index])
-    # Cancelled regular events in the calendar's top level, with the live
-    # timers above due long before them: the window cascade must not strand
-    # those timers behind a slot that holds nothing but tombstones.
-    for delay in fault.delays[:3]:
-        sim.cancel(sim.schedule(far_s + delay, _noop))
     if fault.cancel_later:
         later = [timers[index] for index in fault.cancel_later]
         sim.schedule(
@@ -501,9 +487,8 @@ class OrderingTracker:
 # ---------------------------------------------------------------------------
 @dataclass
 class CaseOutcome:
-    """Raw observations from one run of one case on one engine class."""
+    """Raw observations from one run of one case."""
 
-    core: str                   # name of the engine class that ran the case
     trace: List[Tuple[float, int]]
     events_scheduled: int
     events_processed: int
@@ -527,15 +512,10 @@ class CaseOutcome:
     pause_frames: int = 0
 
 
-def run_case(case: FuzzCase, simulator_cls: type = Simulator) -> CaseOutcome:
-    """Execute ``case`` on ``simulator_cls`` (the calendar, or the reference
-    :class:`~repro.sim.engine.HeapSimulator` it is compared against)."""
+def run_case(case: FuzzCase) -> CaseOutcome:
+    """Execute ``case`` and collect what the invariants judge."""
     config = case.experiment_config()
-    # Bucket width comes from the shared derivation the experiment runner
-    # uses (the departure-batch quantum), not a fuzzer-private formula, so
-    # the fuzzed calendars are sized exactly like production ones.  Width
-    # only affects speed, never event order.
-    sim = simulator_cls(seed=case.seed, bucket_width_s=bucket_width_for(config))
+    sim = Simulator(seed=case.seed)
     trace = sim.enable_trace()
     network = case.build_network(sim)
     collector = MetricsCollector(
@@ -564,7 +544,6 @@ def run_case(case: FuzzCase, simulator_cls: type = Simulator) -> CaseOutcome:
 
     hosts = network.hosts.values()
     return CaseOutcome(
-        core=simulator_cls.__name__,
         trace=trace,
         events_scheduled=sim.events_scheduled,
         events_processed=sim.events_processed,

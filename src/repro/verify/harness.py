@@ -1,11 +1,10 @@
-"""The fuzz harness: run cases on both cores, judge, report, reproduce.
+"""The fuzz harness: run cases, judge, report, reproduce.
 
 ``run_fuzz`` is the entry point the CLI (``python -m repro.verify``) and CI
-use.  It generates ``budget`` seed-derived cases, runs each on the calendar
-*and* heap engine cores, applies every invariant from
-:mod:`repro.verify.invariants`, and writes a JSON repro file per
-counterexample (the seed inside it is a complete reproduction:
-``python -m repro.verify --seed N``).
+use.  It generates ``budget`` seed-derived cases, runs each once, applies
+every invariant from :mod:`repro.verify.invariants`, and writes a JSON
+repro file per counterexample (the seed inside it is a complete
+reproduction: ``python -m repro.verify --seed N``).
 
 ``self_test`` guards the guard: it corrupts packets on a *lossless* case
 and fails unless the losslessness invariant catches the resulting fault
@@ -20,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.faults import PacketCorruption
-from repro.sim.engine import HeapSimulator, Simulator
 from repro.verify.fuzz import FuzzCase, run_case
-from repro.verify.invariants import check_outcome, check_pair
+from repro.verify.invariants import check_outcome
 
 #: Environment knob CI uses to deepen nightly runs without a workflow edit.
 BUDGET_ENV_VAR = "REPRO_FUZZ_BUDGET"
@@ -31,7 +29,7 @@ DEFAULT_BUDGET = 25
 
 @dataclass
 class CaseReport:
-    """Verdict for one case across both engine cores."""
+    """Verdict for one case."""
 
     case: FuzzCase
     violations: List[str] = field(default_factory=list)
@@ -59,15 +57,8 @@ class FuzzReport:
 
 
 def check_case(case: FuzzCase) -> CaseReport:
-    """Run ``case`` on both cores and apply every invariant."""
-    calendar = run_case(case, Simulator)
-    heap = run_case(case, HeapSimulator)
-    violations = (
-        check_outcome(case, calendar)
-        + check_outcome(case, heap)
-        + check_pair(case, calendar, heap)
-    )
-    return CaseReport(case=case, violations=violations)
+    """Run ``case`` and apply every invariant."""
+    return CaseReport(case=case, violations=check_outcome(case, run_case(case)))
 
 
 def default_budget() -> int:

@@ -1,4 +1,4 @@
-"""Shared test helpers: transport-level fakes and the engine-substitution hook."""
+"""Shared test helpers: transport-level fakes and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
@@ -8,18 +8,7 @@ import sys
 import textwrap
 
 from repro.core.transport import Flow
-from repro.sim.engine import HeapSimulator, Simulator
 from repro.sim.packet import Packet, PacketType
-
-
-#: The production scheduler and the reference it must replay, by test id.
-ENGINES = {"calendar": Simulator, "heap": HeapSimulator}
-
-
-def use_engine(monkeypatch, name: str) -> None:
-    """Make ``run_experiment`` build ``ENGINES[name]`` for the rest of the
-    test -- the only way a whole experiment ever runs on the reference heap."""
-    monkeypatch.setattr("repro.experiments.runner.Simulator", ENGINES[name])
 
 
 def in_fresh_interpreter(script: str):

@@ -201,15 +201,10 @@ def _e2e_config(**overrides):
 
 def _run_counting(config):
     """Run an experiment keeping receiver/engine counters visible."""
-    from repro.experiments.runner import (
-        _build_network,
-        _FlowLauncher,
-        _generate_flows,
-        bucket_width_for,
-    )
+    from repro.experiments.runner import _build_network, _FlowLauncher, _generate_flows
     from repro.metrics.collector import MetricsCollector
 
-    sim = Simulator(seed=config.seed, bucket_width_s=bucket_width_for(config))
+    sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     collector = MetricsCollector(
         network,

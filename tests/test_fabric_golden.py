@@ -18,6 +18,19 @@ tests:
 * ``availability_flap`` (fault and recovery taps wrapping ``receive``),
 * one ``fabric_digests=True`` cell (the queue-depth sample values).
 
+Nine more cells were added later, recorded at commit 8f225a5 (the parent of
+the single-scheduler change) so they also prove that change moved nothing:
+
+* ``wan_incast``, all four cells at seed 1 (long-haul delays 100x and 1000x
+  the intra-DC hop, c-latency digests),
+* the ``cross_dc`` "IRN ... 1000x" cell (two fat trees bridged by long-haul
+  links, 60 flows, seed 2),
+* the ``fig1`` IRN cell at ``ack_coalesce_n`` 1 and 4 (per-packet ACKs and
+  the coalesced default, 40 flows, seed 1),
+* ``availability_flap`` IRN and RoCE cells carrying one window of each of
+  the four fault kinds (``FAULT_PLAN``: flap, corruption, degraded link,
+  pause storm; 40 flows, seed 1).
+
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
 moved.  ``python -m tests.test_fabric_golden`` prints the table again.
 
@@ -38,7 +51,6 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.spec import scenario
 from repro.sim import packet as packet_module
-from tests.helpers import use_engine
 
 
 def _spray(network):
@@ -49,6 +61,18 @@ def _batch_of_one(network):
     for port in network.output_ports():
         port.max_batch_packets = 1
 
+
+#: One window of every fault kind, aimed at the dumbbell bottleneck.
+FAULT_PLAN = {
+    "faults": [
+        dict(kind="link_flap", src="s0", dst="s1", start_s=100e-6, end_s=200e-6),
+        dict(kind="packet_corruption", src="s1", dst="s0",
+             probability=0.05, start_s=50e-6, end_s=400e-6),
+        dict(kind="degraded_link", src="s0", dst="s1", start_s=250e-6, end_s=450e-6,
+             bandwidth_factor=0.5, delay_factor=2.0),
+        dict(kind="pause_storm", src="h0", dst="s0", start_s=120e-6, end_s=180e-6),
+    ]
+}
 
 #: name -> (scenario, cell label, config overrides, fabric tweak or None)
 CELLS = {
@@ -77,6 +101,20 @@ CELLS = {
                      dict(num_flows=30, seed=5, fabric_digests=True), None),
     "digests-irn": ("fig1", "IRN (without PFC)",
                     dict(num_flows=30, seed=5, fabric_digests=True), None),
+    "wan-incast-roce-100x": ("wan_incast", "RoCE (with PFC) 100x", dict(seed=1), None),
+    "wan-incast-irn-100x": ("wan_incast", "IRN (without PFC) 100x", dict(seed=1), None),
+    "wan-incast-roce-1000x": ("wan_incast", "RoCE (with PFC) 1000x", dict(seed=1), None),
+    "wan-incast-irn-1000x": ("wan_incast", "IRN (without PFC) 1000x", dict(seed=1), None),
+    "cross-dc-irn-1000x": ("cross_dc", "IRN (without PFC) 1000x",
+                           dict(num_flows=60, seed=2), None),
+    "fig1-irn-ack1": ("fig1", "IRN (without PFC)",
+                      dict(num_flows=40, seed=1, ack_coalesce_n=1), None),
+    "fig1-irn-ack4": ("fig1", "IRN (without PFC)",
+                      dict(num_flows=40, seed=1, ack_coalesce_n=4), None),
+    "faults-roce": ("availability_flap", "1 flap|RoCE (with PFC)",
+                    dict(num_flows=40, seed=1, fault_plan=FAULT_PLAN), None),
+    "faults-irn": ("availability_flap", "1 flap|IRN (without PFC)",
+                   dict(num_flows=40, seed=1, fault_plan=FAULT_PLAN), None),
 }
 
 PINS = {
@@ -99,6 +137,15 @@ PINS = {
     "flap-irn": "a7af1a1ceb22b695106ad5cae013aab4b86db3333bd81d5171653239487dd0f4",
     "digests-roce": "756cf5ad3979184d5db65261113396dca8015e2ed8628a888377797f246a0776",
     "digests-irn": "4f5095a642d8e2274c09aadef19c0eb90d67a30925ce805488928ef0ef1fd4db",
+    "wan-incast-roce-100x": "4e29b4fcd83f730199fc63ee5fe1896b7605c83f40165565cbeae7f20102985f",
+    "wan-incast-irn-100x": "c73da1581e717c1eaa483fe71e8b043d7c40b9ade23332fe4362df76c11cf471",
+    "wan-incast-roce-1000x": "675b4fee21a90ef67db8b7c7057ccdc1083fdc5d75f119997b1601c9441a4b71",
+    "wan-incast-irn-1000x": "27af787b70c141e652d214c244cb983ec1f4ab3df791d3448e162e09122d8627",
+    "cross-dc-irn-1000x": "3c2a7ad1992046a02e1a96107facc4c854a7501bede49822755845b05495b460",
+    "fig1-irn-ack1": "4fd4c5c96b44b9221a7a9b7095a1754bd039aace97b0864923e2e3a933954099",
+    "fig1-irn-ack4": "b2dec669b5e29cc90ac99817a7ba63fd8edb6f2977279f4fdedb586bae695672",
+    "faults-roce": "b4c1d48ca2aa889448f2870dbc0bda003deaea35bd1cc660c112fb6bafd45226",
+    "faults-irn": "2646b3131db94873a508b1b757f295a86e1f39c3e96f3eec472f5f074f684dd8",
 }
 
 
@@ -134,11 +181,9 @@ def _digest(name):
     return hashlib.sha256(payload).hexdigest()
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
 @pytest.mark.parametrize("name", sorted(CELLS))
-def test_row_digest_is_pinned(name, queue, monkeypatch):
-    use_engine(monkeypatch, queue)
-    assert _digest(name) == PINS[name], f"{name} ({queue}): the ResultRow moved"
+def test_row_digest_is_pinned(name):
+    assert _digest(name) == PINS[name], f"{name}: the ResultRow moved"
 
 
 if __name__ == "__main__":

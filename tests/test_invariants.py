@@ -4,15 +4,16 @@ Two layers:
 
 * **Unit-level properties** (hypothesis over the data structures): bitmaps,
   receivers, RDMA placement, statistics, workload distributions.
-* **Whole-simulation invariants** (hypothesis over fuzz seeds): every
+* **Whole-simulation invariants** (every seed of a small fuzz band): every
   generated case -- arbitrary topology, workload and fault schedule from
-  :mod:`repro.verify` -- must satisfy the invariant contract on *both*
-  engine cores (see ``docs/architecture.md``).  Each invariant gets its own
-  test so a violation names the property, not just the seed.
+  :mod:`repro.verify` -- must satisfy the invariant contract (see
+  ``docs/architecture.md``), and a second run of the same case in the same
+  process must replay it event for event.  Each (invariant, seed) pair is
+  its own test so a violation names both the property and the case.
 
-The fuzz layer keeps ``max_examples`` small: this is tier-1's fast smoke
-slice.  CI's dedicated fuzz job (``python -m repro.verify``) runs the same
-harness at 50+ cases per PR and deeper nightly via ``REPRO_FUZZ_BUDGET``.
+The fuzz layer keeps its band small: this is tier-1's fast smoke slice.
+CI's dedicated fuzz job (``python -m repro.verify``) runs the same harness
+at 50+ cases per PR and deeper nightly via ``REPRO_FUZZ_BUDGET``.
 """
 
 import random
@@ -38,9 +39,6 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.verify import FuzzCase, check_case, known_bad_case, run_case
 from repro.workload.distributions import HeavyTailedSizes, UniformSizes
-from tests.helpers import ENGINES
-
-ENGINE_CORES = tuple(ENGINES)
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +193,36 @@ def test_uniform_samples_within_bounds(seed):
 # ===========================================================================
 # Whole-simulation invariants over fuzzed cases (repro.verify)
 # ===========================================================================
-#: Small seed band so the cached outcomes below are shared across the
-#: per-invariant tests; derandomize keeps tier-1 byte-stable run to run.
-fuzz_seeds = st.integers(min_value=0, max_value=31)
-FUZZ_SETTINGS = dict(deadline=None, max_examples=8, derandomize=True)
+#: The whole band runs, every seed a test of its own: a case costs a few
+#: milliseconds, and the cached outcomes below are shared across the
+#: per-invariant tests.
+FUZZ_SEEDS = range(32)
 
 
 @lru_cache(maxsize=256)
-def _fuzz_outcome(seed, queue):
-    """One execution per (seed, core), shared by every invariant test."""
-    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed), ENGINES[queue])
+def _fuzz_outcome(seed):
+    """One execution per seed, shared by every invariant test."""
+    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed))
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_clock_is_monotone(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_clock_is_monotone(seed):
+    _, outcome = _fuzz_outcome(seed)
     times = [time for time, _ in outcome.trace]
     assert times == sorted(times)
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_event_accounting_identity(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_event_accounting_identity(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.events_scheduled == (
         outcome.events_processed + outcome.events_cancelled + outcome.pending_events
     )
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_lossless_ports_never_drop(queue, seed):
-    case, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_lossless_ports_never_drop(seed):
+    case, outcome = _fuzz_outcome(seed)
     if case.pfc_enabled:
         # Fault drops count: the fuzzer never aims packet-touching faults
         # at a lossless fabric, so both counters must stay zero.
@@ -239,11 +231,9 @@ def test_fuzz_lossless_ports_never_drop(queue, seed):
         assert outcome.fault_drops >= 0
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_packet_conservation_at_drain(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_packet_conservation_at_drain(seed):
+    _, outcome = _fuzz_outcome(seed)
     if not outcome.drained:
         pytest.skip("run hit the event valve; conservation needs full drain")
     assert outcome.packets_committed == (
@@ -254,36 +244,28 @@ def test_fuzz_packet_conservation_at_drain(queue, seed):
     )
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_per_qp_delivery_order_preserved(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_per_qp_delivery_order_preserved(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.ordering_violations == []
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_completions_are_sane(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_completions_are_sane(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.flows_completed <= outcome.flows_total
     assert outcome.completions_recorded == outcome.flows_completed
 
 
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_calendar_and_heap_execute_identical_orders(seed):
-    _, calendar = _fuzz_outcome(seed, "calendar")
-    _, heap = _fuzz_outcome(seed, "heap")
-    assert calendar.trace == heap.trace
-    assert calendar.events_scheduled == heap.events_scheduled
-    assert calendar.events_processed == heap.events_processed
-    assert calendar.packets_delivered == heap.packets_delivered
-    assert calendar.switch_drops == heap.switch_drops
-    assert calendar.fault_drops == heap.fault_drops
-    assert calendar.deadlock_events == heap.deadlock_events
-    assert calendar.time_to_deadlock_s == heap.time_to_deadlock_s
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_rerun_replays_the_same_event_order(seed):
+    """A case run again in the same process executes the same ``(time,
+    seq)`` trace and ends on the same counters: no state leaks from one run
+    into the next, so a row depends on its seed alone."""
+    _, first = _fuzz_outcome(seed)
+    again = run_case(FuzzCase.generate(seed))
+    assert again.trace == first.trace
+    assert again == first
 
 
 def test_known_bad_case_is_caught_by_losslessness_invariant():
