@@ -36,11 +36,17 @@ write-temp-then-rename, so concurrent workers never observe half states)::
 * A cell that raises becomes a *failure marker* (``failed/<fp>.json``); the
   coordinating sweep surfaces it as an error instead of waiting forever.
 
-* Completions are additionally recorded in an append-only, fsync'd
-  ``parts/MANIFEST`` (one fingerprint per line), so pollers -- the
-  coordinator below, and the ``repro serve`` follow stream -- discover new
-  parts by tailing one file instead of rescanning a 10k-entry directory on
-  every poll (:class:`PartsTail`).
+* Every valid part is announced by a line in the append-only, fsync'd
+  ``parts/MANIFEST`` (one fingerprint per line), and pollers -- the
+  coordinator below, and the ``repro serve`` follow stream -- tail that one
+  file (:class:`PartsTail`) and never scan the parts directory.
+  :meth:`TaskQueue.complete` appends the line before it drops the lease; a
+  worker that dies between the part and the line (or whose append fails)
+  leaves its lease behind, and once that lease is reclaimed the claim that
+  retires the task on sight appends the line.  So on a local filesystem a
+  spool with no tasks and no leases has announced every part.  On NFS a
+  line can still be lost (:meth:`TaskQueue.drained`), so once the spool
+  drains the coordinator reads the parts it still awaits by name.
 
 The coordinator (:class:`QueueBackend`) streams parts as they land into the
 sweep's progress/partial-aggregation layer and resumes from whatever parts a
@@ -57,6 +63,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,9 +153,8 @@ class TaskQueue:
         #: The part-files, read and written as sweep-cache entries.
         self.parts = ResultCache(self.parts_dir)
         self.failed_dir = self.directory / "failed"
-        #: Append-only completion log: one fingerprint per line, fsync'd by
-        #: :meth:`complete`, so pollers tail this file instead of rescanning
-        #: the parts directory (see :class:`PartsTail`).
+        #: Append-only completion log, one fingerprint per line: the only
+        #: completion signal pollers read (see :class:`PartsTail`).
         self.manifest_path = self.parts_dir / "MANIFEST"
         for sub in (self.tasks_dir, self.leases_dir, self.failed_dir):
             sub.mkdir(parents=True, exist_ok=True)
@@ -227,15 +233,21 @@ class TaskQueue:
         race for the same task exactly one rename succeeds and the others
         simply move on to the next file.  Tasks whose *valid* part-file
         already exists (a reclaimed lease whose original worker finished
-        after all) are retired on sight instead of re-run; a part that no
-        longer reads (different source tree) does not retire its task --
-        completing the task overwrites it.
+        after all, or died before announcing its part) are retired on sight
+        instead of re-run, and their manifest line is appended first (if the
+        append fails, the task stays pending for a later claim to retire); a
+        part that no longer reads (different source tree) does not retire
+        its task -- completing the task overwrites it.
         """
         for path in sorted(self.tasks_dir.glob("*.json")):
             fingerprint = path.stem
             if not is_fingerprint(fingerprint):
                 continue  # not a task this queue wrote
             if self.part_row(fingerprint) is not None:
+                try:
+                    self._append_manifest(fingerprint)
+                except OSError:
+                    continue  # full disk, read-only spool: retire it later
                 path.unlink(missing_ok=True)
                 continue
             lease = self.lease_path(fingerprint)
@@ -301,20 +313,22 @@ class TaskQueue:
     def _append_manifest(self, fingerprint: str) -> None:
         """Append one completion line, durably (O_APPEND + fsync).
 
-        Single-line appends are atomic on POSIX, so concurrent workers
-        interleave whole lines; duplicate lines (a cell completed twice
-        after an over-eager reclaim) are fine -- readers de-duplicate.
+        Single-line appends are atomic on a local POSIX filesystem, so
+        concurrent workers interleave whole lines; duplicate lines (a cell
+        completed twice after an over-eager reclaim) are fine -- readers
+        de-duplicate.  NFS does not make appends from several hosts atomic,
+        so there a line can be lost (see :meth:`TaskQueue.drained`).
+        ``OSError`` (full disk, read-only spool) propagates.
         """
-        try:
-            with open(self.manifest_path, "a", encoding="ascii") as handle:
-                handle.write(f"{fingerprint}\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:
-            pass  # the part-file itself is durable; directory scans still find it
+        with open(self.manifest_path, "a", encoding="ascii") as handle:
+            handle.write(f"{fingerprint}\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def complete(self, task: Task, row: ResultRow) -> None:
-        """Publish ``row`` as the task's durable part-file and drop the lease."""
+        """Publish ``row`` as the task's durable part-file, announce it in the
+        manifest, and drop the lease -- in that order, so a failure to
+        announce leaves the lease to be reclaimed and retired on sight."""
         self.parts.put(row)
         self._append_manifest(task.fingerprint)
         if task.lease_path is not None:
@@ -428,41 +442,44 @@ class TaskQueue:
             "failed": sum(1 for _ in self.failed_dir.glob("*.json")),
         }
 
+    def drained(self) -> bool:
+        """No task pending and no lease held.
+
+        Every part is written before its lease or task goes, so a drained
+        spool's parts all read by name.  Their manifest lines are not
+        guaranteed: NFS loses concurrent appends from several hosts, and a
+        client can cache a part as missing when its line arrives.  So a
+        poller that knows which fingerprints it awaits reads those parts
+        directly once the spool drains, instead of waiting for lines.
+        """
+        return not any(self.tasks_dir.glob("*.json")) and not any(
+            self.leases_dir.glob("*.json")
+        )
+
 
 class PartsTail:
-    """Incrementally discover completed parts without rescanning the spool.
+    """Discover completed parts by tailing ``parts/MANIFEST``.
 
-    A 10k-cell sweep polled every 200ms costs a 10k-entry directory listing
-    per poll if completion is discovered by globbing ``parts/``.  This tail
-    instead reads only the *newly appended* lines of ``parts/MANIFEST`` per
-    :meth:`poll` -- O(completions since last poll), independent of sweep
-    size -- and falls back to a full directory scan when the manifest is
-    absent or short (a part written by a participant that predates the
-    manifest, or a manifest lost to a crash between the part rename and the
-    append): once on the first poll, whenever the manifest file is missing,
-    and periodically every ``rescan_every`` polls as a safety net.
+    Each :meth:`poll` reads only the lines appended since the previous one
+    -- O(completions since the last poll), however large the sweep -- and
+    never lists the parts directory.
 
-    Each fingerprint is reported exactly once, and nothing but fingerprints
-    is reported (a foreign manifest line or file name never reaches the path
-    helpers); callers that find a reported part unreadable (stale code,
-    still-propagating network filesystem) call
-    :meth:`forget` so a later poll re-reports it.
+    A line is reported as often as it was appended (a cell completed twice,
+    or a stale part rewritten, appends twice); callers de-duplicate.  Only
+    fingerprints are reported, so a foreign manifest line never reaches the
+    path helpers.  A line glued onto the fragment a failed append left
+    behind still reports its fingerprint, the line's last 64 characters.
+    Lines lost on NFS are not reported (see :meth:`TaskQueue.drained`).
     """
 
-    def __init__(self, queue: TaskQueue, rescan_every: int = 50) -> None:
+    def __init__(self, queue: TaskQueue) -> None:
         self.queue = queue
-        self.rescan_every = max(1, int(rescan_every))
         self._offset = 0
-        self._seen: set = set()
-        self._polls_since_scan = self.rescan_every  # first poll always scans
 
-    def forget(self, fingerprint: str) -> None:
-        """Allow ``fingerprint`` to be reported again by a later poll."""
-        self._seen.discard(fingerprint)
-
-    def _read_manifest(self) -> List[str]:
-        """Whole new manifest lines since the last poll (partial trailing
-        lines -- an append caught mid-write -- are left for the next poll)."""
+    def poll(self) -> List[str]:
+        """Fingerprints on the whole lines appended since the last poll, in
+        order; a torn trailing line (an append caught mid-write) waits for
+        the next poll."""
         try:
             with open(self.queue.manifest_path, "rb") as handle:
                 handle.seek(self._offset)
@@ -473,33 +490,8 @@ class PartsTail:
         if not newline:
             return []
         self._offset += len(head) + 1
-        return [
-            line.strip().decode("ascii", "replace")
-            for line in head.split(b"\n")
-            if line.strip()
-        ]
-
-    def poll(self, force_scan: bool = False) -> List[str]:
-        """Fingerprints of parts completed since the last poll."""
-        new: List[str] = []
-
-        def report(fingerprint: str) -> None:
-            if is_fingerprint(fingerprint) and fingerprint not in self._seen:
-                self._seen.add(fingerprint)
-                new.append(fingerprint)
-
-        for fingerprint in self._read_manifest():
-            report(fingerprint)
-        self._polls_since_scan += 1
-        if (
-            force_scan
-            or self._polls_since_scan > self.rescan_every
-            or not self.queue.manifest_path.exists()
-        ):
-            for path in sorted(self.queue.parts_dir.glob("*.json")):
-                report(path.stem)
-            self._polls_since_scan = 0
-        return new
+        lines = (line.strip()[-64:] for line in head.decode("ascii", "replace").split("\n"))
+        return [line for line in lines if is_fingerprint(line)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +528,36 @@ def _heartbeating(queue: TaskQueue, task: Task, interval_s: float):
         thread.join(timeout=interval_s + 1.0)
 
 
-def _execute_task(task: Task, cache: Optional[ResultCache]) -> ResultRow:
-    """Run one task through the shared cache (hit = no simulation)."""
-    cached = cache.get(task.config) if cache is not None else None
-    if cached is not None:
-        return _rebind_row(cached, task.label, task.config.name)
-    row = _run_cell((task.label, task.config))
-    if cache is not None:
-        cache.put(row)
-    return row
+def _run_task(
+    queue: TaskQueue,
+    task: Task,
+    cache: ResultCache,
+    worker_id: str,
+    heartbeat_s: float,
+) -> None:
+    """Run one leased task and settle its lease.
+
+    The cell is served from the shared cache (a hit simulates nothing) or
+    simulated and written back, with the lease heartbeating every
+    ``heartbeat_s`` meanwhile; then its part is published.  A cell that
+    raises is recorded as a failure marker and the error re-raised;
+    ``KeyboardInterrupt`` returns the task to the pending spool first.
+    """
+    try:
+        with _heartbeating(queue, task, heartbeat_s):
+            row = cache.get(task.config)
+            if row is None:
+                row = _run_cell((task.label, task.config))
+                cache.put(row)
+            else:
+                row = _rebind_row(row, task.label, task.config.name)
+    except KeyboardInterrupt:
+        queue.release(task)
+        raise
+    except Exception as exc:
+        queue.fail(task, exc, worker_id)
+        raise
+    queue.complete(task, row)
 
 
 def run_worker(
@@ -579,8 +592,10 @@ def run_worker(
        cadence.  The in-flight heartbeat cadence is unaffected.
 
     A cell that raises is recorded as a failure marker and the worker moves
-    on; ``KeyboardInterrupt`` releases the in-flight task back to the
-    pending spool before propagating, so nothing is lost to a Ctrl-C.
+    on; a part that cannot be published (full disk, read-only spool) stops
+    the worker with the lease still held, for reclaim to requeue.
+    ``KeyboardInterrupt`` releases the in-flight task back to the pending
+    spool before propagating, so nothing is lost to a Ctrl-C.
     ``cache=None`` selects the queue's default ``<queue-dir>/cache``.
     """
     if not isinstance(queue, TaskQueue):
@@ -609,15 +624,11 @@ def run_worker(
             continue
         idle_polls = 0
         try:
-            with _heartbeating(queue, task, poll_interval_s):
-                row = _execute_task(task, cache)
-        except KeyboardInterrupt:
-            queue.release(task)
-            raise
-        except Exception as exc:
-            queue.fail(task, exc, worker_id)
-            continue
-        queue.complete(task, row)
+            _run_task(queue, task, cache, worker_id, poll_interval_s)
+        except Exception:
+            if task.lease_path is not None:
+                raise  # not the cell: the lease could not be settled
+            continue  # the cell raised; its failure marker is written
         executed += 1
     return executed
 
@@ -640,13 +651,14 @@ class QueueBackend(ExecutionBackend):
     workers:
         Local worker processes to spawn for this sweep (each runs
         ``python -m repro worker <queue-dir> --drain`` and exits when the
-        spool is empty).  ``None`` or ``0`` spawns none: the coordinator
-        itself drains tasks inline between polls, while still absorbing
-        parts contributed by external workers -- so a bare
-        ``QueueBackend(dir)`` works standalone and speeds up the moment
-        extra machines join.
+        spool is empty).  ``None`` or ``0`` spawns none.  Whenever no local
+        worker is running -- none were spawned, or all have exited (warned
+        once, with their exit codes) -- the coordinator itself claims and
+        runs tasks between polls, while still absorbing parts contributed
+        by external workers -- so a bare ``QueueBackend(dir)`` works
+        standalone and speeds up the moment extra machines join.
     poll_interval_s / lease_timeout_s / wait_timeout_s:
-        Part-scan cadence, orphan-lease threshold, and an optional hard
+        Manifest poll cadence, orphan-lease threshold, and an optional hard
         bound on how long to wait without any progress (``None`` = forever;
         useful for unattended CI).
     """
@@ -737,13 +749,23 @@ class QueueBackend(ExecutionBackend):
             by_fp.setdefault(config.fingerprint(), []).append((label, config))
         outstanding = set(by_fp)
 
-        # Resume-from-parts: an interrupted sweep left durable rows behind;
-        # serve them before spooling anything.
-        for fingerprint in sorted(outstanding):
-            row = queue.part_row(fingerprint)
-            if row is not None:
+        def collect(fingerprints: List[str]) -> bool:
+            """Deliver each outstanding fingerprint whose part reads."""
+            found = False
+            for fingerprint in fingerprints:
+                if fingerprint not in outstanding:
+                    continue  # another sweep's part, or a duplicate line
+                row = queue.part_row(fingerprint)
+                if row is None:
+                    continue  # stale code, or not visible here yet
                 self._deliver(row, by_fp[fingerprint], on_result)
                 outstanding.discard(fingerprint)
+                found = True
+            return found
+
+        # Resume-from-parts: an interrupted sweep left durable rows behind;
+        # serve them before spooling anything.
+        collect(sorted(outstanding))
 
         # A previous coordinator's crash may also have left stale leases.
         queue.reclaim_orphans()
@@ -752,36 +774,12 @@ class QueueBackend(ExecutionBackend):
             queue.enqueue(label, config)
 
         procs = self._spawn_workers() if (self.workers and outstanding) else []
-        deadline = (
-            time.monotonic() + self.wait_timeout_s
-            if self.wait_timeout_s is not None
-            else None
-        )
-        # Completion discovery tails parts/MANIFEST (O(new completions) per
-        # poll) instead of globbing the parts dir per poll, which a 10k-cell
-        # sweep cannot afford; the tail's periodic rescan still absorbs
-        # parts from manifest-less writers.
+        warned = False
         tail = PartsTail(queue)
-
-        def absorb(fingerprints: List[str]) -> bool:
-            progressed = False
-            for fingerprint in fingerprints:
-                if fingerprint not in outstanding:
-                    continue
-                row = queue.part_row(fingerprint)
-                if row is None:
-                    # Stale-code or still-materializing part: let a later
-                    # poll rediscover it once a worker rewrites it.
-                    tail.forget(fingerprint)
-                    continue
-                self._deliver(row, by_fp[fingerprint], on_result)
-                outstanding.discard(fingerprint)
-                progressed = True
-            return progressed
-
+        last_progress = time.monotonic()
         try:
             while outstanding:
-                progressed = absorb(tail.poll())
+                progressed = collect(tail.poll())
                 if not outstanding:
                     break
 
@@ -794,54 +792,40 @@ class QueueBackend(ExecutionBackend):
                         f"(markers under {queue.failed_dir})"
                     )
 
-                if not procs:
-                    # No local workers: participate instead of just waiting.
+                if all(proc.poll() is not None for proc in procs):
+                    # No local worker is running (none spawned, or all have
+                    # exited): claim instead of just waiting.  A task leased
+                    # by a worker that died comes back through reclaim.
                     task = queue.claim(self._worker_id)
                     if task is not None:
-                        try:
-                            with _heartbeating(queue, task, self.poll_interval_s):
-                                row = _execute_task(task, self.worker_cache)
-                        except KeyboardInterrupt:
-                            queue.release(task)
-                            raise
-                        except Exception as exc:
-                            queue.fail(task, exc, self._worker_id)
-                            raise
-                        queue.complete(task, row)
-                        progressed = True
-                elif all(proc.poll() is not None for proc in procs):
-                    # Every spawned worker exited while cells are missing.
-                    # A worker's final part may have landed *after* this
-                    # iteration's scan but before the poll() check, so
-                    # rescan before concluding they died -- otherwise a
-                    # sweep could fail spuriously at its very last cell.
-                    if absorb(tail.poll(force_scan=True)):
-                        progressed = True
-                    if progressed or not outstanding:
-                        continue
-                    counts = queue.counts()
-                    if counts["leases"]:
-                        # A live lease means some worker -- an external
-                        # `repro worker` on another machine, most likely --
-                        # is still mid-cell: keep waiting.  If its holder is
-                        # actually dead, orphan reclaim requeues it after
-                        # lease_timeout_s and the no-lease branch below
-                        # fires on a later iteration.
-                        pass
-                    else:
-                        codes = [proc.returncode for proc in procs]
-                        raise RuntimeError(
-                            f"all {len(procs)} queue workers exited (codes {codes}) "
-                            f"with {len(outstanding)} cell(s) unfinished; spool: "
-                            f"{counts}; logs under {queue.directory / 'logs'}"
+                        if procs and not warned:
+                            warned = True
+                            warnings.warn(
+                                f"all {len(procs)} local queue workers exited "
+                                f"(codes {[proc.returncode for proc in procs]}; logs "
+                                f"under {queue.directory / 'logs'}); the coordinator "
+                                "runs the remaining cells itself",
+                                RuntimeWarning,
+                                stacklevel=3,
+                            )
+                        _run_task(
+                            queue, task, self.worker_cache, self._worker_id,
+                            self.poll_interval_s,
                         )
+                        progressed = True
 
+                if not progressed and queue.drained():
+                    # The lines of the parts still awaited were lost or read
+                    # too early (see TaskQueue.drained): read them directly.
+                    progressed = collect(sorted(outstanding))
                 if progressed:
-                    if deadline is not None:
-                        deadline = time.monotonic() + self.wait_timeout_s
+                    last_progress = time.monotonic()
                     continue
                 queue.reclaim_orphans()
-                if deadline is not None and time.monotonic() > deadline:
+                if (
+                    self.wait_timeout_s is not None
+                    and time.monotonic() - last_progress > self.wait_timeout_s
+                ):
                     raise TimeoutError(
                         f"queue sweep made no progress for {self.wait_timeout_s}s; "
                         f"{len(outstanding)} cell(s) outstanding, spool: {queue.counts()}"

@@ -1,17 +1,26 @@
 """Live-follow streams: watch a queue-backed sweep converge, over HTTP.
 
-``GET /scenarios/<name>/follow`` tails the work queue's parts directory
-(through the manifest-backed :class:`~repro.experiments.queue.PartsTail`, so
-each poll costs O(new completions), not O(all parts)) and emits one SSE
-event per completed task: the row's identity plus its cell's *current*
-pooled aggregate record.  A dashboard -- or plain ``curl`` -- watches the
-confidence intervals tighten as worker machines drain the spool.
+``GET /scenarios/<name>/follow`` tails the work queue's ``parts/MANIFEST``
+(through :class:`~repro.experiments.queue.PartsTail`, so each poll costs
+O(new completions), not O(all parts)) and emits one SSE event per completed
+task: the row's identity plus its cell's *current* pooled aggregate record.
+A dashboard -- or plain ``curl`` -- watches the confidence intervals tighten
+as worker machines drain the spool.
 
-When the spool drains (no tasks, no leases), the stream re-aggregates every
-collected row in canonical batch order
-(:func:`~repro.metrics.partial.rows_in_batch_order`) and emits a ``done``
-event whose records are bit-identical to the serial batch aggregate over
-the same rows -- the same guarantee the ``/aggregate`` endpoint makes.
+When the spool drains (no tasks, no leases), one more poll collects the
+last manifest lines, and parts whose line arrived before they read here are
+read once more; the stream then re-aggregates every collected row in
+canonical batch order (:func:`~repro.metrics.partial.rows_in_batch_order`)
+and emits a ``done`` event whose records are bit-identical to the serial
+batch aggregate over the same rows -- the same guarantee the ``/aggregate``
+endpoint makes.
+
+On a local filesystem a drained spool has announced every part.  On NFS a
+manifest line can be lost (see
+:meth:`~repro.experiments.queue.TaskQueue.drained`), and the stream, which
+does not know the sweep's fingerprints, never sees that row.  Pass
+``expect`` (the sweep's cell count) to get ``timeout`` instead of a short
+``done``.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ def follow_scenario(
     running = PartialAggregator(spec.aggregate_by)
     rows: List[Any] = []
     seen: Set[str] = set()
+    #: Announced, but the part did not read when its line arrived.
+    unread: Set[str] = set()
     tail = PartsTail(queue)
     started = time.monotonic()
 
@@ -70,13 +81,12 @@ def follow_scenario(
         events: List[Tuple[str, Dict[str, Any]]] = []
         for fingerprint in fingerprints:
             if fingerprint in seen:
-                continue
+                continue  # a duplicate manifest line
             row = queue.part_row(fingerprint)
             if row is None:
-                # Unreadable / stale part: let a later manifest line or the
-                # periodic rescan re-offer it once it is fully written.
-                tail.forget(fingerprint)
+                unread.add(fingerprint)  # stale code, or not visible here yet
                 continue
+            unread.discard(fingerprint)
             seen.add(fingerprint)
             if row.name not in wanted:
                 continue
@@ -95,12 +105,12 @@ def follow_scenario(
             yield event
         counts = queue.counts()
         drained = counts["tasks"] == 0 and counts["leases"] == 0
-        if drained and len(rows) >= expect:
-            # One last forced scan: ``complete()`` renames the part and
-            # appends the manifest line *before* releasing the lease, so
-            # everything a drained spool produced is visible right now.
-            for event in absorb(tail.poll(force_scan=True)):
+        if drained:
+            # A part is announced before its lease or task goes: one last
+            # poll, and one more read of the parts that did not read yet.
+            for event in absorb(tail.poll() + sorted(unread)):
                 yield event
+        if drained and len(rows) >= expect:
             final = (
                 PartialAggregator(spec.aggregate_by)
                 .add_all(rows_in_batch_order(rows, names))

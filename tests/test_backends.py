@@ -4,8 +4,11 @@ serial-vs-queue equality)."""
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -19,7 +22,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
-from repro.experiments.sweep import ResultCache, aggregate_rows, run_sweep
+from repro.experiments.sweep import ResultCache, _run_cell, aggregate_rows, run_sweep
 from repro.metrics.partial import PartialAggregator, aggregate_partial
 
 
@@ -43,6 +46,22 @@ def tiny_cells(n=4):
         f"s{seed}": tiny_config(seed=seed, name=f"cell{seed % 2}")
         for seed in range(1, n + 1)
     }
+
+
+def drop_first_manifest_line(monkeypatch):
+    """Lose the first manifest append, as NFS can when two hosts append at
+    once; returns the list that receives the dropped fingerprint."""
+    original_append = TaskQueue._append_manifest
+    dropped = []
+
+    def drop_first(self, fingerprint):
+        if not dropped:
+            dropped.append(fingerprint)
+            return
+        original_append(self, fingerprint)
+
+    monkeypatch.setattr(TaskQueue, "_append_manifest", drop_first)
+    return dropped
 
 
 class TestBackendRegistry:
@@ -508,6 +527,109 @@ class TestQueueBackend:
         with pytest.raises(RuntimeError, match="queue task"):
             run_sweep(configs, backend=backend)
 
+    def test_worker_dying_before_the_manifest_line(self, tmp_path, monkeypatch):
+        # A remote worker wins the claim, writes the part and dies before it
+        # appends the manifest line: its lease goes silent.  Reclaim requeues
+        # the task, the coordinator's claim retires it on sight and appends
+        # the line, and the row arrives through that line -- simulated once.
+        import repro.experiments.runner as runner_mod
+
+        config = tiny_config()
+        fingerprint = config.fingerprint()
+        simulated = []
+        original_run = runner_mod.run_experiment
+
+        def counting_run(cfg):
+            simulated.append(cfg.fingerprint())
+            return original_run(cfg)
+
+        original_claim = TaskQueue.claim
+
+        def claim_write_part_and_die(self, worker_id):
+            task = original_claim(self, worker_id)
+            if task is not None and not simulated:
+                self.parts.put(_run_cell((task.label, task.config)))
+                stale = time.time() - 120.0
+                os.utime(task.lease_path, (stale, stale))
+                return None
+            return task
+
+        monkeypatch.setattr(runner_mod, "run_experiment", counting_run)
+        monkeypatch.setattr(TaskQueue, "claim", claim_write_part_and_die)
+        sweep = run_sweep(
+            {"cell": config},
+            backend=QueueBackend(
+                tmp_path / "q", workers=0, lease_timeout_s=60, wait_timeout_s=5,
+            ),
+        )
+        queue = TaskQueue(tmp_path / "q")
+        assert simulated == [fingerprint]
+        assert sweep["cell"] == queue.part_row(fingerprint)
+        assert queue.manifest_path.read_text().splitlines() == [fingerprint]
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
+
+    def test_coordinator_claims_once_every_worker_has_exited(self, tmp_path, monkeypatch):
+        # Local workers that die before draining anything leave the
+        # coordinator as the only claimer: it runs the cells, warning once.
+        configs = tiny_cells(2)
+
+        def spawn_dead_worker(self):
+            proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+            proc.wait()
+            return [proc]
+
+        monkeypatch.setattr(QueueBackend, "_spawn_workers", spawn_dead_worker)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            queued = run_sweep(
+                configs,
+                backend=QueueBackend(tmp_path / "q", workers=2, wait_timeout_s=60),
+            )
+        assert queued.rows == run_sweep(configs, workers=1).rows
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "[3]" in str(runtime[0].message)
+
+    def test_torn_task_file_fails_the_sweep(self, tmp_path):
+        config = tiny_config()
+        queue = TaskQueue(tmp_path / "q")
+        queue.task_path(config.fingerprint()).write_text('{"schema": 1, "fingerpr')
+        started = time.monotonic()
+        with pytest.raises(
+            RuntimeError, match=r"queue task\(s\) failed.*unreadable task file"
+        ):
+            run_sweep({"cell": config}, backend=QueueBackend(tmp_path / "q", wait_timeout_s=5))
+        assert time.monotonic() - started < 5
+
+    def test_lost_manifest_line_is_read_once_drained(self, tmp_path, monkeypatch):
+        # NFS can lose an append from one host to another's: the first
+        # part's line never lands.  Once the spool drains, the coordinator
+        # reads the part it still awaits directly.
+        configs = tiny_cells(2)
+        dropped = drop_first_manifest_line(monkeypatch)
+        queued =run_sweep(configs, backend=QueueBackend(tmp_path / "q", wait_timeout_s=5))
+        assert queued.rows == run_sweep(configs, workers=1).rows
+        lines = TaskQueue(tmp_path / "q").manifest_path.read_text().splitlines()
+        assert len(lines) == 1 and dropped[0] not in lines
+
+    def test_part_unreadable_when_announced_is_read_again(self, tmp_path, monkeypatch):
+        # An NFS client can cache a part as missing and keep answering so
+        # when its line arrives: the coordinator must not give up on it.
+        configs = tiny_cells(2)
+        original_part_row = TaskQueue.part_row
+        hidden = set()
+
+        def missing_on_first_read(self, fingerprint, code_aware=True):
+            if self.part_path(fingerprint).exists() and fingerprint not in hidden:
+                hidden.add(fingerprint)
+                return None
+            return original_part_row(self, fingerprint, code_aware)
+
+        monkeypatch.setattr(TaskQueue, "part_row", missing_on_first_read)
+        queued = run_sweep(configs, backend=QueueBackend(tmp_path / "q", wait_timeout_s=5))
+        assert queued.rows == run_sweep(configs, workers=1).rows
+        assert hidden == {config.fingerprint() for config in configs.values()}
+
     def test_inline_cell_error_propagates(self, tmp_path):
         bad = {"bad": tiny_config(workload="none", num_flows=0)}
         with pytest.raises(ValueError, match="no flows"):
@@ -684,25 +806,63 @@ class TestPartsManifest:
         assert tail.poll() == [third]
         assert tail.poll() == []
 
-    def test_tail_falls_back_to_scanning_without_a_manifest(self, tmp_path):
+    def test_failed_append_keeps_the_lease(self, tmp_path, monkeypatch):
+        # A full disk or a read-only spool: the part cannot be announced, so
+        # complete() must raise before it drops the lease, which then stays
+        # reclaimable (test_worker_dying_before_the_manifest_line takes it
+        # from there).
+        import errno
+
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        task = queue.claim("w1")
+        row = run_sweep({"cell": config}, workers=1)["cell"]
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.experiments.queue.os.fsync", no_space)
+        with pytest.raises(OSError):
+            queue.complete(task, row)
+        assert queue.lease_path(config.fingerprint()).exists()
+
+    def test_failed_append_in_claim_leaves_the_task(self, tmp_path, monkeypatch):
+        # claim() announces a part it retires on sight; if that append
+        # fails, the task stays pending and the claim moves on to the next.
+        import errno
+
+        queue = TaskQueue(tmp_path / "q")
+        cells = sorted(tiny_cells(2).items(), key=lambda cell: cell[1].fingerprint())
+        for label, config in cells:
+            queue.enqueue(label, config)
+        retirable, pending = (config.fingerprint() for _, config in cells)
+        queue.parts.put(_run_cell(cells[0]))
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.experiments.queue.os.fsync", no_space)
+        task = queue.claim("w1")
+        assert task is not None and task.fingerprint == pending
+        assert queue.task_path(retirable).exists()
+        monkeypatch.undo()
+        assert queue.claim("w2") is None
+        assert not queue.task_path(retirable).exists()
+        assert queue.manifest_path.read_text().splitlines()[-1] == retirable
+
+    def test_line_glued_to_a_failed_append_is_read(self, tmp_path):
+        # A failed append can leave a fragment without its newline; the
+        # next worker's line lands glued onto it.
         from repro.experiments.queue import PartsTail
 
         queue = TaskQueue(tmp_path / "q")
-        fingerprints = self._completed(queue, 2)
-        queue.manifest_path.unlink()
         tail = PartsTail(queue)
-        assert sorted(tail.poll()) == sorted(fingerprints)
-        assert tail.poll() == []
-
-    def test_forget_re_reports_on_the_next_scan(self, tmp_path):
-        from repro.experiments.queue import PartsTail
-
-        queue = TaskQueue(tmp_path / "q")
-        (fingerprint,) = self._completed(queue, 1)
-        tail = PartsTail(queue)
-        assert tail.poll() == [fingerprint]
-        tail.forget(fingerprint)
-        assert tail.poll(force_scan=True) == [fingerprint]
+        (first,) = self._completed(queue, 1)
+        with open(queue.manifest_path, "a") as handle:
+            handle.write("0123456789abcdef" * 2)
+        (second,) = self._completed(queue, 2)
+        assert tail.poll() == [first, second]
 
     def test_manifest_ignores_a_torn_trailing_line(self, tmp_path):
         from repro.experiments.queue import PartsTail
@@ -721,18 +881,79 @@ class TestPartsManifest:
         polled = tail.poll()
         assert polled == [] or polled == ["abcdef0123456789"]
 
-    def test_duplicated_manifest_line_is_reported_once(self, tmp_path):
-        from repro.experiments.queue import PartsTail
+    def test_duplicated_manifest_line_is_reported_once(self, tmp_path, monkeypatch):
+        # The tail reports every line; its two consumers de-duplicate.  The
+        # coordinator: one on_result per label, with every line doubled.
+        original_append = TaskQueue._append_manifest
 
+        def append_twice(self, fingerprint):
+            original_append(self, fingerprint)
+            original_append(self, fingerprint)
+
+        monkeypatch.setattr(TaskQueue, "_append_manifest", append_twice)
+        cells = [
+            ("a", tiny_config(name="scenario-a|cell")),
+            ("b", tiny_config(name="scenario-b|cell")),
+            ("c", tiny_config(seed=2)),
+        ]
+        delivered = []
+        QueueBackend(tmp_path / "q", wait_timeout_s=60).execute(cells, delivered.append)
+        assert sorted(row.label for row in delivered) == ["a", "b", "c"]
         queue = TaskQueue(tmp_path / "q")
-        (fingerprint,) = self._completed(queue, 1)
-        with open(queue.manifest_path, "a") as handle:
-            handle.write(f"{fingerprint}\n{fingerprint}\n")
-        tail = PartsTail(queue)
-        assert tail.poll() == [fingerprint]
-        with open(queue.manifest_path, "a") as handle:
-            handle.write(f"{fingerprint}\n")
-        assert tail.poll(force_scan=True) == []
+        assert len(queue.manifest_path.read_text().splitlines()) == 4
+
+        # The follow stream: one update per part, then done.
+        events, fingerprints = self._follow(tmp_path / "f", timeout_s=60)
+        updates = [payload["fingerprint"] for event, payload in events if event == "update"]
+        assert sorted(updates) == fingerprints
+        assert len(TaskQueue(tmp_path / "f").manifest_path.read_text().splitlines()) == 4
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+
+    def _follow(self, directory, **follow_kwargs):
+        """Drain two seed replicas of a tiny scenario through a queue at
+        ``directory``, then follow it: ``(events, sorted fingerprints)``."""
+        from repro.experiments.spec import ScenarioSpec
+        from repro.serve import ResultsService
+        from repro.serve.streams import follow_scenario
+
+        spec = ScenarioSpec(
+            name="two_replicas",
+            description="two seed replicas of one tiny cell",
+            defaults={"topology": "star", "num_hosts": 4, "workload": "fixed",
+                      "fixed_size_bytes": 800, "num_flows": 6, "max_sim_time_s": 1.0},
+            variants={"A": {"name": "dup-a"}},
+            seeds=(1, 2),
+        )
+        replicas = spec.replicated()
+        queue = TaskQueue(directory)
+        for label, config in replicas.items():
+            queue.enqueue(label, config)
+        run_worker(queue, drain=True)
+        service = ResultsService(str(directory / "cache"), queue_dir=str(directory))
+        events = list(follow_scenario(service, spec, poll_interval_s=0.01, **follow_kwargs))
+        return events, sorted(config.fingerprint() for config in replicas.values())
+
+    def test_follow_reads_a_part_unreadable_when_announced_again(self, tmp_path, monkeypatch):
+        original_part_row = TaskQueue.part_row
+        hidden = set()
+
+        def missing_on_first_read(self, fingerprint, code_aware=True):
+            if self.part_path(fingerprint).exists() and fingerprint not in hidden:
+                hidden.add(fingerprint)
+                return None
+            return original_part_row(self, fingerprint, code_aware)
+
+        monkeypatch.setattr(TaskQueue, "part_row", missing_on_first_read)
+        events, fingerprints = self._follow(tmp_path / "f", timeout_s=60)
+        assert sorted(hidden) == fingerprints
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+
+    def test_follow_with_expect_times_out_on_a_lost_line(self, tmp_path, monkeypatch):
+        # The stream cannot know a lost line's fingerprint; with ``expect``
+        # it reports a timeout rather than a short done.
+        drop_first_manifest_line(monkeypatch)
+        events, _ =self._follow(tmp_path / "f", expect=2, timeout_s=0.5)
+        assert events[-1][0] == "timeout" and events[-1][1]["completed"] == 1
 
 
 class TestSpoolNamesAreFingerprints:
@@ -766,7 +987,9 @@ class TestSpoolNamesAreFingerprints:
         assert queue.part_row(self.TRAVERSAL) is None
         assert queue.part_row(task.fingerprint) is not None
 
-    def test_tail_skips_foreign_manifest_lines_and_files(self, tmp_path):
+    def test_tail_skips_foreign_manifest_lines_and_files(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
         from repro.experiments.queue import PartsTail
 
         queue = TaskQueue(tmp_path / "q")
@@ -777,9 +1000,20 @@ class TestSpoolNamesAreFingerprints:
             handle.write(f"{real}\n")
             handle.write(real[:40])                  # truncated trailing line
         (queue.parts_dir / "README.json").write_text("{}")
+        # The tail opens the manifest and nothing else, and lists no
+        # directory: a stray file in parts/ is never read.
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr("repro.experiments.queue.open", recording_open, raising=False)
+        monkeypatch.setattr(Path, "glob", lambda self, pattern: pytest.fail(f"listed {self}"))
         tail = PartsTail(queue)
-        assert tail.poll(force_scan=True) == [real]
-        assert tail.poll(force_scan=True) == []
+        assert tail.poll() == [real]
+        assert tail.poll() == []
+        assert set(opened) == {queue.manifest_path}
 
     def test_claim_and_reclaim_skip_foreign_files(self, tmp_path):
         queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
