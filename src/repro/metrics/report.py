@@ -34,6 +34,7 @@ __all__ = [
     "format_aggregate_table",
     "format_incast_table",
     "format_tail_cdf",
+    "label_rows",
     "load_cached_rows",
     "render_cache_report",
     "render_rows_report",
@@ -190,7 +191,6 @@ def load_cached_rows(directory: str, code_aware: bool = True) -> "Dict[str, Resu
     same preset run at two flow counts) are all kept, disambiguated by a
     config-fingerprint suffix rather than silently collapsed.
     """
-    from collections import Counter
     from pathlib import Path
 
     from repro.experiments.sweep import ResultCache
@@ -199,7 +199,16 @@ def load_cached_rows(directory: str, code_aware: bool = True) -> "Dict[str, Resu
     # so a mistyped path fails visibly instead of leaving an empty dir.
     if not Path(directory).is_dir():
         return {}
-    rows = ResultCache(directory, code_aware=code_aware).rows()
+    # ``rows()`` is already in label order.
+    return label_rows(ResultCache(directory, code_aware=code_aware).rows())
+
+
+def label_rows(rows: "Sequence[ResultRow]") -> "Dict[str, ResultRow]":
+    """``rows``, given in label order, keyed by label; a label shared by
+    distinct configs gets a config-fingerprint suffix on each of its rows.
+    The key set and order of :func:`load_cached_rows`."""
+    from collections import Counter
+
     label_counts = Counter(row.label for row in rows)
     return {
         row.label if label_counts[row.label] == 1 else f"{row.label} [{row.fingerprint[:8]}]": row

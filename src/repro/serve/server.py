@@ -4,12 +4,13 @@ Every figure/table the paper grid produces becomes *a URL*: a long-lived
 :class:`~http.server.ThreadingHTTPServer` process (stdlib only, zero new
 dependencies) exposes the warm :class:`~repro.experiments.sweep.ResultCache`
 and :class:`~repro.metrics.partial.PartialAggregator` over JSON, so the
-read path is a cache lookup plus an in-process aggregate reuse -- never a
-simulation.  Start it with::
+read path is a stat of the cache plus a stored body -- never a simulation.
+Start it with::
 
     python -m repro serve .sweep-cache/fig1 [--queue-dir DIR --port N]
 
-Endpoints (all JSON; ``?format=text`` re-renders through the exact
+Endpoints (all one-line JSON -- pipe through ``python -m json.tool`` to
+read it; ``?format=text`` re-renders through the exact
 :mod:`repro.metrics.report` / catalog formatters the offline CLIs use, so
 the text bodies are byte-identical to their command-line counterparts):
 
@@ -38,14 +39,16 @@ Consistency contract
   as current: ``/cells`` answers **409 Conflict**, aggregates exclude such
   rows (reporting a ``stale_rows`` count) and answer 409 outright when
   nothing fresh remains.  ``--any-code`` opts out (archived result dirs).
-* **Warm aggregates.**  Aggregate tables -- and the parsed rows behind
-  the ``?format=text`` and ``/cdf`` renderings -- are computed once and
-  reused across requests; validity is re-checked per request against a
-  cheap stat-based cache
-  :meth:`~repro.experiments.sweep.ResultCache.signature` (plus the code
-  fingerprint), so a row landing in the cache -- e.g. from a worker machine
-  writing through the shared directory -- invalidates the warm copy
-  immediately without the server watching anything.
+* **Warm bodies.**  One store per cache state -- the cheap stat-based
+  :meth:`~repro.experiments.sweep.ResultCache.signature` plus the code
+  fingerprint, re-taken on every request -- holds one parse of the cache,
+  the aggregate records, and the encoded bodies of ``/aggregate`` (JSON and
+  every text form) and ``/cdf`` (text, and JSON at the default tail).  A
+  warm request is a stat and a dict lookup.  A row landing in the cache --
+  e.g. from a worker machine writing through the shared directory -- moves
+  the state, and the next request starts an empty store, without the
+  server watching anything.  Error answers and non-default ``/cdf`` tails
+  are never stored, so the store is bounded by scenarios x forms.
 * **Bit-identical parity.**  Aggregate records equal the offline batch
   ``spec.aggregate(spec.sweep(...))`` output bit for bit: cached rows are
   re-sorted into the canonical batch absorption order
@@ -60,17 +63,22 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple, Union,
+)
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.experiments.queue import TaskQueue
 from repro.experiments.spec import ScenarioSpec
 from repro.experiments.sweep import ResultCache, code_fingerprint, is_fingerprint
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
-from repro.metrics.report import format_tail_cdf, load_cached_rows, render_rows_report
+from repro.metrics.report import format_tail_cdf, label_rows, render_rows_report
 from repro.registry import UnknownNameError
 from repro.serve import DEFAULT_PORT, add_serve_arguments
 from repro.serve.catalog import catalog_entries, format_catalog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.results import ResultRow
 
 __all__ = [
     "DEFAULT_PORT",
@@ -82,9 +90,15 @@ __all__ = [
     "make_server",
 ]
 
-#: Most tail-CDF points one ``/cdf`` request may ask for (the default is 12;
-#: the body and the request thread's time both grow linearly with it).
+#: The ``/cdf`` tail by default: from the 90th percentile, 12 points.
+CDF_START = 0.90
+CDF_POINTS = 12
+#: Most tail-CDF points one ``/cdf`` request may ask for (the body and the
+#: request thread's time both grow linearly with it).
 MAX_CDF_POINTS = 1000
+
+JSON_TYPE = "application/json; charset=utf-8"
+TEXT_TYPE = "text/plain; charset=utf-8"
 
 
 class ServiceError(Exception):
@@ -96,13 +110,50 @@ class ServiceError(Exception):
         self.payload: Dict[str, Any] = {"error": message, **extra}
 
 
+def _json_body(payload: Any) -> bytes:
+    # No ``indent``: only the one-line form runs on ``json``'s C encoder.
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _text_body(text: str) -> bytes:
+    # Trailing newline matches the CLIs' final ``print`` byte for byte.
+    return (text + "\n").encode("utf-8")
+
+
+#: What one cache state's store holds under a key: anything built from
+#: that state (see :meth:`ResultsService._view`).
+Store = Dict[Hashable, Any]
+
+
+def _memo(store: Store, key: Hashable, build: Callable[[], Any]) -> Tuple[Any, bool]:
+    """``(value, warm)``: ``store[key]``, or ``build()`` stored under it.
+    A build that raises stores nothing, so no error answer is ever warm."""
+    if key in store:
+        return store[key], True
+    return store.setdefault(key, build()), False
+
+
+class _Scan(NamedTuple):
+    """Every cache file parsed once, for everything built under one state."""
+
+    #: Rows a reader may serve as current, in fingerprint order.
+    current: List["ResultRow"]
+    #: Rows written by a different source tree (code-aware services only).
+    stale: List["ResultRow"]
+    #: ``current`` keyed and ordered as the report CLI's loader keys them.
+    labelled: Dict[str, "ResultRow"]
+
+
 class ResultsService:
     """The HTTP-agnostic read model: catalog, aggregates, CDFs, raw cells.
 
     All public methods are thread-safe (the handler runs one thread per
-    request); the only shared mutable state is the warm-aggregate map,
-    guarded by a lock.  Raises :class:`ServiceError` for every client-
-    visible failure so the transport layer maps it to a status uniformly.
+    request); the only shared mutable state is the warm store, swapped
+    under a lock.  Raises :class:`ServiceError` for every client-visible
+    failure so the transport layer maps it to a status uniformly.  The
+    ``*_body`` methods answer the HTTP routes with encoded bytes.  For
+    in-process callers, :meth:`aggregate` returns the stored records and
+    :meth:`aggregate_text` / :meth:`cdf` decode their bodies.
     """
 
     def __init__(
@@ -121,13 +172,26 @@ class ResultsService:
         #: ``/cells`` can serve parts not yet in the cache.
         self.queue = TaskQueue(queue_dir) if queue_dir is not None else None
         self._lock = threading.Lock()
-        #: scenario name -> (cache signature, code fingerprint, response).
-        self._warm: Dict[str, Tuple[Any, str, Dict[str, Any]]] = {}
-        #: (cache signature, code fingerprint, label -> row): the report
-        #: loader's view of the whole cache, valid under the same key as the
-        #: warm aggregates.  Rows are never mutated, so requests share them
-        #: (and the digests each row rebuilds once, on first use).
-        self._warm_rows: Optional[Tuple[Any, str, Dict[str, Any]]] = None
+        #: The warm store: the cache state, ``(cache signature, code
+        #: fingerprint)``, and what was built under it -- the one scan,
+        #: aggregate records, encoded bodies.  Rows are never mutated, so
+        #: requests share them (and the digests each row rebuilds once).
+        self._state: Optional[Tuple[Any, str]] = None
+        self._store: Store = {}
+
+    def _view(self) -> Store:
+        """The store of the cache's current state.
+
+        A moved state starts a new, empty store instead of clearing the old
+        one, so a build still running for the old state cannot write into
+        it.  The state is taken *before* anything is built from it: a row
+        landing mid-build moves the state, and the next request rebuilds.
+        """
+        state = (self.cache.signature(), code_fingerprint())
+        with self._lock:
+            if state != self._state:
+                self._state, self._store = state, {}
+            return self._store
 
     # ------------------------------------------------------------------
     # Catalog
@@ -170,106 +234,130 @@ class ResultsService:
     # ------------------------------------------------------------------
     # Rows
     # ------------------------------------------------------------------
-    def _scenario_rows(self, spec: ScenarioSpec, names: List[str]):
-        """``(fresh_rows, stale_count)`` for the scenario's cached rows."""
-        wanted = set(names)
-        fresh, stale = [], 0
-        for entry in self.cache.scan():
-            if entry.row is None or entry.row.name not in wanted:
-                continue
-            if self.code_aware and entry.stale_code:
-                stale += 1
-            else:
-                fresh.append(entry.row)
-        return fresh, stale
+    def _scan(self, store: Store) -> _Scan:
+        """The state's one parse of the cache, behind every aggregate,
+        report and CDF built under it."""
 
-    def scenario_report_rows(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        """Label -> row for the scenario, built through the *report CLI's*
-        loader (same ordering, same duplicate-label disambiguation), so the
-        text rendering over these rows matches the CLI byte for byte."""
+        def build() -> _Scan:
+            current, stale = [], []
+            for entry in self.cache.scan():
+                if entry.row is not None:
+                    stale_code = self.code_aware and entry.stale_code
+                    (stale if stale_code else current).append(entry.row)
+            by_label = sorted(current, key=lambda row: row.label)  # as ``cache.rows()``
+            return _Scan(current, stale, label_rows(by_label))
+
+        return _memo(store, "scan", build)[0]
+
+    def _scenario_rows(self, store: Store, names: List[str]) -> Tuple[List["ResultRow"], int]:
+        """``(fresh_rows, stale_count)`` for the scenario's cached rows."""
+        scan = self._scan(store)
+        wanted = set(names)
+        fresh = [row for row in scan.current if row.name in wanted]
+        return fresh, sum(row.name in wanted for row in scan.stale)
+
+    def _report_rows(self, store: Store, spec: ScenarioSpec) -> Dict[str, "ResultRow"]:
+        """Label -> row for the scenario, keyed as the *report CLI's* loader
+        keys them (same ordering, same duplicate-label disambiguation), so
+        the text rendering over these rows matches the CLI byte for byte."""
         wanted = set(self.cell_names(spec))
-        signature = self.cache.signature()
-        code = code_fingerprint()
-        with self._lock:
-            warm = self._warm_rows
-        if warm is None or warm[0] != signature or warm[1] != code:
-            # Keyed by the signature taken *before* the read: a row landing
-            # in between is loaded now and reloaded by the next request.
-            warm = (signature, code,
-                    load_cached_rows(self.cache_dir, code_aware=self.code_aware))
-            with self._lock:
-                self._warm_rows = warm
-        return {label: row for label, row in warm[2].items() if row.name in wanted}
+        return {
+            label: row for label, row in self._scan(store).labelled.items()
+            if row.name in wanted
+        }
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    # Every stored key names the scenario by ``spec.name``, never by the
+    # URL segment: lookups ignore case, so keying by the segment would
+    # store one copy per spelling.
+    def _aggregate(self, store: Store, spec: ScenarioSpec) -> Tuple[Dict[str, Any], bool]:
+        """``(response, warm)``; the stored response says ``"warm": false``."""
+        name = spec.name
+
+        def build() -> Dict[str, Any]:
+            names = self.cell_names(spec)
+            fresh, stale = self._scenario_rows(store, names)
+            if not fresh:
+                if stale:
+                    raise ServiceError(
+                        409,
+                        f"every cached row for scenario {name!r} was written by a "
+                        "different simulator version; re-run the sweep to refresh "
+                        "(or serve with --any-code)",
+                        stale_rows=stale,
+                        code=code_fingerprint(),
+                    )
+                raise ServiceError(
+                    404,
+                    f"no cached rows for scenario {name!r} in {self.cache_dir}",
+                    hint=f"warm the cache with: python -m repro run {name} "
+                         f"--cache {self.cache_dir}",
+                )
+            ordered = rows_in_batch_order(fresh, names)
+            records = PartialAggregator(spec.aggregate_by).add_all(ordered).snapshot()
+            return {
+                "scenario": spec.name,
+                "aggregate_by": list(spec.aggregate_by),
+                "replica_rows": len(ordered),
+                "stale_rows": stale,
+                "code": code_fingerprint(),
+                "warm": False,
+                "records": records,
+            }
+
+        return _memo(store, ("aggregate", name), build)
+
     def aggregate(self, name: str) -> Dict[str, Any]:
         """The scenario's pooled per-cell aggregate records (warm-reused).
 
         Bit-identical to ``spec.aggregate(spec.sweep(...))`` over the same
         rows: fresh cached rows are absorbed in canonical batch order.
         """
-        spec = self.spec(name)
-        signature = self.cache.signature()
-        code = code_fingerprint()
-        with self._lock:
-            warm = self._warm.get(spec.name)
-            if warm is not None and warm[0] == signature and warm[1] == code:
-                response = dict(warm[2])
-                response["warm"] = True
-                return response
+        response, warm = self._aggregate(self._view(), self.spec(name))
+        return {**response, "warm": warm}
 
-        names = self.cell_names(spec)
-        fresh, stale = self._scenario_rows(spec, names)
-        if not fresh:
-            if stale:
-                raise ServiceError(
-                    409,
-                    f"every cached row for scenario {name!r} was written by a "
-                    "different simulator version; re-run the sweep to refresh "
-                    "(or serve with --any-code)",
-                    stale_rows=stale,
-                    code=code,
-                )
-            raise ServiceError(
-                404,
-                f"no cached rows for scenario {name!r} in {self.cache_dir}",
-                hint=f"warm the cache with: python -m repro run {name} "
-                     f"--cache {self.cache_dir}",
-            )
-        ordered = rows_in_batch_order(fresh, names)
-        records = PartialAggregator(spec.aggregate_by).add_all(ordered).snapshot()
-        response = {
-            "scenario": spec.name,
-            "aggregate_by": list(spec.aggregate_by),
-            "replica_rows": len(ordered),
-            "stale_rows": stale,
-            "code": code,
-            "warm": False,
-            "records": records,
-        }
-        with self._lock:
-            self._warm[spec.name] = (signature, code, response)
-        return dict(response)
+    def aggregate_body(self, name: str) -> bytes:
+        """:meth:`aggregate` as a JSON body, encoded once per cache state.
+
+        A miss encodes both envelopes: this answer's, and the stored
+        ``"warm": true`` one that every later request in the state gets.
+        """
+        spec, store = self.spec(name), self._view()
+        key = ("body", "aggregate", spec.name)
+        if key in store:
+            return store[key]
+        response, warm = self._aggregate(store, spec)
+        stored = store.setdefault(key, _json_body({**response, "warm": True}))
+        return stored if warm else _json_body(response)
 
     def aggregate_text(self, name: str, cdf: bool = False) -> str:
         """The offline-report rendering of the scenario's cached rows.
 
         Byte-identical to ``python -m repro.metrics.report <cache-dir>``
         (plus ``--cdf``) whenever the cache holds exactly this scenario's
-        rows -- same loader, same renderer, same title string.
+        rows -- same row keys, same renderer, same title string.
         """
-        self.aggregate(name)  # enforce 404/409 semantics + warm the records
-        spec = self.spec(name)
-        return render_rows_report(self.scenario_report_rows(spec), self.cache_dir, cdf=cdf)
+        return self.aggregate_text_body(name, cdf).decode("utf-8")[:-1]
+
+    def aggregate_text_body(self, name: str, cdf: bool = False) -> bytes:
+        """:meth:`aggregate_text` as a body, encoded once per cache state."""
+        spec, store = self.spec(name), self._view()
+
+        def render() -> bytes:
+            self._aggregate(store, spec)  # enforce 404/409 semantics + warm the records
+            rows = self._report_rows(store, spec)
+            return _text_body(render_rows_report(rows, self.cache_dir, cdf=cdf))
+
+        return _memo(store, ("body", "aggregate_text", spec.name, cdf), render)[0]
 
     # ------------------------------------------------------------------
     # Tail CDFs
     # ------------------------------------------------------------------
-    def _cdf_rows(self, name: str):
-        spec = self.spec(name)
-        rows = self.scenario_report_rows(spec)
+    def _cdf_rows(self, store: Store, spec: ScenarioSpec):
+        name = spec.name
+        rows = self._report_rows(store, spec)
         plottable = [
             (label, row, row.single_packet_distribution)
             for label, row in rows.items()
@@ -280,7 +368,7 @@ class ResultsService:
             if digest is not None and digest.count
         ]
         if not plottable:
-            fresh, stale = self._scenario_rows(spec, self.cell_names(spec))
+            fresh, stale = self._scenario_rows(store, self.cell_names(spec))
             if not fresh and stale:
                 raise ServiceError(
                     409,
@@ -292,41 +380,61 @@ class ResultsService:
                 404,
                 f"no single-packet latency digests cached for scenario {name!r}",
             )
-        return spec, plottable
+        return plottable
 
-    def cdf(self, name: str, start_fraction: float = 0.90, points: int = 12) -> Dict[str, Any]:
+    def cdf(
+        self, name: str, start_fraction: float = CDF_START, points: int = CDF_POINTS
+    ) -> Dict[str, Any]:
         """Tail-CDF points per cached row, from the stored quantile digests."""
-        spec, plottable = self._cdf_rows(name)
-        cells = [
-            {
-                "label": label,
-                "name": row.name,
-                "fingerprint": row.fingerprint,
-                "count": digest.count,
-                "points": [
-                    [value, fraction]
-                    for value, fraction in digest.tail_cdf(start_fraction, points)
-                ],
-            }
-            for label, row, digest in plottable
-        ]
-        return {
-            "scenario": spec.name,
-            "start_fraction": start_fraction,
-            "points": points,
-            "cells": cells,
-        }
+        return json.loads(self.cdf_body(name, start_fraction, points))
 
-    def cdf_text(self, name: str) -> str:
-        """The CLI's ``--cdf`` plot blocks (and only those), one per row."""
-        _, plottable = self._cdf_rows(name)
-        return "\n\n".join(
-            format_tail_cdf(
-                digest,
-                title=f"{label}: single-packet latency tail ({digest.count} msgs)",
-            )
-            for label, _row, digest in plottable
-        )
+    def cdf_body(
+        self, name: str, start_fraction: float = CDF_START, points: int = CDF_POINTS
+    ) -> bytes:
+        """:meth:`cdf` as a JSON body.  Only the default tail's is stored,
+        so no choice of ``?start=`` / ``?points=`` grows the store."""
+        spec, store = self.spec(name), self._view()
+
+        def render() -> bytes:
+            cells = [
+                {
+                    "label": label,
+                    "name": row.name,
+                    "fingerprint": row.fingerprint,
+                    "count": digest.count,
+                    "points": [
+                        [value, fraction]
+                        for value, fraction in digest.tail_cdf(start_fraction, points)
+                    ],
+                }
+                for label, row, digest in self._cdf_rows(store, spec)
+            ]
+            return _json_body({
+                "scenario": spec.name,
+                "start_fraction": start_fraction,
+                "points": points,
+                "cells": cells,
+            })
+
+        if (start_fraction, points) != (CDF_START, CDF_POINTS):
+            return render()
+        return _memo(store, ("body", "cdf", spec.name), render)[0]
+
+    def cdf_text_body(self, name: str) -> bytes:
+        """The CLI's ``--cdf`` plot blocks (and only those), one per row,
+        as a body encoded once per cache state."""
+        spec, store = self.spec(name), self._view()
+
+        def render() -> bytes:
+            return _text_body("\n\n".join(
+                format_tail_cdf(
+                    digest,
+                    title=f"{label}: single-packet latency tail ({digest.count} msgs)",
+                )
+                for label, _row, digest in self._cdf_rows(store, spec)
+            ))
+
+        return _memo(store, ("body", "cdf_text", spec.name), render)[0]
 
     # ------------------------------------------------------------------
     # Raw cells
@@ -391,12 +499,10 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, status: int, payload: Any) -> None:
-        body = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
-        self._send_body(status, body, "application/json; charset=utf-8")
+        self._send_body(status, _json_body(payload), JSON_TYPE)
 
     def _send_text(self, status: int, text: str) -> None:
-        # Trailing newline matches the CLIs' final ``print`` byte for byte.
-        self._send_body(status, (text + "\n").encode("utf-8"), "text/plain; charset=utf-8")
+        self._send_body(status, _text_body(text), TEXT_TYPE)
 
     # -- routing --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
@@ -449,26 +555,26 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         if endpoint == "aggregate":
             if text:
-                self._send_text(
-                    200, self.service.aggregate_text(name, cdf=_flag(params, "cdf"))
-                )
+                body = self.service.aggregate_text_body(name, cdf=_flag(params, "cdf"))
+                self._send_body(200, body, TEXT_TYPE)
             else:
-                self._send_json(200, self.service.aggregate(name))
+                self._send_body(200, self.service.aggregate_body(name), JSON_TYPE)
         elif endpoint == "cdf":
             if text:
-                self._send_text(200, self.service.cdf_text(name))
+                self._send_body(200, self.service.cdf_text_body(name), TEXT_TYPE)
             else:
-                self._send_json(200, self.service.cdf(
+                self._send_body(200, self.service.cdf_body(
                     name,
                     start_fraction=_number(
-                        params, "start", 0.90, lambda v: 0 <= v < 1, "a number in [0, 1)"
+                        params, "start", CDF_START, lambda v: 0 <= v < 1,
+                        "a number in [0, 1)",
                     ),
                     points=int(_number(
-                        params, "points", 12,
+                        params, "points", CDF_POINTS,
                         lambda v: v.is_integer() and 2 <= v <= MAX_CDF_POINTS,
                         f"an integer from 2 to {MAX_CDF_POINTS}",
                     )),
-                ))
+                ), JSON_TYPE)
         elif endpoint == "follow":
             self._stream_follow(name, params)
         else:

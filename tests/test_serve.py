@@ -1,5 +1,5 @@
 """Results-service tests: endpoint schemas, byte-for-byte text parity with
-the offline CLIs, warm-aggregate invalidation, the zero-simulation
+the offline CLIs, warm bodies and their invalidation, the zero-simulation
 guarantee, stale-code 409s, concurrent readers, and live follow streams
 over a real multi-worker queue drain."""
 
@@ -284,32 +284,184 @@ class TestCdf:
         assert "single-packet latency tail" in body.decode()
 
 
-class TestWarmReportRows:
-    """``?format=text`` and ``/cdf`` render from parsed rows kept under the
-    warm aggregate's ``(cache signature, code)`` key: an unchanged cache is
-    not re-read, a changed one is never served stale."""
+@pytest.fixture()
+def private(warm, tmp_path):
+    """A service over a private copy of the warm cache, and that cache."""
+    import shutil
 
-    @pytest.fixture()
-    def private(self, warm, tmp_path):
-        """A service over a private copy of the warm cache, plus a count of
-        row files parsed (every reader goes through ``_read_entry``)."""
-        import shutil
+    cache_dir = str(tmp_path / "cache")
+    shutil.copytree(warm[0], cache_dir)
+    return ResultsService(cache_dir), ResultCache(cache_dir)
 
-        cache_dir = str(tmp_path / "cache")
-        shutil.copytree(warm[0], cache_dir)
-        return ResultsService(cache_dir), ResultCache(cache_dir)
 
-    @pytest.fixture()
-    def reads(self, monkeypatch):
-        parsed = []
+@pytest.fixture()
+def reads(monkeypatch):
+    """Names of the row files parsed (every reader goes through
+    ``_read_entry``)."""
+    parsed = []
+    read_entry = ResultCache._read_entry
+
+    def counting(self, path):
+        parsed.append(path.name)
+        return read_entry(self, path)
+
+    monkeypatch.setattr(ResultCache, "_read_entry", counting)
+    return parsed
+
+
+@pytest.fixture()
+def private_server(private):
+    """A running server over the ``private`` cache copy."""
+    srv = make_server(private[0].cache_dir, port=0, quiet=True)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def rewrite_row(cache, row):
+    """Rewrite ``row`` in ``cache`` with its ``avg_slowdown`` set to 98.75."""
+    cache.put(type(row).from_dict({**row.to_dict(), "avg_slowdown": 98.75}))
+
+
+#: Every stored body form: ``(method, args)`` on :class:`ResultsService`.
+BODY_FORMS = [
+    ("aggregate_body", ()),
+    ("aggregate_text_body", (False,)),
+    ("aggregate_text_body", (True,)),
+    ("cdf_body", ()),
+    ("cdf_text_body", ()),
+]
+
+
+def bodies(service, name="serve_tiny"):
+    return [getattr(service, method)(name, *args) for method, args in BODY_FORMS]
+
+
+def stored_bodies(service):
+    return [key for key in service._store if key[0] == "body"]
+
+
+class TestWarmBodies:
+    """One store per cache state holds the encoded bodies: a warm request
+    is byte-identical to a fresh build, any move of the state rebuilds,
+    and nothing but a successful default-form body is ever stored."""
+
+    def test_warm_body_is_byte_identical_to_a_fresh_one(self, private, reads):
+        service, cache = private
+        cold = bodies(service)
+        del reads[:]
+        warm = bodies(service)
+        assert reads == []
+        assert len(stored_bodies(service)) == len(BODY_FORMS)
+        fresh = bodies(ResultsService(service.cache_dir))
+        assert b'"warm": false' in cold[0] and b'"warm": false' in fresh[0]
+        assert warm[0] == fresh[0].replace(b'"warm": false', b'"warm": true')
+        assert warm[1:] == fresh[1:] == cold[1:]
+        assert json.loads(warm[0])["records"] == service.aggregate("serve_tiny")["records"]
+
+    @pytest.mark.parametrize("move", ["utime", "put", "code"])
+    def test_a_moved_state_rebuilds_every_body(self, private, reads, monkeypatch, move):
+        service, cache = private
+        # --any-code, so a code change rebuilds 200s instead of answering 409.
+        service = ResultsService(service.cache_dir, code_aware=False)
+        before = bodies(service)
+        victim = cache.rows()[0]
+        if move == "utime":
+            path = cache.path_for(victim.fingerprint)
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        elif move == "put":
+            rewrite_row(cache, victim)
+        else:
+            monkeypatch.setattr(
+                "repro.experiments.sweep._CODE_FINGERPRINT", "pretend-code-changed"
+            )
+        del reads[:]
+        after = bodies(service)
+        assert len(reads) == len(cache)  # one scan for every form
+        assert json.loads(after[0])["warm"] is False
+        assert after == bodies(ResultsService(service.cache_dir, code_aware=False))
+        if move == "put":
+            assert b"98.75" in after[1] and b"98.75" not in before[1]
+        if move == "code":
+            assert json.loads(after[0])["code"] == "pretend-code-changed"
+
+    def test_error_answers_are_never_stored(self, private_server, monkeypatch):
+        srv = private_server
+        for path, status in [
+            ("/scenarios/nope/aggregate", 404),
+            ("/scenarios/nope/cdf", 404),
+            ("/scenarios/fig1/aggregate?format=text", 404),  # no rows cached
+            ("/scenarios/fig1/cdf?format=text", 404),
+            ("/scenarios/serve_tiny/cdf?points=1", 400),
+            ("/scenarios/serve_tiny/cdf?start=abc", 400),
+        ]:
+            for _ in range(2):
+                assert get(srv, path)[0] == status, path
+        assert stored_bodies(srv.service) == []
+        monkeypatch.setattr(
+            "repro.experiments.sweep._CODE_FINGERPRINT", "pretend-code-changed"
+        )
+        for query in ("", "?format=text", "?format=text&cdf=1"):
+            for _ in range(2):
+                assert get(srv, f"/scenarios/serve_tiny/aggregate{query}")[0] == 409
+        assert get(srv, "/scenarios/serve_tiny/cdf")[0] == 409
+        assert stored_bodies(srv.service) == []
+        assert not any(key[0] == "aggregate" for key in srv.service._store)
+
+    def test_row_written_during_a_build_shows_on_the_next_request(
+        self, private, monkeypatch
+    ):
+        service, cache = private
         read_entry = ResultCache._read_entry
+        rewritten = []
 
-        def counting(self, path):
-            parsed.append(path.name)
-            return read_entry(self, path)
+        def racing(self, path):
+            entry = read_entry(self, path)
+            if not rewritten:  # after the build read the old row
+                rewritten.append(entry.row)
+                rewrite_row(cache, entry.row)
+            return entry
 
-        monkeypatch.setattr(ResultCache, "_read_entry", counting)
-        return parsed
+        monkeypatch.setattr(ResultCache, "_read_entry", racing)
+        first = service.aggregate_text_body("serve_tiny")
+        assert rewritten and b"98.75" not in first
+        assert b"98.75" in service.aggregate_text_body("serve_tiny")
+
+    def test_every_spelling_of_a_name_shares_one_body(self, private_server):
+        """Scenario lookups ignore case: the store keys the canonical name,
+        so no spelling of it a client sends adds a body."""
+        srv = private_server
+        service = srv.service
+        canonical = bodies(service)
+        size = len(service._store)
+        for name in ("SERVE_TINY", "Serve_Tiny", "serve_TINY"):
+            assert bodies(service, name) == [
+                body.replace(b'"warm": false', b'"warm": true') for body in canonical
+            ]
+            for query in ("", "?format=text", "?format=text&cdf=1"):
+                assert get(srv, f"/scenarios/{name}/aggregate{query}")[0] == 200
+            for query in ("", "?format=text"):
+                assert get(srv, f"/scenarios/{name}/cdf{query}")[0] == 200
+        assert len(service._store) == size
+        assert len(stored_bodies(service)) == len(BODY_FORMS)
+
+    def test_non_default_cdf_tails_are_not_stored(self, private_server):
+        srv = private_server
+        assert get(srv, "/scenarios/serve_tiny/cdf")[0] == 200
+        size = len(srv.service._store)
+        for index in range(50):
+            start = 0.5 + index / 100
+            status, payload = get_json(srv, f"/scenarios/serve_tiny/cdf?start={start}")
+            assert status == 200 and payload["start_fraction"] == start
+        assert len(srv.service._store) == size
+
+
+class TestWarmReportRows:
+    """``?format=text`` and ``/cdf`` render from the one scan kept in the
+    ``(cache signature, code)`` state's store: an unchanged cache is not
+    re-read, a changed one is never served stale."""
 
     def report_cli(self, cache_dir, capsys, *flags):
         from repro.metrics.report import main as report_main
@@ -321,12 +473,12 @@ class TestWarmReportRows:
     def test_unchanged_cache_is_not_read_again(self, private, reads, capsys):
         service, cache = private
         first = service.aggregate_text("serve_tiny", cdf=True)
-        assert len(reads) == 2 * len(cache)  # the aggregate's scan + the loader
+        assert len(reads) == len(cache)  # one scan feeds the aggregate and the report
         del reads[:]
         assert service.aggregate_text("serve_tiny", cdf=True) == first
         assert service.aggregate_text("serve_tiny") in first
         assert service.cdf("serve_tiny")["cells"]
-        assert service.cdf_text("serve_tiny") in first
+        assert service.cdf_text_body("serve_tiny").decode()[:-1] in first
         assert reads == []
         assert first + "\n" == self.report_cli(service.cache_dir, capsys, "--cdf")
 
@@ -335,8 +487,7 @@ class TestWarmReportRows:
         before_text = service.aggregate_text("serve_tiny")
         before_cdf = service.cdf("serve_tiny")
 
-        victim = cache.rows()[0]
-        cache.put(type(victim).from_dict({**victim.to_dict(), "avg_slowdown": 98.75}))
+        rewrite_row(cache, cache.rows()[0])
         rewritten = service.aggregate_text("serve_tiny")
         assert rewritten != before_text and "98.75" in rewritten
         assert rewritten + "\n" == self.report_cli(service.cache_dir, capsys)

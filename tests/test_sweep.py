@@ -150,6 +150,57 @@ class TestResultRow:
         assert clone.fct_digest == row.fct_digest
         assert clone.fct_percentile(0.999) == row.fct_percentile(0.999)
 
+    @pytest.fixture(scope="class", params=["all_digests", "no_digests"])
+    def digest_row(self, request):
+        """A row with all eight digest fields set (exact-mode and
+        bucket-mode payloads, whose bucket pairs are nested lists), or with
+        every one of them ``None``."""
+        from repro.metrics.sketch import QuantileDigest
+
+        def payload(samples, max_exact):
+            digest = QuantileDigest(max_exact=max_exact)
+            for value in samples:
+                digest.add(value)
+            return digest.to_dict()
+
+        row = run_experiment(tiny_config()).to_row()
+        digests = [name for name in row.to_dict() if name.endswith("_digest")]
+        assert len(digests) == 8
+        exact = payload([0.5, 1.5, 2.5], max_exact=16)
+        bucketed = payload([0.001 * n for n in range(1, 200)], max_exact=8)
+        assert exact["exact"] and bucketed["buckets"]
+        if request.param == "no_digests":
+            return ResultRow.from_dict({**row.to_dict(), **dict.fromkeys(digests)})
+        return ResultRow.from_dict({
+            **row.to_dict(),
+            **{name: (exact, bucketed)[index % 2] for index, name in enumerate(digests)},
+        })
+
+    def test_to_dict_equals_asdict(self, digest_row):
+        import dataclasses
+        import json
+
+        data = digest_row.to_dict()
+        reference = dataclasses.asdict(digest_row)
+        assert data == reference
+        assert json.dumps(data, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        assert list(data) == [field.name for field in dataclasses.fields(ResultRow)]
+
+    def test_to_dict_digests_are_copies(self, digest_row):
+        import copy
+
+        before = copy.deepcopy(digest_row.to_dict())
+        data = digest_row.to_dict()
+        for name, value in data.items():
+            if isinstance(value, dict):
+                value["count"] = -1
+                for item in value.values():
+                    if isinstance(item, list):
+                        item.append(99.0)
+                        if isinstance(item[0], list):
+                            item[0][1] = -7
+        assert digest_row.to_dict() == before
+
     def test_rows_stay_hashable_despite_digest_payloads(self):
         # The digest dicts are excluded from __hash__ (dicts are unhashable)
         # but still participate in equality.
