@@ -12,7 +12,7 @@ Scenarios execute through :func:`repro.experiments.sweep.run_sweep`, which
 fans the independent cells of a figure out across worker processes and hands
 back flat :class:`ResultRow` records -- including the quantile digests that
 distributional benchmarks (Figure 8's tail CDF) assert against, so no
-benchmark needs the heavyweight in-process path anymore.  Set
+benchmark needs the collector an in-process result keeps.  Set
 ``REPRO_BENCH_WORKERS=1`` to force the serial path (results are bit-identical
 either way).  Benchmarks pass no cache by default -- the wall-clock
 measurement must time real simulator runs -- but ``REPRO_BENCH_CACHE=<dir>``
@@ -25,19 +25,14 @@ here only add ``print`` so ``pytest -s`` shows the tables.
 from __future__ import annotations
 
 import os
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
-from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweep import aggregate_rows, run_sweep
 from repro.metrics.report import format_metric_table, format_ratio_table
-
-#: The printing/assertion helpers only touch the surface the two result
-#: types share (summary, drop_rate, fabric counters, completion_fraction).
-AnyResult = Union[ResultRow, ExperimentResult]
 
 #: Flow count used by benchmark scenarios (smaller than the library default
 #: so the full suite of ~20 benchmarks finishes in minutes).
@@ -80,7 +75,7 @@ def aggregate_by_scheme(
     return {label: by_name[config.name] for label, config in base_configs.items()}
 
 
-def print_metric_table(title: str, results: Dict[str, AnyResult]) -> None:
+def print_metric_table(title: str, results: Dict[str, ResultRow]) -> None:
     """Print the paper's three metrics for each scheme."""
     print()
     print(format_metric_table(title, results))
@@ -88,14 +83,14 @@ def print_metric_table(title: str, results: Dict[str, AnyResult]) -> None:
 
 def print_ratio_rows(
     title: str,
-    rows: Dict[str, Dict[str, AnyResult]],
+    rows: Dict[str, Dict[str, ResultRow]],
 ) -> None:
     """Print appendix-style rows: IRN absolute values plus the two ratios."""
     print()
     print(format_ratio_table(title, rows))
 
 
-def assert_all_completed(results: Dict[str, AnyResult]) -> None:
+def assert_all_completed(results: Dict[str, ResultRow]) -> None:
     """Every injected flow must have finished within the simulated horizon."""
     for label, result in results.items():
         assert result.completion_fraction() == pytest.approx(1.0), (

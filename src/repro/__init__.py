@@ -33,6 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "__version__": "repro.version",
     "Simulator": "repro.sim.engine",
     "ExperimentConfig": "repro.experiments.config",
-    "ExperimentResult": "repro.experiments.runner",
+    "ExperimentResult": "repro.experiments.results",
     "run_experiment": "repro.experiments.runner",
 })

@@ -57,7 +57,8 @@ from repro.experiments.backends import (
     register_execution_backend,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.results import ExperimentResult
+from repro.experiments.runner import run_experiment
 from repro.experiments.spec import (
     SCENARIOS,
     ScenarioSpec,

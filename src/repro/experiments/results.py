@@ -1,43 +1,42 @@
-"""Lightweight, picklable experiment results.
-
-:class:`~repro.experiments.runner.ExperimentResult` is deliberately
-heavyweight: it keeps the :class:`~repro.metrics.collector.MetricsCollector`
-(with its back-reference into the live network) and every :class:`Flow`
-object, so post-hoc analyses such as tail CDFs stay possible.  That payload
-cannot cross a process boundary cheaply, and a sweep over hundreds of cells
-must not hold hundreds of simulated networks alive.
+"""The one record of an experiment's outcome.
 
 :class:`ResultRow` is the flat record that the sweep subsystem ships between
 worker processes and stores in the on-disk cache: plain strings, numbers,
 booleans and JSON-safe digest payloads only, so it pickles in microseconds
-and round-trips through JSON.  It mirrors the parts of ``ExperimentResult``
-the benchmarks assert against (``summary``, ``drop_rate``, fabric counters,
-``completion_fraction()``), so code written against one works against the
-other, and carries serialized
+and round-trips through JSON.  It carries serialized
 :class:`~repro.metrics.sketch.QuantileDigest` sketches of the FCT, slowdown
 and single-packet-latency distributions so tail metrics survive process
 boundaries, disk caching and seed aggregation.
+
+:class:`ExperimentResult`, what :func:`~repro.experiments.runner.run_experiment`
+returns, *is* that row plus the live
+:class:`~repro.metrics.collector.MetricsCollector` (with its back-reference
+into the simulated network) and every :class:`~repro.core.transport.Flow`,
+for in-process post-hoc analysis.  That payload cannot cross a process
+boundary cheaply, and a sweep over hundreds of cells must not hold hundreds
+of simulated networks alive, so :meth:`ExperimentResult.to_row` drops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.metrics.sketch import QuantileDigest
 from repro.metrics.stats import MetricSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentResult
+    from repro.core.transport import Flow
+    from repro.metrics.collector import MetricsCollector
 
 
 @dataclass(frozen=True)
 class ResultRow:
     """Flat, immutable outcome of one simulation run.
 
-    Every field is a JSON-representable scalar; see
-    :meth:`from_result` / :meth:`to_dict` / :meth:`from_dict`.
+    Every field is a JSON-representable scalar; see :meth:`to_dict` /
+    :meth:`from_dict`.
     """
 
     # --- identity ---------------------------------------------------------
@@ -124,7 +123,7 @@ class ResultRow:
     c_latency_digest: Optional[Dict[str, Any]] = field(default=None, hash=False)
 
     # ------------------------------------------------------------------
-    # ExperimentResult-compatible views
+    # Headline views
     # ------------------------------------------------------------------
     @property
     def summary(self) -> MetricSummary:
@@ -251,72 +250,6 @@ class ResultRow:
     # ------------------------------------------------------------------
     # Construction and serialization
     # ------------------------------------------------------------------
-    @classmethod
-    def from_result(
-        cls,
-        result: "ExperimentResult",
-        label: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-    ) -> "ResultRow":
-        """Flatten a heavyweight :class:`ExperimentResult` into a row."""
-        config = result.config
-        background = result.background_summary
-        stats = result.collector.stream()
-        fabric_depth = result.collector.fabric_queue_depth_digest()
-        fabric_pause = result.collector.fabric_pfc_pause_digest()
-        goodput = result.collector.goodput_timeline_digest()
-        stall = result.collector.flow_stall_digest()
-        c_latency = result.collector.c_latency_digest()
-        return cls(
-            label=label if label is not None else config.name,
-            name=config.name,
-            fingerprint=fingerprint if fingerprint is not None else config.fingerprint(),
-            transport=config.transport,
-            congestion_control=config.congestion_control,
-            topology=config.topology,
-            pfc_enabled=config.pfc_enabled,
-            seed=config.seed,
-            avg_slowdown=result.summary.avg_slowdown,
-            avg_fct_s=result.summary.avg_fct,
-            tail_fct_s=result.summary.tail_fct,
-            num_flows=result.summary.num_flows,
-            flows_total=len(result.flows),
-            flows_completed=sum(1 for flow in result.flows if flow.completed),
-            sim_time_s=result.sim_time_s,
-            events_processed=result.events_processed,
-            packets_dropped=result.packets_dropped,
-            pause_frames=result.pause_frames,
-            packets_forwarded=result.packets_forwarded,
-            data_packets_sent=result.data_packets_sent,
-            retransmissions=result.retransmissions,
-            timeouts=result.timeouts,
-            deadlock_events=result.deadlock_events,
-            time_to_deadlock_s=result.time_to_deadlock_s,
-            faults_enabled=result.faults_enabled,
-            fault_injected_drops=result.fault_injected_drops,
-            retransmissions_during_fault=result.retransmissions_during_fault,
-            recovery_time_s=result.recovery_time_s,
-            incast_rct_s=result.incast_rct_s,
-            background_avg_slowdown=background.avg_slowdown if background else None,
-            background_avg_fct_s=background.avg_fct if background else None,
-            background_tail_fct_s=background.tail_fct if background else None,
-            background_num_flows=background.num_flows if background else None,
-            fct_digest=stats.fct_digest.to_dict() if stats.fct_digest else None,
-            slowdown_digest=stats.slowdown_digest.to_dict() if stats.slowdown_digest else None,
-            single_packet_digest=(
-                stats.single_packet_digest.to_dict() if stats.single_packet_digest else None
-            ),
-            queue_depth_digest=(
-                fabric_depth.to_dict() if fabric_depth is not None else None
-            ),
-            pfc_pause_digest=(
-                fabric_pause.to_dict() if fabric_pause is not None else None
-            ),
-            goodput_digest=goodput.to_dict() if goodput is not None else None,
-            stall_digest=stall.to_dict() if stall is not None else None,
-            c_latency_digest=c_latency.to_dict() if c_latency is not None else None,
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict (inverse of :meth:`from_dict`): the fields in
         declaration order, digests copied, so it equals
@@ -330,6 +263,25 @@ class ResultRow:
 
 
 _FIELD_NAMES = tuple(spec.name for spec in fields(ResultRow))
+
+
+@dataclass(frozen=True)
+class ExperimentResult(ResultRow):
+    """A :class:`ResultRow` that still holds the run it came from.
+
+    The collector and the flows take no part in ``==``, ``hash``, ``repr``
+    or :meth:`to_dict`: two results are equal exactly when their rows are.
+    """
+
+    collector: MetricsCollector = field(kw_only=True, compare=False, repr=False)
+    flows: List[Flow] = field(kw_only=True, compare=False, repr=False)
+
+    def to_row(self, label: Optional[str] = None) -> ResultRow:
+        """The flat, picklable row, relabelled when ``label`` is given."""
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if label is not None:
+            values["label"] = label
+        return ResultRow(**values)
 
 
 def _json_copy(value: Any) -> Any:

@@ -8,8 +8,9 @@ use.  It translates an :class:`ExperimentConfig` into a concrete simulation:
 3. at each flow's start time, instantiate the configured transport endpoints
    (with a per-flow congestion-control object when enabled) and register them
    with the hosts,
-4. run the event loop and return an :class:`ExperimentResult` with the
-   paper's metrics plus fabric statistics (drops, PFC pauses, retransmissions).
+4. run the event loop and return an :class:`ExperimentResult`: the run's
+   :class:`~repro.experiments.results.ResultRow` (the paper's metrics, fabric
+   statistics, digests) plus the live collector and flows.
 
 This is the one module that simulates, and it loads everything a cell can
 reach when it is imported -- the engine, the fabric, every declared built-in
@@ -21,8 +22,7 @@ the cache, reports, the results service) stays importable without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.congestion.factory import make_congestion_control
 from repro.congestion.registry import CONGESTION_SCHEMES
@@ -33,9 +33,10 @@ from repro.core.registry import TRANSPORTS
 from repro.core.roce import RoceConfig
 from repro.core.transport import BaseReceiver, BaseSender, Flow
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import ResultRow
+from repro.experiments.results import ExperimentResult
 from repro.faults import FaultEngine
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.sketch import QuantileDigest
 from repro.metrics.stats import MetricSummary
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -47,65 +48,6 @@ from repro.workload.registry import WORKLOADS
 # names it, where the import would be billed to the simulation.
 for _registry in (TOPOLOGIES, WORKLOADS, TRANSPORTS, CONGESTION_SCHEMES):
     _registry.load_builtins()
-
-
-@dataclass
-class ExperimentResult:
-    """Outcome of one simulation run."""
-
-    config: ExperimentConfig
-    summary: MetricSummary
-    collector: MetricsCollector
-    flows: List[Flow]
-    #: Simulated time at which the run ended.
-    sim_time_s: float
-    #: Events executed by the simulator (throughput accounting).
-    events_processed: int
-    #: Fabric statistics.
-    packets_dropped: int
-    pause_frames: int
-    packets_forwarded: int
-    #: Transport statistics aggregated over all flows.
-    data_packets_sent: int
-    retransmissions: int
-    timeouts: int
-    #: PFC wait-for-graph deadlock events (see ``repro.sim.deadlock``).
-    deadlock_events: int = 0
-    #: Simulation time of the first deadlock event, if any.
-    time_to_deadlock_s: Optional[float] = None
-    #: Request completion time of the incast request (if one was configured).
-    incast_rct_s: Optional[float] = None
-    #: Summary restricted to the background traffic (when incast + cross
-    #: traffic are mixed, as in §4.4.3).
-    background_summary: Optional[MetricSummary] = None
-    #: True when the config carried a non-empty fault plan.
-    faults_enabled: bool = False
-    #: Packets dropped by injected faults (link flaps + CRC corruption);
-    #: counted separately from switch buffer drops so packet conservation
-    #: holds modulo these explicit counters.
-    fault_injected_drops: int = 0
-    #: Retransmissions triggered while some fault window was open.
-    retransmissions_during_fault: int = 0
-    #: Last-fault-end to first full-goodput instant (``None`` if the run
-    #: never recovered, had no pre-fault reference, or ran fault-free).
-    recovery_time_s: Optional[float] = None
-
-    @property
-    def drop_rate(self) -> float:
-        """Dropped packets as a fraction of data packets sent."""
-        if self.data_packets_sent == 0:
-            return 0.0
-        return self.packets_dropped / self.data_packets_sent
-
-    def completion_fraction(self) -> float:
-        """Fraction of injected flows that completed."""
-        if not self.flows:
-            return 0.0
-        return sum(1 for flow in self.flows if flow.completed) / len(self.flows)
-
-    def to_row(self, label: Optional[str] = None) -> "ResultRow":
-        """Flatten to a picklable :class:`ResultRow` (drops collector/flows)."""
-        return ResultRow.from_result(self, label=label)
 
 
 class _FlowLauncher:
@@ -318,23 +260,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
 
     incast_rct: Optional[float] = None
-    background_summary: Optional[MetricSummary] = None
+    background: Optional[MetricSummary] = None
     if config.incast is not None:
         incast_flows = [flow for flow in flows if flow.group == "incast"]
         if incast_flows and all(flow.completed for flow in incast_flows):
             incast_rct = request_completion_time(flows)
         if collector.stream("background").count:
-            background_summary = collector.summary(group="background")
+            background = collector.summary(group="background")
 
     summary = (
         collector.summary() if collector.completed_count else MetricSummary(0.0, 0.0, 0.0, 0)
     )
+    stats = collector.stream()
 
     return ExperimentResult(
-        config=config,
-        summary=summary,
-        collector=collector,
-        flows=flows,
+        label=config.name,
+        name=config.name,
+        fingerprint=config.fingerprint(),
+        transport=config.transport,
+        congestion_control=config.congestion_control,
+        topology=config.topology,
+        pfc_enabled=config.pfc_enabled,
+        seed=config.seed,
+        avg_slowdown=summary.avg_slowdown,
+        avg_fct_s=summary.avg_fct,
+        tail_fct_s=summary.tail_fct,
+        num_flows=summary.num_flows,
+        flows_total=len(flows),
+        flows_completed=sum(1 for flow in flows if flow.completed),
         sim_time_s=sim.now,
         events_processed=sim.events_processed,
         packets_dropped=network.total_dropped_packets(),
@@ -345,12 +298,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         timeouts=sum(sender.timeouts_fired for sender in launcher.senders),
         deadlock_events=collector.deadlock_events,
         time_to_deadlock_s=collector.time_to_deadlock_s,
-        incast_rct_s=incast_rct,
-        background_summary=background_summary,
         faults_enabled=fault_engine is not None,
         fault_injected_drops=0 if fault_engine is None else fault_engine.fault_drops,
         retransmissions_during_fault=(
             0 if fault_engine is None else fault_engine.retransmissions_during_fault
         ),
         recovery_time_s=recovery_time,
+        incast_rct_s=incast_rct,
+        background_avg_slowdown=background.avg_slowdown if background else None,
+        background_avg_fct_s=background.avg_fct if background else None,
+        background_tail_fct_s=background.tail_fct if background else None,
+        background_num_flows=background.num_flows if background else None,
+        # An empty stream digest is falsy and stored as None; the fabric,
+        # recovery and c-latency digests are None exactly when not collected.
+        fct_digest=_payload(stats.fct_digest or None),
+        slowdown_digest=_payload(stats.slowdown_digest or None),
+        single_packet_digest=_payload(stats.single_packet_digest or None),
+        queue_depth_digest=_payload(collector.fabric_queue_depth_digest()),
+        pfc_pause_digest=_payload(collector.fabric_pfc_pause_digest()),
+        goodput_digest=_payload(collector.goodput_timeline_digest()),
+        stall_digest=_payload(collector.flow_stall_digest()),
+        c_latency_digest=_payload(collector.c_latency_digest()),
+        collector=collector,
+        flows=flows,
     )
+
+
+def _payload(digest: Optional[QuantileDigest]) -> Optional[Dict[str, Any]]:
+    """A digest's JSON-safe row payload (``None`` stays ``None``)."""
+    return digest.to_dict() if digest is not None else None

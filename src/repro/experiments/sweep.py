@@ -382,8 +382,8 @@ def _run_cell(item: Tuple[str, ExperimentConfig]) -> ResultRow:
     """Worker entry point: run one cell, return only the flat row.
 
     Module-level (not a closure) so it pickles under every multiprocessing
-    start method; the heavyweight ``ExperimentResult`` never leaves the
-    worker process.
+    start method; the collector and flows ``run_experiment`` keeps never
+    leave the worker process.
     """
     # Plugin modules first: under "spawn" this worker has a clean registry
     # and custom components must be re-registered before the config resolves.
@@ -394,8 +394,7 @@ def _run_cell(item: Tuple[str, ExperimentConfig]) -> ResultRow:
     from repro.experiments.runner import run_experiment
 
     label, config = item
-    result = run_experiment(config)
-    return ResultRow.from_result(result, label=label)
+    return run_experiment(config).to_row(label)
 
 
 @dataclass

@@ -2,11 +2,10 @@
 
 One place for the table/CDF formatting that ``benchmarks/conftest.py`` and
 the ``examples/`` scripts used to each reimplement.  Every formatter returns
-a string (callers print it), and accepts anything exposing the shared result
-surface -- ``.summary``, ``.drop_rate``, ``.pause_frames``,
-``.retransmissions`` -- so heavyweight
-:class:`~repro.experiments.runner.ExperimentResult` objects and flat cached
-:class:`~repro.experiments.results.ResultRow` records both work.
+a string (callers print it) and reads :class:`~repro.experiments.results.ResultRow`
+records -- ``.summary``, ``.drop_rate``, ``.pause_frames``,
+``.retransmissions`` -- whether cached or fresh from ``run_experiment``
+(whose :class:`~repro.experiments.results.ExperimentResult` is a row).
 
 Because :class:`ResultRow` round-trips through the sweep cache with its
 quantile digests intact, a full report (headline tables *and* Figure 8-style
@@ -45,7 +44,7 @@ __all__ = [
 CdfSource = Union[QuantileDigest, Dict[str, Any], Sequence[float]]
 
 
-def format_metric_table(title: str, results: Mapping[str, Any]) -> str:
+def format_metric_table(title: str, results: "Mapping[str, ResultRow]") -> str:
     """The paper's three headline metrics per scheme, plus fabric counters."""
     lines = [f"=== {title} ===",
              f"{'scheme':<34} {'avg slowdown':>13} {'avg FCT (ms)':>13} {'99% FCT (ms)':>13} "
@@ -60,7 +59,7 @@ def format_metric_table(title: str, results: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def format_ratio_table(title: str, rows: Mapping[str, Mapping[str, Any]]) -> str:
+def format_ratio_table(title: str, rows: "Mapping[str, Mapping[str, ResultRow]]") -> str:
     """Appendix-style rows: IRN absolute values plus the two ratios."""
     lines = [f"=== {title} ===",
              f"{'row':<22} {'metric':<14} {'IRN':>10} {'IRN/IRN+PFC':>13} {'IRN/RoCE+PFC':>13}"]
@@ -126,7 +125,7 @@ def format_aggregate_table(
     return "\n".join(lines)
 
 
-def format_incast_table(title: str, results: Mapping[str, Any]) -> str:
+def format_incast_table(title: str, results: "Mapping[str, ResultRow]") -> str:
     """Incast request completion time plus background-traffic impact."""
     lines = [f"=== {title} ===",
              f"{'scheme':<36} {'incast RCT (ms)':>16} {'bg avg slowdown':>16} "

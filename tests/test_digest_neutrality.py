@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import ResultRow
 from repro.experiments.runner import run_experiment
 
 #: Fields legitimately affected by the knob: the digests it collects, and
@@ -48,10 +47,8 @@ def _fuzzed_config(seed: int) -> ExperimentConfig:
 @pytest.mark.parametrize("seed", range(25))
 def test_fabric_digests_are_byte_neutral(seed):
     config = _fuzzed_config(seed)
-    row_off = ResultRow.from_result(run_experiment(config))
-    row_on = ResultRow.from_result(
-        run_experiment(config.with_overrides(fabric_digests=True))
-    )
+    row_off = run_experiment(config)
+    row_on = run_experiment(config.with_overrides(fabric_digests=True))
 
     assert row_off.queue_depth_digest is None
     assert row_on.queue_depth_digest is not None

@@ -223,11 +223,10 @@ class TestStreamingCollector:
 class TestFabricDigests:
     """§4.4 observability: queue-depth and PFC-pause-duration digests."""
 
-    def run_probed(self, **overrides):
+    def probed_config(self, **overrides):
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import run_experiment
 
-        config = ExperimentConfig(
+        return ExperimentConfig(
             name="probed",
             topology="star",
             num_hosts=4,
@@ -238,7 +237,11 @@ class TestFabricDigests:
             fabric_digests=True,
             **overrides,
         )
-        return run_experiment(config)
+
+    def run_probed(self, **overrides):
+        from repro.experiments.runner import run_experiment
+
+        return run_experiment(self.probed_config(**overrides))
 
     def test_fingerprint_relevant_once_enabled(self):
         # Disabled (the default) is excluded from the canonical dict, so the
@@ -296,7 +299,7 @@ class TestFabricDigests:
         # Every sample is a post-enqueue occupancy: positive, and bounded by
         # the per-port buffer.
         assert depth.min > 0
-        assert depth.max <= result.config.effective_buffer_bytes()
+        assert depth.max <= self.probed_config().effective_buffer_bytes()
         # PFC fired in this congested star (pause_frames > 0), and every
         # pause episode that *resumed* was recorded with its duration.
         pause = row.pfc_pause_distribution

@@ -118,14 +118,50 @@ class TestResultRow:
         row = run_experiment(tiny_config()).to_row()
         assert ResultRow.from_dict(row.to_dict()) == row
 
-    def test_matches_heavyweight_result(self):
+    def test_the_result_is_its_row(self):
+        # One record: run_experiment returns a ResultRow that also holds the
+        # collector and flows, and to_row() is that record without them.
         result = run_experiment(tiny_config())
+        assert isinstance(result, ResultRow)
         row = result.to_row()
-        assert row.summary == result.summary
-        assert row.drop_rate == result.drop_rate
-        assert row.completion_fraction() == pytest.approx(result.completion_fraction())
-        assert row.retransmissions == result.retransmissions
+        assert type(row) is ResultRow
+        assert row == ResultRow.from_dict(result.to_dict())
+        assert row.to_dict() == result.to_dict()
         assert row.events_processed == result.events_processed > 0
+        assert row.flows_total == len(result.flows) == 6
+        assert row.flows_completed == sum(flow.completed for flow in result.flows)
+        assert row.num_flows == result.collector.completed_count
+
+    def test_to_row_relabels_only_the_label(self):
+        result = run_experiment(tiny_config())
+        assert result.label == result.name == "tiny"
+        row = result.to_row(label="relabelled")
+        assert row.label == "relabelled"
+        assert {**row.to_dict(), "label": "tiny"} == result.to_dict()
+
+    def test_collector_and_flows_stay_out_of_the_record(self):
+        a = run_experiment(tiny_config())
+        b = run_experiment(tiny_config())
+        assert a.collector is not b.collector and a.flows is not b.flows
+        assert a == b and hash(a) == hash(b)
+        assert "collector" not in repr(a) and ", flows=" not in repr(a)
+        assert "collector" not in a.to_dict() and "flows" not in a.to_dict()
+        assert pickle.loads(pickle.dumps(a.to_row())) == a.to_row()
+
+    def test_sweep_rows_are_the_direct_rows(self):
+        swept = run_sweep({"cell": tiny_config()}, workers=1)["cell"]
+        assert swept == run_experiment(tiny_config()).to_row("cell")
+
+    def test_a_run_that_completes_nothing_stores_no_stream_digests(self):
+        from repro.metrics.stats import MetricSummary
+
+        result = run_experiment(tiny_config(max_sim_time_s=1e-6))
+        assert result.flows_total == 6 and result.flows_completed == 0
+        assert result.summary == MetricSummary(0.0, 0.0, 0.0, 0)
+        assert result.completion_fraction() == 0.0
+        assert result.fct_digest is None
+        assert result.slowdown_digest is None
+        assert result.single_packet_digest is None
 
     def test_carries_latency_digests(self):
         result = run_experiment(tiny_config())
