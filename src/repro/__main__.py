@@ -8,8 +8,8 @@ Subcommands
     seed replicas and worker processes, served from a disk cache), and print
     the per-replica metric table, the per-cell aggregate table (means with
     95% confidence intervals, pooled tail percentiles) and, with ``--cdf``,
-    Figure 8-style tail CDFs.  ``--backend queue --queue-dir DIR`` spools the
-    cells through a durable work queue that any number of ``repro worker``
+    Figure 8-style tail CDFs.  ``--queue-dir DIR`` spools the cells
+    through a durable work queue that any number of ``repro worker``
     processes (anywhere that sees the directory) drain; ``--follow`` streams
     the partial per-cell aggregates as results land, and re-running the same
     command resumes from the part-files already on disk.
@@ -17,7 +17,7 @@ Subcommands
 ``worker <queue-dir>``
     Lease and execute tasks from a queue directory until it drains (or
     forever, without ``--drain``) -- the process you start on *other*
-    machines to shard a queue-backend sweep.
+    machines to shard a queue sweep.
 
 ``list``
     Show every registered scenario with its description and shape.
@@ -33,7 +33,7 @@ Examples::
     python -m repro run fig1
     python -m repro run fig8 --seeds 3 --workers 4 --cache .sweep-cache/fig8 --cdf
     python -m repro run fig1 --quick                 # seed 1 only, fast feedback
-    python -m repro run fig1 --backend queue --queue-dir /shared/q --follow
+    python -m repro run fig1 --queue-dir /shared/q --follow
     python -m repro worker /shared/q                 # on as many machines as you like
     python -m repro list
     python -m repro serve .sweep-cache/fig8 --port 8123
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -84,12 +85,19 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_seconds(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {raw}")
+    return value
+
+
 def _print_report(spec: ScenarioSpec, sweep: SweepResult, show_cdf: bool) -> None:
     from repro.metrics.report import (
         format_aggregate_table,
         format_incast_table,
         format_metric_table,
-        format_tail_cdf,
+        format_single_packet_cdfs,
     )
 
     print(format_metric_table(f"{spec.name}: per-run metrics", sweep.rows))
@@ -102,15 +110,9 @@ def _print_report(spec: ScenarioSpec, sweep: SweepResult, show_cdf: bool) -> Non
         print(f"=== {spec.name}: per-cell aggregates over seed replicas ===")
         print(format_aggregate_table(spec.aggregate(sweep), label_keys=spec.aggregate_by))
     if show_cdf:
-        for label, row in sweep.rows.items():
-            digest = row.single_packet_distribution
-            if digest is None or not digest.count:
-                continue
+        for block in format_single_packet_cdfs(sweep.rows):
             print()
-            print(format_tail_cdf(
-                digest,
-                title=f"{label}: single-packet latency tail ({digest.count} msgs)",
-            ))
+            print(block)
 
 
 def _make_follow_printer(spec: ScenarioSpec):
@@ -139,7 +141,6 @@ def _make_follow_printer(spec: ScenarioSpec):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.backends import EXECUTION_BACKENDS
     from repro.experiments.spec import scenario
     from repro.experiments.sweep import run_sweep
 
@@ -151,15 +152,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seeds: Optional[int] = 1 if args.quick else args.seeds
 
     # What the user can get wrong -- the scenario, a --set field or value, a
-    # component or backend name -- is checked here, from declarations alone,
+    # component name -- is checked here, from declarations alone,
     # before any cell runs: one line on stderr and exit code 2, no traceback.
     try:
         spec = scenario(args.scenario)
         cells = spec.replicated(seeds=seeds, **overrides)
         for config in cells.values():
             config.check_components()
-        if args.backend is not None:
-            EXECUTION_BACKENDS.require(args.backend)
     except ValueError as exc:  # repro.registry.UnknownNameError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -179,16 +178,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     cache = None if args.no_cache else args.cache
 
-    backend = args.backend
-    if backend == "queue":
+    backend = None
+    if args.queue_dir:
         from repro.experiments.queue import QueueBackend
 
-        queue_dir = args.queue_dir or f".repro-queue/{spec.name}"
-        backend = QueueBackend(queue_dir, workers=args.workers)
-        print(f"{spec.name}: queue backend at {queue_dir} "
-              f"(add workers anywhere with: python -m repro worker {queue_dir})")
-    elif args.queue_dir:
-        raise SystemExit("--queue-dir only applies with --backend queue")
+        backend = QueueBackend(args.queue_dir, workers=args.workers)
+        print(f"{spec.name}: queue at {args.queue_dir} "
+              f"(add workers anywhere with: python -m repro worker {args.queue_dir})")
 
     progress = _make_follow_printer(spec) if args.follow else None
     sweep = run_sweep(
@@ -200,8 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     served = sweep.cache_hits
     print(f"{spec.name}: {len(sweep)} runs "
           f"({executed} simulated, {served} from cache, "
-          f"{sweep.workers_used} worker{'s' if sweep.workers_used != 1 else ''}, "
-          f"{sweep.backend} backend)")
+          f"{sweep.workers_used} worker{'s' if sweep.workers_used != 1 else ''})")
     print()
     _print_report(spec, sweep, show_cdf=args.cdf)
     return 0
@@ -272,12 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quick", action="store_true",
                      help="seed 1 only (bypass the scenario's seed axis "
                           "for fast interactive runs)")
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="execution backend: serial, process, or queue "
-                          "(default: process/serial per --workers)")
     run.add_argument("--queue-dir", default=None, metavar="DIR",
-                     help="queue directory for --backend queue "
-                          "(default: .repro-queue/<scenario>)")
+                     help="spool the cells through a work queue in DIR that "
+                          "any 'python -m repro worker DIR' helps drain "
+                          "(--workers then starts that many local workers)")
     run.add_argument("--follow", action="store_true",
                      help="stream partial per-cell aggregates as results land")
     run.set_defaults(func=_cmd_run)
@@ -285,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker",
         help="lease and execute sweep tasks from a queue directory",
-        description="Drain a queue-backend sweep: claim fingerprint-named "
+        description="Drain a queue sweep: claim fingerprint-named "
         "task files, run each through the shared result cache, and publish "
         "durable ResultRow part-files.  Start as many of these as you like, "
         "on any machine that sees the directory.",
@@ -293,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("queue_dir", help="the sweep's queue directory")
     worker.add_argument("--cache", default=None, metavar="DIR",
                         help="result cache directory (default: <queue-dir>/cache)")
-    worker.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
+    worker.add_argument("--poll", type=_positive_seconds, default=0.5, metavar="SECONDS",
                         help="idle re-poll interval (default: 0.5)")
     worker.add_argument("--drain", action="store_true",
                         help="exit once no pending tasks remain "
                              "(default: keep serving new tasks forever)")
     worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
                         help="exit after executing N cells")
-    worker.add_argument("--lease-timeout", type=float, default=600.0,
+    worker.add_argument("--lease-timeout", type=_positive_seconds, default=600.0,
                         metavar="SECONDS",
                         help="reclaim another worker's lease only after its "
                              "heartbeat file (touched every --poll seconds "

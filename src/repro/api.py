@@ -50,12 +50,6 @@ from repro.congestion.registry import (
     register_congestion_control,
 )
 from repro.core.registry import TRANSPORTS, register_transport
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    ExecutionBackend,
-    SweepProgress,
-    register_execution_backend,
-)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import run_experiment
@@ -68,11 +62,12 @@ from repro.experiments.spec import (
 from repro.experiments.sweep import (
     ParameterGrid,
     ResultCache,
+    SweepProgress,
     SweepResult,
     aggregate_rows,
     run_sweep,
 )
-from repro.metrics.partial import PartialAggregator, aggregate_partial
+from repro.metrics.partial import PartialAggregator
 from repro.metrics.report import (
     format_aggregate_table,
     format_incast_table,
@@ -100,8 +95,6 @@ __all__ = [
     "load_scenario",
     "register_scenario",
     # execution
-    "EXECUTION_BACKENDS",
-    "ExecutionBackend",
     "ExperimentConfig",
     "ExperimentResult",
     "ParameterGrid",
@@ -110,9 +103,7 @@ __all__ = [
     "SweepProgress",
     "SweepResult",
     "TaskQueue",
-    "aggregate_partial",
     "aggregate_rows",
-    "register_execution_backend",
     "run_experiment",
     "run_sweep",
     "run_worker",

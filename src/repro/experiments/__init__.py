@@ -10,16 +10,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ScenarioSpec": "repro.experiments.spec",
     "register_scenario": "repro.experiments.spec",
     "scenario": "repro.experiments.spec",
-    "EXECUTION_BACKENDS": "repro.experiments.backends",
-    "ExecutionBackend": "repro.experiments.backends",
     "ParameterGrid": "repro.experiments.sweep",
     "QueueBackend": "repro.experiments.queue",
     "ResultCache": "repro.experiments.sweep",
-    "SweepProgress": "repro.experiments.backends",
+    "SweepProgress": "repro.experiments.sweep",
     "SweepResult": "repro.experiments.sweep",
     "TaskQueue": "repro.experiments.queue",
     "aggregate_rows": "repro.experiments.sweep",
-    "register_execution_backend": "repro.experiments.backends",
     "run_experiment": "repro.experiments.runner",
     "run_sweep": "repro.experiments.sweep",
     "run_worker": "repro.experiments.queue",

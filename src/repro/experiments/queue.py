@@ -1,6 +1,6 @@
 """Durable on-disk work queue: sweeps that shard across worker machines.
 
-The ``queue`` execution backend turns one sweep into files under a shared
+:class:`QueueBackend` turns one sweep into files under a shared
 *queue directory* (local disk, NFS, anything POSIX-rename-atomic), so any
 number of worker processes -- started on this machine by the coordinator, or
 by hand on other machines with ``python -m repro worker <queue-dir>`` --
@@ -69,15 +69,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.experiments.backends import (
-    Cell,
-    ExecutionBackend,
-    OnResult,
-    register_execution_backend,
-)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.experiments.sweep import (
+    Cell,
+    OnResult,
     ResultCache,
     _rebind_row,
     _run_cell,
@@ -637,9 +633,9 @@ def run_worker(
 # Coordinator backend
 # ---------------------------------------------------------------------------
 
-@register_execution_backend("queue")
-class QueueBackend(ExecutionBackend):
-    """Execute sweep cells through a durable work-queue directory.
+class QueueBackend:
+    """Execute sweep cells through a durable work-queue directory
+    (``run_sweep(..., backend=QueueBackend(queue_dir))``).
 
     Parameters
     ----------
@@ -665,7 +661,7 @@ class QueueBackend(ExecutionBackend):
 
     def __init__(
         self,
-        queue_dir: Optional[Union[str, Path]] = None,
+        queue_dir: Union[str, Path],
         *,
         workers: Optional[int] = None,
         poll_interval_s: float = 0.2,
@@ -673,12 +669,6 @@ class QueueBackend(ExecutionBackend):
         wait_timeout_s: Optional[float] = None,
         cache: Optional[Union[ResultCache, str, Path]] = None,
     ) -> None:
-        if queue_dir is None:
-            raise ValueError(
-                "the queue backend needs a queue directory: construct it as "
-                "QueueBackend('path/to/queue') (or pass --queue-dir on the CLI); "
-                "plain backend='queue' cannot guess where workers rendezvous"
-            )
         self.queue = TaskQueue(queue_dir, lease_timeout_s=lease_timeout_s)
         self.workers = int(workers) if workers else 0
         self.poll_interval_s = poll_interval_s

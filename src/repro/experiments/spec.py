@@ -361,13 +361,11 @@ class ScenarioSpec:
         :func:`~repro.experiments.sweep.run_sweep` and return its
         :class:`~repro.experiments.sweep.SweepResult`.
 
-        ``backend`` selects how uncached cells execute (a registered
-        execution-backend name or instance -- e.g. a
+        ``backend`` is ``None`` (run locally, per ``workers``) or a
         :class:`~repro.experiments.queue.QueueBackend` that shards cells
-        across worker machines); ``progress`` observes every completed row
-        with streaming partial aggregates.  Both default to the historical
-        local behavior driven by ``workers``.  The partial aggregates are
-        grouped by this spec's ``aggregate_by`` policy.
+        across worker machines; ``progress`` observes every completed row
+        with streaming partial aggregates, grouped by this spec's
+        ``aggregate_by`` policy.
 
         Registrations are process-local: if this spec references components
         registered in the current script (not an importable module), pass

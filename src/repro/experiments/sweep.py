@@ -6,13 +6,11 @@ turns that embarrassingly parallel work into one call:
 
 1. :class:`ParameterGrid` expands a base :class:`ExperimentConfig` and a
    mapping of ``field -> values`` into labelled configs (the *cells*);
-2. :func:`run_sweep` hands the cells to a pluggable execution backend
-   (:mod:`repro.experiments.backends`): ``workers <= 1`` selects the
-   deterministic in-process ``serial`` backend, ``workers=N`` the local
-   ``process`` pool (with a serial fallback when pools are unavailable),
-   and ``backend=`` anything registered -- including the durable ``queue``
-   backend (:mod:`repro.experiments.queue`) whose tasks any number of
-   worker machines drain;
+2. :func:`run_sweep` runs the uncached cells: in order when ``workers <=
+   1``, otherwise on a local process pool (with a serial fallback when
+   pools are unavailable), or -- given ``backend=QueueBackend(dir)`` --
+   through the durable work queue (:mod:`repro.experiments.queue`) whose
+   tasks any number of worker machines drain;
 3. completed cells are flattened to picklable :class:`ResultRow` records and,
    when a :class:`ResultCache` is given, stored on disk keyed by
    ``ExperimentConfig.fingerprint()`` so repeated invocations only run the
@@ -50,10 +48,12 @@ import itertools
 import json
 import os
 import re
+import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -70,6 +70,19 @@ from typing import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.metrics.partial import PartialAggregator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.queue import QueueBackend
+
+#: Upper bound on auto-selected worker processes (per-cell runs are seconds
+#: long, so more workers than this mostly adds fork/teardown overhead).
+MAX_AUTO_WORKERS = 8
+
+#: One unit of sweep work: ``(label, config)``.
+Cell = Tuple[str, ExperimentConfig]
+
+#: Callback invoked once per finished row, as it lands.
+OnResult = Callable[[ResultRow], None]
 
 #: Bumped whenever the ``ResultRow`` schema or run semantics change in a way
 #: that invalidates previously cached rows.  (2: rows carry quantile-digest
@@ -410,8 +423,6 @@ class SweepResult:
     cache_misses: int
     #: Worker processes used (1 == the serial fallback).
     workers_used: int
-    #: Name of the execution backend that ran the uncached cells.
-    backend: str = field(default="serial")
 
     @property
     def runs_executed(self) -> int:
@@ -431,14 +442,50 @@ class SweepResult:
         return aggregate_rows(self.rows.values(), by=by)
 
 
+class SweepProgress:
+    """Live view of a running sweep: completed rows + streaming aggregates.
+
+    :func:`run_sweep` feeds every row (cache hits up front, then executed
+    cells as they land) into :meth:`add`; observers handed to
+    ``run_sweep(progress=...)`` receive ``(progress, row)`` after each
+    executed row and can read converging pooled aggregates off
+    :meth:`aggregate` long before the sweep finishes.
+    """
+
+    def __init__(self, total: int, by: Sequence[str] = ("name",)) -> None:
+        self.total = total
+        self.rows: Dict[str, ResultRow] = {}
+        self.by = tuple(by)
+        self._partial = PartialAggregator(self.by)
+        #: The partial aggregate record of the most recently updated cell
+        #: (what :meth:`add` returned) -- observers print this instead of
+        #: rescanning the full :meth:`aggregate` snapshot per row.
+        self.last_update: Optional[Dict[str, Any]] = None
+
+    @property
+    def completed(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: ResultRow) -> Dict[str, Any]:
+        """Absorb one finished row; returns its cell's updated partial
+        aggregate record (true pooled digests over the rows seen so far)."""
+        self.rows[row.label] = row
+        self.last_update = self._partial.add(row)
+        return self.last_update
+
+    def aggregate(self) -> List[Dict[str, Any]]:
+        """Partial per-cell aggregates over every row absorbed so far."""
+        return self._partial.snapshot()
+
+
 def _normalize_cells(
     configs: Union[ParameterGrid, Mapping[str, ExperimentConfig], Iterable[ExperimentConfig]],
-) -> List[Tuple[str, ExperimentConfig]]:
+) -> List[Cell]:
     if isinstance(configs, ParameterGrid):
         return list(configs.expand().items())
     if isinstance(configs, Mapping):
         return list(configs.items())
-    cells: List[Tuple[str, ExperimentConfig]] = []
+    cells: List[Cell] = []
     seen: Dict[str, int] = {}
     for config in configs:
         label = config.name
@@ -465,16 +512,68 @@ def _rebind_row(row: ResultRow, label: str, name: str) -> ResultRow:
     return ResultRow.from_dict({**row.to_dict(), "label": label, "name": name})
 
 
+def _execute_locally(pending: List[Cell], workers: Optional[int], store: OnResult) -> int:
+    """Run ``pending`` in this process, in order, when ``workers <= 1``;
+    otherwise on a process pool.  Returns the worker processes used.
+
+    A pool that cannot be created (fork denied in a sandbox) or breaks
+    mid-sweep warns once, and the cells it has not stored run serially --
+    each exactly once.  Any real per-cell error resurfaces from that run.
+    """
+    if workers is None:
+        workers = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
+    workers = max(1, min(workers, len(pending)))
+    done: set = set()
+    if workers > 1:
+        # Imported here: only a sweep with cells left to fan out pays for
+        # the pool machinery and ``multiprocessing`` behind it.
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        # The try blocks cover only pool machinery: store() runs outside
+        # them so a cache-write failure propagates as itself instead of
+        # being misread as a broken pool.
+        broken: Optional[BaseException] = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except OSError as exc:
+            broken = exc
+        else:
+            with pool:
+                # pool.map yields in submission order; consume lazily so
+                # every completed cell is stored (and cached) even if a
+                # later one fails.
+                completed = pool.map(_run_cell, pending, chunksize=1)
+                while broken is None:
+                    try:
+                        row = next(completed)
+                    except StopIteration:
+                        return workers
+                    except (OSError, BrokenExecutor) as exc:
+                        broken = exc
+                    else:
+                        done.add(row.label)
+                        store(row)
+        warnings.warn(
+            f"process pool unavailable ({broken!r}); falling back to serial sweep",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    for label, config in pending:
+        if label not in done:
+            store(_run_cell((label, config)))
+    return 1
+
+
 def run_sweep(
     configs: Union[ParameterGrid, Mapping[str, ExperimentConfig], Iterable[ExperimentConfig]],
     *,
     workers: Optional[int] = None,
     cache: Optional[Union[ResultCache, str, Path]] = None,
-    backend: Optional[Union[str, "ExecutionBackend"]] = None,
-    progress: Optional[Callable[["SweepProgress", ResultRow], None]] = None,
+    backend: Optional["QueueBackend"] = None,
+    progress: Optional[Callable[[SweepProgress, ResultRow], None]] = None,
     progress_by: Sequence[str] = ("name",),
 ) -> SweepResult:
-    """Run every cell of a sweep through an execution backend, reusing cached rows.
+    """Run every uncached cell of a sweep, reusing cached rows.
 
     Parameters
     ----------
@@ -483,29 +582,35 @@ def run_sweep(
         ``scenarios`` presets produce), or a plain iterable of configs
         (labelled by their ``name``).
     workers:
-        Worker process count for the built-in backends.  ``None`` picks the
-        CPU count (bounded by ``MAX_AUTO_WORKERS``) capped at the number of
-        uncached cells; ``<= 1`` selects the deterministic serial path.
-        Parallel and serial execution produce bit-identical rows (each cell
-        is an independent, seeded simulation).
+        Local worker process count.  ``None`` picks the CPU count (bounded
+        by ``MAX_AUTO_WORKERS``) capped at the number of uncached cells;
+        ``<= 1`` runs the cells in this process, in order.  Parallel and
+        serial execution produce bit-identical rows (each cell is an
+        independent, seeded simulation).
     cache:
         A :class:`ResultCache` (or a directory path for one).  Cells whose
         config fingerprint is present are served from disk without running;
         freshly computed rows are written back.  ``None`` disables caching.
     backend:
-        How uncached cells execute: an :class:`ExecutionBackend` instance, a
-        registered backend name (``"serial"``, ``"process"``, ``"queue"``),
-        or ``None`` for the historical mapping of ``workers`` onto
-        serial/process.  See :mod:`repro.experiments.backends`.
+        ``None`` runs the uncached cells locally, per ``workers``.  Anything
+        else is an object whose ``execute(pending, on_result)`` runs the
+        ``(label, config)`` cells, calls ``on_result(row)`` once per cell as
+        it finishes, and returns the number of workers that took part --
+        in the tree, a :class:`~repro.experiments.queue.QueueBackend`, which
+        any number of ``python -m repro worker`` processes help drain.
     progress:
-        Optional observer called as ``progress(state, row)`` after every row
-        the backend completes, with ``state`` a :class:`SweepProgress`
-        carrying all completed rows and streaming partial aggregates
-        (grouped by ``progress_by``).  This is how ``--follow`` watches
-        pooled tails converge while a queue sweep is still running.
+        Optional observer called as ``progress(state, row)`` after every
+        executed row, with ``state`` a :class:`SweepProgress` carrying all
+        completed rows and streaming partial aggregates (grouped by
+        ``progress_by``).  This is how ``--follow`` watches pooled tails
+        converge while a queue sweep is still running.
     """
-    from repro.experiments.backends import SweepProgress, resolve_backend
-
+    if isinstance(backend, str):
+        raise TypeError(
+            f"backend={backend!r}: a sweep runs locally (backend=None, sized by "
+            "workers) or through an object with execute(pending, on_result), "
+            "such as QueueBackend(queue_dir); names are not accepted"
+        )
     cells = _normalize_cells(configs)
     label_counts = Counter(label for label, _ in cells)
     duplicates = [label for label, count in label_counts.items() if count > 1]
@@ -519,7 +624,7 @@ def run_sweep(
     # The streaming tracker does real per-row aggregation work (digest
     # merges, partial records); only pay for it when someone is watching.
     tracker = SweepProgress(total=len(cells), by=progress_by) if progress is not None else None
-    pending: List[Tuple[str, ExperimentConfig]] = []
+    pending: List[Cell] = []
     cache_hits = 0
     for label, config in cells:
         cached = cache.get(config) if cache is not None else None
@@ -532,8 +637,6 @@ def run_sweep(
         else:
             pending.append((label, config))
 
-    backend_obj = resolve_backend(backend, workers)
-
     def _store(row: ResultRow) -> None:
         # Called as each cell completes, so one failing (or interrupted) cell
         # never discards finished sibling work: everything stored so far is
@@ -545,14 +648,18 @@ def run_sweep(
             tracker.add(row)
             progress(tracker, row)
 
-    workers_used = backend_obj.execute(pending, _store) if pending else 1
+    if not pending:
+        workers_used = 1
+    elif backend is None:
+        workers_used = _execute_locally(pending, workers, _store)
+    else:
+        workers_used = backend.execute(pending, _store)
 
     return SweepResult(
         rows={label: row for label, row in rows.items() if row is not None},
         cache_hits=cache_hits,
         cache_misses=len(pending),
         workers_used=workers_used,
-        backend=backend_obj.name,
     )
 
 

@@ -29,7 +29,7 @@ from repro.metrics.stats import ci95_half_width, mean, percentile, stderr
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ResultRow
 
-__all__ = ["PartialAggregator", "aggregate_partial", "rows_in_batch_order"]
+__all__ = ["PartialAggregator", "rows_in_batch_order"]
 
 #: Metrics averaged (and tail-summarized) across seed replicas per cell.
 MEAN_P99_METRICS = ("avg_slowdown", "avg_fct_s", "tail_fct_s")
@@ -198,15 +198,6 @@ class PartialAggregator:
         if invalid:
             raise ValueError(f"unknown ResultRow field(s) in 'by': {sorted(invalid)}")
         self._cells: Dict[Tuple[Any, ...], _CellState] = {}
-        self._rows_absorbed = 0
-
-    @property
-    def rows_absorbed(self) -> int:
-        return self._rows_absorbed
-
-    def __len__(self) -> int:
-        """Number of distinct cells seen so far."""
-        return len(self._cells)
 
     def add(self, row: "ResultRow") -> Dict[str, Any]:
         """Absorb one row; returns the *updated* cell's current record."""
@@ -215,7 +206,6 @@ class PartialAggregator:
         if cell is None:
             cell = self._cells[key] = _CellState(key)
         cell.absorb(row)
-        self._rows_absorbed += 1
         return cell.record(self.by)
 
     def add_all(self, rows: Iterable["ResultRow"]) -> "PartialAggregator":
@@ -254,16 +244,3 @@ def rows_in_batch_order(
         key=lambda row: (order.get(row.name, unknown), row.name, row.seed, row.label),
     )
 
-
-def aggregate_partial(
-    rows: Iterable["ResultRow"],
-    by: Sequence[str] = ("transport", "congestion_control", "pfc_enabled"),
-) -> List[Dict[str, Any]]:
-    """Aggregate whatever rows exist *so far* (the partial-merge entry point).
-
-    Identical to :func:`~repro.experiments.sweep.aggregate_rows` -- which is
-    a re-export of this reduction over a complete row set -- but named for
-    its streaming use: hand it the subset of rows that have landed and it
-    reports true pooled digests over exactly that subset.
-    """
-    return PartialAggregator(by).add_all(rows).snapshot()

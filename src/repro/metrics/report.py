@@ -33,6 +33,7 @@ __all__ = [
     "format_aggregate_table",
     "format_incast_table",
     "format_tail_cdf",
+    "format_single_packet_cdfs",
     "label_rows",
     "load_cached_rows",
     "render_cache_report",
@@ -176,6 +177,21 @@ def format_tail_cdf(
     return "\n".join(lines)
 
 
+def format_single_packet_cdfs(rows: "Mapping[str, ResultRow]") -> List[str]:
+    """One :func:`format_tail_cdf` block per row that completed
+    single-packet messages, titled by its label and message count -- what
+    ``--cdf`` prints after the tables."""
+    blocks = []
+    for label, row in rows.items():
+        digest = row.single_packet_distribution
+        if digest is None or not digest.count:
+            continue
+        blocks.append(format_tail_cdf(
+            digest, title=f"{label}: single-packet latency tail ({digest.count} msgs)"
+        ))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # Reporting from a warm sweep cache (no simulation)
 # ---------------------------------------------------------------------------
@@ -227,15 +243,8 @@ def render_rows_report(
     """
     parts = [format_metric_table(f"cached rows in {directory}", rows)]
     if cdf:
-        for label, row in rows.items():
-            digest = row.single_packet_distribution
-            if digest is None or not digest.count:
-                continue
-            parts.append("")
-            parts.append(format_tail_cdf(
-                digest, title=f"{label}: single-packet latency tail ({digest.count} msgs)"
-            ))
-    return "\n".join(parts)
+        parts.extend(format_single_packet_cdfs(rows))
+    return "\n\n".join(parts)
 
 
 def render_cache_report(directory: str, cdf: bool = False) -> Optional[str]:

@@ -72,7 +72,7 @@ from repro.experiments.queue import TaskQueue
 from repro.experiments.spec import ScenarioSpec
 from repro.experiments.sweep import ResultCache, code_fingerprint, is_fingerprint
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
-from repro.metrics.report import format_tail_cdf, label_rows, render_rows_report
+from repro.metrics.report import format_single_packet_cdfs, label_rows, render_rows_report
 from repro.registry import UnknownNameError
 from repro.serve import DEFAULT_PORT, add_serve_arguments
 from repro.serve.catalog import catalog_entries, format_catalog
@@ -426,13 +426,9 @@ class ResultsService:
         spec, store = self.spec(name), self._view()
 
         def render() -> bytes:
-            return _text_body("\n\n".join(
-                format_tail_cdf(
-                    digest,
-                    title=f"{label}: single-packet latency tail ({digest.count} msgs)",
-                )
-                for label, _row, digest in self._cdf_rows(store, spec)
-            ))
+            self._cdf_rows(store, spec)  # enforce 404/409 semantics
+            rows = self._report_rows(store, spec)
+            return _text_body("\n\n".join(format_single_packet_cdfs(rows)))
 
         return _memo(store, ("body", "cdf_text", spec.name), render)[0]
 

@@ -1,6 +1,7 @@
-"""Execution-backend semantics: registry, streaming progress, and the
-durable work queue (lease atomicity, crash reclaim, resume-from-parts,
-serial-vs-queue equality)."""
+"""Where a sweep's cells run: locally (serial, or a process pool with its
+serial fallback), with streaming progress, and through the durable work
+queue (lease atomicity, crash reclaim, resume-from-parts, serial-vs-queue
+equality)."""
 
 import json
 import os
@@ -10,20 +11,14 @@ import threading
 import time
 import warnings
 
+from concurrent.futures import BrokenExecutor
+
 import pytest
 
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    register_execution_backend,
-    resolve_backend,
-)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
 from repro.experiments.sweep import ResultCache, _run_cell, aggregate_rows, run_sweep
-from repro.metrics.partial import PartialAggregator, aggregate_partial
+from repro.metrics.partial import PartialAggregator
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -64,63 +59,127 @@ def drop_first_manifest_line(monkeypatch):
     return dropped
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        resolve_backend(None)  # force queue-module registration
-        names = EXECUTION_BACKENDS.names()
-        for expected in ("serial", "process", "queue"):
-            assert expected in names
+class FakePool:
+    """Stands in for ``ProcessPoolExecutor``: runs cells in this process and
+    breaks, as a pool whose workers died would, after ``rows_before_break``
+    rows (``None``: never)."""
 
-    def test_none_maps_workers_onto_serial_or_process(self):
-        assert isinstance(resolve_backend(None, workers=1), SerialBackend)
-        assert isinstance(resolve_backend(None, workers=0), SerialBackend)
-        assert isinstance(resolve_backend(None, workers=4), ProcessBackend)
-        assert isinstance(resolve_backend(None, workers=None), ProcessBackend)
+    instances = []
 
-    def test_instances_pass_through(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend) is backend
+    def __init__(self, max_workers, rows_before_break=None):
+        self.max_workers = max_workers
+        self.rows_before_break = rows_before_break
+        FakePool.instances.append(self)
 
-    def test_queue_by_name_needs_a_directory(self):
-        with pytest.raises(ValueError, match="queue directory"):
-            resolve_backend("queue", workers=2)
+    def __enter__(self):
+        return self
 
-    def test_queue_rejects_missing_dir_at_construction(self):
-        with pytest.raises(ValueError, match="queue directory"):
-            QueueBackend()
+    def __exit__(self, *exc_info):
+        return False
 
-    def test_custom_backend_runs_by_name(self):
-        @register_execution_backend("recording")
-        class RecordingBackend(ExecutionBackend):
-            seen = []
+    def map(self, fn, items, chunksize=1):
+        for index, item in enumerate(items):
+            if index == self.rows_before_break:
+                raise BrokenExecutor("a worker process died")
+            yield fn(item)
 
-            def __init__(self, workers=None):
-                self.workers = workers
+
+class TestLocalExecution:
+    @pytest.fixture
+    def pool_class(self, monkeypatch):
+        """Replace the pool ``run_sweep`` builds; returns a setter for the
+        replacement (a callable taking ``max_workers``)."""
+        FakePool.instances = []
+
+        def use(factory):
+            monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", factory)
+
+        return use
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_one_worker_or_fewer_builds_no_pool(self, pool_class, workers):
+        pool_class(lambda max_workers: pytest.fail(f"built a pool for workers={workers}"))
+        sweep = run_sweep(tiny_cells(2), workers=workers)
+        assert sweep.workers_used == 1 and len(sweep) == 2
+
+    def test_workers_none_sizes_the_pool_by_cpus_and_cells(self, pool_class, monkeypatch):
+        pool_class(FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_sweep(tiny_cells(3), workers=None).workers_used == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert run_sweep(tiny_cells(3), workers=None).workers_used == 3
+        assert [pool.max_workers for pool in FakePool.instances] == [2, 3]
+
+    def test_an_execute_object_runs_only_the_uncached_cells(self, tmp_path):
+        class Recording:
+            def __init__(self):
+                self.seen = []
 
             def execute(self, pending, on_result):
-                from repro.experiments.sweep import _run_cell
-
                 for item in pending:
-                    RecordingBackend.seen.append(item[0])
+                    self.seen.append(item[0])
                     on_result(_run_cell(item))
                 return 7
 
-        try:
-            sweep = run_sweep({"only": tiny_config()}, backend="recording")
-            assert sweep.backend == "recording"
-            assert sweep.workers_used == 7
-            assert RecordingBackend.seen == ["only"]
-            assert sweep["only"].num_flows == 6
-        finally:
-            EXECUTION_BACKENDS._entries.pop("recording", None)
+        cells = tiny_cells(3)
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep({"s1": cells["s1"]}, workers=1, cache=cache)
+        backend = Recording()
+        sweep = run_sweep(cells, cache=cache, backend=backend)
+        assert backend.seen == ["s2", "s3"]
+        assert sweep.workers_used == 7
+        assert (sweep.cache_hits, sweep.cache_misses) == (1, 2)
+        assert sweep.rows == run_sweep(cells, workers=1).rows
 
-    def test_decorator_sets_backend_name(self):
-        assert SerialBackend.name == "serial"
-        assert ProcessBackend.name == "process"
-        assert QueueBackend.name == "queue"
+    def test_pool_is_capped_at_the_uncached_cells(self, pool_class):
+        pool_class(FakePool)
+        sweep = run_sweep(tiny_cells(3), workers=8)
+        assert [pool.max_workers for pool in FakePool.instances] == [3]
+        assert sweep.workers_used == 3
+        assert sweep.rows == run_sweep(tiny_cells(3), workers=1).rows
 
-    def test_sweep_result_records_backend(self):
-        assert run_sweep({"a": tiny_config()}, workers=1).backend == "serial"
+    def test_pool_that_cannot_start_falls_back_to_serial(self, pool_class):
+        def no_fork(max_workers):
+            raise OSError("fork denied")
+
+        pool_class(no_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep = run_sweep(tiny_cells(3), workers=2)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1 and "fork denied" in str(runtime[0].message)
+        assert sweep.workers_used == 1
+        assert sweep.rows == run_sweep(tiny_cells(3), workers=1).rows
+
+    def test_pool_breaking_midway_runs_the_rest_serially_once(
+        self, pool_class, tmp_path, monkeypatch,
+    ):
+        pool_class(lambda max_workers: FakePool(max_workers, rows_before_break=1))
+        cached = []
+        original_put = ResultCache.put
+
+        def counting_put(self, row):
+            cached.append(row.label)
+            original_put(self, row)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        observed = []
+        cells = tiny_cells(4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep = run_sweep(
+                cells, workers=2, cache=tmp_path / "cache",
+                progress=lambda progress, row: observed.append(row.label),
+            )
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+        assert sweep.workers_used == 1
+        # The pool's one row was stored once; the other three ran serially.
+        assert cached == observed == list(cells)
+        assert sweep.rows == run_sweep(cells, workers=1).rows
+
+    def test_a_backend_name_is_refused(self):
+        with pytest.raises(TypeError, match="names are not accepted"):
+            run_sweep({"only": tiny_config()}, backend="queue")
 
 
 class TestSweepProgress:
@@ -166,12 +225,6 @@ class TestPartialAggregator:
         for i, row in enumerate(rows, start=1):
             partial.add(row)
             assert partial.snapshot() == aggregate_rows(rows[:i], by=("name",))
-        assert partial.rows_absorbed == 4
-        assert len(partial) == 2
-
-    def test_aggregate_partial_equals_aggregate_rows(self):
-        rows = list(run_sweep(tiny_cells(3), workers=1).rows.values())
-        assert aggregate_partial(rows, by=("name",)) == aggregate_rows(rows, by=("name",))
 
     def test_incremental_add_reports_updated_cell(self):
         rows = list(run_sweep(tiny_cells(2), workers=1).rows.values())
@@ -437,6 +490,10 @@ class TestRunWorker:
 
 
 class TestQueueBackend:
+    def test_queue_directory_is_required(self):
+        with pytest.raises(TypeError, match="queue_dir"):
+            QueueBackend()
+
     def test_inline_queue_matches_serial_exactly(self, tmp_path):
         configs = tiny_cells(4)
         serial = run_sweep(configs, workers=1)
@@ -444,7 +501,6 @@ class TestQueueBackend:
             configs,
             backend=QueueBackend(tmp_path / "q", wait_timeout_s=60),
         )
-        assert queued.backend == "queue"
         # Bit-identical rows, labels, and pooled aggregates.
         assert queued.rows == serial.rows
         assert queued.labels() == serial.labels()
@@ -699,12 +755,11 @@ class TestWorkerCli:
 
         rc = main([
             "run", "fig1", "--quick", "--flows", "12", "--no-cache",
-            "--backend", "queue", "--queue-dir", str(tmp_path / "q"),
-            "--follow",
+            "--queue-dir", str(tmp_path / "q"), "--follow",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "queue backend" in out
+        assert f"queue at {tmp_path / 'q'}" in out
         assert "[1/2]" in out and "[2/2]" in out  # streamed partials
         assert "replicas=1" in out
 
@@ -714,11 +769,22 @@ class TestWorkerCli:
         with pytest.raises(SystemExit, match="mutually exclusive"):
             main(["run", "fig1", "--quick", "--seeds", "3"])
 
-    def test_queue_dir_requires_queue_backend(self):
+    @pytest.mark.parametrize("flag, value", [
+        ("--poll", "0"),            # an idle worker would spin
+        ("--poll", "-1"),           # time.sleep() of a negative length
+        ("--lease-timeout", "0"),   # TaskQueue refuses it with a traceback
+    ])
+    def test_worker_timing_flags_must_be_positive(self, tmp_path, capsys, flag, value):
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit, match="--queue-dir"):
-            main(["run", "fig1", "--queue-dir", "/tmp/nope"])
+        with pytest.raises(SystemExit) as exited:
+            main(["worker", str(tmp_path / "q"), "--drain", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be a positive number of seconds, got {value}"
+        )
 
 
 class TestHeartbeats:

@@ -123,11 +123,6 @@ DECLARED = {
         "aliases": {"no_cc": "none", "off": "none"},
         "providers": {"repro.congestion.factory"},
     },
-    "repro.experiments.backends:EXECUTION_BACKENDS": {
-        "names": ["serial", "process", "queue"],
-        "aliases": {},
-        "providers": {"repro.experiments.backends", "repro.experiments.queue"},
-    },
 }
 
 
@@ -191,10 +186,8 @@ class TestDeclaredBuiltins:
         assert all(before["contains"])
         for name in expected["names"]:
             assert name in before["unknown"]
-        # ...and asking for them imported no provider (the execution-backend
-        # registry lives in the module that provides two of its three names).
-        own_module = where.split(":")[0]
-        assert not (expected["providers"] - {own_module}) & set(before["modules_after_queries"])
+        # ...and asking for them imported no provider.
+        assert not expected["providers"] & set(before["modules_after_queries"])
         assert before["modules_after_queries"] == before["modules"]
 
         # Loading every provider fills the declared slots in place: same

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.results import ResultRow
 from repro.experiments.sweep import ResultCache, aggregate_rows, run_sweep
 from repro.metrics.report import (
     format_aggregate_table,
     format_metric_table,
+    format_single_packet_cdfs,
     format_tail_cdf,
     load_cached_rows,
     main,
@@ -63,6 +65,20 @@ class TestTailCdf:
         lines = format_tail_cdf(digest, points=6).splitlines()[2:]
         latencies = [float(line.split()[1]) for line in lines]
         assert latencies == sorted(latencies)
+
+    def test_single_packet_blocks_skip_rows_without_messages(self, sweep_rows):
+        without = ResultRow.from_dict({
+            **sweep_rows["tiny seed=1"].to_dict(),
+            "label": "no singles", "single_packet_digest": None,
+        })
+        rows = {**sweep_rows, "no singles": without}
+        blocks = format_single_packet_cdfs(rows)
+        assert len(blocks) == len(sweep_rows)
+        for block, (label, row) in zip(blocks, sweep_rows.items()):
+            digest = row.single_packet_distribution
+            assert block == format_tail_cdf(
+                digest, title=f"{label}: single-packet latency tail ({digest.count} msgs)"
+            )
 
 
 class TestCacheReporting:

@@ -315,9 +315,6 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["--set", "bogus_field=1"], "unknown ExperimentConfig field(s) ['bogus_field']"),
-        (["--backend", "bogus"],
-         "unknown execution backend 'bogus'; registered execution backends: "
-         "serial, process, queue"),
         (["--set", "workload=nosuch"], "unknown workload 'nosuch'; registered workloads: "),
         (["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
         (["--seeds", "-2"], "argument --seeds: must be at least 1, got -2"),
