@@ -80,12 +80,6 @@ class RateBasedControl(CongestionControl):
         self.min_rate_bps = min_rate_bps if min_rate_bps is not None else line_rate_bps / 1000.0
         self.rate_bps = line_rate_bps
         self._next_tx_time = 0.0
-        #: Sending credit (seconds) the pacer may accumulate while its
-        #: wake-up is deferred onto a quantized grid: a sender woken late may
-        #: burst through at most this much backlog at the current rate, which
-        #: preserves the average rate under batched wake-ups.  0 keeps strict
-        #: per-packet pacing (no credit survives an idle gap).
-        self.burst_credit_s = 0.0
 
     def clamp_rate(self) -> None:
         """Keep the rate within [min_rate, line_rate]."""
@@ -93,7 +87,7 @@ class RateBasedControl(CongestionControl):
 
     def on_packet_sent(self, size_bits: int, now: float) -> None:
         gap = size_bits / self.rate_bps
-        self._next_tx_time = max(self._next_tx_time, now - self.burst_credit_s) + gap
+        self._next_tx_time = max(self._next_tx_time, now) + gap
 
     def next_send_time(self, now: float) -> float:
         return max(now, self._next_tx_time)

@@ -130,7 +130,6 @@ class RoceReceiver(IrnReceiver):
                 timeouts_enabled=config.timeouts_enabled,
                 ack_coalesce_n=config.ack_coalesce_n,
                 ack_coalesce_s=config.ack_coalesce_s,
-                pacing_quantum_s=config.pacing_quantum_s,
             )
         super().__init__(
             sim,

@@ -12,7 +12,7 @@ and windowing policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.sim.packet import DEFAULT_HEADER_BYTES, Packet, PacketType
@@ -84,12 +84,6 @@ class TransportConfig:
     #: it to half of the effective RTO_low (the sender budgets the flush
     #: delay into its retransmission timer, see ``BaseSender._arm_rto``).
     ack_coalesce_s: float = 25e-6
-    #: Pacing wake-up quantization grid, in seconds.  0 keeps one wake-up
-    #: event per paced packet (per QP); a positive quantum rounds wake-ups
-    #: up onto the grid and shares a single timer host-wide, so a paced
-    #: sender costs one event per quantized batch.  The congestion module's
-    #: burst credit is set to the quantum so the average rate is preserved.
-    pacing_quantum_s: float = 0.0
 
 
 class BaseSender:
@@ -155,7 +149,7 @@ class BaseSender:
             return None
         release = self._pacing_release_time(now)
         if release > now:
-            self._ensure_pacing_wakeup(release)
+            self._arm_pacing_event(release)
             return None
         packet = self._build_packet(psn, now)
         self._note_sent(psn, packet, now)
@@ -229,14 +223,7 @@ class BaseSender:
             return now
         return self.cc.next_send_time(now)
 
-    def _ensure_pacing_wakeup(self, release: float) -> None:
-        quantum = self.config.pacing_quantum_s
-        if quantum > 0.0:
-            # Round up onto the quantum grid and share the wake-up host-wide:
-            # one timer serves every paced QP on this NIC, and the pacer's
-            # burst credit lets it catch up on the whole quantum at once.
-            self.host.request_pacing_wakeup(math.ceil(release / quantum) * quantum)
-            return
+    def _arm_pacing_event(self, release: float) -> None:
         if self._pacing_event is not None and not self._pacing_event.cancelled:
             return
         self._pacing_event = self.sim.schedule_at(release, self._pacing_fired)

@@ -59,14 +59,12 @@ _NON_PHYSICAL_FIELDS = ("name", "keep_flow_records")
 #: ``docs/architecture.md``.  The values are the *raw* knobs, never derived
 #: ones, so a fingerprint cannot depend on what is registered in a process.
 _OMITTED_AT: Dict[str, Any] = {
-    "port_batch_bytes": None,
     "fabric_digests": False,
     "ring_switches": 3,
     "wan_delay_s": 1e-3,
     "c_latency_ratios": False,
     # Only per-packet ACKs match pre-knob runs; the default of 4 does not.
     "ack_coalesce_n": 1,
-    "pacing_quantum_us": 0.0,
     "fault_plan": None,
 }
 
@@ -98,14 +96,6 @@ class ExperimentConfig:
     buffer_bytes_per_port: Optional[int] = None
     #: PFC headroom.  ``None`` derives it from the upstream link's BDP.
     pfc_headroom_bytes: Optional[int] = None
-    #: Bytes-based cap on one output-port departure batch.  Ports normally
-    #: commit up to :data:`~repro.sim.link.DEFAULT_PORT_BATCH` *packets* per
-    #: pull; with jumbo MTUs that bursts several MTUs past a PFC pause, so
-    #: this caps the committed bytes instead (a batch stops once it reaches
-    #: the cap; it always commits at least one packet).  ``None`` keeps the
-    #: packet-count-only behavior; a value also changes the derived PFC
-    #: headroom.
-    port_batch_bytes: Optional[int] = None
 
     # --- transport ------------------------------------------------------------
     transport: str = "irn"
@@ -136,12 +126,6 @@ class ExperimentConfig:
     #: loss-detection latency stays near RTO_low (the sender budgets the
     #: flush delay into its retransmission timer).
     ack_coalesce_us: float = 25.0
-    #: Pacing wake-up quantization grid (microseconds).  0 (default)
-    #: disables quantization: every paced QP schedules its own per-packet
-    #: wake-up.  Positive values round wake-ups up onto the grid and share
-    #: one timer per host; the pacer accumulates burst credit over the
-    #: quantum, preserving the average rate.
-    pacing_quantum_us: float = 0.0
 
     # --- congestion control ------------------------------------------------------
     congestion_control: str = "none"
@@ -207,16 +191,10 @@ class ExperimentConfig:
             # An empty plan is physically identical to no plan; normalizing
             # here gives both one fingerprint.
             self.fault_plan = None
-        if self.port_batch_bytes is not None and self.port_batch_bytes < 1:
-            # A zero cap would silently stop every port from ever pulling a
-            # packet; fail here, at the earliest surface.
-            raise ValueError("port_batch_bytes must be >= 1 (or None to disable)")
         if self.ack_coalesce_n < 1:
             raise ValueError("ack_coalesce_n must be >= 1 (1 = per-packet ACKs)")
         if self.ack_coalesce_us <= 0:
             raise ValueError("ack_coalesce_us must be positive")
-        if self.pacing_quantum_us < 0:
-            raise ValueError("pacing_quantum_us must be >= 0 (0 disables quantization)")
 
     def check_components(self) -> None:
         """Raise :class:`~repro.registry.UnknownNameError` unless every
@@ -286,15 +264,10 @@ class ExperimentConfig:
 
     def effective_headroom_bytes(self) -> int:
         """PFC headroom (defaults to the upstream link's in-flight bytes,
-        budgeting the configured departure-batch bound)."""
+        budgeting the ports' departure batches)."""
         if self.pfc_headroom_bytes is not None:
             return self.pfc_headroom_bytes
-        return headroom_for_link(
-            self.link_bandwidth_bps,
-            self.link_delay_s,
-            self.mtu_bytes,
-            port_batch_bytes=self.port_batch_bytes,
-        )
+        return headroom_for_link(self.link_bandwidth_bps, self.link_delay_s, self.mtu_bytes)
 
     def switch_radix(self) -> int:
         """Number of ports per switch (bounds how many inputs feed one output)."""
@@ -347,10 +320,6 @@ class ExperimentConfig:
         the *total* loss-detection latency near RTO_low, not hide the flush
         entirely beneath it."""
         return min(self.ack_coalesce_us * 1e-6, 0.5 * self.effective_rto_low_s())
-
-    def effective_pacing_quantum_s(self) -> float:
-        """Pacing wake-up quantization grid in seconds (0 = per-packet)."""
-        return self.pacing_quantum_us * 1e-6
 
     def switch_config(self) -> SwitchConfig:
         """Build the per-switch configuration implied by this experiment.

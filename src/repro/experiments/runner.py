@@ -69,7 +69,6 @@ class _FlowLauncher:
         self._scheme = config.congestion_scheme()
         self._ack_coalesce_n = config.effective_ack_coalesce_n()
         self._ack_coalesce_s = config.effective_ack_coalesce_s()
-        self._pacing_quantum_s = config.effective_pacing_quantum_s()
         self._irn_config = self._build_irn_config()
         self._roce_config = self._build_roce_config()
         self._tcp_config = self._build_tcp_config()
@@ -93,7 +92,6 @@ class _FlowLauncher:
             retransmission_fetch_delay_s=2e-6 if cfg.worst_case_overheads else 0.0,
             ack_coalesce_n=self._ack_coalesce_n,
             ack_coalesce_s=self._ack_coalesce_s,
-            pacing_quantum_s=self._pacing_quantum_s,
         )
 
     def _build_roce_config(self) -> RoceConfig:
@@ -112,7 +110,6 @@ class _FlowLauncher:
             timeouts_enabled=not cfg.pfc_enabled,
             ack_coalesce_n=self._ack_coalesce_n,
             ack_coalesce_s=self._ack_coalesce_s,
-            pacing_quantum_s=self._pacing_quantum_s,
         )
 
     def _build_tcp_config(self) -> TcpConfig:
@@ -128,7 +125,6 @@ class _FlowLauncher:
             initial_rto_s=cfg.effective_rto_high_s(),
             ack_coalesce_n=self._ack_coalesce_n,
             ack_coalesce_s=self._ack_coalesce_s,
-            pacing_quantum_s=self._pacing_quantum_s,
         )
 
     def _cnp_interval_s(self) -> Optional[float]:
@@ -143,16 +139,11 @@ class _FlowLauncher:
         cfg = self.config
         if cfg.congestion_control == "none":
             return None
-        cc = make_congestion_control(
+        return make_congestion_control(
             cfg.congestion_control,
             line_rate_bps=cfg.link_bandwidth_bps,
             base_rtt_s=cfg.base_rtt_s() + 8.0 * cfg.mtu_bytes * cfg.max_hop_count() / cfg.link_bandwidth_bps,
         )
-        if self._pacing_quantum_s > 0 and hasattr(cc, "burst_credit_s"):
-            # Quantized wake-ups round release times *up*; letting the pacer
-            # bank one quantum of credit preserves the average rate.
-            cc.burst_credit_s = self._pacing_quantum_s
-        return cc
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -207,10 +198,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one simulation described by ``config`` and collect its metrics."""
     sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
-    if config.port_batch_bytes is not None:
-        # Bytes-based departure-batch cap, fabric-wide (host NICs source
-        # the bursts PFC has to absorb, so they are capped too).
-        network.set_port_batch_bytes(config.port_batch_bytes)
     collector = MetricsCollector(
         network,
         mtu_bytes=config.mtu_bytes,

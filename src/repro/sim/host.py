@@ -61,8 +61,6 @@ class Host:
         self._active_order: List[int] = []       # round-robin order of sender flow ids
         self._rr_index = 0
         self._control_queue: Deque[Packet] = deque()
-        #: Shared quantized pacing wake-up (at most one pending per host).
-        self._pacing_wakeup = None
 
         # Statistics
         self.data_packets_sent = 0
@@ -127,25 +125,6 @@ class Host:
     def enqueue_control(self, packet: Packet) -> None:
         """Queue an ACK/NACK/CNP for transmission ahead of data packets."""
         self._control_queue.append(packet)
-        self.notify_ready()
-
-    def request_pacing_wakeup(self, when: float) -> None:
-        """Ask for one NIC kick at (or before) ``when``.
-
-        All paced QPs on this host share a single pending wake-up: a request
-        at or after the pending one is absorbed; an earlier request cancels
-        and replaces it.  This is what makes a saturated paced host cost one
-        event per pacing quantum instead of one per QP per packet.
-        """
-        event = self._pacing_wakeup
-        if event is not None and not event.cancelled:
-            if event.time <= when:
-                return
-            event.cancel()
-        self._pacing_wakeup = self.sim.schedule_at(when, self._pacing_wakeup_fired)
-
-    def _pacing_wakeup_fired(self) -> None:
-        self._pacing_wakeup = None
         self.notify_ready()
 
     def next_packet(self, port: OutputPort) -> Optional[Packet]:

@@ -119,14 +119,6 @@ class OutputPort:
     schedules a wake-up pull only when one is actually needed -- when the
     batch limit cut the pull short, or when a kick arrives while the wire is
     busy.  An idle-source busy period therefore costs zero wake-up events.
-
-    ``max_batch_bytes`` optionally caps the *bytes* one pull commits: the
-    batch stops once the committed bytes reach the cap (it always commits at
-    least one packet, so a jumbo frame larger than the cap still moves).
-    The worst-case burst past a PFC pause is therefore ``max_batch_bytes``
-    plus one straddling packet, instead of ``max_batch_packets`` full MTUs
-    -- the knob jumbo-MTU configs set via
-    :attr:`~repro.experiments.config.ExperimentConfig.port_batch_bytes`.
     """
 
     def __init__(
@@ -135,17 +127,13 @@ class OutputPort:
         link: Link,
         source: PacketSource,
         max_batch_packets: int = DEFAULT_PORT_BATCH,
-        max_batch_bytes: Optional[int] = None,
     ) -> None:
         if max_batch_packets < 1:
             raise ValueError("max_batch_packets must be >= 1")
-        if max_batch_bytes is not None and max_batch_bytes < 1:
-            raise ValueError("max_batch_bytes must be >= 1")
         self.sim = sim
         self.link = link
         self.source = source
         self.max_batch_packets = max_batch_packets
-        self.max_batch_bytes = max_batch_bytes
         self.paused = False
 
         #: When the committed departures finish serializing: the wire is
@@ -259,15 +247,8 @@ class OutputPort:
         bandwidth = link.bandwidth_bps
         free_at = now
         count = 0
-        committed_bytes = 0
         limit = self.max_batch_packets
-        byte_cap = self.max_batch_bytes
-        limited = False
-        while True:
-            if count >= limit or (byte_cap is not None and committed_bytes >= byte_cap):
-                # A limit (not an empty source) is ending this pull.
-                limited = True
-                break
+        while count < limit:
             packet = next_packet(self)
             if packet is None:
                 break
@@ -286,11 +267,10 @@ class OutputPort:
             # transmit-done event.
             sim.schedule_at(free_at + prop, receive, packet, link)
             count += 1
-            committed_bytes += packet.size_bytes
         if count:
             self.batches_sent += 1
             self.free_at = free_at
-            if limited:
+            if count == limit:
                 # The batch limit (not an empty source) ended the pull, so
                 # nothing will kick us: arrange the next pull ourselves.
                 if self._pull_event is None:
@@ -311,15 +291,13 @@ class OutputPort:
         packet.sent_time = now
         delay = packet.size_bits / link.bandwidth_bps
         link.busy_time += delay
-        size = packet.size_bytes
-        link.bytes_sent += size
+        link.bytes_sent += packet.size_bytes
         link.packets_sent += 1
         self.free_at = free_at = now + delay
         sim.schedule_at(free_at + link.prop_delay_s, link.dst.receive, packet, link)
         self.batches_sent += 1
-        byte_cap = self.max_batch_bytes
-        if self.max_batch_packets == 1 or (byte_cap is not None and size >= byte_cap):
-            # This frame alone reaches a batch limit, so ``start_batch``
+        if self.max_batch_packets == 1:
+            # This frame alone reaches the batch limit, so ``start_batch``
             # would have stopped on the limit, not on the empty source:
             # arrange the next pull as it does.
             if self._pull_event is None:

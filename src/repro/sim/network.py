@@ -167,17 +167,6 @@ class Network:
             if host.uplink_port is not None:
                 yield host.uplink_port
 
-    def set_port_batch_bytes(self, max_batch_bytes: Optional[int]) -> None:
-        """Apply a bytes-based departure-batch cap to every output port
-        (switch ports *and* host NICs -- hosts source the bursts PFC has to
-        absorb).  Call before the simulation starts."""
-        if max_batch_bytes is not None and max_batch_bytes < 1:
-            # Same guard as the OutputPort constructor: a zero cap would
-            # silently stop every port from ever pulling a packet.
-            raise ValueError("max_batch_bytes must be >= 1 (or None to disable)")
-        for port in self.output_ports():
-            port.max_batch_bytes = max_batch_bytes
-
     def total_dropped_packets(self) -> int:
         """Total packets dropped by all switches so far."""
         return sum(s.packets_dropped for s in self.switches.values())

@@ -43,7 +43,6 @@ def headroom_for_link(
     bandwidth_bps: float,
     prop_delay_s: float,
     mtu_bytes: int = 1000,
-    port_batch_bytes: int | None = None,
 ) -> int:
     """Compute the PFC headroom needed to absorb a link's in-flight bytes.
 
@@ -53,18 +52,10 @@ def headroom_for_link(
     to its MAC when the threshold was crossed (``DEFAULT_PORT_BATCH`` packets,
     see :mod:`repro.sim.link`), the batch that starts just before the pause
     frame arrives, and the pause frame's own serialization time.
-
-    ``port_batch_bytes`` is the optional bytes-based batch cap
-    (:attr:`~repro.experiments.config.ExperimentConfig.port_batch_bytes`):
-    when it bounds a batch tighter than the packet count does, the budget
-    shrinks with it -- a capped batch commits at most ``port_batch_bytes``
-    plus one straddling MTU.
     """
     from repro.sim.link import DEFAULT_PORT_BATCH
 
     batch_bytes = DEFAULT_PORT_BATCH * mtu_bytes
-    if port_batch_bytes is not None:
-        batch_bytes = min(batch_bytes, port_batch_bytes + mtu_bytes)
     in_flight = 2.0 * bandwidth_bps * prop_delay_s / 8.0
     return int(in_flight + 2 * batch_bytes + mtu_bytes + 64)
 

@@ -1,4 +1,4 @@
-"""Receiver-side ACK coalescing and pacing quantization.
+"""Receiver-side ACK coalescing, and per-packet pacing end to end.
 
 Unit tests drive an :class:`IrnReceiver` directly (with a stubbed
 ``send_control``) to pin the windowing contract: bank up to N in-order
@@ -7,10 +7,6 @@ delay a loss signal.  End-to-end tests run full experiments to pin the
 event-count reduction, byte-identity at ``ack_coalesce_n=1``, correctness
 under loss, and the engine accounting identity with coalescing timers live.
 """
-
-import math
-
-import pytest
 
 from repro.core.irn import IrnConfig, IrnReceiver
 from repro.experiments.config import ExperimentConfig
@@ -269,26 +265,30 @@ class TestEndToEnd:
         assert a.to_row(label="x").to_dict() == b.to_row(label="x").to_dict()
 
 
-class TestPacingQuantization:
-    def test_quantized_run_completes_and_is_deterministic(self):
-        config = _e2e_config(congestion_control="dcqcn", pacing_quantum_us=3.2,
-                             max_sim_time_s=2.0)
+class TestPerPacketPacing:
+    """Rate-based senders pace every packet with their own wake-up."""
+
+    def test_paced_run_completes_and_is_deterministic(self):
+        config = _e2e_config(congestion_control="dcqcn", max_sim_time_s=2.0)
         a = run_experiment(config)
         b = run_experiment(config)
         assert a.completion_fraction() == 1.0
-        assert a.to_row(label="q").to_dict() == b.to_row(label="q").to_dict()
+        assert a.to_row(label="p").to_dict() == b.to_row(label="p").to_dict()
 
-    def test_quantization_reduces_pacing_events(self):
-        base = dict(congestion_control="dcqcn", max_sim_time_s=0.3)
-        sim_off, _, _ = _run_counting(_e2e_config(**base))
-        sim_on, _, _ = _run_counting(_e2e_config(pacing_quantum_us=3.2, **base))
-        assert sim_on.events_processed < sim_off.events_processed
+    def test_only_rate_based_senders_schedule_pacing_wake_ups(self, monkeypatch):
+        # DCQCN paces once CNPs cut a rate; each wake-up is the sender's own
+        # engine event.  Without congestion control nothing is paced.
+        from repro.core.transport import BaseSender
 
-    def test_quantization_preserves_average_throughput(self):
-        base = dict(congestion_control="dcqcn", max_sim_time_s=2.0)
-        plain = run_experiment(_e2e_config(**base))
-        quantized = run_experiment(_e2e_config(pacing_quantum_us=3.2, **base))
-        assert quantized.completion_fraction() == 1.0
-        # The burst-credit grid preserves the average rate; allow a small
-        # scheduling-granularity penalty either way.
-        assert quantized.summary.avg_fct <= 1.15 * plain.summary.avg_fct
+        fired = []
+        original = BaseSender._pacing_fired
+
+        def counting(sender):
+            fired.append(sender)
+            original(sender)
+
+        monkeypatch.setattr(BaseSender, "_pacing_fired", counting)
+        run_experiment(_e2e_config())
+        assert fired == []
+        run_experiment(_e2e_config(congestion_control="dcqcn"))
+        assert len(fired) > 0

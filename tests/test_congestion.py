@@ -27,6 +27,20 @@ class TestRateBasedPacing:
         cc.on_packet_sent(8_000, now=0.0)
         assert cc.next_send_time(0.0) == pytest.approx(2e-6)
 
+    def test_back_to_back_sends_queue_their_gaps(self):
+        cc = RateBasedControl(line_rate_bps=8e9)
+        cc.on_packet_sent(8_000, now=0.0)
+        cc.on_packet_sent(8_000, now=0.0)
+        assert cc.next_send_time(0.0) == pytest.approx(2e-6)
+
+    def test_idle_gap_earns_no_send_credit(self):
+        # Strict per-packet pacing: a sender that was idle past its release
+        # time paces its next packet from now, not from the missed slot.
+        cc = RateBasedControl(line_rate_bps=8e9)
+        cc.on_packet_sent(8_000, now=0.0)
+        cc.on_packet_sent(8_000, now=10e-6)
+        assert cc.next_send_time(10e-6) == pytest.approx(11e-6)
+
     def test_clamp_rate(self):
         cc = RateBasedControl(line_rate_bps=1e9, min_rate_bps=1e6)
         cc.rate_bps = 1e12

@@ -12,9 +12,9 @@ tests:
 * one DCQCN cell (RED marking: RNG draw order) and one Timely cell,
 * a packet-spray fabric (uncached routing, installed by *reassigning*
   ``switch.routing`` after the build),
-* a jumbo-MTU cell whose ``port_batch_bytes`` cap is below one MTU and a
-  fabric with ``max_batch_packets = 1`` (every committed packet hits the
-  batch limit, so the wake-up pull must be armed),
+* a fabric with ``max_batch_packets = 1`` (the ``batch1-*`` cells, which are
+  what covers the armed wake-up pull: every committed packet hits the batch
+  limit, so the pull must be armed),
 * ``availability_flap`` (fault and recovery taps wrapping ``receive``),
 * one ``fabric_digests=True`` cell (the queue-depth sample values).
 
@@ -30,6 +30,11 @@ the single-scheduler change) so they also prove that change moved nothing:
 * ``availability_flap`` IRN and RoCE cells carrying one window of each of
   the four fault kinds (``FAULT_PLAN``: flap, corruption, degraded link,
   pause storm; 40 flows, seed 1).
+
+The two ``jumbo-*`` cells (``fig1`` at a 9000 B MTU, 60 flows, seed 1: the
+jumbo-MTU PFC headroom derivation) were recorded at commit ab3df27, the
+parent of the removal of the byte-capped departure batch and the pacing
+quantum, so they also prove that removal moved nothing.
 
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
 moved.  ``python -m tests.test_fabric_golden`` prints the table again.
@@ -87,10 +92,8 @@ CELLS = {
     "fig4-irn-timely": ("fig4", "IRN +timely", dict(num_flows=20, seed=1), None),
     "spray-irn": ("fig1", "IRN (without PFC)", dict(num_flows=20, seed=3), _spray),
     "spray-roce": ("fig1", "RoCE (with PFC)", dict(num_flows=20, seed=3), _spray),
-    "jumbo-cap-roce": ("fig1", "RoCE (with PFC)",
-                       dict(num_flows=60, seed=1, mtu_bytes=9000, port_batch_bytes=4000), None),
-    "jumbo-cap-irn": ("fig1", "IRN (without PFC)",
-                      dict(num_flows=60, seed=1, mtu_bytes=9000, port_batch_bytes=4000), None),
+    "jumbo-roce": ("fig1", "RoCE (with PFC)", dict(num_flows=60, seed=1, mtu_bytes=9000), None),
+    "jumbo-irn": ("fig1", "IRN (without PFC)", dict(num_flows=60, seed=1, mtu_bytes=9000), None),
     "batch1-roce": ("fig1", "RoCE (with PFC)", dict(num_flows=20, seed=4), _batch_of_one),
     "batch1-irn": ("fig1", "IRN (without PFC)", dict(num_flows=20, seed=4), _batch_of_one),
     "flap-roce": ("availability_flap", "4 flaps|RoCE (with PFC)",
@@ -129,8 +132,8 @@ PINS = {
     "fig4-irn-timely": "045d5d5bfaa52d9c12b99eed34eccc4a5f2bc0f2b11a869f49b356fd8437a86b",
     "spray-irn": "e9572bfa763a2a356f2415a77d9000a8158f9396cbc71ffb9bd419aeed5bf7bc",
     "spray-roce": "d8d1ce10696a0f1a8b58b9fbd027fb290064f7d19f70f6060bedd5238dfa3828",
-    "jumbo-cap-roce": "a995455687febe24b577011344d6a785abfc40a6a7c4cd10f91a0b0521222152",
-    "jumbo-cap-irn": "9772139486c8c5f0143c5e52d74c648852dcdfaa27d2016a5be823f58dc411dd",
+    "jumbo-roce": "954675d633550e417c8f37f907f6d60310be97516a750e3050f44af82c83fdd6",
+    "jumbo-irn": "0d4cf5e1d57fb8b58daacd6abf1230f5f9d3976fa7597598aaf8829fc290a4c0",
     "batch1-roce": "f02f145b6d5343c607308ab4fe3f8e0f99bdcada29739df4aefde48cb05bef95",
     "batch1-irn": "774bd491dda584a808e8eb89ac7fe6ea07103cb4c0627e97f38f4a4a82b6d295",
     "flap-roce": "6c9908eebcada24e80e39f7bc41159ac8a7f06b4b7cb8bf130c94f64bc79e5b9",

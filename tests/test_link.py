@@ -1,5 +1,7 @@
 """Tests for links and output ports."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -204,67 +206,14 @@ class TestOutputPort:
         sim.run_until_idle()
         assert port.paused_time == pytest.approx(5e-6)
 
-
-class TestOutputPortByteCap:
-    """port_batch_bytes: bytes-based bound on one departure batch."""
-
-    def make_capped_link(self, sim, max_batch_bytes, bandwidth=8e9, delay=0.0):
-        src = SinkNode("src")
-        dst = SinkNode("dst")
-        link = Link(sim, src, dst, bandwidth, delay)
-        source = QueueSource()
-        port = OutputPort(sim, link, source, max_batch_bytes=max_batch_bytes)
-        return link, port, source, dst
-
-    def test_batch_stops_at_byte_cap(self):
-        sim = Simulator()
-        # Cap of 2000 B: the batch commits packets until committed bytes
-        # reach the cap -- two 1000 B packets -- then arranges its own pull.
-        link, port, source, dst = self.make_capped_link(sim, max_batch_bytes=2000)
-        source.queue.extend(data_packet(1000) for _ in range(4))
-        port.kick()
-        sim.run_until_idle()
-        assert len(dst.received) == 4
-        # Two byte-capped batches instead of one 4-packet batch.
-        assert port.batches_sent == 2
-
-    def test_always_commits_at_least_one_packet(self):
-        sim = Simulator()
-        # A jumbo frame larger than the cap still moves (cap checked before
-        # each pull, never against the packet about to be pulled).
-        link, port, source, dst = self.make_capped_link(sim, max_batch_bytes=2000)
-        source.queue.append(data_packet(9000))
-        port.kick()
-        sim.run_until_idle()
-        assert len(dst.received) == 1
-
-    def test_burst_bounded_by_cap_plus_one_packet(self):
-        sim = Simulator()
-        link, port, source, dst = self.make_capped_link(sim, max_batch_bytes=2500)
-        source.queue.extend(data_packet(1000) for _ in range(8))
-        port.kick()
-        sim.run_until_idle()
-        assert len(dst.received) == 8
-        # Each batch committed 3 packets (2000 B < cap, pull one more) --
-        # never the 4-packet default.
-        assert port.batches_sent == 3
-
-    def test_unset_cap_keeps_packet_count_batching(self):
+    def test_default_batch_is_four_packets(self):
         sim = Simulator()
         link, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
-        assert port.max_batch_bytes is None
         source.queue.extend(data_packet(1000) for _ in range(8))
         port.kick()
         sim.run_until_idle()
         assert len(dst.received) == 8
         assert port.batches_sent == 2  # two DEFAULT_PORT_BATCH pulls
-
-    def test_invalid_cap_rejected(self):
-        sim = Simulator()
-        src, dst = SinkNode("a"), SinkNode("b")
-        link = Link(sim, src, dst, 8e9, 1e-6)
-        with pytest.raises(ValueError, match="max_batch_bytes"):
-            OutputPort(sim, link, QueueSource(), max_batch_bytes=0)
 
     def test_pause_digest_records_episode_durations(self):
         sim = Simulator()
@@ -285,3 +234,72 @@ class TestOutputPortByteCap:
         port.resume()
         assert port.pause_digest.samples == [pytest.approx(5e-6)]
         assert port.paused_time == pytest.approx(5e-6)
+
+
+class TestDepartureBatchLimit:
+    """A pull commits at most ``max_batch_packets`` frames, whatever their size."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8])
+    def test_pull_count_follows_the_packet_limit(self, limit):
+        # 8 packets drain in ceil(8 / limit) pulls without external kicks;
+        # limits 1, 2, 4 and 8 end the last pull exactly on the limit, 3 on
+        # the empty source.
+        sim = Simulator()
+        _, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
+        port.max_batch_packets = limit
+        source.queue.extend(data_packet(1000) for _ in range(8))
+        port.kick()
+        sim.run_until_idle()
+        assert port.batches_sent == math.ceil(8 / limit)
+        assert dst.received_times == pytest.approx([i * 1e-6 for i in range(1, 9)])
+
+    def test_pull_ended_by_the_limit_arms_one_wake_up(self):
+        # Exactly one batch of 4: the limit (not the empty source) ends the
+        # pull, so the port arms a wake-up that then finds the source empty.
+        # Four deliveries plus that one pull, and nothing left pending.
+        sim = Simulator()
+        _, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
+        source.queue.extend(data_packet(1000) for _ in range(4))
+        port.kick()
+        sim.run_until_idle()
+        assert len(dst.received) == 4
+        assert sim.events_processed == 5
+        assert port.batches_sent == 1
+
+    def test_pull_ended_by_the_empty_source_arms_no_wake_up(self):
+        sim = Simulator()
+        _, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
+        source.queue.extend(data_packet(1000) for _ in range(3))
+        port.kick()
+        sim.run_until_idle()
+        assert len(dst.received) == 3
+        assert sim.events_processed == 3
+
+    def test_jumbo_frame_moves(self):
+        sim = Simulator()
+        _, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
+        source.queue.append(data_packet(9000))
+        port.kick()
+        sim.run_until_idle()
+        assert len(dst.received) == 1
+        assert sim.now == pytest.approx(9e-6)
+
+    def test_jumbo_burst_past_a_pause_is_one_full_batch(self):
+        # With jumbo frames the committed batch is still four packets:
+        # 36 KB leave after a pause that lands mid-batch, which is the
+        # burst the PFC headroom budgets per batch.
+        sim = Simulator()
+        link, port, source, dst = make_link(sim, bandwidth=8e9, delay=0.0)
+        source.queue.extend(data_packet(9000) for _ in range(8))
+        port.kick()
+        sim.schedule(0.5e-6, port.pause)
+        sim.run_until_idle()
+        assert len(dst.received) == 4
+        assert link.bytes_sent == 4 * 9000
+
+    def test_invalid_limit_rejected(self):
+        sim = Simulator()
+        src, dst = SinkNode("a"), SinkNode("b")
+        link = Link(sim, src, dst, 8e9, 1e-6)
+        with pytest.raises(ValueError, match="max_batch_packets"):
+            OutputPort(sim, link, QueueSource(), max_batch_packets=0)

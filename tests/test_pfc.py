@@ -1,7 +1,5 @@
 """Tests for PFC primitives and switch-level pause behaviour."""
 
-import pytest
-
 from repro.sim.pfc import PfcConfig, PfcState, headroom_for_link
 
 
@@ -39,25 +37,23 @@ class TestPfcState:
         assert state.resume_frames_sent == 1
 
 
-class TestHeadroomWithByteCap:
-    def test_unset_cap_is_byte_identical_to_historical_budget(self):
+class TestHeadroomForLink:
+    def test_budget_is_the_historical_formula(self):
         from repro.sim.link import DEFAULT_PORT_BATCH
 
         for bandwidth, delay, mtu in ((40e9, 2e-6, 1000), (10e9, 1e-6, 9000)):
             in_flight = 2.0 * bandwidth * delay / 8.0
             expected = int(in_flight + (2 * DEFAULT_PORT_BATCH + 1) * mtu + 64)
             assert headroom_for_link(bandwidth, delay, mtu) == expected
-            assert headroom_for_link(bandwidth, delay, mtu, port_batch_bytes=None) == expected
 
-    def test_byte_cap_shrinks_the_batch_budget(self):
-        # Jumbo MTU: the 4-packet batch budget is 36 KB of burst; a 9 KB
-        # byte cap bounds one batch at cap + one straddling MTU instead.
-        uncapped = headroom_for_link(40e9, 2e-6, mtu_bytes=9000)
-        capped = headroom_for_link(40e9, 2e-6, mtu_bytes=9000, port_batch_bytes=9000)
-        assert capped < uncapped
-        assert uncapped - capped == 2 * (4 * 9000 - (9000 + 9000))
+    def test_jumbo_mtu_budgets_full_packet_batches(self):
+        # Each MTU byte is budgeted nine times: two committed batches of
+        # DEFAULT_PORT_BATCH (4) packets plus one packet in serialization.
+        standard = headroom_for_link(40e9, 2e-6, mtu_bytes=1000)
+        jumbo = headroom_for_link(40e9, 2e-6, mtu_bytes=9000)
+        assert jumbo - standard == 9 * (9000 - 1000)
 
-    def test_loose_cap_changes_nothing(self):
-        # A cap wider than the packet-count batch cannot grow the budget.
-        assert headroom_for_link(40e9, 2e-6, 1000, port_batch_bytes=1_000_000) == \
-            headroom_for_link(40e9, 2e-6, 1000)
+    def test_headroom_scales_with_delay(self):
+        # Each extra microsecond of one-way delay adds a round trip's worth
+        # of line-rate bytes: 2 * 40e9 * 1e-6 / 8 = 10 KB.
+        assert headroom_for_link(40e9, 3e-6) - headroom_for_link(40e9, 2e-6) == 10_000

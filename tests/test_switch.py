@@ -409,14 +409,9 @@ class TestCutThroughEqualsQueuedPath:
         assert real.port("x").active_mask == 0b11
         assert real.switch.packets_forwarded == 0
 
-    @pytest.mark.parametrize("limit", ["one packet", "byte cap below the frame",
-                                       "byte cap equal to the frame"])
-    def test_batch_limit_of_one_frame_arms_the_wake_up_pull(self, limit):
+    def test_batch_limit_of_one_frame_arms_the_wake_up_pull(self):
         def script(s):
-            if limit == "one packet":
-                s.port("x").max_batch_packets = 1
-            else:
-                s.port("x").max_batch_bytes = 400 if limit.endswith("below the frame") else 1000
+            s.port("x").max_batch_packets = 1
             s.arrive(0.0, 0, "x", psn=0)
 
         real = _twins(script)
@@ -427,24 +422,21 @@ class TestCutThroughEqualsQueuedPath:
 
     def test_unlimited_batch_arms_no_wake_up(self):
         def script(s):
-            s.port("x").max_batch_bytes = 1001
             s.arrive(0.0, 0, "x", psn=0)
 
         real = _twins(script)
         assert real.sim.events_processed == 2
 
-    @pytest.mark.parametrize("max_bytes", [None, 500, 1048])
     @pytest.mark.parametrize("max_packets", [1, 4])
-    def test_single_frame_exit_under_every_batch_limit(self, max_packets, max_bytes):
+    def test_single_frame_exit_under_every_batch_limit(self, max_packets):
         """The cut-through exit against enqueue + ``kick`` for each way a
-        one-frame batch can end: on the empty source, on the packet limit,
-        on a byte cap the frame exceeds (500) or exactly reaches (1048)."""
+        one-frame batch can end: on the empty source or on the packet
+        limit."""
         def script(s):
             for name in ("x", "y"):
                 s.port(name).max_batch_packets = max_packets
-                s.port(name).max_batch_bytes = max_bytes
             s.arrive(0.0, 0, "x", psn=0, payload=1048)     # idle: exit taken
-            s.arrive(0.0, 1, "y", psn=0, payload=400)      # under every cap
+            s.arrive(0.0, 1, "y", psn=0, payload=400)      # idle: exit taken
             s.arrive(0.2e-6, 1, "x", psn=0)                # wire busy: queued
             s.arrive(0.3e-6, 0, "x", psn=1, payload=400)   # queued behind it
             s.arrive(1.048e-6, 1, "x", psn=1)              # as the wire frees
