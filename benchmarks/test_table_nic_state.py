@@ -6,8 +6,6 @@ NIC metadata cache for a couple thousand QPs and tens of thousands of WQEs,
 even at 100 Gbps.
 """
 
-import pytest
-
 from repro.hw.nic_state import NicStateParams, compute_state_overhead
 
 

@@ -28,7 +28,7 @@ without SACK state, and disabling BDP-FC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, List, Optional, Set
 

@@ -16,7 +16,7 @@ NACKs), since both ends of an iWARP connection buffer out-of-order segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.irn import IrnConfig, IrnSender, LossRecovery

@@ -43,11 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Config fields that never influence the physics of a run *or* the cached
 #: row contents, and are therefore excluded from the canonical serialization
-#: (and the fingerprint): ``name`` is cosmetic and ``keep_flow_records``
-#: only controls whether per-flow records are materialized in memory (the
-#: streaming digests that populate
-#: :class:`~repro.experiments.results.ResultRow` are kept either way).
-_NON_PHYSICAL_FIELDS = ("name", "keep_flow_records")
+#: (and the fingerprint): ``name`` is cosmetic.
+_NON_PHYSICAL_FIELDS = ("name",)
 
 #: ``field -> value at which the field is left out of the canonical dict``.
 #: A field may be listed only if a run at the listed value is byte-identical
@@ -148,19 +145,14 @@ class ExperimentConfig:
     max_sim_time_s: Optional[float] = 5.0
     #: Safety valve on the number of processed events.
     max_events: Optional[int] = 50_000_000
-    #: Materialize per-flow :class:`~repro.metrics.collector.FlowMetrics`
-    #: records during the run.  ``False`` keeps only the O(1) streaming
-    #: accumulators and digests -- the memory-safe setting for million-flow
-    #: scenarios.  Execution knob only: excluded from the fingerprint.
-    keep_flow_records: bool = True
     #: Collect §4.4 congestion-spreading observability: per-switch
     #: queue-depth and PFC-pause-duration :class:`~repro.metrics.sketch.
     #: QuantileDigest`s, exported on :class:`~repro.experiments.results.
     #: ResultRow` and pooled by ``aggregate_rows``.  Pure observation (no
     #: event, ordering or RNG impact: results are byte-identical either
-    #: way), but unlike ``keep_flow_records`` it changes what the cached
-    #: *row* carries, so it is fingerprinted: a digest-collecting sweep
-    #: never gets served digest-less rows.
+    #: way), but it changes what the cached *row* carries, so it is
+    #: fingerprinted: a digest-collecting sweep never gets served
+    #: digest-less rows.
     fabric_digests: bool = False
     #: Collect per-flow c-latency ratios (FCT divided by the speed-of-light
     #: lower bound: the path's one-way propagation delay from the topology's

@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 #: Bumped when the task-file wire format changes incompatibly.
-TASK_SCHEMA_VERSION = 2
+TASK_SCHEMA_VERSION = 3
 
 #: Leases untouched for this long are presumed orphaned by a dead worker.
 #: Must comfortably exceed the longest single cell (cells are seconds-long;

@@ -202,7 +202,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         network,
         mtu_bytes=config.mtu_bytes,
         header_bytes=config.effective_header_bytes(),
-        keep_records=config.keep_flow_records,
     )
     if config.fabric_digests:
         collector.install_fabric_probes()

@@ -16,9 +16,9 @@ module throughput is well above the RoCE NIC's measured rate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 class NicKind(Enum):

@@ -4,12 +4,9 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "percentile": "repro.metrics.stats",
-    "summarize": "repro.metrics.stats",
-    "tail_cdf": "repro.metrics.stats",
     "MetricSummary": "repro.metrics.stats",
     "QuantileDigest": "repro.metrics.sketch",
     "merge_digest_dicts": "repro.metrics.sketch",
-    "FlowMetrics": "repro.metrics.collector",
     "GroupStats": "repro.metrics.collector",
     "MetricsCollector": "repro.metrics.collector",
     "format_aggregate_table": "repro.metrics.report",

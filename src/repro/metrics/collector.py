@@ -6,31 +6,26 @@ traverse its path at line rate in an empty network (one store-and-forward
 MTU per hop plus propagation plus transmission of the whole flow at the
 bottleneck rate).
 
-Two representations are maintained as flows complete:
-
-* **Streaming accumulators** (:class:`GroupStats`, one per workload group
-  plus one over all flows): count, exact sums for means, and mergeable
-  :class:`~repro.metrics.sketch.QuantileDigest` sketches of the FCT,
-  slowdown and single-packet latency distributions.  These are compact,
-  serializable and mergeable across seed replicas -- they are what
-  :class:`~repro.experiments.results.ResultRow` exports through the sweep
-  cache.
-* **Per-flow records** (:class:`FlowMetrics`), kept when ``keep_records``
-  is true (the default) so in-process analyses can still see every flow.
-  Pass ``keep_records=False`` for long runs where only the streaming state
-  matters; summaries then fall back to the digests.
+Completions feed streaming accumulators (:class:`GroupStats`, one per
+workload group plus one over all flows): a count, left-to-right running sums
+for the means, and mergeable :class:`~repro.metrics.sketch.QuantileDigest`
+sketches of the FCT, slowdown and single-packet latency distributions.  They
+are the only representation of a run's flow-level metrics: compact,
+serializable and mergeable across seed replicas, and what
+:class:`~repro.experiments.results.ResultRow` exports through the sweep
+cache.  No per-flow record outlives its completion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.transport import Flow
 from repro.metrics.recovery import RecoveryTracker
 from repro.metrics.sketch import QuantileDigest
-from repro.metrics.stats import MetricSummary, summarize, tail_cdf
+from repro.metrics.stats import MetricSummary
 from repro.sim.deadlock import PfcDeadlockDetector
 from repro.sim.packet import DEFAULT_HEADER_BYTES
 
@@ -39,24 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class FlowMetrics:
-    """Completion metrics for one flow."""
-
-    flow: Flow
-    fct: float
-    ideal_fct: float
-
-    @property
-    def slowdown(self) -> float:
-        return max(1.0, self.fct / self.ideal_fct) if self.ideal_fct > 0 else float("inf")
-
-
-@dataclass
 class GroupStats:
     """Streaming accumulator over one group of completed flows.
 
-    Everything here is O(1) per flow and mergeable: exact running sums for
-    the means, quantile digests for the distributions.
+    Everything here is O(1) per flow and mergeable: left-to-right running
+    sums for the means, quantile digests for the distributions.
     """
 
     count: int = 0
@@ -93,9 +75,9 @@ class GroupStats:
         return self.slowdown_sum / self.count
 
     def summary(self, tail_fraction: float = 0.99) -> MetricSummary:
-        """Headline metrics from the streaming state (means exact, tail from
-        the digest -- identical to the per-record computation while the
-        digest is in exact mode)."""
+        """Headline metrics from the streaming state: means from the running
+        sums, tail from the FCT digest (exact while the digest is in exact
+        mode, within its documented error bound beyond)."""
         if self.count == 0:
             raise ValueError("no flows observed")
         return MetricSummary(
@@ -114,20 +96,13 @@ class MetricsCollector:
         network: "Network",
         mtu_bytes: int = 1000,
         header_bytes: int = DEFAULT_HEADER_BYTES,
-        keep_records: bool = True,
     ) -> None:
         self.network = network
         self.mtu_bytes = mtu_bytes
         self.header_bytes = header_bytes
-        self.keep_records = keep_records
-        self.records: List[FlowMetrics] = []
         #: Streaming accumulators: ``None`` covers all flows, a string key
         #: covers one workload group (``Flow.group``).
         self.streams: Dict[Optional[str], GroupStats] = {None: GroupStats()}
-        self._ideal_cache: Dict[int, float] = {}
-        #: Per-flow one-way propagation delay (filled alongside the ideal-FCT
-        #: cache; the speed-of-light denominator of the c-latency ratio).
-        self._prop_cache: Dict[int, float] = {}
         #: Per-flow c-latency ratio digest; ``None`` until
         #: :meth:`install_c_latency_probe` attaches it.
         self._c_latency_digest: Optional[QuantileDigest] = None
@@ -144,11 +119,10 @@ class MetricsCollector:
         self.recovery_tracker = None
 
     # ------------------------------------------------------------------
-    def ideal_fct(self, flow: Flow) -> float:
-        """Completion time of ``flow`` at line rate on an empty network."""
-        cached = self._ideal_cache.get(flow.flow_id)
-        if cached is not None:
-            return cached
+    def path_bounds(self, flow: Flow) -> Tuple[float, float]:
+        """``(ideal FCT, one-way propagation delay)`` of ``flow``'s path: its
+        completion time at line rate on an empty network, and the
+        speed-of-light denominator of the c-latency ratio."""
         hops, bandwidth, prop_delay = self.network.path_properties(
             flow.src, flow.dst, flow.flow_id
         )
@@ -158,31 +132,25 @@ class MetricsCollector:
         # Store-and-forward of the first packet across the remaining hops.
         per_hop_packet = (min(self.mtu_bytes, flow.size_bytes) + self.header_bytes) * 8.0 / bandwidth
         pipeline = (hops - 1) * per_hop_packet if hops > 1 else 0.0
-        ideal = transmission + prop_delay + pipeline
-        self._ideal_cache[flow.flow_id] = ideal
-        self._prop_cache[flow.flow_id] = prop_delay
-        return ideal
+        return transmission + prop_delay + pipeline, prop_delay
 
     def on_flow_complete(self, flow: Flow, now: float) -> None:
         """Record a completed flow (wired as the receiver completion callback)."""
         if flow.completion_time is None:
             flow.completion_time = now
-        record = FlowMetrics(flow=flow, fct=flow.fct(), ideal_fct=self.ideal_fct(flow))
-        if self.keep_records:
-            self.records.append(record)
+        fct = flow.fct()
+        ideal, prop = self.path_bounds(flow)
+        slowdown = max(1.0, fct / ideal) if ideal > 0 else float("inf")
         single_packet = flow.num_packets(self.mtu_bytes) == 1
-        self.streams[None].observe(record.fct, record.slowdown, single_packet)
-        if self._c_latency_digest is not None:
-            # ``ideal_fct`` above filled the propagation cache for this flow.
-            prop = self._prop_cache.get(flow.flow_id, 0.0)
-            if prop > 0:
-                ratio = record.fct / prop
-                if math.isfinite(ratio):
-                    self._c_latency_digest.add(ratio)
+        self.streams[None].observe(fct, slowdown, single_packet)
+        if self._c_latency_digest is not None and prop > 0:
+            ratio = fct / prop
+            if math.isfinite(ratio):
+                self._c_latency_digest.add(ratio)
         group_stats = self.streams.get(flow.group)
         if group_stats is None:
             group_stats = self.streams[flow.group] = GroupStats()
-        group_stats.observe(record.fct, record.slowdown, single_packet)
+        group_stats.observe(fct, slowdown, single_packet)
 
     # ------------------------------------------------------------------
     # Fabric observability (§4.4 congestion spreading)
@@ -305,7 +273,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     @property
     def completed_count(self) -> int:
-        """Completed flows seen so far (independent of ``keep_records``)."""
+        """Completed flows seen so far."""
         return self.streams[None].count
 
     def stream(self, group: Optional[str] = None) -> GroupStats:
@@ -316,61 +284,10 @@ class MetricsCollector:
         """
         return self.streams.get(group) or GroupStats()
 
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
-    def completed_flows(self, group: Optional[str] = None) -> List[FlowMetrics]:
-        """All completed-flow records, optionally filtered by workload group."""
-        self._require_records()
-        if group is None:
-            return list(self.records)
-        return [record for record in self.records if record.flow.group == group]
-
     def summary(self, group: Optional[str] = None, tail_fraction: float = 0.99) -> MetricSummary:
-        """Average slowdown / average FCT / tail FCT over completed flows.
-
-        With records kept the tail percentile is computed exactly from the
-        per-flow list; otherwise it comes from the streaming digest (exact
-        while the digest is in exact mode, within its documented error bound
-        beyond).
-        """
-        if not self.keep_records:
-            stats = self.stream(group)
-            if stats.count == 0:
-                raise RuntimeError("no completed flows to summarize")
-            return stats.summary(tail_fraction)
-        records = self.completed_flows(group)
-        if not records:
+        """Average slowdown / average FCT / tail FCT over ``group``'s
+        completed flows (``None`` == all flows), from its stream."""
+        stats = self.stream(group)
+        if stats.count == 0:
             raise RuntimeError("no completed flows to summarize")
-        return summarize(
-            [record.fct for record in records],
-            [record.slowdown for record in records],
-            tail_fraction=tail_fraction,
-        )
-
-    def single_packet_latencies(self, group: Optional[str] = None) -> List[float]:
-        """FCTs of single-packet messages (Figure 8's latency metric)."""
-        return [
-            record.fct
-            for record in self.completed_flows(group)
-            if record.flow.num_packets(self.mtu_bytes) == 1
-        ]
-
-    def single_packet_tail_cdf(
-        self, start_fraction: float = 0.90, points: int = 40
-    ) -> List[tuple]:
-        """Tail CDF of single-packet message latency."""
-        return tail_cdf(self.single_packet_latencies(), start_fraction, points)
-
-    def completion_fraction(self, total_flows: int) -> float:
-        """Fraction of generated flows that completed before the sim ended."""
-        if total_flows <= 0:
-            return 0.0
-        return self.completed_count / total_flows
-
-    def _require_records(self) -> None:
-        if not self.keep_records and self.streams[None].count > 0:
-            raise RuntimeError(
-                "per-flow records were not kept (keep_records=False); "
-                "use the streaming accessors (stream/summary) instead"
-            )
+        return stats.summary(tail_fraction)

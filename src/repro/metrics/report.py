@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.metrics.sketch import QuantileDigest
-from repro.metrics.stats import tail_cdf as exact_tail_cdf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ResultRow
@@ -41,8 +40,8 @@ __all__ = [
     "main",
 ]
 
-#: Tail-CDF sources: a digest, its serialized payload, or raw samples.
-CdfSource = Union[QuantileDigest, Dict[str, Any], Sequence[float]]
+#: Tail-CDF sources: a digest or its serialized payload.
+CdfSource = Union[QuantileDigest, Dict[str, Any]]
 
 
 def format_metric_table(title: str, results: "Mapping[str, ResultRow]") -> str:
@@ -142,16 +141,6 @@ def format_incast_table(title: str, results: "Mapping[str, ResultRow]") -> str:
     return "\n".join(lines)
 
 
-def _as_cdf_points(
-    source: CdfSource, start_fraction: float, points: int
-) -> List[tuple]:
-    if isinstance(source, dict):
-        source = QuantileDigest.from_dict(source)
-    if isinstance(source, QuantileDigest):
-        return source.tail_cdf(start_fraction, points)
-    return exact_tail_cdf(list(source), start_fraction, points)
-
-
 def format_tail_cdf(
     source: CdfSource,
     title: str = "tail CDF",
@@ -163,12 +152,14 @@ def format_tail_cdf(
 ) -> str:
     """A Figure 8-style text plot of the latency tail.
 
-    ``source`` may be a :class:`QuantileDigest`, its ``to_dict()`` payload
-    (as stored on a :class:`ResultRow`), or a raw sample sequence.  Each line
-    shows a cumulative fraction, the latency at that fraction, and a bar
-    scaled to the largest latency -- the tail's shape at a glance.
+    ``source`` is a :class:`QuantileDigest` or its ``to_dict()`` payload
+    (as stored on a :class:`ResultRow`).  Each line shows a cumulative
+    fraction, the latency at that fraction, and a bar scaled to the largest
+    latency -- the tail's shape at a glance.
     """
-    cdf = _as_cdf_points(source, start_fraction, points)
+    if isinstance(source, dict):
+        source = QuantileDigest.from_dict(source)
+    cdf = source.tail_cdf(start_fraction, points)
     top = max(value for value, _ in cdf) or 1.0
     lines = [f"=== {title} ===", f"{'fraction':>9} {f'latency ({unit})':>14}"]
     for value, fraction in cdf:

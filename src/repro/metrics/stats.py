@@ -2,14 +2,16 @@
 
 The paper reports (i) average slowdown, (ii) average flow completion time and
 (iii) 99th-percentile (tail) FCT, plus tail CDFs of single-packet message
-latency for Figure 8.
+latency for Figure 8.  The per-run values come from the collector's streaming
+digests (:mod:`repro.metrics.sketch`); this module holds the percentile rule
+they share and the across-replica statistics of the sweep aggregates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -39,42 +41,12 @@ class MetricSummary:
     tail_fct: float
     num_flows: int
 
-    def as_row(self) -> Tuple[float, float, float]:
-        """(avg slowdown, avg FCT, 99%ile FCT) -- the order used in figures."""
-        return (self.avg_slowdown, self.avg_fct, self.tail_fct)
-
-    def ratio_to(self, other: "MetricSummary") -> Tuple[float, float, float]:
-        """Element-wise ratio of this summary over ``other`` (appendix tables)."""
-        return (
-            self.avg_slowdown / other.avg_slowdown if other.avg_slowdown else float("nan"),
-            self.avg_fct / other.avg_fct if other.avg_fct else float("nan"),
-            self.tail_fct / other.tail_fct if other.tail_fct else float("nan"),
-        )
-
-
-def summarize(
-    fcts: Sequence[float],
-    slowdowns: Sequence[float],
-    tail_fraction: float = 0.99,
-) -> MetricSummary:
-    """Aggregate per-flow FCTs and slowdowns into a :class:`MetricSummary`."""
-    if not fcts or not slowdowns:
-        raise ValueError("cannot summarize an empty flow set")
-    if len(fcts) != len(slowdowns):
-        raise ValueError("fcts and slowdowns must have the same length")
-    return MetricSummary(
-        avg_slowdown=sum(slowdowns) / len(slowdowns),
-        avg_fct=sum(fcts) / len(fcts),
-        tail_fct=percentile(fcts, tail_fraction),
-        num_flows=len(fcts),
-    )
-
 
 def tail_fractions(start_fraction: float = 0.90, points: int = 50) -> List[float]:
     """The evenly spaced cumulative fractions a tail CDF is sampled at.
 
-    Shared by the exact and digest-based tail CDFs so both plot the same
-    grid.  The last point is clamped to 0.999: the degenerate 100th
+    The grid of :meth:`~repro.metrics.sketch.QuantileDigest.tail_cdf`.
+    The last point is clamped to 0.999: the degenerate 100th
     percentile only reads noise from a single maximum.
     """
     if points < 2:
@@ -84,21 +56,6 @@ def tail_fractions(start_fraction: float = 0.90, points: int = 50) -> List[float
     ]
     fractions[-1] = min(fractions[-1], 0.999)
     return fractions
-
-
-def tail_cdf(
-    values: Sequence[float],
-    start_fraction: float = 0.90,
-    points: int = 50,
-) -> List[Tuple[float, float]]:
-    """CDF points ``(value, cumulative fraction)`` from ``start_fraction`` up.
-
-    Figure 8 plots the 90th-99.9th percentile region of the single-packet
-    message latency distribution.
-    """
-    if not values:
-        raise ValueError("cannot build a CDF from an empty sequence")
-    return [(percentile(values, f), f) for f in tail_fractions(start_fraction, points)]
 
 
 def mean(values: Iterable[float]) -> float:

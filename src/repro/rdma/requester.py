@@ -20,7 +20,6 @@ from typing import Deque, Dict, List, Optional, Set
 
 from repro.rdma.types import (
     CompletionQueueElement,
-    MemoryRegion,
     OpType,
     PacketOpcode,
     RdmaPacket,

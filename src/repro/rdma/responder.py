@@ -15,7 +15,7 @@ packets have been received, preserving the Infiniband ordering rules.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.rdma.srq import SharedReceiveQueue

@@ -340,7 +340,6 @@ class FuzzCase:
             seed=self.seed,
             max_sim_time_s=self.max_sim_time_s,
             max_events=self.max_events,
-            keep_flow_records=False,
         )
 
     def build_network(self, sim: Simulator) -> Network:
@@ -522,7 +521,6 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         network,
         mtu_bytes=case.mtu_bytes,
         header_bytes=config.effective_header_bytes(),
-        keep_records=False,
     )
     detector = collector.install_deadlock_detector()
     launcher = _FlowLauncher(sim, network, config, collector)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence, Tuple
 
 
 class FlowSizeDistribution(Protocol):

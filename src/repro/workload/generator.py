@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.transport import Flow
 from repro.workload.distributions import FlowSizeDistribution, HeavyTailedSizes

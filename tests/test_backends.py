@@ -303,6 +303,21 @@ class TestTaskQueue:
         assert "different repro versions" in error
         assert "unexpected keyword" not in error
 
+    def test_task_with_the_records_switch_names_the_mismatch(self, tmp_path):
+        # A schema-2 task still carries the deleted per-flow records switch
+        # (spelled in pieces for the same CI grep as above).
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        fingerprint = config.fingerprint()
+        old_config = {**config.to_dict(), "keep_flow" + "_records": True}
+        queue.task_path(fingerprint).write_text(json.dumps(
+            {"schema": 2, "fingerprint": fingerprint, "label": "cell", "config": old_config}
+        ))
+        assert queue.claim("w1") is None
+        error = queue.failures()[fingerprint]
+        assert "different repro versions" in error
+        assert "unexpected keyword" not in error
+
     def test_concurrent_claims_never_duplicate(self, tmp_path):
         queue = TaskQueue(tmp_path / "q")
         for seed in range(1, 9):

@@ -29,7 +29,6 @@ def _ring_config(transport: str, pfc_enabled: bool) -> ExperimentConfig:
         pfc_enabled=pfc_enabled,
         seed=1,
         max_sim_time_s=0.002,
-        keep_flow_records=False,
     )
 
 

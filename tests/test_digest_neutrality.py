@@ -40,7 +40,6 @@ def _fuzzed_config(seed: int) -> ExperimentConfig:
         target_load=rng.choice((0.3, 0.5, 0.7)),
         seed=seed,
         max_sim_time_s=0.004,
-        keep_flow_records=False,
     )
 
 

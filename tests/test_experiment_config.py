@@ -1,12 +1,14 @@
 """Tests for experiment configuration and the paper scenario presets."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import _OMITTED_AT, ExperimentConfig
 from repro.experiments.scenarios import incast_rows, scenario
 from repro.faults import FaultPlan, LinkFlap, PacketCorruption
+from repro.workload.incast import IncastParams
 
 
 class TestDerivedQuantities:
@@ -119,16 +121,85 @@ class TestAckCoalescingKnobs:
 
 
 class TestDeletedKnobs:
-    """The departure-batch byte cap and the pacing quantum are gone: no
-    surface accepts or emits them.  The names are spelled in pieces so the
-    CI grep that keeps them out of the tree does not match this test."""
+    """The departure-batch byte cap, the pacing quantum and the per-flow
+    records switch are gone: no surface accepts or emits them.  The names
+    are spelled in pieces so the CI greps that keep them out of the tree do
+    not match this test."""
 
-    @pytest.mark.parametrize("name", ["port_batch" + "_bytes", "pacing" + "_quantum_us"])
+    @pytest.mark.parametrize(
+        "name", ["port_batch" + "_bytes", "pacing" + "_quantum_us", "keep_flow" + "_records"]
+    )
     def test_knob_is_neither_accepted_nor_written(self, name):
         with pytest.raises(TypeError, match=name):
             ExperimentConfig(**{name: 1})
         assert name not in ExperimentConfig().to_dict()
         assert name not in ExperimentConfig().to_canonical_dict()
+
+
+class TestFingerprintCoverage:
+    """A row is a function of its fingerprint: every field but the cosmetic
+    ``name`` keys the sweep cache.  A field left out of the fingerprint
+    while it can change a byte of the row lets the cache serve a row some
+    other setting produced."""
+
+    #: One value per field, neither its default nor its ``_OMITTED_AT``
+    #: value.  A new field without an entry fails here until it has one.
+    OTHER_VALUE = {
+        "topology": "star",
+        "fat_tree_k": 6,
+        "num_hosts": 16,
+        "ring_switches": 5,
+        "link_bandwidth_bps": 40e9,
+        "link_delay_s": 2e-6,
+        "wan_delay_s": 5e-3,
+        "pfc_enabled": False,
+        "buffer_bytes_per_port": 300_000,
+        "pfc_headroom_bytes": 50_000,
+        "transport": "roce",
+        "mtu_bytes": 9000,
+        "header_bytes": 64,
+        "rto_low_s": 1e-4,
+        "rto_high_s": 3e-4,
+        "rto_low_threshold_packets": 5,
+        "bdp_cap_packets": 20,
+        "worst_case_overheads": True,
+        "ack_coalesce_n": 2,
+        "ack_coalesce_us": 50.0,
+        "congestion_control": "dcqcn",
+        "workload": "uniform",
+        "target_load": 0.5,
+        "num_flows": 100,
+        "flow_size_scale": 0.2,
+        "uniform_low_bytes": 10_000,
+        "uniform_high_bytes": 100_000,
+        "fixed_size_bytes": 20_000,
+        "incast": IncastParams(total_bytes=1_000_000, fan_in=4),
+        "seed": 2,
+        "max_sim_time_s": 1.0,
+        "max_events": 1_000_000,
+        "fabric_digests": True,
+        "c_latency_ratios": True,
+        "fault_plan": FaultPlan(
+            faults=(LinkFlap(src="s0", dst="s1", start_s=1e-4, end_s=2e-4),)
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "field", [f for f in fields(ExperimentConfig) if f.name != "name"],
+        ids=lambda f: f.name,
+    )
+    def test_every_field_but_name_moves_the_fingerprint(self, field):
+        value = self.OTHER_VALUE[field.name]
+        base = ExperimentConfig()
+        assert value != getattr(base, field.name)
+        assert value != _OMITTED_AT.get(field.name, object())
+        changed = ExperimentConfig(**{field.name: value})
+        assert changed.fingerprint() != base.fingerprint()
+
+    def test_name_alone_is_left_out(self):
+        assert (ExperimentConfig(name="a").fingerprint()
+                == ExperimentConfig(name="b").fingerprint())
+        assert len(fields(ExperimentConfig)) == len(self.OTHER_VALUE) + 1
 
 
 class TestFaultPlanFingerprint:

@@ -5,6 +5,8 @@ congestion control, switches with PFC/ECN, metric collection -- and assert
 the paper's qualitative claims at miniature scale.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -222,8 +224,28 @@ class TestFatTreeIntegration:
     def test_packet_spray_keeps_irn_correct(self):
         # IRN's OOO tolerance means per-packet load balancing still delivers
         # every flow (the §7 "reordering due to load balancing" discussion).
+        # Spraying is installed the way the golden ``spray-*`` cells do it:
+        # rebuild the routing after the fabric is built.
         from repro.experiments import runner as runner_module
+        from repro.sim.routing import PacketSprayRouting
+
+        build = runner_module._build_network
+        networks = []
+
+        def build_and_spray(sim, cfg):
+            network = build(sim, cfg)
+            network.build_routing(packet_spray=True)
+            networks.append(network)
+            return network
 
         config = scenario("fig1").configs(num_flows=40, seed=7)["IRN (without PFC)"]
-        result = run_experiment(config)
-        assert result.completion_fraction() == 1.0
+        with mock.patch.object(runner_module, "_build_network", build_and_spray):
+            sprayed = run_experiment(config)
+        (network,) = networks
+        assert all(isinstance(switch.routing, PacketSprayRouting)
+                   for switch in network.switches.values())
+        assert sprayed.flows_total == 40
+        assert sprayed.flows_completed == sprayed.flows_total
+        assert sprayed.completion_fraction() == 1.0
+        # Per-packet paths are not per-flow paths: the run is not ECMP's.
+        assert sprayed.to_row() != run_experiment(config).to_row()

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.transport import Flow
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import MetricSummary, mean, percentile, summarize, tail_cdf
+from repro.metrics.collector import GroupStats, MetricsCollector
+from repro.metrics.sketch import QuantileDigest
+from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.topology.simple import build_star
 
@@ -35,28 +36,23 @@ class TestPercentile:
 
 class TestSummaries:
     def test_summarize_matches_inputs(self):
-        summary = summarize(fcts=[1.0, 2.0, 3.0], slowdowns=[2.0, 4.0, 6.0])
+        stats = GroupStats()
+        for fct, slowdown in zip((1.0, 2.0, 3.0), (2.0, 4.0, 6.0)):
+            stats.observe(fct, slowdown, single_packet=False)
+        summary = stats.summary()
         assert summary.avg_fct == pytest.approx(2.0)
         assert summary.avg_slowdown == pytest.approx(4.0)
         assert summary.tail_fct == pytest.approx(2.98)
         assert summary.num_flows == 3
 
-    def test_mismatched_lengths_rejected(self):
+    def test_empty_stream_has_no_summary(self):
         with pytest.raises(ValueError):
-            summarize([1.0], [1.0, 2.0])
-
-    def test_ratio_to(self):
-        a = MetricSummary(avg_slowdown=2.0, avg_fct=4.0, tail_fct=8.0, num_flows=10)
-        b = MetricSummary(avg_slowdown=4.0, avg_fct=8.0, tail_fct=16.0, num_flows=10)
-        assert a.ratio_to(b) == (0.5, 0.5, 0.5)
-
-    def test_as_row_order(self):
-        summary = MetricSummary(1.0, 2.0, 3.0, 4)
-        assert summary.as_row() == (1.0, 2.0, 3.0)
+            GroupStats().summary()
 
     def test_tail_cdf_is_monotone(self):
-        values = [float(i) for i in range(1000)]
-        cdf = tail_cdf(values, start_fraction=0.9, points=20)
+        digest = QuantileDigest()
+        digest.add_many(float(i) for i in range(1000))
+        cdf = digest.tail_cdf(start_fraction=0.9, points=20)
         latencies = [point[0] for point in cdf]
         fractions = [point[1] for point in cdf]
         assert latencies == sorted(latencies)
@@ -77,19 +73,20 @@ class TestCollector:
     def test_ideal_fct_for_single_packet_flow(self):
         collector = self.make_collector()
         flow = Flow(flow_id=1, src="h0", dst="h1", size_bytes=1000)
-        ideal = collector.ideal_fct(flow)
+        ideal, prop = collector.path_bounds(flow)
         # 1000B at 10 Gbps = 0.8 us transmission, + 2 us propagation
         # + one store-and-forward hop of 0.8 us.
         assert ideal == pytest.approx(0.8e-6 + 2e-6 + 0.8e-6, rel=1e-3)
+        assert prop == pytest.approx(2e-6)
 
     def test_slowdown_never_below_one(self):
         collector = self.make_collector()
         flow = Flow(flow_id=1, src="h0", dst="h1", size_bytes=1000, start_time=0.0)
         flow.completion_time = 1e-9   # impossibly fast
         collector.on_flow_complete(flow, flow.completion_time)
-        assert collector.records[0].slowdown == 1.0
+        assert collector.stream().slowdown_sum == 1.0
 
-    def test_summary_over_completed_flows(self):
+    def test_summary_over_completions(self):
         collector = self.make_collector()
         for i, fct in enumerate((1e-5, 2e-5, 3e-5)):
             flow = Flow(flow_id=i, src="h0", dst="h1", size_bytes=5000, start_time=0.0)
@@ -101,8 +98,10 @@ class TestCollector:
 
     def test_summary_requires_completions(self):
         collector = self.make_collector()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="no completed flows"):
             collector.summary()
+        with pytest.raises(RuntimeError, match="no completed flows"):
+            collector.summary(group="incast")
 
     def test_group_filtering(self):
         collector = self.make_collector()
@@ -112,24 +111,6 @@ class TestCollector:
             collector.on_flow_complete(flow, flow.completion_time)
         assert collector.summary(group="background").num_flows == 2
         assert collector.summary(group="incast").num_flows == 1
-
-    def test_single_packet_latencies(self):
-        collector = self.make_collector()
-        small = Flow(flow_id=1, src="h0", dst="h1", size_bytes=100)
-        small.completion_time = 5e-6
-        large = Flow(flow_id=2, src="h0", dst="h1", size_bytes=50_000)
-        large.completion_time = 5e-4
-        collector.on_flow_complete(small, 5e-6)
-        collector.on_flow_complete(large, 5e-4)
-        latencies = collector.single_packet_latencies()
-        assert latencies == [5e-6]
-
-    def test_completion_fraction(self):
-        collector = self.make_collector()
-        flow = Flow(flow_id=1, src="h0", dst="h1", size_bytes=100)
-        flow.completion_time = 1e-6
-        collector.on_flow_complete(flow, 1e-6)
-        assert collector.completion_fraction(4) == 0.25
 
     def test_flow_fct_requires_completion(self):
         flow = Flow(flow_id=1, src="h0", dst="h1", size_bytes=100)
@@ -142,10 +123,10 @@ class TestCollector:
 class TestStreamingCollector:
     """The streaming accumulators that feed ResultRow's quantile digests."""
 
-    def make_collector(self, **kwargs):
+    def make_collector(self):
         sim = Simulator()
         network = build_star(sim, 3, bandwidth_bps=10e9, link_delay_s=1e-6)
-        return MetricsCollector(network, mtu_bytes=1000, header_bytes=0, **kwargs)
+        return MetricsCollector(network, mtu_bytes=1000, header_bytes=0)
 
     def complete(self, collector, flow_id, size_bytes, fct, group="default"):
         flow = Flow(
@@ -166,43 +147,42 @@ class TestStreamingCollector:
         assert collector.stream("incast").count == 1
         assert collector.stream("unknown-group").count == 0
 
-    def test_single_packet_digest_matches_record_filter(self):
+    def test_single_packet_digest_filters_by_packet_count(self):
         collector = self.make_collector()
         self.complete(collector, 1, 500, 5e-6)     # single packet
         self.complete(collector, 2, 50_000, 5e-4)  # multi packet
         stats = collector.stream()
         assert stats.single_packet_digest.count == 1
         assert stats.single_packet_digest.percentile(0.5) == 5e-6
-        assert collector.single_packet_latencies() == [5e-6]
 
-    def test_streaming_summary_matches_record_summary(self):
+    def test_exact_mode_tail_is_the_interpolated_percentile(self):
         collector = self.make_collector()
-        for i, fct in enumerate((1e-5, 2e-5, 3e-5, 4e-5)):
+        fcts = (4e-5, 1e-5, 3e-5, 2e-5)
+        for i, fct in enumerate(fcts):
             self.complete(collector, i, 5000, fct)
-        exact = collector.summary()
-        streamed = collector.stream().summary()
-        # Digests in exact mode reproduce the record path bit for bit.
-        assert streamed == exact
+        summary = collector.summary()
+        assert summary == collector.stream().summary()
+        assert summary.tail_fct == percentile(fcts, 0.99)
 
-    def test_keep_records_false_streams_only(self):
-        collector = self.make_collector(keep_records=False)
+    def test_means_are_left_to_right_running_sums(self):
+        # 1e-16 is below half an ulp of 1.0, so a running sum drops both
+        # small terms while a compensated sum (``sum()`` on 3.12+, fsum)
+        # would carry them: the row is the same on every interpreter only
+        # if the sum is a plain left-to-right fold.
+        collector = self.make_collector()
+        for i, fct in enumerate((1.0, 1e-16, 1e-16)):
+            self.complete(collector, i, 500, fct)
+        assert collector.summary().avg_fct == ((1.0 + 1e-16) + 1e-16) / 3
+
+    def test_collector_keeps_no_per_flow_state(self):
+        collector = self.make_collector()
         self.complete(collector, 1, 500, 1e-5)
         self.complete(collector, 2, 500, 3e-5)
-        assert collector.records == []
         assert collector.completed_count == 2
-        assert collector.completion_fraction(4) == 0.5
         summary = collector.summary()
         assert summary.num_flows == 2
         assert summary.avg_fct == pytest.approx(2e-5)
-        with pytest.raises(RuntimeError, match="keep_records"):
-            collector.completed_flows()
-        with pytest.raises(RuntimeError, match="keep_records"):
-            collector.single_packet_latencies()
-
-    def test_keep_records_false_empty_summary_raises(self):
-        collector = self.make_collector(keep_records=False)
-        with pytest.raises(RuntimeError, match="no completed flows"):
-            collector.summary()
+        assert not hasattr(collector, "records")
 
     def test_infinite_slowdown_does_not_crash_streaming(self):
         # A zero-byte flow with zero header bytes on a zero-delay path has

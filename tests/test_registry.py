@@ -381,13 +381,6 @@ class TestConfigNameCanonicalization:
         assert upper.congestion_control == "swift"
         assert upper.fingerprint() == lower.fingerprint()
 
-    def test_keep_flow_records_excluded_from_fingerprint(self):
-        # An execution/memory knob must not invalidate warm sweep caches.
-        assert (
-            ExperimentConfig(keep_flow_records=False).fingerprint()
-            == ExperimentConfig(keep_flow_records=True).fingerprint()
-        )
-
 
 class TestCustomComponentsEndToEnd:
     """A user-defined topology + congestion scheme, registered from outside

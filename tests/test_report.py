@@ -49,14 +49,12 @@ class TestTables:
 
 
 class TestTailCdf:
-    def test_accepts_digest_payload_and_samples(self):
-        samples = [float(i + 1) for i in range(200)]
+    def test_accepts_digest_and_payload(self):
         digest = QuantileDigest()
-        digest.add_many(samples)
+        digest.add_many(float(i + 1) for i in range(200))
         from_digest = format_tail_cdf(digest, points=5)
         from_payload = format_tail_cdf(digest.to_dict(), points=5)
-        from_samples = format_tail_cdf(samples, points=5)
-        assert from_digest == from_payload == from_samples
+        assert from_digest == from_payload
         assert "#" in from_digest
 
     def test_latencies_increase_down_the_tail(self):

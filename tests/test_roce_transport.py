@@ -1,7 +1,5 @@
 """Unit tests for the RoCE go-back-N transport."""
 
-import pytest
-
 from repro.core.roce import RoceConfig, RoceReceiver, RoceSender
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType

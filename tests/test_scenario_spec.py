@@ -271,24 +271,21 @@ class TestSeedsAndSweep:
         again = spec.sweep(workers=1, cache=tmp_path / "cache")
         assert again.runs_executed == 0
 
-    def test_keep_flow_records_flows_through_spec(self):
+    def test_spec_runs_stream_their_summaries(self):
         spec = ScenarioSpec(
-            name="test_records_spec",
+            name="test_stream_spec",
             defaults={"topology": "star", "num_hosts": 4, "workload": "fixed",
                       "fixed_size_bytes": 20_000, "num_flows": 4,
-                      "max_sim_time_s": 1.0, "keep_flow_records": False},
+                      "max_sim_time_s": 1.0},
             variants={"IRN": {"transport": "irn", "pfc_enabled": False}},
         )
         (config,) = spec.configs().values()
-        assert config.keep_flow_records is False
         from repro.experiments.runner import run_experiment
 
         result = run_experiment(config)
-        assert result.collector.keep_records is False
-        assert result.collector.records == []
-        # Streaming summaries and rows still work without records.
-        assert result.summary.num_flows == 4
-        assert result.to_row().fct_digest is not None
+        stats = result.collector.stream()
+        assert result.summary.num_flows == stats.count == 4
+        assert result.to_row().fct_digest == stats.fct_digest.to_dict()
 
 
 class TestCli:

@@ -145,7 +145,7 @@ class TestIncast:
         flows[1].completion_time = 2.5
         assert request_completion_time(flows) == pytest.approx(1.5)
 
-    def test_rct_requires_completed_flows(self):
+    def test_rct_requires_every_flow_to_complete(self):
         params = IncastParams(total_bytes=1_000, fan_in=2, destination="h0")
         flows = build_incast_flows(params, ["h0", "h1", "h2"])
         with pytest.raises(RuntimeError):
