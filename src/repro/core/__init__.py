@@ -18,5 +18,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RoceReceiver": "repro.core.roce",
     "TcpConfig": "repro.core.iwarp",
     "TcpSender": "repro.core.iwarp",
-    "make_flow_endpoints": "repro.core.factory",
 })

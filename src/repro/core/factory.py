@@ -1,43 +1,51 @@
-"""Transport registry and factories building matched sender/receiver pairs.
+"""The built-in transports: one endpoint builder per run, one pair per flow.
 
-Transports are pluggable: each variant registers an *endpoint builder* in
-:data:`TRANSPORTS` under a name, and :func:`make_flow_endpoints` (the single
-entry point the runner uses) resolves the configured transport through that
-registry.  The registry itself lives in :mod:`repro.core.registry`, which
-declares the paper's variants by name; they are registered at the bottom of
-this module, their provider: ``irn``, ``roce``, ``iwarp`` and the §4.3
-factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
-``irn_no_sack``.
+A registered transport (see :mod:`repro.core.registry`) is a callable
+``(config) -> endpoints``.  It reads the run's config once -- the same
+duck-typed config the topology and workload builders take, in practice an
+:class:`~repro.experiments.config.ExperimentConfig` -- derives its own
+transport config from it, and returns ``endpoints``, which the runner calls
+at each flow's start time::
 
-A registered builder has the signature::
+    endpoints(sim, src_host, flow, congestion_control, cnp_interval_s,
+              on_sender_complete, on_receiver_complete) -> (sender, receiver)
 
-    def build(sim, src_host, flow, *, irn_config=None, roce_config=None,
-              tcp_config=None, congestion_control=None, cnp_interval_s=None,
-              on_sender_complete=None, on_receiver_complete=None,
-              **extra) -> (BaseSender, BaseReceiver)
+The caller registers the returned pair with its hosts
+(``dst_host.register_receiver`` / ``src_host.register_sender``); the source
+host is passed only to wire the sender's NIC callbacks.
 
-Builders only read the keyword arguments they care about and must tolerate
-(ignore) the rest, so new transports can be registered from outside this
-package without changing the runner::
+The six built-ins differ in three things only: the sender class, whether the
+receiver accepts out-of-order packets, and the transport config.  Every
+receiver is an :class:`~repro.core.irn.IrnReceiver`, so they share one
+pairing helper, :func:`_pair`.  They are ``irn``, ``roce``, ``iwarp`` and
+the §4.3 factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
+``irn_no_sack``; :mod:`repro.core.registry` declares them by name.
+
+A transport registered from outside this package follows the same shape::
 
     from repro.core import register_transport
 
     @register_transport("my_transport")
-    def build_mine(sim, src_host, flow, *, congestion_control=None,
-                   on_sender_complete=None, on_receiver_complete=None, **_):
-        return MySender(...), MyReceiver(...)
+    def build_mine(config):
+        my_config = MyConfig(mtu_bytes=config.mtu_bytes, ...)
+
+        def endpoints(sim, src_host, flow, congestion_control, cnp_interval_s,
+                      on_sender_complete, on_receiver_complete):
+            return MySender(...), MyReceiver(...)
+
+        return endpoints
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
 from repro.core.iwarp import TcpConfig, TcpSender
-from repro.core.registry import TRANSPORTS, register_transport
-from repro.core.roce import RoceConfig, RoceReceiver, RoceSender
-from repro.core.transport import BaseReceiver, BaseSender, Flow, FlowCallback
+from repro.core.registry import Endpoints, register_transport
+from repro.core.roce import RoceConfig, RoceSender
+from repro.core.transport import BaseReceiver, BaseSender, Flow, FlowCallback, TransportConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congestion.base import CongestionControl
@@ -45,118 +53,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.host import Host
 
 
-def make_flow_endpoints(
-    sim: "Simulator",
-    src_host: "Host",
-    flow: Flow,
-    kind: str,
-    irn_config: Optional[IrnConfig] = None,
-    roce_config: Optional[RoceConfig] = None,
-    tcp_config: Optional[TcpConfig] = None,
-    congestion_control: Optional["CongestionControl"] = None,
-    cnp_interval_s: Optional[float] = None,
-    on_sender_complete: Optional[FlowCallback] = None,
-    on_receiver_complete: Optional[FlowCallback] = None,
-) -> Tuple[BaseSender, BaseReceiver]:
-    """Instantiate the sender and receiver for ``flow`` under ``kind``.
+def _pair(sender_class: Type[BaseSender], config: TransportConfig, accept_ooo: bool) -> Endpoints:
+    """Endpoints pairing ``sender_class`` with an :class:`IrnReceiver`."""
 
-    ``kind`` is a registered transport name.  The caller is responsible
-    for registering the returned endpoints with their hosts
-    (``src_host.register_sender`` / ``dst_host.register_receiver``); the
-    factory only needs the source host to wire the sender's NIC callbacks.
-    """
-    build = TRANSPORTS.get(kind)
-    return build(
-        sim,
-        src_host,
-        flow,
-        irn_config=irn_config,
-        roce_config=roce_config,
-        tcp_config=tcp_config,
-        congestion_control=congestion_control,
-        cnp_interval_s=cnp_interval_s,
-        on_sender_complete=on_sender_complete,
-        on_receiver_complete=on_receiver_complete,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Built-in transports
-# ---------------------------------------------------------------------------
-
-@register_transport("roce")
-def _build_roce(
-    sim: "Simulator",
-    src_host: "Host",
-    flow: Flow,
-    *,
-    roce_config: Optional[RoceConfig] = None,
-    congestion_control: Optional["CongestionControl"] = None,
-    cnp_interval_s: Optional[float] = None,
-    on_sender_complete: Optional[FlowCallback] = None,
-    on_receiver_complete: Optional[FlowCallback] = None,
-    **_: object,
-) -> Tuple[BaseSender, BaseReceiver]:
-    config = roce_config or RoceConfig()
-    sender = RoceSender(
-        sim, src_host, flow, config,
-        congestion_control=congestion_control,
-        on_complete=on_sender_complete,
-    )
-    receiver = RoceReceiver(
-        sim, flow, config,
-        on_complete=on_receiver_complete,
-        cnp_interval_s=cnp_interval_s,
-    )
-    return sender, receiver
-
-
-@register_transport("iwarp")
-def _build_iwarp(
-    sim: "Simulator",
-    src_host: "Host",
-    flow: Flow,
-    *,
-    tcp_config: Optional[TcpConfig] = None,
-    congestion_control: Optional["CongestionControl"] = None,
-    cnp_interval_s: Optional[float] = None,
-    on_sender_complete: Optional[FlowCallback] = None,
-    on_receiver_complete: Optional[FlowCallback] = None,
-    **_: object,
-) -> Tuple[BaseSender, BaseReceiver]:
-    config = tcp_config or TcpConfig()
-    sender = TcpSender(
-        sim, src_host, flow, config,
-        congestion_control=congestion_control,
-        on_complete=on_sender_complete,
-    )
-    receiver = IrnReceiver(
-        sim, flow, config,
-        on_complete=on_receiver_complete,
-        cnp_interval_s=cnp_interval_s,
-        accept_ooo=True,
-    )
-    return sender, receiver
-
-
-def _register_irn_variant(name: str, tweak, accept_ooo: bool = True) -> None:
-    """IRN and its §4.3 factor-analysis variants share one builder body."""
-
-    @register_transport(name)
-    def _build_irn(
+    def endpoints(
         sim: "Simulator",
         src_host: "Host",
         flow: Flow,
-        *,
-        irn_config: Optional[IrnConfig] = None,
-        congestion_control: Optional["CongestionControl"] = None,
-        cnp_interval_s: Optional[float] = None,
-        on_sender_complete: Optional[FlowCallback] = None,
-        on_receiver_complete: Optional[FlowCallback] = None,
-        **_: object,
+        congestion_control: Optional["CongestionControl"],
+        cnp_interval_s: Optional[float],
+        on_sender_complete: Optional[FlowCallback],
+        on_receiver_complete: Optional[FlowCallback],
     ) -> Tuple[BaseSender, BaseReceiver]:
-        config = tweak(irn_config or IrnConfig())
-        sender = IrnSender(
+        sender = sender_class(
             sim, src_host, flow, config,
             congestion_control=congestion_control,
             on_complete=on_sender_complete,
@@ -169,20 +78,78 @@ def _register_irn_variant(name: str, tweak, accept_ooo: bool = True) -> None:
         )
         return sender, receiver
 
+    return endpoints
 
-_register_irn_variant("irn", lambda config: config)
+
+# ---------------------------------------------------------------------------
+# Built-in transports
+# ---------------------------------------------------------------------------
+
+@register_transport("roce")
+def _build_roce(config: Any) -> Endpoints:
+    # With PFC the paper's RoCE baseline sends no ACKs and disables
+    # timeouts; without PFC it uses a fixed RTO_high and needs ACKs for
+    # go-back-N progress.  RTT-based schemes (Timely among the built-ins)
+    # additionally need per-packet RTT samples, hence ACKs, regardless
+    # of PFC.
+    needs_acks = (not config.pfc_enabled) or config.congestion_scheme().rtt_based
+    roce_config = RoceConfig(
+        mtu_bytes=config.mtu_bytes,
+        header_bytes=config.header_bytes,
+        rto_s=config.effective_rto_high_s(),
+        generate_acks=needs_acks,
+        timeouts_enabled=not config.pfc_enabled,
+        ack_coalesce_n=config.effective_ack_coalesce_n(),
+        ack_coalesce_s=config.effective_ack_coalesce_s(),
+    )
+    return _pair(RoceSender, roce_config, accept_ooo=False)
+
+
+@register_transport("iwarp")
+def _build_iwarp(config: Any) -> Endpoints:
+    tcp_config = TcpConfig(
+        mtu_bytes=config.mtu_bytes,
+        header_bytes=config.header_bytes,
+        generate_acks=True,
+        timeouts_enabled=True,
+        rto_low_s=config.effective_rto_low_s(),
+        rto_high_s=config.effective_rto_high_s(),
+        min_rto_s=config.effective_rto_low_s(),
+        initial_rto_s=config.effective_rto_high_s(),
+        ack_coalesce_n=config.effective_ack_coalesce_n(),
+        ack_coalesce_s=config.effective_ack_coalesce_s(),
+    )
+    return _pair(TcpSender, tcp_config, accept_ooo=True)
+
+
+def _irn_config(config: Any) -> IrnConfig:
+    return IrnConfig(
+        mtu_bytes=config.mtu_bytes,
+        header_bytes=config.effective_header_bytes(),
+        generate_acks=True,
+        timeouts_enabled=True,
+        bdp_cap_packets=config.effective_bdp_cap_packets(),
+        bdp_fc_enabled=True,
+        rto_low_s=config.effective_rto_low_s(),
+        rto_high_s=config.effective_rto_high_s(),
+        rto_low_threshold_packets=config.rto_low_threshold_packets,
+        retransmission_fetch_delay_s=2e-6 if config.worst_case_overheads else 0.0,
+        ack_coalesce_n=config.effective_ack_coalesce_n(),
+        ack_coalesce_s=config.effective_ack_coalesce_s(),
+    )
+
+
+def _register_irn_variant(name: str, accept_ooo: bool = True, **changes: Any) -> None:
+    """IRN and its §4.3 factor-analysis variants share one builder body."""
+
+    @register_transport(name)
+    def _build_irn(config: Any) -> Endpoints:
+        return _pair(IrnSender, dataclasses.replace(_irn_config(config), **changes), accept_ooo)
+
+
+_register_irn_variant("irn")
 # The go-back-N variant keeps the RoCE-style receiver that discards
 # out-of-order packets; all other variants accept them.
-_register_irn_variant(
-    "irn_go_back_n",
-    lambda config: dataclasses.replace(config, loss_recovery=LossRecovery.GO_BACK_N),
-    accept_ooo=False,
-)
-_register_irn_variant(
-    "irn_no_bdpfc",
-    lambda config: dataclasses.replace(config, bdp_fc_enabled=False),
-)
-_register_irn_variant(
-    "irn_no_sack",
-    lambda config: dataclasses.replace(config, loss_recovery=LossRecovery.SELECTIVE_NO_SACK),
-)
+_register_irn_variant("irn_go_back_n", accept_ooo=False, loss_recovery=LossRecovery.GO_BACK_N)
+_register_irn_variant("irn_no_bdpfc", bdp_fc_enabled=False)
+_register_irn_variant("irn_no_sack", loss_recovery=LossRecovery.SELECTIVE_NO_SACK)

@@ -62,18 +62,13 @@ class IrnConfig(TransportConfig):
     loss_recovery: LossRecovery = LossRecovery.SACK
     #: Low timeout used when few packets are in flight.
     rto_low_s: float = 100e-6
-    #: High timeout used otherwise (also inherited as ``rto_s``).
+    #: High timeout used otherwise.
     rto_high_s: float = 320e-6
     #: In-flight threshold N below which ``rto_low`` applies.
     rto_low_threshold_packets: int = 3
     #: §6.3 worst-case overhead: delay before a packet identified as lost can
     #: be fetched over PCIe for retransmission (0 disables the model).
     retransmission_fetch_delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Keep the generic single-timer field in sync with RTO_high so shared
-        # machinery (and introspection) sees a sensible value.
-        self.rto_s = self.rto_high_s
 
 
 class IrnSender(BaseSender):
@@ -233,18 +228,24 @@ class IrnSender(BaseSender):
 
 
 class IrnReceiver(BaseReceiver):
-    """IRN receive-side logic: out-of-order acceptance and (N)ACK generation."""
+    """IRN receive-side logic: out-of-order acceptance and (N)ACK generation.
+
+    With ``accept_ooo=False`` it is the RoCE responder instead: it discards
+    out-of-order packets and NACKs once per sequence gap.  Either way it
+    reads only :class:`TransportConfig` fields, so every transport's config
+    fits.
+    """
 
     def __init__(
         self,
         sim: "Simulator",
         flow: Flow,
-        config: Optional[IrnConfig] = None,
+        config: Optional[TransportConfig] = None,
         on_complete: Optional[FlowCallback] = None,
         cnp_interval_s: Optional[float] = None,
         accept_ooo: bool = True,
     ) -> None:
-        config = config or IrnConfig()
+        config = config or TransportConfig()
         super().__init__(sim, flow, config, on_complete, cnp_interval_s)
         self.accept_ooo = accept_ooo
         #: Next expected PSN (cumulative acknowledgement value).

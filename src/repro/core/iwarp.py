@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.irn import IrnConfig, IrnSender, LossRecovery
+from repro.core.irn import IrnConfig, IrnSender
 from repro.core.transport import Flow, FlowCallback
 from repro.sim.packet import Packet
 
@@ -33,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TcpConfig(IrnConfig):
     """TCP stack parameters used by the iWARP model."""
 
+    #: The TCP stack has no static BDP cap; its window is the cwnd.
+    bdp_fc_enabled: bool = False
     #: Initial congestion window in packets.
     initial_cwnd_packets: float = 2.0
     #: Initial slow-start threshold.
@@ -43,12 +45,6 @@ class TcpConfig(IrnConfig):
     min_rto_s: float = 100e-6
     initial_rto_s: float = 1e-3
     max_rto_s: float = 64e-3
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # The TCP stack has no static BDP cap; its window is the cwnd.
-        self.bdp_fc_enabled = False
-        self.loss_recovery = LossRecovery.SACK
 
 
 class TcpSender(IrnSender):

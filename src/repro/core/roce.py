@@ -25,7 +25,6 @@ from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congestion.base import CongestionControl
-    from repro.core.irn import IrnConfig
     from repro.sim.engine import Simulator
     from repro.sim.host import Host
 
@@ -103,9 +102,13 @@ class RoceSender(BaseSender):
         self.go_back_events += 1
         self.snd_nxt = self.snd_una
 
+    def _rto_value(self, now: float) -> float:
+        return self.config.rto_s
+
 
 class RoceReceiver(IrnReceiver):
-    """RoCE responder: discards out-of-order packets and NACKs once per gap."""
+    """RoCE responder: an :class:`IrnReceiver` that discards out-of-order
+    packets and NACKs once per gap."""
 
     def __init__(
         self,
@@ -115,27 +118,4 @@ class RoceReceiver(IrnReceiver):
         on_complete: Optional[FlowCallback] = None,
         cnp_interval_s: Optional[float] = None,
     ) -> None:
-        from repro.core.irn import IrnConfig  # local import to avoid cycle at module load
-
-        if config is None:
-            irn_config = IrnConfig()
-        elif isinstance(config, IrnConfig):
-            irn_config = config
-        else:
-            irn_config = IrnConfig(
-                mtu_bytes=config.mtu_bytes,
-                header_bytes=config.header_bytes,
-                rto_s=config.rto_s,
-                generate_acks=config.generate_acks,
-                timeouts_enabled=config.timeouts_enabled,
-                ack_coalesce_n=config.ack_coalesce_n,
-                ack_coalesce_s=config.ack_coalesce_s,
-            )
-        super().__init__(
-            sim,
-            flow,
-            irn_config,
-            on_complete=on_complete,
-            cnp_interval_s=cnp_interval_s,
-            accept_ooo=False,
-        )
+        super().__init__(sim, flow, config, on_complete, cnp_interval_s, accept_ooo=False)

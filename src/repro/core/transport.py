@@ -63,8 +63,6 @@ class TransportConfig:
 
     mtu_bytes: int = 1000
     header_bytes: int = DEFAULT_HEADER_BYTES
-    #: Retransmission timeout used when the transport has a single timer.
-    rto_s: float = 320e-6
     #: Whether the receiver generates per-packet cumulative ACKs.  The paper's
     #: RoCE-with-PFC baseline models the all-Reads extreme and sends no ACKs.
     generate_acks: bool = True
@@ -90,8 +88,9 @@ class BaseSender:
     """Transmit side of a flow.
 
     Subclasses must implement :meth:`_select_packet` (choose the next PSN to
-    put on the wire, or ``None``) and the control-packet handlers
-    :meth:`_handle_ack` / :meth:`_handle_nack`.
+    put on the wire, or ``None``), the control-packet handlers
+    :meth:`_handle_ack` / :meth:`_handle_nack`, and the timer pair
+    :meth:`_rto_value` / :meth:`_handle_timeout`.
     """
 
     def __init__(
@@ -261,7 +260,7 @@ class BaseSender:
     # Timers
     # ------------------------------------------------------------------
     def _rto_value(self, now: float) -> float:
-        return self.config.rto_s
+        raise NotImplementedError
 
     def _arm_rto(self, now: float, restart: bool = False) -> None:
         if not self.config.timeouts_enabled or self.completed:

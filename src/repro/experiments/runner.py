@@ -22,15 +22,12 @@ the cache, reports, the results service) stays importable without it.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List, Optional
 
 from repro.congestion.factory import make_congestion_control
 from repro.congestion.registry import CONGESTION_SCHEMES
-from repro.core.factory import make_flow_endpoints
-from repro.core.irn import IrnConfig
-from repro.core.iwarp import TcpConfig
 from repro.core.registry import TRANSPORTS
-from repro.core.roce import RoceConfig
 from repro.core.transport import BaseReceiver, BaseSender, Flow
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
@@ -62,88 +59,26 @@ class _FlowLauncher:
     ) -> None:
         self.sim = sim
         self.network = network
-        self.config = config
         self.collector = collector
         self.senders: List[BaseSender] = []
         self.receivers: List[BaseReceiver] = []
-        self._scheme = config.congestion_scheme()
-        self._ack_coalesce_n = config.effective_ack_coalesce_n()
-        self._ack_coalesce_s = config.effective_ack_coalesce_s()
-        self._irn_config = self._build_irn_config()
-        self._roce_config = self._build_roce_config()
-        self._tcp_config = self._build_tcp_config()
-        self._cnp_interval = self._cnp_interval_s()
-
-    # ------------------------------------------------------------------
-    # Transport configuration
-    # ------------------------------------------------------------------
-    def _build_irn_config(self) -> IrnConfig:
-        cfg = self.config
-        return IrnConfig(
-            mtu_bytes=cfg.mtu_bytes,
-            header_bytes=cfg.effective_header_bytes(),
-            generate_acks=True,
-            timeouts_enabled=True,
-            bdp_cap_packets=cfg.effective_bdp_cap_packets(),
-            bdp_fc_enabled=True,
-            rto_low_s=cfg.effective_rto_low_s(),
-            rto_high_s=cfg.effective_rto_high_s(),
-            rto_low_threshold_packets=cfg.rto_low_threshold_packets,
-            retransmission_fetch_delay_s=2e-6 if cfg.worst_case_overheads else 0.0,
-            ack_coalesce_n=self._ack_coalesce_n,
-            ack_coalesce_s=self._ack_coalesce_s,
-        )
-
-    def _build_roce_config(self) -> RoceConfig:
-        cfg = self.config
-        # With PFC the paper's RoCE baseline sends no ACKs and disables
-        # timeouts; without PFC it uses a fixed RTO_high and needs ACKs for
-        # go-back-N progress.  RTT-based schemes (Timely among the built-ins)
-        # additionally need per-packet RTT samples, hence ACKs, regardless
-        # of PFC.
-        needs_acks = (not cfg.pfc_enabled) or self._scheme.rtt_based
-        return RoceConfig(
-            mtu_bytes=cfg.mtu_bytes,
-            header_bytes=cfg.header_bytes,
-            rto_s=cfg.effective_rto_high_s(),
-            generate_acks=needs_acks,
-            timeouts_enabled=not cfg.pfc_enabled,
-            ack_coalesce_n=self._ack_coalesce_n,
-            ack_coalesce_s=self._ack_coalesce_s,
-        )
-
-    def _build_tcp_config(self) -> TcpConfig:
-        cfg = self.config
-        return TcpConfig(
-            mtu_bytes=cfg.mtu_bytes,
-            header_bytes=cfg.header_bytes,
-            generate_acks=True,
-            timeouts_enabled=True,
-            rto_low_s=cfg.effective_rto_low_s(),
-            rto_high_s=cfg.effective_rto_high_s(),
-            min_rto_s=cfg.effective_rto_low_s(),
-            initial_rto_s=cfg.effective_rto_high_s(),
-            ack_coalesce_n=self._ack_coalesce_n,
-            ack_coalesce_s=self._ack_coalesce_s,
-        )
-
-    def _cnp_interval_s(self) -> Optional[float]:
+        self._endpoints = TRANSPORTS.get(config.transport)(config)
+        scheme = config.congestion_scheme()
         # The batching interval is scheme metadata (expressed in RTTs), not
         # a runner constant, so third-party schemes can tune how aggressively
         # their marks are batched into notification frames.
-        if self._scheme.wants_cnp:
-            return max(self._scheme.cnp_interval_rtts * self.config.base_rtt_s(), 5e-6)
-        return None
-
-    def _make_cc(self):
-        cfg = self.config
-        if cfg.congestion_control == "none":
-            return None
-        return make_congestion_control(
-            cfg.congestion_control,
-            line_rate_bps=cfg.link_bandwidth_bps,
-            base_rtt_s=cfg.base_rtt_s() + 8.0 * cfg.mtu_bytes * cfg.max_hop_count() / cfg.link_bandwidth_bps,
+        self._cnp_interval = (
+            max(scheme.cnp_interval_rtts * config.base_rtt_s(), 5e-6) if scheme.wants_cnp else None
         )
+        self._make_cc = lambda: None
+        if config.congestion_control != "none":
+            self._make_cc = functools.partial(
+                make_congestion_control,
+                config.congestion_control,
+                line_rate_bps=config.link_bandwidth_bps,
+                base_rtt_s=config.base_rtt_s()
+                + 8.0 * config.mtu_bytes * config.max_hop_count() / config.link_bandwidth_bps,
+            )
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -155,18 +90,14 @@ class _FlowLauncher:
         def on_sender_complete(completed_flow: Flow, now: float) -> None:
             src_host.deregister_sender(completed_flow.flow_id)
 
-        sender, receiver = make_flow_endpoints(
+        sender, receiver = self._endpoints(
             self.sim,
             src_host,
             flow,
-            self.config.transport,
-            irn_config=self._irn_config,
-            roce_config=self._roce_config,
-            tcp_config=self._tcp_config,
-            congestion_control=self._make_cc(),
-            cnp_interval_s=self._cnp_interval,
-            on_sender_complete=on_sender_complete,
-            on_receiver_complete=self.collector.on_flow_complete,
+            self._make_cc(),
+            self._cnp_interval,
+            on_sender_complete,
+            self.collector.on_flow_complete,
         )
         dst_host.register_receiver(receiver)
         src_host.register_sender(sender)

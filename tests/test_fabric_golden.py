@@ -36,6 +36,20 @@ jumbo-MTU PFC headroom derivation) were recorded at commit ab3df27, the
 parent of the removal of the byte-capped departure batch and the pacing
 quantum, so they also prove that removal moved nothing.
 
+Seven cells, one per transport variant or transport setting the cells
+above leave out, were recorded at commit 122207c, the parent of the
+one-builder-per-run transport wiring, so they also prove that change moved
+nothing.  Each drops or retransmits, so its variant-specific path runs:
+
+* ``fig7`` "IRN with Go-Back-N" (80 flows, seed 2) and "IRN without
+  BDP-FC" (40 flows, seed 1),
+* ``no_sack`` "IRN without SACK" (80 flows, seed 2),
+* ``fig11`` "iWARP" (80 flows, seed 2),
+* ``fig12`` "IRN (worst-case overheads)" (80 flows, seed 2: retransmissions
+  that pay the PCIe fetch delay),
+* ``fig3`` "RoCE without PFC" and ``fig10`` "Resilient RoCE" (40 flows,
+  seed 1: RoCE's go-back-N with ACKs and a fixed timeout).
+
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
 moved.  ``python -m tests.test_fabric_golden`` prints the table again.
 
@@ -43,7 +57,7 @@ Why 12 digits: the simulation itself is bit-identical on CPython 3.10 to
 3.13.  ``avg_fct_s`` and ``avg_slowdown`` used to be ``sum(...) / n``, and
 3.12 made ``sum()`` of floats compensated, which moved their last digit.
 They are now left-to-right running sums over the collector's stream, and by
-hand the unrounded digests of all 28 cells match on CPython 3.10.13, 3.11.7,
+hand the unrounded digests of all 35 cells match on CPython 3.10.13, 3.11.7,
 3.12.1 and 3.13.0; until CI's 3.12 leg confirms it, the rounding stays.  The
 pins hold on every interpreter CI runs.
 """
@@ -121,6 +135,14 @@ CELLS = {
                     dict(num_flows=40, seed=1, fault_plan=FAULT_PLAN), None),
     "faults-irn": ("availability_flap", "1 flap|IRN (without PFC)",
                    dict(num_flows=40, seed=1, fault_plan=FAULT_PLAN), None),
+    "fig7-irn-go-back-n": ("fig7", "IRN with Go-Back-N", dict(num_flows=80, seed=2), None),
+    "fig7-irn-no-bdpfc": ("fig7", "IRN without BDP-FC", dict(num_flows=40, seed=1), None),
+    "no-sack-irn": ("no_sack", "IRN without SACK", dict(num_flows=80, seed=2), None),
+    "fig11-iwarp": ("fig11", "iWARP", dict(num_flows=80, seed=2), None),
+    "fig12-irn-worst-case": ("fig12", "IRN (worst-case overheads)",
+                             dict(num_flows=80, seed=2), None),
+    "fig3-roce-no-pfc": ("fig3", "RoCE without PFC", dict(num_flows=40, seed=1), None),
+    "fig10-resilient-roce": ("fig10", "Resilient RoCE", dict(num_flows=40, seed=1), None),
 }
 
 PINS = {
@@ -152,6 +174,13 @@ PINS = {
     "fig1-irn-ack4": "b2dec669b5e29cc90ac99817a7ba63fd8edb6f2977279f4fdedb586bae695672",
     "faults-roce": "b4c1d48ca2aa889448f2870dbc0bda003deaea35bd1cc660c112fb6bafd45226",
     "faults-irn": "2646b3131db94873a508b1b757f295a86e1f39c3e96f3eec472f5f074f684dd8",
+    "fig7-irn-go-back-n": "23451c7b9ea26d893e4333e7217a5da576297baf3925d947d94aa2f03a6aad90",
+    "fig7-irn-no-bdpfc": "6b93e325f6f7ec9a3ccc3e76577429562fc71e816789168870e7902e089624c3",
+    "no-sack-irn": "f1ad6fa8c091e8fb932b338f69b3bb6bc7687b8a4b02625f27e08863dfea285e",
+    "fig11-iwarp": "c2c8c42ebc8faadcd282cb13c99d7da651cf757bf9f6f45b7d0abcb7c9873df4",
+    "fig12-irn-worst-case": "ea99a14806c494765a4f1c00bdd6660c02ecd17119ea143e364c10c5b3117378",
+    "fig3-roce-no-pfc": "bc0b4f7485ef49750555ed22b8771afdddc5866d0742762c8df75792db47c492",
+    "fig10-resilient-roce": "8ca0498a45b3b172689df9b3a473c59dc593c01f36cafa8d3555add2b65b7ea2",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the component registries (topologies, workloads, transports,
 congestion schemes) and the generic registry semantics behind them."""
 
+import dataclasses
 import enum
 import sys
 import types
@@ -13,7 +14,7 @@ from repro.congestion.factory import (
     make_congestion_control,
     register_congestion_control,
 )
-from repro.core.factory import TRANSPORTS
+from repro.core.registry import TRANSPORTS, register_transport
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.registry import DuplicateNameError, Registry, UnknownNameError, normalize_name
@@ -450,3 +451,50 @@ class TestCustomComponentsEndToEnd:
         assert all(row.completion_fraction() == 1.0 for row in sweep.rows.values())
         # String component names fingerprint deterministically.
         assert base.fingerprint() == base.with_overrides().fingerprint()
+
+class TestCustomTransport:
+    """A third-party transport, registered as ``(config) -> endpoints`` from
+    outside ``src/repro``: built once per run, its endpoints once per flow."""
+
+    def test_builder_runs_once_per_run_and_the_row_is_irns(self):
+        builds, flows = [], []
+
+        @register_transport("counting_irn", replace=True)
+        def build_counting_irn(config):
+            builds.append(config)
+            irn_endpoints = TRANSPORTS.get("irn")(config)
+
+            def endpoints(sim, src_host, flow, *rest):
+                flows.append(flow.flow_id)
+                return irn_endpoints(sim, src_host, flow, *rest)
+
+            return endpoints
+
+        base = dict(
+            topology="star",
+            num_hosts=6,
+            link_bandwidth_bps=10e9,
+            link_delay_s=1e-6,
+            workload="heavy_tailed",
+            flow_size_scale=0.1,
+            num_flows=40,
+            target_load=0.8,
+            pfc_enabled=False,
+            seed=11,
+            max_sim_time_s=2.0,
+        )
+        try:
+            counted = run_experiment(ExperimentConfig(transport="counting_irn", **base))
+        finally:
+            TRANSPORTS.unregister("counting_irn")
+        plain = run_experiment(ExperimentConfig(transport="irn", **base))
+
+        assert len(builds) == 1 and builds[0].transport == "counting_irn"
+        assert sorted(flows) == sorted(flow.flow_id for flow in counted.flows)
+        assert counted.flows_completed == counted.flows_total == 40
+        assert counted.transport == "counting_irn"
+        assert counted.fingerprint != plain.fingerprint
+        assert dataclasses.replace(
+            counted.to_row(), transport="irn", fingerprint=plain.fingerprint
+        ) == plain.to_row()
+        assert "counting_irn" not in TRANSPORTS
