@@ -118,6 +118,10 @@ class IrnSender(BaseSender):
             return self.snd_nxt
         return None
 
+    def _select_waits_on_clock(self, now: float) -> bool:
+        # Retransmissions wait out the PCIe fetch delay.
+        return self.in_recovery and now < self._rtx_not_before
+
     def _next_lost_packet(self) -> Optional[int]:
         """The next PSN to retransmit under the configured recovery scheme."""
         if self.config.loss_recovery is LossRecovery.GO_BACK_N:
@@ -201,7 +205,7 @@ class IrnSender(BaseSender):
         delay = self.config.retransmission_fetch_delay_s
         if delay > 0:
             self._rtx_not_before = now + delay
-            self.sim.schedule(delay, self.host.notify_ready)
+            self.sim.schedule(delay, self.host.notify_ready, self.flow_id)
 
     def _exit_recovery(self) -> None:
         self.in_recovery = False

@@ -121,6 +121,8 @@ class BaseSender:
         self.highest_sent = 0
 
         self.completed = False
+        #: Whether the last ``None`` of :meth:`next_packet` may end by the clock alone.
+        self.waits_on_clock = False
 
         # Statistics
         self.packets_sent = 0
@@ -140,15 +142,20 @@ class BaseSender:
         Selection runs before the pacing gate: a flow with nothing
         eligible returns ``None`` *without* arming a pacing wake-up, so an
         idle-but-paced QP never keeps the event loop alive on its own.
+        Every ``None`` sets :attr:`waits_on_clock` (see ``SenderQP``).
         """
         if self.completed:
+            self.waits_on_clock = False
             return None
         psn = self._select_packet(now)
         if psn is None:
+            self.waits_on_clock = self._select_waits_on_clock(now)
             return None
         release = self._pacing_release_time(now)
         if release > now:
+            # A poll at exactly ``release`` may come before the wake-up.
             self._arm_pacing_event(release)
+            self.waits_on_clock = True
             return None
         packet = self._build_packet(psn, now)
         self._note_sent(psn, packet, now)
@@ -164,7 +171,7 @@ class BaseSender:
         elif packet.ptype is PacketType.CNP:
             if self.cc is not None:
                 self.cc.on_cnp(now)
-        self.host.notify_ready()
+        self.host.notify_ready(self.flow_id)
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -172,6 +179,10 @@ class BaseSender:
     def _select_packet(self, now: float) -> Optional[int]:
         """Return the PSN to transmit next, or ``None`` if nothing is ready."""
         raise NotImplementedError
+
+    def _select_waits_on_clock(self, now: float) -> bool:
+        """Whether an empty :meth:`_select_packet` may end by the clock alone."""
+        return False
 
     def _handle_ack(self, packet: Packet, now: float) -> None:
         raise NotImplementedError
@@ -229,7 +240,7 @@ class BaseSender:
 
     def _pacing_fired(self) -> None:
         self._pacing_event = None
-        self.host.notify_ready()
+        self.host.notify_ready(self.flow_id)
 
     def _newly_acked(self, cum: int) -> int:
         """Packets a cumulative acknowledgement newly covers (for the
@@ -291,7 +302,7 @@ class BaseSender:
         if self.cc is not None:
             self.cc.on_timeout(self.sim.now)
         self._arm_rto(self.sim.now)
-        self.host.notify_ready()
+        self.host.notify_ready(self.flow_id)
 
     def _handle_timeout(self, now: float) -> None:
         raise NotImplementedError

@@ -8,9 +8,12 @@ mirroring how responder hardware generates acknowledgements directly from the
 receive pipeline.
 
 The host is deliberately transport-agnostic: senders and receivers are duck
-typed.  A sender must provide ``next_packet(now)`` (returning ``None`` when
-nothing is eligible) and ``on_control(packet, now)``; a receiver must
-provide ``on_data(packet, now)`` returning the control frames to send back.
+typed.  A sender must provide ``next_packet(now)`` and ``on_control(packet,
+now)``; a receiver must provide ``on_data(packet, now)`` returning the
+control frames to send back.  The NIC polls only senders that may have a
+packet: one that answers ``None`` says in ``waits_on_clock`` whether the
+clock alone can change that answer; if not, it is skipped until it calls
+``host.notify_ready(flow_id)``, which it must whenever its answer may change.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ class SenderQP(Protocol):
     """Transmit side of a flow, as seen by the host NIC."""
 
     flow_id: int
+    #: Read after ``next_packet`` returned ``None``: True when a later poll
+    #: may find a packet without a ``host.notify_ready(flow_id)`` first.
+    waits_on_clock: bool
 
     def next_packet(self, now: float) -> Optional[Packet]:
         """Pop the next packet to transmit (``None`` when nothing is
-        eligible; the QP arranges its own pacing wake-up in that case)."""
+        eligible; the QP sets ``waits_on_clock`` and arranges its own
+        wake-up in that case)."""
 
     def on_control(self, packet: Packet, now: float) -> None:
         """Process an ACK/NACK/CNP addressed to this flow."""
@@ -59,6 +66,9 @@ class Host:
         self._senders: Dict[int, SenderQP] = {}
         self._receivers: Dict[int, ReceiverQP] = {}
         self._active_order: List[int] = []       # round-robin order of sender flow ids
+        self._position: Dict[int, int] = {}       # flow id -> index in _active_order
+        #: Bit ``i`` set <=> the sender at ``_active_order[i]`` may have a packet.
+        self._ready_mask = 0
         self._rr_index = 0
         self._control_queue: Deque[Packet] = deque()
 
@@ -85,9 +95,13 @@ class Host:
     # ------------------------------------------------------------------
     def register_sender(self, sender: SenderQP) -> None:
         """Register the transmit side of a flow originating at this host."""
-        self._senders[sender.flow_id] = sender
-        self._active_order.append(sender.flow_id)
-        self.notify_ready()
+        flow_id = sender.flow_id
+        if flow_id in self._senders:
+            raise ValueError(f"flow {flow_id} already has a sender on {self.name}")
+        self._senders[flow_id] = sender
+        self._position[flow_id] = len(self._active_order)
+        self._active_order.append(flow_id)
+        self.notify_ready(flow_id)
 
     def register_receiver(self, receiver: ReceiverQP) -> None:
         """Register the receive side of a flow terminating at this host.
@@ -96,15 +110,23 @@ class Host:
         slot; wiring it to :meth:`enqueue_control` lets their flush timer
         emit a frame outside the ``on_data`` response path.
         """
+        if receiver.flow_id in self._receivers:
+            raise ValueError(f"flow {receiver.flow_id} already has a receiver on {self.name}")
         self._receivers[receiver.flow_id] = receiver
         if hasattr(receiver, "send_control"):
             receiver.send_control = self.enqueue_control
 
     def deregister_sender(self, flow_id: int) -> None:
-        """Remove a completed flow from the transmit scheduler."""
-        self._senders.pop(flow_id, None)
-        if flow_id in self._active_order:
-            self._active_order.remove(flow_id)
+        """Remove a completed flow from the transmit scheduler; the senders
+        above it, bits included, move down one position (``_rr_index`` stays)."""
+        if self._senders.pop(flow_id, None) is None:
+            return
+        pos = self._position.pop(flow_id)
+        del self._active_order[pos]
+        for moved in self._active_order[pos:]:
+            self._position[moved] -= 1
+        mask = self._ready_mask
+        self._ready_mask = (mask & ((1 << pos) - 1)) | (mask >> (pos + 1) << pos)
 
     def sender(self, flow_id: int) -> Optional[SenderQP]:
         """Look up a registered sender by flow id."""
@@ -117,8 +139,12 @@ class Host:
     # ------------------------------------------------------------------
     # NIC transmit scheduling (PacketSource protocol)
     # ------------------------------------------------------------------
-    def notify_ready(self) -> None:
-        """Kick the uplink; called when a QP becomes eligible to transmit."""
+    def notify_ready(self, flow_id: Optional[int] = None) -> None:
+        """Mark ``flow_id``'s QP as worth polling (if it is registered) and
+        kick the uplink; called when a QP may have become eligible."""
+        pos = self._position.get(flow_id)
+        if pos is not None:
+            self._ready_mask |= 1 << pos
         if self.uplink_port is not None:
             self.uplink_port.kick()
 
@@ -128,29 +154,36 @@ class Host:
         self.notify_ready()
 
     def next_packet(self, port: OutputPort) -> Optional[Packet]:
-        """Serve control frames first, then round-robin over ready QPs."""
+        """Serve control frames first, then round-robin over ready QPs: in the
+        order a scan from ``_rr_index`` would poll them, skipping clear bits
+        (a poll would find nothing).  An empty poll clears the bit unless the
+        QP waits on the clock."""
         if self._control_queue:
             self.control_packets_sent += 1
             return self._control_queue.popleft()
 
-        if not self._active_order:
+        mask = self._ready_mask
+        if not mask:
             return None
         now = self.sim.now
         count = len(self._active_order)
-        for offset in range(count):
-            idx = (self._rr_index + offset) % count
-            flow_id = self._active_order[idx]
-            sender = self._senders.get(flow_id)
-            if sender is None:
-                continue
-            # The QP returns None when it has nothing eligible (and
-            # arranges its own pacing wake-up).
+        start = self._rr_index % count
+        while mask:
+            ahead = mask >> start
+            if ahead:
+                idx = start + (ahead & -ahead).bit_length() - 1
+            else:
+                idx = (mask & -mask).bit_length() - 1
+            sender = self._senders[self._active_order[idx]]
             packet = sender.next_packet(now)
-            if packet is None:
-                continue
-            self._rr_index = (idx + 1) % count
-            self.data_packets_sent += 1
-            return packet
+            if packet is not None:
+                self._rr_index = (idx + 1) % count
+                self.data_packets_sent += 1
+                return packet
+            bit = 1 << idx
+            mask ^= bit
+            if not sender.waits_on_clock:
+                self._ready_mask &= ~bit
         return None
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ class FakeHost:
         self.kicks = 0
         self.deregistered = []
 
-    def notify_ready(self) -> None:
+    def notify_ready(self, flow_id=None) -> None:
         self.kicks += 1
 
     def deregister_sender(self, flow_id: int) -> None:

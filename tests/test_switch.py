@@ -128,6 +128,7 @@ class TestPfcBehaviour:
 
         class BurstSender:
             flow_id = 1
+            waits_on_clock = False
 
             def __init__(self):
                 self.sent = 0
