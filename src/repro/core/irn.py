@@ -40,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.host import Host
 
+_ACK = PacketType.ACK
+_NACK = PacketType.NACK
+
 
 class LossRecovery(Enum):
     """Loss-recovery scheme used by the sender (for the factor analysis)."""
@@ -276,7 +279,7 @@ class IrnReceiver(BaseReceiver):
                 banked_ecn = self._absorb_pending_ack()
                 responses.append(
                     self._control(
-                        PacketType.ACK,
+                        _ACK,
                         packet,
                         cumulative_ack=self.expected_psn,
                         ecn_echo=packet.ecn or banked_ecn,
@@ -300,7 +303,7 @@ class IrnReceiver(BaseReceiver):
             banked_ecn = self._absorb_pending_ack()
             responses.append(
                 self._control(
-                    PacketType.NACK,
+                    _NACK,
                     packet,
                     cumulative_ack=self.expected_psn,
                     sack_psn=psn,
@@ -315,7 +318,7 @@ class IrnReceiver(BaseReceiver):
                 banked_ecn = self._absorb_pending_ack()
                 responses.append(
                     self._control(
-                        PacketType.NACK,
+                        _NACK,
                         packet,
                         cumulative_ack=self.expected_psn,
                         sack_psn=None,

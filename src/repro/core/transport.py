@@ -22,6 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.host import Host
 
+# A global read is cheaper than an enum member lookup on the per-packet path.
+_DATA = PacketType.DATA
+_ACK = PacketType.ACK
+_NACK = PacketType.NACK
+_CNP = PacketType.CNP
+
 
 FlowCallback = Callable[["Flow", float], None]
 
@@ -130,6 +136,8 @@ class BaseSender:
         self.timeouts_fired = 0
         self.nacks_received = 0
 
+        # Timer handles: each is ``None`` unless its event is live (scheduled,
+        # not yet fired, not cancelled).
         self._rto_event = None
         self._pacing_event = None
 
@@ -163,12 +171,13 @@ class BaseSender:
 
     def on_control(self, packet: Packet, now: float) -> None:
         """Dispatch an ACK/NACK/CNP to the right handler."""
-        if packet.ptype is PacketType.ACK:
+        ptype = packet.ptype
+        if ptype is _ACK:
             self._handle_ack(packet, now)
-        elif packet.ptype is PacketType.NACK:
+        elif ptype is _NACK:
             self.nacks_received += 1
             self._handle_nack(packet, now)
-        elif packet.ptype is PacketType.CNP:
+        elif ptype is _CNP:
             if self.cc is not None:
                 self.cc.on_cnp(now)
         self.host.notify_ready(self.flow_id)
@@ -203,7 +212,7 @@ class BaseSender:
 
     def _build_packet(self, psn: int, now: float) -> Packet:
         return Packet(
-            ptype=PacketType.DATA,
+            ptype=_DATA,
             flow_id=self.flow_id,
             src=self.flow.src,
             dst=self.flow.dst,
@@ -234,7 +243,7 @@ class BaseSender:
         return self.cc.next_send_time(now)
 
     def _arm_pacing_event(self, release: float) -> None:
-        if self._pacing_event is not None and not self._pacing_event.cancelled:
+        if self._pacing_event is not None:
             return
         self._pacing_event = self.sim.schedule_at(release, self._pacing_fired)
 
@@ -276,10 +285,10 @@ class BaseSender:
     def _arm_rto(self, now: float, restart: bool = False) -> None:
         if not self.config.timeouts_enabled or self.completed:
             return
-        if self._rto_event is not None and not self._rto_event.cancelled:
+        if self._rto_event is not None:
             if not restart:
                 return
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
         delay = self._rto_value(now)
         if self.config.ack_coalesce_n > 1:
             # A coalescing receiver may legitimately sit on the ACK for up
@@ -290,7 +299,7 @@ class BaseSender:
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
 
     def _rto_fired(self) -> None:
@@ -328,7 +337,8 @@ class BaseSender:
         self.completed = True
         self._cancel_rto()
         if self._pacing_event is not None:
-            self._pacing_event.cancel()
+            self.sim.cancel(self._pacing_event)
+            self._pacing_event = None
         if self.on_complete is not None:
             self.on_complete(self.flow, now)
 
@@ -408,9 +418,9 @@ class BaseReceiver:
         )
         for key, value in fields.items():
             setattr(packet, key, value)
-        if ptype is PacketType.ACK:
+        if ptype is _ACK:
             self.acks_sent += 1
-        elif ptype is PacketType.NACK:
+        elif ptype is _NACK:
             self.nacks_sent += 1
         return packet
 
@@ -431,7 +441,7 @@ class BaseReceiver:
         config = self.config
         gap, self._ack_last_data_time = now - self._ack_last_data_time, now
         if config.ack_coalesce_n <= 1 or self.send_control is None:
-            responses.append(self._control(PacketType.ACK, data_packet, cumulative_ack=cum))
+            responses.append(self._control(_ACK, data_packet, cumulative_ack=cum))
             return
         if data_packet.retransmitted:
             # Recovery traffic: the sender is waiting on this cumulative
@@ -440,7 +450,7 @@ class BaseReceiver:
             banked_ecn = self._absorb_pending_ack()
             responses.append(
                 self._control(
-                    PacketType.ACK,
+                    _ACK,
                     data_packet,
                     cumulative_ack=cum,
                     ecn_echo=data_packet.ecn or banked_ecn,
@@ -453,7 +463,7 @@ class BaseReceiver:
             # short by the flush timer anyway, so deferring buys no ACK
             # deletion -- it just converts each ACK into a timer event plus a
             # late ACK.  Send immediately and keep the slow path per-packet.
-            responses.append(self._control(PacketType.ACK, data_packet, cumulative_ack=cum))
+            responses.append(self._control(_ACK, data_packet, cumulative_ack=cum))
             return
         self._ack_pending += 1
         self._ack_cum = cum
@@ -468,7 +478,7 @@ class BaseReceiver:
     def _flush_ack(self) -> Packet:
         """Materialize the banked window as one cumulative ACK frame."""
         packet = Packet(
-            ptype=PacketType.ACK,
+            ptype=_ACK,
             flow_id=self.flow_id,
             src=self.flow.dst,
             dst=self.flow.src,
@@ -501,7 +511,7 @@ class BaseReceiver:
         self._ack_pending = 0
         self._ack_ecn = False
         if self._ack_timer is not None:
-            self._ack_timer.cancel()
+            self.sim.cancel(self._ack_timer)
             self._ack_timer = None
 
     def _ack_timer_fired(self) -> None:
@@ -521,7 +531,7 @@ class BaseReceiver:
             return None
         self._last_cnp_time = now
         self.cnps_sent += 1
-        return self._control(PacketType.CNP, data_packet)
+        return self._control(_CNP, data_packet)
 
     def _note_delivered(self, count: int, now: float) -> None:
         """Record ``count`` newly delivered (in-order or placed) packets."""

@@ -68,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.link import Link, OutputPort
     from repro.sim.packet import Packet
 
+_DATA = PacketType.DATA
+
 __all__ = [
     "LinkFlap",
     "PacketCorruption",
@@ -445,7 +447,7 @@ class FaultEngine:
         if state.down and not packet.is_pfc():
             self.flap_drops += 1
             return True
-        if state.corruptions and packet.ptype is PacketType.DATA:
+        if state.corruptions and packet.ptype is _DATA:
             rng = state.rng
             for window in state.corruptions:
                 if window.active and rng.random() < window.probability:

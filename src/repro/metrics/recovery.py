@@ -31,6 +31,8 @@ from repro.sim.packet import Packet, PacketType
 
 __all__ = ["RecoveryTracker", "RECOVERY_GOODPUT_FRACTION"]
 
+_DATA = PacketType.DATA
+
 #: Fraction of the best pre-fault bin goodput that counts as "recovered".
 RECOVERY_GOODPUT_FRACTION = 0.9
 
@@ -44,7 +46,7 @@ class _HostTap:
         host.receive = self
 
     def __call__(self, packet: Packet, link: Any) -> None:
-        if packet.ptype is PacketType.DATA:
+        if packet.ptype is _DATA:
             self.tracker.on_data_delivered(packet)
         self.inner(packet, link)
 

@@ -12,7 +12,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "PfcDeadlockDetector": "repro.sim.deadlock",
     "Simulator": "repro.sim.engine",
-    "Event": "repro.sim.engine",
     "Packet": "repro.sim.packet",
     "PacketType": "repro.sim.packet",
     "Link": "repro.sim.link",

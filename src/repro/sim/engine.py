@@ -3,15 +3,15 @@
 :class:`Simulator` keeps every pending event in one binary heap keyed on
 ``(time, seq)``: time is kept in seconds as a float and events with equal
 timestamps fire FIFO by insertion order, so a run is fully deterministic for
-a given seed.  Cancelled events stay in the heap as tombstones until they
-reach its head, and a compaction pass bounds how many can pile up.
+a given seed.  An entry is a plain list (see :meth:`Simulator.schedule_at`).
+Cancelled events stay in the heap as tombstones until they reach its head,
+and a compaction pass bounds how many can pile up.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from operator import itemgetter
 from typing import Any, Callable, Optional
 
 #: Heaps smaller than this are never compacted -- scanning them costs more
@@ -19,38 +19,6 @@ from typing import Any, Callable, Optional
 _COMPACT_MIN_SIZE = 2048
 
 _INF = float("inf")
-
-
-class Event(list):
-    """A scheduled callback: the list ``[time, seq, fn, args, cancelled]``.
-
-    Being a ``list``, entries are ordered by the interpreter's native
-    element-wise comparison -- ``heapq`` never calls back into Python.
-    ``seq`` is unique per simulator, so a comparison is always decided by
-    ``time`` or ``seq`` and never reaches ``fn``: callbacks and their
-    arguments need not be comparable, and simultaneous events fire in the
-    order they were scheduled.  Cancelled events are skipped, without
-    running, when the engine reaches them.
-
-    The engine reads entries by unpacking and by index; everyone else uses
-    the read-only properties and :meth:`cancel`.
-    """
-
-    __slots__ = ()
-
-    time = property(itemgetter(0), doc="Absolute simulation time the event fires at.")
-    seq = property(itemgetter(1), doc="Scheduling order: the tie-break between equal times.")
-    fn = property(itemgetter(2), doc="The callback.")
-    args = property(itemgetter(3), doc="Positional arguments of the callback.")
-    cancelled = property(itemgetter(4), doc="True once :meth:`cancel` was called.")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self[4] else ""
-        return f"Event(t={self[0]!r}, seq={self[1]}{state})"
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when it is reached."""
-        self[4] = True
 
 
 class Simulator:
@@ -75,7 +43,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[Event] = []
+        self._heap: list[list] = []
         self._compact_watermark = _COMPACT_MIN_SIZE
         #: Events ever scheduled, which is also the next event's ``seq``.
         self._events_scheduled = 0
@@ -90,7 +58,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(
@@ -104,24 +72,29 @@ class Simulator:
     #: that harness runs unchanged against older checkouts too.
     set_timer = schedule
 
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run at absolute simulation time ``time``.
 
         ``time`` must be finite and not before :attr:`now`: a NaN entry
         would break the heap order, since every comparison with it is false.
+
+        Returns the heap entry ``[time, seq, fn, args, cancelled]``, a plain
+        list: ``heapq`` compares it in C, and the unique ``seq`` decides ties
+        before ``fn`` is reached.  Outside the engine it is an opaque handle
+        for :meth:`cancel`.
         """
         if not self.now <= time < _INF:
             raise ValueError(f"cannot schedule an event at time={time} (now={self.now})")
         seq = self._events_scheduled
         self._events_scheduled = seq + 1
-        event = Event((time, seq, fn, args, False))
+        event = [time, seq, fn, args, False]
         heap = self._heap
         heapq.heappush(heap, event)
         if len(heap) >= self._compact_watermark:
             self._compact()
         return event
 
-    def cancel(self, event: Optional[Event]) -> None:
+    def cancel(self, event: Optional[list]) -> None:
         """Cancel a previously scheduled event (no-op for ``None``)."""
         if event is not None:
             event[4] = True

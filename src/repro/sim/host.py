@@ -27,6 +27,9 @@ from repro.sim.packet import Packet, PacketType
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
+_DATA = PacketType.DATA
+_PFC_PAUSE = PacketType.PFC_PAUSE
+
 
 class SenderQP(Protocol):
     """Transmit side of a flow, as seen by the host NIC."""
@@ -193,13 +196,13 @@ class Host:
         """Dispatch an arriving frame to the right QP."""
         if packet.pfc_frame:
             if self.uplink_port is not None:
-                if packet.ptype is PacketType.PFC_PAUSE:
+                if packet.ptype is _PFC_PAUSE:
                     self.uplink_port.pause()
                 else:
                     self.uplink_port.resume()
             return
 
-        if packet.ptype is PacketType.DATA:
+        if packet.ptype is _DATA:
             self.data_packets_received += 1
             receiver = self._receivers.get(packet.flow_id)
             if receiver is None:

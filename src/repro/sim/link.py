@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Deque, List, Optional, Protocol
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 #: Maximum packets an :class:`OutputPort` commits to the wire per pull.  The
 #: PFC headroom budget (:func:`repro.sim.pfc.headroom_for_link`) absorbs one
@@ -139,7 +139,7 @@ class OutputPort:
         #: When the committed departures finish serializing: the wire is
         #: free from this time on (``busy`` is ``sim.now < free_at``).
         self.free_at = 0.0
-        self._pull_event: Optional["Event"] = None
+        self._pull_event: Optional[list] = None
 
         # Scheduling state of a *switch* output (unused on a host NIC): the
         # switch keeps it here, on the object it already has in hand on

@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.routing import Routing
 
+_DATA = PacketType.DATA
+
 
 @dataclass
 class EcnConfig:
@@ -200,7 +202,7 @@ class Switch:
             self.bytes_dropped += size
             return
 
-        if self._ecn_enabled and packet.ptype is PacketType.DATA:
+        if self._ecn_enabled and packet.ptype is _DATA:
             self._maybe_mark_ecn(packet, out_port.queued_bytes)
 
         if self.queue_depth_digest is not None:

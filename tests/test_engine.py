@@ -127,14 +127,14 @@ class TestEntryOrdering:
             ran.append(n)
             victim = plan[n][3]
             if victim is not None:
-                events[victim % len(plan)].cancel()
+                sim.cancel(events[victim % len(plan)])
 
         def issue(n):
             time, payload, cancel_now, _ = plan[n]
             # A fresh callable per entry: the ``fn`` slots cannot be ordered either.
             events.append(sim.schedule_at(time, partial(fire, n), UNORDERABLE[payload]))
             if cancel_now:
-                events[n].cancel()
+                sim.cancel(events[n])
 
         def issue_rest():
             # From inside the first event at 1 us: ties at 1 us join entries
@@ -157,7 +157,7 @@ class TestEntryOrdering:
         assert ran == expected
         # seq 0 is ``issue_rest``; op n was the (n + 1)-th event scheduled.
         assert trace == [(1e-6, 0)] + [(plan[n][0], n + 1) for n in expected]
-        assert [event.seq for event in events] == list(range(1, len(plan) + 1))
+        assert [event[1] for event in events] == list(range(1, len(plan) + 1))
 
     def test_cancelling_a_sorted_entry_leaves_its_neighbours_in_place(self):
         sim = Simulator()
@@ -167,33 +167,40 @@ class TestEntryOrdering:
         def fire(label, payload):
             ran.append(label)
             if label == "a":
-                events["c"].cancel()
+                sim.cancel(events["c"])
 
         for label, payload in zip("abcde", UNORDERABLE):
             events[label] = sim.schedule_at(1e-6, partial(fire, label), payload)
         sim.run_until_idle()
         assert ran == ["a", "b", "d", "e"]
-        assert events["c"].cancelled and events["c"].time == 1e-6
-        assert [events[label].seq for label in "abcde"] == [0, 1, 2, 3, 4]
+        assert events["c"][4] is True and events["c"][0] == 1e-6
+        assert [events[label][1] for label in "abcde"] == [0, 1, 2, 3, 4]
         assert sim.events_cancelled == 1
 
 
 class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
+    def test_an_entry_is_a_plain_list(self):
         sim = Simulator()
-        ran = []
-        event = sim.schedule(1e-6, ran.append, "x")
-        event.cancel()
-        sim.run_until_idle()
-        assert ran == []
+        sim.schedule_at(1e-6, print)
+        fn = partial(print, "x")
+        event = sim.schedule_at(2e-6, fn, "y", 3)
+        assert type(event) is list
+        assert event == [2e-6, 1, fn, ("y", 3), False]
+        # The handle is the heap entry itself, not a copy.
+        assert any(entry is event for entry in sim._heap)
+        sim.cancel(event)
+        assert event == [2e-6, 1, fn, ("y", 3), True]
+        assert event[2] is fn
 
     def test_cancel_via_simulator_helper(self):
         sim = Simulator()
         ran = []
         event = sim.schedule(1e-6, ran.append, "x")
         sim.cancel(event)
+        assert event[4] is True
         sim.run_until_idle()
         assert ran == []
+        assert sim.events_processed == 0 and sim.events_cancelled == 1
 
     def test_cancel_none_is_noop(self):
         Simulator().cancel(None)
@@ -203,7 +210,7 @@ class TestCancellation:
         ran = []
         event = sim.schedule(1e-6, ran.append, "a")
         sim.schedule(2e-6, ran.append, "b")
-        event.cancel()
+        sim.cancel(event)
         sim.run_until_idle()
         assert ran == ["b"]
 

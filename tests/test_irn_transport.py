@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.congestion.dcqcn import Dcqcn
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
+from repro.core.roce import RoceConfig, RoceSender
+from repro.core.transport import Flow
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
+from repro.sim.pfc import PfcConfig
+from repro.sim.switch import EcnConfig, SwitchConfig
+from repro.topology.simple import build_star
 
 from tests.helpers import FakeHost, ack, drain, make_flow, nack
 
@@ -297,3 +303,67 @@ class TestIrnReceiver:
         assert first[0].ptype is PacketType.NACK
         assert second == []          # NACK sent only once per sequence error
         assert receiver.delivered_packets == 1
+
+
+class TestTimerHandles:
+    """A transport's timer handle is ``None`` unless its event is live."""
+
+    def test_handles_are_none_or_live_after_every_event(self):
+        # One switch, PFC and ECN on.  h0 sends IRN paced by DCQCN with a
+        # coalescing receiver; h1 sends RoCE (no ACKs, no timeouts) into the
+        # same downlink, so marks and CNPs cut the IRN rate to the floor and
+        # its paced tail meets spurious timeouts.  h2 drops one IRN packet.
+        sim = Simulator(seed=1)
+        switch_config = SwitchConfig(
+            pfc=PfcConfig(enabled=True),
+            ecn=EcnConfig(enabled=True, kmin_bytes=3_000, kmax_bytes=12_000),
+        )
+        network = build_star(sim, 3, bandwidth_bps=10e9, link_delay_s=1e-6,
+                             switch_config=switch_config)
+        h0, h1, h2 = (network.hosts[f"h{i}"] for i in range(3))
+
+        irn_flow = Flow(1, "h0", "h2", 40_000)
+        irn_config = IrnConfig(mtu_bytes=1000, ack_coalesce_n=4, ack_coalesce_s=5e-6)
+        irn = IrnSender(sim, h0, irn_flow, irn_config, Dcqcn(10e9))
+        irn_rx = IrnReceiver(sim, irn_flow, irn_config, cnp_interval_s=2e-6)
+        roce_flow = Flow(2, "h1", "h2", 20_000)
+        roce_config = RoceConfig(mtu_bytes=1000, generate_acks=False, timeouts_enabled=False)
+        roce = RoceSender(sim, h1, roce_flow, roce_config)
+        roce_rx = IrnReceiver(sim, roce_flow, roce_config, accept_ooo=False)
+        h0.register_sender(irn)
+        h1.register_sender(roce)
+        h2.register_receiver(irn_rx)
+        h2.register_receiver(roce_rx)
+
+        deliver = h2.receive
+        dropped = []
+
+        def drop_once(packet, link):
+            if packet.flow_id == 1 and packet.ptype is PacketType.DATA \
+                    and packet.psn == 3 and not dropped:
+                dropped.append(packet)
+                return
+            deliver(packet, link)
+
+        h2.receive = drop_once
+
+        seen = {"_rto_event": [], "_pacing_event": [], "_ack_timer": []}
+        while sim.pending_events:
+            sim.run(max_events=1)
+            for endpoint, name in ((irn, "_rto_event"), (irn, "_pacing_event"),
+                                   (roce, "_rto_event"), (roce, "_pacing_event"),
+                                   (irn_rx, "_ack_timer"), (roce_rx, "_ack_timer")):
+                handle = getattr(endpoint, name)
+                if handle is not None:
+                    assert handle[4] is False, (sim.now, endpoint, name)
+                    seen[name].append(handle)
+
+        assert irn.completed and irn_rx.completed and roce_rx.completed
+        assert len(dropped) == 1 and irn.timeouts_fired > 0
+        assert irn_rx.acks_coalesced > 0 and irn_rx.ack_flush_timeouts > 0
+        assert irn_rx.cnps_sent > 0
+        # Every kind of handle was cancelled while live at least once: the
+        # RTO by a restart or completion, the pacing wake-up by completion,
+        # and the coalescing timer by a count flush.
+        for name, handles in seen.items():
+            assert any(handle[4] for handle in handles), name
