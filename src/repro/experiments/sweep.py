@@ -225,6 +225,12 @@ def is_fingerprint(text: Any) -> bool:
     return isinstance(text, str) and _FINGERPRINT.fullmatch(text) is not None
 
 
+#: One cache file's :meth:`ResultCache.signature` record: ``(filename,
+#: mtime_ns, size, ctime_ns)``.  It moves whenever the file is written,
+#: replaced or touched.
+FileKey = Tuple[str, int, int, int]
+
+
 class ResultCache:
     """On-disk store of :class:`ResultRow` records keyed by config fingerprint.
 
@@ -279,32 +285,50 @@ class ResultCache:
         Stale-code and corrupt entries are included (``stale_code`` /
         ``row is None``), so callers can count and report them instead of
         silently skipping -- the results service turns stale entries into
-        HTTP 409s rather than pretending they do not exist.
+        HTTP 409s rather than pretending they do not exist.  A file not
+        named ``<fingerprint>.json`` is no entry (:meth:`load_entry` does
+        not name it either), so the report CLI and the service agree.
         """
         for path in sorted(self.directory.glob("*.json")):
-            yield self._read_entry(path)
+            if is_fingerprint(path.stem):
+                yield self._read_entry(path)
 
-    def signature(self) -> Tuple[Tuple[str, int, int], ...]:
+    def signature(self) -> Tuple[FileKey, ...]:
         """A cheap stat-based fingerprint of the cache contents.
 
-        Sorted ``(filename, mtime_ns, size)`` triples: any row added,
-        replaced or removed changes the signature without reading a single
-        file body.  The results service re-stats this per request to decide
+        Sorted ``(filename, mtime_ns, size, ctime_ns)`` records (see
+        :meth:`file_key`): any row added, replaced or removed changes the
+        signature without reading a single file body.  ``ctime_ns`` catches
+        a replacement that keeps the size and restores the mtime (``cp
+        -p``, ``rsync -t``, ``tar x``): ``utime`` can set the mtime, never
+        the ctime.  The results service re-stats this per request to decide
         whether its in-process warm aggregates are still valid.
         """
         entries = []
         try:
             with os.scandir(self.directory) as it:
                 for dirent in it:
-                    if dirent.name.endswith(".json"):
+                    name = dirent.name
+                    if name.endswith(".json"):
                         try:
                             stat = dirent.stat()
                         except FileNotFoundError:
                             continue  # deleted mid-scan
-                        entries.append((dirent.name, stat.st_mtime_ns, stat.st_size))
+                        # Built in line: this runs per file on every request.
+                        entries.append((name, stat.st_mtime_ns, stat.st_size, stat.st_ctime_ns))
         except FileNotFoundError:
             pass
         return tuple(sorted(entries))
+
+    def file_key(self, fingerprint: str) -> Optional[FileKey]:
+        """The :meth:`signature` record of ``fingerprint``'s file alone (one
+        ``stat``), or ``None`` when there is no such file."""
+        path = self.path_for(fingerprint)
+        try:
+            stat = os.stat(path)
+        except FileNotFoundError:
+            return None
+        return (path.name, stat.st_mtime_ns, stat.st_size, stat.st_ctime_ns)
 
     def _read_entry(self, path: Path) -> CacheEntry:
         """Parse one ``{schema, code, row}`` file (the only reader of the

@@ -10,28 +10,35 @@ the same :func:`format_catalog` text under ``?format=text``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.spec import SCENARIOS
+from repro.experiments.spec import SCENARIOS, ScenarioSpec
 
-__all__ = ["catalog_entries", "format_catalog"]
+__all__ = ["catalog_entries", "format_catalog", "registered_scenarios"]
 
 
-def catalog_entries() -> List[Dict[str, Any]]:
-    """One JSON-safe record per registered scenario, in registry order.
+def registered_scenarios() -> List[Tuple[str, ScenarioSpec]]:
+    """``(name, spec)`` for every registered scenario, in registry order."""
+    # The paper presets register themselves on import; pulling the module in
+    # here keeps a cold interpreter's catalog complete.
+    import repro.experiments.scenarios  # noqa: F401
+
+    return [(name, SCENARIOS.get(name)) for name in SCENARIOS.names()]
+
+
+def catalog_entries(
+    scenarios: Optional[List[Tuple[str, ScenarioSpec]]] = None,
+) -> List[Dict[str, Any]]:
+    """One JSON-safe record per registered scenario (or per ``(name,
+    spec)`` of ``scenarios``), in registry order.
 
     Each record carries the spec's identifying metadata: ``name``,
     ``description``, the human ``shape`` summary, the ordered ``variants``
     and ``rows`` labels, the default ``seeds`` axis, the ``aggregate_by``
     policy and the cell count (variants x rows, before seed replication).
     """
-    # The paper presets register themselves on import; pulling the module in
-    # here keeps a cold interpreter's catalog complete.
-    import repro.experiments.scenarios  # noqa: F401
-
     entries: List[Dict[str, Any]] = []
-    for name in SCENARIOS.names():
-        spec = SCENARIOS.get(name)
+    for name, spec in registered_scenarios() if scenarios is None else scenarios:
         entries.append({
             "name": name,
             "description": spec.description,

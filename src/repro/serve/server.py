@@ -41,14 +41,20 @@ Consistency contract
   nothing fresh remains.  ``--any-code`` opts out (archived result dirs).
 * **Warm bodies.**  One store per cache state -- the cheap stat-based
   :meth:`~repro.experiments.sweep.ResultCache.signature` plus the code
-  fingerprint, re-taken on every request -- holds one parse of the cache,
-  the aggregate records, and the encoded bodies of ``/aggregate`` (JSON and
-  every text form) and ``/cdf`` (text, and JSON at the default tail).  A
-  warm request is a stat and a dict lookup.  A row landing in the cache --
-  e.g. from a worker machine writing through the shared directory -- moves
-  the state, and the next request starts an empty store, without the
-  server watching anything.  Error answers and non-default ``/cdf`` tails
-  are never stored, so the store is bounded by scenarios x forms.
+  fingerprint, re-taken on every request -- holds the state's scan of the
+  cache, the aggregate records, and the encoded bodies of ``/aggregate``
+  (JSON and every text form) and ``/cdf`` (text, and JSON at the default
+  tail).  A warm request is a stat and a dict lookup.  A row landing in the
+  cache -- e.g. from a worker machine writing through the shared directory
+  -- moves the state, and the next request starts an empty store, without
+  the server watching anything.  Error answers and non-default ``/cdf``
+  tails are never stored, so the store is bounded by scenarios x forms.
+  Across states, each file is parsed once per version (its signature
+  record), so a moved state reads only the files that moved; a
+  ``/cells`` body is encoded once per file version, and the ``/scenarios``
+  bodies once per set of registered specs.
+* **Connections.**  Handler threads are reused, but a connection that
+  finds none idle gets a new one: nothing queues behind a busy thread.
 * **Bit-identical parity.**  Aggregate records equal the offline batch
   ``spec.aggregate(spec.sweep(...))`` output bit for bit: cached rows are
   re-sorted into the canonical batch absorption order
@@ -63,6 +69,7 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from queue import SimpleQueue
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple, Union,
 )
@@ -70,12 +77,14 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.experiments.queue import TaskQueue
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.sweep import ResultCache, code_fingerprint, is_fingerprint
+from repro.experiments.sweep import (
+    CacheEntry, FileKey, ResultCache, code_fingerprint, is_fingerprint,
+)
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
 from repro.metrics.report import format_single_packet_cdfs, label_rows, render_rows_report
 from repro.registry import UnknownNameError
 from repro.serve import DEFAULT_PORT, add_serve_arguments
-from repro.serve.catalog import catalog_entries, format_catalog
+from repro.serve.catalog import catalog_entries, format_catalog, registered_scenarios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ResultRow
@@ -120,8 +129,9 @@ def _text_body(text: str) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-#: What one cache state's store holds under a key: anything built from
-#: that state (see :meth:`ResultsService._view`).
+#: What one cache state's store holds under a key: the state's cache
+#: signature under ``"signature"``, and anything built from that state (see
+#: :meth:`ResultsService._view`).
 Store = Dict[Hashable, Any]
 
 
@@ -131,6 +141,19 @@ def _memo(store: Store, key: Hashable, build: Callable[[], Any]) -> Tuple[Any, b
     if key in store:
         return store[key], True
     return store.setdefault(key, build()), False
+
+
+class _Version:
+    """One version of one cache file: the :meth:`ResultCache.signature`
+    record it was read under, its one parse and, once a request asked for
+    it, its ``/cells`` body."""
+
+    __slots__ = ("key", "entry", "body")
+
+    def __init__(self, key: FileKey, entry: CacheEntry) -> None:
+        self.key = key
+        self.entry = entry
+        self.body: Optional[bytes] = None
 
 
 class _Scan(NamedTuple):
@@ -147,13 +170,17 @@ class _Scan(NamedTuple):
 class ResultsService:
     """The HTTP-agnostic read model: catalog, aggregates, CDFs, raw cells.
 
-    All public methods are thread-safe (the handler runs one thread per
-    request); the only shared mutable state is the warm store, swapped
-    under a lock.  Raises :class:`ServiceError` for every client-visible
-    failure so the transport layer maps it to a status uniformly.  The
+    All public methods are thread-safe (the server serves connections on
+    several threads at once).  The shared mutable state is the warm store,
+    swapped under a lock, and memos whose entries are each written by one
+    assignment and checked against their key on every read, so a lost
+    update costs a rebuild, never a stale answer.  Raises
+    :class:`ServiceError` for every client-visible failure so the
+    transport layer maps it to a status uniformly.  The
     ``*_body`` methods answer the HTTP routes with encoded bytes.  For
     in-process callers, :meth:`aggregate` returns the stored records and
-    :meth:`aggregate_text` / :meth:`cdf` decode their bodies.
+    :meth:`aggregate_text` / :meth:`cdf` / :meth:`cell` / :meth:`catalog`
+    decode their bodies.
     """
 
     def __init__(
@@ -178,6 +205,19 @@ class ResultsService:
         #: requests share them (and the digests each row rebuilds once).
         self._state: Optional[Tuple[Any, str]] = None
         self._store: Store = {}
+        #: File name -> its :class:`_Version`, across cache states: a file
+        #: is read again only once its signature record moved.  Each scan
+        #: replaces it with the versions its signature lists.
+        self._files: Dict[str, _Version] = {}
+        #: ``spec.name -> (spec, cell names)``; a re-registered spec is a
+        #: new object, so it expands again.
+        self._cell_names: Dict[str, Tuple[ScenarioSpec, Tuple[str, ...]]] = {}
+        #: The ``/scenarios`` bodies by form (text or not), under the
+        #: ``(name, id(spec))`` list of the registry they were built from.
+        #: The specs are kept beside it, so no id is reused while it is a key.
+        self._catalog: Tuple[
+            List[Tuple[str, int]], List[Tuple[str, ScenarioSpec]], Dict[bool, bytes]
+        ] = ([], [], {})
 
     def _view(self) -> Store:
         """The store of the cache's current state.
@@ -190,7 +230,7 @@ class ResultsService:
         state = (self.cache.signature(), code_fingerprint())
         with self._lock:
             if state != self._state:
-                self._state, self._store = state, {}
+                self._state, self._store = state, {"signature": state[0]}
             return self._store
 
     # ------------------------------------------------------------------
@@ -213,7 +253,24 @@ class ResultsService:
         }
 
     def catalog(self) -> List[Dict[str, Any]]:
-        return catalog_entries()
+        return json.loads(self.catalog_body())["scenarios"]
+
+    def catalog_body(self, text: bool = False) -> bytes:
+        """The ``/scenarios`` body (``text``: the ``repro list`` form),
+        encoded once per set of registered specs."""
+        scenarios = registered_scenarios()
+        key = [(name, id(spec)) for name, spec in scenarios]
+        memo = self._catalog
+        if memo[0] != key:
+            memo = self._catalog = (key, scenarios, {})
+        bodies = memo[2]
+        if text not in bodies:
+            entries = catalog_entries(scenarios)
+            bodies[text] = (
+                _text_body(format_catalog(entries)) if text
+                else _json_body({"scenarios": entries, "count": len(entries)})
+            )
+        return bodies[text]
 
     def spec(self, name: str) -> ScenarioSpec:
         from repro.experiments.spec import scenario
@@ -223,24 +280,48 @@ class ResultsService:
         except UnknownNameError as exc:
             raise ServiceError(404, str(exc)) from exc
 
-    def cell_names(self, spec: ScenarioSpec) -> List[str]:
-        """The scenario's aggregation-cell names, in spec order."""
-        names: List[str] = []
-        for config in spec.configs().values():
-            if config.name not in names:
-                names.append(config.name)
-        return names
+    def cell_names(self, spec: ScenarioSpec) -> Tuple[str, ...]:
+        """The scenario's aggregation-cell names, in spec order (expanded
+        once per spec object)."""
+        known = self._cell_names.get(spec.name)
+        if known is None or known[0] is not spec:
+            names: List[str] = []
+            for config in spec.configs().values():
+                if config.name not in names:
+                    names.append(config.name)
+            known = self._cell_names[spec.name] = (spec, tuple(names))
+        return known[1]
 
     # ------------------------------------------------------------------
     # Rows
     # ------------------------------------------------------------------
+    def _version(self, key: FileKey) -> Optional[_Version]:
+        """The parse of the file version ``key`` records: the memo's, or
+        read now (``None`` when the file is gone or names no entry)."""
+        name = key[0]
+        version = self._files.get(name)
+        if version is None or version.key != key:
+            entry = self.cache.load_entry(name[: -len(".json")])
+            if entry is None:
+                return None
+            version = self._files[name] = _Version(key, entry)
+        return version
+
     def _scan(self, store: Store) -> _Scan:
         """The state's one parse of the cache, behind every aggregate,
-        report and CDF built under it."""
+        report and CDF built under it: only the files whose signature
+        record moved since the memo saw them are read."""
 
         def build() -> _Scan:
+            versions: Dict[str, _Version] = {}
+            for key in store["signature"]:
+                version = self._version(key)
+                if version is not None:
+                    versions[key[0]] = version
+            self._files = versions
             current, stale = [], []
-            for entry in self.cache.scan():
+            for version in versions.values():
+                entry = version.entry
                 if entry.row is not None:
                     stale_code = self.code_aware and entry.stale_code
                     (stale if stale_code else current).append(entry.row)
@@ -249,7 +330,9 @@ class ResultsService:
 
         return _memo(store, "scan", build)[0]
 
-    def _scenario_rows(self, store: Store, names: List[str]) -> Tuple[List["ResultRow"], int]:
+    def _scenario_rows(
+        self, store: Store, names: Tuple[str, ...]
+    ) -> Tuple[List["ResultRow"], int]:
         """``(fresh_rows, stale_count)`` for the scenario's cached rows."""
         scan = self._scan(store)
         wanted = set(names)
@@ -437,35 +520,47 @@ class ResultsService:
     # ------------------------------------------------------------------
     def cell(self, fingerprint: str) -> Dict[str, Any]:
         """One raw :class:`ResultRow` by config fingerprint (409 on stale)."""
+        return json.loads(self.cell_body(fingerprint))
+
+    def cell_body(self, fingerprint: str) -> bytes:
+        """:meth:`cell` as a JSON body.  A cache file's is encoded once per
+        file version; whether its code is current is asked on every call."""
         if not is_fingerprint(fingerprint):
             # The path segment arrives percent-decoded: ``..%2F..%2Fx``
             # must never be joined onto the cache directory.
             raise ServiceError(404, f"{fingerprint!r} is not a config fingerprint")
-        entry = self.cache.load_entry(fingerprint)
-        source = "cache"
-        if (entry is None or entry.row is None) and self.queue is not None:
-            part = self.queue.parts.load_entry(fingerprint)
-            if part is not None and part.row is not None:
-                entry, source = part, "queue-part"
-        if entry is None or entry.row is None:
-            raise ServiceError(
-                404, f"no cached row for fingerprint {fingerprint!r}"
-            )
+        key = self.cache.file_key(fingerprint)
+        version = self._version(key) if key is not None else None
+        if version is not None and version.entry.row is not None:
+            self._refuse_stale(version.entry)
+            if version.body is None:
+                version.body = _cell_body(version.entry, "cache")
+            return version.body
+        part = self.queue.parts.load_entry(fingerprint) if self.queue is not None else None
+        if part is None or part.row is None:
+            raise ServiceError(404, f"no cached row for fingerprint {fingerprint!r}")
+        self._refuse_stale(part)
+        return _cell_body(part, "queue-part")
+
+    def _refuse_stale(self, entry: CacheEntry) -> None:
         if self.code_aware and entry.stale_code:
             raise ServiceError(
                 409,
-                f"row {fingerprint!r} was written by a different simulator "
+                f"row {entry.fingerprint!r} was written by a different simulator "
                 "version and cannot be served as current",
-                fingerprint=fingerprint,
+                fingerprint=entry.fingerprint,
                 row_code=entry.code,
                 serving_code=code_fingerprint(),
             )
-        return {
-            "fingerprint": fingerprint,
-            "source": source,
-            "code": entry.code,
-            "row": entry.row.to_dict(),
-        }
+
+
+def _cell_body(entry: CacheEntry, source: str) -> bytes:
+    return _json_body({
+        "fingerprint": entry.fingerprint,
+        "source": source,
+        "code": entry.code,
+        "row": entry.row.to_dict(),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +592,6 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: Any) -> None:
         self._send_body(status, _json_body(payload), JSON_TYPE)
 
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_body(status, _text_body(text), TEXT_TYPE)
-
     # -- routing --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
         parsed = urlsplit(self.path)
@@ -530,15 +622,13 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
                 ).is_set(),
             })
         elif segments == ["scenarios"]:
-            entries = self.service.catalog()
-            if text:
-                self._send_text(200, format_catalog(entries))
-            else:
-                self._send_json(200, {"scenarios": entries, "count": len(entries)})
+            self._send_body(
+                200, self.service.catalog_body(text), TEXT_TYPE if text else JSON_TYPE
+            )
         elif len(segments) == 3 and segments[0] == "scenarios":
             self._route_scenario(segments[1], segments[2], params, text)
         elif len(segments) == 2 and segments[0] == "cells":
-            self._send_json(200, self.service.cell(segments[1]))
+            self._send_body(200, self.service.cell_body(segments[1]), JSON_TYPE)
         else:
             raise ServiceError(
                 404,
@@ -647,6 +737,13 @@ def _number(
 class ResultsServer(ThreadingHTTPServer):
     """A threading HTTP server owning one :class:`ResultsService`.
 
+    Handler threads are reused: a connection goes to a thread idle since
+    its last one, or to a new thread when none is idle, so no connection
+    ever waits behind a busy one (a ``/follow`` stream or a stalled client
+    holds only its own thread).  Handler threads are daemons, as in
+    :class:`~http.server.ThreadingHTTPServer`; :meth:`server_close` also
+    releases the idle ones.
+
     Shuts down gracefully: :meth:`request_shutdown` (also wired to
     SIGTERM/SIGINT by :func:`run_from_args`) flips the ``shutting_down``
     event -- which open ``/follow`` streams watch, closing with a final
@@ -666,7 +763,55 @@ class ResultsServer(ThreadingHTTPServer):
         self.service = service
         self.quiet = quiet
         self.shutting_down = threading.Event()
+        #: The inboxes of the handler threads waiting for a connection;
+        #: ``None`` in an inbox ends its thread.
+        self._idle: List[SimpleQueue] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
         super().__init__(address, ResultsRequestHandler)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to the most recently idle handler thread,
+        or start a new one as :class:`~socketserver.ThreadingMixIn` does."""
+        with self._idle_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            super().process_request(request, client_address)
+        else:
+            inbox.put((request, client_address))
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        """A handler thread: serve its first connection, then each one it
+        is handed while idle, until the server closes.
+
+        It goes idle *before* closing the connection it served, so a client
+        that saw the close and connects again finds it idle; a connection
+        handed over meanwhile waits only for that close.
+        """
+        inbox: SimpleQueue = SimpleQueue()
+        job: Optional[Tuple[Any, Any]] = (request, client_address)
+        while job is not None:
+            request, client_address = job
+            try:
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                with self._idle_lock:
+                    idle = not self._closed
+                    if idle:
+                        self._idle.append(inbox)
+            finally:
+                self.shutdown_request(request)
+            job = inbox.get() if idle else None
+
+    def server_close(self) -> None:
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+        super().server_close()
 
     def request_shutdown(self) -> None:
         """Begin a graceful shutdown; safe to call from any thread (signal

@@ -59,7 +59,7 @@ def follow_scenario(
     queue = service.queue
     if queue is None:
         raise ValueError("follow_scenario needs a service with a work queue")
-    names: List[str] = service.cell_names(spec)
+    names: Tuple[str, ...] = service.cell_names(spec)
     wanted: Set[str] = set(names)
     running = PartialAggregator(spec.aggregate_by)
     rows: List[Any] = []

@@ -1,11 +1,14 @@
 """Results-service tests: endpoint schemas, byte-for-byte text parity with
 the offline CLIs, warm bodies and their invalidation, the zero-simulation
-guarantee, stale-code 409s, concurrent readers, and live follow streams
-over a real multi-worker queue drain."""
+guarantee, stale-code 409s, concurrent readers, reused handler threads, and
+live follow streams over a real multi-worker queue drain."""
 
 import json
 import os
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -174,6 +177,22 @@ class TestTextParity:
         assert body.decode() == cli_output
 
 
+    def test_a_file_not_named_by_a_fingerprint_is_no_entry(self, private, capsys):
+        """The service reads entries by name, so the report CLI skips a copy
+        of a row under another name too: both render the same bytes."""
+        from repro.metrics.report import main as report_main
+
+        service, cache = private
+        before = bodies(service)
+        victim = cache.path_for(cache.rows()[0].fingerprint)
+        victim.with_name("copy.json").write_bytes(victim.read_bytes())
+        fresh = ResultsService(service.cache_dir)
+        assert bodies(fresh) == before
+        capsys.readouterr()
+        assert report_main([service.cache_dir]) == 0
+        assert capsys.readouterr().out.encode() == before[1]
+
+
 class TestZeroSimulation:
     def test_read_path_never_runs_an_experiment(self, server, monkeypatch):
         import repro.experiments.runner as runner_mod
@@ -319,9 +338,25 @@ def private_server(private):
     srv.server_close()
 
 
-def rewrite_row(cache, row):
-    """Rewrite ``row`` in ``cache`` with its ``avg_slowdown`` set to 98.75."""
-    cache.put(type(row).from_dict({**row.to_dict(), "avg_slowdown": 98.75}))
+def rewrite_row(cache, row, avg_slowdown=98.75):
+    """Rewrite ``row`` in ``cache`` with its ``avg_slowdown`` set to
+    ``avg_slowdown``."""
+    cache.put(type(row).from_dict({**row.to_dict(), "avg_slowdown": avg_slowdown}))
+
+
+def replace_keeping_mtime(cache, row):
+    """Replace ``row``'s file, last written by ``rewrite_row(cache, row,
+    11.25)``, by one of the same size and restore its mtime, as ``cp -p``,
+    ``rsync -t`` and ``tar x`` do: only its ctime moves."""
+    path = cache.path_for(row.fingerprint)
+    stat = path.stat()
+    # File timestamps advance at the kernel's clock tick: let one pass, so
+    # the replacement cannot share the first file's ctime.
+    time.sleep(0.05)
+    rewrite_row(cache, row)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    replaced = path.stat()
+    assert (replaced.st_size, replaced.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
 
 
 #: Every stored body form: ``(method, args)`` on :class:`ResultsService`.
@@ -379,13 +414,25 @@ class TestWarmBodies:
             )
         del reads[:]
         after = bodies(service)
-        assert len(reads) == len(cache)  # one scan for every form
+        # Only the file whose stat moved is read again, once for every form.
+        victim_file = cache.path_for(victim.fingerprint).name
+        assert reads == ([] if move == "code" else [victim_file])
         assert json.loads(after[0])["warm"] is False
         assert after == bodies(ResultsService(service.cache_dir, code_aware=False))
         if move == "put":
             assert b"98.75" in after[1] and b"98.75" not in before[1]
         if move == "code":
             assert json.loads(after[0])["code"] == "pretend-code-changed"
+
+    def test_a_replacement_keeping_size_and_mtime_is_not_served_stale(self, private):
+        service, cache = private
+        victim = cache.rows()[0]
+        rewrite_row(cache, victim, 11.25)
+        before = service.aggregate("serve_tiny")["records"]
+        replace_keeping_mtime(cache, victim)
+        after = service.aggregate("serve_tiny")["records"]
+        assert after != before
+        assert after == ResultsService(service.cache_dir).aggregate("serve_tiny")["records"]
 
     def test_error_answers_are_never_stored(self, private_server, monkeypatch):
         srv = private_server
@@ -456,6 +503,70 @@ class TestWarmBodies:
             status, payload = get_json(srv, f"/scenarios/serve_tiny/cdf?start={start}")
             assert status == 200 and payload["start_fraction"] == start
         assert len(srv.service._store) == size
+
+
+def cell_answer(service, fingerprint):
+    """``(status, body or error payload)`` of ``/cells/<fingerprint>``."""
+    try:
+        return 200, service.cell_body(fingerprint)
+    except ServiceError as err:
+        return err.status, err.payload
+
+
+class TestCellBodies:
+    """A cache file's ``/cells`` body is encoded once per file version: after
+    any move of the file or of the code the next answer is a fresh
+    service's, and a warm one reads no file."""
+
+    @pytest.mark.parametrize("move,status", [
+        ("put", 200), ("utime", 200), ("keep-mtime", 200), ("delete", 404),
+        ("code", 409), ("any-code", 200), ("queue-part", 200),
+    ])
+    def test_a_moved_cell_answers_as_a_fresh_service(
+        self, private, tmp_path, monkeypatch, move, status
+    ):
+        cache = private[1]
+        options = {"queue_dir": str(tmp_path / "q"), "code_aware": move != "any-code"}
+        service = ResultsService(private[0].cache_dir, **options)
+        victim = cache.rows()[0]
+        path = cache.path_for(victim.fingerprint)
+        rewrite_row(cache, victim, 11.25)
+        before = cell_answer(service, victim.fingerprint)
+        assert before[0] == 200 and b"11.25" in before[1]
+        if move == "put":
+            rewrite_row(cache, victim)
+        elif move == "utime":
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        elif move == "keep-mtime":
+            replace_keeping_mtime(cache, victim)
+        elif move == "delete":
+            path.unlink()
+        elif move in ("code", "any-code"):
+            monkeypatch.setattr(
+                "repro.experiments.sweep._CODE_FINGERPRINT", "pretend-code-changed"
+            )
+        else:
+            rewrite_row(service.queue.parts, victim)
+            path.unlink()
+        after = cell_answer(service, victim.fingerprint)
+        fresh = ResultsService(service.cache_dir, **options)
+        assert after == cell_answer(fresh, victim.fingerprint)
+        assert after[0] == status
+        if move in ("put", "keep-mtime", "queue-part"):
+            assert b"98.75" in after[1]
+        if move == "queue-part":
+            assert json.loads(after[1])["source"] == "queue-part"
+
+    def test_a_warm_cell_reads_no_file(self, private, reads):
+        service, cache = private
+        fingerprint = cache.rows()[0].fingerprint
+        service.aggregate("serve_tiny")  # the scan parses every file once
+        del reads[:]
+        first = service.cell_body(fingerprint)
+        assert service.cell_body(fingerprint) == first
+        assert reads == []
+        assert service.cell(fingerprint)["row"] == json.loads(first)["row"]
 
 
 class TestWarmReportRows:
@@ -561,6 +672,87 @@ class TestConcurrency:
         assert not errors
         assert len(results) == 40
         assert all(records == results[0] for records in results)
+
+
+class TestConnections:
+    """Handler threads are reused, and no connection waits behind a busy
+    one."""
+
+    def test_sequential_requests_reuse_handler_threads(self, server, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        address = server.server_address[:2]
+        for _ in range(50):
+            # Read to the close, which the handler thread makes once it is
+            # idle (urllib would stop at Content-Length, before that).
+            with socket.create_connection(address, timeout=10) as connection:
+                connection.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                response = b""
+                while chunk := connection.recv(65536):
+                    response += chunk
+            assert response.startswith(b"HTTP/1.0 200 ")
+        assert 1 <= len(started) <= 2, started
+        server.shutdown()
+        server.server_close()  # releases the idle handler threads
+        for thread in started:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    def test_stalled_connections_do_not_hold_up_a_request(self, server):
+        port = server.server_address[1]
+        stalled = []
+        try:
+            for _ in range(8):
+                stalled.append(socket.create_connection(("127.0.0.1", port), timeout=5))
+                # Connections are accepted in order, so this answer means the
+                # stalled one holds a handler thread (and the listen backlog,
+                # five connections, never fills).
+                assert get(server, "/healthz")[0] == 200
+            began = time.monotonic()
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=1) as resp:
+                assert resp.status == 200
+            assert time.monotonic() - began < 1.0
+        finally:
+            for connection in stalled:
+                connection.close()
+
+    def test_concurrent_clients_get_the_batch_answers(self, server, warm):
+        cache_dir, _ = warm
+        expected = json.loads(json.dumps(SPEC.aggregate(SPEC.sweep(workers=1, cache=cache_dir))))
+        fingerprints = [row.fingerprint for row in ResultCache(cache_dir).rows()]
+        cells = {fp: ResultsService(cache_dir).cell_body(fp) for fp in fingerprints}
+        errors, finished = [], []
+
+        def client(index):
+            try:
+                for step in range(6):
+                    status, payload = get_json(server, "/scenarios/serve_tiny/aggregate")
+                    assert status == 200 and payload["records"] == expected
+                    fingerprint = fingerprints[(index + step) % len(fingerprints)]
+                    assert get(server, f"/cells/{fingerprint}") == (200, cells[fingerprint])
+                finished.append(index)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        clients = [threading.Thread(target=client, args=(index,)) for index in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert not errors, errors
+        assert sorted(finished) == list(range(16))
 
 
 class TestFollow:
