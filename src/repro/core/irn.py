@@ -278,12 +278,7 @@ class IrnReceiver(BaseReceiver):
             if self.config.generate_acks:
                 banked_ecn = self._absorb_pending_ack()
                 responses.append(
-                    self._control(
-                        _ACK,
-                        packet,
-                        cumulative_ack=self.expected_psn,
-                        ecn_echo=packet.ecn or banked_ecn,
-                    )
+                    self._control(_ACK, packet, self.expected_psn, None, banked_ecn)
                 )
             return responses
 
@@ -302,13 +297,7 @@ class IrnReceiver(BaseReceiver):
             self._note_delivered(1, now)
             banked_ecn = self._absorb_pending_ack()
             responses.append(
-                self._control(
-                    _NACK,
-                    packet,
-                    cumulative_ack=self.expected_psn,
-                    sack_psn=psn,
-                    ecn_echo=packet.ecn or banked_ecn,
-                )
+                self._control(_NACK, packet, self.expected_psn, psn, banked_ecn)
             )
         else:
             # Go-back-N receiver: discard and NACK once per sequence error.
@@ -317,13 +306,7 @@ class IrnReceiver(BaseReceiver):
                 self._nacked_expected = self.expected_psn
                 banked_ecn = self._absorb_pending_ack()
                 responses.append(
-                    self._control(
-                        _NACK,
-                        packet,
-                        cumulative_ack=self.expected_psn,
-                        sack_psn=None,
-                        ecn_echo=packet.ecn or banked_ecn,
-                    )
+                    self._control(_NACK, packet, self.expected_psn, None, banked_ecn)
                 )
         return responses
 

@@ -62,9 +62,6 @@ class RoceSender(BaseSender):
             return None
         return self.snd_nxt
 
-    def _is_retransmission(self, psn: int) -> bool:
-        return psn < self.highest_sent
-
     def _note_sent(self, psn: int, packet: Packet, now: float) -> None:
         if psn == self.snd_nxt:
             self.snd_nxt += 1

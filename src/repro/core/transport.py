@@ -28,6 +28,8 @@ _ACK = PacketType.ACK
 _NACK = PacketType.NACK
 _CNP = PacketType.CNP
 
+_INF = float("inf")
+
 
 FlowCallback = Callable[["Flow", float], None]
 
@@ -199,30 +201,19 @@ class BaseSender:
     def _handle_nack(self, packet: Packet, now: float) -> None:
         raise NotImplementedError
 
-    def _is_retransmission(self, psn: int) -> bool:
-        return psn < self.highest_sent
-
     # ------------------------------------------------------------------
     # Packet construction and pacing
     # ------------------------------------------------------------------
-    def _payload_for(self, psn: int) -> int:
-        if psn == self.num_packets - 1:
-            return max(1, self.last_packet_payload)
-        return self.config.mtu_bytes
-
     def _build_packet(self, psn: int, now: float) -> Packet:
+        """The data frame carrying ``psn``: a retransmission if any send
+        has reached it before."""
+        config = self.config
+        flow = self.flow
+        last = psn == self.num_packets - 1
+        payload = max(1, self.last_packet_payload) if last else config.mtu_bytes
         return Packet(
-            ptype=_DATA,
-            flow_id=self.flow_id,
-            src=self.flow.src,
-            dst=self.flow.dst,
-            psn=psn,
-            payload_bytes=self._payload_for(psn),
-            header_bytes=self.config.header_bytes,
-            msg_id=0,
-            last_of_message=(psn == self.num_packets - 1),
-            retransmitted=self._is_retransmission(psn),
-            sent_time=now,
+            _DATA, self.flow_id, flow.src, flow.dst, psn, payload, config.header_bytes,
+            last, psn < self.highest_sent, now,
         )
 
     def _note_sent(self, psn: int, packet: Packet, now: float) -> None:
@@ -234,7 +225,7 @@ class BaseSender:
         self.highest_sent = max(self.highest_sent, psn + 1)
         if self.cc is not None:
             self.cc.on_packet_sent(packet.size_bits, now)
-        if self.config.timeouts_enabled:
+        if self._rto_event is None and self.config.timeouts_enabled:
             self._arm_rto(now)
 
     def _pacing_release_time(self, now: float) -> float:
@@ -267,10 +258,9 @@ class BaseSender:
     # ------------------------------------------------------------------
     def _window_limit(self) -> float:
         """Maximum number of unacknowledged packets allowed in flight."""
-        base = float("inf")
         if self.cc is not None:
-            base = self.cc.window_limit(base)
-        return base
+            return self.cc.window_limit(_INF)
+        return _INF
 
     def in_flight(self) -> int:
         """Packets sent but not yet cumulatively acknowledged."""
@@ -405,19 +395,25 @@ class BaseReceiver:
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------
-    def _control(self, ptype: PacketType, data_packet: Packet, **fields) -> Packet:
-        """Build an ACK/NACK/CNP going back to the data packet's source."""
+    def _control(
+        self,
+        ptype: PacketType,
+        data_packet: Packet,
+        cumulative_ack: int = 0,
+        sack_psn: Optional[int] = None,
+        ecn_echo: bool = False,
+    ) -> Packet:
+        """Build an ACK/NACK/CNP going back to the data packet's source.
+
+        The frame echoes ``data_packet``'s ECN bit, or'ed with ``ecn_echo``
+        (the ECN bit of a coalescing window the frame absorbs).
+        """
+        flow = self.flow
         packet = Packet(
-            ptype=ptype,
-            flow_id=self.flow_id,
-            src=self.flow.dst,
-            dst=self.flow.src,
-            psn=data_packet.psn,
-            echo_time=data_packet.sent_time,
-            ecn_echo=data_packet.ecn,
+            ptype, self.flow_id, flow.dst, flow.src, data_packet.psn, 0,
+            DEFAULT_HEADER_BYTES, False, False, 0.0, cumulative_ack, sack_psn,
+            data_packet.ecn or ecn_echo, data_packet.sent_time,
         )
-        for key, value in fields.items():
-            setattr(packet, key, value)
         if ptype is _ACK:
             self.acks_sent += 1
         elif ptype is _NACK:
@@ -441,21 +437,14 @@ class BaseReceiver:
         config = self.config
         gap, self._ack_last_data_time = now - self._ack_last_data_time, now
         if config.ack_coalesce_n <= 1 or self.send_control is None:
-            responses.append(self._control(_ACK, data_packet, cumulative_ack=cum))
+            responses.append(self._control(_ACK, data_packet, cum))
             return
         if data_packet.retransmitted:
             # Recovery traffic: the sender is waiting on this cumulative
             # advance to exit recovery -- holding it in the window would
             # stretch every loss episode by up to the flush timeout.
             banked_ecn = self._absorb_pending_ack()
-            responses.append(
-                self._control(
-                    _ACK,
-                    data_packet,
-                    cumulative_ack=cum,
-                    ecn_echo=data_packet.ecn or banked_ecn,
-                )
-            )
+            responses.append(self._control(_ACK, data_packet, cum, None, banked_ecn))
             return
         if self._ack_pending == 0 and gap > config.ack_coalesce_s:
             # Adaptive moderation, as NICs do: only back-to-back streams are
@@ -463,7 +452,7 @@ class BaseReceiver:
             # short by the flush timer anyway, so deferring buys no ACK
             # deletion -- it just converts each ACK into a timer event plus a
             # late ACK.  Send immediately and keep the slow path per-packet.
-            responses.append(self._control(_ACK, data_packet, cumulative_ack=cum))
+            responses.append(self._control(_ACK, data_packet, cum))
             return
         self._ack_pending += 1
         self._ack_cum = cum
@@ -477,15 +466,10 @@ class BaseReceiver:
 
     def _flush_ack(self) -> Packet:
         """Materialize the banked window as one cumulative ACK frame."""
+        flow = self.flow
         packet = Packet(
-            ptype=_ACK,
-            flow_id=self.flow_id,
-            src=self.flow.dst,
-            dst=self.flow.src,
-            psn=self._ack_psn,
-            echo_time=self._ack_echo_time,
-            ecn_echo=self._ack_ecn,
-            cumulative_ack=self._ack_cum,
+            _ACK, self.flow_id, flow.dst, flow.src, self._ack_psn, 0, DEFAULT_HEADER_BYTES,
+            False, False, 0.0, self._ack_cum, None, self._ack_ecn, self._ack_echo_time,
         )
         self.acks_sent += 1
         self.acks_coalesced += self._ack_pending - 1

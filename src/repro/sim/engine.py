@@ -5,7 +5,8 @@
 timestamps fire FIFO by insertion order, so a run is fully deterministic for
 a given seed.  An entry is a plain list (see :meth:`Simulator.schedule_at`).
 Cancelled events stay in the heap as tombstones until they reach its head,
-and a compaction pass bounds how many can pile up.
+and a compaction pass, run from :meth:`Simulator.cancel`, bounds how many
+can pile up.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ class Simulator:
     *tombstones*: they stay in the heap and are discarded when they reach
     the head.  Because the transports set and almost always cancel one
     retransmission timer per data packet, tombstones can outnumber live
-    events; the heap is therefore compacted in place whenever it grows past
-    a watermark with a dead majority, and the watermark doubles with the
-    survivors, so compaction is amortized O(1) per scheduled event.
+    events; the heap is therefore compacted in place whenever a cancel
+    finds it at or past a watermark with a dead majority, and the watermark
+    doubles with the survivors, so compaction is amortized O(1) per
+    scheduled event.  Only a cancel makes a tombstone, so only a cancel
+    tests the watermark.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -49,7 +52,6 @@ class Simulator:
         self._events_scheduled = 0
         self._events_processed = 0
         self._events_cancelled = 0
-        self._stopped = False
         #: Execution trace: when a list, every executed event appends
         #: ``(time, seq)``.  Off (None) by default -- the verify harness
         #: enables it to check that the clock never moves backwards.
@@ -88,23 +90,23 @@ class Simulator:
         seq = self._events_scheduled
         self._events_scheduled = seq + 1
         event = [time, seq, fn, args, False]
-        heap = self._heap
-        heapq.heappush(heap, event)
-        if len(heap) >= self._compact_watermark:
-            self._compact()
+        heapq.heappush(self._heap, event)
         return event
 
     def cancel(self, event: Optional[list]) -> None:
         """Cancel a previously scheduled event (no-op for ``None``)."""
         if event is not None:
             event[4] = True
+            if len(self._heap) >= self._compact_watermark:
+                self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled tombstones if they dominate the heap.
 
-        Called whenever the heap grows past a watermark.  The watermark
-        doubles with the surviving heap so the O(n) scan is amortized O(1)
-        per scheduled event.
+        Called by a cancel that finds the heap at or past the watermark.
+        The watermark doubles with the surviving heap, so a cancel leaves
+        fewer tombstones queued than the watermark, and the O(n) scan is
+        amortized O(1) per scheduled event.
         """
         heap = self._heap
         live = [event for event in heap if not event[4]]
@@ -167,10 +169,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the event loop.
 
@@ -182,9 +180,9 @@ class Simulator:
             where this one stopped.  On return the clock is advanced to
             ``until`` whenever the simulation did not already reach it *and*
             no live event at or before ``until`` remains queued (i.e. the
-            queue emptied or only later events remain); :meth:`stop` always
-            suppresses the advance, and the ``max_events`` valve does so only
-            when it left live events at or before ``until`` unexecuted.
+            queue emptied or only later events remain); the ``max_events``
+            valve suppresses the advance only when it left live events at or
+            before ``until`` unexecuted.
         max_events:
             Safety valve: stop once this many events have been *executed*.
             Cancelled events never run and do not count against the valve;
@@ -192,7 +190,6 @@ class Simulator:
             (Termination is still guaranteed: cancelled events cannot
             schedule new events, so discarding them only shrinks the queue.)
         """
-        self._stopped = False
         # Hot path: bind everything the loop touches to locals.  This loop
         # runs hundreds of thousands of times per simulated second, so each
         # avoided attribute/global lookup is measurable.
@@ -202,7 +199,7 @@ class Simulator:
         executed = 0
         cancelled = 0
         try:
-            while heap and not self._stopped:
+            while heap:
                 time, seq, fn, args, dead = heap[0]
                 if dead:
                     heappop(heap)
@@ -221,7 +218,7 @@ class Simulator:
         finally:
             self._events_processed += executed
             self._events_cancelled += cancelled
-        if until is not None and not self._stopped and self.now < until:
+        if until is not None and self.now < until:
             # Discard tombstones so the advance decision sees the live head.
             while heap and heap[0][4]:
                 heappop(heap)

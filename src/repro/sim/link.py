@@ -83,11 +83,6 @@ class Link:
         self.prop_delay_s = prop_delay_s
         self.name = name or f"{src.name}->{dst.name}"
 
-        # Statistics
-        self.bytes_sent = 0
-        self.packets_sent = 0
-        self.busy_time = 0.0
-
     def serialization_delay(self, packet: Packet) -> float:
         """Time to clock ``packet`` onto the wire at the link rate."""
         return packet.size_bits / self.bandwidth_bps
@@ -95,12 +90,6 @@ class Link:
     def deliver(self, packet: Packet, extra_delay: float = 0.0) -> None:
         """Schedule arrival of ``packet`` at the far end of the link."""
         self.sim.schedule(self.prop_delay_s + extra_delay, self.dst.receive, packet, self)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds this link spent transmitting."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, {self.bandwidth_bps/1e9:.0f}Gbps)"
@@ -257,11 +246,7 @@ class OutputPort:
             # consumers (Timely, iWARP's adaptive RTO) must see the same
             # wire-start times the unbatched model produced.
             packet.sent_time = free_at
-            delay = packet.size_bits / bandwidth
-            link.busy_time += delay
-            link.bytes_sent += packet.size_bytes
-            link.packets_sent += 1
-            free_at += delay
+            free_at += packet.size_bits / bandwidth
             # The arrival time is fixed the moment serialization is
             # committed, so schedule it directly -- no per-packet
             # transmit-done event.
@@ -289,11 +274,7 @@ class OutputPort:
         link = self.link
         sim = self.sim
         packet.sent_time = now
-        delay = packet.size_bits / link.bandwidth_bps
-        link.busy_time += delay
-        link.bytes_sent += packet.size_bytes
-        link.packets_sent += 1
-        self.free_at = free_at = now + delay
+        self.free_at = free_at = now + packet.size_bits / link.bandwidth_bps
         sim.schedule_at(free_at + link.prop_delay_s, link.dst.receive, packet, link)
         self.batches_sent += 1
         if self.max_batch_packets == 1:

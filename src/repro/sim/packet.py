@@ -78,8 +78,6 @@ class Packet:
         ECN Congestion Experienced codepoint, set by switches.
     ecn_echo:
         Echo of the ECN bit in ACKs (used by DCTCP-style control).
-    msg_id:
-        Identifier of the RDMA message this packet belongs to.
     last_of_message:
         True for the last packet of its message.
     retransmitted:
@@ -89,8 +87,6 @@ class Packet:
         used for RTT estimation by Timely and the TCP stack.
     echo_time:
         Timestamp echoed back by the receiver in ACKs.
-    pfc_priority:
-        For PFC frames: the priority class being paused/resumed.
     uid:
         Unique id, in construction order; handy for debugging and for
         per-packet ECMP spraying.
@@ -106,11 +102,15 @@ class Packet:
 
     __slots__ = (
         "ptype", "flow_id", "src", "dst", "psn", "payload_bytes", "header_bytes",
-        "priority", "cumulative_ack", "sack_psn", "error_nack", "ecn", "ecn_echo",
-        "msg_id", "last_of_message", "retransmitted", "sent_time", "echo_time",
-        "pfc_priority", "uid", "size_bytes", "size_bits", "pfc_frame",
+        "last_of_message", "retransmitted", "sent_time", "cumulative_ack", "sack_psn",
+        "ecn_echo", "echo_time", "error_nack", "ecn", "uid", "size_bytes", "size_bits",
+        "pfc_frame",
     )
 
+    # Parameter order is the hot callers' order, so each passes every field
+    # it sets positionally, the cheapest way CPython binds arguments: a data
+    # frame stops after ``sent_time``, an ACK/NACK after ``echo_time`` and a
+    # PFC frame after ``dst``.
     def __init__(
         self,
         ptype: PacketType,
@@ -120,18 +120,15 @@ class Packet:
         psn: int = 0,
         payload_bytes: int = 0,
         header_bytes: int = DEFAULT_HEADER_BYTES,
-        priority: int = 0,
-        cumulative_ack: int = 0,
-        sack_psn: Optional[int] = None,
-        error_nack: bool = False,
-        ecn: bool = False,
-        ecn_echo: bool = False,
-        msg_id: int = 0,
         last_of_message: bool = False,
         retransmitted: bool = False,
         sent_time: float = 0.0,
+        cumulative_ack: int = 0,
+        sack_psn: Optional[int] = None,
+        ecn_echo: bool = False,
         echo_time: float = 0.0,
-        pfc_priority: int = 0,
+        error_nack: bool = False,
+        ecn: bool = False,
     ) -> None:
         self.ptype = ptype
         self.flow_id = flow_id
@@ -140,18 +137,15 @@ class Packet:
         self.psn = psn
         self.payload_bytes = payload_bytes
         self.header_bytes = header_bytes
-        self.priority = priority
-        self.cumulative_ack = cumulative_ack
-        self.sack_psn = sack_psn
-        self.error_nack = error_nack
-        self.ecn = ecn
-        self.ecn_echo = ecn_echo
-        self.msg_id = msg_id
         self.last_of_message = last_of_message
         self.retransmitted = retransmitted
         self.sent_time = sent_time
+        self.cumulative_ack = cumulative_ack
+        self.sack_psn = sack_psn
+        self.ecn_echo = ecn_echo
         self.echo_time = echo_time
-        self.pfc_priority = pfc_priority
+        self.error_nack = error_nack
+        self.ecn = ecn
         self.uid = next(_packet_ids)
         if ptype is _DATA:
             size = payload_bytes + header_bytes

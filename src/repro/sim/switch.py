@@ -339,12 +339,7 @@ class Switch:
         """Send a pause/resume frame to the node feeding ``congested_link``."""
         upstream_name = congested_link.src.name
         reverse_port = self.output_ports.get(upstream_name)
-        frame = Packet(
-            ptype=ptype,
-            flow_id=-1,
-            src=self.name,
-            dst=upstream_name,
-        )
+        frame = Packet(ptype, -1, self.name, upstream_name)
         if reverse_port is not None:
             reverse_port.send_control_direct(frame)
         else:  # pragma: no cover - defensive: no reverse link (one-way wiring)

@@ -4,10 +4,12 @@ tombstone compaction."""
 
 import math
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import engine
 from repro.sim.engine import _COMPACT_MIN_SIZE, Simulator
 
 
@@ -261,15 +263,6 @@ class TestRunControl:
         sim.run(max_events=3)
         assert ran == [0, 1, 2]
 
-    def test_stop_terminates_the_loop(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule(1e-6, ran.append, "a")
-        sim.schedule(2e-6, sim.stop)
-        sim.schedule(3e-6, ran.append, "b")
-        sim.run_until_idle()
-        assert ran == ["a"]
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):
@@ -391,3 +384,85 @@ class TestMassCancellationMemory:
         sim.run_until_idle()
         assert ran == live
         assert sim.events_processed == len(live)
+
+
+#: The watermark floor the property test runs under: small enough that a
+#: few hundred operations compact many times.
+_SMALL_FLOOR = 4
+
+_OPS = st.lists(
+    st.one_of(
+        # schedule at now + ticks (few distinct delays: many ties)
+        st.tuples(st.just("schedule"), st.integers(0, 4)),
+        # cancel one handle handed out so far (live, fired or cancelled)
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        # the transports' RTO churn: set n timers, cancel each at once
+        st.tuples(st.just("churn"), st.integers(1, 12)),
+        # run(until=now + ticks or None, max_events)
+        st.tuples(st.just("run"), st.none() | st.integers(0, 4),
+                  st.none() | st.integers(1, 6)),
+    ),
+    min_size=10,
+    max_size=250,
+)
+
+
+class TestCompactionOnCancel:
+    """Only a cancel makes a tombstone, so only a cancel tests the watermark.
+
+    The bound that rule promises, checked after every operation::
+
+        tombstones < watermark <= max(_COMPACT_MIN_SIZE, 4 * peak_live)
+
+    A cancel that finds ``len(heap) >= watermark`` compacts; afterwards the
+    heap is either all live (watermark = 2 * live) or holds a live majority
+    (heap < 2 * live, watermark = 2 * heap < 4 * live), so the tombstones a
+    cancel leaves are fewer than the watermark, and pops only remove more.
+    The heap therefore never exceeds ``live + max(_COMPACT_MIN_SIZE,
+    4 * peak_live)`` however many timers are set and cancelled.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ops=_OPS)
+    def test_random_schedule_cancel_run_interleavings(self, ops):
+        with mock.patch.object(engine, "_COMPACT_MIN_SIZE", _SMALL_FLOOR):
+            sim = Simulator()
+            trace = sim.enable_trace()
+            handles = []
+            dead = set()     # seqs cancelled before they ran
+            ran = []
+            peak_live = 0
+            for op in ops:
+                if op[0] == "schedule":
+                    seq = len(handles)
+                    handles.append(sim.schedule(op[1] * 1e-6, ran.append, seq))
+                elif op[0] == "churn":
+                    for _ in range(op[1]):
+                        seq = len(handles)
+                        handles.append(sim.schedule(5e-6, ran.append, seq))
+                        dead.add(seq)
+                        sim.cancel(handles[-1])
+                elif op[0] == "cancel":
+                    if handles:
+                        event = handles[op[1] % len(handles)]
+                        if event[1] not in ran:
+                            dead.add(event[1])
+                        sim.cancel(event)
+                else:
+                    until = None if op[1] is None else sim.now + op[1] * 1e-6
+                    sim.run(until=until, max_events=op[2])
+
+                assert sim.events_scheduled == (
+                    sim.events_processed + sim.events_cancelled + sim.pending_events)
+                tombstones = sum(1 for event in sim._heap if event[4])
+                peak_live = max(peak_live, sim.pending_events - tombstones)
+                assert tombstones < sim._compact_watermark <= max(
+                    _SMALL_FLOOR, 4 * peak_live)
+
+            sim.run_until_idle()
+            assert sim.events_scheduled == sim.events_processed + sim.events_cancelled
+            # Live events ran exactly once each, in (time, seq) order.
+            live = [event for event in handles if event[1] not in dead]
+            assert ran == [event[1] for event in sorted(live, key=lambda e: (e[0], e[1]))]
+            assert trace == sorted(trace)
+            assert len(set(trace)) == len(trace)

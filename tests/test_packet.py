@@ -58,11 +58,20 @@ class TestPacketSizes:
 
 class TestPacketConstruction:
     def test_positional_order(self):
-        packet = Packet(PacketType.DATA, 7, "a", "b", 3, 900, 60)
+        packet = Packet(PacketType.DATA, 7, "a", "b", 3, 900, 60,
+                        True, True, 1.5, 4, 5, True, 2.5, True, True)
         assert (packet.ptype, packet.flow_id, packet.src, packet.dst) == (
             PacketType.DATA, 7, "a", "b")
         assert (packet.psn, packet.payload_bytes, packet.header_bytes) == (3, 900, 60)
+        assert (packet.last_of_message, packet.retransmitted, packet.sent_time) == (
+            True, True, 1.5)
+        assert (packet.cumulative_ack, packet.sack_psn, packet.ecn_echo, packet.echo_time) == (
+            4, 5, True, 2.5)
+        assert (packet.error_nack, packet.ecn) == (True, True)
         assert packet.size_bytes == 960
+        with pytest.raises(TypeError):
+            Packet(PacketType.DATA, 7, "a", "b", 3, 900, 60,
+                   True, True, 1.5, 4, 5, True, 2.5, True, True, 0)
 
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError):
@@ -74,12 +83,12 @@ class TestPacketConstruction:
 
     def test_every_default(self):
         packet = Packet(PacketType.ACK, 3, "a", "b")
-        assert (packet.psn, packet.payload_bytes, packet.header_bytes, packet.priority) == (
-            0, 0, DEFAULT_HEADER_BYTES, 0)
+        assert (packet.psn, packet.payload_bytes, packet.header_bytes) == (
+            0, 0, DEFAULT_HEADER_BYTES)
         assert (packet.cumulative_ack, packet.sack_psn, packet.error_nack) == (0, None, False)
         assert (packet.ecn, packet.ecn_echo) == (False, False)
-        assert (packet.msg_id, packet.last_of_message, packet.retransmitted) == (0, False, False)
-        assert (packet.sent_time, packet.echo_time, packet.pfc_priority) == (0.0, 0.0, 0)
+        assert (packet.last_of_message, packet.retransmitted) == (False, False)
+        assert (packet.sent_time, packet.echo_time) == (0.0, 0.0)
 
     def test_no_instance_dict(self):
         with pytest.raises(AttributeError):

@@ -328,12 +328,10 @@ class _Slice:
             "rng": self.sim.rng.random(),
         }
         for name, port in switch.output_ports.items():
-            link = port.link
             state[f"port {name}"] = (
                 port.rr_pointer, port.active_mask, port.queued_bytes,
                 [len(queue or ()) for queue in port.voqs], port.batches_sent, port.free_at,
                 port.paused, port._pull_event is None,
-                link.packets_sent, link.bytes_sent, link.busy_time,
             )
         for in_port in switch._in_port_list:
             state[f"input {in_port.index}"] = (
