@@ -89,6 +89,8 @@ class IrnSender(BaseSender):
         config = config or IrnConfig()
         super().__init__(sim, host, flow, config, congestion_control, on_complete)
         self.config: IrnConfig = config
+        if config.bdp_fc_enabled:
+            self._window_cap = config.bdp_cap_packets
 
         #: Selectively acknowledged PSNs above ``snd_una``.
         self.sacked: Set[int] = set()
@@ -106,12 +108,6 @@ class IrnSender(BaseSender):
     # ------------------------------------------------------------------
     # Packet selection
     # ------------------------------------------------------------------
-    def _window_limit(self) -> float:
-        limit = super()._window_limit()
-        if self.config.bdp_fc_enabled:
-            limit = min(limit, self.config.bdp_cap_packets)
-        return limit
-
     def _select_packet(self, now: float) -> Optional[int]:
         if self.in_recovery and now >= self._rtx_not_before:
             lost = self._next_lost_packet()
@@ -147,7 +143,7 @@ class IrnSender(BaseSender):
             self.snd_nxt += 1
         else:
             self._rtx_done.add(psn)
-        super()._note_sent(psn, packet, now)
+        BaseSender._note_sent(self, psn, packet, now)
 
     # ------------------------------------------------------------------
     # Feedback
@@ -264,9 +260,10 @@ class IrnReceiver(BaseReceiver):
     # ------------------------------------------------------------------
     def on_data(self, packet: Packet, now: float) -> List[Packet]:
         responses: List[Packet] = []
-        cnp = self._maybe_cnp(packet, now)
-        if cnp is not None:
-            responses.append(cnp)
+        if packet.ecn and self._cnp_interval_s is not None:
+            cnp = self._maybe_cnp(packet, now)
+            if cnp is not None:
+                responses.append(cnp)
         self.data_received += 1
 
         psn = packet.psn

@@ -65,7 +65,7 @@ class RoceSender(BaseSender):
     def _note_sent(self, psn: int, packet: Packet, now: float) -> None:
         if psn == self.snd_nxt:
             self.snd_nxt += 1
-        super()._note_sent(psn, packet, now)
+        BaseSender._note_sent(self, psn, packet, now)
 
     # ------------------------------------------------------------------
     def _handle_ack(self, packet: Packet, now: float) -> None:

@@ -127,6 +127,8 @@ class BaseSender:
         self.snd_nxt = 0
         #: Highest PSN handed to the NIC so far (exclusive).
         self.highest_sent = 0
+        #: The transport's own in-flight cap (IRN's BDP-FC), in packets.
+        self._window_cap = _INF
 
         self.completed = False
         #: Whether the last ``None`` of :meth:`next_packet` may end by the clock alone.
@@ -161,12 +163,14 @@ class BaseSender:
         if psn is None:
             self.waits_on_clock = self._select_waits_on_clock(now)
             return None
-        release = self._pacing_release_time(now)
-        if release > now:
-            # A poll at exactly ``release`` may come before the wake-up.
-            self._arm_pacing_event(release)
-            self.waits_on_clock = True
-            return None
+        cc = self.cc
+        if cc is not None:
+            release = cc.next_send_time(now)
+            if release > now:
+                # A poll at exactly ``release`` may come before the wake-up.
+                self._arm_pacing_event(release)
+                self.waits_on_clock = True
+                return None
         packet = self._build_packet(psn, now)
         self._note_sent(psn, packet, now)
         return packet
@@ -222,16 +226,12 @@ class BaseSender:
             self.retransmissions += 1
         if self.flow.first_packet_time is None:
             self.flow.first_packet_time = now
-        self.highest_sent = max(self.highest_sent, psn + 1)
+        if psn >= self.highest_sent:
+            self.highest_sent = psn + 1
         if self.cc is not None:
             self.cc.on_packet_sent(packet.size_bits, now)
         if self._rto_event is None and self.config.timeouts_enabled:
             self._arm_rto(now)
-
-    def _pacing_release_time(self, now: float) -> float:
-        if self.cc is None:
-            return now
-        return self.cc.next_send_time(now)
 
     def _arm_pacing_event(self, release: float) -> None:
         if self._pacing_event is not None:
@@ -257,10 +257,12 @@ class BaseSender:
     # Windowing
     # ------------------------------------------------------------------
     def _window_limit(self) -> float:
-        """Maximum number of unacknowledged packets allowed in flight."""
-        if self.cc is not None:
-            return self.cc.window_limit(_INF)
-        return _INF
+        """Maximum number of unacknowledged packets allowed in flight: the
+        transport's own cap, narrowed by the congestion module if any."""
+        cc = self.cc
+        if cc is None:
+            return self._window_cap
+        return cc.window_limit(self._window_cap)
 
     def in_flight(self) -> int:
         """Packets sent but not yet cumulatively acknowledged."""
@@ -508,9 +510,10 @@ class BaseReceiver:
             self.send_control(packet)
 
     def _maybe_cnp(self, data_packet: Packet, now: float) -> Optional[Packet]:
-        """Generate a DCQCN CNP if the packet was ECN-marked (rate limited)."""
-        if self._cnp_interval_s is None or not data_packet.ecn:
-            return None
+        """Generate a DCQCN CNP for an ECN-marked packet (rate limited).
+
+        The caller has checked that ``data_packet.ecn`` is set and that CNPs
+        are on (``_cnp_interval_s`` is not ``None``)."""
         if now - self._last_cnp_time < self._cnp_interval_s:
             return None
         self._last_cnp_time = now

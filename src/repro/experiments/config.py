@@ -143,7 +143,8 @@ class ExperimentConfig:
     seed: int = 1
     #: Hard wall on simulated time (seconds); ``None`` runs to completion.
     max_sim_time_s: Optional[float] = 5.0
-    #: Safety valve on the number of processed events.
+    #: Safety valve on the number of processed events (>= 1; ``None`` for
+    #: none).
     max_events: Optional[int] = 50_000_000
     #: Collect §4.4 congestion-spreading observability: per-switch
     #: queue-depth and PFC-pause-duration :class:`~repro.metrics.sketch.
@@ -187,6 +188,8 @@ class ExperimentConfig:
             raise ValueError("ack_coalesce_n must be >= 1 (1 = per-packet ACKs)")
         if self.ack_coalesce_us <= 0:
             raise ValueError("ack_coalesce_us must be positive")
+        if self.max_events is not None and self.max_events < 1:
+            raise ValueError("max_events must be >= 1 (None = no valve)")
 
     def check_components(self) -> None:
         """Raise :class:`~repro.registry.UnknownNameError` unless every

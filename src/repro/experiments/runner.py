@@ -147,9 +147,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     fault_engine: Optional[FaultEngine] = None
     plan = config.fault_plan
     if plan is not None and not plan.is_empty:
-        # Recovery probes wrap host receivers first (inner), the fault
-        # engine second (outer): a fault-dropped packet must never count
-        # as delivered goodput.
+        # Recovery probes tap host downlinks first (inner), the fault
+        # engine its faulted links second (outer): a fault-dropped packet
+        # must never count as delivered goodput.
         collector.install_recovery_probes(
             bin_s=plan.effective_goodput_bin_s(config.base_rtt_s()),
             stall_threshold_s=plan.stall_threshold_s or config.effective_rto_low_s(),

@@ -284,22 +284,23 @@ class _CorruptionWindow:
 
 
 class _ReceiveTap:
-    """Wraps one node's ``receive`` to intercept faulted-link arrivals.
+    """Wraps one faulted link's ``arrive`` and holds that link's state.
 
-    Installed as the *outermost* wrapper (after any metrics probes), so a
-    fault-dropped packet never reaches goodput accounting or the node.
+    Installed last, after any metrics probe on the same link, so it is the
+    outermost wrapper: a fault-dropped packet never reaches goodput
+    accounting or the node.  Links without a fault keep their ``arrive``.
     """
 
-    __slots__ = ("engine", "inner")
+    __slots__ = ("engine", "state", "inner")
 
-    def __init__(self, engine: "FaultEngine", node: Any) -> None:
+    def __init__(self, engine: "FaultEngine", link: Link) -> None:
         self.engine = engine
-        self.inner = node.receive
-        node.receive = self
+        self.state = _LinkState()
+        self.inner = link.arrive
+        link.arrive = self
 
     def __call__(self, packet: Packet, link: Link) -> None:
-        state = self.engine._link_state.get(id(link))
-        if state is not None and self.engine._intercept(state, packet):
+        if self.engine._intercept(self.state, packet):
             return
         self.inner(packet, link)
 
@@ -323,8 +324,8 @@ class FaultEngine:
         #: set by the runner (``None`` disables the observable).
         self.retransmission_probe: Optional[Callable[[], int]] = None
         self.retransmissions_during_fault = 0
-        self._link_state: Dict[int, _LinkState] = {}
-        self._taps: Dict[str, _ReceiveTap] = {}
+        #: Faulted link -> the tap on its ``arrive`` (one per link).
+        self._taps: Dict[Link, _ReceiveTap] = {}
         self._window_open_probe: Optional[int] = None
 
     @property
@@ -341,14 +342,10 @@ class FaultEngine:
         return link
 
     def _state_for(self, link: Link) -> _LinkState:
-        state = self._link_state.get(id(link))
-        if state is None:
-            state = _LinkState()
-            self._link_state[id(link)] = state
-            dst = link.dst
-            if dst.name not in self._taps:
-                self._taps[dst.name] = _ReceiveTap(self, dst)
-        return state
+        tap = self._taps.get(link)
+        if tap is None:
+            tap = self._taps[link] = _ReceiveTap(self, link)
+        return tap.state
 
     def _port_towards(self, src: str, dst: str) -> Optional[OutputPort]:
         node = self.network.node(src)
@@ -361,7 +358,9 @@ class FaultEngine:
         return getattr(node, "uplink_port", None)
 
     def install(self) -> None:
-        """Wrap receivers and schedule every window boundary."""
+        """Tap every faulted link's arrivals and schedule every window
+        boundary.  Call after any other tap on the same links (see
+        :class:`_ReceiveTap`)."""
         for fault in self.plan.faults:
             if isinstance(fault, LinkFlap):
                 self._install_flap(fault)

@@ -212,10 +212,10 @@ class MetricsCollector:
 
     def install_recovery_probes(self, bin_s: float, stall_threshold_s: float):
         """Attach a :class:`~repro.metrics.recovery.RecoveryTracker` to every
-        host (goodput timeline, per-flow stall gaps).
+        host downlink (goodput timeline, per-flow stall gaps).
 
-        Must be installed *before* the fault engine wraps the same
-        receivers, so injected drops never count as delivered goodput.
+        Must be installed *before* the fault engine taps the same links,
+        so injected drops never count as delivered goodput.
         Pure observation otherwise: no events, no randomness.
         """
         tracker = RecoveryTracker(

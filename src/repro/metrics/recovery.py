@@ -1,8 +1,8 @@
 """Recovery observables for fault-enabled runs.
 
-The :class:`RecoveryTracker` taps every host's ``receive`` (installed
-*inside* the fault engine's tap, so injected drops never count as
-delivered traffic) and maintains:
+The :class:`RecoveryTracker` taps the arrivals over every host downlink
+(``link.arrive``; installed *inside* the fault engine's tap on a link both
+wrap, so injected drops never count as delivered traffic) and maintains:
 
 - a **goodput timeline**: delivered DATA payload bytes binned into
   fixed-width time bins, exported both as a quantile digest (per-bin
@@ -37,13 +37,15 @@ _DATA = PacketType.DATA
 RECOVERY_GOODPUT_FRACTION = 0.9
 
 
-class _HostTap:
+class _DownlinkTap:
+    """Wraps one host downlink's ``arrive``: counts its DATA arrivals."""
+
     __slots__ = ("tracker", "inner")
 
-    def __init__(self, tracker: "RecoveryTracker", host: Any) -> None:
+    def __init__(self, tracker: "RecoveryTracker", link: Any) -> None:
         self.tracker = tracker
-        self.inner = host.receive
-        host.receive = self
+        self.inner = link.arrive
+        link.arrive = self
 
     def __call__(self, packet: Packet, link: Any) -> None:
         if packet.ptype is _DATA:
@@ -67,8 +69,12 @@ class RecoveryTracker:
         self._stall: Dict[int, float] = {}
 
     def install(self, network: Any) -> None:
-        for host in network.hosts.values():
-            _HostTap(self, host)
+        """Tap every link into a host; call before the fault engine's
+        :meth:`~repro.faults.FaultEngine.install`."""
+        hosts = network.hosts
+        for link in network.links:
+            if link.dst.name in hosts:
+                _DownlinkTap(self, link)
 
     def on_data_delivered(self, packet: Packet) -> None:
         now = self.sim.now

@@ -182,41 +182,46 @@ class Simulator:
             no live event at or before ``until`` remains queued (i.e. the
             queue emptied or only later events remain); the ``max_events``
             valve suppresses the advance only when it left live events at or
-            before ``until`` unexecuted.
+            before ``until`` unexecuted.  ``None`` runs without a horizon.
         max_events:
-            Safety valve: stop once this many events have been *executed*.
+            Safety valve: stop once this many events have been *executed*
+            (``0`` executes none; a negative value raises ``ValueError``).
             Cancelled events never run and do not count against the valve;
             they are tallied separately in :attr:`events_cancelled`.
             (Termination is still guaranteed: cancelled events cannot
             schedule new events, so discarding them only shrinks the queue.)
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0 (got {max_events})")
         # Hot path: bind everything the loop touches to locals.  This loop
         # runs hundreds of thousands of times per simulated second, so each
-        # avoided attribute/global lookup is measurable.
+        # avoided attribute/global lookup is measurable.  No horizon is an
+        # infinite one and no valve a countdown that starts below zero, so
+        # each event costs one time comparison and one countdown test.
+        horizon = _INF if until is None else until
+        budget = -1 if max_events is None else max_events
         heap = self._heap
         heappop = heapq.heappop
         trace = self._trace
-        executed = 0
+        remaining = budget
         cancelled = 0
         try:
-            while heap:
+            while remaining and heap:
                 time, seq, fn, args, dead = heap[0]
                 if dead:
                     heappop(heap)
                     cancelled += 1
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     break
                 heappop(heap)
                 self.now = time
                 if trace is not None:
                     trace.append((time, seq))
                 fn(*args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
+                remaining -= 1
         finally:
-            self._events_processed += executed
+            self._events_processed += budget - remaining
             self._events_cancelled += cancelled
         if until is not None and self.now < until:
             # Discard tombstones so the advance decision sees the live head.

@@ -82,6 +82,14 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay_s = prop_delay_s
         self.name = name or f"{src.name}->{dst.name}"
+        #: What an arrival over this link runs, ``arrive(packet, link)``:
+        #: ``dst.receive``, bound once here rather than per frame.  A tap
+        #: that intercepts this link's arrivals (fault injection, recovery
+        #: tracking) replaces it with a callable that wraps the old value.
+        self.arrive = dst.receive
+        #: The receiving switch's input port for this link (set by
+        #: ``Switch.add_input_link``; ``None`` when ``dst`` is a host).
+        self.in_port = None
 
     def serialization_delay(self, packet: Packet) -> float:
         """Time to clock ``packet`` onto the wire at the link rate."""
@@ -89,7 +97,7 @@ class Link:
 
     def deliver(self, packet: Packet, extra_delay: float = 0.0) -> None:
         """Schedule arrival of ``packet`` at the far end of the link."""
-        self.sim.schedule(self.prop_delay_s + extra_delay, self.dst.receive, packet, self)
+        self.sim.schedule(self.prop_delay_s + extra_delay, self.arrive, packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, {self.bandwidth_bps/1e9:.0f}Gbps)"
@@ -231,7 +239,7 @@ class OutputPort:
         link = self.link
         sim = self.sim
         next_packet = self.source.next_packet
-        receive = link.dst.receive
+        arrive = link.arrive
         prop = link.prop_delay_s
         bandwidth = link.bandwidth_bps
         free_at = now
@@ -250,7 +258,7 @@ class OutputPort:
             # The arrival time is fixed the moment serialization is
             # committed, so schedule it directly -- no per-packet
             # transmit-done event.
-            sim.schedule_at(free_at + prop, receive, packet, link)
+            sim.schedule_at(free_at + prop, arrive, packet, link)
             count += 1
         if count:
             self.batches_sent += 1
@@ -275,7 +283,7 @@ class OutputPort:
         sim = self.sim
         packet.sent_time = now
         self.free_at = free_at = now + packet.size_bits / link.bandwidth_bps
-        sim.schedule_at(free_at + link.prop_delay_s, link.dst.receive, packet, link)
+        sim.schedule_at(free_at + link.prop_delay_s, link.arrive, packet, link)
         self.batches_sent += 1
         if self.max_batch_packets == 1:
             # This frame alone reaches the batch limit, so ``start_batch``

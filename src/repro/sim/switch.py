@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.link import Link, OutputPort
 from repro.sim.packet import Packet, PacketType
@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.routing import Routing
 
 _DATA = PacketType.DATA
+_INF = float("inf")
 
 
 @dataclass
@@ -97,7 +98,10 @@ class Switch:
         self.config = config or SwitchConfig()
         # Read once: the configuration of a built switch does not change.
         self._pfc_enabled = self.config.pfc.enabled
-        self._ecn_enabled = self.config.ecn.enabled
+        #: Output depth from which ECN marking may apply: both RED and step
+        #: marking leave a frame alone below ``kmin_bytes`` (and draw no
+        #: random number), so shallower queues skip the marking call.
+        self._ecn_kmin = self.config.ecn.kmin_bytes if self.config.ecn.enabled else _INF
 
         self.output_ports: Dict[str, OutputPort] = {}   # neighbor name -> port
         self.input_ports: Dict[Link, _InputPort] = {}   # incoming link -> input port
@@ -125,9 +129,10 @@ class Switch:
     @routing.setter
     def routing(self, routing: Optional["Routing"]) -> None:
         self._routing = routing
-        #: ``(dst, flow_id) -> OutputPort`` for per-flow routing; ``None``
-        #: when every packet must be routed afresh (packet spraying).
-        self._route_cache: Optional[Dict[Tuple[str, int], OutputPort]] = (
+        #: ``dst -> {flow_id: OutputPort}`` for per-flow routing (two plain
+        #: lookups, no key tuple built per hop); ``None`` when every packet
+        #: must be routed afresh (packet spraying).
+        self._route_cache: Optional[Dict[str, Dict[int, OutputPort]]] = (
             {} if routing is not None and routing.per_flow else None
         )
 
@@ -142,11 +147,13 @@ class Switch:
         return port
 
     def add_input_link(self, link: Link) -> None:
-        """Register an incoming link (creates its input-port buffer)."""
+        """Register an incoming link (creates its input-port buffer, which
+        :meth:`receive` finds on the link itself)."""
         in_port = _InputPort(
             link, len(self._in_port_list), self.config.buffer_bytes_per_port, self.config.pfc
         )
         self.input_ports[link] = in_port
+        link.in_port = in_port
         self._in_port_list.append(in_port)
         for port in self.output_ports.values():
             port.voqs.append(None)
@@ -178,20 +185,17 @@ class Switch:
             self._handle_pfc(packet, link)
             return
 
-        try:
-            in_port = self.input_ports[link]
-        except KeyError:
-            raise RuntimeError(
-                f"{self.name}: packet arrived on unregistered link {link.name}"
-            ) from None
+        in_port = link.in_port
+        if in_port is None:
+            raise RuntimeError(f"{self.name}: packet arrived on unregistered link {link.name}")
         routes = self._route_cache
         if routes is None:
             out_port = self._route(packet)
         else:
             try:
-                out_port = routes[packet.dst, packet.flow_id]
+                out_port = routes[packet.dst][packet.flow_id]
             except KeyError:
-                out_port = routes[packet.dst, packet.flow_id] = self._route(packet)
+                out_port = routes.setdefault(packet.dst, {})[packet.flow_id] = self._route(packet)
 
         size = packet.size_bytes
         occupancy = in_port.occupancy + size
@@ -202,8 +206,9 @@ class Switch:
             self.bytes_dropped += size
             return
 
-        if self._ecn_enabled and packet.ptype is _DATA:
-            self._maybe_mark_ecn(packet, out_port.queued_bytes)
+        depth = out_port.queued_bytes
+        if depth >= self._ecn_kmin and packet.ptype is _DATA:
+            self._maybe_mark_ecn(packet, depth)
 
         if self.queue_depth_digest is not None:
             self.queue_depth_digest.add(occupancy)
@@ -317,7 +322,10 @@ class Switch:
         return out_port
 
     def _maybe_mark_ecn(self, packet: Packet, depth: int) -> None:
-        """Mark a data ``packet`` given its output's depth before enqueue."""
+        """Mark a data ``packet`` given its output's depth before enqueue.
+
+        :meth:`receive` calls it only from ``depth >= kmin_bytes`` on, the
+        depths at which either marking rule can act."""
         ecn = self.config.ecn
         if ecn.step_marking:
             if depth >= ecn.kmin_bytes:
@@ -338,12 +346,8 @@ class Switch:
     def _send_pfc(self, congested_link: Link, ptype: PacketType) -> None:
         """Send a pause/resume frame to the node feeding ``congested_link``."""
         upstream_name = congested_link.src.name
-        reverse_port = self.output_ports.get(upstream_name)
         frame = Packet(ptype, -1, self.name, upstream_name)
-        if reverse_port is not None:
-            reverse_port.send_control_direct(frame)
-        else:  # pragma: no cover - defensive: no reverse link (one-way wiring)
-            self.sim.schedule(congested_link.prop_delay_s, congested_link.src.receive, frame, congested_link)
+        self.output_ports[upstream_name].send_control_direct(frame)
 
     def _handle_pfc(self, packet: Packet, link: Link) -> None:
         """Pause or resume our output port facing the pause frame's sender."""

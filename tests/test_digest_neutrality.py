@@ -62,12 +62,17 @@ def test_fabric_digests_are_byte_neutral(seed):
 
 def test_optional_taps_are_absent_when_switched_off():
     """No fault plan, no recovery tracking, ``fabric_digests`` off: nothing
-    wraps any ``receive`` and no probe is attached, so the per-hop path pays
-    one ``is not None`` test per probe and nothing else."""
+    wraps any link's ``arrive`` or any node's ``receive`` and no probe is
+    attached, so the per-hop path pays one ``is not None`` test per probe
+    and nothing else."""
     config = _fuzzed_config(3)
     assert config.fault_plan is None and not config.fabric_digests
     network = run_experiment(config).collector.network
 
+    assert network.links
+    for link in network.links:
+        assert link.arrive == link.dst.receive, f"{link.name}: arrive is wrapped"
+        assert link.arrive.__self__ is link.dst
     for node in list(network.hosts.values()) + list(network.switches.values()):
         assert "receive" not in vars(node), f"{node.name}: receive is wrapped"
     for switch in network.switches.values():

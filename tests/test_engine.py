@@ -263,6 +263,31 @@ class TestRunControl:
         sim.run(max_events=3)
         assert ran == [0, 1, 2]
 
+    def test_max_events_zero_runs_nothing(self):
+        sim = Simulator()
+        ran = []
+        for i in range(3):
+            sim.schedule(i * 1e-6, ran.append, i)
+        sim.run(max_events=0)
+        assert ran == [] and sim.events_processed == 0
+        assert sim.pending_events == 3 and sim.now == 0.0
+        # A live event at or before ``until`` was left unexecuted, so the
+        # clock stays; with nothing queued it advances as usual.
+        sim.run(until=1.0, max_events=0)
+        assert ran == [] and sim.now == 0.0
+        empty = Simulator()
+        empty.run(until=1.0, max_events=0)
+        assert empty.now == 1.0
+
+    @pytest.mark.parametrize("max_events", [-1, -5])
+    def test_negative_max_events_rejected(self, max_events):
+        sim = Simulator()
+        ran = []
+        sim.schedule(1e-6, ran.append, "a")
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=max_events)
+        assert ran == [] and sim.events_processed == 0
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):

@@ -119,6 +119,15 @@ class TestAckCoalescingKnobs:
         with pytest.raises(ValueError):
             ExperimentConfig(ack_coalesce_us=0.0)
 
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_max_events_below_one_rejected(self, max_events):
+        with pytest.raises(ValueError, match="max_events"):
+            ExperimentConfig(max_events=max_events)
+
+    def test_max_events_none_or_positive_accepted(self):
+        assert ExperimentConfig(max_events=None).max_events is None
+        assert ExperimentConfig(max_events=1).max_events == 1
+
 
 class TestDeletedKnobs:
     """The departure-batch byte cap, the pacing quantum and the per-flow

@@ -11,12 +11,19 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults import (
     DegradedLink,
+    FaultEngine,
     FaultPlan,
     LinkFlap,
     PacketCorruption,
     PauseStorm,
     fault_from_dict,
 )
+from repro.metrics.recovery import RecoveryTracker
+from repro.sim.engine import Simulator
+from repro.sim.packet import Packet, PacketType
+from repro.sim.pfc import PfcConfig
+from repro.sim.switch import SwitchConfig
+from repro.topology.simple import build_dumbbell, build_star
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +181,113 @@ class TestFaultEngineRuns:
         assert result.recovery_time_s >= 0.0
         row = result.to_row(label="flap")
         assert row.stall_digest is not None
+
+
+# ---------------------------------------------------------------------------
+# Interception is per link: taps wrap ``link.arrive``, never ``node.receive``
+# ---------------------------------------------------------------------------
+def _frame(psn):
+    return Packet(PacketType.DATA, 1, "h0", "h1", psn=psn, payload_bytes=1000, header_bytes=0)
+
+
+def _star(pfc_enabled=False, buffer_bytes=100_000, headroom=0):
+    sim = Simulator(seed=1)
+    config = SwitchConfig(buffer_bytes_per_port=buffer_bytes,
+                          pfc=PfcConfig(enabled=pfc_enabled, headroom_bytes=headroom))
+    return sim, build_star(sim, 3, bandwidth_bps=8e9, link_delay_s=1e-6,
+                           switch_config=config)
+
+
+class TestPerLinkTaps:
+    def test_a_flap_taps_only_its_own_link(self):
+        sim = Simulator(seed=1)
+        network = build_dumbbell(sim, 2)
+        before = {link: link.arrive for link in network.links}
+        plan = FaultPlan(faults=(LinkFlap("s0", "s1", start_s=1e-6, end_s=2e-6),))
+        FaultEngine(sim, network, plan, seed=1).install()
+
+        faulted = network.link_between("s0", "s1")
+        assert faulted.arrive is not before[faulted]
+        assert faulted.arrive.inner is before[faulted]
+        for link in network.links:
+            if link is not faulted:
+                assert link.arrive is before[link], link.name
+        for node in list(network.hosts.values()) + list(network.switches.values()):
+            assert "receive" not in vars(node), node.name
+
+    def test_two_faults_on_one_link_share_one_tap(self):
+        sim = Simulator(seed=1)
+        network = build_dumbbell(sim, 2)
+        link = network.link_between("s0", "s1")
+        original = link.arrive
+        plan = FaultPlan(faults=(
+            LinkFlap("s0", "s1", start_s=1e-6, end_s=2e-6),
+            PacketCorruption("s0", "s1", probability=0.5),
+        ))
+        FaultEngine(sim, network, plan, seed=1).install()
+        assert link.arrive.inner is original
+        assert link.arrive.state.corruptions
+
+    def test_fault_dropped_frame_never_reaches_goodput_accounting(self):
+        sim, network = _star()
+        switch = network.switches["s0"]
+        in_link = network.link_between("h0", "s0")
+        tracker = RecoveryTracker(sim, bin_s=1e-6, stall_threshold_s=1.0)
+        tracker.install(network)
+        plan = FaultPlan(faults=(
+            PacketCorruption("s0", "h1", probability=1.0, start_s=0.0, end_s=10e-6),
+        ))
+        engine = FaultEngine(sim, network, plan, seed=1)
+        engine.install()
+        # Recovery tap inside, fault tap outside, on the same downlink.
+        downlink = network.link_between("s0", "h1")
+        assert downlink.arrive.inner.inner == network.hosts["h1"].receive
+
+        # Two frames land inside the corruption window, one after it.
+        for psn, when in enumerate((1e-6, 4e-6, 20e-6)):
+            sim.schedule_at(when, switch.receive, _frame(psn), in_link)
+        sim.run_until_idle()
+        assert engine.corruption_drops == 2
+        assert network.hosts["h1"].data_packets_received == 1
+        # Only the surviving frame (arriving at 22 us) counts as goodput.
+        assert tracker._bins == {22: 1000.0}
+
+    def test_a_tap_installed_after_wiring_sees_every_arrival_kind(self):
+        sim, network = _star(pfc_enabled=True, buffer_bytes=10_000, headroom=6_000)
+        switch = network.switches["s0"]
+        in_link = network.link_between("h0", "s0")
+        out_port = switch.port_towards("h1")
+        seen = {"s0->h1": [], "s0->h0": []}
+
+        def tap(link):
+            inner = link.arrive
+
+            def arrive(packet, link_):
+                seen[link_.name].append(packet.ptype.name)
+                inner(packet, link_)
+
+            link.arrive = arrive
+
+        tap(network.link_between("s0", "h1"))
+        tap(network.link_between("s0", "h0"))
+        paths = {"cut_through": 0, "start_batch": 0}
+        for name in paths:
+            method = getattr(out_port, name)
+
+            def counted(*args, _name=name, _method=method):
+                paths[_name] += 1
+                return _method(*args)
+
+            setattr(out_port, name, counted)
+
+        # A burst of eight frames from h0 at once: the first cuts through,
+        # the rest queue (and cross the pause threshold, so X-OFF goes back
+        # to h0) and leave in batches; the drain sends X-ON.
+        for psn in range(8):
+            sim.schedule_at(1e-6, switch.receive, _frame(psn), in_link)
+        sim.run_until_idle()
+
+        assert paths["cut_through"] >= 1 and paths["start_batch"] >= 1
+        assert seen["s0->h1"] == ["DATA"] * 8
+        assert seen["s0->h0"] == ["PFC_PAUSE", "PFC_RESUME"]
+        assert network.hosts["h1"].data_packets_received == 8

@@ -335,7 +335,8 @@ class TestTimerHandles:
         h2.register_receiver(irn_rx)
         h2.register_receiver(roce_rx)
 
-        deliver = h2.receive
+        downlink = network.link_between("s0", "h2")
+        deliver = downlink.arrive
         dropped = []
 
         def drop_once(packet, link):
@@ -345,7 +346,7 @@ class TestTimerHandles:
                 return
             deliver(packet, link)
 
-        h2.receive = drop_once
+        downlink.arrive = drop_once
 
         seen = {"_rto_event": [], "_pacing_event": [], "_ack_timer": []}
         while sim.pending_events:

@@ -615,7 +615,11 @@ class TestTapsSeeCutThroughArrivals:
         plan = FaultPlan(faults=(LinkFlap("s0", "h1", start_s=2e-6, end_s=5e-6),))
         engine = FaultEngine(sim, network, plan, seed=1)
         engine.install()
-        assert "receive" in vars(network.hosts["h1"])
+        # Both taps sit on the downlink, the fault tap outermost; the host
+        # itself is not wrapped.
+        downlink = network.link_between("s0", "h1")
+        assert downlink.arrive.inner.inner == network.hosts["h1"].receive
+        assert "receive" not in vars(network.hosts["h1"])
 
         # Each frame finds the port idle (cut-through) and lands 2 us later:
         # the first inside the flap window, the second after it.
