@@ -16,29 +16,31 @@ spelling of one component serializes, fingerprints and aggregates
 identically.
 
 This module imports declarations only -- the four registries (which know
-their built-ins by name, see :mod:`repro.registry`) and the plan/parameter
-dataclasses a config carries -- so expanding, fingerprinting and looking up
-cells costs no simulator import.  The ``effective_*`` derivations resolve
-the topology or scheme *object* and load its provider on first use.
+their built-ins by name, see :mod:`repro.registry`) -- so expanding,
+fingerprinting and looking up cells costs no simulator import.  The fault,
+incast and PFC types load where a config coerces or derives them: the two
+dict coercions in ``__post_init__``, ``effective_headroom_bytes`` and
+``switch_config``.  The ``effective_*`` derivations resolve the topology or
+scheme *object* and load its provider on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.congestion.registry import CONGESTION_SCHEMES
 from repro.core.registry import TRANSPORTS
-from repro.faults import FaultPlan
-from repro.sim.pfc import PfcConfig, headroom_for_link
 from repro.topology.registry import TOPOLOGIES
-from repro.workload.incast import IncastParams
 from repro.workload.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults import FaultPlan
     from repro.sim.switch import SwitchConfig
+    from repro.workload.incast import IncastParams
 
 
 #: Config fields that never influence the physics of a run *or* the cached
@@ -177,13 +179,23 @@ class ExperimentConfig:
         self.congestion_control = CONGESTION_SCHEMES.canonical_name(self.congestion_control)
         self.workload = WORKLOADS.canonical_name(self.workload)
         if isinstance(self.incast, dict):
+            from repro.workload.incast import IncastParams
+
             self.incast = IncastParams(**self.incast)
         if isinstance(self.fault_plan, dict):
+            from repro.faults import FaultPlan
+
             self.fault_plan = FaultPlan(**self.fault_plan)
         if self.fault_plan is not None and self.fault_plan.is_empty:
             # An empty plan is physically identical to no plan; normalizing
             # here gives both one fingerprint.
             self.fault_plan = None
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            # NaN would disable a bound (max_sim_time_s=NaN ran with no
+            # horizon) and inf overflows mid-run: reject both up front.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.ack_coalesce_n < 1:
             raise ValueError("ack_coalesce_n must be >= 1 (1 = per-packet ACKs)")
         if self.ack_coalesce_us <= 0:
@@ -262,6 +274,8 @@ class ExperimentConfig:
         budgeting the ports' departure batches)."""
         if self.pfc_headroom_bytes is not None:
             return self.pfc_headroom_bytes
+        from repro.sim.pfc import headroom_for_link
+
         return headroom_for_link(self.link_bandwidth_bps, self.link_delay_s, self.mtu_bytes)
 
     def switch_radix(self) -> int:
@@ -323,6 +337,7 @@ class ExperimentConfig:
         DCTCP among the built-ins), not a hard-coded name check, so schemes
         registered by third parties get marked traffic automatically.
         """
+        from repro.sim.pfc import PfcConfig
         from repro.sim.switch import EcnConfig, SwitchConfig
 
         buffer_bytes = self.effective_buffer_bytes()
@@ -402,6 +417,14 @@ class ExperimentConfig:
             self.to_canonical_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Fields declared ``float`` or ``Optional[float]``; ``__post_init__`` rejects
+#: a non-finite value in any of them.
+_FLOAT_FIELDS = tuple(
+    field.name for field in fields(ExperimentConfig)
+    if field.type in ("float", "Optional[float]")
+)
 
 
 def _json_normalize(value: Any, sort_keys: bool) -> Any:

@@ -129,6 +129,31 @@ class TestAckCoalescingKnobs:
         assert ExperimentConfig(max_events=1).max_events == 1
 
 
+#: Every field declared ``float`` or ``Optional[float]``.
+FLOAT_FIELDS = (
+    "link_bandwidth_bps", "link_delay_s", "wan_delay_s", "rto_low_s", "rto_high_s",
+    "ack_coalesce_us", "target_load", "flow_size_scale", "uniform_low_bytes",
+    "uniform_high_bytes", "max_sim_time_s",
+)
+
+
+class TestNonFiniteFloatsRejected:
+    """NaN disables a bound (``max_sim_time_s=NaN`` ran with no horizon and
+    cached the last event's time as ``sim_time_s``) and inf overflows or
+    breaks a generator mid-run, so no float field accepts either."""
+
+    def test_the_list_covers_every_float_field(self):
+        declared = {field.name for field in fields(ExperimentConfig)
+                    if field.type in ("float", "Optional[float]")}
+        assert declared == set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_value_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            ExperimentConfig(**{name: value})
+
+
 class TestDeletedKnobs:
     """The departure-batch byte cap, the pacing quantum and the per-flow
     records switch are gone: no surface accepts or emits them.  The names

@@ -24,12 +24,13 @@ from tests.helpers import in_fresh_interpreter
 
 #: Loaded by nothing that does not simulate, serve or fan out.
 NOT_ON_THE_READ_PATH = frozenset({
+    "repro.sim", "repro.sim.packet", "repro.sim.pfc",
     "repro.sim.engine", "repro.sim.switch", "repro.sim.host", "repro.sim.network",
-    "repro.sim.routing",
+    "repro.sim.routing", "repro.faults",
     "repro.core.transport", "repro.core.irn", "repro.core.roce", "repro.core.iwarp",
     "repro.congestion.dcqcn", "repro.congestion.timely", "repro.congestion.window",
     "repro.topology.fattree", "repro.topology.simple", "repro.topology.cyclic",
-    "repro.workload.generator",
+    "repro.workload.generator", "repro.workload.incast",
     "repro.metrics.collector",
     "repro.experiments.runner", "repro.experiments.queue",
     "repro.serve.server",
@@ -37,8 +38,9 @@ NOT_ON_THE_READ_PATH = frozenset({
 })
 
 #: ``repro.*`` modules a fully cached ``repro run`` may load (57 before the
-#: facades went lazy; 30 when this was written).
-WARM_RUN_MODULE_BUDGET = 35
+#: facades went lazy; 28 while the config imported its fault, incast and PFC
+#: types at module level).
+WARM_RUN_MODULE_BUDGET = 23
 
 LAZY_PACKAGES = (
     "repro", "repro.api", "repro.sim", "repro.core", "repro.congestion",
@@ -112,6 +114,41 @@ class TestReadPathsLoadNoSimulator:
             report = {{}}
         """)
         assert not {"repro.experiments.runner", "repro.sim.engine"} & set(report["modules"])
+
+
+class TestConfigImportsItsTypesWhereItUsesThem:
+    def test_coercions_and_switch_config_from_the_config_module_alone(self):
+        report = modules_after("""
+            import sys
+            from repro.experiments.config import ExperimentConfig
+
+            loaded_by_import = sorted(name for name in sys.modules
+                                      if name.split(".")[0] == "repro")
+            config = ExperimentConfig(
+                fault_plan={"faults": [{"kind": "link_flap", "src": "s0",
+                                        "dst": "s1", "start_s": 1e-4,
+                                        "end_s": 2e-4}]},
+                incast={"total_bytes": 150_000, "fan_in": 15},
+            )
+            switch = config.switch_config()
+            report = {
+                "loaded_by_import": loaded_by_import,
+                "fault_plan": type(config.fault_plan).__module__,
+                "faults": len(config.fault_plan.faults),
+                "incast": type(config.incast).__module__,
+                "fan_in": config.incast.fan_in,
+                "headroom": switch.pfc.headroom_bytes,
+                "derived_headroom": config.effective_headroom_bytes(),
+                "buffer": switch.buffer_bytes_per_port,
+                "pfc": type(switch.pfc).__module__,
+            }
+        """)
+        assert not NOT_ON_THE_READ_PATH & set(report["loaded_by_import"])
+        assert report["fault_plan"] == "repro.faults" and report["faults"] == 1
+        assert report["incast"] == "repro.workload.incast" and report["fan_in"] == 15
+        assert report["pfc"] == "repro.sim.pfc"
+        assert report["headroom"] == min(report["derived_headroom"], report["buffer"] // 2)
+        assert report["headroom"] > 0
 
 
 class TestTheRunnerLoadsEverythingUpFront:

@@ -2,7 +2,8 @@
 
 One IRN flow crosses the one-switch star of ``tests/test_switch.py``
 (``h0 -> s0 -> h1``), and a test-local hook on the ``s0 -> h1`` link's
-``arrive`` drops a scripted set of data frames.  This is the slicing idea of
+``arrive`` drops a scripted set of data frames; another, on the ``s0 -> h0``
+link, can hold the returning ACKs.  This is the slicing idea of
 Panda et al., "Verifying Isolation Properties in the Presence of Middleboxes"
 (PAPERS.md): a property of loss recovery is checked on the smallest
 sub-network that decides it, not on a full fabric.
@@ -15,7 +16,9 @@ rules (§3.1) give:
 * a loss followed by later packets is repaired by NACK, within about one
   RTT, and no timer fires;
 * a timer fires only when nothing later can trigger a NACK: RTO_low when at
-  most N packets are in flight (tail loss), RTO_high otherwise.
+  most N packets are in flight (tail loss), RTO_high otherwise;
+* with no loss at all, a timer still fires if the ACKs are held longer than
+  the timer -- that timeout, and what it resends, is spurious.
 
 Recovery time is measured per lost packet, from the arrival of its dropped
 copy to the arrival of its delivered copy, in units of the slice's base RTT
@@ -47,9 +50,12 @@ def _config(**overrides):
 
 
 class _SliceRun:
-    """One IRN flow h0 -> h1 with ``drops[psn]`` copies of ``psn`` dropped."""
+    """One IRN flow h0 -> h1 with ``drops[psn]`` copies of ``psn`` dropped.
 
-    def __init__(self, config, drops):
+    With ``ack_hold_s`` set, every ACK reaching h0 from the first one that
+    finds at most N packets in flight on is held that long, in order."""
+
+    def __init__(self, config, drops, ack_hold_s=None):
         sim = self.sim = Simulator(seed=1)
         network = build_star(sim, config.num_hosts, config.link_bandwidth_bps,
                              config.link_delay_s, switch_config=config.switch_config())
@@ -64,6 +70,11 @@ class _SliceRun:
         #: The receiver's banked ACK grants when each drop happened.
         self.pending_at_drop = []
         self.first_ack_at = None
+        #: Arrival time at h0 of the last ACK let through unheld, and of the
+        #: first one held.
+        self.last_passed_at = self.first_held_at = None
+        #: Packets in flight, and ``snd_una``, when the first ACK was held.
+        self.in_flight_at_hold = self.snd_una_at_hold = None
         remaining = dict(drops)
 
         downlink = network.link_between("s0", "h1")
@@ -86,6 +97,17 @@ class _SliceRun:
         def note_ack(packet, link):
             if self.first_ack_at is None:
                 self.first_ack_at = sim.now
+            if ack_hold_s is not None:
+                if (self.first_held_at is None and self.sender.in_flight()
+                        <= config.rto_low_threshold_packets):
+                    self.first_held_at = sim.now
+                    self.in_flight_at_hold = self.sender.in_flight()
+                    self.snd_una_at_hold = self.sender.snd_una
+                if self.first_held_at is not None:
+                    # One delay for every held frame keeps them in order.
+                    sim.schedule(ack_hold_s, back, packet, link)
+                    return
+                self.last_passed_at = sim.now
             back(packet, link)
 
         uplink.arrive = note_ack
@@ -93,6 +115,8 @@ class _SliceRun:
         src.register_sender(self.sender)
         sim.run_until_idle()
         assert self.receiver.completed and self.sender.completed
+        self.switch_drops = sum(switch.packets_dropped
+                                for switch in network.switches.values())
 
     def recovery_s(self, psn):
         """From the dropped copy's arrival to the delivered copy's."""
@@ -179,3 +203,62 @@ def test_loss_inside_a_partly_filled_coalescing_window(base_rtt_s):
     assert run.receiver.acks_coalesced > 0
     bound = base_rtt_s + 2 * _serialization_s(config)
     assert base_rtt_s <= run.recovery_s(MID) <= bound, run.recovery_s(MID) / base_rtt_s
+
+
+def _held_ack_run(hold_rto_lows):
+    config = _config()
+    return config, _SliceRun(config, {}, ack_hold_s=hold_rto_lows * config.effective_rto_low_s())
+
+
+@pytest.mark.parametrize("hold_rto_lows, timeouts", [(1.5, 1), (2.5, 2)])
+def test_acks_held_past_rto_low_time_out_with_nothing_lost(hold_rto_lows, timeouts,
+                                                           base_rtt_s):
+    """No frame is lost, but once at most N packets are in flight the ACKs
+    are held longer than RTO_low.  The timer armed at the last ACK let
+    through is RTO_low, and it is re-armed at RTO_low after each firing
+    (the in-flight count does not move), so it fires once per RTO_low that
+    passes before the first held ACK lands.  Its first resend is of
+    ``snd_una``, a packet the receiver already has: a retransmission
+    although nothing was lost."""
+    config, run = _held_ack_run(hold_rto_lows)
+    rto_low = config.effective_rto_low_s()
+    assert run.in_flight_at_hold <= config.rto_low_threshold_packets
+
+    assert run.switch_drops == 0
+    lands_after = run.first_held_at + hold_rto_lows * rto_low - run.last_passed_at
+    assert int(lands_after // rto_low) == timeouts
+    assert run.sender.timeouts_fired == timeouts
+
+    first, second = run.arrivals[run.snd_una_at_hold][:2]
+    assert first < run.last_passed_at + rto_low <= second <= (
+        run.last_passed_at + rto_low + base_rtt_s)
+    assert run.sender.retransmissions >= 1
+    # Every resend reached a receiver that already had the packet.
+    assert run.receiver.duplicates_received == run.sender.retransmissions
+
+
+def test_acks_held_under_rto_low_cause_no_timeout():
+    """The control: the same hold, shorter than RTO_low, lands every held
+    ACK before the timer, so nothing fires and nothing is resent."""
+    config, run = _held_ack_run(0.5)
+    assert run.first_held_at is not None
+    assert run.switch_drops == 0
+    assert run.sender.timeouts_fired == 0
+    assert run.sender.retransmissions == 0
+    assert run.receiver.duplicates_received == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ACKs held 1.5 RTO_low: 1 timeout, then 3 retransmissions (PSNs 27, 28, "
+    "29; 3 duplicates at the receiver), none lost.  In recovery "
+    "_next_lost_packet resends every new snd_una as a held ACK advances it; "
+    "the rule resends only the cumulative-ack packet until a higher PSN is "
+    "selectively acked, which gives 1"))
+def test_a_spurious_timeout_resends_only_the_cumulative_ack_packet():
+    """§3.1's loss rule: on entering recovery the first packet resent is
+    the cumulative-ack one, and a later packet counts as lost only once a
+    higher sequence number has been selectively acked.  With nothing lost
+    no SACK ever arrives, so one timeout resends one packet."""
+    _, run = _held_ack_run(1.5)
+    assert run.sender.timeouts_fired == 1
+    assert run.sender.retransmissions == 1

@@ -331,6 +331,23 @@ class TestCli:
         last_line = done.stderr.splitlines()[-1]
         assert "error: " in last_line and message in last_line
 
+    def test_non_finite_override_exits_2_and_caches_nothing(self, tmp_path):
+        import subprocess
+        import sys
+
+        cache = tmp_path / "cache"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "table3", "--workers", "1",
+             "--cache", str(cache), "--flows", "3", "--set", "max_sim_time_s=NaN"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1] == (
+            "error: max_sim_time_s must be a finite number, got nan")
+        assert not cache.exists() or not any(cache.rglob("*"))
+
     def test_list_names_every_scenario(self, capsys):
         from repro.__main__ import main
 
