@@ -25,7 +25,7 @@ def _run_with_spray(config):
     network = _build_network(sim, config)
     network.build_routing(packet_spray=True)
     collector = MetricsCollector(network, mtu_bytes=config.mtu_bytes,
-                                 header_bytes=config.effective_header_bytes())
+                                 header_bytes=config.physics().header_bytes)
     launcher = _FlowLauncher(sim, network, config, collector)
     flows = _generate_flows(config, network)
     for flow in flows:

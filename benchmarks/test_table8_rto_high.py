@@ -21,7 +21,7 @@ FLOWS = 90
 def test_table8_rto_high_sweep(benchmark):
     table8 = scenarios.scenario("table8")
     # The ideal RTO_high is the one the table's own baseline derives.
-    base = ExperimentConfig(**table8.defaults).effective_rto_high_s()
+    base = ExperimentConfig(**table8.defaults).physics().rto_high_s
     spec = table8.with_rows(
         {f"{int(value * 1e6)}us": {"rto_high_s": value}
          for value in (base, 2 * base, 4 * base)}

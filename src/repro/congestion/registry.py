@@ -55,9 +55,9 @@ class CongestionScheme:
     #: any degree.
     max_ack_coalesce: Optional[int] = None
     #: CNP pacing for ``wants_cnp`` schemes: the minimum spacing between
-    #: CNPs a receiver emits, in units of the fabric's base RTT (the wiring
-    #: floors the product at 5 us so scaled-down fabrics keep a sane
-    #: notification-point interval).
+    #: CNPs a receiver emits, in units of the fabric's base RTT (the config's
+    #: derived physics floors the product at 5 us so scaled-down fabrics keep
+    #: a sane notification-point interval).
     cnp_interval_rtts: float = 1.0
 
     def build(

@@ -3,9 +3,10 @@
 A registered transport (see :mod:`repro.core.registry`) is a callable
 ``(config) -> endpoints``.  It reads the run's config once -- the same
 duck-typed config the topology and workload builders take, in practice an
-:class:`~repro.experiments.config.ExperimentConfig` -- derives its own
-transport config from it, and returns ``endpoints``, which the runner calls
-at each flow's start time::
+:class:`~repro.experiments.config.ExperimentConfig` -- builds its own
+transport config from the config's fields and its derived
+:meth:`~repro.experiments.config.ExperimentConfig.physics` record, and
+returns ``endpoints``, which the runner calls at each flow's start time::
 
     endpoints(sim, src_host, flow, congestion_control, cnp_interval_s,
               on_sender_complete, on_receiver_complete) -> (sender, receiver)
@@ -92,50 +93,53 @@ def _build_roce(config: Any) -> Endpoints:
     # go-back-N progress.  RTT-based schemes (Timely among the built-ins)
     # additionally need per-packet RTT samples, hence ACKs, regardless
     # of PFC.
+    physics = config.physics()
     needs_acks = (not config.pfc_enabled) or config.congestion_scheme().rtt_based
     roce_config = RoceConfig(
         mtu_bytes=config.mtu_bytes,
         header_bytes=config.header_bytes,
-        rto_s=config.effective_rto_high_s(),
+        rto_s=physics.rto_high_s,
         generate_acks=needs_acks,
         timeouts_enabled=not config.pfc_enabled,
-        ack_coalesce_n=config.effective_ack_coalesce_n(),
-        ack_coalesce_s=config.effective_ack_coalesce_s(),
+        ack_coalesce_n=physics.ack_coalesce_n,
+        ack_coalesce_s=physics.ack_coalesce_s,
     )
     return _pair(RoceSender, roce_config, accept_ooo=False)
 
 
 @register_transport("iwarp")
 def _build_iwarp(config: Any) -> Endpoints:
+    physics = config.physics()
     tcp_config = TcpConfig(
         mtu_bytes=config.mtu_bytes,
         header_bytes=config.header_bytes,
         generate_acks=True,
         timeouts_enabled=True,
-        rto_low_s=config.effective_rto_low_s(),
-        rto_high_s=config.effective_rto_high_s(),
-        min_rto_s=config.effective_rto_low_s(),
-        initial_rto_s=config.effective_rto_high_s(),
-        ack_coalesce_n=config.effective_ack_coalesce_n(),
-        ack_coalesce_s=config.effective_ack_coalesce_s(),
+        rto_low_s=physics.rto_low_s,
+        rto_high_s=physics.rto_high_s,
+        min_rto_s=physics.rto_low_s,
+        initial_rto_s=physics.rto_high_s,
+        ack_coalesce_n=physics.ack_coalesce_n,
+        ack_coalesce_s=physics.ack_coalesce_s,
     )
     return _pair(TcpSender, tcp_config, accept_ooo=True)
 
 
 def _irn_config(config: Any) -> IrnConfig:
+    physics = config.physics()
     return IrnConfig(
         mtu_bytes=config.mtu_bytes,
-        header_bytes=config.effective_header_bytes(),
+        header_bytes=physics.header_bytes,
         generate_acks=True,
         timeouts_enabled=True,
-        bdp_cap_packets=config.effective_bdp_cap_packets(),
+        bdp_cap_packets=physics.bdp_cap_packets,
         bdp_fc_enabled=True,
-        rto_low_s=config.effective_rto_low_s(),
-        rto_high_s=config.effective_rto_high_s(),
+        rto_low_s=physics.rto_low_s,
+        rto_high_s=physics.rto_high_s,
         rto_low_threshold_packets=config.rto_low_threshold_packets,
         retransmission_fetch_delay_s=2e-6 if config.worst_case_overheads else 0.0,
-        ack_coalesce_n=config.effective_ack_coalesce_n(),
-        ack_coalesce_s=config.effective_ack_coalesce_s(),
+        ack_coalesce_n=physics.ack_coalesce_n,
+        ack_coalesce_s=physics.ack_coalesce_s,
     )
 
 

@@ -19,9 +19,9 @@ This module imports declarations only -- the four registries (which know
 their built-ins by name, see :mod:`repro.registry`) -- so expanding,
 fingerprinting and looking up cells costs no simulator import.  The fault,
 incast and PFC types load where a config coerces or derives them: the two
-dict coercions in ``__post_init__``, ``effective_headroom_bytes`` and
-``switch_config``.  The ``effective_*`` derivations resolve the topology or
-scheme *object* and load its provider on first use.
+dict coercions in ``__post_init__``, :meth:`ExperimentConfig.physics` and
+``switch_config``.  What a run derives from a config is one frozen
+:class:`Physics` record.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional
 
 from repro.congestion.registry import CONGESTION_SCHEMES
 from repro.core.registry import TRANSPORTS
@@ -66,6 +66,43 @@ _OMITTED_AT: Dict[str, Any] = {
     "ack_coalesce_n": 1,
     "fault_plan": None,
 }
+
+
+#: The shortest CNP spacing: an absolute time, so where the derived
+#: physics stops scaling with the time unit.
+CNP_INTERVAL_FLOOR_S = 5e-6
+
+
+class Physics(NamedTuple):
+    """Every quantity a run derives from its :class:`ExperimentConfig`.
+
+    Built by :meth:`ExperimentConfig.physics`; the switches, transports,
+    congestion controllers and collector read these fields and derive
+    nothing themselves.  Sizes are bytes, times seconds; "Derived physics"
+    in ``docs/architecture.md`` lists each rule and its readers.  A
+    ``NamedTuple``, not a frozen dataclass: every CLI start imports this
+    module, and the class costs a tenth as much to build.
+    """
+
+    max_hop_count: int
+    switch_radix: int
+    #: One-way propagation delay of the longest host-to-host path.
+    path_delay_s: float
+    base_rtt_s: float
+    bdp_bytes: int
+    bdp_cap_packets: int
+    buffer_bytes: int
+    #: PFC headroom, already clamped to half the buffer as the switch uses it.
+    headroom_bytes: int
+    rto_high_s: float
+    rto_low_s: float
+    header_bytes: int
+    ack_coalesce_n: int
+    ack_coalesce_s: float
+    #: The congestion controllers' RTT: one MTU serialization per hop more.
+    cc_rtt_s: float
+    #: ``None`` unless the scheme wants CNPs.
+    cnp_interval_s: Optional[float]
 
 
 @dataclass
@@ -196,12 +233,23 @@ class ExperimentConfig:
             # horizon) and inf overflows mid-run: reject both up front.
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.ack_coalesce_n < 1:
-            raise ValueError("ack_coalesce_n must be >= 1 (1 = per-packet ACKs)")
-        if self.ack_coalesce_us <= 0:
-            raise ValueError("ack_coalesce_us must be positive")
-        if self.max_events is not None and self.max_events < 1:
-            raise ValueError("max_events must be >= 1 (None = no valve)")
+        # A value no run can be described with fails here, not mid-run
+        # (rto_low_s=0 livelocked on timeouts, mtu_bytes=0 divided by zero).
+        for invalid, message in (
+            (self.mtu_bytes < 1, "mtu_bytes must be >= 1"),
+            (self.link_bandwidth_bps <= 0, "link_bandwidth_bps must be positive"),
+            (self.link_delay_s < 0, "link_delay_s must be >= 0"),
+            (self.wan_delay_s < 0, "wan_delay_s must be >= 0"),
+            (self.rto_low_s is not None and self.rto_low_s <= 0, "rto_low_s must be positive"),
+            (self.bdp_cap_packets is not None and self.bdp_cap_packets < 1,
+             "bdp_cap_packets must be >= 1"),
+            (self.ack_coalesce_n < 1, "ack_coalesce_n must be >= 1 (1 = per-packet ACKs)"),
+            (self.ack_coalesce_us <= 0, "ack_coalesce_us must be positive"),
+            (self.max_events is not None and self.max_events < 1,
+             "max_events must be >= 1 (None = no valve)"),
+        ):
+            if invalid:
+                raise ValueError(message)
 
     def check_components(self) -> None:
         """Raise :class:`~repro.registry.UnknownNameError` unless every
@@ -230,105 +278,75 @@ class ExperimentConfig:
         return self.workload
 
     # ------------------------------------------------------------------
-    # Derived quantities
+    # Derived physics
     # ------------------------------------------------------------------
-    def max_hop_count(self) -> int:
-        """Longest-path hop count, from the registered topology's metadata."""
-        return TOPOLOGIES.get(self.topology).max_hop_count(self)
-
-    def path_delay_s(self) -> float:
-        """One-way propagation delay of the longest host-to-host path.
-
-        Homogeneous topologies derive it as ``max_hop_count * link_delay_s``;
-        WAN topologies override it through their registry metadata
-        (:attr:`~repro.topology.registry.TopologyBuilder.path_delay_s`) so
-        RTO and BDP derivations stay sane under 1000x delay heterogeneity.
-        """
-        delay = TOPOLOGIES.get(self.topology).path_delay_s
-        if delay is not None:
-            return delay(self)
-        return self.max_hop_count() * self.link_delay_s
-
-    def base_rtt_s(self) -> float:
-        """Unloaded round-trip propagation time of the longest path."""
-        return 2.0 * self.path_delay_s()
-
-    def bdp_bytes(self) -> int:
-        """Bandwidth-delay product of the longest path."""
-        return int(self.link_bandwidth_bps * self.base_rtt_s() / 8.0)
-
-    def effective_bdp_cap_packets(self) -> int:
-        """The BDP-FC cap in packets (explicit override or derived)."""
-        if self.bdp_cap_packets is not None:
-            return self.bdp_cap_packets
-        return max(2, self.bdp_bytes() // self.mtu_bytes)
-
-    def effective_buffer_bytes(self) -> int:
-        """Per-port buffer (defaults to twice the BDP, as in §4.1)."""
-        if self.buffer_bytes_per_port is not None:
-            return self.buffer_bytes_per_port
-        return max(2 * self.mtu_bytes, 2 * self.bdp_bytes())
-
-    def effective_headroom_bytes(self) -> int:
-        """PFC headroom (defaults to the upstream link's in-flight bytes,
-        budgeting the ports' departure batches)."""
-        if self.pfc_headroom_bytes is not None:
-            return self.pfc_headroom_bytes
-        from repro.sim.pfc import headroom_for_link
-
-        return headroom_for_link(self.link_bandwidth_bps, self.link_delay_s, self.mtu_bytes)
-
-    def switch_radix(self) -> int:
-        """Number of ports per switch (bounds how many inputs feed one output)."""
-        return TOPOLOGIES.get(self.topology).switch_radix(self)
-
-    def effective_rto_high_s(self) -> float:
-        """RTO_high per the paper's rule: longest-path propagation plus the
-        maximum queueing delay a packet can see at one congested link (all of
-        the other input-port buffers of that switch completely full)."""
-        if self.rto_high_s is not None:
-            return self.rto_high_s
-        one_way_prop = self.path_delay_s()
-        buffer_drain = self.effective_buffer_bytes() * 8.0 / self.link_bandwidth_bps
-        return one_way_prop + max(1, self.switch_radix() - 1) * buffer_drain
-
-    def effective_rto_low_s(self) -> float:
-        """RTO_low: the desired bound on short-message tail latency (the
-        paper uses roughly a third of RTO_high and several base RTTs)."""
-        if self.rto_low_s is not None:
-            return self.rto_low_s
-        return max(2.0 * self.base_rtt_s(), self.effective_rto_high_s() / 3.0)
-
-    def effective_header_bytes(self) -> int:
-        """Per-packet header, inflated by 16B under worst-case overheads."""
-        if self.worst_case_overheads:
-            return self.header_bytes + 16
-        return self.header_bytes
-
     def congestion_scheme(self):
         """The registered :class:`~repro.congestion.factory.CongestionScheme`."""
         return CONGESTION_SCHEMES.get(self.congestion_control)
 
-    def effective_ack_coalesce_n(self) -> int:
-        """The ACK coalescing window, after the congestion scheme's cap.
+    def physics(self) -> Physics:
+        """The run's derived physics (§4.1), recomputed on every call.
 
-        RTT-based schemes need per-packet RTT samples (Timely registers
-        ``max_ack_coalesce=1``), so the scheme metadata bounds the knob
-        rather than each call site special-casing scheme names.
+        One chain of rules: the topology's longest path gives the base RTT
+        and the BDP, buffers are twice the BDP, and RTO_high is the path's
+        propagation plus a drained buffer at each other input of one
+        congested switch.  An explicit config value wins over its rule.
+        Resolves the topology and scheme *objects*, loading their providers
+        on first use.
         """
-        n = self.ack_coalesce_n
-        cap = self.congestion_scheme().max_ack_coalesce
-        if cap is not None:
-            n = min(n, cap)
-        return max(1, n)
+        topology = TOPOLOGIES.get(self.topology)
+        scheme = self.congestion_scheme()
+        rate, mtu = self.link_bandwidth_bps, self.mtu_bytes
+        hops = topology.max_hop_count(self)
+        # WAN topologies declare their longest path's delay (1000x delay
+        # heterogeneity); homogeneous ones derive it.
+        if topology.path_delay_s is None:
+            path_delay_s = hops * self.link_delay_s
+        else:
+            path_delay_s = topology.path_delay_s(self)
+        base_rtt_s = 2.0 * path_delay_s
+        bdp_bytes = int(rate * base_rtt_s / 8.0)
+        buffer_bytes = self.buffer_bytes_per_port
+        if buffer_bytes is None:
+            buffer_bytes = max(2 * mtu, 2 * bdp_bytes)
+        headroom_bytes = self.pfc_headroom_bytes
+        if headroom_bytes is None:
+            from repro.sim.pfc import headroom_for_link
 
-    def effective_ack_coalesce_s(self) -> float:
-        """Flush timeout for a partial ACK window, clamped below half of
-        RTO_low.  The sender budgets this delay into its retransmission
-        timer (see ``BaseSender._arm_rto``), so the clamp only has to keep
-        the *total* loss-detection latency near RTO_low, not hide the flush
-        entirely beneath it."""
-        return min(self.ack_coalesce_us * 1e-6, 0.5 * self.effective_rto_low_s())
+            headroom_bytes = headroom_for_link(rate, self.link_delay_s, mtu)
+        switch_radix = topology.switch_radix(self)
+        rto_high_s = self.rto_high_s
+        if rto_high_s is None:
+            rto_high_s = path_delay_s + max(1, switch_radix - 1) * (buffer_bytes * 8.0 / rate)
+        rto_low_s = self.rto_low_s
+        if rto_low_s is None:
+            rto_low_s = max(2.0 * base_rtt_s, rto_high_s / 3.0)
+        ack_coalesce_n = self.ack_coalesce_n
+        if scheme.max_ack_coalesce is not None:
+            ack_coalesce_n = min(ack_coalesce_n, scheme.max_ack_coalesce)
+        return Physics(
+            max_hop_count=hops,
+            switch_radix=switch_radix,
+            path_delay_s=path_delay_s,
+            base_rtt_s=base_rtt_s,
+            bdp_bytes=bdp_bytes,
+            bdp_cap_packets=(
+                max(2, bdp_bytes // mtu) if self.bdp_cap_packets is None
+                else self.bdp_cap_packets
+            ),
+            buffer_bytes=buffer_bytes,
+            headroom_bytes=min(headroom_bytes, buffer_bytes // 2),
+            rto_high_s=rto_high_s,
+            rto_low_s=rto_low_s,
+            header_bytes=self.header_bytes + (16 if self.worst_case_overheads else 0),
+            ack_coalesce_n=max(1, ack_coalesce_n),
+            ack_coalesce_s=min(self.ack_coalesce_us * 1e-6, 0.5 * rto_low_s),
+            cc_rtt_s=base_rtt_s + 8.0 * mtu * hops / rate,
+            cnp_interval_s=(
+                max(scheme.cnp_interval_rtts * base_rtt_s, CNP_INTERVAL_FLOOR_S)
+                if scheme.wants_cnp else None
+            ),
+        )
 
     def switch_config(self) -> SwitchConfig:
         """Build the per-switch configuration implied by this experiment.
@@ -340,9 +358,9 @@ class ExperimentConfig:
         from repro.sim.pfc import PfcConfig
         from repro.sim.switch import EcnConfig, SwitchConfig
 
-        buffer_bytes = self.effective_buffer_bytes()
+        physics = self.physics()
         scheme = self.congestion_scheme()
-        bdp = max(1, self.bdp_bytes())
+        bdp = max(1, physics.bdp_bytes)
         ecn = EcnConfig(
             enabled=scheme.needs_ecn,
             kmin_bytes=max(self.mtu_bytes, bdp // 4),
@@ -350,15 +368,8 @@ class ExperimentConfig:
             pmax=0.2,
             step_marking=scheme.step_marking,
         )
-        pfc = PfcConfig(
-            enabled=self.pfc_enabled,
-            headroom_bytes=min(self.effective_headroom_bytes(), buffer_bytes // 2),
-        )
-        return SwitchConfig(
-            buffer_bytes_per_port=buffer_bytes,
-            pfc=pfc,
-            ecn=ecn,
-        )
+        pfc = PfcConfig(enabled=self.pfc_enabled, headroom_bytes=physics.headroom_bytes)
+        return SwitchConfig(buffer_bytes_per_port=physics.buffer_bytes, pfc=pfc, ecn=ecn)
 
     # ------------------------------------------------------------------
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

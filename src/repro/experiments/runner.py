@@ -63,21 +63,15 @@ class _FlowLauncher:
         self.senders: List[BaseSender] = []
         self.receivers: List[BaseReceiver] = []
         self._endpoints = TRANSPORTS.get(config.transport)(config)
-        scheme = config.congestion_scheme()
-        # The batching interval is scheme metadata (expressed in RTTs), not
-        # a runner constant, so third-party schemes can tune how aggressively
-        # their marks are batched into notification frames.
-        self._cnp_interval = (
-            max(scheme.cnp_interval_rtts * config.base_rtt_s(), 5e-6) if scheme.wants_cnp else None
-        )
+        physics = config.physics()
+        self._cnp_interval = physics.cnp_interval_s
         self._make_cc = lambda: None
         if config.congestion_control != "none":
             self._make_cc = functools.partial(
                 make_congestion_control,
                 config.congestion_control,
                 line_rate_bps=config.link_bandwidth_bps,
-                base_rtt_s=config.base_rtt_s()
-                + 8.0 * config.mtu_bytes * config.max_hop_count() / config.link_bandwidth_bps,
+                base_rtt_s=physics.cc_rtt_s,
             )
 
     # ------------------------------------------------------------------
@@ -129,10 +123,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one simulation described by ``config`` and collect its metrics."""
     sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
+    physics = config.physics()
     collector = MetricsCollector(
         network,
         mtu_bytes=config.mtu_bytes,
-        header_bytes=config.effective_header_bytes(),
+        header_bytes=physics.header_bytes,
     )
     if config.fabric_digests:
         collector.install_fabric_probes()
@@ -151,8 +146,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # engine its faulted links second (outer): a fault-dropped packet
         # must never count as delivered goodput.
         collector.install_recovery_probes(
-            bin_s=plan.effective_goodput_bin_s(config.base_rtt_s()),
-            stall_threshold_s=plan.stall_threshold_s or config.effective_rto_low_s(),
+            bin_s=plan.effective_goodput_bin_s(physics.base_rtt_s),
+            stall_threshold_s=plan.stall_threshold_s or physics.rto_low_s,
         )
         fault_engine = FaultEngine(sim, network, plan, seed=config.seed)
         fault_engine.retransmission_probe = lambda: sum(

@@ -72,22 +72,6 @@ class FatTreeParams:
         """Hops on the longest (inter-pod, via core) host-to-host path."""
         return 6
 
-    def longest_path_rtt(self) -> float:
-        """Two-way propagation delay of the longest path (no queueing)."""
-        return 2.0 * self.max_hop_count * self.link_delay_s
-
-    def bdp_bytes(self) -> int:
-        """Bandwidth-delay product of the longest path, in bytes.
-
-        The paper computes the BDP over the 6-hop path: 40 Gbps x 12 links
-        x 2 microseconds / 8 = 120KB for the default scenario.
-        """
-        return int(self.link_bandwidth_bps * self.longest_path_rtt() / 8.0)
-
-    def bdp_packets(self, mtu_bytes: int = 1000) -> int:
-        """BDP expressed in MTU-sized packets (the BDP-FC cap)."""
-        return max(1, self.bdp_bytes() // mtu_bytes)
-
 
 def _add_fat_tree(
     network: Network,

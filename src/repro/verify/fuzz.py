@@ -308,11 +308,10 @@ class FuzzCase:
     def experiment_config(self) -> ExperimentConfig:
         """The transport/switch settings as an :class:`ExperimentConfig`.
 
-        RTOs, the BDP cap and the buffer are explicit, so nothing consults
-        the topology registry -- meshes have no registered entry.  The
-        ``topology`` field is only cosmetic here (``_FlowLauncher`` never
-        reads it once those are pinned); ``workload`` is ``none`` because
-        the case carries its own flow list.
+        RTOs, the BDP cap and the buffer are explicit, so nothing the run
+        reads comes from the topology registry -- meshes have no registered
+        entry, and ``topology`` only names one ``physics()`` can resolve.
+        ``workload`` is ``none`` because the case carries its own flow list.
         """
         bdp = max(1, int(self.bandwidth_bps * 6 * self.link_delay_s / 8.0))
         # WAN-stretched cases budget the long-haul RTT into the explicit
@@ -520,7 +519,7 @@ def run_case(case: FuzzCase) -> CaseOutcome:
     collector = MetricsCollector(
         network,
         mtu_bytes=case.mtu_bytes,
-        header_bytes=config.effective_header_bytes(),
+        header_bytes=config.physics().header_bytes,
     )
     detector = collector.install_deadlock_detector()
     launcher = _FlowLauncher(sim, network, config, collector)

@@ -205,7 +205,7 @@ def _run_counting(config):
     collector = MetricsCollector(
         network,
         mtu_bytes=config.mtu_bytes,
-        header_bytes=config.effective_header_bytes(),
+        header_bytes=config.physics().header_bytes,
     )
     launcher = _FlowLauncher(sim, network, config, collector)
     flows = _generate_flows(config, network)

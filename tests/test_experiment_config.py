@@ -5,9 +5,15 @@ from dataclasses import fields
 
 import pytest
 
-from repro.experiments.config import _OMITTED_AT, ExperimentConfig
-from repro.experiments.scenarios import incast_rows, scenario
+from repro.experiments.config import (
+    _OMITTED_AT,
+    CNP_INTERVAL_FLOOR_S,
+    ExperimentConfig,
+    Physics,
+)
+from repro.experiments.scenarios import SCALED_DEFAULTS, incast_rows, scenario
 from repro.faults import FaultPlan, LinkFlap, PacketCorruption
+from repro.topology.registry import TOPOLOGIES
 from repro.workload.incast import IncastParams
 
 
@@ -17,27 +23,31 @@ class TestDerivedQuantities:
             fat_tree_k=6, link_bandwidth_bps=40e9, link_delay_s=2e-6, mtu_bytes=1000
         )
         # 40 Gbps * 24 us / 8 = 120 KB -> 120 packets.
-        assert config.bdp_bytes() == 120_000
-        assert config.effective_bdp_cap_packets() == 120
+        physics = config.physics()
+        assert physics.bdp_bytes == 120_000
+        assert physics.bdp_cap_packets == 120
 
     def test_buffer_defaults_to_twice_bdp(self):
         config = ExperimentConfig(link_bandwidth_bps=10e9, link_delay_s=1e-6)
-        assert config.effective_buffer_bytes() == 2 * config.bdp_bytes()
+        physics = config.physics()
+        assert physics.buffer_bytes == 2 * physics.bdp_bytes
 
     def test_explicit_overrides_win(self):
         config = ExperimentConfig(bdp_cap_packets=42, buffer_bytes_per_port=12345,
                                   rto_low_s=1e-4, rto_high_s=1e-3)
-        assert config.effective_bdp_cap_packets() == 42
-        assert config.effective_buffer_bytes() == 12345
-        assert config.effective_rto_low_s() == 1e-4
-        assert config.effective_rto_high_s() == 1e-3
+        physics = config.physics()
+        assert physics.bdp_cap_packets == 42
+        assert physics.buffer_bytes == 12345
+        assert physics.rto_low_s == 1e-4
+        assert physics.rto_high_s == 1e-3
 
     def test_derived_rtos_follow_paper_rule(self):
         config = ExperimentConfig(link_bandwidth_bps=10e9, link_delay_s=1e-6, fat_tree_k=4)
-        drain = config.effective_buffer_bytes() * 8 / 10e9
+        physics = config.physics()
+        drain = physics.buffer_bytes * 8 / 10e9
         expected_high = 6 * 1e-6 + 3 * drain
-        assert config.effective_rto_high_s() == pytest.approx(expected_high)
-        assert config.effective_rto_low_s() < config.effective_rto_high_s()
+        assert physics.rto_high_s == pytest.approx(expected_high)
+        assert physics.rto_low_s < physics.rto_high_s
 
     def test_headroom_defaults_to_the_upstream_link_budget(self):
         from repro.sim.pfc import headroom_for_link
@@ -45,13 +55,13 @@ class TestDerivedQuantities:
         for mtu in (1000, 9000):
             config = ExperimentConfig(link_bandwidth_bps=40e9, link_delay_s=2e-6,
                                       mtu_bytes=mtu)
-            assert config.effective_headroom_bytes() == headroom_for_link(40e9, 2e-6, mtu)
-        assert ExperimentConfig(pfc_headroom_bytes=777).effective_headroom_bytes() == 777
+            assert config.physics().headroom_bytes == headroom_for_link(40e9, 2e-6, mtu)
+        assert ExperimentConfig(pfc_headroom_bytes=777).physics().headroom_bytes == 777
 
     def test_worst_case_overheads_add_header_bytes(self):
         base = ExperimentConfig()
         worst = ExperimentConfig(worst_case_overheads=True)
-        assert worst.effective_header_bytes() == base.effective_header_bytes() + 16
+        assert worst.physics().header_bytes == base.physics().header_bytes + 16
 
     def test_switch_config_reflects_pfc_and_cc(self):
         config = ExperimentConfig(pfc_enabled=False, congestion_control="dcqcn")
@@ -74,6 +84,47 @@ class TestDerivedQuantities:
         modified = config.with_overrides(target_load=0.9)
         assert modified.target_load == 0.9
         assert config.target_load == 0.7
+
+
+class TestPhysicsIsTimeScaleCovariant:
+    """Multiplying the rate by F and dividing every configured time by F
+    divides every derived time by F and keeps every size and count; for F a
+    power of two both hold with ``==``.  The CNP interval's absolute floor
+    is the one listed exception, so where it binds is asserted exactly."""
+
+    @staticmethod
+    def _physics(topology, scheme, factor):
+        config = ExperimentConfig(
+            **{**SCALED_DEFAULTS, "topology": topology, "congestion_control": scheme})
+        config = config.with_overrides(
+            link_bandwidth_bps=config.link_bandwidth_bps * factor,
+            link_delay_s=config.link_delay_s / factor,
+            wan_delay_s=config.wan_delay_s / factor,
+            ack_coalesce_us=config.ack_coalesce_us / factor,
+        )
+        return config, config.physics()
+
+    @pytest.mark.parametrize("factor", [2, 0.5])
+    @pytest.mark.parametrize("scheme", ["none", "dcqcn", "timely"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES.names())
+    def test_times_scale_and_sizes_do_not(self, topology, scheme, factor):
+        config, base = self._physics(topology, scheme, 1)
+        _, scaled = self._physics(topology, scheme, factor)
+        rtts = config.congestion_scheme().cnp_interval_rtts
+        floored = False
+        for physics in (base, scaled):
+            if physics.cnp_interval_s is not None:
+                binds = rtts * physics.base_rtt_s < CNP_INTERVAL_FLOOR_S
+                floored = floored or binds
+                assert physics.cnp_interval_s == (
+                    CNP_INTERVAL_FLOOR_S if binds else rtts * physics.base_rtt_s)
+        for name, value, scaled_value in zip(Physics._fields, base, scaled):
+            if name == "cnp_interval_s" and floored:
+                continue
+            if name.endswith("_s") and value is not None:
+                assert scaled_value * factor == value, name
+            else:
+                assert scaled_value == value, name
 
 
 class TestAckCoalescingKnobs:
@@ -104,7 +155,7 @@ class TestAckCoalescingKnobs:
         # coordinator can fingerprint configs for plugin schemes it never
         # loads).  The cap just costs one conservative cache miss.
         timely = ExperimentConfig(congestion_control="timely")
-        assert timely.effective_ack_coalesce_n() == 1
+        assert timely.physics().ack_coalesce_n == 1
         assert timely.to_canonical_dict()["ack_coalesce_n"] == 4
 
     def test_non_default_values_fingerprint(self):
@@ -119,10 +170,17 @@ class TestAckCoalescingKnobs:
         with pytest.raises(ValueError):
             ExperimentConfig(ack_coalesce_us=0.0)
 
-    @pytest.mark.parametrize("max_events", [0, -1])
-    def test_max_events_below_one_rejected(self, max_events):
-        with pytest.raises(ValueError, match="max_events"):
-            ExperimentConfig(max_events=max_events)
+    @pytest.mark.parametrize("name, value", [
+        ("max_events", 0), ("max_events", -1), ("mtu_bytes", 0),
+        ("link_bandwidth_bps", 0.0), ("link_bandwidth_bps", -1e9), ("link_delay_s", -1e-6),
+        ("wan_delay_s", -1e-3), ("rto_low_s", 0.0), ("rto_low_s", -1e-4),
+        ("bdp_cap_packets", 0),
+    ])
+    def test_out_of_range_value_names_the_field(self, name, value):
+        # rto_low_s=0 livelocked on timeouts, bdp_cap_packets=0 completed no
+        # flow and mtu_bytes=0 or a zero rate raised mid-run.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: value})
 
     def test_max_events_none_or_positive_accepted(self):
         assert ExperimentConfig(max_events=None).max_events is None
@@ -302,13 +360,14 @@ class TestFaultPlanFingerprint:
         # Timely needs per-packet RTT samples: the scheme metadata caps the
         # coalescing window at 1 whatever the config asks for.
         timely = ExperimentConfig(congestion_control="timely")
-        assert timely.effective_ack_coalesce_n() == 1
+        assert timely.physics().ack_coalesce_n == 1
         dcqcn = ExperimentConfig(congestion_control="dcqcn")
-        assert dcqcn.effective_ack_coalesce_n() == 4
+        assert dcqcn.physics().ack_coalesce_n == 4
 
     def test_flush_timeout_clamped_below_rto(self):
         config = ExperimentConfig(ack_coalesce_us=10_000.0)
-        assert config.effective_ack_coalesce_s() <= 0.5 * config.effective_rto_low_s()
+        physics = config.physics()
+        assert physics.ack_coalesce_s <= 0.5 * physics.rto_low_s
 
 
 class TestScenarioPresets:

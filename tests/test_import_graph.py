@@ -138,7 +138,7 @@ class TestConfigImportsItsTypesWhereItUsesThem:
                 "incast": type(config.incast).__module__,
                 "fan_in": config.incast.fan_in,
                 "headroom": switch.pfc.headroom_bytes,
-                "derived_headroom": config.effective_headroom_bytes(),
+                "derived_headroom": config.physics().headroom_bytes,
                 "buffer": switch.buffer_bytes_per_port,
                 "pfc": type(switch.pfc).__module__,
             }

@@ -144,7 +144,7 @@ def test_losses_followed_by_data_recover_by_nack_within_one_rtt(burst, base_rtt_
     fires, and each lost packet is delivered within one RTT plus the
     serialization of the burst and of the frame that triggered the NACK."""
     config = _config()
-    assert burst < config.effective_bdp_cap_packets()
+    assert burst < config.physics().bdp_cap_packets
     run = _SliceRun(config, {MID + i: 1 for i in range(burst)})
 
     assert run.sender.timeouts_fired == 0
@@ -167,7 +167,7 @@ def test_lost_retransmission_waits_for_rto_high(base_rtt_s):
     assert run.sender.timeouts_fired == 1
     assert run.sender.retransmissions == 2
     assert len(run.arrivals[MID]) == 3
-    rto_high = config.effective_rto_high_s()
+    rto_high = config.physics().rto_high_s
     assert rto_high <= run.recovery_s(MID) <= rto_high + base_rtt_s, (
         run.recovery_s(MID) / base_rtt_s)
 
@@ -182,8 +182,8 @@ def test_tail_loss_with_few_in_flight_waits_for_rto_low(base_rtt_s):
 
     assert run.sender.timeouts_fired == 1
     assert run.sender.retransmissions == 1
-    rto_low = config.effective_rto_low_s()
-    assert rto_low < config.effective_rto_high_s()
+    rto_low = config.physics().rto_low_s
+    assert rto_low < config.physics().rto_high_s
     assert rto_low <= run.recovery_s(last) <= rto_low + base_rtt_s, (
         run.recovery_s(last) / base_rtt_s)
 
@@ -197,7 +197,7 @@ def test_loss_inside_a_partly_filled_coalescing_window(base_rtt_s):
     run = _SliceRun(config, {MID: 1})
 
     (banked,) = run.pending_at_drop
-    assert 0 < banked < config.effective_ack_coalesce_n()
+    assert 0 < banked < config.physics().ack_coalesce_n
     assert run.sender.timeouts_fired == 0
     assert run.sender.retransmissions == 1
     assert run.receiver.acks_coalesced > 0
@@ -207,7 +207,7 @@ def test_loss_inside_a_partly_filled_coalescing_window(base_rtt_s):
 
 def _held_ack_run(hold_rto_lows):
     config = _config()
-    return config, _SliceRun(config, {}, ack_hold_s=hold_rto_lows * config.effective_rto_low_s())
+    return config, _SliceRun(config, {}, ack_hold_s=hold_rto_lows * config.physics().rto_low_s)
 
 
 @pytest.mark.parametrize("hold_rto_lows, timeouts", [(1.5, 1), (2.5, 2)])
@@ -221,7 +221,7 @@ def test_acks_held_past_rto_low_time_out_with_nothing_lost(hold_rto_lows, timeou
     ``snd_una``, a packet the receiver already has: a retransmission
     although nothing was lost."""
     config, run = _held_ack_run(hold_rto_lows)
-    rto_low = config.effective_rto_low_s()
+    rto_low = config.physics().rto_low_s
     assert run.in_flight_at_hold <= config.rto_low_threshold_packets
 
     assert run.switch_drops == 0

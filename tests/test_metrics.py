@@ -279,7 +279,7 @@ class TestFabricDigests:
         # Every sample is a post-enqueue occupancy: positive, and bounded by
         # the per-port buffer.
         assert depth.min > 0
-        assert depth.max <= self.probed_config().effective_buffer_bytes()
+        assert depth.max <= self.probed_config().physics().buffer_bytes
         # PFC fired in this congested star (pause_frames > 0), and every
         # pause episode that *resumed* was recorded with its duration.
         pause = row.pfc_pause_distribution

@@ -362,7 +362,7 @@ class TestConfigNameCanonicalization:
         config = ExperimentConfig(topology="not_yet_registered")
         assert config.topology == "not_yet_registered"
         with pytest.raises(UnknownNameError, match="fat_tree"):
-            config.max_hop_count()
+            config.physics().max_hop_count
 
     def test_alias_spellings_canonicalize(self):
         # "off"/"no_cc" are registry aliases of "none": all three spellings
@@ -425,7 +425,7 @@ class TestCustomComponentsEndToEnd:
             num_flows=6,
             max_sim_time_s=1.0,
         )
-        assert config.max_hop_count() == 3
+        assert config.physics().max_hop_count == 3
         result = run_experiment(config)
         assert result.completion_fraction() == 1.0
         row = result.to_row()

@@ -331,21 +331,29 @@ class TestCli:
         last_line = done.stderr.splitlines()[-1]
         assert "error: " in last_line and message in last_line
 
-    def test_non_finite_override_exits_2_and_caches_nothing(self, tmp_path):
+    @pytest.mark.parametrize("setting, message", [
+        ("max_sim_time_s=NaN", "max_sim_time_s must be a finite number, got nan"),
+        ("rto_low_s=0", "rto_low_s must be positive"),
+        ("bdp_cap_packets=0", "bdp_cap_packets must be >= 1"),
+        ("mtu_bytes=0", "mtu_bytes must be >= 1"),
+        ("link_bandwidth_bps=0", "link_bandwidth_bps must be positive"),
+        ("link_delay_s=-1e-6", "link_delay_s must be >= 0"),
+        ("wan_delay_s=-1e-3", "wan_delay_s must be >= 0"),
+    ])
+    def test_non_finite_override_exits_2_and_caches_nothing(self, tmp_path, setting, message):
         import subprocess
         import sys
 
         cache = tmp_path / "cache"
         done = subprocess.run(
             [sys.executable, "-m", "repro", "run", "table3", "--workers", "1",
-             "--cache", str(cache), "--flows", "3", "--set", "max_sim_time_s=NaN"],
+             "--cache", str(cache), "--flows", "3", "--set", setting],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
-        assert done.stderr.splitlines()[-1] == (
-            "error: max_sim_time_s must be a finite number, got nan")
+        assert done.stderr.splitlines()[-1] == f"error: {message}"
         assert not cache.exists() or not any(cache.rglob("*"))
 
     def test_list_names_every_scenario(self, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, build_fat_tree
 from repro.topology.simple import build_dumbbell, build_parking_lot, build_star
@@ -25,13 +26,14 @@ class TestFatTreeParams:
 
     def test_bdp_matches_paper_numbers(self):
         # 40 Gbps, 2 us per hop, 6-hop longest path: BDP = 120 KB = 120 packets.
-        params = FatTreeParams(k=6, link_bandwidth_bps=40e9, link_delay_s=2e-6)
-        assert params.bdp_bytes() == 120_000
-        assert params.bdp_packets(1000) == 120
+        physics = ExperimentConfig(fat_tree_k=6, link_bandwidth_bps=40e9,
+                                   link_delay_s=2e-6).physics()
+        assert physics.bdp_bytes == 120_000
+        assert physics.bdp_cap_packets == 120
 
     def test_longest_path_rtt(self):
-        params = FatTreeParams(k=4, link_delay_s=1e-6)
-        assert params.longest_path_rtt() == pytest.approx(12e-6)
+        physics = ExperimentConfig(fat_tree_k=4, link_delay_s=1e-6).physics()
+        assert physics.base_rtt_s == pytest.approx(12e-6)
 
 
 class TestFatTreeBuild:
