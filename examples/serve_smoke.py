@@ -5,15 +5,18 @@ CI runs this to prove the ``repro serve`` recipe end to end on Figure 1:
 1. warm a sweep cache (``fig1 --quick``, small flows) -- the one simulation
    phase of the whole script;
 2. start a real ``python -m repro serve`` process on an ephemeral port;
-3. GET ``/scenarios``, ``/scenarios/fig1/aggregate`` and
+3. GET ``/healthz``, ``/scenarios``, ``/scenarios/fig1/aggregate`` and
    ``/scenarios/fig1/cdf`` and sanity-check the JSON shapes (including that
    a second aggregate GET is answered from the warm in-process copy);
 4. assert ``?format=text`` is **byte-identical** to the offline
-   ``python -m repro.metrics.report`` CLI over the same cache;
+   ``python -m repro.metrics.report`` CLI over the same cache, both when the
+   server builds the body and when it answers from the stored one;
 5. spool the same cells through a queue directory, start one real
    ``python -m repro worker --drain`` process, stream
    ``/scenarios/fig1/follow`` until ``done``, and assert the streamed final
-   aggregate equals the serial batch aggregate bit for bit.
+   aggregate equals the serial batch aggregate bit for bit;
+6. rewrite one cached row and assert the next ``?format=text`` body shows
+   it and still equals the report CLI byte for byte.
 
 Usage::
 
@@ -30,7 +33,7 @@ import sys
 import tempfile
 import urllib.request
 
-from repro.api import TaskQueue, aggregate_rows, load_scenario, run_sweep
+from repro.api import ResultCache, TaskQueue, aggregate_rows, load_scenario, run_sweep
 
 SCENARIO = "fig1"
 FLOWS = 20  # small enough for CI, enough traffic for non-empty digests
@@ -49,6 +52,16 @@ def launch(args, **kwargs):
 def get(port, path):
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=180) as resp:
         return resp.read()
+
+
+def report_cli(cache_dir):
+    """The offline report's bytes over ``cache_dir`` (the parity reference)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.metrics.report", cache_dir, "--cdf"],
+        capture_output=True, env=env, check=True,
+    ).stdout
 
 
 def main() -> int:
@@ -84,6 +97,10 @@ def main() -> int:
     print(f"   {banner.strip()}")
 
     try:
+        health = json.loads(get(port, "/healthz"))
+        if health != {"status": "ok", "shutting_down": False}:
+            failures.append(f"/healthz answered {health}")
+
         catalog = json.loads(get(port, "/scenarios"))
         if not any(entry["name"] == SCENARIO for entry in catalog["scenarios"]):
             failures.append(f"{SCENARIO} missing from /scenarios catalog")
@@ -105,17 +122,14 @@ def main() -> int:
             failures.append("cdf endpoint returned no tail points")
 
         print("== text parity: HTTP bytes vs the offline report CLI ==")
-        http_text = get(port, f"/scenarios/{SCENARIO}/aggregate?format=text&cdf=1")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        cli = subprocess.run(
-            [sys.executable, "-m", "repro.metrics.report", cache_dir, "--cdf"],
-            capture_output=True, env=env,
-        )
-        if http_text != cli.stdout:
-            failures.append("?format=text differs from the report CLI bytes")
-        else:
-            print(f"   byte-identical ({len(http_text)} bytes)")
+        text_path = f"/scenarios/{SCENARIO}/aggregate?format=text&cdf=1"
+        offline = report_cli(cache_dir)
+        for fetch in ("built", "stored"):
+            http_text = get(port, text_path)
+            if http_text != offline:
+                failures.append(f"{fetch} ?format=text differs from the report CLI bytes")
+            else:
+                print(f"   {fetch}: byte-identical ({len(http_text)} bytes)")
 
         print("== /follow over a live 1-worker queue drain ==")
         worker = launch(["repro", "worker", queue_dir, "--drain",
@@ -151,6 +165,20 @@ def main() -> int:
             else:
                 print(f"   done: {done['completed']} rows streamed; final "
                       f"aggregate matches the serial batch bit for bit")
+
+        print("== a rewritten row reaches the next text request ==")
+        before = get(port, text_path)
+        cache = ResultCache(cache_dir)
+        row = cache.rows()[0]
+        cache.put(type(row).from_dict({**row.to_dict(),
+                                       "avg_slowdown": row.avg_slowdown + 1.0}))
+        rewritten = get(port, text_path)
+        if rewritten == before:
+            failures.append("the rewritten row did not reach the served report")
+        elif rewritten != report_cli(cache_dir):
+            failures.append("?format=text after a rewrite differs from the report CLI")
+        else:
+            print("   the served text moved with the row, byte-identical to the CLI")
     finally:
         server.terminate()
         server.wait(timeout=30)
@@ -161,7 +189,8 @@ def main() -> int:
             print(f"  - {failure}")
         return 1
     print("OK: catalog/aggregate/cdf served, text parity byte-exact, "
-          "follow stream converged to the serial batch aggregate.")
+          "follow stream converged to the serial batch aggregate, "
+          "a rewritten row served.")
     return 0
 
 

@@ -200,33 +200,6 @@ class ResultRow:
             else None
         )
 
-    @cached_property
-    def goodput_distribution(self) -> Optional[QuantileDigest]:
-        """Per-bin goodput timeline digest (``None`` on fault-free rows)."""
-        return (
-            QuantileDigest.from_dict(self.goodput_digest)
-            if self.goodput_digest
-            else None
-        )
-
-    @cached_property
-    def stall_distribution(self) -> Optional[QuantileDigest]:
-        """Per-flow stall-time digest (``None`` on fault-free rows)."""
-        return (
-            QuantileDigest.from_dict(self.stall_digest)
-            if self.stall_digest
-            else None
-        )
-
-    @cached_property
-    def c_latency_distribution(self) -> Optional[QuantileDigest]:
-        """Per-flow c-latency-ratio digest (``None`` unless collected)."""
-        return (
-            QuantileDigest.from_dict(self.c_latency_digest)
-            if self.c_latency_digest
-            else None
-        )
-
     @property
     def single_packet_count(self) -> int:
         """Completed single-packet messages (0 when the digest is absent)."""

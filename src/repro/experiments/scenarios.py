@@ -404,14 +404,16 @@ _paper_scenario(
 # A ring of switches with the ``circular`` workload: every receiver is fed
 # at full rate from two different upstream switches, so once the per-sender
 # load crosses 0.5 the inter-switch input buffers fill, every switch pauses
-# both upstream switches and the PFC wait-for graph closes into a cycle --
-# the online detector (repro.sim.deadlock) reports it as ``deadlock_events``
-# / ``min_time_to_deadlock_s``.  IRN runs the identical fabric lossless-off:
-# it drops and retransmits instead of pausing, so its deadlock count is an
-# exact zero -- the paper's §2 motivation as a reproducible figure.
+# both upstream switches and the node-level PFC wait-for graph closes into
+# a cycle -- the online detector (repro.sim.deadlock) reports it as
+# ``deadlock_events`` / ``min_time_to_deadlock_s``.  The cycles are pause
+# states, not buffer dependencies: every path crosses one inter-switch link,
+# so no port-level cycle forms and every flow finishes.  IRN runs the
+# identical fabric lossless-off: it drops and retransmits instead of
+# pausing, so its count is an exact zero.
 _paper_scenario(
     "pfc_deadlock",
-    "§2 CBD deadlock: circular ring fabric, RoCE+PFC wedges, IRN does not",
+    "§2 CBD: circular ring fabric, cycles in RoCE+PFC's node-level pause graph, none under IRN",
     {
         "RoCE (with PFC)": _scheme("roce", pfc=True),
         "IRN (without PFC)": _scheme("irn", pfc=False),

@@ -185,9 +185,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
-    def variant_labels(self) -> Tuple[str, ...]:
-        return tuple(self.variants)
-
     def row_labels(self) -> Tuple[str, ...]:
         return tuple(self.rows or {})
 
@@ -217,14 +214,6 @@ class ScenarioSpec:
     def with_rows(self, rows: Mapping[str, Mapping[str, Any]]) -> "ScenarioSpec":
         """A copy sweeping different rows (custom utilizations, fan-ins ...)."""
         return replace(self, rows={label: dict(ov) for label, ov in rows.items()})
-
-    def with_defaults(self, **defaults: Any) -> "ScenarioSpec":
-        """A copy with extra all-cell defaults layered on top."""
-        return replace(self, defaults={**self.defaults, **defaults})
-
-    def with_seeds(self, seeds: Optional[Sequence[int]]) -> "ScenarioSpec":
-        """A copy with a different default seed-replica axis."""
-        return replace(self, seeds=None if seeds is None else tuple(seeds))
 
     # ------------------------------------------------------------------
     # Config construction

@@ -110,9 +110,6 @@ class RecoveryTracker:
             digest.add(self._stall.get(flow_id, 0.0))
         return digest
 
-    def total_stall_s(self) -> float:
-        return sum(self._stall.values())
-
     def recovery_time_s(
         self,
         first_fault_start_s: Optional[float],

@@ -55,10 +55,6 @@ class FatTreeParams:
         return self.k ** 3 // 4
 
     @property
-    def num_pods(self) -> int:
-        return self.k
-
-    @property
     def num_core_switches(self) -> int:
         return (self.k // 2) ** 2
 

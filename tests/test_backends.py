@@ -285,8 +285,8 @@ class TestTaskQueue:
         # A schema-1 task, as written before two config knobs were deleted,
         # still carries their keys.  It must fail on its schema version, not
         # on a bare TypeError about an unexpected keyword.  The key names
-        # are spelled in pieces so the CI grep that keeps them out of the
-        # tree does not match this fixture.
+        # are spelled in pieces so the guard rail that keeps them out of
+        # the tree (tests/test_guard_rails.py) does not match this fixture.
         queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         fingerprint = config.fingerprint()
@@ -305,7 +305,7 @@ class TestTaskQueue:
 
     def test_task_with_the_records_switch_names_the_mismatch(self, tmp_path):
         # A schema-2 task still carries the deleted per-flow records switch
-        # (spelled in pieces for the same CI grep as above).
+        # (spelled in pieces for the same guard rail as above).
         queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         fingerprint = config.fingerprint()

@@ -215,8 +215,8 @@ class TestNonFiniteFloatsRejected:
 class TestDeletedKnobs:
     """The departure-batch byte cap, the pacing quantum and the per-flow
     records switch are gone: no surface accepts or emits them.  The names
-    are spelled in pieces so the CI greps that keep them out of the tree do
-    not match this test."""
+    are spelled in pieces so the guard rails that keep them out of the tree
+    (tests/test_guard_rails.py) do not match this test."""
 
     @pytest.mark.parametrize(
         "name", ["port_batch" + "_bytes", "pacing" + "_quantum_us", "keep_flow" + "_records"]

@@ -1,0 +1,249 @@
+"""Guard rails: deleted code paths stay deleted, and every rule can fire.
+
+Each row of :data:`RULES` names a rule, a regular expression, the paths it
+scans, why the rule exists and its controls: strings the expression must
+match.  One test per row first checks the controls, so a rule that cannot
+fire (a typo, a wrong escape, a path that holds no file) fails here instead
+of passing forever, and then asserts that no line of any file under the
+paths matches.
+
+The files scanned are the ones a clean checkout holds: ``git ls-files
+--cached --others --exclude-standard`` (tracked, or untracked and not
+ignored), so ``.md`` and ``.json`` files count and build output does not.
+This file is the one exclusion, since it spells out every pattern and
+control.  Expressions are Python ``re``, searched one line at a time, so
+``^`` anchors at each line as it does in ``grep``.
+
+To add a rule, append a row: the pattern, the paths (``git ls-files``
+pathspecs), a one-line reason and at least one control that the pattern
+must match.
+"""
+
+import re
+import subprocess
+from functools import lru_cache
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SELF = Path(__file__).resolve().relative_to(ROOT).as_posix()
+
+EVERYWHERE = ("src", "tests", "benchmarks", "examples")
+NOT_BENCHMARKS = ("src", "tests", "examples")
+HOT_PATH = ("src/repro/sim", "src/repro/core")
+
+
+class Rule(NamedTuple):
+    rule: str
+    regex: str
+    paths: Tuple[str, ...]
+    reason: str
+    controls: Tuple[str, ...]
+
+
+RULES = (
+    Rule(
+        "one-config-vocabulary",
+        r"TransportKind|TopologyKind|WorkloadKind|_coerce_kind"
+        r"|(fig[0-9]+|table[0-9]+|no_sack|cross_traffic)_configs|default_config\(|seed_replicas",
+        EVERYWHERE,
+        "component fields are registry strings and load_scenario(name) builds a preset "
+        "cell: the kind enums, the per-figure *_configs wrappers, default_config and the "
+        "benchmarks' own seed-axis expander were deleted, not deprecated",
+        ("TransportKind.IRN", "TopologyKind", "WorkloadKind", "_coerce_kind(value)",
+         "fig1_configs()", "table3_configs()", "no_sack_configs()",
+         "cross_traffic_configs()", "default_config()", "seed_replicas(3)"),
+    ),
+    Rule(
+        "one-scheduler",
+        r"HeapSimulator|bucket_width|NUM_BUCKETS|NUM_LEVELS|WHEEL_SLOT_S|set_timer_at"
+        r"|use_engine|_cascade|_flush_wheel",
+        NOT_BENCHMARKS,
+        "the binary heap is the only event queue: the hierarchical calendar, its tuning "
+        "constants, bucket_width_s and the engine-swapping test hook were deleted",
+        ("x = HeapSimulator", "bucket_width_s=1e-6", "NUM_BUCKETS", "NUM_LEVELS",
+         "WHEEL_SLOT_S", "sim.set_timer_at(t, fn)", "use_engine(sim)",
+         "self._cascade()", "self._flush_wheel()"),
+    ),
+    Rule(
+        "one-timer-verb",
+        r"\.set_timer\(",
+        ("src/repro",),
+        "every event is set with schedule / schedule_at; Simulator.set_timer survives "
+        "as an alias only because benchmarks/e2e/simwork.py calls it",
+        ("sim.set_timer(1e-6, fn)",),
+    ),
+    Rule(
+        "manifest-is-the-completion-signal",
+        r"force_scan|rescan_every|_polls_since_scan|_execute_task|def forget",
+        NOT_BENCHMARKS,
+        "PartsTail is an offset over parts/MANIFEST: its rescans, force_scan and "
+        "forget() were deleted once claim() announced the parts it retires, and worker "
+        "and coordinator share one _run_task",
+        ("tail.poll(force_scan=True)", "rescan_every=10", "self._polls_since_scan",
+         "_execute_task(task)", "def forget(self, name):"),
+    ),
+    Rule(
+        "one-way-to-run-a-sweep",
+        r"EXECUTION_BACKENDS|register_execution_backend|ExecutionBackend|resolve_backend"
+        r"|SerialBackend|ProcessBackend|aggregate_partial|experiments\.backends|--backend",
+        NOT_BENCHMARKS,
+        "cells run locally (run_sweep, sized by workers) or through the queue; the "
+        "execution-backend registry, its classes, backends.py, aggregate_partial and "
+        "--backend were deleted, not deprecated",
+        ("EXECUTION_BACKENDS", "register_execution_backend(name)",
+         "class Pool(ExecutionBackend):", "resolve_backend(name)", "SerialBackend()",
+         "ProcessBackend(2)", "aggregate_partial(rows)",
+         "from repro.experiments.backends import Pool", "repro run fig1 --backend serial"),
+    ),
+    Rule(
+        "knob-diet",
+        r"port_batch_bytes|max_batch_bytes|set_port_batch_bytes|pacing_quantum"
+        r"|request_pacing_wakeup|_pacing_wakeup|burst_credit",
+        NOT_BENCHMARKS,
+        "port_batch_bytes and pacing_quantum_us were deleted with every mechanism only "
+        "they reached; neither models the paper's setting (a 1 KB MTU has no jumbo "
+        "burst to cap; DCQCN paces per packet)",
+        ("port_batch_bytes=9000", "max_batch_bytes", "set_port_batch_bytes(1)",
+         "pacing_quantum_us=5", "host.request_pacing_wakeup()", "self._pacing_wakeup",
+         "burst_credit"),
+    ),
+    Rule(
+        "one-distribution-path",
+        r"keep_flow_records|keep_records|FlowMetrics|completed_flows"
+        r"|single_packet_latencies|def summarize",
+        NOT_BENCHMARKS,
+        "flow-level metrics come only from the collector's streams (running sums and "
+        "quantile digests), so a row is a function of its fingerprint; the per-flow "
+        "records and the exact-list summary helpers are gone",
+        ("keep_flow_records=True", "keep_records", "FlowMetrics(flow)",
+         "collector.completed_flows", "single_packet_latencies",
+         "def summarize(values):"),
+    ),
+    Rule(
+        "one-transport-wiring",
+        r"make_flow_endpoints|irn_config=|roce_config=|tcp_config=|_build_(irn|roce|tcp)_config",
+        NOT_BENCHMARKS,
+        "a registered transport is (config) -> endpoints and derives its own transport "
+        "config once per run; the per-flow keyword factory and the runner's per-run "
+        "configs for every transport are gone",
+        ("make_flow_endpoints(config)", "irn_config=cfg", "roce_config=cfg",
+         "tcp_config=cfg", "_build_irn_config(c)", "_build_roce_config(c)",
+         "_build_tcp_config(c)"),
+    ),
+    Rule(
+        "one-event-shape",
+        r"class Event\b|\.cancelled\b|\.cancel\(\)",
+        HOT_PATH,
+        "a scheduled event is the plain list schedule_at returns and sim.cancel(event) "
+        "cancels it; the list subclass cost 2.4-4 times a list display, once per event",
+        ("class Event(list):", "if event.cancelled:", "event.cancel()"),
+    ),
+    Rule(
+        "no-write-only-frame-state",
+        r"\b(msg_id|pfc_priority)\b|busy_time|\.bytes_sent|def utilization|_stopped|def stop\(",
+        HOT_PATH,
+        "per-frame msg_id and pfc_priority, the three per-hop Link counters and the "
+        "per-event Simulator._stopped read were written and never read; they were "
+        "deleted with Link.utilization() and Simulator.stop()",
+        ("packet.msg_id = 1", "pfc_priority=3", "link.busy_time += t", "link.bytes_sent",
+         "def utilization(self):", "self._stopped", "def stop(self):"),
+    ),
+    Rule(
+        "arrivals-bind-once-per-link",
+        r"\.dst\.receive|\.receive = ",
+        ("src/repro",),
+        "an arrival runs link.arrive, bound to dst.receive when the link is built, and "
+        "taps wrap the arrive of the links they watch; a per-frame link.dst.receive or "
+        "a wrapped node receive is what this replaced",
+        ("link.dst.receive(packet)", "node.receive = tap"),
+    ),
+    Rule(
+        "service-rereads-only-moved-files",
+        r"cache.scan\(\)",
+        ("src/repro/serve/server.py",),
+        "a moved cache state re-reads only the files whose signature moved; a full "
+        "cache.scan() per state made every rebuild parse them all",
+        ("rows = self.cache.scan()",),
+    ),
+    Rule(
+        "one-physics-record",
+        r"def (effective_(bdp_cap_packets|buffer_bytes|headroom_bytes|rto_high_s|rto_low_s"
+        r"|header_bytes|ack_coalesce_n|ack_coalesce_s)|base_rtt_s|bdp_bytes|path_delay_s"
+        r"|longest_path_rtt|bdp_packets)\(",
+        ("src/repro",),
+        "everything a run derives from its config is one frozen Physics record from "
+        "ExperimentConfig.physics(); the derivation methods were deleted, not deprecated",
+        tuple(f"def {name}(self):" for name in (
+            "effective_bdp_cap_packets", "effective_buffer_bytes",
+            "effective_headroom_bytes", "effective_rto_high_s", "effective_rto_low_s",
+            "effective_header_bytes", "effective_ack_coalesce_n",
+            "effective_ack_coalesce_s", "base_rtt_s", "bdp_bytes", "path_delay_s",
+            "longest_path_rtt", "bdp_packets")),
+    ),
+    Rule(
+        "no-physics-method-callers",
+        r"\.effective_(bdp|buffer|headroom|rto|header|ack)",
+        EVERYWHERE,
+        "callers read fields of ExperimentConfig.physics(), not effective_* methods",
+        ("config.effective_bdp_cap_packets()", "config.effective_buffer_bytes()",
+         "config.effective_headroom_bytes()", "config.effective_rto_low_s()",
+         "config.effective_header_bytes()", "config.effective_ack_coalesce_n()"),
+    ),
+    Rule(
+        "no-facade-imports-in-src",
+        r"^(from|import) repro\.api",
+        ("src/repro",),
+        "repro.api loads the whole simulation surface by design; an entry point that "
+        "imported it would load the simulator to print a list",
+        ("from repro.api import run_sweep", "import repro.api"),
+    ),
+    Rule(
+        "no-negated-workflow-commands",
+        r"(^\s*(-\s+)?(run:\s*['\"]?)?|(&&|\|\||;)\s*|\b(do|then|else)\s+|\{\s+)!\s",
+        (".github/workflows/*.yml",),
+        "bash -e does not stop on a failing !-negated command, so such a line cannot "
+        "fail a step unless it happens to be the step's last command",
+        ("run: '! grep x'", "  ! grep x", "make lint && ! grep x",
+         "for f in x; do ! grep y; done", "if true; then ! grep y; fi",
+         "if false; then :; else ! grep y; fi", "{ ! grep y; }"),
+    ),
+)
+
+
+@lru_cache(maxsize=None)
+def files_under(pathspec: str) -> Tuple[str, ...]:
+    """Repository-relative files under ``pathspec`` that a clean checkout holds."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+         "--", pathspec],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode().split("\0")
+    return tuple(sorted(rel for rel in set(listed)
+                        if rel and rel != SELF and (ROOT / rel).is_file()))
+
+
+@lru_cache(maxsize=None)
+def lines_of(rel: str) -> Tuple[str, ...]:
+    return tuple((ROOT / rel).read_bytes().decode("utf-8", "replace").split("\n"))
+
+
+@pytest.mark.parametrize("row", RULES, ids=[row.rule for row in RULES])
+def test_guard_rail(row):
+    pattern = re.compile(row.regex)
+    assert row.controls, f"{row.rule}: a rule needs at least one control"
+    missed = [control for control in row.controls if not pattern.search(control)]
+    assert not missed, f"{row.rule}: the pattern cannot fire on its controls {missed}"
+    empty = [pathspec for pathspec in row.paths if not files_under(pathspec)]
+    assert not empty, f"{row.rule}: no file under {empty}"
+
+    hits = [
+        f"{rel}:{number}: {line.strip()}"
+        for rel in sorted({rel for pathspec in row.paths for rel in files_under(pathspec)})
+        for number, line in enumerate(lines_of(rel), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, f"{row.rule} ({row.reason}):\n" + "\n".join(hits)
+
