@@ -51,8 +51,7 @@ from repro.congestion.registry import (
 )
 from repro.core.registry import TRANSPORTS, register_transport
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.spec import (
     SCENARIOS,
     ScenarioSpec,

@@ -4,7 +4,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ExperimentConfig": "repro.experiments.config",
-    "ExperimentResult": "repro.experiments.results",
+    "ExperimentResult": "repro.experiments.runner",
     "ResultRow": "repro.experiments.results",
     "SCENARIOS": "repro.experiments.spec",
     "ScenarioSpec": "repro.experiments.spec",

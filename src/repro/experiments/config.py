@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional
 
 from repro.congestion.registry import CONGESTION_SCHEMES
@@ -411,7 +411,12 @@ class ExperimentConfig:
         identical simulations miss the sweep cache) and every field sitting
         at its :data:`_OMITTED_AT` value.
         """
-        payload = asdict(self)
+        # Only the nested dataclasses need converting: ``_canonical`` builds
+        # every dict and list afresh, so no deep copy of the config is made.
+        payload = {}
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            payload[name] = asdict(value) if is_dataclass(value) else value
         for field_name in _NON_PHYSICAL_FIELDS:
             del payload[field_name]
         for field_name, omitted_at in _OMITTED_AT.items():
@@ -429,6 +434,9 @@ class ExperimentConfig:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+
+#: Every field, in declaration order.
+_FIELD_NAMES = tuple(field.name for field in fields(ExperimentConfig))
 
 #: Fields declared ``float`` or ``Optional[float]``; ``__post_init__`` rejects
 #: a non-finite value in any of them.

@@ -6,29 +6,26 @@ booleans and JSON-safe digest payloads only, so it pickles in microseconds
 and round-trips through JSON.  It carries serialized
 :class:`~repro.metrics.sketch.QuantileDigest` sketches of the FCT, slowdown
 and single-packet-latency distributions so tail metrics survive process
-boundaries, disk caching and seed aggregation.
+boundaries, disk caching and seed aggregation; the sketch module is imported
+only when a digest view decodes one, so reading and reporting rows loads it
+only when a report needs a distribution.
 
-:class:`ExperimentResult`, what :func:`~repro.experiments.runner.run_experiment`
-returns, *is* that row plus the live
-:class:`~repro.metrics.collector.MetricsCollector` (with its back-reference
-into the simulated network) and every :class:`~repro.core.transport.Flow`,
-for in-process post-hoc analysis.  That payload cannot cross a process
-boundary cheaply, and a sweep over hundreds of cells must not hold hundreds
-of simulated networks alive, so :meth:`ExperimentResult.to_row` drops it.
+What :func:`~repro.experiments.runner.run_experiment` returns,
+:class:`~repro.experiments.runner.ExperimentResult`, *is* this row plus the
+live collector and flows.  It lives with the runner, its only producer, so
+a process that only reads rows never builds that class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.metrics.sketch import QuantileDigest
 from repro.metrics.stats import MetricSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.transport import Flow
-    from repro.metrics.collector import MetricsCollector
+    from repro.metrics.sketch import QuantileDigest
 
 
 @dataclass(frozen=True)
@@ -166,39 +163,27 @@ class ResultRow:
     @cached_property
     def fct_distribution(self) -> Optional[QuantileDigest]:
         """The FCT digest, deserialized (``None`` on pre-digest rows)."""
-        return QuantileDigest.from_dict(self.fct_digest) if self.fct_digest else None
+        return _decode(self.fct_digest)
 
     @cached_property
     def slowdown_distribution(self) -> Optional[QuantileDigest]:
         """The slowdown digest, deserialized."""
-        return QuantileDigest.from_dict(self.slowdown_digest) if self.slowdown_digest else None
+        return _decode(self.slowdown_digest)
 
     @cached_property
     def single_packet_distribution(self) -> Optional[QuantileDigest]:
         """The single-packet message latency digest, deserialized."""
-        return (
-            QuantileDigest.from_dict(self.single_packet_digest)
-            if self.single_packet_digest
-            else None
-        )
+        return _decode(self.single_packet_digest)
 
     @cached_property
     def queue_depth_distribution(self) -> Optional[QuantileDigest]:
         """Pooled per-switch queue-depth digest (``None`` unless collected)."""
-        return (
-            QuantileDigest.from_dict(self.queue_depth_digest)
-            if self.queue_depth_digest
-            else None
-        )
+        return _decode(self.queue_depth_digest)
 
     @cached_property
     def pfc_pause_distribution(self) -> Optional[QuantileDigest]:
         """PFC pause-episode duration digest (``None`` unless collected)."""
-        return (
-            QuantileDigest.from_dict(self.pfc_pause_digest)
-            if self.pfc_pause_digest
-            else None
-        )
+        return _decode(self.pfc_pause_digest)
 
     @property
     def single_packet_count(self) -> int:
@@ -238,23 +223,15 @@ class ResultRow:
 _FIELD_NAMES = tuple(spec.name for spec in fields(ResultRow))
 
 
-@dataclass(frozen=True)
-class ExperimentResult(ResultRow):
-    """A :class:`ResultRow` that still holds the run it came from.
+def _decode(payload: Optional[Dict[str, Any]]) -> Optional[QuantileDigest]:
+    """A digest payload decoded (``None`` and an empty payload give
+    ``None``).  The sketch module is imported here, where a digest is
+    decoded, so reading and reporting rows does not load it."""
+    if not payload:
+        return None
+    from repro.metrics.sketch import QuantileDigest
 
-    The collector and the flows take no part in ``==``, ``hash``, ``repr``
-    or :meth:`to_dict`: two results are equal exactly when their rows are.
-    """
-
-    collector: MetricsCollector = field(kw_only=True, compare=False, repr=False)
-    flows: List[Flow] = field(kw_only=True, compare=False, repr=False)
-
-    def to_row(self, label: Optional[str] = None) -> ResultRow:
-        """The flat, picklable row, relabelled when ``label`` is given."""
-        values = {name: getattr(self, name) for name in _FIELD_NAMES}
-        if label is not None:
-            values["label"] = label
-        return ResultRow(**values)
+    return QuantileDigest.from_dict(payload)
 
 
 def _json_copy(value: Any) -> Any:

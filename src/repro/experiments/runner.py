@@ -12,6 +12,9 @@ use.  It translates an :class:`ExperimentConfig` into a concrete simulation:
    :class:`~repro.experiments.results.ResultRow` (the paper's metrics, fabric
    statistics, digests) plus the live collector and flows.
 
+:class:`ExperimentResult` is defined here, beside its one producer, so that
+a process which only reads cached rows never builds the class.
+
 This is the one module that simulates, and it loads everything a cell can
 reach when it is imported -- the engine, the fabric, every declared built-in
 topology, workload, transport and congestion scheme -- so that no
@@ -23,6 +26,7 @@ the cache, reports, the results service) stays importable without it.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.congestion.factory import make_congestion_control
@@ -30,7 +34,7 @@ from repro.congestion.registry import CONGESTION_SCHEMES
 from repro.core.registry import TRANSPORTS
 from repro.core.transport import BaseReceiver, BaseSender, Flow
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import ExperimentResult
+from repro.experiments.results import _FIELD_NAMES, ResultRow
 from repro.faults import FaultEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.sketch import QuantileDigest
@@ -45,6 +49,30 @@ from repro.workload.registry import WORKLOADS
 # names it, where the import would be billed to the simulation.
 for _registry in (TOPOLOGIES, WORKLOADS, TRANSPORTS, CONGESTION_SCHEMES):
     _registry.load_builtins()
+
+
+@dataclass(frozen=True)
+class ExperimentResult(ResultRow):
+    """A :class:`ResultRow` that still holds the run it came from.
+
+    The live :class:`MetricsCollector` (with its back-reference into the
+    simulated network) and every :class:`Flow` serve in-process post-hoc
+    analysis.  That payload cannot cross a process boundary cheaply, and a
+    sweep over hundreds of cells must not hold hundreds of simulated
+    networks alive, so :meth:`to_row` drops it.  The collector and the
+    flows take no part in ``==``, ``hash``, ``repr`` or :meth:`to_dict`:
+    two results are equal exactly when their rows are.
+    """
+
+    collector: MetricsCollector = field(kw_only=True, compare=False, repr=False)
+    flows: List[Flow] = field(kw_only=True, compare=False, repr=False)
+
+    def to_row(self, label: Optional[str] = None) -> ResultRow:
+        """The flat, picklable row, relabelled when ``label`` is given."""
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if label is not None:
+            values["label"] = label
+        return ResultRow(**values)
 
 
 class _FlowLauncher:

@@ -69,10 +69,16 @@ _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 _PLACEHOLDER = re.compile(r"\{([^{}]+)\}")
 
 
+#: Types ``_json_safe`` returns as they are, before its slower checks.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_safe(value: Any) -> Any:
     """Normalize an override value to plain JSON types (nested dataclasses
     to dicts, tuples to lists), so a spec serializes identically however its
     overrides were spelled."""
+    if type(value) in _SCALARS:
+        return value
     if is_dataclass(value) and not isinstance(value, type):
         return _json_safe(asdict(value))
     if isinstance(value, Mapping):

@@ -61,6 +61,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -69,7 +70,6 @@ from typing import (
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
-from repro.metrics.partial import PartialAggregator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.queue import QueueBackend
@@ -113,15 +113,38 @@ def code_fingerprint() -> str:
     if _CODE_FINGERPRINT is None:
         import repro
 
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
-        _CODE_FINGERPRINT = digest.hexdigest()
+        _CODE_FINGERPRINT = _source_digest(os.path.dirname(os.path.realpath(repro.__file__)))
     return _CODE_FINGERPRINT
+
+
+def _source_digest(root: str) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``: each contributes its
+    path relative to ``root``, NUL, its bytes, NUL, in the order of
+    ``sorted(Path(root).rglob("*.py"))``."""
+    digest = hashlib.sha256()
+    for relative, path in _python_sources(root):
+        digest.update(relative.encode("utf-8"))
+        digest.update(b"\x00")
+        with open(path, "rb") as source:
+            digest.update(source.read())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def _python_sources(directory: str, relative: str = "") -> Iterator[Tuple[str, str]]:
+    """``(relative path, path)`` of each ``*.py`` file under ``directory``,
+    depth first with names sorted at every level.  That is the order of
+    sorted ``Path`` objects, which compare by path parts, not by string:
+    ``a/b.py`` comes before ``a-b.py``.  Like ``rglob``, the walk does not
+    descend into symlinked directories."""
+    with os.scandir(directory) as scan:
+        entries = sorted(scan, key=lambda entry: entry.name)
+    for entry in entries:
+        name = os.path.join(relative, entry.name)
+        if entry.is_dir(follow_symlinks=False):
+            yield from _python_sources(entry.path, name)
+        elif entry.name.endswith(".py"):
+            yield name, entry.path
 
 
 class ParameterGrid:
@@ -182,8 +205,7 @@ class ParameterGrid:
         return cells
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """One parsed cache (or queue-part) file, staleness visible to callers.
 
     :meth:`ResultCache.get` conflates every failure mode into a miss because
@@ -191,7 +213,9 @@ class CacheEntry:
     service (:mod:`repro.serve`) needs to *distinguish* rows written by a
     different source tree (serve an HTTP 409, not a silent 404) from rows
     that are genuinely absent or corrupt, so :meth:`ResultCache.scan` /
-    :meth:`ResultCache.load_entry` expose this richer view.
+    :meth:`ResultCache.load_entry` expose this richer view.  A
+    ``NamedTuple``, not a frozen dataclass: every CLI start imports this
+    module, and the class costs a tenth as much to build.
     """
 
     fingerprint: str
@@ -480,6 +504,10 @@ class SweepProgress:
         self.total = total
         self.rows: Dict[str, ResultRow] = {}
         self.by = tuple(by)
+        # Imported where rows are aggregated: a sweep nobody watches, and a
+        # single-seed report, never load the aggregator or the digest sketch.
+        from repro.metrics.partial import PartialAggregator
+
         self._partial = PartialAggregator(self.by)
         #: The partial aggregate record of the most recently updated cell
         #: (what :meth:`add` returned) -- observers print this instead of
@@ -723,4 +751,6 @@ def aggregate_rows(
     incrementally as part-files land -- so a streamed aggregate and a
     post-hoc one over the same rows are identical.
     """
+    from repro.metrics.partial import PartialAggregator
+
     return PartialAggregator(by).add_all(rows).snapshot()

@@ -5,7 +5,7 @@ the ``examples/`` scripts used to each reimplement.  Every formatter returns
 a string (callers print it) and reads :class:`~repro.experiments.results.ResultRow`
 records -- ``.summary``, ``.drop_rate``, ``.pause_frames``,
 ``.retransmissions`` -- whether cached or fresh from ``run_experiment``
-(whose :class:`~repro.experiments.results.ExperimentResult` is a row).
+(whose :class:`~repro.experiments.runner.ExperimentResult` is a row).
 
 Because :class:`ResultRow` round-trips through the sweep cache with its
 quantile digests intact, a full report (headline tables *and* Figure 8-style
@@ -14,17 +14,17 @@ tail CDFs) can be regenerated from a warm cache without re-simulating::
     python -m repro.metrics.report .sweep-cache/quickstart --cdf
 
 (imports of the experiments package happen lazily inside the cache helpers,
-so importing :mod:`repro.metrics` never drags in the simulator stack).
+so importing :mod:`repro.metrics` never drags in the simulator stack, and the
+digest sketch is imported only where a payload is decoded).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.metrics.sketch import QuantileDigest
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ResultRow
+    from repro.metrics.sketch import QuantileDigest
 
 __all__ = [
     "format_metric_table",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Tail-CDF sources: a digest or its serialized payload.
-CdfSource = Union[QuantileDigest, Dict[str, Any]]
+CdfSource = Union["QuantileDigest", Dict[str, Any]]
 
 
 def format_metric_table(title: str, results: "Mapping[str, ResultRow]") -> str:
@@ -158,6 +158,8 @@ def format_tail_cdf(
     latency -- the tail's shape at a glance.
     """
     if isinstance(source, dict):
+        from repro.metrics.sketch import QuantileDigest
+
         source = QuantileDigest.from_dict(source)
     cdf = source.tail_cdf(start_fraction, points)
     top = max(value for value, _ in cdf) or 1.0

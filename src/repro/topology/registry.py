@@ -21,8 +21,7 @@ experiment layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, Union
 
 from repro.registry import Registry
 
@@ -52,9 +51,12 @@ def _as_delay(value: ConfigDelay) -> "Callable[[Any], float] | None":
     return lambda config, _value=value: _value
 
 
-@dataclass(frozen=True)
-class TopologyBuilder:
-    """A buildable topology family plus the metadata the config layer needs."""
+class TopologyBuilder(NamedTuple):
+    """A buildable topology family plus the metadata the config layer needs.
+
+    A ``NamedTuple``, not a frozen dataclass: the registry module is
+    imported at every start, and the class costs a tenth as much to build.
+    """
 
     name: str
     build: Callable[["Simulator", Any, "SwitchConfig"], "Network"]

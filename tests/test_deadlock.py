@@ -11,12 +11,17 @@ not frames that wait on each other, so it counts circular *pause* states
 rather than circular *buffer* dependencies; the two-switch counter-example
 below is the smallest case of the gap.  Under IRN (no PFC) packets drop and
 retransmit instead, so the detector must stay silent forever.
+
+A 6-switch ring does wedge: there paths cross several inter-switch links,
+and under RoCE+PFC the same few flows have finished at a 2 ms and at a
+20 ms horizon, while IRN without PFC finishes them all.
 """
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.experiments.spec import scenario
 from repro.sim.deadlock import PfcDeadlockDetector
 from repro.sim.engine import Simulator
 from repro.topology.cyclic import build_ring
@@ -128,3 +133,48 @@ def test_irn_never_deadlocks_on_the_same_ring():
     assert result.deadlock_events == 0
     assert result.time_to_deadlock_s is None
     assert result.pause_frames == 0
+
+
+# ---------------------------------------------------------------------------
+# A ring that wedges: pfc_deadlock's 90% row on six switches
+# ---------------------------------------------------------------------------
+#: ``pfc_deadlock``'s cells moved onto a ring where paths cross several
+#: inter-switch links.  The registered spec stays on its 3-ring.
+WEDGE_RING = dict(ring_switches=6, num_hosts=24, num_flows=180)
+
+
+@pytest.fixture(scope="module")
+def wedged_ring():
+    """RoCE+PFC at a 2 ms and a 20 ms horizon and IRN without PFC at 20 ms,
+    on the 6-ring (about 1.2 s in all)."""
+    cells = scenario("pfc_deadlock").configs(**WEDGE_RING)
+    roce, irn = cells["90%|RoCE (with PFC)"], cells["90%|IRN (without PFC)"]
+    return {
+        "roce_2ms": run_experiment(roce.with_overrides(max_sim_time_s=0.002)).to_row(),
+        "roce_20ms": run_experiment(roce.with_overrides(max_sim_time_s=0.02)).to_row(),
+        "irn_20ms": run_experiment(irn.with_overrides(max_sim_time_s=0.02)).to_row(),
+    }
+
+
+def test_roce_with_pfc_wedges_for_good_on_a_six_switch_ring(wedged_ring):
+    short, long = wedged_ring["roce_2ms"], wedged_ring["roce_20ms"]
+    # Ten times the horizon finishes no further flow and runs no further
+    # event: the fabric is stuck, not slow.
+    assert short.flows_completed == long.flows_completed < long.flows_total == 180
+    assert short.events_processed == long.events_processed
+    assert long.packets_dropped == 0 and long.pause_frames > 0
+
+
+def test_irn_without_pfc_finishes_every_flow_on_the_same_ring(wedged_ring):
+    irn = wedged_ring["irn_20ms"]
+    assert irn.flows_completed == irn.flows_total == 180
+    assert irn.pause_frames == 0 and irn.deadlock_events == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3(a): headline statistics average completed flows only, so "
+    "the wedged RoCE+PFC scores 3.03 over its 10 finished flows against "
+    "IRN's 31.18 over all 180"))
+def test_a_wedged_scheme_does_not_score_a_lower_slowdown(wedged_ring):
+    roce, irn = wedged_ring["roce_20ms"], wedged_ring["irn_20ms"]
+    assert roce.avg_slowdown >= irn.avg_slowdown

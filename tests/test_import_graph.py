@@ -37,10 +37,19 @@ NOT_ON_THE_READ_PATH = frozenset({
     "http.server", "concurrent.futures.process", "multiprocessing", "ssl", "email",
 })
 
-#: ``repro.*`` modules a fully cached ``repro run`` may load (57 before the
-#: facades went lazy; 28 while the config imported its fault, incast and PFC
-#: types at module level).
+#: ``repro.*`` modules a fully cached ``repro run`` over seed replicas may
+#: load (57 before the facades went lazy; 28 while the config imported its
+#: fault, incast and PFC types at module level).  It aggregates, so it also
+#: loads the two modules below.
 WARM_RUN_MODULE_BUDGET = 23
+
+#: The same for a fully cached single-seed run, the benchmark's
+#: ``sweep_warm`` shape: it prints no aggregate and decodes no digest.
+SINGLE_SEED_WARM_RUN_MODULE_BUDGET = 21
+
+#: Loaded where rows are aggregated or a digest is decoded, and only then.
+#: Not in ``NOT_ON_THE_READ_PATH``: ``repro serve`` aggregates on every read.
+ON_DEMAND = frozenset({"repro.metrics.sketch", "repro.metrics.partial"})
 
 LAZY_PACKAGES = (
     "repro", "repro.api", "repro.sim", "repro.core", "repro.congestion",
@@ -96,8 +105,23 @@ class TestReadPathsLoadNoSimulator:
         report = cli_in_fresh_interpreter(*filled_cache)
         assert report["exit"] == 0
         assert "(0 simulated, 36 from cache" in report["stdout"]
+        # The aggregate table needs the aggregator and the sketch, which load
+        # on demand: only a fresh interpreter shows that they do.
+        assert "per-cell aggregates over seed replicas" in report["stdout"]
+        assert ON_DEMAND <= set(report["modules"])
         assert not NOT_ON_THE_READ_PATH & set(report["modules"])
         assert len(repro_modules(report)) <= WARM_RUN_MODULE_BUDGET
+
+    @pytest.mark.parametrize("single_seed", [("--set", "seed=1"), ("--quick",)],
+                             ids=["set-seed", "quick"])
+    def test_single_seed_warm_run(self, filled_cache, single_seed):
+        report = cli_in_fresh_interpreter(*filled_cache, *single_seed)
+        assert report["exit"] == 0
+        assert "(0 simulated, 12 from cache" in report["stdout"]
+        assert "aggregates" not in report["stdout"]
+        loaded = set(report["modules"])
+        assert not (NOT_ON_THE_READ_PATH | ON_DEMAND) & loaded
+        assert len(repro_modules(report)) <= SINGLE_SEED_WARM_RUN_MODULE_BUDGET
 
     def test_list(self):
         report = cli_in_fresh_interpreter("list")
@@ -191,6 +215,15 @@ class TestTheRunnerLoadsEverythingUpFront:
         assert not {"repro.serve.server", "repro.experiments.queue", "http.server",
                     "concurrent.futures.process", "multiprocessing", "ssl",
                     "email"} & loaded
+
+
+class TestTheResultClassLivesWithTheRunner:
+    def test_results_defines_only_the_row(self):
+        import repro.experiments.results as results
+        import repro.experiments.runner as runner
+
+        assert not hasattr(results, "ExperimentResult")
+        assert issubclass(runner.ExperimentResult, results.ResultRow)
 
 
 class TestFacadesKeepTheirSurface:

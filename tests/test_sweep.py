@@ -1,17 +1,22 @@
 """Tests for the parallel sweep subsystem (grid, cache, runner, aggregation)."""
 
+import hashlib
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import (
     ParameterGrid,
     ResultCache,
+    _source_digest,
     aggregate_rows,
+    code_fingerprint,
     run_sweep,
 )
 
@@ -419,6 +424,36 @@ class TestResultCache:
         # Corrupt entries are skipped, not fatal.
         next(iter(cache.directory.glob("*.json"))).write_text("{not json")
         assert len(cache.rows()) == 1
+
+
+def reference_code_digest(root: Path) -> str:
+    """The code digest's definition: SHA-256 over ``sorted(root.rglob("*.py"))``,
+    each file contributing its path relative to ``root``, NUL, its bytes, NUL."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+class TestCodeFingerprint:
+    """Every cached row records this digest: a change to its definition
+    would silently mark every user's cached row stale."""
+
+    def test_equals_the_reference_on_the_installed_tree(self):
+        root = Path(repro.__file__).resolve().parent
+        assert code_fingerprint() == reference_code_digest(root)
+
+    def test_orders_files_by_path_parts_not_by_string(self, tmp_path):
+        for relative in ("a.py", "a-b.py", "a/b.py", "a/notes.txt", "a/c/.d.py"):
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(f"# {relative}\n")
+        by_parts = [str(path.relative_to(tmp_path)) for path in sorted(tmp_path.rglob("*.py"))]
+        assert by_parts == ["a/b.py", "a/c/.d.py", "a-b.py", "a.py"]
+        assert sorted(by_parts) != by_parts
+        assert _source_digest(str(tmp_path)) == reference_code_digest(tmp_path)
 
 
 class TestAggregation:
