@@ -132,8 +132,7 @@ def main() -> int:
                 print(f"   {fetch}: byte-identical ({len(http_text)} bytes)")
 
         print("== /follow over a live 1-worker queue drain ==")
-        worker = launch(["repro", "worker", queue_dir, "--drain",
-                         "--cache", os.path.join(queue_dir, "cache")])
+        worker = launch(["repro", "worker", queue_dir, "--drain"])
         stream = get(
             port,
             f"/scenarios/{SCENARIO}/follow?poll=0.1&expect={len(configs)}&timeout=300",

@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -213,7 +214,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
           f"parts={counts['parts']})", flush=True)
     executed = run_worker(
         queue,
-        cache=args.cache,
         worker_id=worker_id,
         poll_interval_s=args.poll,
         drain=args.drain,
@@ -279,13 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="lease and execute sweep tasks from a queue directory",
         description="Drain a queue sweep: claim fingerprint-named "
-        "task files, run each through the shared result cache, and publish "
-        "durable ResultRow part-files.  Start as many of these as you like, "
-        "on any machine that sees the directory.",
+        "task files, simulate each, and publish its durable ResultRow "
+        "part-file under <queue-dir>/parts.  Start as many of these as you "
+        "like, on any machine that sees the directory.",
     )
     worker.add_argument("queue_dir", help="the sweep's queue directory")
-    worker.add_argument("--cache", default=None, metavar="DIR",
-                        help="result cache directory (default: <queue-dir>/cache)")
     worker.add_argument("--poll", type=_positive_seconds, default=0.5, metavar="SECONDS",
                         help="idle re-poll interval (default: 0.5)")
     worker.add_argument("--drain", action="store_true",
@@ -295,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after executing N cells")
     worker.add_argument("--lease-timeout", type=_positive_seconds, default=600.0,
                         metavar="SECONDS",
-                        help="reclaim another worker's lease only after its "
-                             "heartbeat file (touched every --poll seconds "
-                             "while the cell simulates) has been silent this "
-                             "long -- a live worker is never preempted, "
-                             "however slow its cell (default: 600)")
+                        help="reclaim another worker's lease only after it "
+                             "has gone untouched this long (its worker "
+                             "refreshes it every --poll seconds while the "
+                             "cell simulates) -- a live worker is never "
+                             "preempted, however slow its cell (default: 600)")
     worker.set_defaults(func=_cmd_worker)
 
     lst = sub.add_parser("list", help="list registered scenarios")
@@ -329,7 +327,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     import_plugins()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro run fig1 | head -1``): the rest
+        # of the output has nowhere to go.  Point stdout at devnull, so the
+        # interpreter's final flush does not raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

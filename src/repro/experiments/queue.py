@@ -21,18 +21,18 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   on another machine rebuilds the exact fingerprinted config.
 * A worker *claims* a task by renaming it into ``leases/`` -- exactly one
   concurrent claimer can win the rename -- then stamps the lease with its
-  identity.  While executing, the worker *touches* a heartbeat file
-  (``leases/<fp>.hb``) on its poll cadence; a lease is presumed orphaned
-  (and renamed back into ``tasks/``) only when **both** the lease and its
-  heartbeat have gone untouched for ``lease_timeout_s`` -- so a slow cell
-  on a live worker is never stolen, while a dead worker's lease is
-  reclaimed one timeout after its last beat.
+  identity.  The lease is its own heartbeat: while executing, the worker
+  refreshes the lease's mtime on its poll cadence, and a lease is presumed
+  orphaned (and renamed back into ``tasks/``) only once that mtime has gone
+  untouched for ``lease_timeout_s`` -- so a slow cell on a live worker is
+  never stolen, while a dead worker's lease is reclaimed one timeout after
+  its last beat.  Stamps and reclaim's "now" both come from the
+  filesystem's clock (on NFS, the server's), never from a host's.
 * A finished cell becomes a *part-file*: ``parts/`` is a
   :class:`~repro.experiments.sweep.ResultCache` (:attr:`TaskQueue.parts`),
   so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
-  same reader and writer, code-aware the same way.  Workers also write
-  through the shared result cache (``<queue-dir>/cache`` by default), so a
-  later sweep over the same configs is served without re-simulating.
+  same reader and writer, code-aware the same way.  It is the only place a
+  queue writes results: ``repro serve <queue-dir>/parts`` serves them.
 * A cell that raises becomes a *failure marker* (``failed/<fp>.json``); the
   coordinating sweep surfaces it as an error instead of waiting forever.
 
@@ -132,7 +132,7 @@ class Task:
 
 
 class TaskQueue:
-    """The on-disk queue: four spool directories plus the shared cache."""
+    """The on-disk queue: four spool directories."""
 
     def __init__(
         self,
@@ -159,14 +159,14 @@ class TaskQueue:
     # Paths
     # ------------------------------------------------------------------
     @staticmethod
-    def _spool_path(directory: Path, fingerprint: str, suffix: str = ".json") -> Path:
-        """``directory/<fingerprint><suffix>``.  Anything but a config
+    def _spool_path(directory: Path, fingerprint: str) -> Path:
+        """``directory/<fingerprint>.json``.  Anything but a config
         fingerprint is refused: names reach here from spool directories and
         a manifest that other hosts write to, and a separator or ``..`` in
         one would name a file outside the queue directory."""
         if not is_fingerprint(fingerprint):
             raise ValueError(f"not a config fingerprint: {fingerprint!r}")
-        return directory / f"{fingerprint}{suffix}"
+        return directory / f"{fingerprint}.json"
 
     def task_path(self, fingerprint: str) -> Path:
         return self._spool_path(self.tasks_dir, fingerprint)
@@ -179,14 +179,6 @@ class TaskQueue:
 
     def failed_path(self, fingerprint: str) -> Path:
         return self._spool_path(self.failed_dir, fingerprint)
-
-    def heartbeat_path(self, fingerprint: str) -> Path:
-        """The lease's liveness file (``.hb`` so lease globs ignore it)."""
-        return self._spool_path(self.leases_dir, fingerprint, ".hb")
-
-    def default_cache(self) -> ResultCache:
-        """The cache workers share by default (``<queue-dir>/cache``)."""
-        return ResultCache(self.directory / "cache")
 
     # ------------------------------------------------------------------
     # Producing
@@ -247,13 +239,12 @@ class TaskQueue:
                 path.unlink(missing_ok=True)
                 continue
             lease = self.lease_path(fingerprint)
-            now = time.time()
             try:
                 # Refresh the mtime *before* the rename (which preserves
                 # it): orphan reclaim judges staleness by lease mtime, and
                 # a task that sat pending longer than the lease timeout
                 # must not be born already reclaim-eligible.
-                os.utime(path, (now, now))
+                os.utime(path)
                 path.rename(lease)
             except (FileNotFoundError, PermissionError):
                 continue  # another worker won the rename
@@ -285,26 +276,25 @@ class TaskQueue:
             # long-running cells get the full lease_timeout_s from here).
             _write_json_atomic(
                 lease,
-                {**payload, "worker": worker_id, "claimed_at": now},
+                {**payload, "worker": worker_id, "claimed_at": time.time()},
             )
             return task
         return None
 
     def heartbeat(self, task: Union[Task, str]) -> None:
-        """Touch the lease's heartbeat file: "I am alive and still on it".
+        """Refresh the lease's mtime: "I am alive and still on it".
 
         Workers call this on their poll cadence while a cell executes (see
         :func:`run_worker`), so :meth:`reclaim_orphans` can tell a slow cell
-        on a live worker from a lease whose holder died mid-cell.
+        on a live worker from a lease whose holder died mid-cell.  The stamp
+        is the filesystem's clock, not this host's.  A lease that is gone
+        stays gone: the beat creates no file.
         """
         fingerprint = task if isinstance(task, str) else task.fingerprint
-        path = self.heartbeat_path(fingerprint)
         try:
-            path.touch()
-            now = time.time()
-            os.utime(path, (now, now))
+            os.utime(self.lease_path(fingerprint))
         except OSError:
-            pass  # liveness signal only; never fail the cell over it
+            pass  # gone, or unwritable: never fail the cell over a beat
 
     def _append_manifest(self, fingerprint: str) -> None:
         """Append one completion line, durably (O_APPEND + fsync).
@@ -330,7 +320,6 @@ class TaskQueue:
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
             task.lease_path = None
-        self.heartbeat_path(task.fingerprint).unlink(missing_ok=True)
 
     def fail(self, task: Task, error: BaseException, worker_id: str = "?") -> None:
         """Record a cell failure so coordinators stop waiting for it."""
@@ -346,7 +335,6 @@ class TaskQueue:
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
             task.lease_path = None
-        self.heartbeat_path(task.fingerprint).unlink(missing_ok=True)
 
     def release(self, task: Task) -> None:
         """Return a leased task to the pending spool (interrupted worker)."""
@@ -357,18 +345,22 @@ class TaskQueue:
         except FileNotFoundError:
             pass
         task.lease_path = None
-        self.heartbeat_path(task.fingerprint).unlink(missing_ok=True)
 
     def reclaim_orphans(self, now: Optional[float] = None) -> List[str]:
         """Requeue every lease whose worker has stopped heartbeating.
 
         A worker that died (or lost its machine) leaves its lease behind;
         renaming it back into ``tasks/`` lets surviving workers pick the
-        cell up.  Staleness is judged on the *most recent* liveness signal
-        -- the lease file's own mtime or its heartbeat file's, whichever is
-        newer -- so a cell that runs longer than ``lease_timeout_s`` is
-        never stolen from a worker that is still beating, while a dead
-        worker's lease is reclaimed one timeout after its final beat.
+        cell up.  Staleness is judged on the lease's own mtime, which the
+        claim and every heartbeat refresh, so a cell that runs longer than
+        ``lease_timeout_s`` is never stolen from a worker that is still
+        beating, while a dead worker's lease is reclaimed one timeout after
+        its final beat.
+
+        Ages are read off one clock, the filesystem's: "now" is the mtime of
+        the leases directory, touched here (``now`` overrides it).  So a
+        host whose clock runs ahead never reclaims a live lease, and a
+        worker whose clock runs behind never looks dead.
 
         Safe to call from any participant: the rename is atomic, and a
         completed-after-reclaim duplicate execution writes a byte-identical
@@ -376,29 +368,22 @@ class TaskQueue:
         worst, never wrong.
         """
         if now is None:
-            now = time.time()
+            try:
+                os.utime(self.leases_dir)
+                now = self.leases_dir.stat().st_mtime
+            except OSError:
+                return []  # a spool this host cannot write: no rename would work
         reclaimed: List[str] = []
         for lease in sorted(self.leases_dir.glob("*.json")):
             fingerprint = lease.stem
             if not is_fingerprint(fingerprint):
                 continue  # not a lease this queue wrote
             try:
-                freshest = lease.stat().st_mtime
-            except FileNotFoundError:
-                continue
-            try:
-                beat = self.heartbeat_path(fingerprint).stat().st_mtime
-            except FileNotFoundError:
-                beat = None
-            if beat is not None:
-                freshest = max(freshest, beat)
-            if now - freshest < self.lease_timeout_s:
-                continue
-            try:
+                if now - lease.stat().st_mtime < self.lease_timeout_s:
+                    continue
                 lease.rename(self.task_path(fingerprint))
             except FileNotFoundError:
                 continue
-            self.heartbeat_path(fingerprint).unlink(missing_ok=True)
             reclaimed.append(fingerprint)
         return reclaimed
 
@@ -500,15 +485,13 @@ def default_worker_id() -> str:
 
 @contextmanager
 def _heartbeating(queue: TaskQueue, task: Task, interval_s: float):
-    """Touch the task's heartbeat on a cadence while the body executes.
+    """Refresh the task's lease on a cadence while the body executes.
 
     The beat runs on a daemon thread so a cell that outlives
     ``lease_timeout_s`` keeps signalling liveness; the lease is then only
     reclaimable once the worker actually dies (thread and process die
-    together).  The first beat lands before the cell starts, so a lease is
-    never observable without a fresh heartbeat.
+    together).  The claim's own rewrite of the lease is the first beat.
     """
-    queue.heartbeat(task)
     stop = threading.Event()
 
     def beat() -> None:
@@ -524,29 +507,17 @@ def _heartbeating(queue: TaskQueue, task: Task, interval_s: float):
         thread.join(timeout=interval_s + 1.0)
 
 
-def _run_task(
-    queue: TaskQueue,
-    task: Task,
-    cache: ResultCache,
-    worker_id: str,
-    heartbeat_s: float,
-) -> None:
+def _run_task(queue: TaskQueue, task: Task, worker_id: str, heartbeat_s: float) -> None:
     """Run one leased task and settle its lease.
 
-    The cell is served from the shared cache (a hit simulates nothing) or
-    simulated and written back, with the lease heartbeating every
-    ``heartbeat_s`` meanwhile; then its part is published.  A cell that
+    The cell is simulated with the lease heartbeating every ``heartbeat_s``;
+    then its part is published, the one write of its row.  A cell that
     raises is recorded as a failure marker and the error re-raised;
     ``KeyboardInterrupt`` returns the task to the pending spool first.
     """
     try:
         with _heartbeating(queue, task, heartbeat_s):
-            row = cache.get(task.config)
-            if row is None:
-                row = _run_cell((task.label, task.config))
-                cache.put(row)
-            else:
-                row = _rebind_row(row, task.label, task.config.name)
+            row = _run_cell((task.label, task.config))
     except KeyboardInterrupt:
         queue.release(task)
         raise
@@ -558,7 +529,6 @@ def _run_task(
 
 def run_worker(
     queue: Union[TaskQueue, str, Path],
-    cache: Optional[Union[ResultCache, str, Path]] = None,
     *,
     worker_id: Optional[str] = None,
     poll_interval_s: float = 0.5,
@@ -570,8 +540,7 @@ def run_worker(
     This is what ``python -m repro worker <queue-dir>`` runs.  The loop:
 
     1. claim the next task (atomic rename);
-    2. serve it from the shared cache, or simulate and write the cache back
-       -- touching the lease's heartbeat file every ``poll_interval_s``
+    2. simulate it, refreshing the lease's mtime every ``poll_interval_s``
        while the cell runs, so ``--lease-timeout`` measures *silence since
        the last heartbeat*, not cell duration: a cell may legitimately run
        far longer than the lease timeout without being stolen;
@@ -592,14 +561,9 @@ def run_worker(
     the worker with the lease still held, for reclaim to requeue.
     ``KeyboardInterrupt`` releases the in-flight task back to the pending
     spool before propagating, so nothing is lost to a Ctrl-C.
-    ``cache=None`` selects the queue's default ``<queue-dir>/cache``.
     """
     if not isinstance(queue, TaskQueue):
         queue = TaskQueue(queue)
-    if cache is None:
-        cache = queue.default_cache()
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
     if worker_id is None:
         worker_id = default_worker_id()
     import_plugins()
@@ -620,7 +584,7 @@ def run_worker(
             continue
         idle_polls = 0
         try:
-            _run_task(queue, task, cache, worker_id, poll_interval_s)
+            _run_task(queue, task, worker_id, poll_interval_s)
         except Exception:
             if task.lease_path is not None:
                 raise  # not the cell: the lease could not be settled
@@ -667,18 +631,11 @@ class QueueBackend:
         poll_interval_s: float = 0.2,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         wait_timeout_s: Optional[float] = None,
-        cache: Optional[Union[ResultCache, str, Path]] = None,
     ) -> None:
         self.queue = TaskQueue(queue_dir, lease_timeout_s=lease_timeout_s)
         self.workers = int(workers) if workers else 0
         self.poll_interval_s = poll_interval_s
         self.wait_timeout_s = wait_timeout_s
-        if cache is None:
-            self.worker_cache = self.queue.default_cache()
-        elif isinstance(cache, ResultCache):
-            self.worker_cache = cache
-        else:
-            self.worker_cache = ResultCache(cache)
         self._worker_id = f"coordinator-{default_worker_id()}"
 
     # ------------------------------------------------------------------
@@ -709,7 +666,6 @@ class QueueBackend:
                         sys.executable, "-m", "repro", "worker",
                         str(self.queue.directory),
                         "--drain",
-                        "--cache", str(self.worker_cache.directory),
                         "--poll", str(self.poll_interval_s),
                         "--lease-timeout", str(self.queue.lease_timeout_s),
                     ],
@@ -798,10 +754,7 @@ class QueueBackend:
                                 RuntimeWarning,
                                 stacklevel=3,
                             )
-                        _run_task(
-                            queue, task, self.worker_cache, self._worker_id,
-                            self.poll_interval_s,
-                        )
+                        _run_task(queue, task, self._worker_id, self.poll_interval_s)
                         progressed = True
 
                 if not progressed and queue.drained():

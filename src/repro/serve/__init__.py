@@ -20,12 +20,13 @@ def add_serve_arguments(parser) -> None:
     ``python -m repro.serve`` (one definition, two entry points)."""
     parser.add_argument(
         "cache_dir",
-        help="warm sweep-cache directory to serve (ResultRow JSON files)",
+        help="warm sweep-cache directory to serve (ResultRow JSON files; "
+             "a queue sweep's is <queue-dir>/parts)",
     )
     parser.add_argument(
         "--queue-dir", default=None, metavar="DIR",
-        help="work-queue directory to tail for /follow streams "
-             "(the sweep's --queue-dir)",
+        help="work-queue directory to tail for /follow streams, and "
+             "for nothing else (the sweep's --queue-dir)",
     )
     parser.add_argument(
         "--port", type=int, default=DEFAULT_PORT, metavar="N",

@@ -33,7 +33,7 @@ Consistency contract
 * **Zero simulation.**  The service never imports (let alone calls)
   :func:`~repro.experiments.runner.run_experiment` or the engine
   (``tests/test_import_graph.py`` holds it to that); every byte served
-  comes from cache/part files and in-process aggregation.
+  comes from cache files and in-process aggregation.
 * **Code-aware invalidation.**  Rows record the source-tree fingerprint
   that produced them.  A row written by a *different* tree is never served
   as current: ``/cells`` answers **409 Conflict**, aggregates exclude such
@@ -75,7 +75,6 @@ from typing import (
 )
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.experiments.queue import TaskQueue
 from repro.experiments.spec import ScenarioSpec
 from repro.experiments.sweep import (
     CacheEntry, FileKey, ResultCache, code_fingerprint, is_fingerprint,
@@ -87,6 +86,7 @@ from repro.serve import DEFAULT_PORT, add_serve_arguments
 from repro.serve.catalog import catalog_entries, format_catalog, registered_scenarios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.queue import TaskQueue
     from repro.experiments.results import ResultRow
 
 __all__ = [
@@ -195,9 +195,13 @@ class ResultsService:
         self.cache_dir = str(cache_dir)
         self.code_aware = code_aware
         self.cache = ResultCache(cache_dir, code_aware=code_aware)
-        #: Its part-files are cache entries too (``queue.parts``), so
-        #: ``/cells`` can serve parts not yet in the cache.
-        self.queue = TaskQueue(queue_dir) if queue_dir is not None else None
+        #: Feeds ``/follow`` alone; every other route reads ``cache_dir``
+        #: (a queue sweep's rows are served from ``<queue-dir>/parts``).
+        self.queue: Optional[TaskQueue] = None
+        if queue_dir is not None:
+            from repro.experiments.queue import TaskQueue
+
+            self.queue = TaskQueue(queue_dir)
         self._lock = threading.Lock()
         #: The warm store: the cache state, ``(cache signature, code
         #: fingerprint)``, and what was built under it -- the one scan,
@@ -531,16 +535,18 @@ class ResultsService:
             raise ServiceError(404, f"{fingerprint!r} is not a config fingerprint")
         key = self.cache.file_key(fingerprint)
         version = self._version(key) if key is not None else None
-        if version is not None and version.entry.row is not None:
-            self._refuse_stale(version.entry)
-            if version.body is None:
-                version.body = _cell_body(version.entry, "cache")
-            return version.body
-        part = self.queue.parts.load_entry(fingerprint) if self.queue is not None else None
-        if part is None or part.row is None:
+        if version is None or version.entry.row is None:
             raise ServiceError(404, f"no cached row for fingerprint {fingerprint!r}")
-        self._refuse_stale(part)
-        return _cell_body(part, "queue-part")
+        self._refuse_stale(version.entry)
+        if version.body is None:
+            entry = version.entry
+            version.body = _json_body({
+                "fingerprint": entry.fingerprint,
+                "source": "cache",
+                "code": entry.code,
+                "row": entry.row.to_dict(),
+            })
+        return version.body
 
     def _refuse_stale(self, entry: CacheEntry) -> None:
         if self.code_aware and entry.stale_code:
@@ -552,15 +558,6 @@ class ResultsService:
                 row_code=entry.code,
                 serving_code=code_fingerprint(),
             )
-
-
-def _cell_body(entry: CacheEntry, source: str) -> bytes:
-    return _json_body({
-        "fingerprint": entry.fingerprint,
-        "source": source,
-        "code": entry.code,
-        "row": entry.row.to_dict(),
-    })
 
 
 # ---------------------------------------------------------------------------

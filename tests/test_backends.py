@@ -464,17 +464,31 @@ class TestTaskQueue:
 
 
 class TestRunWorker:
-    def test_drains_queue_and_writes_parts_and_cache(self, tmp_path):
+    def test_drains_queue_and_writes_each_part_once(self, tmp_path, monkeypatch):
         queue = TaskQueue(tmp_path / "q")
         configs = tiny_cells(3)
         for label, config in configs.items():
             queue.enqueue(label, config)
+        writes = []
+        put = ResultCache.put
+
+        def counting_put(cache, row):
+            writes.append((cache.directory, row.fingerprint))
+            put(cache, row)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
         executed = run_worker(queue, drain=True)
         assert executed == 3
         assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 3, "failed": 0}
-        # The shared cache was written through: a plain cached sweep over the
-        # same configs simulates nothing.
-        again = run_sweep(configs, workers=1, cache=queue.default_cache())
+        # One write per finished cell, into parts/ and nowhere else.
+        assert sorted(writes) == sorted(
+            (queue.parts_dir, config.fingerprint()) for config in configs.values()
+        )
+        assert sorted(path.name for path in queue.directory.iterdir()) == [
+            "failed", "leases", "parts", "tasks",
+        ]
+        # parts/ is a sweep cache: a plain sweep reading it simulates nothing.
+        again = run_sweep(configs, workers=1, cache=queue.parts)
         assert again.cache_hits == 3 and again.runs_executed == 0
 
     def test_max_tasks_interrupts_mid_queue(self, tmp_path):
@@ -731,8 +745,8 @@ class TestQueueBackend:
     def test_uses_shared_cache_before_simulating(self, tmp_path):
         queue_dir = tmp_path / "q"
         configs = tiny_cells(2)
-        # Warm the queue's default cache directly.
-        warm = run_sweep(configs, workers=1, cache=ResultCache(queue_dir / "cache"))
+        # Warm the queue's parts directly: they are a sweep cache.
+        warm = run_sweep(configs, workers=1, cache=TaskQueue(queue_dir).parts)
         backend = QueueBackend(queue_dir, wait_timeout_s=60)
 
         def boom(config):
@@ -825,34 +839,37 @@ class TestWorkerCli:
 
 
 class TestHeartbeats:
+    """The lease is its own heartbeat: a beat refreshes the lease's mtime."""
+
     def test_fresh_heartbeat_blocks_reclaim_of_an_old_lease(self, tmp_path):
-        # A worker stuck in one very slow cell keeps heartbeating even though
-        # its lease mtime is ancient: the lease must never be stolen while
-        # the heartbeat is fresh, however old the lease itself looks.
+        # A worker stuck in one very slow cell keeps heartbeating: the beat
+        # refreshes the lease's mtime, so the lease is never stolen while
+        # its worker beats, however long ago it was claimed.
         queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
         config = tiny_config()
         queue.enqueue("cell", config)
         task = queue.claim("slow-worker")
+        lease = queue.lease_path(config.fingerprint())
         stale = time.time() - 3600.0
-        os.utime(queue.lease_path(config.fingerprint()), (stale, stale))
+        os.utime(lease, (stale, stale))
         queue.heartbeat(task)
+        assert time.time() - lease.stat().st_mtime < 5.0
         assert queue.reclaim_orphans() == []
-        # Only once the heartbeat too has gone silent is the worker presumed
-        # dead and the task requeued (and its heartbeat file cleared).
-        os.utime(queue.heartbeat_path(config.fingerprint()), (stale, stale))
+        # Only once the beats have gone silent is the worker presumed dead
+        # and the task requeued.
+        os.utime(lease, (stale, stale))
         assert queue.reclaim_orphans() == [config.fingerprint()]
-        assert not queue.heartbeat_path(config.fingerprint()).exists()
         assert queue.claim("w2") is not None
 
     def test_complete_clears_the_heartbeat(self, tmp_path):
+        # A beat after the lease is gone creates no file.
         queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         queue.enqueue("cell", config)
         task = queue.claim("w1")
-        queue.heartbeat(task)
-        assert queue.heartbeat_path(config.fingerprint()).exists()
         queue.complete(task, run_sweep({"cell": config}, workers=1)["cell"])
-        assert not queue.heartbeat_path(config.fingerprint()).exists()
+        queue.heartbeat(config.fingerprint())
+        assert list(queue.leases_dir.iterdir()) == []
 
     def test_heartbeating_context_keeps_touching_the_file(self, tmp_path):
         from repro.experiments.queue import _heartbeating
@@ -861,20 +878,61 @@ class TestHeartbeats:
         config = tiny_config()
         queue.enqueue("cell", config)
         task = queue.claim("w1")
-        heartbeat = queue.heartbeat_path(task.fingerprint)
+        lease = queue.lease_path(task.fingerprint)
         with _heartbeating(queue, task, 0.05):
-            first = heartbeat.stat().st_mtime
+            first = lease.stat().st_mtime
             deadline = time.time() + 5.0
-            while heartbeat.stat().st_mtime == first and time.time() < deadline:
+            while lease.stat().st_mtime == first and time.time() < deadline:
                 time.sleep(0.02)
-            assert heartbeat.stat().st_mtime > first
+            assert lease.stat().st_mtime > first
 
     def test_drained_worker_leaves_no_heartbeat_files(self, tmp_path):
         queue = TaskQueue(tmp_path / "q")
         for label, config in tiny_cells(2).items():
             queue.enqueue(label, config)
         run_worker(queue, drain=True)
-        assert list(queue.leases_dir.glob("*.hb")) == []
+        assert list(queue.leases_dir.iterdir()) == []
+        assert not (queue.directory / "cache").exists()
+
+
+class TestSkewedClocks:
+    """Reclaim reads one clock, the filesystem's: a host whose own clock is
+    off by two lease timeouts neither steals a live lease nor loses its own."""
+
+    TIMEOUT_S = 60.0
+
+    def skew(self, monkeypatch, seconds):
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + seconds)
+
+    def test_a_clock_ahead_does_not_reclaim_a_live_lease(self, tmp_path, monkeypatch):
+        queue = TaskQueue(tmp_path / "q", lease_timeout_s=self.TIMEOUT_S)
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        task = queue.claim("live-worker")
+        queue.heartbeat(task)
+        with monkeypatch.context() as patched:
+            self.skew(patched, 2 * self.TIMEOUT_S)
+            assert queue.reclaim_orphans() == []
+        assert queue.lease_path(config.fingerprint()).exists()
+
+    def test_a_worker_with_a_clock_behind_keeps_its_lease(self, tmp_path, monkeypatch):
+        queue = TaskQueue(tmp_path / "q", lease_timeout_s=self.TIMEOUT_S)
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        lease = queue.lease_path(config.fingerprint())
+        with monkeypatch.context() as patched:
+            self.skew(patched, -2 * self.TIMEOUT_S)
+            task = queue.claim("slow-clock-worker")
+        # Its cell has run for two timeouts since the claim...
+        claimed = time.time() - 2 * self.TIMEOUT_S
+        os.utime(lease, (claimed, claimed))
+        # ...and it has beaten all along, by its own clock.
+        with monkeypatch.context() as patched:
+            self.skew(patched, -2 * self.TIMEOUT_S)
+            queue.heartbeat(task)
+        assert queue.reclaim_orphans() == []
+        assert lease.exists()
 
 
 class TestPartsManifest:
@@ -1032,7 +1090,7 @@ class TestPartsManifest:
         for label, config in replicas.items():
             queue.enqueue(label, config)
         run_worker(queue, drain=True)
-        service = ResultsService(str(directory / "cache"), queue_dir=str(directory))
+        service = ResultsService(str(directory / "parts"), queue_dir=str(directory))
         events = list(follow_scenario(service, spec, poll_interval_s=0.01, **follow_kwargs))
         return events, sorted(config.fingerprint() for config in replicas.values())
 
@@ -1072,7 +1130,7 @@ class TestSpoolNamesAreFingerprints:
         queue = TaskQueue(tmp_path / "q")
         for helper in (
             queue.task_path, queue.lease_path, queue.part_path,
-            queue.failed_path, queue.heartbeat_path,
+            queue.failed_path,
         ):
             with pytest.raises(ValueError, match="not a config fingerprint"):
                 helper(name)

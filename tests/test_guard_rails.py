@@ -86,6 +86,16 @@ RULES = (
          "_execute_task(task)", "def forget(self, name):"),
     ),
     Rule(
+        "one-store-per-queue",
+        r"heartbeat_path|default_cache|worker_cache|\.hb\b",
+        NOT_BENCHMARKS,
+        "parts/ is the only place a queue writes results and the lease is its own "
+        "heartbeat: the workers' second result cache (<queue-dir>/cache, worker "
+        "--cache) and the leases/*.hb liveness files were deleted",
+        ("queue.heartbeat_path(fp)", "queue.default_cache()", "self.worker_cache",
+         "leases/<fp>.hb"),
+    ),
+    Rule(
         "one-way-to-run-a-sweep",
         r"EXECUTION_BACKENDS|register_execution_backend|ExecutionBackend|resolve_backend"
         r"|SerialBackend|ProcessBackend|aggregate_partial|experiments\.backends|--backend",

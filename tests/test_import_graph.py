@@ -139,6 +139,16 @@ class TestReadPathsLoadNoSimulator:
         """)
         assert not {"repro.experiments.runner", "repro.sim.engine"} & set(report["modules"])
 
+    def test_service_without_a_queue_loads_no_queue_module(self, tmp_path):
+        # ``--queue-dir`` feeds only ``/follow``; a service without one has
+        # no use for the queue.
+        report = modules_after(f"""
+            from repro.serve.server import ResultsService
+            ResultsService({str(tmp_path)!r})
+            report = {{}}
+        """)
+        assert "repro.experiments.queue" not in report["modules"]
+
 
 class TestConfigImportsItsTypesWhereItUsesThem:
     def test_coercions_and_switch_config_from_the_config_module_alone(self):

@@ -356,6 +356,29 @@ class TestCli:
         assert done.stderr.splitlines()[-1] == f"error: {message}"
         assert not cache.exists() or not any(cache.rglob("*"))
 
+    def test_a_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        # ``repro run fig1 | head -1``: the reader is gone before the output
+        # is written.  Here the read end is closed before the child starts.
+        import os
+        import subprocess
+        import sys
+
+        run = ["run", "fig1", "--quick", "--flows", "12", "--workers", "1",
+               "--cache", str(tmp_path / "cache")]
+        warm = subprocess.run([sys.executable, "-m", "repro", *run],
+                              capture_output=True, text=True, timeout=300)
+        assert warm.returncode == 0, warm.stderr
+        for argv in (["list"], run):  # the second run is fully cached
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                      stdout=write_end, stderr=subprocess.PIPE,
+                                      timeout=300)
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr.decode()) == (0, ""), argv
+
     def test_list_names_every_scenario(self, capsys):
         from repro.__main__ import main
 

@@ -516,11 +516,12 @@ def cell_answer(service, fingerprint):
 class TestCellBodies:
     """A cache file's ``/cells`` body is encoded once per file version: after
     any move of the file or of the code the next answer is a fresh
-    service's, and a warm one reads no file."""
+    service's, and a warm one reads no file.  ``/cells`` and ``/aggregate``
+    read one directory, so they agree on which rows exist."""
 
     @pytest.mark.parametrize("move,status", [
         ("put", 200), ("utime", 200), ("keep-mtime", 200), ("delete", 404),
-        ("code", 409), ("any-code", 200), ("queue-part", 200),
+        ("code", 409), ("any-code", 200), ("queue-part-only", 404),
     ])
     def test_a_moved_cell_answers_as_a_fresh_service(
         self, private, tmp_path, monkeypatch, move, status
@@ -553,10 +554,17 @@ class TestCellBodies:
         fresh = ResultsService(service.cache_dir, **options)
         assert after == cell_answer(fresh, victim.fingerprint)
         assert after[0] == status
-        if move in ("put", "keep-mtime", "queue-part"):
+        if move in ("put", "keep-mtime"):
             assert b"98.75" in after[1]
-        if move == "queue-part":
-            assert json.loads(after[1])["source"] == "queue-part"
+        if status != 409:
+            replicas = sum(
+                record["replicas"]
+                for record in service.aggregate("serve_tiny")["records"]
+            )
+            stored = [entry.fingerprint for entry in cache.scan()]
+            served = [fp for fp in stored if cell_answer(service, fp)[0] == 200]
+            assert replicas == len(served) == len(stored)
+            assert (victim.fingerprint in served) is (status == 200)
 
     def test_a_warm_cell_reads_no_file(self, private, reads):
         service, cache = private
@@ -777,7 +785,7 @@ class TestFollow:
             worker.start()
 
         service = ResultsService(
-            str(tmp_path / "q" / "cache"), queue_dir=str(tmp_path / "q")
+            str(tmp_path / "q" / "parts"), queue_dir=str(tmp_path / "q")
         )
         events = list(follow_scenario(
             service, SPEC, poll_interval_s=0.05, timeout_s=120.0,
@@ -802,7 +810,7 @@ class TestFollow:
     def test_http_sse_stream_over_live_drain(self, tmp_path):
         queue, configs = self._spooled_queue(tmp_path)
         srv = make_server(
-            str(tmp_path / "q" / "cache"),
+            str(tmp_path / "q" / "parts"),
             queue_dir=str(tmp_path / "q"),
             port=0,
             quiet=True,
