@@ -8,12 +8,16 @@ CI runs this to prove the multi-machine recipe end to end on Figure 1:
    directory, streaming partial aggregates as part-files land;
 3. assert the streamed sweep saw partial progress before completion and that
    its final ``aggregate_rows`` output -- fingerprints, pooled digest tails
-   and all -- is identical to the serial run.
+   and all -- is identical to the serial run;
+4. assert the drained queue directory's layout: ``tasks/`` and ``leases/``
+   are empty, and ``parts/`` holds exactly one ``<fingerprint>.json`` per
+   cell and nothing else.
 
 With ``--resume`` (pointed at a queue directory a previous invocation
 populated) it instead proves the durability story: the coordinator must
 serve every cell from the part-files already on disk without simulating
-anything -- ``run_experiment`` is replaced with a tripwire for the duration.
+anything -- ``run_experiment`` is replaced with a tripwire for the duration
+-- and leave the same layout behind.
 
 Usage::
 
@@ -24,11 +28,27 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from pathlib import Path
 
 from repro.api import QueueBackend, load_scenario
 
 SCENARIO = "fig1"
 FLOWS = 30  # enough traffic for non-trivial tails, small enough for CI
+
+
+def layout_failures(queue_dir, rows) -> list:
+    """What the drained queue directory holds that it should not."""
+    root = Path(queue_dir)
+    failures = []
+    for spool in ("tasks", "leases"):
+        left = sorted(path.name for path in (root / spool).iterdir())
+        if left:
+            failures.append(f"{spool}/ is not empty: {left}")
+    held = sorted(path.name for path in (root / "parts").iterdir())
+    expected = sorted({f"{row.fingerprint}.json" for row in rows.values()})
+    if held != expected:
+        failures.append(f"parts/ holds {held}, expected one part per cell: {expected}")
+    return failures
 
 
 def main() -> int:
@@ -56,8 +76,12 @@ def main() -> int:
         if resumed.rows != serial.rows or spec.aggregate(resumed) != serial_agg:
             print("FAILED: resumed rows/aggregates differ from serial")
             return 1
+        failures = layout_failures(queue_dir, resumed.rows)
+        if failures:
+            print("FAILED:\n  - " + "\n  - ".join(failures))
+            return 1
         print(f"OK: all {len(resumed.rows)} rows resumed from durable parts, "
-              "zero simulations.")
+              "zero simulations; one part per cell, no task or lease.")
         return 0
 
     print(f"== queue backend: 2 workers draining {queue_dir} ==")
@@ -91,6 +115,7 @@ def main() -> int:
         failures.append("fingerprints differ")
     if queued_agg != serial_agg:
         failures.append(f"aggregates differ:\n  serial: {serial_agg}\n  queue:  {queued_agg}")
+    failures += layout_failures(queue_dir, queued.rows)
 
     if failures:
         print("FAILED:")
@@ -99,7 +124,8 @@ def main() -> int:
         return 1
 
     print(f"OK: {len(queued.rows)} rows via 2 queue workers; streamed aggregate "
-          f"matches the serial run exactly ({len(queued_agg)} cells).")
+          f"matches the serial run exactly ({len(queued_agg)} cells); the drained "
+          "queue dir holds one part per cell and no task or lease.")
     return 0
 
 

@@ -33,20 +33,15 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
   same reader and writer, code-aware the same way.  It is the only place a
   queue writes results: ``repro serve <queue-dir>/parts`` serves them.
+* The part file is the completion signal.  :meth:`TaskQueue.complete`
+  writes it before it drops the lease, so a part is on disk before its
+  lease or task goes, and pollers -- the coordinator below, and the
+  ``repro serve`` follow stream -- find parts by listing ``parts/``
+  (:meth:`~repro.experiments.sweep.ResultCache.fingerprints`).  A worker
+  that dies between its part and its lease's removal leaves the lease to
+  be reclaimed, and the claim that follows retires the task on sight.
 * A cell that raises becomes a *failure marker* (``failed/<fp>.json``); the
   coordinating sweep surfaces it as an error instead of waiting forever.
-
-* Every valid part is announced by a line in the append-only, fsync'd
-  ``parts/MANIFEST`` (one fingerprint per line), and pollers -- the
-  coordinator below, and the ``repro serve`` follow stream -- tail that one
-  file (:class:`PartsTail`) and never scan the parts directory.
-  :meth:`TaskQueue.complete` appends the line before it drops the lease; a
-  worker that dies between the part and the line (or whose append fails)
-  leaves its lease behind, and once that lease is reclaimed the claim that
-  retires the task on sight appends the line.  So on a local filesystem a
-  spool with no tasks and no leases has announced every part.  On NFS a
-  line can still be lost (:meth:`TaskQueue.drained`), so once the spool
-  drains the coordinator reads the parts it still awaits by name.
 
 The coordinator (:class:`QueueBackend`) streams parts as they land into the
 sweep's progress/partial-aggregation layer and resumes from whatever parts a
@@ -83,7 +78,6 @@ from repro.experiments.sweep import (
 )
 
 __all__ = [
-    "PartsTail",
     "QueueBackend",
     "Task",
     "TaskQueue",
@@ -149,9 +143,6 @@ class TaskQueue:
         #: The part-files, read and written as sweep-cache entries.
         self.parts = ResultCache(self.parts_dir)
         self.failed_dir = self.directory / "failed"
-        #: Append-only completion log, one fingerprint per line: the only
-        #: completion signal pollers read (see :class:`PartsTail`).
-        self.manifest_path = self.parts_dir / "MANIFEST"
         for sub in (self.tasks_dir, self.leases_dir, self.failed_dir):
             sub.mkdir(parents=True, exist_ok=True)
 
@@ -161,9 +152,9 @@ class TaskQueue:
     @staticmethod
     def _spool_path(directory: Path, fingerprint: str) -> Path:
         """``directory/<fingerprint>.json``.  Anything but a config
-        fingerprint is refused: names reach here from spool directories and
-        a manifest that other hosts write to, and a separator or ``..`` in
-        one would name a file outside the queue directory."""
+        fingerprint is refused: names reach here from spool directories
+        that other hosts write to, and a separator or ``..`` in one would
+        name a file outside the queue directory."""
         if not is_fingerprint(fingerprint):
             raise ValueError(f"not a config fingerprint: {fingerprint!r}")
         return directory / f"{fingerprint}.json"
@@ -221,21 +212,15 @@ class TaskQueue:
         race for the same task exactly one rename succeeds and the others
         simply move on to the next file.  Tasks whose *valid* part-file
         already exists (a reclaimed lease whose original worker finished
-        after all, or died before announcing its part) are retired on sight
-        instead of re-run, and their manifest line is appended first (if the
-        append fails, the task stays pending for a later claim to retire); a
-        part that no longer reads (different source tree) does not retire
-        its task -- completing the task overwrites it.
+        after all, or died before dropping its lease) are retired on sight
+        instead of re-run; a part that no longer reads (different source
+        tree) does not retire its task -- completing the task overwrites it.
         """
         for path in sorted(self.tasks_dir.glob("*.json")):
             fingerprint = path.stem
             if not is_fingerprint(fingerprint):
                 continue  # not a task this queue wrote
             if self.part_row(fingerprint) is not None:
-                try:
-                    self._append_manifest(fingerprint)
-                except OSError:
-                    continue  # full disk, read-only spool: retire it later
                 path.unlink(missing_ok=True)
                 continue
             lease = self.lease_path(fingerprint)
@@ -296,27 +281,12 @@ class TaskQueue:
         except OSError:
             pass  # gone, or unwritable: never fail the cell over a beat
 
-    def _append_manifest(self, fingerprint: str) -> None:
-        """Append one completion line, durably (O_APPEND + fsync).
-
-        Single-line appends are atomic on a local POSIX filesystem, so
-        concurrent workers interleave whole lines; duplicate lines (a cell
-        completed twice after an over-eager reclaim) are fine -- readers
-        de-duplicate.  NFS does not make appends from several hosts atomic,
-        so there a line can be lost (see :meth:`TaskQueue.drained`).
-        ``OSError`` (full disk, read-only spool) propagates.
-        """
-        with open(self.manifest_path, "a", encoding="ascii") as handle:
-            handle.write(f"{fingerprint}\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def complete(self, task: Task, row: ResultRow) -> None:
-        """Publish ``row`` as the task's durable part-file, announce it in the
-        manifest, and drop the lease -- in that order, so a failure to
-        announce leaves the lease to be reclaimed and retired on sight."""
+        """Publish ``row`` as the task's durable part-file, then drop the
+        lease -- in that order, so a part that cannot be written (full disk,
+        read-only spool) raises with the lease still held, for reclaim to
+        requeue."""
         self.parts.put(row)
-        self._append_manifest(task.fingerprint)
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
             task.lease_path = None
@@ -419,60 +389,9 @@ class TaskQueue:
         return {
             "tasks": sum(1 for _ in self.tasks_dir.glob("*.json")),
             "leases": sum(1 for _ in self.leases_dir.glob("*.json")),
-            "parts": sum(1 for _ in self.parts_dir.glob("*.json")),
+            "parts": len(self.parts),
             "failed": sum(1 for _ in self.failed_dir.glob("*.json")),
         }
-
-    def drained(self) -> bool:
-        """No task pending and no lease held.
-
-        Every part is written before its lease or task goes, so a drained
-        spool's parts all read by name.  Their manifest lines are not
-        guaranteed: NFS loses concurrent appends from several hosts, and a
-        client can cache a part as missing when its line arrives.  So a
-        poller that knows which fingerprints it awaits reads those parts
-        directly once the spool drains, instead of waiting for lines.
-        """
-        return not any(self.tasks_dir.glob("*.json")) and not any(
-            self.leases_dir.glob("*.json")
-        )
-
-
-class PartsTail:
-    """Discover completed parts by tailing ``parts/MANIFEST``.
-
-    Each :meth:`poll` reads only the lines appended since the previous one
-    -- O(completions since the last poll), however large the sweep -- and
-    never lists the parts directory.
-
-    A line is reported as often as it was appended (a cell completed twice,
-    or a stale part rewritten, appends twice); callers de-duplicate.  Only
-    fingerprints are reported, so a foreign manifest line never reaches the
-    path helpers.  A line glued onto the fragment a failed append left
-    behind still reports its fingerprint, the line's last 64 characters.
-    Lines lost on NFS are not reported (see :meth:`TaskQueue.drained`).
-    """
-
-    def __init__(self, queue: TaskQueue) -> None:
-        self.queue = queue
-        self._offset = 0
-
-    def poll(self) -> List[str]:
-        """Fingerprints on the whole lines appended since the last poll, in
-        order; a torn trailing line (an append caught mid-write) waits for
-        the next poll."""
-        try:
-            with open(self.queue.manifest_path, "rb") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
-        except OSError:
-            return []
-        head, newline, _partial = chunk.rpartition(b"\n")
-        if not newline:
-            return []
-        self._offset += len(head) + 1
-        lines = (line.strip()[-64:] for line in head.decode("ascii", "replace").split("\n"))
-        return [line for line in lines if is_fingerprint(line)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +463,8 @@ def run_worker(
        while the cell runs, so ``--lease-timeout`` measures *silence since
        the last heartbeat*, not cell duration: a cell may legitimately run
        far longer than the lease timeout without being stolen;
-    3. publish the durable part-file (and its fsync'd ``parts/MANIFEST``
-       line) and drop the lease;
+    3. publish the durable part-file -- the cell's completion signal --
+       and drop the lease;
     4. on an idle queue, reclaim orphaned leases, then either exit (with
        ``drain=True``, once no pending tasks remain) or sleep and re-poll --
        a long-lived worker keeps serving sweeps as coordinators spool them.
@@ -618,7 +537,7 @@ class QueueBackend:
         by external workers -- so a bare ``QueueBackend(dir)`` works
         standalone and speeds up the moment extra machines join.
     poll_interval_s / lease_timeout_s / wait_timeout_s:
-        Manifest poll cadence, orphan-lease threshold, and an optional hard
+        Parts-listing poll cadence, orphan-lease threshold, and an optional hard
         bound on how long to wait without any progress (``None`` = forever;
         useful for unattended CI).
     """
@@ -695,15 +614,14 @@ class QueueBackend:
             by_fp.setdefault(config.fingerprint(), []).append((label, config))
         outstanding = set(by_fp)
 
-        def collect(fingerprints: List[str]) -> bool:
-            """Deliver each outstanding fingerprint whose part reads."""
+        def collect() -> bool:
+            """Deliver each outstanding cell whose part is listed in
+            ``parts/`` and reads; one listing per call."""
             found = False
-            for fingerprint in fingerprints:
-                if fingerprint not in outstanding:
-                    continue  # another sweep's part, or a duplicate line
+            for fingerprint in sorted(outstanding.intersection(queue.parts.fingerprints())):
                 row = queue.part_row(fingerprint)
                 if row is None:
-                    continue  # stale code, or not visible here yet
+                    continue  # stale code, or not readable here yet: next poll
                 self._deliver(row, by_fp[fingerprint], on_result)
                 outstanding.discard(fingerprint)
                 found = True
@@ -711,7 +629,7 @@ class QueueBackend:
 
         # Resume-from-parts: an interrupted sweep left durable rows behind;
         # serve them before spooling anything.
-        collect(sorted(outstanding))
+        collect()
 
         # A previous coordinator's crash may also have left stale leases.
         queue.reclaim_orphans()
@@ -721,11 +639,10 @@ class QueueBackend:
 
         procs = self._spawn_workers() if (self.workers and outstanding) else []
         warned = False
-        tail = PartsTail(queue)
         last_progress = time.monotonic()
         try:
             while outstanding:
-                progressed = collect(tail.poll())
+                progressed = collect()
                 if not outstanding:
                     break
 
@@ -757,10 +674,6 @@ class QueueBackend:
                         _run_task(queue, task, self._worker_id, self.poll_interval_s)
                         progressed = True
 
-                if not progressed and queue.drained():
-                    # The lines of the parts still awaited were lost or read
-                    # too early (see TaskQueue.drained): read them directly.
-                    progressed = collect(sorted(outstanding))
                 if progressed:
                     last_progress = time.monotonic()
                     continue

@@ -309,13 +309,24 @@ class ResultCache:
         Stale-code and corrupt entries are included (``stale_code`` /
         ``row is None``), so callers can count and report them instead of
         silently skipping -- the results service turns stale entries into
-        HTTP 409s rather than pretending they do not exist.  A file not
-        named ``<fingerprint>.json`` is no entry (:meth:`load_entry` does
-        not name it either), so the report CLI and the service agree.
+        HTTP 409s rather than pretending they do not exist.
         """
-        for path in sorted(self.directory.glob("*.json")):
-            if is_fingerprint(path.stem):
-                yield self._read_entry(path)
+        for fingerprint in self.fingerprints():
+            yield self._read_entry(self.directory / f"{fingerprint}.json")
+
+    def fingerprints(self) -> List[str]:
+        """The fingerprint of every entry, sorted: one directory listing,
+        no file read.  Only a file named ``<fingerprint>.json`` is an entry
+        (:meth:`load_entry` names no other), and :meth:`scan`,
+        :meth:`clear` and ``len()`` all go by this listing, so a stray
+        ``README.json`` is never read, counted or deleted."""
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
+        return sorted(
+            name[:-5] for name in names if name.endswith(".json") and is_fingerprint(name[:-5])
+        )
 
     def signature(self) -> Tuple[FileKey, ...]:
         """A cheap stat-based fingerprint of the cache contents.
@@ -394,14 +405,13 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every cached row; returns how many were removed."""
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        fingerprints = self.fingerprints()
+        for fingerprint in fingerprints:
+            self.path_for(fingerprint).unlink(missing_ok=True)
+        return len(fingerprints)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return len(self.fingerprints())
 
 
 #: Environment variable naming plugin modules to import before running cells.

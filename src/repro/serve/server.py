@@ -22,8 +22,9 @@ the text bodies are byte-identical to their command-line counterparts):
                                        (CI columns, merged-digest tails)
 ``GET /scenarios/<name>/cdf``          tail-CDF points from the stored
                                        quantile digests
-``GET /scenarios/<name>/follow``       SSE stream tailing the work queue's
-                                       parts manifest (needs ``--queue-dir``)
+``GET /scenarios/<name>/follow``       SSE stream of the work queue's part
+                                       files as they land (needs
+                                       ``--queue-dir``)
 ``GET /cells/<fingerprint>``           one raw ``ResultRow``
 =====================================  ====================================
 

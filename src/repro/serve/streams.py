@@ -1,26 +1,24 @@
 """Live-follow streams: watch a queue-backed sweep converge, over HTTP.
 
-``GET /scenarios/<name>/follow`` tails the work queue's ``parts/MANIFEST``
-(through :class:`~repro.experiments.queue.PartsTail`, so each poll costs
-O(new completions), not O(all parts)) and emits one SSE event per completed
-task: the row's identity plus its cell's *current* pooled aggregate record.
-A dashboard -- or plain ``curl`` -- watches the confidence intervals tighten
-as worker machines drain the spool.
+``GET /scenarios/<name>/follow`` lists the work queue's ``parts/`` on every
+poll -- the part file is the queue's completion signal -- reads each part
+it has not seen yet, and emits one SSE event per completed task: the row's
+identity plus its cell's *current* pooled aggregate record.  A dashboard --
+or plain ``curl`` -- watches the confidence intervals tighten as worker
+machines drain the spool.  A part that is listed but does not read yet
+(stale code, or not readable on this host yet) is tried again on the next
+poll.
 
-When the spool drains (no tasks, no leases), one more poll collects the
-last manifest lines, and parts whose line arrived before they read here are
-read once more; the stream then re-aggregates every collected row in
-canonical batch order (:func:`~repro.metrics.partial.rows_in_batch_order`)
-and emits a ``done`` event whose records are bit-identical to the serial
-batch aggregate over the same rows -- the same guarantee the ``/aggregate``
-endpoint makes.
-
-On a local filesystem a drained spool has announced every part.  On NFS a
-manifest line can be lost (see
-:meth:`~repro.experiments.queue.TaskQueue.drained`), and the stream, which
-does not know the sweep's fingerprints, never sees that row.  Pass
-``expect`` (the sweep's cell count) to get ``timeout`` instead of a short
-``done``.
+Each poll counts the spool before it lists the parts: a part is written
+before its lease or task goes, so once the counts read drained (no tasks,
+no leases), that poll's listing holds every part; a listed part that
+does not read is read once more.  The stream then re-aggregates every
+collected row in canonical batch order
+(:func:`~repro.metrics.partial.rows_in_batch_order`) and emits a ``done``
+event whose records are bit-identical to the serial batch aggregate over
+the same rows -- the same guarantee the ``/aggregate`` endpoint makes.
+Pass ``expect`` (the sweep's cell count) to hold ``done`` until that many
+rows arrived.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.experiments.queue import PartsTail
 from repro.experiments.spec import ScenarioSpec
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
 
@@ -43,7 +40,7 @@ def follow_scenario(
     expect: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Yield ``(event, payload)`` pairs tailing the queue for one scenario.
+    """Yield ``(event, payload)`` pairs following the queue for one scenario.
 
     Events, in order: one ``listening`` hello; an ``update`` per completed
     task belonging to the scenario (its cell's running aggregate, rows in
@@ -64,9 +61,6 @@ def follow_scenario(
     running = PartialAggregator(spec.aggregate_by)
     rows: List[Any] = []
     seen: Set[str] = set()
-    #: Announced, but the part did not read when its line arrived.
-    unread: Set[str] = set()
-    tail = PartsTail(queue)
     started = time.monotonic()
 
     yield "listening", {
@@ -81,12 +75,10 @@ def follow_scenario(
         events: List[Tuple[str, Dict[str, Any]]] = []
         for fingerprint in fingerprints:
             if fingerprint in seen:
-                continue  # a duplicate manifest line
+                continue
             row = queue.part_row(fingerprint)
             if row is None:
-                unread.add(fingerprint)  # stale code, or not visible here yet
-                continue
-            unread.discard(fingerprint)
+                continue  # stale code, or not readable here yet: next poll
             seen.add(fingerprint)
             if row.name not in wanted:
                 continue
@@ -101,14 +93,17 @@ def follow_scenario(
         return events
 
     while True:
-        for event in absorb(tail.poll()):
-            yield event
+        # Counted before the listing: a part is written before its lease or
+        # task goes, so a drained count means this listing holds every part.
         counts = queue.counts()
         drained = counts["tasks"] == 0 and counts["leases"] == 0
+        listed = queue.parts.fingerprints()
+        for event in absorb(listed):
+            yield event
         if drained:
-            # A part is announced before its lease or task goes: one last
-            # poll, and one more read of the parts that did not read yet.
-            for event in absorb(tail.poll() + sorted(unread)):
+            # One more pass before ``done``: a listed part that did not
+            # read (not readable on this host yet) is read once more.
+            for event in absorb(listed):
                 yield event
         if drained and len(rows) >= expect:
             final = (

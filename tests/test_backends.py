@@ -43,22 +43,6 @@ def tiny_cells(n=4):
     }
 
 
-def drop_first_manifest_line(monkeypatch):
-    """Lose the first manifest append, as NFS can when two hosts append at
-    once; returns the list that receives the dropped fingerprint."""
-    original_append = TaskQueue._append_manifest
-    dropped = []
-
-    def drop_first(self, fingerprint):
-        if not dropped:
-            dropped.append(fingerprint)
-            return
-        original_append(self, fingerprint)
-
-    monkeypatch.setattr(TaskQueue, "_append_manifest", drop_first)
-    return dropped
-
-
 class FakePool:
     """Stands in for ``ProcessPoolExecutor``: runs cells in this process and
     breaks, as a pool whose workers died would, after ``rows_before_break``
@@ -384,6 +368,23 @@ class TestTaskQueue:
         assert queue.counts()["tasks"] == 0
         assert queue.part_row(config.fingerprint()) == row
 
+    def test_claim_retires_a_done_task_and_leases_the_next(self, tmp_path):
+        # A pending task whose part is already on disk (its worker finished
+        # after a reclaim, or died before dropping its lease) is retired on
+        # sight, and the same claim() leases the next task instead.
+        done, todo = sorted(
+            (tiny_config(seed=seed) for seed in (1, 2)), key=lambda c: c.fingerprint(),
+        )
+        queue = TaskQueue(tmp_path / "q")
+        queue.enqueue("done", done)
+        queue.enqueue("todo", todo)
+        queue.parts.put(_run_cell(("done", done)))
+        task = queue.claim("w1")
+        assert task is not None and task.fingerprint == todo.fingerprint()
+        assert not queue.task_path(done.fingerprint()).exists()
+        assert not queue.lease_path(done.fingerprint()).exists()
+        assert queue.counts() == {"tasks": 0, "leases": 1, "parts": 1, "failed": 0}
+
     def test_claiming_a_long_pending_task_yields_a_fresh_lease(self, tmp_path):
         # A task can sit in the pending spool longer than the lease timeout
         # (deep backlog, few workers).  Claiming it must refresh the mtime
@@ -634,11 +635,11 @@ class TestQueueBackend:
         with pytest.raises(RuntimeError, match="queue task"):
             run_sweep(configs, backend=backend)
 
-    def test_worker_dying_before_the_manifest_line(self, tmp_path, monkeypatch):
+    def test_worker_dying_after_its_part_before_dropping_its_lease(self, tmp_path, monkeypatch):
         # A remote worker wins the claim, writes the part and dies before it
-        # appends the manifest line: its lease goes silent.  Reclaim requeues
-        # the task, the coordinator's claim retires it on sight and appends
-        # the line, and the row arrives through that line -- simulated once.
+        # drops its lease: the lease goes silent.  Reclaim requeues the
+        # task, the coordinator delivers the row from the listed part, and
+        # the next claim retires the task on sight -- simulated once.
         import repro.experiments.runner as runner_mod
 
         config = tiny_config()
@@ -651,6 +652,8 @@ class TestQueueBackend:
             return original_run(cfg)
 
         original_claim = TaskQueue.claim
+        reclaimed = []
+        original_reclaim = TaskQueue.reclaim_orphans
 
         def claim_write_part_and_die(self, worker_id):
             task = original_claim(self, worker_id)
@@ -661,8 +664,14 @@ class TestQueueBackend:
                 return None
             return task
 
+        def recording_reclaim(self, now=None):
+            found = original_reclaim(self, now)
+            reclaimed.extend(found)
+            return found
+
         monkeypatch.setattr(runner_mod, "run_experiment", counting_run)
         monkeypatch.setattr(TaskQueue, "claim", claim_write_part_and_die)
+        monkeypatch.setattr(TaskQueue, "reclaim_orphans", recording_reclaim)
         sweep = run_sweep(
             {"cell": config},
             backend=QueueBackend(
@@ -670,9 +679,10 @@ class TestQueueBackend:
             ),
         )
         queue = TaskQueue(tmp_path / "q")
-        assert simulated == [fingerprint]
+        assert reclaimed == [fingerprint]
         assert sweep["cell"] == queue.part_row(fingerprint)
-        assert queue.manifest_path.read_text().splitlines() == [fingerprint]
+        assert queue.claim("w2") is None
+        assert simulated == [fingerprint]
         assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
 
     def test_coordinator_claims_once_every_worker_has_exited(self, tmp_path, monkeypatch):
@@ -708,20 +718,44 @@ class TestQueueBackend:
             run_sweep({"cell": config}, backend=QueueBackend(tmp_path / "q", wait_timeout_s=5))
         assert time.monotonic() - started < 5
 
-    def test_lost_manifest_line_is_read_once_drained(self, tmp_path, monkeypatch):
-        # NFS can lose an append from one host to another's: the first
-        # part's line never lands.  Once the spool drains, the coordinator
-        # reads the part it still awaits directly.
-        configs = tiny_cells(2)
-        dropped = drop_first_manifest_line(monkeypatch)
-        queued =run_sweep(configs, backend=QueueBackend(tmp_path / "q", wait_timeout_s=5))
-        assert queued.rows == run_sweep(configs, workers=1).rows
-        lines = TaskQueue(tmp_path / "q").manifest_path.read_text().splitlines()
-        assert len(lines) == 1 and dropped[0] not in lines
+    def test_part_is_delivered_while_another_lease_is_held(self, tmp_path, monkeypatch):
+        # Two remote workers hold both leases.  One writes its part and has
+        # not dropped its lease yet; the coordinator delivers that row at
+        # its next poll, while the other lease is still held -- it does not
+        # wait for the spool to drain.
+        cells = sorted(tiny_cells(2).items(), key=lambda cell: cell[1].fingerprint())
+        (label_a, config_a), (label_b, config_b) = cells
+        queue = TaskQueue(tmp_path / "q", lease_timeout_s=600)
+        for label, config in cells:
+            queue.enqueue(label, config)
+        task_a, task_b = queue.claim("remote-a"), queue.claim("remote-b")
+        assert (task_a.fingerprint, task_b.fingerprint) == (
+            config_a.fingerprint(), config_b.fingerprint(),
+        )
+        real_sleep = time.sleep
+
+        def remote_a_writes_its_part(seconds):
+            if not queue.parts.fingerprints():
+                queue.parts.put(_run_cell((label_a, config_a)))
+            real_sleep(seconds)
+
+        delivered = []
+
+        def on_result(row):
+            delivered.append((row.label, queue.lease_path(task_b.fingerprint).exists()))
+            if row.label == label_a:
+                queue.complete(task_b, _run_cell((label_b, config_b)))
+
+        monkeypatch.setattr("repro.experiments.queue.time.sleep", remote_a_writes_its_part)
+        backend = QueueBackend(
+            tmp_path / "q", poll_interval_s=0.01, lease_timeout_s=600, wait_timeout_s=5,
+        )
+        backend.execute(cells, on_result)
+        assert delivered == [(label_a, True), (label_b, False)]
 
     def test_part_unreadable_when_announced_is_read_again(self, tmp_path, monkeypatch):
         # An NFS client can cache a part as missing and keep answering so
-        # when its line arrives: the coordinator must not give up on it.
+        # once the part is listed: the coordinator must not give up on it.
         configs = tiny_cells(2)
         original_part_row = TaskQueue.part_row
         hidden = set()
@@ -935,43 +969,49 @@ class TestSkewedClocks:
         assert lease.exists()
 
 
-class TestPartsManifest:
-    def _completed(self, queue, n):
-        fingerprints = []
-        for label, config in tiny_cells(n).items():
+def two_replica_spec():
+    """Two seed replicas of one tiny cell, as a scenario to follow."""
+    from repro.experiments.spec import ScenarioSpec
+
+    return ScenarioSpec(
+        name="two_replicas",
+        description="two seed replicas of one tiny cell",
+        defaults={"topology": "star", "num_hosts": 4, "workload": "fixed",
+                  "fixed_size_bytes": 800, "num_flows": 6, "max_sim_time_s": 1.0},
+        variants={"A": {"name": "dup-a"}},
+        seeds=(1, 2),
+    )
+
+
+def follow_stream(directory, spec, **follow_kwargs):
+    """The follow stream of ``spec`` over the queue at ``directory``."""
+    from repro.serve import ResultsService
+    from repro.serve.streams import follow_scenario
+
+    service = ResultsService(str(directory / "parts"), queue_dir=str(directory))
+    return follow_scenario(service, spec, poll_interval_s=0.01, **follow_kwargs)
+
+
+class TestPartFiles:
+    """The part file on disk is the completion signal: both pollers (the
+    coordinator and the follow stream) find parts by listing ``parts/``."""
+
+    def _follow(self, directory, **follow_kwargs):
+        """Drain two seed replicas of a tiny scenario through a queue at
+        ``directory``, then follow it: ``(events, sorted fingerprints)``."""
+        spec = two_replica_spec()
+        replicas = spec.replicated()
+        queue = TaskQueue(directory)
+        for label, config in replicas.items():
             queue.enqueue(label, config)
-        while True:
-            task = queue.claim("w1")
-            if task is None:
-                break
-            from repro.experiments.sweep import _run_cell
+        run_worker(queue, drain=True)
+        events = list(follow_stream(directory, spec, **follow_kwargs))
+        return events, sorted(config.fingerprint() for config in replicas.values())
 
-            queue.complete(task, _run_cell((task.label, task.config)))
-            fingerprints.append(task.fingerprint)
-        return fingerprints
-
-    def test_complete_appends_to_the_manifest(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q")
-        fingerprints = self._completed(queue, 3)
-        assert queue.manifest_path.read_text().splitlines() == fingerprints
-
-    def test_tail_reads_manifest_increments(self, tmp_path):
-        from repro.experiments.queue import PartsTail
-
-        queue = TaskQueue(tmp_path / "q")
-        first_two = self._completed(queue, 2)
-        tail = PartsTail(queue)
-        assert sorted(tail.poll()) == sorted(first_two)
-        assert tail.poll() == []
-        third = self._completed(queue, 3)[-1]
-        assert tail.poll() == [third]
-        assert tail.poll() == []
-
-    def test_failed_append_keeps_the_lease(self, tmp_path, monkeypatch):
-        # A full disk or a read-only spool: the part cannot be announced, so
+    def test_failed_part_write_keeps_the_lease(self, tmp_path, monkeypatch):
+        # A full disk or a read-only spool: the part cannot be written, so
         # complete() must raise before it drops the lease, which then stays
-        # reclaimable (test_worker_dying_before_the_manifest_line takes it
-        # from there).
+        # reclaimable.
         import errno
 
         queue = TaskQueue(tmp_path / "q")
@@ -980,78 +1020,50 @@ class TestPartsManifest:
         task = queue.claim("w1")
         row = run_sweep({"cell": config}, workers=1)["cell"]
 
-        def no_space(fd):
+        def no_space(path, payload):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("repro.experiments.queue.os.fsync", no_space)
-        with pytest.raises(OSError):
+        monkeypatch.setattr("repro.experiments.sweep._write_json_atomic", no_space)
+        with pytest.raises(OSError, match="No space left"):
             queue.complete(task, row)
         assert queue.lease_path(config.fingerprint()).exists()
+        assert queue.part_row(config.fingerprint()) is None
 
-    def test_failed_append_in_claim_leaves_the_task(self, tmp_path, monkeypatch):
-        # claim() announces a part it retires on sight; if that append
-        # fails, the task stays pending and the claim moves on to the next.
-        import errno
+    def test_complete_lists_the_part_before_it_drops_the_lease(self, tmp_path, monkeypatch):
+        # The order both pollers rely on: by the time complete() drops the
+        # lease, the part is listed in parts/ and reads.
+        from pathlib import Path
 
         queue = TaskQueue(tmp_path / "q")
-        cells = sorted(tiny_cells(2).items(), key=lambda cell: cell[1].fingerprint())
-        for label, config in cells:
-            queue.enqueue(label, config)
-        retirable, pending = (config.fingerprint() for _, config in cells)
-        queue.parts.put(_run_cell(cells[0]))
-
-        def no_space(fd):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr("repro.experiments.queue.os.fsync", no_space)
+        config = tiny_config()
+        queue.enqueue("cell", config)
         task = queue.claim("w1")
-        assert task is not None and task.fingerprint == pending
-        assert queue.task_path(retirable).exists()
-        monkeypatch.undo()
-        assert queue.claim("w2") is None
-        assert not queue.task_path(retirable).exists()
-        assert queue.manifest_path.read_text().splitlines()[-1] == retirable
+        lease = task.lease_path
+        row = _run_cell((task.label, task.config))
+        original_unlink = Path.unlink
+        seen = []
 
-    def test_line_glued_to_a_failed_append_is_read(self, tmp_path):
-        # A failed append can leave a fragment without its newline; the
-        # next worker's line lands glued onto it.
-        from repro.experiments.queue import PartsTail
+        def watching_unlink(path, missing_ok=False):
+            if path == lease:
+                seen.append((queue.parts.fingerprints(), queue.part_row(task.fingerprint)))
+            original_unlink(path, missing_ok=missing_ok)
 
-        queue = TaskQueue(tmp_path / "q")
-        tail = PartsTail(queue)
-        (first,) = self._completed(queue, 1)
-        with open(queue.manifest_path, "a") as handle:
-            handle.write("0123456789abcdef" * 2)
-        (second,) = self._completed(queue, 2)
-        assert tail.poll() == [first, second]
+        monkeypatch.setattr(Path, "unlink", watching_unlink)
+        queue.complete(task, row)
+        assert seen == [([task.fingerprint], row)]
+        assert not lease.exists()
 
-    def test_manifest_ignores_a_torn_trailing_line(self, tmp_path):
-        from repro.experiments.queue import PartsTail
+    def test_rewritten_part_is_reported_once(self, tmp_path, monkeypatch):
+        # Each poll lists every part; a part written again (a cell completed
+        # twice after an over-eager reclaim) is a new file version under the
+        # same name.  The coordinator: one on_result per label.
+        original_complete = TaskQueue.complete
 
-        queue = TaskQueue(tmp_path / "q")
-        (fingerprint,) = self._completed(queue, 1)
-        tail = PartsTail(queue)
-        assert tail.poll() == [fingerprint]
-        # A crashed writer can leave a newline-less fragment: the tail must
-        # not surface it until the line is completed.
-        with open(queue.manifest_path, "a") as handle:
-            handle.write("abcdef0123")
-        assert tail.poll() == []
-        with open(queue.manifest_path, "a") as handle:
-            handle.write("456789\n")
-        polled = tail.poll()
-        assert polled == [] or polled == ["abcdef0123456789"]
+        def complete_twice(self, task, row):
+            self.parts.put(row)
+            original_complete(self, task, row)
 
-    def test_duplicated_manifest_line_is_reported_once(self, tmp_path, monkeypatch):
-        # The tail reports every line; its two consumers de-duplicate.  The
-        # coordinator: one on_result per label, with every line doubled.
-        original_append = TaskQueue._append_manifest
-
-        def append_twice(self, fingerprint):
-            original_append(self, fingerprint)
-            original_append(self, fingerprint)
-
-        monkeypatch.setattr(TaskQueue, "_append_manifest", append_twice)
+        monkeypatch.setattr(TaskQueue, "complete", complete_twice)
         cells = [
             ("a", tiny_config(name="scenario-a|cell")),
             ("b", tiny_config(name="scenario-b|cell")),
@@ -1060,39 +1072,28 @@ class TestPartsManifest:
         delivered = []
         QueueBackend(tmp_path / "q", wait_timeout_s=60).execute(cells, delivered.append)
         assert sorted(row.label for row in delivered) == ["a", "b", "c"]
-        queue = TaskQueue(tmp_path / "q")
-        assert len(queue.manifest_path.read_text().splitlines()) == 4
 
-        # The follow stream: one update per part, then done.
-        events, fingerprints = self._follow(tmp_path / "f", timeout_s=60)
-        updates = [payload["fingerprint"] for event, payload in events if event == "update"]
-        assert sorted(updates) == fingerprints
-        assert len(TaskQueue(tmp_path / "f").manifest_path.read_text().splitlines()) == 4
-        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
-
-    def _follow(self, directory, **follow_kwargs):
-        """Drain two seed replicas of a tiny scenario through a queue at
-        ``directory``, then follow it: ``(events, sorted fingerprints)``."""
-        from repro.experiments.spec import ScenarioSpec
-        from repro.serve import ResultsService
-        from repro.serve.streams import follow_scenario
-
-        spec = ScenarioSpec(
-            name="two_replicas",
-            description="two seed replicas of one tiny cell",
-            defaults={"topology": "star", "num_hosts": 4, "workload": "fixed",
-                      "fixed_size_bytes": 800, "num_flows": 6, "max_sim_time_s": 1.0},
-            variants={"A": {"name": "dup-a"}},
-            seeds=(1, 2),
-        )
-        replicas = spec.replicated()
-        queue = TaskQueue(directory)
-        for label, config in replicas.items():
+        # The follow stream: a part rewritten between two polls gives one
+        # update, then done.
+        spec = two_replica_spec()
+        replicas = sorted(spec.replicated().items())
+        queue = TaskQueue(tmp_path / "f")
+        for label, config in replicas:
             queue.enqueue(label, config)
-        run_worker(queue, drain=True)
-        service = ResultsService(str(directory / "parts"), queue_dir=str(directory))
-        events = list(follow_scenario(service, spec, poll_interval_s=0.01, **follow_kwargs))
-        return events, sorted(config.fingerprint() for config in replicas.values())
+        first = queue.claim("w1")
+        first_row = _run_cell((first.label, first.config))
+        original_complete(queue, first, first_row)
+        events = follow_stream(tmp_path / "f", spec, timeout_s=60)
+        assert next(events)[0] == "listening"
+        event, payload = next(events)
+        assert (event, payload["fingerprint"]) == ("update", first.fingerprint)
+        queue.parts.put(first_row)
+        second = queue.claim("w1")
+        original_complete(queue, second, _run_cell((second.label, second.config)))
+        rest = list(events)
+        updates = [payload["fingerprint"] for event, payload in rest if event == "update"]
+        assert updates == [second.fingerprint]
+        assert rest[-1][0] == "done" and rest[-1][1]["completed"] == 2
 
     def test_follow_reads_a_part_unreadable_when_announced_again(self, tmp_path, monkeypatch):
         original_part_row = TaskQueue.part_row
@@ -1109,20 +1110,86 @@ class TestPartsManifest:
         assert sorted(hidden) == fingerprints
         assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
 
-    def test_follow_with_expect_times_out_on_a_lost_line(self, tmp_path, monkeypatch):
-        # The stream cannot know a lost line's fingerprint; with ``expect``
-        # it reports a timeout rather than a short done.
-        drop_first_manifest_line(monkeypatch)
-        events, _ =self._follow(tmp_path / "f", expect=2, timeout_s=0.5)
+    def test_follow_reads_parts_that_no_worker_completed(self, tmp_path):
+        # Parts written straight into parts/, with no task, lease or
+        # complete() behind them: the listing finds them, and the stream
+        # ends in done.  ``expect`` still holds done back until that many
+        # rows arrived.
+        spec = two_replica_spec()
+        queue = TaskQueue(tmp_path / "q")
+        for label, config in spec.replicated().items():
+            queue.parts.put(_run_cell((label, config)))
+        events = list(follow_stream(tmp_path / "q", spec, expect=2, timeout_s=5))
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+        events = list(follow_stream(tmp_path / "q", spec, expect=3, timeout_s=0.2))
+        assert events[-1][0] == "timeout" and events[-1][1]["completed"] == 2
+
+
+    def test_follow_counts_the_spool_before_it_lists(self, tmp_path, monkeypatch):
+        # A worker completes its cell just after a poll lists parts/: its
+        # part is missing from that listing and its lease is gone right
+        # after.  The poll counted the spool before listing, so it still saw
+        # the lease, polls once more, and reads the part before done.
+        spec = two_replica_spec()
+        queue = TaskQueue(tmp_path / "q")
+        for label, config in spec.replicated().items():
+            queue.enqueue(label, config)
+        first = queue.claim("w1")
+        queue.complete(first, _run_cell((first.label, first.config)))
+        second = queue.claim("w2")
+        original_fingerprints = ResultCache.fingerprints
+
+        def complete_after_the_listing(self):
+            listed = original_fingerprints(self)
+            if queue.lease_path(second.fingerprint).exists():
+                queue.complete(second, _run_cell((second.label, second.config)))
+            return listed
+
+        monkeypatch.setattr(ResultCache, "fingerprints", complete_after_the_listing)
+        events = list(follow_stream(tmp_path / "q", spec, timeout_s=60))
+        updates = [payload["fingerprint"] for event, payload in events if event == "update"]
+        assert updates == [first.fingerprint, second.fingerprint]
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+
+    def test_an_old_manifest_is_ignored(self, tmp_path, monkeypatch):
+        # A queue directory from a version that kept parts/MANIFEST: a line
+        # naming a cell that has no part completes nothing, and the file is
+        # neither counted, read as a part, nor rewritten.
+        import repro.experiments.runner as runner_mod
+
+        spec = two_replica_spec()
+        (label, config), (_, other) = sorted(spec.replicated().items())
+        queue = TaskQueue(tmp_path / "q")
+        queue.parts.put(_run_cell((label, config)))
+        manifest = queue.parts_dir / "MANIFEST"
+        lines = f"{config.fingerprint()}\n{other.fingerprint()}\n../../outside\n"
+        manifest.write_text(lines)
+        assert queue.counts()["parts"] == 1
+        events = list(follow_stream(tmp_path / "q", spec, expect=2, timeout_s=0.2))
         assert events[-1][0] == "timeout" and events[-1][1]["completed"] == 1
+
+        simulated = []
+        original_run = runner_mod.run_experiment
+
+        def counting_run(cfg):
+            simulated.append(cfg.fingerprint())
+            return original_run(cfg)
+
+        monkeypatch.setattr(runner_mod, "run_experiment", counting_run)
+        queued = run_sweep(
+            spec.replicated(), backend=QueueBackend(tmp_path / "q", wait_timeout_s=60),
+        )
+        assert simulated == [other.fingerprint()]
+        assert queued.rows == run_sweep(spec.replicated(), workers=1).rows
+        assert manifest.read_text() == lines
 
 
 class TestSpoolNamesAreFingerprints:
-    """Names read back from the queue directory -- manifest lines and file
-    stems that any host sharing it can write -- never reach a path unless
-    they are config fingerprints."""
+    """Names read back from the queue directory -- file stems that any
+    host sharing it can write -- never reach a path unless they are config
+    fingerprints."""
 
-    #: A manifest line that would resolve to ``<queue>/../outside.json``.
+    #: A name that would resolve to ``<queue>/../outside.json``.
     TRAVERSAL = "../../outside"
 
     @pytest.mark.parametrize("name", [TRAVERSAL, "A" * 64, "ab" * 31, "", "x/y"])
@@ -1148,33 +1215,40 @@ class TestSpoolNamesAreFingerprints:
         assert queue.part_row(self.TRAVERSAL) is None
         assert queue.part_row(task.fingerprint) is not None
 
-    def test_tail_skips_foreign_manifest_lines_and_files(self, tmp_path, monkeypatch):
-        from pathlib import Path
+    def test_pollers_skip_foreign_files_in_parts(self, tmp_path, monkeypatch):
+        # A stray README.json, or a file whose name is not a fingerprint,
+        # in parts/: neither the coordinator nor the follow stream passes
+        # its name to a path helper, and neither counts it.
+        from repro.experiments.sweep import is_fingerprint
 
-        from repro.experiments.queue import PartsTail
-
+        spec = two_replica_spec()
+        replicas = spec.replicated()
         queue = TaskQueue(tmp_path / "q")
-        real = "0123456789abcdef" * 4
-        with open(queue.manifest_path, "a") as handle:
-            handle.write(f"{self.TRAVERSAL}\n")      # traversal
-            handle.write(f"{real.upper()}\n")        # upper-case hex
-            handle.write(f"{real}\n")
-            handle.write(real[:40])                  # truncated trailing line
+        for label, config in replicas.items():
+            queue.parts.put(_run_cell((label, config)))
         (queue.parts_dir / "README.json").write_text("{}")
-        # The tail opens the manifest and nothing else, and lists no
-        # directory: a stray file in parts/ is never read.
-        opened = []
+        (queue.parts_dir / f"{'0123456789ABCDEF' * 4}.json").write_text("{}")
 
-        def recording_open(file, *args, **kwargs):
-            opened.append(Path(file))
-            return open(file, *args, **kwargs)
+        def guarded(helper):
+            def call(*args):
+                if not is_fingerprint(args[-1]):
+                    pytest.fail(f"{args[-1]!r} reached a path helper")
+                return helper(*args)
+            return call
 
-        monkeypatch.setattr("repro.experiments.queue.open", recording_open, raising=False)
-        monkeypatch.setattr(Path, "glob", lambda self, pattern: pytest.fail(f"listed {self}"))
-        tail = PartsTail(queue)
-        assert tail.poll() == [real]
-        assert tail.poll() == []
-        assert set(opened) == {queue.manifest_path}
+        monkeypatch.setattr(ResultCache, "path_for", guarded(ResultCache.path_for))
+        monkeypatch.setattr(
+            TaskQueue, "_spool_path", staticmethod(guarded(TaskQueue._spool_path)),
+        )
+        assert queue.counts()["parts"] == len(replicas)
+        delivered = []
+        QueueBackend(tmp_path / "q", wait_timeout_s=5).execute(
+            list(replicas.items()), delivered.append,
+        )
+        assert sorted(row.label for row in delivered) == sorted(replicas)
+        events = list(follow_stream(tmp_path / "q", spec, expect=2, timeout_s=5))
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+        assert (queue.parts_dir / "README.json").exists()
 
     def test_claim_and_reclaim_skip_foreign_files(self, tmp_path):
         queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)

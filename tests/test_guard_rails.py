@@ -76,14 +76,17 @@ RULES = (
         ("sim.set_timer(1e-6, fn)",),
     ),
     Rule(
-        "manifest-is-the-completion-signal",
-        r"force_scan|rescan_every|_polls_since_scan|_execute_task|def forget",
+        "part-file-is-the-completion-signal",
+        r"force_scan|rescan_every|_polls_since_scan|_execute_task|def forget"
+        r"|PartsTail|_append_manifest|manifest_path|def drained\b",
         NOT_BENCHMARKS,
-        "PartsTail is an offset over parts/MANIFEST: its rescans, force_scan and "
-        "forget() were deleted once claim() announced the parts it retires, and worker "
-        "and coordinator share one _run_task",
+        "a part file on disk is the one sign that a cell completed, and both pollers "
+        "list parts/: the parts/MANIFEST log, its PartsTail (with the rescans, "
+        "force_scan and forget() it had already lost), its appends and the drained() "
+        "fallback for lost lines were deleted; worker and coordinator share one _run_task",
         ("tail.poll(force_scan=True)", "rescan_every=10", "self._polls_since_scan",
-         "_execute_task(task)", "def forget(self, name):"),
+         "_execute_task(task)", "def forget(self, name):", "tail = PartsTail(queue)",
+         "self._append_manifest(fp)", "queue.manifest_path", "def drained(self) -> bool:"),
     ),
     Rule(
         "one-store-per-queue",

@@ -391,6 +391,43 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    def test_a_stray_json_file_is_no_entry(self, tmp_path):
+        # len(), clear() and the queue's part count go by the same rule as
+        # scan() and load_entry(): only <fingerprint>.json is an entry.
+        from repro.experiments.queue import TaskQueue
+
+        queue = TaskQueue(tmp_path / "q")
+        cache = queue.parts
+        stray = cache.directory / "README.json"
+        stray.write_text("{}")
+        assert len(cache) == 0 == len(list(cache.scan()))
+        assert queue.counts()["parts"] == 0
+        config = tiny_config()
+        run_sweep({"cell": config}, workers=1, cache=cache)
+        assert cache.fingerprints() == [config.fingerprint()]
+        assert len(cache) == 1 == len(list(cache.scan()))
+        assert queue.counts()["parts"] == 1
+        assert cache.clear() == 1
+        assert len(cache) == 0 and stray.exists()
+
+    def test_fingerprints_lists_entry_names_without_reading_them(self, tmp_path):
+        # One listing, sorted, of the <fingerprint>.json names only: a
+        # writer's temp file and other names are skipped, and an entry that
+        # does not parse is still listed (the listing reads no file).
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.fingerprints() == []
+        cache.directory.rmdir()
+        assert cache.fingerprints() == []  # a missing directory lists nothing
+        cache.directory.mkdir()
+        high, low = "f" * 64, "0" * 64
+        (cache.directory / f"{high}.json").write_text("not json")
+        (cache.directory / f"{low}.json").write_text("{}")
+        (cache.directory / f".{low}.json.123.tmp").write_text("{}")
+        (cache.directory / f"{low}.txt").write_text("{}")
+        (cache.directory / "README.json").write_text("{}")
+        assert cache.fingerprints() == [low, high]
+        assert [entry.row for entry in cache.scan()] == [None, None]
+
     def test_code_change_invalidates_entries(self, tmp_path, monkeypatch):
         # Simulator code changes must not serve stale rows (ROADMAP item):
         # the stored code fingerprint no longer matches -> miss.
