@@ -2,7 +2,7 @@
 
 CI runs this to prove the ``repro serve`` recipe end to end on Figure 1:
 
-1. warm a sweep cache (``fig1 --quick``, small flows) -- the one simulation
+1. warm a sweep cache (``fig1 --seeds 1``, small flows) -- the one simulation
    phase of the whole script;
 2. start a real ``python -m repro serve`` process on an ephemeral port;
 3. GET ``/healthz``, ``/scenarios``, ``/scenarios/fig1/aggregate`` and
@@ -70,8 +70,8 @@ def main() -> int:
     queue_dir = os.path.join(work_dir, "queue")
     failures = []
 
-    print(f"== warm the cache: {SCENARIO} --quick --flows {FLOWS} ==")
-    warm = launch(["repro", "run", SCENARIO, "--quick", "--flows", str(FLOWS),
+    print(f"== warm the cache: {SCENARIO} --seeds 1 --set num_flows={FLOWS} ==")
+    warm = launch(["repro", "run", SCENARIO, "--seeds", "1", "--set", f"num_flows={FLOWS}",
                    "--workers", "1", "--cache", cache_dir])
     warm_out, _ = warm.communicate(timeout=600)
     if warm.returncode != 0:

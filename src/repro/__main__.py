@@ -32,7 +32,7 @@ Examples::
 
     python -m repro run fig1
     python -m repro run fig8 --seeds 3 --workers 4 --cache .sweep-cache/fig8 --cdf
-    python -m repro run fig1 --quick                 # seed 1 only, fast feedback
+    python -m repro run fig1 --seeds 1               # seed 1 only, fast feedback
     python -m repro run fig1 --queue-dir /shared/q --follow
     python -m repro worker /shared/q                 # on as many machines as you like
     python -m repro list
@@ -146,18 +146,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import run_sweep
 
     overrides = _parse_set_overrides(args.set or [])
-    if args.flows is not None:
-        overrides["num_flows"] = args.flows
-    if args.quick and args.seeds is not None:
-        raise SystemExit("--quick (seed 1 only) and --seeds are mutually exclusive")
-    seeds: Optional[int] = 1 if args.quick else args.seeds
 
     # What the user can get wrong -- the scenario, a --set field or value, a
     # component name -- is checked here, from declarations alone,
     # before any cell runs: one line on stderr and exit code 2, no traceback.
     try:
         spec = scenario(args.scenario)
-        cells = spec.replicated(seeds=seeds, **overrides)
+        cells = spec.replicated(seeds=args.seeds, **overrides)
         for config in cells.values():
             config.check_components()
     except ValueError as exc:  # repro.registry.UnknownNameError is one
@@ -177,8 +172,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: --set name=... gives every cell the same name, so "
               "the per-cell aggregate table pools all of them together")
 
-    cache = None if args.no_cache else args.cache
-
     backend = None
     if args.queue_dir:
         from repro.experiments.queue import QueueBackend
@@ -189,7 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     progress = _make_follow_printer(spec) if args.follow else None
     sweep = run_sweep(
-        cells, workers=args.workers, cache=cache, backend=backend,
+        cells, workers=args.workers, cache=args.cache, backend=backend,
         progress=progress, progress_by=spec.aggregate_by,
     )
 
@@ -255,18 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default: auto; 1 = serial)")
     run.add_argument("--cache", default=None, metavar="DIR",
                      help="serve/store results in this sweep-cache directory")
-    run.add_argument("--no-cache", action="store_true",
-                     help="force fresh simulations even if --cache is set")
-    run.add_argument("--flows", type=int, default=None, metavar="N",
-                     help="override num_flows for every cell (quick smoke runs)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override any ExperimentConfig field for every cell "
                           "(repeatable; value parsed as JSON when possible)")
     run.add_argument("--cdf", action="store_true",
                      help="also print single-packet latency tail CDFs")
-    run.add_argument("--quick", action="store_true",
-                     help="seed 1 only (bypass the scenario's seed axis "
-                          "for fast interactive runs)")
     run.add_argument("--queue-dir", default=None, metavar="DIR",
                      help="spool the cells through a work queue in DIR that "
                           "any 'python -m repro worker DIR' helps drain "

@@ -59,7 +59,6 @@ from repro.experiments.spec import (
     scenario as load_scenario,
 )
 from repro.experiments.sweep import (
-    ParameterGrid,
     ResultCache,
     SweepProgress,
     SweepResult,
@@ -96,7 +95,6 @@ __all__ = [
     # execution
     "ExperimentConfig",
     "ExperimentResult",
-    "ParameterGrid",
     "QueueBackend",
     "ResultCache",
     "SweepProgress",

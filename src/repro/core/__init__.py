@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "LossRecovery": "repro.core.irn",
     "RoceConfig": "repro.core.roce",
     "RoceSender": "repro.core.roce",
-    "RoceReceiver": "repro.core.roce",
     "TcpConfig": "repro.core.iwarp",
     "TcpSender": "repro.core.iwarp",
 })

@@ -101,6 +101,8 @@ class IrnSender(BaseSender):
         self._rtx_done: Set[int] = set()
         #: Earliest time a retransmission may leave the NIC (PCIe fetch model).
         self._rtx_not_before = 0.0
+        #: ``snd_una`` when the last retransmission timeout fired (-1: none).
+        self._rto_psn = -1
 
         # Statistics
         self.recovery_episodes = 0
@@ -130,11 +132,14 @@ class IrnSender(BaseSender):
         for psn in range(self.snd_una, min(self.highest_sent, self.num_packets)):
             if psn in self.sacked or psn in self._rtx_done:
                 continue
-            if psn == self.snd_una:
+            if self.config.loss_recovery is LossRecovery.SACK:
+                # §3.1: a packet is lost once a higher PSN is selectively
+                # acked; the cumulative-ack packet also after an RTO on it.
+                if psn < max_sacked or psn == self._rto_psn:
+                    return psn
+            elif psn == self.snd_una:
+                # Without SACK state only the cumulative-ack packet is recovered.
                 return psn
-            if self.config.loss_recovery is LossRecovery.SACK and psn < max_sacked:
-                return psn
-            # Without SACK state only the cumulative-ack packet is recovered.
             break
         return None
 
@@ -221,6 +226,7 @@ class IrnSender(BaseSender):
     def _handle_timeout(self, now: float) -> None:
         if self.snd_una >= self.num_packets:
             return
+        self._rto_psn = self.snd_una
         if not self.in_recovery:
             self._enter_recovery(now)
         else:

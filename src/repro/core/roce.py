@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.irn import IrnReceiver
 from repro.core.transport import BaseSender, Flow, FlowCallback, TransportConfig
 from repro.sim.packet import Packet
 
@@ -102,17 +101,3 @@ class RoceSender(BaseSender):
     def _rto_value(self, now: float) -> float:
         return self.config.rto_s
 
-
-class RoceReceiver(IrnReceiver):
-    """RoCE responder: an :class:`IrnReceiver` that discards out-of-order
-    packets and NACKs once per gap."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        flow: Flow,
-        config: Optional[TransportConfig] = None,
-        on_complete: Optional[FlowCallback] = None,
-        cnp_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(sim, flow, config, on_complete, cnp_interval_s, accept_ooo=False)

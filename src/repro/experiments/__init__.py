@@ -10,7 +10,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ScenarioSpec": "repro.experiments.spec",
     "register_scenario": "repro.experiments.spec",
     "scenario": "repro.experiments.spec",
-    "ParameterGrid": "repro.experiments.sweep",
     "QueueBackend": "repro.experiments.queue",
     "ResultCache": "repro.experiments.sweep",
     "SweepProgress": "repro.experiments.sweep",

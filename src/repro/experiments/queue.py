@@ -62,7 +62,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
@@ -383,6 +383,16 @@ class TaskQueue:
             except (OSError, ValueError):
                 failures[path.stem] = "unreadable failure marker"
         return failures
+
+    def pending(self) -> Set[str]:
+        """Fingerprints of every task and lease on disk: the cells no worker
+        has finished with, or whose worker died between writing the part and
+        dropping the lease."""
+        return {
+            path.stem
+            for spool in (self.tasks_dir, self.leases_dir)
+            for path in spool.glob("*.json")
+        }
 
     def counts(self) -> Dict[str, int]:
         """Spool sizes, for observability (``repro worker`` status lines)."""

@@ -333,6 +333,9 @@ class ScenarioSpec:
         base = self.configs(**overrides)
         if not resolved:
             return base
+        if len(set(resolved)) < len(resolved):
+            # Replicas of one seed share a label: the mapping would keep one.
+            raise ValueError(f"scenario {self.name!r}: duplicate seeds {list(resolved)}")
         return {
             replica_label(label, seed): config.with_overrides(seed=seed)
             for label, config in base.items()

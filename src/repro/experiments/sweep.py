@@ -4,8 +4,9 @@ Reproducing one figure of the paper means running many independent
 simulations (transports x congestion-control schemes x seeds).  This module
 turns that embarrassingly parallel work into one call:
 
-1. :class:`ParameterGrid` expands a base :class:`ExperimentConfig` and a
-   mapping of ``field -> values`` into labelled configs (the *cells*);
+1. a :class:`~repro.experiments.spec.ScenarioSpec` declares the cells:
+   its ``configs()`` / ``replicated()`` return the ``label -> config``
+   mapping that is the only input :func:`run_sweep` takes;
 2. :func:`run_sweep` runs the uncached cells: in order when ``workers <=
    1``, otherwise on a local process pool (with a serial fallback when
    pools are unavailable), or -- given ``backend=QueueBackend(dir)`` --
@@ -20,19 +21,22 @@ turns that embarrassingly parallel work into one call:
 
 Worked example::
 
-    from repro.experiments import ExperimentConfig
-    from repro.experiments.sweep import ParameterGrid, ResultCache, run_sweep
+    from repro.experiments.spec import ScenarioSpec
+    from repro.experiments.sweep import ResultCache, run_sweep
 
-    grid = ParameterGrid(
-        ExperimentConfig(num_flows=100),
-        axes={
-            "transport": ["irn", "roce"],
-            "pfc_enabled": [False, True],
-            "seed": [1, 2, 3],
+    spec = ScenarioSpec(
+        name="irn-vs-roce",
+        defaults={"num_flows": 100},
+        variants={
+            f"{transport} pfc={pfc}": {"transport": transport, "pfc_enabled": pfc}
+            for transport in ("irn", "roce")
+            for pfc in (False, True)
         },
+        seeds=(1, 2, 3),
+        aggregate_by=("transport", "pfc_enabled"),
     )
-    sweep = run_sweep(grid, cache=ResultCache(".sweep-cache"))
-    table = sweep.aggregate(by=("transport", "pfc_enabled"))
+    sweep = run_sweep(spec.replicated(), cache=ResultCache(".sweep-cache"))
+    table = spec.aggregate(sweep)
 
 Cache entries are invalidated automatically when simulator code changes:
 every stored row carries a fingerprint of the installed ``repro`` source
@@ -44,13 +48,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import itertools
 import json
 import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -145,64 +148,6 @@ def _python_sources(directory: str, relative: str = "") -> Iterator[Tuple[str, s
             yield from _python_sources(entry.path, name)
         elif entry.name.endswith(".py"):
             yield name, entry.path
-
-
-class ParameterGrid:
-    """The cross product of per-field value lists over a base config.
-
-    Parameters
-    ----------
-    base:
-        Config supplying every field not named in ``axes``.
-    axes:
-        Mapping of :class:`ExperimentConfig` field name to the sequence of
-        values that axis takes.  Axis order is preserved: the last axis
-        varies fastest, like :func:`itertools.product`.
-    """
-
-    def __init__(self, base: ExperimentConfig, axes: Mapping[str, Sequence[Any]]) -> None:
-        valid = {f.name for f in fields(ExperimentConfig)}
-        unknown = [name for name in axes if name not in valid]
-        if unknown:
-            raise ValueError(
-                f"unknown ExperimentConfig field(s) in grid axes: {sorted(unknown)}"
-            )
-        empty = [name for name, values in axes.items() if not values]
-        if empty:
-            raise ValueError(f"grid axes with no values: {sorted(empty)}")
-        self.base = base
-        self.axes: Dict[str, List[Any]] = {name: list(values) for name, values in axes.items()}
-
-    def __len__(self) -> int:
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total
-
-    def label_for(self, overrides: Mapping[str, Any]) -> str:
-        """The human-readable cell label, e.g. ``"transport=irn, seed=1"``."""
-        return ", ".join(f"{name}={overrides[name]}" for name in self.axes)
-
-    def expand(self) -> Dict[str, ExperimentConfig]:
-        """Labelled configs for every cell, in deterministic grid order.
-
-        Raises :class:`ValueError` when two cells produce the same label
-        (e.g. a duplicated axis value), which would otherwise silently
-        collapse replicas.
-        """
-        cells: Dict[str, ExperimentConfig] = {}
-        names = list(self.axes)
-        for combo in itertools.product(*self.axes.values()):
-            overrides = dict(zip(names, combo))
-            label = self.label_for(overrides)
-            if label in cells:
-                raise ValueError(
-                    f"grid cells collide on label {label!r}; remove duplicate axis values"
-                )
-            if "name" not in overrides:
-                overrides["name"] = label
-            cells[label] = self.base.with_overrides(**overrides)
-        return cells
 
 
 class CacheEntry(NamedTuple):
@@ -493,12 +438,6 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def labels(self) -> List[str]:
-        return list(self.rows)
-
-    def aggregate(self, by: Sequence[str]) -> List[Dict[str, Any]]:
-        return aggregate_rows(self.rows.values(), by=by)
-
 
 class SweepProgress:
     """Live view of a running sweep: completed rows + streaming aggregates.
@@ -538,26 +477,6 @@ class SweepProgress:
     def aggregate(self) -> List[Dict[str, Any]]:
         """Partial per-cell aggregates over every row absorbed so far."""
         return self._partial.snapshot()
-
-
-def _normalize_cells(
-    configs: Union[ParameterGrid, Mapping[str, ExperimentConfig], Iterable[ExperimentConfig]],
-) -> List[Cell]:
-    if isinstance(configs, ParameterGrid):
-        return list(configs.expand().items())
-    if isinstance(configs, Mapping):
-        return list(configs.items())
-    cells: List[Cell] = []
-    seen: Dict[str, int] = {}
-    for config in configs:
-        label = config.name
-        if label in seen:  # keep labels unique when presets share a name
-            seen[label] += 1
-            label = f"{label} #{seen[label]}"
-        else:
-            seen[label] = 1
-        cells.append((label, config))
-    return cells
 
 
 def _rebind_row(row: ResultRow, label: str, name: str) -> ResultRow:
@@ -627,7 +546,7 @@ def _execute_locally(pending: List[Cell], workers: Optional[int], store: OnResul
 
 
 def run_sweep(
-    configs: Union[ParameterGrid, Mapping[str, ExperimentConfig], Iterable[ExperimentConfig]],
+    configs: Mapping[str, ExperimentConfig],
     *,
     workers: Optional[int] = None,
     cache: Optional[Union[ResultCache, str, Path]] = None,
@@ -640,9 +559,9 @@ def run_sweep(
     Parameters
     ----------
     configs:
-        A :class:`ParameterGrid`, a mapping of label to config (the shape the
-        ``scenarios`` presets produce), or a plain iterable of configs
-        (labelled by their ``name``).
+        A mapping of label to config: what :meth:`ScenarioSpec.configs()
+        <repro.experiments.spec.ScenarioSpec.configs>` and ``.replicated()``
+        return.  Anything else raises :class:`TypeError`.
     workers:
         Local worker process count.  ``None`` picks the CPU count (bounded
         by ``MAX_AUTO_WORKERS``) capped at the number of uncached cells;
@@ -673,7 +592,13 @@ def run_sweep(
             "workers) or through an object with execute(pending, on_result), "
             "such as QueueBackend(queue_dir); names are not accepted"
         )
-    cells = _normalize_cells(configs)
+    if not isinstance(configs, Mapping):
+        raise TypeError(
+            f"configs={type(configs).__name__}: a sweep takes a label -> "
+            "ExperimentConfig mapping, such as ScenarioSpec.configs() or "
+            ".replicated()"
+        )
+    cells: List[Cell] = list(configs.items())
     label_counts = Counter(label for label, _ in cells)
     duplicates = [label for label, count in label_counts.items() if count > 1]
     if duplicates:

@@ -16,8 +16,7 @@ DEFAULT_PORT = 8123
 
 
 def add_serve_arguments(parser) -> None:
-    """Shared argument definitions for ``python -m repro serve`` and
-    ``python -m repro.serve`` (one definition, two entry points)."""
+    """The argument definitions of ``python -m repro serve``."""
     parser.add_argument(
         "cache_dir",
         help="warm sweep-cache directory to serve (ResultRow JSON files; "
@@ -54,7 +53,6 @@ __getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
     "catalog_entries": "repro.serve.catalog",
     "follow_scenario": "repro.serve.streams",
     "format_catalog": "repro.serve.catalog",
-    "main": "repro.serve.server",
     "make_server": "repro.serve.server",
 })
 

@@ -83,7 +83,7 @@ from repro.experiments.sweep import (
 from repro.metrics.partial import PartialAggregator, rows_in_batch_order
 from repro.metrics.report import format_single_packet_cdfs, label_rows, render_rows_report
 from repro.registry import UnknownNameError
-from repro.serve import DEFAULT_PORT, add_serve_arguments
+from repro.serve import DEFAULT_PORT
 from repro.serve.catalog import catalog_entries, format_catalog, registered_scenarios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,8 +95,6 @@ __all__ = [
     "ResultsServer",
     "ResultsService",
     "ServiceError",
-    "add_serve_arguments",
-    "main",
     "make_server",
 ]
 
@@ -840,7 +838,8 @@ def make_server(
 # ---------------------------------------------------------------------------
 
 def run_from_args(args) -> int:
-    """Start serving from parsed :func:`add_serve_arguments` arguments."""
+    """Start serving from parsed :func:`repro.serve.add_serve_arguments`
+    arguments."""
     server = make_server(
         args.cache_dir,
         queue_dir=args.queue_dir,
@@ -870,19 +869,3 @@ def run_from_args(args) -> int:
     print("repro serve: shut down cleanly", flush=True)
     return 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Serve warm sweep-cache results over HTTP: scenario "
-        "catalog, pooled aggregates, tail CDFs, raw cells and live "
-        "follow streams -- with zero simulation on the read path.",
-    )
-    add_serve_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

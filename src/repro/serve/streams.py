@@ -9,10 +9,13 @@ machines drain the spool.  A part that is listed but does not read yet
 (stale code, or not readable on this host yet) is tried again on the next
 poll.
 
-Each poll counts the spool before it lists the parts: a part is written
-before its lease or task goes, so once the counts read drained (no tasks,
-no leases), that poll's listing holds every part; a listed part that
-does not read is read once more.  The stream then re-aggregates every
+Each poll lists the pending cells (tasks and leases) before it lists the
+parts: a part is written before its lease or task goes, so a cell missing
+from the pending list has its part in that poll's listing, and a pending
+cell whose part is listed is complete too (its worker died between writing
+the part and dropping the lease).  Once every pending cell's part is
+listed, the listing holds every part; a listed part that does not read is
+read once more.  The stream then re-aggregates every
 collected row in canonical batch order
 (:func:`~repro.metrics.partial.rows_in_batch_order`) and emits a ``done``
 event whose records are bit-identical to the serial batch aggregate over
@@ -93,11 +96,13 @@ def follow_scenario(
         return events
 
     while True:
-        # Counted before the listing: a part is written before its lease or
-        # task goes, so a drained count means this listing holds every part.
-        counts = queue.counts()
-        drained = counts["tasks"] == 0 and counts["leases"] == 0
+        # Pending listed before the parts: a part is written before its
+        # lease or task goes, so once every pending cell's part is listed
+        # (a lease can outlive its worker), this listing holds every part.
+        pending = queue.pending()
         listed = queue.parts.fingerprints()
+        drained = pending.issubset(listed)
+        counts = queue.counts()
         for event in absorb(listed):
             yield event
         if drained:

@@ -555,7 +555,7 @@ class TestQueueBackend:
         )
         # Bit-identical rows, labels, and pooled aggregates.
         assert queued.rows == serial.rows
-        assert queued.labels() == serial.labels()
+        assert list(queued.rows) == list(serial.rows)
         assert aggregate_rows(queued.rows.values(), by=("name",)) == aggregate_rows(
             serial.rows.values(), by=("name",)
         )
@@ -839,7 +839,7 @@ class TestWorkerCli:
         from repro.__main__ import main
 
         rc = main([
-            "run", "fig1", "--quick", "--flows", "12", "--no-cache",
+            "run", "fig1", "--seeds", "1", "--set", "num_flows=12",
             "--queue-dir", str(tmp_path / "q"), "--follow",
         ])
         assert rc == 0
@@ -848,11 +848,18 @@ class TestWorkerCli:
         assert "[1/2]" in out and "[2/2]" in out  # streamed partials
         assert "replicas=1" in out
 
-    def test_quick_conflicts_with_seeds(self):
+    @pytest.mark.parametrize("argv", [
+        ["--quick"],             # is --seeds 1
+        ["--flows", "12"],       # is --set num_flows=12
+        ["--no-cache"],          # is leaving out --cache
+    ])
+    def test_run_options_have_one_spelling(self, capsys, argv):
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["run", "fig1", "--quick", "--seeds", "3"])
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "fig1", *argv])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--poll", "0"),            # an idle worker would spin
@@ -1125,11 +1132,12 @@ class TestPartFiles:
         assert events[-1][0] == "timeout" and events[-1][1]["completed"] == 2
 
 
-    def test_follow_counts_the_spool_before_it_lists(self, tmp_path, monkeypatch):
+    def test_follow_lists_pending_cells_before_parts(self, tmp_path, monkeypatch):
         # A worker completes its cell just after a poll lists parts/: its
         # part is missing from that listing and its lease is gone right
-        # after.  The poll counted the spool before listing, so it still saw
-        # the lease, polls once more, and reads the part before done.
+        # after.  The poll listed the pending cells before the parts, so it
+        # still saw the lease, polls once more, and reads the part before
+        # done.
         spec = two_replica_spec()
         queue = TaskQueue(tmp_path / "q")
         for label, config in spec.replicated().items():
@@ -1150,6 +1158,26 @@ class TestPartFiles:
         updates = [payload["fingerprint"] for event, payload in events if event == "update"]
         assert updates == [first.fingerprint, second.fingerprint]
         assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
+
+    def test_follow_ends_when_a_dead_worker_left_its_lease(self, tmp_path, monkeypatch):
+        # The worker wrote its part and died before it dropped its lease.
+        # The part is the completion signal: the stream ends in done without
+        # anyone claiming the task or reclaiming the lease.
+        spec = two_replica_spec()
+        label, config = sorted(spec.replicated().items())[0]
+        queue = TaskQueue(tmp_path / "q")
+        queue.enqueue(label, config)
+        task = queue.claim("silent")
+        queue.parts.put(_run_cell((task.label, task.config)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stream claimed or reclaimed a task")
+
+        monkeypatch.setattr(TaskQueue, "claim", forbidden)
+        monkeypatch.setattr(TaskQueue, "reclaim_orphans", forbidden)
+        events = list(follow_stream(tmp_path / "q", spec, expect=1, timeout_s=2))
+        assert events[-1][0] == "done" and events[-1][1]["completed"] == 1
+        assert task.lease_path.exists()
 
     def test_an_old_manifest_is_ignored(self, tmp_path, monkeypatch):
         # A queue directory from a version that kept parts/MANIFEST: a line

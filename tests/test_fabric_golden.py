@@ -50,6 +50,14 @@ nothing.  Each drops or retransmits, so its variant-specific path runs:
 * ``fig3`` "RoCE without PFC" and ``fig10`` "Resilient RoCE" (40 flows,
   seed 1: RoCE's go-back-N with ACKs and a fixed timeout).
 
+Seven pins were re-recorded with IRN's §3.1 loss-recovery fix, which
+changes which packets an IRN-family sender resends: in SACK mode the
+cumulative-ack packet is resent only after a timeout fired on it or once
+a higher PSN is selectively acked, not each time an ACK advances it during
+recovery.  They are ``faults-irn``, ``fig11-iwarp``,
+``fig12-irn-worst-case``, ``fig9-irn-m15``, ``flap-irn``, ``jumbo-irn``
+and ``spray-irn``; the other 28 did not move.
+
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
 moved.  ``python -m tests.test_fabric_golden`` prints the table again.
 
@@ -151,18 +159,18 @@ PINS = {
     "fig1-roce-s2": "5c7fb16581cd6bcbb5bbb319650f00b54207aa12db57506aeea17c24625fc24a",
     "fig1-irn-s2": "cbe638df6e76f675a4797e0301426fb239af7c5eebdf843131729615cc085acd",
     "fig9-roce-m15": "ee4db7d4c64e43418a37c88a21703b1fcca4a05202cddd828a67c84138979e13",
-    "fig9-irn-m15": "b5800cc86072d9c58f075a1a6347ac1ffd63475d1527886caa67c271968d84dd",
+    "fig9-irn-m15": "685ccd2ecb747e2a6ebb6322d31e55beeb458caa31e5183bf34fc25e47a976bd",
     "fig4-roce-dcqcn": "7a166a8c2b00e38fb3a071da5071b8f834449e90343eb9a47001cddc9b585d09",
     "fig4-irn-dcqcn": "de07abe8b02ff16819c5e5929643a87ea1a9468035fda79eaae8e4164b8b80cf",
     "fig4-irn-timely": "045d5d5bfaa52d9c12b99eed34eccc4a5f2bc0f2b11a869f49b356fd8437a86b",
-    "spray-irn": "e9572bfa763a2a356f2415a77d9000a8158f9396cbc71ffb9bd419aeed5bf7bc",
+    "spray-irn": "ed1fc522b8bef792b8cbc6c21dc5987244fc37b51fd51977b1531dd1a2b0bed4",
     "spray-roce": "d8d1ce10696a0f1a8b58b9fbd027fb290064f7d19f70f6060bedd5238dfa3828",
     "jumbo-roce": "954675d633550e417c8f37f907f6d60310be97516a750e3050f44af82c83fdd6",
-    "jumbo-irn": "0d4cf5e1d57fb8b58daacd6abf1230f5f9d3976fa7597598aaf8829fc290a4c0",
+    "jumbo-irn": "15cb76943f1eba984de53a5dc99839ed603c260b7fc026454691ace4214fd998",
     "batch1-roce": "f02f145b6d5343c607308ab4fe3f8e0f99bdcada29739df4aefde48cb05bef95",
     "batch1-irn": "774bd491dda584a808e8eb89ac7fe6ea07103cb4c0627e97f38f4a4a82b6d295",
     "flap-roce": "6c9908eebcada24e80e39f7bc41159ac8a7f06b4b7cb8bf130c94f64bc79e5b9",
-    "flap-irn": "a7af1a1ceb22b695106ad5cae013aab4b86db3333bd81d5171653239487dd0f4",
+    "flap-irn": "7296538a816c64dc9629e8ba0d8f45517df8daa105e420de138a7c16daa79d94",
     "digests-roce": "756cf5ad3979184d5db65261113396dca8015e2ed8628a888377797f246a0776",
     "digests-irn": "4f5095a642d8e2274c09aadef19c0eb90d67a30925ce805488928ef0ef1fd4db",
     "wan-incast-roce-100x": "4e29b4fcd83f730199fc63ee5fe1896b7605c83f40165565cbeae7f20102985f",
@@ -173,12 +181,12 @@ PINS = {
     "fig1-irn-ack1": "4fd4c5c96b44b9221a7a9b7095a1754bd039aace97b0864923e2e3a933954099",
     "fig1-irn-ack4": "b2dec669b5e29cc90ac99817a7ba63fd8edb6f2977279f4fdedb586bae695672",
     "faults-roce": "b4c1d48ca2aa889448f2870dbc0bda003deaea35bd1cc660c112fb6bafd45226",
-    "faults-irn": "2646b3131db94873a508b1b757f295a86e1f39c3e96f3eec472f5f074f684dd8",
+    "faults-irn": "9210c7b481b38fa2a934e4e14375ea5992400bf8313ba4e7479eaa0a2efb6f82",
     "fig7-irn-go-back-n": "23451c7b9ea26d893e4333e7217a5da576297baf3925d947d94aa2f03a6aad90",
     "fig7-irn-no-bdpfc": "6b93e325f6f7ec9a3ccc3e76577429562fc71e816789168870e7902e089624c3",
     "no-sack-irn": "f1ad6fa8c091e8fb932b338f69b3bb6bc7687b8a4b02625f27e08863dfea285e",
-    "fig11-iwarp": "c2c8c42ebc8faadcd282cb13c99d7da651cf757bf9f6f45b7d0abcb7c9873df4",
-    "fig12-irn-worst-case": "ea99a14806c494765a4f1c00bdd6660c02ecd17119ea143e364c10c5b3117378",
+    "fig11-iwarp": "1a3266c86c8d701671f578ec37234ec68fbb4c94d4f524bbca73cc6bb5569e12",
+    "fig12-irn-worst-case": "3119eac2ef04eb1641dd53b0fa85c35f89bd65b6c13975595cf4c10b3f980b17",
     "fig3-roce-no-pfc": "bc0b4f7485ef49750555ed22b8771afdddc5866d0742762c8df75792db47c492",
     "fig10-resilient-roce": "8ca0498a45b3b172689df9b3a473c59dc593c01f36cafa8d3555add2b65b7ea2",
 }

@@ -112,6 +112,45 @@ RULES = (
          "from repro.experiments.backends import Pool", "repro run fig1 --backend serial"),
     ),
     Rule(
+        "one-cell-vocabulary",
+        r"ParameterGrid|_normalize_cells|RoceReceiver",
+        (*NOT_BENCHMARKS, "docs", "README.md", ".github"),
+        "a sweep's cells are the label -> config mapping ScenarioSpec.configs() and "
+        ".replicated() return: the axes grid, run_sweep's other input shapes and its "
+        "'name #2' relabelling were deleted, and RoCE's responder is "
+        "IrnReceiver(accept_ooo=False), not a subclass",
+        ("grid = ParameterGrid(base, axes)", "cells = _normalize_cells(configs)",
+         "receiver = RoceReceiver(sim, flow)"),
+    ),
+    Rule(
+        "one-spelling-per-option",
+        r"add_argument\(\s*['\"]--(quick|flows|no-cache)['\"]"
+        r"|prog=['\"]python -m repro\.serve['\"]",
+        ("src",),
+        "--quick is --seeds 1, --flows N is --set num_flows=N, --no-cache is leaving "
+        "out --cache, and python -m repro.serve was python -m repro serve: the second "
+        "spellings were deleted",
+        ('run.add_argument("--quick", action="store_true")',
+         "run.add_argument('--flows', type=int)",
+         'run.add_argument("--no-cache", action="store_true")',
+         'prog="python -m repro.serve",'),
+    ),
+    Rule(
+        "documented-runs-use-one-spelling",
+        r"repro run\b.*\s--(quick|flows|no-cache)\b"
+        r"|['\"]run['\"],.*['\"]--(quick|flows|no-cache)['\"]"
+        r"|^\s+(--[\w-]+\s+(\S+\s+)?)*--(quick|flows|no-cache)\b",
+        ("docs", "README.md", ".github", "examples"),
+        "a documented or scripted repro run spells seed 1 as --seeds 1, the flow count "
+        "as --set num_flows=N and an uncached run without --cache (examples/"
+        "quickstart.py's own --no-cache flag is a script option, not a repro run one)",
+        ("python -m repro run fig1 --quick", "python -m repro run fig1 --flows 60",
+         "repro run fig1 --seeds 1 --workers 1 --no-cache",
+         'launch(["repro", "run", SCENARIO, "--quick"])',
+         '["run", "fig1", "--flows", "12"]',
+         "          --workers 1 --no-cache", "    --quick"),
+    ),
+    Rule(
         "knob-diet",
         r"port_batch_bytes|max_batch_bytes|set_port_batch_bytes|pacing_quantum"
         r"|request_pacing_wakeup|_pacing_wakeup|burst_credit",

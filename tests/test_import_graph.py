@@ -112,8 +112,8 @@ class TestReadPathsLoadNoSimulator:
         assert not NOT_ON_THE_READ_PATH & set(report["modules"])
         assert len(repro_modules(report)) <= WARM_RUN_MODULE_BUDGET
 
-    @pytest.mark.parametrize("single_seed", [("--set", "seed=1"), ("--quick",)],
-                             ids=["set-seed", "quick"])
+    @pytest.mark.parametrize("single_seed", [("--set", "seed=1"), ("--seeds", "1")],
+                             ids=["set-seed", "seeds-1"])
     def test_single_seed_warm_run(self, filled_cache, single_seed):
         report = cli_in_fresh_interpreter(*filled_cache, *single_seed)
         assert report["exit"] == 0

@@ -248,12 +248,6 @@ def test_acks_held_under_rto_low_cause_no_timeout():
     assert run.receiver.duplicates_received == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ACKs held 1.5 RTO_low: 1 timeout, then 3 retransmissions (PSNs 27, 28, "
-    "29; 3 duplicates at the receiver), none lost.  In recovery "
-    "_next_lost_packet resends every new snd_una as a held ACK advances it; "
-    "the rule resends only the cumulative-ack packet until a higher PSN is "
-    "selectively acked, which gives 1"))
 def test_a_spurious_timeout_resends_only_the_cumulative_ack_packet():
     """§3.1's loss rule: on entering recovery the first packet resent is
     the cumulative-ack one, and a later packet counts as lost only once a

@@ -1,6 +1,7 @@
 """Unit tests for the RoCE go-back-N transport."""
 
-from repro.core.roce import RoceConfig, RoceReceiver, RoceSender
+from repro.core.irn import IrnReceiver
+from repro.core.roce import RoceConfig, RoceSender
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 
@@ -83,11 +84,14 @@ class TestRoceSender:
         assert len(packets) == 4
 
 
-class TestRoceReceiver:
+class TestRoceResponder:
+    """RoCE's responder is the IRN receiver with out-of-order acceptance off
+    (what the ``roce`` transport builds)."""
+
     def test_discards_out_of_order_packets(self):
         sim = Simulator()
         flow = make_flow(5_000)
-        receiver = RoceReceiver(sim, flow)
+        receiver = IrnReceiver(sim, flow, accept_ooo=False)
         receiver.on_data(data(flow, 0), 0.0)
         receiver.on_data(data(flow, 2), 1e-6)
         receiver.on_data(data(flow, 3), 2e-6)
@@ -98,7 +102,7 @@ class TestRoceReceiver:
     def test_nack_carries_expected_psn(self):
         sim = Simulator()
         flow = make_flow(5_000)
-        receiver = RoceReceiver(sim, flow)
+        receiver = IrnReceiver(sim, flow, accept_ooo=False)
         receiver.on_data(data(flow, 0), 0.0)
         responses = receiver.on_data(data(flow, 3), 1e-6)
         assert responses[0].ptype is PacketType.NACK
@@ -107,7 +111,7 @@ class TestRoceReceiver:
     def test_completes_after_in_order_retransmission(self):
         sim = Simulator()
         flow = make_flow(3_000)
-        receiver = RoceReceiver(sim, flow)
+        receiver = IrnReceiver(sim, flow, accept_ooo=False)
         receiver.on_data(data(flow, 0), 0.0)
         receiver.on_data(data(flow, 2), 1e-6)       # discarded
         receiver.on_data(data(flow, 1), 2e-6)
@@ -117,7 +121,8 @@ class TestRoceReceiver:
     def test_acks_suppressed_when_configured(self):
         sim = Simulator()
         flow = make_flow(2_000)
-        receiver = RoceReceiver(sim, flow, RoceConfig(mtu_bytes=1000, generate_acks=False))
+        receiver = IrnReceiver(sim, flow, RoceConfig(mtu_bytes=1000, generate_acks=False),
+                               accept_ooo=False)
         responses = receiver.on_data(data(flow, 0), 0.0)
         assert responses == []
         # Completion is still tracked even without acknowledgements.

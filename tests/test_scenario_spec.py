@@ -293,8 +293,8 @@ class TestCli:
         from repro.__main__ import main
 
         code = main([
-            "run", "fig1", "--flows", "12", "--seeds", "1",
-            "--workers", "1", "--no-cache",
+            "run", "fig1", "--set", "num_flows=12", "--seeds", "1",
+            "--workers", "1",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -322,7 +322,7 @@ class TestCli:
 
         done = subprocess.run(
             [sys.executable, "-m", "repro", "run", "table3", "--workers", "1",
-             "--no-cache", "--flows", "3", *argv],
+             "--set", "num_flows=3", *argv],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
@@ -347,7 +347,7 @@ class TestCli:
         cache = tmp_path / "cache"
         done = subprocess.run(
             [sys.executable, "-m", "repro", "run", "table3", "--workers", "1",
-             "--cache", str(cache), "--flows", "3", "--set", setting],
+             "--cache", str(cache), "--set", "num_flows=3", "--set", setting],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
@@ -363,7 +363,7 @@ class TestCli:
         import subprocess
         import sys
 
-        run = ["run", "fig1", "--quick", "--flows", "12", "--workers", "1",
+        run = ["run", "fig1", "--seeds", "1", "--set", "num_flows=12", "--workers", "1",
                "--cache", str(tmp_path / "cache")]
         warm = subprocess.run([sys.executable, "-m", "repro", *run],
                               capture_output=True, text=True, timeout=300)
@@ -391,8 +391,8 @@ class TestCli:
         from repro.__main__ import main
 
         code = main([
-            "run", "fig1", "--flows", "8", "--seeds", "1",
-            "--workers", "1", "--no-cache", "--set", "name=x",
+            "run", "fig1", "--set", "num_flows=8", "--seeds", "1",
+            "--workers", "1", "--set", "name=x",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -402,8 +402,8 @@ class TestCli:
         from repro.__main__ import main
 
         code = main([
-            "run", "table5", "--flows", "8", "--seeds", "1",
-            "--workers", "1", "--no-cache", "--set", "fat_tree_k=4",
+            "run", "table5", "--set", "num_flows=8", "--seeds", "1",
+            "--workers", "1", "--set", "fat_tree_k=4",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep subsystem (grid, cache, runner, aggregation)."""
+"""Tests for the parallel sweep subsystem (cells, cache, runner, aggregation)."""
 
 import hashlib
 import os
@@ -11,8 +11,8 @@ import repro
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
 from repro.experiments.runner import run_experiment
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.sweep import (
-    ParameterGrid,
     ResultCache,
     _source_digest,
     aggregate_rows,
@@ -21,69 +21,70 @@ from repro.experiments.sweep import (
 )
 
 
+TINY_DEFAULTS = {
+    "topology": "star",
+    "num_hosts": 4,
+    "workload": "fixed",
+    "fixed_size_bytes": 20_000,
+    "num_flows": 6,
+    "max_sim_time_s": 1.0,
+}
+
+
 def tiny_config(**overrides) -> ExperimentConfig:
     """A star-topology config that simulates in a few milliseconds."""
-    base = ExperimentConfig(
-        name="tiny",
-        topology="star",
-        num_hosts=4,
-        workload="fixed",
-        fixed_size_bytes=20_000,
-        num_flows=6,
-        max_sim_time_s=1.0,
-    )
+    base = ExperimentConfig(name="tiny", **TINY_DEFAULTS)
     return base.with_overrides(**overrides) if overrides else base
 
 
-def tiny_grid() -> ParameterGrid:
-    """A 12-cell grid: 2 transports x 2 PFC settings x 3 seeds."""
-    return ParameterGrid(
-        tiny_config(),
-        axes={
-            "transport": ["irn", "roce"],
-            "pfc_enabled": [False, True],
-            "seed": [1, 2, 3],
+def tiny_grid() -> ScenarioSpec:
+    """12 cells: 2 transports x 2 PFC settings x 3 seeds, ``tiny_config``
+    otherwise."""
+    return ScenarioSpec(
+        name="tiny",
+        defaults=TINY_DEFAULTS,
+        variants={
+            f"{transport} pfc={pfc}": {"transport": transport, "pfc_enabled": pfc}
+            for transport in ("irn", "roce")
+            for pfc in (False, True)
         },
+        seeds=(1, 2, 3),
+        aggregate_by=("transport", "pfc_enabled"),
     )
 
 
-class TestParameterGrid:
+class TestScenarioCells:
     def test_expansion_size_and_order(self):
-        grid = tiny_grid()
-        cells = grid.expand()
-        assert len(grid) == 12
+        cells = tiny_grid().replicated()
         assert len(cells) == 12
-        # Last axis (seed) varies fastest, itertools.product-style.
-        first_labels = list(cells)[:3]
-        assert first_labels == [
-            "transport=irn, pfc_enabled=False, seed=1",
-            "transport=irn, pfc_enabled=False, seed=2",
-            "transport=irn, pfc_enabled=False, seed=3",
+        # Seed varies fastest, then the variants in declaration order.
+        assert list(cells)[:4] == [
+            "irn pfc=False [seed=1]",
+            "irn pfc=False [seed=2]",
+            "irn pfc=False [seed=3]",
+            "irn pfc=True [seed=1]",
         ]
 
     def test_overrides_applied_and_name_set(self):
-        cells = tiny_grid().expand()
-        config = cells["transport=roce, pfc_enabled=True, seed=2"]
+        cells = tiny_grid().replicated()
+        config = cells["roce pfc=True [seed=2]"]
         assert config.transport == "roce"
         assert config.pfc_enabled is True
         assert config.seed == 2
-        assert config.name == "transport=roce, pfc_enabled=True, seed=2"
-        # Non-axis fields come from the base config.
+        assert config.name == "roce-none-pfc"
+        # Non-axis fields come from the defaults.
         assert config.num_flows == 6
+        assert config.fingerprint() == tiny_config(
+            transport="roce", pfc_enabled=True, seed=2).fingerprint()
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown ExperimentConfig field"):
-            ParameterGrid(tiny_config(), axes={"not_a_field": [1]})
-
-    def test_duplicate_axis_values_rejected(self):
+    def test_duplicate_seeds_rejected(self):
         # A duplicated seed would silently collapse replicas if allowed.
-        grid = ParameterGrid(tiny_config(), axes={"seed": [1, 1]})
-        with pytest.raises(ValueError, match="collide on label"):
-            grid.expand()
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            tiny_grid().replicated(seeds=[1, 1])
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="no values"):
-            ParameterGrid(tiny_config(), axes={"seed": []})
+    def test_no_variants_rejected(self):
+        with pytest.raises(ValueError, match="declares no variants"):
+            ScenarioSpec(name="empty", defaults=TINY_DEFAULTS, variants={})
 
 
 class TestFingerprint:
@@ -254,28 +255,31 @@ class TestResultRow:
 
 class TestRunSweep:
     def test_parallel_matches_serial_for_fixed_seeds(self):
-        grid = tiny_grid()
-        serial = run_sweep(grid, workers=1)
-        parallel = run_sweep(grid, workers=4)
+        cells = tiny_grid().replicated()
+        serial = run_sweep(cells, workers=1)
+        parallel = run_sweep(cells, workers=4)
         assert serial.workers_used == 1
         assert len(parallel) == 12
         # Independent seeded simulations: bit-identical rows either way.
         assert parallel.rows == serial.rows
-        assert parallel.labels() == serial.labels()
+        assert list(parallel.rows) == list(serial.rows) == list(cells)
 
     def test_accepts_label_mapping(self):
         configs = {"a": tiny_config(seed=1), "b": tiny_config(seed=2)}
         sweep = run_sweep(configs, workers=1)
-        assert sweep.labels() == ["a", "b"]
+        assert list(sweep.rows) == ["a", "b"]
         assert sweep["a"].seed == 1
 
-    def test_accepts_plain_iterable_and_dedups_names(self):
-        # Iterables are labelled by config name; shared names get suffixes
-        # instead of silently overwriting each other.
-        sweep = run_sweep([tiny_config(seed=1), tiny_config(seed=2)], workers=1)
-        assert sweep.labels() == ["tiny", "tiny #2"]
-        assert sweep["tiny"].seed == 1
-        assert sweep["tiny #2"].seed == 2
+    @pytest.mark.parametrize("configs", [
+        [tiny_config(seed=1), tiny_config(seed=2)],
+        (config for config in [tiny_config()]),
+        [("cell", tiny_config())],
+    ], ids=["list", "generator", "pairs"])
+    def test_rejects_anything_but_a_mapping(self, configs):
+        # Cells are labelled by the caller (ScenarioSpec.configs() or
+        # .replicated()); the sweep never invents labels.
+        with pytest.raises(TypeError, match="label -> ExperimentConfig mapping"):
+            run_sweep(configs, workers=1)
 
     def test_duplicate_labels_rejected(self):
         class MultiMapping(dict):
@@ -298,9 +302,9 @@ class TestResultCache:
         assert cache.get(config) == first["cell"]
 
     def test_repeat_sweep_runs_zero_simulations(self, tmp_path, monkeypatch):
-        grid = tiny_grid()
+        cells = tiny_grid().replicated()
         cache = ResultCache(tmp_path / "cache")
-        first = run_sweep(grid, workers=2, cache=cache)
+        first = run_sweep(cells, workers=2, cache=cache)
         assert first.runs_executed == 12
         assert len(cache) == 12
 
@@ -310,7 +314,7 @@ class TestResultCache:
             raise AssertionError(f"run_experiment called for {config.name}")
 
         monkeypatch.setattr("repro.experiments.runner.run_experiment", boom)
-        again = run_sweep(grid, workers=1, cache=cache)
+        again = run_sweep(cells, workers=1, cache=cache)
         assert again.runs_executed == 0
         assert again.cache_hits == 12
         assert again.rows == first.rows
@@ -495,7 +499,7 @@ class TestCodeFingerprint:
 
 class TestAggregation:
     def test_mean_and_p99_across_seeds(self):
-        rows = run_sweep(tiny_grid(), workers=2).rows.values()
+        rows = run_sweep(tiny_grid().replicated(), workers=2).rows.values()
         table = aggregate_rows(rows, by=("transport", "pfc_enabled"))
         assert len(table) == 4
         cell = next(
@@ -519,7 +523,7 @@ class TestAggregation:
     def test_stderr_and_ci95_columns(self):
         from repro.metrics.stats import ci95_half_width, stderr
 
-        rows = list(run_sweep(tiny_grid(), workers=2).rows.values())
+        rows = list(run_sweep(tiny_grid().replicated(), workers=2).rows.values())
         table = aggregate_rows(rows, by=("transport", "pfc_enabled"))
         cell = next(
             record for record in table
@@ -546,7 +550,7 @@ class TestAggregation:
     def test_digests_merge_into_pooled_percentiles(self):
         from repro.metrics.sketch import QuantileDigest
 
-        rows = list(run_sweep(tiny_grid(), workers=2).rows.values())
+        rows = list(run_sweep(tiny_grid().replicated(), workers=2).rows.values())
         table = aggregate_rows(rows, by=("transport", "pfc_enabled"))
         cell = next(
             record for record in table
