@@ -13,8 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "IrnSender": "repro.core.irn",
     "IrnReceiver": "repro.core.irn",
     "LossRecovery": "repro.core.irn",
-    "RoceConfig": "repro.core.roce",
-    "RoceSender": "repro.core.roce",
     "TcpConfig": "repro.core.iwarp",
     "TcpSender": "repro.core.iwarp",
 })

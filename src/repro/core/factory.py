@@ -15,12 +15,14 @@ The caller registers the returned pair with its hosts
 (``dst_host.register_receiver`` / ``src_host.register_sender``); the source
 host is passed only to wire the sender's NIC callbacks.
 
-The six built-ins differ in three things only: the sender class, whether the
-receiver accepts out-of-order packets, and the transport config.  Every
+The six built-ins are ``irn``, ``roce``, ``iwarp`` and the §4.3
+factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
+``irn_no_sack``; :mod:`repro.core.registry` declares them by name.  Every
 receiver is an :class:`~repro.core.irn.IrnReceiver`, so they share one
-pairing helper, :func:`_pair`.  They are ``irn``, ``roce``, ``iwarp`` and
-the §4.3 factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
-``irn_no_sack``; :mod:`repro.core.registry` declares them by name.
+pairing helper, :func:`_pair`.  Only iWARP has its own sender class; the
+other five are :class:`~repro.core.irn.IrnSender` settings -- RoCE is IRN
+with go-back-N, no BDP-FC cap and one timeout -- and differ only in the
+transport config and whether the receiver accepts out-of-order packets.
 
 A transport registered from outside this package follows the same shape::
 
@@ -45,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
 from repro.core.iwarp import TcpConfig, TcpSender
 from repro.core.registry import Endpoints, register_transport
-from repro.core.roce import RoceConfig, RoceSender
 from repro.core.transport import BaseReceiver, BaseSender, Flow, FlowCallback, TransportConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,23 +89,26 @@ def _pair(sender_class: Type[BaseSender], config: TransportConfig, accept_ooo: b
 
 @register_transport("roce")
 def _build_roce(config: Any) -> Endpoints:
-    # With PFC the paper's RoCE baseline sends no ACKs and disables
-    # timeouts; without PFC it uses a fixed RTO_high and needs ACKs for
+    # RoCE is IRN's sender with §3's changes switched off (go-back-N, no
+    # BDP-FC cap, one fixed RTO_high) and none of §6.3's overheads (the raw
+    # headers, no PCIe fetch delay).  With PFC the paper's RoCE baseline
+    # sends no ACKs and disables timeouts; without PFC it needs ACKs for
     # go-back-N progress.  RTT-based schemes (Timely among the built-ins)
     # additionally need per-packet RTT samples, hence ACKs, regardless
     # of PFC.
-    physics = config.physics()
     needs_acks = (not config.pfc_enabled) or config.congestion_scheme().rtt_based
-    roce_config = RoceConfig(
-        mtu_bytes=config.mtu_bytes,
+    irn_config = _irn_config(config)
+    roce_config = dataclasses.replace(
+        irn_config,
+        loss_recovery=LossRecovery.GO_BACK_N,
+        bdp_fc_enabled=False,
+        rto_low_s=irn_config.rto_high_s,
         header_bytes=config.header_bytes,
-        rto_s=physics.rto_high_s,
+        retransmission_fetch_delay_s=0.0,
         generate_acks=needs_acks,
         timeouts_enabled=not config.pfc_enabled,
-        ack_coalesce_n=physics.ack_coalesce_n,
-        ack_coalesce_s=physics.ack_coalesce_s,
     )
-    return _pair(RoceSender, roce_config, accept_ooo=False)
+    return _pair(IrnSender, roce_config, accept_ooo=False)
 
 
 @register_transport("iwarp")
@@ -126,6 +130,7 @@ def _build_iwarp(config: Any) -> Endpoints:
 
 
 def _irn_config(config: Any) -> IrnConfig:
+    """IRN's transport config for a run; RoCE and the ablations replace fields of it."""
     physics = config.physics()
     return IrnConfig(
         mtu_bytes=config.mtu_bytes,

@@ -24,6 +24,17 @@ flight (so single-packet messages recover quickly) and ``RTO_high`` otherwise
 The module also implements the §4.3 factor-analysis variants via
 :class:`LossRecovery`: go-back-N loss recovery, selective retransmission
 without SACK state, and disabling BDP-FC.
+
+Current RoCE (§2.1) is the same sender with IRN's changes switched off: RoCE
+adopted the Infiniband reliable-connected transport unchanged, so its
+responder discards out-of-order packets and NACKs the expected sequence
+number, and the requester goes back to it and resends everything from
+there (go-back-N).  It has no end-to-end window -- absent congestion control
+it sends as fast as the NIC drains -- which is why it depends on PFC to
+avoid drops.  Following §4.1, RoCE with PFC sends no ACKs (the all-Reads
+extreme) and has timeouts disabled to avoid spurious retransmissions;
+without PFC it uses one fixed timeout, ``RTO_high``.  The ``roce`` builder
+in :mod:`repro.core.factory` sets these fields.
 """
 
 from __future__ import annotations
@@ -45,7 +56,8 @@ _NACK = PacketType.NACK
 
 
 class LossRecovery(Enum):
-    """Loss-recovery scheme used by the sender (for the factor analysis)."""
+    """Loss-recovery scheme used by the sender: IRN's SACK, or the factor
+    analysis's alternatives, of which ``GO_BACK_N`` also selects RoCE."""
 
     SACK = "sack"
     GO_BACK_N = "go_back_n"
@@ -75,7 +87,8 @@ class IrnConfig(TransportConfig):
 
 
 class IrnSender(BaseSender):
-    """IRN transmit-side logic: SACK-based recovery plus BDP-FC."""
+    """IRN transmit-side logic: SACK-based recovery plus BDP-FC (with
+    go-back-N, no cap and one timeout, RoCE's requester)."""
 
     def __init__(
         self,

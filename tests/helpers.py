@@ -7,7 +7,9 @@ import subprocess
 import sys
 import textwrap
 
+from repro.core.registry import TRANSPORTS
 from repro.core.transport import Flow
+from repro.experiments.config import ExperimentConfig
 from repro.sim.packet import Packet, PacketType
 
 
@@ -40,6 +42,14 @@ class FakeHost:
 
 def make_flow(size_bytes: int = 10_000, flow_id: int = 1, src: str = "h0", dst: str = "h1") -> Flow:
     return Flow(flow_id=flow_id, src=src, dst=dst, size_bytes=size_bytes)
+
+
+def registered_endpoints(transport: str, sim, host, flow: Flow, congestion_control=None,
+                         **fields):
+    """A flow's ``(sender, receiver)`` as the registered ``transport`` builds
+    them for a run of ``ExperimentConfig(transport=transport, **fields)``."""
+    endpoints = TRANSPORTS.get(transport)(ExperimentConfig(transport=transport, **fields))
+    return endpoints(sim, host, flow, congestion_control, None, None, None)
 
 
 def ack(flow: Flow, cumulative: int, echo_time: float = 0.0, ecn_echo: bool = False) -> Packet:

@@ -186,6 +186,16 @@ RULES = (
          "_build_tcp_config(c)"),
     ),
     Rule(
+        "one-sender-state-machine",
+        r"RoceSender|RoceConfig|go_back_events|repro\.core\.roce",
+        EVERYWHERE,
+        "RoCE's requester is IrnSender with go-back-N, no BDP-FC cap and one timeout, "
+        "built by the registered roce transport; core/roce.py, its sender, config and "
+        "go_back_events stat (recovery_episodes counts the same) were deleted",
+        ("sender = RoceSender(sim, host, flow, config)", "RoceConfig(mtu_bytes=1000)",
+         "sender.go_back_events", "from repro.core.roce import RoceSender"),
+    ),
+    Rule(
         "one-event-shape",
         r"class Event\b|\.cancelled\b|\.cancel\(\)",
         HOT_PATH,

@@ -27,7 +27,7 @@ NOT_ON_THE_READ_PATH = frozenset({
     "repro.sim", "repro.sim.packet", "repro.sim.pfc",
     "repro.sim.engine", "repro.sim.switch", "repro.sim.host", "repro.sim.network",
     "repro.sim.routing", "repro.faults",
-    "repro.core.transport", "repro.core.irn", "repro.core.roce", "repro.core.iwarp",
+    "repro.core.transport", "repro.core.irn", "repro.core.iwarp",
     "repro.congestion.dcqcn", "repro.congestion.timely", "repro.congestion.window",
     "repro.topology.fattree", "repro.topology.simple", "repro.topology.cyclic",
     "repro.workload.generator", "repro.workload.incast",

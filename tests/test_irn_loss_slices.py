@@ -20,6 +20,15 @@ rules (§3.1) give:
 * with no loss at all, a timer still fires if the ACKs are held longer than
   the timer -- that timeout, and what it resends, is spurious.
 
+The go-back-N transports -- ``roce`` (PFC off) and the ``irn_go_back_n``
+ablation, one sender state machine in two settings -- run the same slice:
+
+* a loss followed by later packets is repaired by NACK within about one
+  RTT, no timer fires, and every PSN from the lost one up to the highest
+  sent when the NACK arrives is resent, in order;
+* a lost last packet waits for the timer: RoCE's one fixed RTO_high, or
+  RTO_low / RTO_high by the in-flight rule under ``irn_go_back_n``.
+
 Recovery time is measured per lost packet, from the arrival of its dropped
 copy to the arrival of its delivered copy, in units of the slice's base RTT
 (one data frame and its ACK, unloaded).
@@ -31,6 +40,7 @@ from repro.core.registry import TRANSPORTS
 from repro.core.transport import Flow
 from repro.experiments.config import ExperimentConfig
 from repro.sim.engine import Simulator
+from repro.sim.link import DEFAULT_PORT_BATCH
 from repro.sim.packet import PacketType
 from repro.topology.simple import build_star
 
@@ -50,7 +60,8 @@ def _config(**overrides):
 
 
 class _SliceRun:
-    """One IRN flow h0 -> h1 with ``drops[psn]`` copies of ``psn`` dropped.
+    """One ``config.transport`` flow h0 -> h1 with ``drops[psn]`` copies of
+    ``psn`` dropped.
 
     With ``ack_hold_s`` set, every ACK reaching h0 from the first one that
     finds at most N packets in flight on is held that long, in order."""
@@ -67,6 +78,10 @@ class _SliceRun:
 
         #: psn -> arrival times of its copies at h1, dropped ones included.
         self.arrivals = {}
+        #: PSNs of the retransmitted copies reaching h1, in arrival order.
+        self.resent = []
+        #: The sender's ``highest_sent`` when the first NACK reached h0.
+        self.highest_sent_at_nack = None
         #: The receiver's banked ACK grants when each drop happened.
         self.pending_at_drop = []
         self.first_ack_at = None
@@ -83,6 +98,8 @@ class _SliceRun:
         def drop_scripted(packet, link):
             if packet.ptype is PacketType.DATA:
                 self.arrivals.setdefault(packet.psn, []).append(sim.now)
+                if packet.retransmitted:
+                    self.resent.append(packet.psn)
                 if remaining.get(packet.psn):
                     remaining[packet.psn] -= 1
                     self.pending_at_drop.append(self.receiver._ack_pending)
@@ -97,6 +114,8 @@ class _SliceRun:
         def note_ack(packet, link):
             if self.first_ack_at is None:
                 self.first_ack_at = sim.now
+            if packet.ptype is PacketType.NACK and self.highest_sent_at_nack is None:
+                self.highest_sent_at_nack = self.sender.highest_sent
             if ack_hold_s is not None:
                 if (self.first_held_at is None and self.sender.in_flight()
                         <= config.rto_low_threshold_packets):
@@ -256,3 +275,42 @@ def test_a_spurious_timeout_resends_only_the_cumulative_ack_packet():
     _, run = _held_ack_run(1.5)
     assert run.sender.timeouts_fired == 1
     assert run.sender.retransmissions == 1
+
+
+@pytest.mark.parametrize("transport", ["roce", "irn_go_back_n"])
+def test_go_back_n_repairs_a_mid_flow_loss_by_nack(transport, base_rtt_s):
+    """One mid-flow loss under go-back-N.  The next packet's NACK names the
+    lost PSN and the sender goes back to it: every PSN from there up to the
+    highest it had sent is resent, in order, and no timer fires.  RoCE has
+    no window, so when the NACK lands the NIC may still hold a committed
+    departure batch; the lost packet is delivered within one RTT plus the
+    serialization of that batch and of the frame that triggered the NACK."""
+    config = _config(transport=transport)
+    run = _SliceRun(config, {MID: 1})
+
+    assert run.sender.timeouts_fired == 0
+    assert run.sender.recovery_episodes == 1
+    assert run.highest_sent_at_nack > MID + 1
+    assert run.resent == list(range(MID, run.highest_sent_at_nack))
+    assert run.sender.retransmissions == len(run.resent)
+    bound = base_rtt_s + (1 + DEFAULT_PORT_BATCH) * _serialization_s(config)
+    assert base_rtt_s <= run.recovery_s(MID) <= bound, run.recovery_s(MID) / base_rtt_s
+
+
+@pytest.mark.parametrize("transport, timer", [("roce", "rto_high_s"),
+                                              ("irn_go_back_n", "rto_low_s")])
+def test_go_back_n_tail_loss_waits_for_its_timer(transport, timer, base_rtt_s):
+    """The flow's last packet is lost, so only a timeout repairs it.  RoCE
+    has one fixed timeout, RTO_high, whatever is in flight; the
+    ``irn_go_back_n`` ablation keeps IRN's rule, and one packet in flight
+    (at most N) when the timer is armed gives RTO_low."""
+    config = _config(transport=transport)
+    last = FLOW_PACKETS - 1
+    run = _SliceRun(config, {last: 1})
+
+    assert run.sender.timeouts_fired == 1
+    assert run.sender.retransmissions == 1
+    physics = config.physics()
+    assert physics.rto_low_s < physics.rto_high_s
+    rto = getattr(physics, timer)
+    assert rto <= run.recovery_s(last) <= rto + base_rtt_s, run.recovery_s(last) / base_rtt_s

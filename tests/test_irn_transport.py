@@ -4,7 +4,6 @@ import pytest
 
 from repro.congestion.dcqcn import Dcqcn
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
-from repro.core.roce import RoceConfig, RoceSender
 from repro.core.transport import Flow
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
@@ -12,7 +11,7 @@ from repro.sim.pfc import PfcConfig
 from repro.sim.switch import EcnConfig, SwitchConfig
 from repro.topology.simple import build_star
 
-from tests.helpers import FakeHost, ack, drain, make_flow, nack
+from tests.helpers import FakeHost, ack, drain, make_flow, nack, registered_endpoints
 
 
 def make_sender(size_bytes=10_000, bdp_cap=8, sim=None, **config_kwargs):
@@ -327,9 +326,7 @@ class TestTimerHandles:
         irn = IrnSender(sim, h0, irn_flow, irn_config, Dcqcn(10e9))
         irn_rx = IrnReceiver(sim, irn_flow, irn_config, cnp_interval_s=2e-6)
         roce_flow = Flow(2, "h1", "h2", 20_000)
-        roce_config = RoceConfig(mtu_bytes=1000, generate_acks=False, timeouts_enabled=False)
-        roce = RoceSender(sim, h1, roce_flow, roce_config)
-        roce_rx = IrnReceiver(sim, roce_flow, roce_config, accept_ooo=False)
+        roce, roce_rx = registered_endpoints("roce", sim, h1, roce_flow)
         h0.register_sender(irn)
         h1.register_sender(roce)
         h2.register_receiver(irn_rx)

@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.helpers import make_flow, nack
+from tests.helpers import make_flow, nack, registered_endpoints
 from repro.congestion.base import RateBasedControl
 from repro.core.irn import IrnConfig, IrnSender
-from repro.core.roce import RoceConfig, RoceSender
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network
@@ -248,7 +247,7 @@ def _against_oracle(build):
     return selected
 
 
-class CountingRoceSender(RoceSender):
+class CountingSender(IrnSender):
     polls = 0
 
     def next_packet(self, now):
@@ -263,8 +262,9 @@ class TestReadyMask:
         senders = {}
 
         def build(sim, host, poll):
-            config = RoceConfig(generate_acks=False, timeouts_enabled=False)
-            senders[type(host)] = roce = CountingRoceSender(sim, host, make_flow(3_000), config)
+            flow = make_flow(3_000)
+            config = registered_endpoints("roce", sim, host, flow)[0].config
+            senders[type(host)] = roce = CountingSender(sim, host, flow, config)
             host.register_sender(roce)
             host.register_sender(ListSender(2, "h0", "h2", count=10))
             for _ in range(20):
