@@ -3,13 +3,17 @@
 CI runs this to prove the multi-machine recipe end to end on Figure 1:
 
 1. run the scenario serially (the reference answer);
-2. run it again through the ``queue`` backend with **two** worker processes
-   (each a real ``python -m repro worker <dir> --drain``) draining one queue
-   directory, streaming partial aggregates as part-files land;
-3. assert the streamed sweep saw partial progress before completion and that
+2. plant one abandoned lease: spool one cell and claim it as
+   ``dead-worker``, a worker that never finishes it;
+3. run the scenario again through the ``queue`` backend with **two** worker
+   processes (each a real ``python -m repro worker <dir> --drain``) draining
+   one queue directory, streaming partial aggregates as part-files land --
+   a worker that finds no task left steals the abandoned lease, so the
+   sweep finishes inside its 60 s no-progress bound;
+4. assert the streamed sweep saw partial progress before completion and that
    its final ``aggregate_rows`` output -- fingerprints, pooled digest tails
    and all -- is identical to the serial run;
-4. assert the drained queue directory's layout: ``tasks/`` and ``leases/``
+5. assert the drained queue directory's layout: ``tasks/`` and ``leases/``
    are empty, and ``parts/`` holds exactly one ``<fingerprint>.json`` per
    cell and nothing else.
 
@@ -30,7 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.api import QueueBackend, load_scenario
+from repro.api import QueueBackend, TaskQueue, load_scenario
 
 SCENARIO = "fig1"
 FLOWS = 30  # enough traffic for non-trivial tails, small enough for CI
@@ -84,6 +88,15 @@ def main() -> int:
               "zero simulations; one part per cell, no task or lease.")
         return 0
 
+    label, config = next(iter(spec.replicated(num_flows=FLOWS).items()))
+    print(f"== plant an abandoned lease: {label} claimed by dead-worker ==")
+    planted = TaskQueue(queue_dir)
+    planted.enqueue(label, config)
+    lease = planted.claim("dead-worker")
+    if lease is None or lease.fingerprint != config.fingerprint():
+        print(f"FAILED: could not plant a lease on {label} (is {queue_dir} fresh?)")
+        return 1
+
     print(f"== queue backend: 2 workers draining {queue_dir} ==")
     snapshots = []
 
@@ -96,7 +109,7 @@ def main() -> int:
             f" fct_p99_s={record.get('fct_p99_s', float('nan')):.6f}"
         )
 
-    backend = QueueBackend(queue_dir, workers=2, poll_interval_s=0.05, wait_timeout_s=600)
+    backend = QueueBackend(queue_dir, workers=2, poll_interval_s=0.05, wait_timeout_s=60)
     queued = spec.sweep(cache=None, backend=backend, progress=follow, num_flows=FLOWS)
     queued_agg = spec.aggregate(queued)
 

@@ -199,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.experiments.queue import TaskQueue, default_worker_id, run_worker
 
-    queue = TaskQueue(args.queue_dir, lease_timeout_s=args.lease_timeout)
+    queue = TaskQueue(args.queue_dir)
     worker_id = default_worker_id()
     counts = queue.counts()
     print(f"worker {worker_id} draining {queue.directory} "
@@ -266,24 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="lease and execute sweep tasks from a queue directory",
         description="Drain a queue sweep: claim fingerprint-named "
         "task files, simulate each, and publish its durable ResultRow "
-        "part-file under <queue-dir>/parts.  Start as many of these as you "
-        "like, on any machine that sees the directory.",
+        "part-file under <queue-dir>/parts.  With no task left to claim, "
+        "run again any leased cell that has no part yet (its worker may "
+        "have died; cells are deterministic, so a second run writes the "
+        "same part).  Start as many of these as you like, on any machine "
+        "that sees the directory.",
     )
     worker.add_argument("queue_dir", help="the sweep's queue directory")
     worker.add_argument("--poll", type=_positive_seconds, default=0.5, metavar="SECONDS",
                         help="idle re-poll interval (default: 0.5)")
     worker.add_argument("--drain", action="store_true",
-                        help="exit once no pending tasks remain "
+                        help="exit once no task or unfinished lease remains "
                              "(default: keep serving new tasks forever)")
-    worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
+    worker.add_argument("--max-tasks", type=_positive_int, default=None, metavar="N",
                         help="exit after executing N cells")
-    worker.add_argument("--lease-timeout", type=_positive_seconds, default=600.0,
-                        metavar="SECONDS",
-                        help="reclaim another worker's lease only after it "
-                             "has gone untouched this long (its worker "
-                             "refreshes it every --poll seconds while the "
-                             "cell simulates) -- a live worker is never "
-                             "preempted, however slow its cell (default: 600)")
     worker.set_defaults(func=_cmd_worker)
 
     lst = sub.add_parser("list", help="list registered scenarios")

@@ -10,9 +10,11 @@ Task lifecycle (all transitions are atomic renames or atomic
 write-temp-then-rename, so concurrent workers never observe half states)::
 
     tasks/<fp>.json  --claim-->  leases/<fp>.json  --complete-->  parts/<fp>.json
-         ^                            |                 (ResultRow part-file)
-         |                            +--fail------>  failed/<fp>.json
-         +------reclaim (stale lease: crashed worker)--+
+                                   |      ^         (ResultRow part-file)
+                                   |      |
+                                   |      +--steal when tasks/ is empty
+                                   |         (run again; the lease stays)
+                                   +--fail------>  failed/<fp>.json
 
 * ``tasks/`` holds pending work: one JSON file per cell, named by the
   config's :meth:`~repro.experiments.config.ExperimentConfig.fingerprint`
@@ -21,13 +23,19 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   on another machine rebuilds the exact fingerprinted config.
 * A worker *claims* a task by renaming it into ``leases/`` -- exactly one
   concurrent claimer can win the rename -- then stamps the lease with its
-  identity.  The lease is its own heartbeat: while executing, the worker
-  refreshes the lease's mtime on its poll cadence, and a lease is presumed
-  orphaned (and renamed back into ``tasks/``) only once that mtime has gone
-  untouched for ``lease_timeout_s`` -- so a slow cell on a live worker is
-  never stolen, while a dead worker's lease is reclaimed one timeout after
-  its last beat.  Stamps and reclaim's "now" both come from the
-  filesystem's clock (on NFS, the server's), never from a host's.
+  identity.  While ``tasks/`` holds work, no cell runs twice.
+* A worker that finds ``tasks/`` empty *steals*: it runs any leased cell
+  whose part does not read, taking leases in an order of its own (a hash of
+  its id and the fingerprint), so two idle workers facing two abandoned
+  leases start on different ones.  A steal leaves the lease as it is; the
+  first :meth:`TaskQueue.complete` or :meth:`TaskQueue.fail` drops it.
+  There is no timeout and no liveness signal: cells are deterministic, so
+  a second run writes a byte-identical part -- wasteful at worst, never
+  wrong -- and a worker that died mid-cell costs one cell time on an idle
+  worker, not a wait.  The cost: a cell that kills its own process (by
+  running out of memory, say) is retried by each idle worker at the tail.
+  At most (workers - 1) extra runs of a cell happen, and only on CPU that
+  would otherwise sit idle.
 * A finished cell becomes a *part-file*: ``parts/`` is a
   :class:`~repro.experiments.sweep.ResultCache` (:attr:`TaskQueue.parts`),
   so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
@@ -38,8 +46,8 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   lease or task goes, and pollers -- the coordinator below, and the
   ``repro serve`` follow stream -- find parts by listing ``parts/``
   (:meth:`~repro.experiments.sweep.ResultCache.fingerprints`).  A worker
-  that dies between its part and its lease's removal leaves the lease to
-  be reclaimed, and the claim that follows retires the task on sight.
+  that dies between its part and its lease's removal leaves a lease whose
+  part reads: the next steal unlinks it on sight.
 * A cell that raises becomes a *failure marker* (``failed/<fp>.json``); the
   coordinating sweep surfaces it as an error instead of waiting forever.
 
@@ -50,16 +58,15 @@ previous, interrupted coordinator left behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 import socket
 import subprocess
 import sys
-import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
@@ -87,11 +94,6 @@ __all__ = [
 #: Bumped when the task-file wire format changes incompatibly.
 TASK_SCHEMA_VERSION = 3
 
-#: Leases untouched for this long are presumed orphaned by a dead worker.
-#: Must comfortably exceed the longest single cell (cells are seconds-long;
-#: slow shared filesystems and swapped machines get a wide margin).
-DEFAULT_LEASE_TIMEOUT_S = 600.0
-
 
 @dataclass
 class Task:
@@ -100,7 +102,7 @@ class Task:
     fingerprint: str
     label: str
     config: ExperimentConfig
-    #: Set while this process holds the lease.
+    #: The lease this process drops once the cell is settled.
     lease_path: Optional[Path] = None
 
     def to_payload(self) -> Dict[str, Any]:
@@ -128,15 +130,8 @@ class Task:
 class TaskQueue:
     """The on-disk queue: four spool directories."""
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-    ) -> None:
-        if lease_timeout_s <= 0:
-            raise ValueError("lease_timeout_s must be positive")
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.lease_timeout_s = lease_timeout_s
         self.tasks_dir = self.directory / "tasks"
         self.leases_dir = self.directory / "leases"
         self.parts_dir = self.directory / "parts"
@@ -211,10 +206,10 @@ class TaskQueue:
         The claim is one atomic rename into ``leases/``: when several workers
         race for the same task exactly one rename succeeds and the others
         simply move on to the next file.  Tasks whose *valid* part-file
-        already exists (a reclaimed lease whose original worker finished
-        after all, or died before dropping its lease) are retired on sight
-        instead of re-run; a part that no longer reads (different source
-        tree) does not retire its task -- completing the task overwrites it.
+        already exists (written after the task was spooled, by anything that
+        shares ``parts/``) are retired on sight instead of re-run; a part
+        that no longer reads (different source tree) does not retire its
+        task -- completing the task overwrites it.
         """
         for path in sorted(self.tasks_dir.glob("*.json")):
             fingerprint = path.stem
@@ -225,67 +220,75 @@ class TaskQueue:
                 continue
             lease = self.lease_path(fingerprint)
             try:
-                # Refresh the mtime *before* the rename (which preserves
-                # it): orphan reclaim judges staleness by lease mtime, and
-                # a task that sat pending longer than the lease timeout
-                # must not be born already reclaim-eligible.
-                os.utime(path)
                 path.rename(lease)
             except (FileNotFoundError, PermissionError):
                 continue  # another worker won the rename
-            try:
-                lease_text = lease.read_text()
-            except FileNotFoundError:
-                # Reclaimed out from under us in the instant after the
-                # rename: the task is back in the pending spool, someone
-                # will claim it.  Not a failure.
+            task = self._leased_task(lease, worker_id)
+            if task is None:
                 continue
-            try:
-                payload = json.loads(lease_text)
-                task = Task.from_payload(payload)
-                if task.fingerprint != fingerprint:
-                    # Every later path is built from the payload's copy.
-                    raise ValueError("task file names another fingerprint")
-            except (ValueError, KeyError, TypeError) as exc:
-                # Genuinely unreadable task: surface as a failure marker,
-                # not a hang.
-                _write_json_atomic(
-                    self.failed_path(fingerprint),
-                    {"fingerprint": fingerprint, "label": "?", "worker": worker_id,
-                     "error": f"unreadable task file: {exc!r}"},
-                )
-                lease.unlink(missing_ok=True)
-                continue
-            task.lease_path = lease
-            # Stamp the lease with the claimer (refreshing its mtime again;
-            # long-running cells get the full lease_timeout_s from here).
             _write_json_atomic(
                 lease,
-                {**payload, "worker": worker_id, "claimed_at": time.time()},
+                {**task.to_payload(), "worker": worker_id, "claimed_at": time.time()},
             )
             return task
         return None
 
-    def heartbeat(self, task: Union[Task, str]) -> None:
-        """Refresh the lease's mtime: "I am alive and still on it".
+    def steal(self, worker_id: str) -> Optional[Task]:
+        """A leased task whose part does not read, to run again; ``None``
+        when every lease is settled.
 
-        Workers call this on their poll cadence while a cell executes (see
-        :func:`run_worker`), so :meth:`reclaim_orphans` can tell a slow cell
-        on a live worker from a lease whose holder died mid-cell.  The stamp
-        is the filesystem's clock, not this host's.  A lease that is gone
-        stays gone: the beat creates no file.
+        Called only once :meth:`claim` finds ``tasks/`` empty, so a steal
+        never takes a worker off pending work.  Leases are taken in an order
+        of ``worker_id``'s own, so idle workers spread over the abandoned
+        leases instead of all starting on the first.  The lease is neither
+        renamed nor rewritten: whoever settles the cell first drops it.  A
+        lease whose part already reads (its worker died after the part) is
+        unlinked on sight.  Names and payloads are checked as :meth:`claim`
+        checks them.
         """
-        fingerprint = task if isinstance(task, str) else task.fingerprint
+        leases = [path for path in self.leases_dir.glob("*.json") if is_fingerprint(path.stem)]
+        leases.sort(key=lambda path: hashlib.sha256(f"{worker_id}/{path.stem}".encode()).digest())
+        for lease in leases:
+            if self.part_row(lease.stem) is not None:
+                lease.unlink(missing_ok=True)
+                continue
+            task = self._leased_task(lease, worker_id)
+            if task is not None:
+                return task
+        return None
+
+    def _leased_task(self, lease: Path, worker_id: str) -> Optional[Task]:
+        """The task in ``lease``, a file named for its fingerprint; ``None``
+        when the file has gone (its cell was settled meanwhile) or does not
+        hold that task.  A payload that does not parse, or names another
+        fingerprint, becomes a failure marker and its lease is dropped: an
+        unreadable task surfaces as an error, not a hang."""
+        fingerprint = lease.stem
         try:
-            os.utime(self.lease_path(fingerprint))
-        except OSError:
-            pass  # gone, or unwritable: never fail the cell over a beat
+            text = lease.read_text()
+        except FileNotFoundError:
+            return None
+        try:
+            task = Task.from_payload(json.loads(text))
+            if task.fingerprint != fingerprint:
+                # Every later path is built from the payload's copy.
+                raise ValueError("task file names another fingerprint")
+        except (ValueError, KeyError, TypeError) as exc:
+            _write_json_atomic(
+                self.failed_path(fingerprint),
+                {"fingerprint": fingerprint, "label": "?", "worker": worker_id,
+                 "error": f"unreadable task file: {exc!r}"},
+            )
+            lease.unlink(missing_ok=True)
+            return None
+        task.lease_path = lease
+        return task
 
     def complete(self, task: Task, row: ResultRow) -> None:
         """Publish ``row`` as the task's durable part-file, then drop the
         lease -- in that order, so a part that cannot be written (full disk,
-        read-only spool) raises with the lease still held, for reclaim to
-        requeue."""
+        read-only spool) raises with the lease still held, for a steal to
+        run again."""
         self.parts.put(row)
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
@@ -305,57 +308,6 @@ class TaskQueue:
         if task.lease_path is not None:
             task.lease_path.unlink(missing_ok=True)
             task.lease_path = None
-
-    def release(self, task: Task) -> None:
-        """Return a leased task to the pending spool (interrupted worker)."""
-        if task.lease_path is None:
-            return
-        try:
-            task.lease_path.rename(self.task_path(task.fingerprint))
-        except FileNotFoundError:
-            pass
-        task.lease_path = None
-
-    def reclaim_orphans(self, now: Optional[float] = None) -> List[str]:
-        """Requeue every lease whose worker has stopped heartbeating.
-
-        A worker that died (or lost its machine) leaves its lease behind;
-        renaming it back into ``tasks/`` lets surviving workers pick the
-        cell up.  Staleness is judged on the lease's own mtime, which the
-        claim and every heartbeat refresh, so a cell that runs longer than
-        ``lease_timeout_s`` is never stolen from a worker that is still
-        beating, while a dead worker's lease is reclaimed one timeout after
-        its final beat.
-
-        Ages are read off one clock, the filesystem's: "now" is the mtime of
-        the leases directory, touched here (``now`` overrides it).  So a
-        host whose clock runs ahead never reclaims a live lease, and a
-        worker whose clock runs behind never looks dead.
-
-        Safe to call from any participant: the rename is atomic, and a
-        completed-after-reclaim duplicate execution writes a byte-identical
-        part-file (cells are deterministic), so the race is wasteful at
-        worst, never wrong.
-        """
-        if now is None:
-            try:
-                os.utime(self.leases_dir)
-                now = self.leases_dir.stat().st_mtime
-            except OSError:
-                return []  # a spool this host cannot write: no rename would work
-        reclaimed: List[str] = []
-        for lease in sorted(self.leases_dir.glob("*.json")):
-            fingerprint = lease.stem
-            if not is_fingerprint(fingerprint):
-                continue  # not a lease this queue wrote
-            try:
-                if now - lease.stat().st_mtime < self.lease_timeout_s:
-                    continue
-                lease.rename(self.task_path(fingerprint))
-            except FileNotFoundError:
-                continue
-            reclaimed.append(fingerprint)
-        return reclaimed
 
     # ------------------------------------------------------------------
     # Results
@@ -412,44 +364,16 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-@contextmanager
-def _heartbeating(queue: TaskQueue, task: Task, interval_s: float):
-    """Refresh the task's lease on a cadence while the body executes.
-
-    The beat runs on a daemon thread so a cell that outlives
-    ``lease_timeout_s`` keeps signalling liveness; the lease is then only
-    reclaimable once the worker actually dies (thread and process die
-    together).  The claim's own rewrite of the lease is the first beat.
-    """
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(interval_s):
-            queue.heartbeat(task)
-
-    thread = threading.Thread(target=beat, name=f"hb-{task.fingerprint[:8]}", daemon=True)
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=interval_s + 1.0)
-
-
-def _run_task(queue: TaskQueue, task: Task, worker_id: str, heartbeat_s: float) -> None:
+def _run_task(queue: TaskQueue, task: Task, worker_id: str) -> None:
     """Run one leased task and settle its lease.
 
-    The cell is simulated with the lease heartbeating every ``heartbeat_s``;
-    then its part is published, the one write of its row.  A cell that
-    raises is recorded as a failure marker and the error re-raised;
-    ``KeyboardInterrupt`` returns the task to the pending spool first.
+    The cell is simulated, then its part is published, the one write of its
+    row.  A cell that raises is recorded as a failure marker and the error
+    re-raised.  An interrupted run (``KeyboardInterrupt``) leaves the lease
+    as it is, for a steal to run again.
     """
     try:
-        with _heartbeating(queue, task, heartbeat_s):
-            row = _run_cell((task.label, task.config))
-    except KeyboardInterrupt:
-        queue.release(task)
-        raise
+        row = _run_cell((task.label, task.config))
     except Exception as exc:
         queue.fail(task, exc, worker_id)
         raise
@@ -468,28 +392,24 @@ def run_worker(
 
     This is what ``python -m repro worker <queue-dir>`` runs.  The loop:
 
-    1. claim the next task (atomic rename);
-    2. simulate it, refreshing the lease's mtime every ``poll_interval_s``
-       while the cell runs, so ``--lease-timeout`` measures *silence since
-       the last heartbeat*, not cell duration: a cell may legitimately run
-       far longer than the lease timeout without being stolen;
+    1. claim the next task (atomic rename), or, when ``tasks/`` is empty,
+       steal a leased cell whose part does not read (:meth:`TaskQueue.steal`);
+    2. simulate it;
     3. publish the durable part-file -- the cell's completion signal --
        and drop the lease;
-    4. on an idle queue, reclaim orphaned leases, then either exit (with
-       ``drain=True``, once no pending tasks remain) or sleep and re-poll --
-       a long-lived worker keeps serving sweeps as coordinators spool them.
-       Idle sleeps back off exponentially (with jitter, so a fleet of
-       workers doesn't poll in lockstep) from ``poll_interval_s / 16`` up
-       to ``poll_interval_s``, and reset to the floor the moment a task is
-       claimed: a worker that just went idle re-polls quickly for the next
-       spooled batch, while a long-idle worker converges to the configured
-       cadence.  The in-flight heartbeat cadence is unaffected.
+    4. with nothing to claim or steal, either exit (``drain=True``) or sleep
+       and re-poll -- a long-lived worker keeps serving sweeps as
+       coordinators spool them.  Idle sleeps back off exponentially (with
+       jitter, so a fleet of workers doesn't poll in lockstep) from
+       ``poll_interval_s / 16`` up to ``poll_interval_s``, and reset to the
+       floor the moment a task is taken: a worker that just went idle
+       re-polls quickly for the next spooled batch, while a long-idle worker
+       converges to the configured cadence.
 
     A cell that raises is recorded as a failure marker and the worker moves
     on; a part that cannot be published (full disk, read-only spool) stops
-    the worker with the lease still held, for reclaim to requeue.
-    ``KeyboardInterrupt`` releases the in-flight task back to the pending
-    spool before propagating, so nothing is lost to a Ctrl-C.
+    the worker with the lease still held.  ``KeyboardInterrupt`` propagates
+    and leaves the in-flight lease behind, for another worker to steal.
     """
     if not isinstance(queue, TaskQueue):
         queue = TaskQueue(queue)
@@ -501,10 +421,8 @@ def run_worker(
     idle_polls = 0
     jitter_rng = random.Random()
     while max_tasks is None or executed < max_tasks:
-        task = queue.claim(worker_id)
+        task = queue.claim(worker_id) or queue.steal(worker_id)
         if task is None:
-            if queue.reclaim_orphans():
-                continue
             if drain:
                 break
             delay = min(poll_interval_s, (poll_interval_s / 16) * 2 ** idle_polls)
@@ -513,7 +431,7 @@ def run_worker(
             continue
         idle_polls = 0
         try:
-            _run_task(queue, task, worker_id, poll_interval_s)
+            _run_task(queue, task, worker_id)
         except Exception:
             if task.lease_path is not None:
                 raise  # not the cell: the lease could not be settled
@@ -542,14 +460,15 @@ class QueueBackend:
         ``python -m repro worker <queue-dir> --drain`` and exits when the
         spool is empty).  ``None`` or ``0`` spawns none.  Whenever no local
         worker is running -- none were spawned, or all have exited (warned
-        once, with their exit codes) -- the coordinator itself claims and
-        runs tasks between polls, while still absorbing parts contributed
-        by external workers -- so a bare ``QueueBackend(dir)`` works
-        standalone and speeds up the moment extra machines join.
-    poll_interval_s / lease_timeout_s / wait_timeout_s:
-        Parts-listing poll cadence, orphan-lease threshold, and an optional hard
-        bound on how long to wait without any progress (``None`` = forever;
-        useful for unattended CI).
+        once, with their exit codes) -- the coordinator itself claims (or,
+        with none left, steals) and runs tasks between polls, while still
+        absorbing parts contributed by external workers -- so a bare
+        ``QueueBackend(dir)`` works standalone and speeds up the moment
+        extra machines join.
+    poll_interval_s / wait_timeout_s:
+        Parts-listing poll cadence, and an optional hard bound on how long
+        to wait without any progress (``None`` = forever; useful for
+        unattended CI).
     """
 
     def __init__(
@@ -558,10 +477,9 @@ class QueueBackend:
         *,
         workers: Optional[int] = None,
         poll_interval_s: float = 0.2,
-        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         wait_timeout_s: Optional[float] = None,
     ) -> None:
-        self.queue = TaskQueue(queue_dir, lease_timeout_s=lease_timeout_s)
+        self.queue = TaskQueue(queue_dir)
         self.workers = int(workers) if workers else 0
         self.poll_interval_s = poll_interval_s
         self.wait_timeout_s = wait_timeout_s
@@ -596,7 +514,6 @@ class QueueBackend:
                         str(self.queue.directory),
                         "--drain",
                         "--poll", str(self.poll_interval_s),
-                        "--lease-timeout", str(self.queue.lease_timeout_s),
                     ],
                     stdout=log,
                     stderr=subprocess.STDOUT,
@@ -641,8 +558,6 @@ class QueueBackend:
         # serve them before spooling anything.
         collect()
 
-        # A previous coordinator's crash may also have left stale leases.
-        queue.reclaim_orphans()
         for fingerprint in sorted(outstanding):
             label, config = by_fp[fingerprint][0]
             queue.enqueue(label, config)
@@ -667,9 +582,10 @@ class QueueBackend:
 
                 if all(proc.poll() is not None for proc in procs):
                     # No local worker is running (none spawned, or all have
-                    # exited): claim instead of just waiting.  A task leased
-                    # by a worker that died comes back through reclaim.
-                    task = queue.claim(self._worker_id)
+                    # exited): claim instead of just waiting, and with
+                    # nothing to claim, steal -- a task leased by a worker
+                    # that died is run again here.
+                    task = queue.claim(self._worker_id) or queue.steal(self._worker_id)
                     if task is not None:
                         if procs and not warned:
                             warned = True
@@ -681,13 +597,12 @@ class QueueBackend:
                                 RuntimeWarning,
                                 stacklevel=3,
                             )
-                        _run_task(queue, task, self._worker_id, self.poll_interval_s)
+                        _run_task(queue, task, self._worker_id)
                         progressed = True
 
                 if progressed:
                     last_progress = time.monotonic()
                     continue
-                queue.reclaim_orphans()
                 if (
                     self.wait_timeout_s is not None
                     and time.monotonic() - last_progress > self.wait_timeout_s

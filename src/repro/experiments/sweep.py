@@ -51,6 +51,7 @@ import importlib
 import json
 import os
 import re
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -95,8 +96,10 @@ CACHE_SCHEMA_VERSION = 2
 
 def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
     """Write ``payload`` to ``path`` through a temp file and a rename, so a
-    concurrent reader sees the old file or the new one, never half of one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    concurrent reader sees the old file or the new one, never half of one.
+    The temp name is the writer's own (process and thread), so two writers
+    of one path never share a temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
     tmp.replace(path)
 

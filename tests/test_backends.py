@@ -1,7 +1,7 @@
 """Where a sweep's cells run: locally (serial, or a process pool with its
 serial fallback), with streaming progress, and through the durable work
-queue (lease atomicity, crash reclaim, resume-from-parts, serial-vs-queue
-equality)."""
+queue (lease atomicity, steals of abandoned leases, resume-from-parts,
+serial-vs-queue equality)."""
 
 import json
 import os
@@ -335,42 +335,88 @@ class TestTaskQueue:
         assert len(set(all_claims)) == 8
         assert queue.counts()["tasks"] == 0 and queue.counts()["leases"] == 8
 
-    def test_crash_orphan_reclaim(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
+    def test_an_abandoned_lease_is_stolen_as_it_is(self, tmp_path):
+        # A worker claimed the cell and died.  With tasks/ empty, any other
+        # worker runs it again at once: the steal neither renames nor
+        # rewrites the lease, and completing drops it.
+        queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         queue.enqueue("cell", config)
-        task = queue.claim("crashed-worker")
-        assert task is not None
-        # A fresh lease is not reclaimable...
-        assert queue.reclaim_orphans() == []
+        assert queue.claim("crashed-worker") is not None
+        lease = queue.lease_path(config.fingerprint())
+        before = (lease.read_bytes(), lease.stat().st_mtime_ns)
         assert queue.claim("w2") is None
-        # ...but once it exceeds the timeout (backdate the lease mtime, as a
-        # worker dead for a minute would look), any participant requeues it.
-        stale = time.time() - 120.0
-        os.utime(queue.lease_path(config.fingerprint()), (stale, stale))
-        assert queue.reclaim_orphans() == [config.fingerprint()]
-        retry = queue.claim("w2")
-        assert retry is not None and retry.label == "cell"
+        retry = queue.steal("w2")
+        assert retry is not None and retry.label == "cell" and retry.config == config
+        assert retry.lease_path == lease
+        assert (lease.read_bytes(), lease.stat().st_mtime_ns) == before
+        assert json.loads(lease.read_text())["worker"] == "crashed-worker"
+        row = _run_cell((retry.label, retry.config))
+        queue.complete(retry, row)
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
+        assert queue.part_row(config.fingerprint()) == row
+        assert queue.steal("w2") is None
 
-    def test_late_completion_after_reclaim_is_idempotent(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
+    def test_late_completion_after_a_steal_is_idempotent(self, tmp_path):
+        queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         queue.enqueue("cell", config)
         slow = queue.claim("slow-worker")
-        stale = time.time() - 120.0
-        os.utime(queue.lease_path(config.fingerprint()), (stale, stale))
-        queue.reclaim_orphans()
-        # The presumed-dead worker finishes after all: its part lands fine.
+        stolen = queue.steal("w2")
         row = run_sweep({"cell": config}, workers=1)["cell"]
+        queue.complete(stolen, row)
+        part = queue.part_path(config.fingerprint()).read_bytes()
+        # The presumed-dead worker finishes after all: its part is the same
+        # bytes, and dropping a lease that is already gone is no error.
         queue.complete(slow, row)
-        # The requeued duplicate task is retired on sight instead of re-run.
-        assert queue.claim("w2") is None
-        assert queue.counts()["tasks"] == 0
+        assert queue.part_path(config.fingerprint()).read_bytes() == part
+        assert queue.claim("w3") is None and queue.steal("w3") is None
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
         assert queue.part_row(config.fingerprint()) == row
 
+    def test_a_lease_whose_part_reads_is_unlinked_on_sight(self, tmp_path):
+        # Its worker wrote the part and died before it dropped the lease:
+        # the steal retires the lease instead of running the cell again.
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        task = queue.claim("died-after-its-part")
+        queue.parts.put(_run_cell((task.label, task.config)))
+        assert queue.steal("w2") is None
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
+
+    def test_a_lease_whose_part_is_stale_is_stolen(self, tmp_path, monkeypatch):
+        # A part written by a different source tree does not read, so it
+        # does not settle the lease: the steal runs the cell again.
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        task = queue.claim("w1")
+        queue.parts.put(_run_cell((task.label, task.config)))
+        monkeypatch.setattr(
+            "repro.experiments.sweep._CODE_FINGERPRINT", "pretend-code-changed"
+        )
+        stolen = queue.steal("w2")
+        assert stolen is not None and stolen.fingerprint == config.fingerprint()
+        assert queue.lease_path(config.fingerprint()).exists()
+
+    def test_each_worker_steals_in_its_own_order(self, tmp_path):
+        # Two idle workers facing two abandoned leases should start on
+        # different ones: the order is a hash of worker id and fingerprint,
+        # stable per worker, and spreads over the leases across workers.
+        queue = TaskQueue(tmp_path / "q")
+        configs = [tiny_config(seed=seed) for seed in (1, 2)]
+        for config in configs:
+            queue.enqueue(config.name, config)
+            queue.claim("dead-worker")
+        first = {f"w{i}": queue.steal(f"w{i}").fingerprint for i in range(8)}
+        assert set(first.values()) == {config.fingerprint() for config in configs}
+        assert all(queue.steal(worker).fingerprint == fp for worker, fp in first.items())
+        assert queue.counts()["leases"] == 2
+
     def test_claim_retires_a_done_task_and_leases_the_next(self, tmp_path):
-        # A pending task whose part is already on disk (its worker finished
-        # after a reclaim, or died before dropping its lease) is retired on
+        # A pending task whose part is already on disk (written after the
+        # task was spooled, by anything that shares parts/) is retired on
         # sight, and the same claim() leases the next task instead.
         done, todo = sorted(
             (tiny_config(seed=seed) for seed in (1, 2)), key=lambda c: c.fingerprint(),
@@ -385,31 +431,23 @@ class TestTaskQueue:
         assert not queue.lease_path(done.fingerprint()).exists()
         assert queue.counts() == {"tasks": 0, "leases": 1, "parts": 1, "failed": 0}
 
-    def test_claiming_a_long_pending_task_yields_a_fresh_lease(self, tmp_path):
-        # A task can sit in the pending spool longer than the lease timeout
-        # (deep backlog, few workers).  Claiming it must refresh the mtime
-        # the reclaim judges by -- a rename alone preserves the enqueue-time
-        # mtime and would make the new lease instantly reclaim-eligible,
-        # letting a polling coordinator snatch work out from under a live
-        # worker.
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
+    def test_an_interrupted_cell_leaves_its_lease_for_a_steal(self, tmp_path, monkeypatch):
+        # Ctrl-C requeues nothing: the lease stays, and the next idle
+        # worker steals it.
+        queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         queue.enqueue("cell", config)
-        stale = time.time() - 3600.0
-        os.utime(queue.task_path(config.fingerprint()), (stale, stale))
-        task = queue.claim("w1")
-        assert task is not None
-        assert queue.reclaim_orphans() == []
-        age = time.time() - queue.lease_path(config.fingerprint()).stat().st_mtime
-        assert age < 5.0
 
-    def test_release_returns_task_to_spool(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q")
-        queue.enqueue("cell", tiny_config())
-        task = queue.claim("w1")
-        queue.release(task)
-        assert queue.counts()["tasks"] == 1 and queue.counts()["leases"] == 0
-        assert queue.claim("w2") is not None
+        def interrupted(cell):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.experiments.queue._run_cell", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_worker(queue, drain=True, worker_id="w1")
+        assert queue.counts() == {"tasks": 0, "leases": 1, "parts": 0, "failed": 0}
+        assert run_worker(queue, drain=True, worker_id="w2") == 1
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
 
     def test_parts_are_code_aware(self, tmp_path, monkeypatch):
         queue = TaskQueue(tmp_path / "q")
@@ -517,6 +555,65 @@ class TestRunWorker:
         queue = TaskQueue(tmp_path / "q")
         queue.enqueue("cell", tiny_config())
         assert run_worker(tmp_path / "q", drain=True) == 1
+
+    def test_a_worker_steals_only_once_tasks_is_empty(self, tmp_path, monkeypatch):
+        # One cell abandoned by a dead worker, one still pending: the
+        # pending task runs first, then the abandoned lease.
+        queue = TaskQueue(tmp_path / "q")
+        abandoned, pending = tiny_config(seed=1), tiny_config(seed=2)
+        queue.enqueue("abandoned", abandoned)
+        queue.claim("dead-worker")
+        queue.enqueue("pending", pending)
+        ran = []
+
+        def recording_run_cell(cell):
+            ran.append(cell[0])
+            return _run_cell(cell)
+
+        monkeypatch.setattr("repro.experiments.queue._run_cell", recording_run_cell)
+        assert run_worker(queue, drain=True, worker_id="w1") == 2
+        assert ran == ["pending", "abandoned"]
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 2, "failed": 0}
+
+    def test_drain_workers_in_threads_run_every_abandoned_lease(self, tmp_path, monkeypatch):
+        # Four cells claimed by workers that never finish them, and more
+        # drain workers (threads, switching often) than cores: each cell is
+        # run, concurrent writes of one part never tear it or lose a
+        # worker, the rows are the serial run's, and no lease is left.
+        configs = tiny_cells(4)
+        queue = TaskQueue(tmp_path / "q")
+        for label, config in configs.items():
+            queue.enqueue(label, config)
+            assert queue.claim(f"dead-{label}") is not None
+        ran = []
+
+        def recording_run_cell(cell):
+            ran.append(cell[0])
+            return _run_cell(cell)
+
+        monkeypatch.setattr("repro.experiments.queue._run_cell", recording_run_cell)
+        executed = {}
+
+        def drain(worker_id):
+            executed[worker_id] = run_worker(queue, drain=True, worker_id=worker_id)
+
+        threads = [threading.Thread(target=drain, args=(f"w{i}",)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(executed) == 4 and sum(executed.values()) == len(ran)
+        assert set(ran) == set(configs)
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 4, "failed": 0}
+        assert run_sweep(configs, workers=1, cache=queue.parts).rows == (
+            run_sweep(configs, workers=1).rows
+        )
 
     def test_idle_polls_back_off_exponentially_with_jitter(self, tmp_path, monkeypatch):
         # An idle (non-drain) worker must not hammer the queue at a fixed
@@ -637,9 +734,9 @@ class TestQueueBackend:
 
     def test_worker_dying_after_its_part_before_dropping_its_lease(self, tmp_path, monkeypatch):
         # A remote worker wins the claim, writes the part and dies before it
-        # drops its lease: the lease goes silent.  Reclaim requeues the
-        # task, the coordinator delivers the row from the listed part, and
-        # the next claim retires the task on sight -- simulated once.
+        # drops its lease.  The coordinator finds tasks/ empty, and its
+        # steal unlinks the lease, since the part reads; the row is
+        # delivered from the listed part -- simulated once.
         import repro.experiments.runner as runner_mod
 
         config = tiny_config()
@@ -652,37 +749,48 @@ class TestQueueBackend:
             return original_run(cfg)
 
         original_claim = TaskQueue.claim
-        reclaimed = []
-        original_reclaim = TaskQueue.reclaim_orphans
+        original_steal = TaskQueue.steal
+        steals = []
 
         def claim_write_part_and_die(self, worker_id):
             task = original_claim(self, worker_id)
             if task is not None and not simulated:
                 self.parts.put(_run_cell((task.label, task.config)))
-                stale = time.time() - 120.0
-                os.utime(task.lease_path, (stale, stale))
                 return None
             return task
 
-        def recording_reclaim(self, now=None):
-            found = original_reclaim(self, now)
-            reclaimed.extend(found)
-            return found
+        def recording_steal(self, worker_id):
+            steals.append(sorted(self.pending()))
+            return original_steal(self, worker_id)
 
         monkeypatch.setattr(runner_mod, "run_experiment", counting_run)
         monkeypatch.setattr(TaskQueue, "claim", claim_write_part_and_die)
-        monkeypatch.setattr(TaskQueue, "reclaim_orphans", recording_reclaim)
+        monkeypatch.setattr(TaskQueue, "steal", recording_steal)
         sweep = run_sweep(
             {"cell": config},
-            backend=QueueBackend(
-                tmp_path / "q", workers=0, lease_timeout_s=60, wait_timeout_s=5,
-            ),
+            backend=QueueBackend(tmp_path / "q", workers=0, wait_timeout_s=5),
         )
         queue = TaskQueue(tmp_path / "q")
-        assert reclaimed == [fingerprint]
+        assert steals[0] == [fingerprint]
         assert sweep["cell"] == queue.part_row(fingerprint)
-        assert queue.claim("w2") is None
         assert simulated == [fingerprint]
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
+
+    def test_a_dead_workers_lease_does_not_stall_the_sweep(self, tmp_path):
+        # A worker claimed the only cell and will never finish it.  The
+        # coordinator, with no local worker, steals the lease and runs the
+        # cell at once instead of waiting the lease out.
+        config = tiny_config()
+        queue = TaskQueue(tmp_path / "q")
+        queue.enqueue("cell", config)
+        assert queue.claim("dead-worker") is not None
+        started = time.monotonic()
+        sweep = run_sweep(
+            {"cell": config},
+            backend=QueueBackend(tmp_path / "q", workers=0, wait_timeout_s=5),
+        )
+        assert time.monotonic() - started < 2.5
+        assert sweep.rows == run_sweep({"cell": config}, workers=1).rows
         assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
 
     def test_coordinator_claims_once_every_worker_has_exited(self, tmp_path, monkeypatch):
@@ -719,13 +827,14 @@ class TestQueueBackend:
         assert time.monotonic() - started < 5
 
     def test_part_is_delivered_while_another_lease_is_held(self, tmp_path, monkeypatch):
-        # Two remote workers hold both leases.  One writes its part and has
-        # not dropped its lease yet; the coordinator delivers that row at
-        # its next poll, while the other lease is still held -- it does not
-        # wait for the spool to drain.
+        # Two remote workers hold both leases, and a local worker is still
+        # running, so the coordinator neither claims nor steals.  One remote
+        # worker writes its part and has not dropped its lease yet; the
+        # coordinator delivers that row at its next poll, while the other
+        # lease is still held -- it does not wait for the spool to drain.
         cells = sorted(tiny_cells(2).items(), key=lambda cell: cell[1].fingerprint())
         (label_a, config_a), (label_b, config_b) = cells
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=600)
+        queue = TaskQueue(tmp_path / "q")
         for label, config in cells:
             queue.enqueue(label, config)
         task_a, task_b = queue.claim("remote-a"), queue.claim("remote-b")
@@ -746,9 +855,23 @@ class TestQueueBackend:
             if row.label == label_a:
                 queue.complete(task_b, _run_cell((label_b, config_b)))
 
+        class RunningWorker:
+            returncode = None
+
+            def poll(self):
+                return None
+
+            def wait(self, timeout=None):
+                return 0
+
+        def steal_forbidden(self, worker_id):
+            raise AssertionError("the coordinator stole while a local worker ran")
+
         monkeypatch.setattr("repro.experiments.queue.time.sleep", remote_a_writes_its_part)
+        monkeypatch.setattr(QueueBackend, "_spawn_workers", lambda self: [RunningWorker()])
+        monkeypatch.setattr(TaskQueue, "steal", steal_forbidden)
         backend = QueueBackend(
-            tmp_path / "q", poll_interval_s=0.01, lease_timeout_s=600, wait_timeout_s=5,
+            tmp_path / "q", workers=1, poll_interval_s=0.01, wait_timeout_s=5,
         )
         backend.execute(cells, on_result)
         assert delivered == [(label_a, True), (label_b, False)]
@@ -861,12 +984,15 @@ class TestWorkerCli:
         assert exited.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--poll", "0"),            # an idle worker would spin
-        ("--poll", "-1"),           # time.sleep() of a negative length
-        ("--lease-timeout", "0"),   # TaskQueue refuses it with a traceback
+    @pytest.mark.parametrize("flag, value, problem", [
+        # an idle worker would spin
+        ("--poll", "0", "must be a positive number of seconds, got 0"),
+        # time.sleep() of a negative length
+        ("--poll", "-1", "must be a positive number of seconds, got -1"),
+        # ran no cell and exited 0, where no limit serves forever
+        ("--max-tasks", "-3", "must be at least 1, got -3"),
     ])
-    def test_worker_timing_flags_must_be_positive(self, tmp_path, capsys, flag, value):
+    def test_worker_numeric_flags_must_be_positive(self, tmp_path, capsys, flag, value, problem):
         from repro.__main__ import main
 
         with pytest.raises(SystemExit) as exited:
@@ -874,106 +1000,7 @@ class TestWorkerCli:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].endswith(
-            f"error: argument {flag}: must be a positive number of seconds, got {value}"
-        )
-
-
-class TestHeartbeats:
-    """The lease is its own heartbeat: a beat refreshes the lease's mtime."""
-
-    def test_fresh_heartbeat_blocks_reclaim_of_an_old_lease(self, tmp_path):
-        # A worker stuck in one very slow cell keeps heartbeating: the beat
-        # refreshes the lease's mtime, so the lease is never stolen while
-        # its worker beats, however long ago it was claimed.
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
-        config = tiny_config()
-        queue.enqueue("cell", config)
-        task = queue.claim("slow-worker")
-        lease = queue.lease_path(config.fingerprint())
-        stale = time.time() - 3600.0
-        os.utime(lease, (stale, stale))
-        queue.heartbeat(task)
-        assert time.time() - lease.stat().st_mtime < 5.0
-        assert queue.reclaim_orphans() == []
-        # Only once the beats have gone silent is the worker presumed dead
-        # and the task requeued.
-        os.utime(lease, (stale, stale))
-        assert queue.reclaim_orphans() == [config.fingerprint()]
-        assert queue.claim("w2") is not None
-
-    def test_complete_clears_the_heartbeat(self, tmp_path):
-        # A beat after the lease is gone creates no file.
-        queue = TaskQueue(tmp_path / "q")
-        config = tiny_config()
-        queue.enqueue("cell", config)
-        task = queue.claim("w1")
-        queue.complete(task, run_sweep({"cell": config}, workers=1)["cell"])
-        queue.heartbeat(config.fingerprint())
-        assert list(queue.leases_dir.iterdir()) == []
-
-    def test_heartbeating_context_keeps_touching_the_file(self, tmp_path):
-        from repro.experiments.queue import _heartbeating
-
-        queue = TaskQueue(tmp_path / "q")
-        config = tiny_config()
-        queue.enqueue("cell", config)
-        task = queue.claim("w1")
-        lease = queue.lease_path(task.fingerprint)
-        with _heartbeating(queue, task, 0.05):
-            first = lease.stat().st_mtime
-            deadline = time.time() + 5.0
-            while lease.stat().st_mtime == first and time.time() < deadline:
-                time.sleep(0.02)
-            assert lease.stat().st_mtime > first
-
-    def test_drained_worker_leaves_no_heartbeat_files(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q")
-        for label, config in tiny_cells(2).items():
-            queue.enqueue(label, config)
-        run_worker(queue, drain=True)
-        assert list(queue.leases_dir.iterdir()) == []
-        assert not (queue.directory / "cache").exists()
-
-
-class TestSkewedClocks:
-    """Reclaim reads one clock, the filesystem's: a host whose own clock is
-    off by two lease timeouts neither steals a live lease nor loses its own."""
-
-    TIMEOUT_S = 60.0
-
-    def skew(self, monkeypatch, seconds):
-        real_time = time.time
-        monkeypatch.setattr(time, "time", lambda: real_time() + seconds)
-
-    def test_a_clock_ahead_does_not_reclaim_a_live_lease(self, tmp_path, monkeypatch):
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=self.TIMEOUT_S)
-        config = tiny_config()
-        queue.enqueue("cell", config)
-        task = queue.claim("live-worker")
-        queue.heartbeat(task)
-        with monkeypatch.context() as patched:
-            self.skew(patched, 2 * self.TIMEOUT_S)
-            assert queue.reclaim_orphans() == []
-        assert queue.lease_path(config.fingerprint()).exists()
-
-    def test_a_worker_with_a_clock_behind_keeps_its_lease(self, tmp_path, monkeypatch):
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=self.TIMEOUT_S)
-        config = tiny_config()
-        queue.enqueue("cell", config)
-        lease = queue.lease_path(config.fingerprint())
-        with monkeypatch.context() as patched:
-            self.skew(patched, -2 * self.TIMEOUT_S)
-            task = queue.claim("slow-clock-worker")
-        # Its cell has run for two timeouts since the claim...
-        claimed = time.time() - 2 * self.TIMEOUT_S
-        os.utime(lease, (claimed, claimed))
-        # ...and it has beaten all along, by its own clock.
-        with monkeypatch.context() as patched:
-            self.skew(patched, -2 * self.TIMEOUT_S)
-            queue.heartbeat(task)
-        assert queue.reclaim_orphans() == []
-        assert lease.exists()
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: {problem}")
 
 
 def two_replica_spec():
@@ -1017,8 +1044,8 @@ class TestPartFiles:
 
     def test_failed_part_write_keeps_the_lease(self, tmp_path, monkeypatch):
         # A full disk or a read-only spool: the part cannot be written, so
-        # complete() must raise before it drops the lease, which then stays
-        # reclaimable.
+        # complete() must raise before it drops the lease, which a steal
+        # then runs again.
         import errno
 
         queue = TaskQueue(tmp_path / "q")
@@ -1035,6 +1062,7 @@ class TestPartFiles:
             queue.complete(task, row)
         assert queue.lease_path(config.fingerprint()).exists()
         assert queue.part_row(config.fingerprint()) is None
+        assert queue.steal("w2").fingerprint == config.fingerprint()
 
     def test_complete_lists_the_part_before_it_drops_the_lease(self, tmp_path, monkeypatch):
         # The order both pollers rely on: by the time complete() drops the
@@ -1062,8 +1090,8 @@ class TestPartFiles:
 
     def test_rewritten_part_is_reported_once(self, tmp_path, monkeypatch):
         # Each poll lists every part; a part written again (a cell completed
-        # twice after an over-eager reclaim) is a new file version under the
-        # same name.  The coordinator: one on_result per label.
+        # twice, by its claimer and by a worker that stole its lease) is a
+        # new file version under the same name.  The coordinator: one on_result per label.
         original_complete = TaskQueue.complete
 
         def complete_twice(self, task, row):
@@ -1162,7 +1190,7 @@ class TestPartFiles:
     def test_follow_ends_when_a_dead_worker_left_its_lease(self, tmp_path, monkeypatch):
         # The worker wrote its part and died before it dropped its lease.
         # The part is the completion signal: the stream ends in done without
-        # anyone claiming the task or reclaiming the lease.
+        # anyone claiming the task or stealing the lease.
         spec = two_replica_spec()
         label, config = sorted(spec.replicated().items())[0]
         queue = TaskQueue(tmp_path / "q")
@@ -1171,10 +1199,10 @@ class TestPartFiles:
         queue.parts.put(_run_cell((task.label, task.config)))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the stream claimed or reclaimed a task")
+            raise AssertionError("the stream claimed a task or stole a lease")
 
         monkeypatch.setattr(TaskQueue, "claim", forbidden)
-        monkeypatch.setattr(TaskQueue, "reclaim_orphans", forbidden)
+        monkeypatch.setattr(TaskQueue, "steal", forbidden)
         events = list(follow_stream(tmp_path / "q", spec, expect=1, timeout_s=2))
         assert events[-1][0] == "done" and events[-1][1]["completed"] == 1
         assert task.lease_path.exists()
@@ -1278,16 +1306,36 @@ class TestSpoolNamesAreFingerprints:
         assert events[-1][0] == "done" and events[-1][1]["completed"] == 2
         assert (queue.parts_dir / "README.json").exists()
 
-    def test_claim_and_reclaim_skip_foreign_files(self, tmp_path):
-        queue = TaskQueue(tmp_path / "q", lease_timeout_s=60.0)
-        (queue.tasks_dir / "notes.json").write_text("{}")
-        stray = queue.leases_dir / "notes.json"
-        stray.write_text("{}")
-        stale = time.time() - 3600.0
-        os.utime(stray, (stale, stale))
+    def test_claim_and_steal_skip_foreign_files(self, tmp_path, monkeypatch):
+        # Stray files in tasks/ and leases/, one of them named ``...json``
+        # (stem ``..``): neither claim nor steal passes such a name to a
+        # path helper, reads it, or removes it.
+        from repro.experiments.sweep import is_fingerprint
+
+        queue = TaskQueue(tmp_path / "q")
+        strays = [
+            spool / name
+            for spool in (queue.tasks_dir, queue.leases_dir)
+            for name in ("notes.json", "...json", f"{'A' * 64}.json")
+        ]
+        for stray in strays:
+            stray.write_text("{}")
+
+        def guarded(helper):
+            def call(*args):
+                if not is_fingerprint(args[-1]):
+                    pytest.fail(f"{args[-1]!r} reached a path helper")
+                return helper(*args)
+            return call
+
+        monkeypatch.setattr(ResultCache, "path_for", guarded(ResultCache.path_for))
+        monkeypatch.setattr(
+            TaskQueue, "_spool_path", staticmethod(guarded(TaskQueue._spool_path)),
+        )
         assert queue.claim("w1") is None
-        assert queue.reclaim_orphans() == []
-        assert stray.exists()
+        assert queue.steal("w1") is None
+        assert all(stray.read_text() == "{}" for stray in strays)
+        assert queue.failures() == {}
 
     def test_task_file_naming_another_fingerprint_is_a_failure(self, tmp_path):
         queue = TaskQueue(tmp_path / "q")
@@ -1299,3 +1347,23 @@ class TestSpoolNamesAreFingerprints:
         path.write_text(json.dumps(payload))
         assert queue.claim("w1") is None
         assert "another fingerprint" in queue.failures()[config.fingerprint()]
+
+    @pytest.mark.parametrize("payload, error", [
+        ({"fingerprint": TRAVERSAL}, "another fingerprint"),
+        ('{"schema": 3, "fingerpr', "unreadable task file"),
+    ])
+    def test_stolen_lease_that_does_not_hold_its_task_is_a_failure(
+        self, tmp_path, payload, error,
+    ):
+        # A lease naming another fingerprint, or torn: the steal treats it
+        # as claim treats a task file -- a failure marker, the lease gone.
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        queue.enqueue("cell", config)
+        lease = queue.claim("w1").lease_path
+        if isinstance(payload, dict):
+            payload = json.dumps({**json.loads(lease.read_text()), **payload})
+        lease.write_text(payload)
+        assert queue.steal("w2") is None
+        assert error in queue.failures()[config.fingerprint()]
+        assert not lease.exists()

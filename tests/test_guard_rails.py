@@ -92,11 +92,23 @@ RULES = (
         "one-store-per-queue",
         r"heartbeat_path|default_cache|worker_cache|\.hb\b",
         NOT_BENCHMARKS,
-        "parts/ is the only place a queue writes results and the lease is its own "
-        "heartbeat: the workers' second result cache (<queue-dir>/cache, worker "
+        "parts/ is the only place a queue writes results and a queue keeps no "
+        "liveness signal: the workers' second result cache (<queue-dir>/cache, worker "
         "--cache) and the leases/*.hb liveness files were deleted",
         ("queue.heartbeat_path(fp)", "queue.default_cache()", "self.worker_cache",
          "leases/<fp>.hb"),
+    ),
+    Rule(
+        "no-lease-timeout",
+        r"lease_timeout|DEFAULT_LEASE_TIMEOUT_S|reclaim_orphans|_heartbeating|\.heartbeat\("
+        r"|--lease-timeout",
+        EVERYWHERE,
+        "a worker that finds tasks/ empty steals any leased cell whose part does not "
+        "read, and a deterministic rerun writes the same part: the lease timeout, its "
+        "heartbeat thread, orphan reclaim and repro worker --lease-timeout were deleted",
+        ("TaskQueue(d, lease_timeout_s=60)", "DEFAULT_LEASE_TIMEOUT_S = 600.0",
+         "queue.reclaim_orphans()", "with _heartbeating(queue, task, 0.5):",
+         "queue.heartbeat(task)", "repro worker DIR --lease-timeout 600"),
     ),
     Rule(
         "one-way-to-run-a-sweep",
