@@ -8,7 +8,8 @@ CI runs this to prove the multi-machine recipe end to end on Figure 1:
 3. run the scenario again through the ``queue`` backend with **two** worker
    processes (each a real ``python -m repro worker <dir> --drain``) draining
    one queue directory, streaming partial aggregates as part-files land --
-   a worker that finds no task left steals the abandoned lease, so the
+   a worker that finds no task left steals the abandoned lease once it
+   has seen it unsettled for longer than its own longest cell, so the
    sweep finishes inside its 60 s no-progress bound;
 4. assert the streamed sweep saw partial progress before completion and that
    its final ``aggregate_rows`` output -- fingerprints, pooled digest tails

@@ -197,21 +197,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.experiments.queue import TaskQueue, default_worker_id, run_worker
 
     queue = TaskQueue(args.queue_dir)
     worker_id = default_worker_id()
     counts = queue.counts()
-    print(f"worker {worker_id} draining {queue.directory} "
-          f"(tasks={counts['tasks']} leases={counts['leases']} "
-          f"parts={counts['parts']})", flush=True)
-    executed = run_worker(
-        queue,
-        worker_id=worker_id,
-        poll_interval_s=args.poll,
-        drain=args.drain,
-        max_tasks=args.max_tasks,
-    )
+    # A coordinator stops its local workers with SIGTERM once its sweep
+    # ends: unwind as from Ctrl-C, so no write is left half done.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        print(f"worker {worker_id} draining {queue.directory} "
+              f"(tasks={counts['tasks']} leases={counts['leases']} "
+              f"parts={counts['parts']})", flush=True)
+        executed = run_worker(
+            queue,
+            worker_id=worker_id,
+            poll_interval_s=args.poll,
+            drain=args.drain,
+            max_tasks=args.max_tasks,
+        )
+    except KeyboardInterrupt:
+        print(f"worker {worker_id} stopped; spool now {queue.counts()}")
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"worker {worker_id} done: {executed} cell(s) executed; "
           f"spool now {queue.counts()}")
     return 0
@@ -267,10 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drain a queue sweep: claim fingerprint-named "
         "task files, simulate each, and publish its durable ResultRow "
         "part-file under <queue-dir>/parts.  With no task left to claim, "
-        "run again any leased cell that has no part yet (its worker may "
-        "have died; cells are deterministic, so a second run writes the "
-        "same part).  Start as many of these as you like, on any machine "
-        "that sees the directory.",
+        "run again any leased cell that has no part yet once this worker "
+        "has seen it unsettled for longer than its own longest cell (its "
+        "worker may have died; cells are deterministic, so a second run "
+        "writes the same part).  Start as many of these as you like, on "
+        "any machine that sees the directory.",
     )
     worker.add_argument("queue_dir", help="the sweep's queue directory")
     worker.add_argument("--poll", type=_positive_seconds, default=0.5, metavar="SECONDS",

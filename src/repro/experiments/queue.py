@@ -13,6 +13,7 @@ write-temp-then-rename, so concurrent workers never observe half states)::
                                    |      ^         (ResultRow part-file)
                                    |      |
                                    |      +--steal when tasks/ is empty
+                                   |         and the lease is due
                                    |         (run again; the lease stays)
                                    +--fail------>  failed/<fp>.json
 
@@ -25,17 +26,20 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   concurrent claimer can win the rename -- then stamps the lease with its
   identity.  While ``tasks/`` holds work, no cell runs twice.
 * A worker that finds ``tasks/`` empty *steals*: it runs any leased cell
-  whose part does not read, taking leases in an order of its own (a hash of
-  its id and the fingerprint), so two idle workers facing two abandoned
-  leases start on different ones.  A steal leaves the lease as it is; the
-  first :meth:`TaskQueue.complete` or :meth:`TaskQueue.fail` drops it.
-  There is no timeout and no liveness signal: cells are deterministic, so
-  a second run writes a byte-identical part -- wasteful at worst, never
-  wrong -- and a worker that died mid-cell costs one cell time on an idle
-  worker, not a wait.  The cost: a cell that kills its own process (by
-  running out of memory, say) is retried by each idle worker at the tail.
-  At most (workers - 1) extra runs of a cell happen, and only on CPU that
-  would otherwise sit idle.
+  whose part does not read and that it has seen unsettled, by its own
+  clock, for longer than its patience (its own longest cell, and at least
+  two poll intervals), taking leases in an order of its own so idle
+  workers spread over them.  The lease stays as it is; the first
+  :meth:`TaskQueue.complete` or :meth:`TaskQueue.fail` drops it.  There is
+  no lease timeout and no liveness signal: cells are deterministic, so a
+  second run writes a byte-identical part -- wasteful at worst, never
+  wrong -- and a worker that died mid-cell costs one patience and one cell
+  time.  The costs, all at a sweep's tail: a live cell that outlasts every
+  cell an idle worker has run is run again by it; an abandoned lease is
+  run by each idle worker that finds it due, at most (workers - 1) extra
+  runs, and a cell that kills its own process (out of memory, say) kills
+  each worker that steals it; and a ``--drain`` worker waits until every
+  lease is settled or due, time a batch scheduler bills to its job.
 * A finished cell becomes a *part-file*: ``parts/`` is a
   :class:`~repro.experiments.sweep.ResultCache` (:attr:`TaskQueue.parts`),
   so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
@@ -69,7 +73,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultRow
@@ -233,28 +237,48 @@ class TaskQueue:
             return task
         return None
 
-    def steal(self, worker_id: str) -> Optional[Task]:
-        """A leased task whose part does not read, to run again; ``None``
-        when every lease is settled.
+    def steal(
+        self,
+        worker_id: str,
+        seen: Optional[Dict[str, float]] = None,
+        patience_s: float = 0.0,
+    ) -> Optional[Task]:
+        """A leased task whose part does not read and that is due, to run
+        again; ``None`` when there is none.
 
-        Called only once :meth:`claim` finds ``tasks/`` empty, so a steal
-        never takes a worker off pending work.  Leases are taken in an order
-        of ``worker_id``'s own, so idle workers spread over the abandoned
-        leases instead of all starting on the first.  The lease is neither
-        renamed nor rewritten: whoever settles the cell first drops it.  A
-        lease whose part already reads (its worker died after the part) is
-        unlinked on sight.  Names and payloads are checked as :meth:`claim`
-        checks them.
+        Called only once :meth:`claim` finds ``tasks/`` empty.  Leases are
+        taken in an order of ``worker_id``'s own, so idle workers spread
+        over abandoned leases.  The lease is neither renamed nor rewritten:
+        whoever settles the cell first drops it.  A lease whose part reads
+        is unlinked on sight.  Names and payloads are checked as in
+        :meth:`claim`.  ``seen`` maps each unsettled lease to the
+        :func:`time.monotonic` reading at which this stealer first saw it
+        (kept here to the leases still unsettled); a lease is due once
+        ``patience_s`` has passed since.  No other host's clock is read.
         """
-        leases = [path for path in self.leases_dir.glob("*.json") if is_fingerprint(path.stem)]
-        leases.sort(key=lambda path: hashlib.sha256(f"{worker_id}/{path.stem}".encode()).digest())
-        for lease in leases:
+        now = time.monotonic()
+        unsettled = []
+        for lease in self.leases_dir.glob("*.json"):
+            if not is_fingerprint(lease.stem):
+                continue  # not a lease this queue wrote
             if self.part_row(lease.stem) is not None:
                 lease.unlink(missing_ok=True)
+                continue
+            unsettled.append(lease)
+        seen = {} if seen is None else seen
+        held = {lease.stem for lease in unsettled}
+        for fingerprint in set(seen) - held:
+            del seen[fingerprint]
+        for fingerprint in held:
+            seen.setdefault(fingerprint, now)
+        unsettled.sort(key=lambda path: hashlib.sha256(f"{worker_id}/{path.stem}".encode()).digest())
+        for lease in unsettled:
+            if now - seen[lease.stem] < patience_s:
                 continue
             task = self._leased_task(lease, worker_id)
             if task is not None:
                 return task
+            del seen[lease.stem]  # settled meanwhile, or now a failure marker
         return None
 
     def _leased_task(self, lease: Path, worker_id: str) -> Optional[Task]:
@@ -364,20 +388,40 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _run_task(queue: TaskQueue, task: Task, worker_id: str) -> None:
-    """Run one leased task and settle its lease.
+class _Taker:
+    """How a worker, or a coordinator with no local worker running, comes
+    by its next cell: claim a pending task, or with ``tasks/`` empty, steal
+    a lease it has seen unsettled for longer than its patience -- the
+    longest cell it has run, and at least two poll intervals (one idle
+    back-off cycle).  A live holder settles within about one cell time, so
+    on a sweep of like cells idle participants wait their siblings' tail
+    cells out; a lease still unsettled after that is most likely a dead
+    worker's."""
 
-    The cell is simulated, then its part is published, the one write of its
-    row.  A cell that raises is recorded as a failure marker and the error
-    re-raised.  An interrupted run (``KeyboardInterrupt``) leaves the lease
-    as it is, for a steal to run again.
-    """
-    try:
-        row = _run_cell((task.label, task.config))
-    except Exception as exc:
-        queue.fail(task, exc, worker_id)
-        raise
-    queue.complete(task, row)
+    def __init__(self, queue: TaskQueue, worker_id: str, poll_interval_s: float) -> None:
+        self.queue = queue
+        self.worker_id = worker_id
+        self.patience_s = 2 * poll_interval_s
+        #: The unsettled leases by first sight (see :meth:`TaskQueue.steal`).
+        self.seen: Dict[str, float] = {}
+
+    def next_task(self) -> Optional[Task]:
+        queue, worker_id = self.queue, self.worker_id
+        return queue.claim(worker_id) or queue.steal(worker_id, self.seen, self.patience_s)
+
+    def run(self, task: Task) -> None:
+        """Simulate the cell, then publish its part, the one write of its
+        row.  A cell that raises is recorded as a failure marker and the
+        error re-raised; an interrupted run (``KeyboardInterrupt``) leaves
+        the lease as it is, for a steal to run again."""
+        started = time.monotonic()
+        try:
+            row = _run_cell((task.label, task.config))
+        except Exception as exc:
+            self.queue.fail(task, exc, self.worker_id)
+            raise
+        self.queue.complete(task, row)
+        self.patience_s = max(self.patience_s, time.monotonic() - started)
 
 
 def run_worker(
@@ -393,18 +437,21 @@ def run_worker(
     This is what ``python -m repro worker <queue-dir>`` runs.  The loop:
 
     1. claim the next task (atomic rename), or, when ``tasks/`` is empty,
-       steal a leased cell whose part does not read (:meth:`TaskQueue.steal`);
+       steal a leased cell whose part does not read and that this worker
+       has seen unsettled for longer than the longest cell it has run
+       (:meth:`TaskQueue.steal`, :class:`_Taker`);
     2. simulate it;
     3. publish the durable part-file -- the cell's completion signal --
        and drop the lease;
-    4. with nothing to claim or steal, either exit (``drain=True``) or sleep
-       and re-poll -- a long-lived worker keeps serving sweeps as
-       coordinators spool them.  Idle sleeps back off exponentially (with
-       jitter, so a fleet of workers doesn't poll in lockstep) from
-       ``poll_interval_s / 16`` up to ``poll_interval_s``, and reset to the
-       floor the moment a task is taken: a worker that just went idle
-       re-polls quickly for the next spooled batch, while a long-idle worker
-       converges to the configured cadence.
+    4. with nothing to claim or steal, either exit (``drain=True``, once no
+       unsettled lease is left either) or sleep and re-poll -- a long-lived
+       worker keeps serving sweeps as coordinators spool them.  Idle sleeps
+       back off exponentially (with jitter, so a fleet of workers doesn't
+       poll in lockstep) from ``poll_interval_s / 16`` up to
+       ``poll_interval_s``, and reset to the floor the moment a task is
+       taken: a worker that just went idle re-polls quickly for the next
+       spooled batch, while a long-idle worker converges to the configured
+       cadence.
 
     A cell that raises is recorded as a failure marker and the worker moves
     on; a part that cannot be published (full disk, read-only spool) stops
@@ -417,13 +464,14 @@ def run_worker(
         worker_id = default_worker_id()
     import_plugins()
 
+    taker = _Taker(queue, worker_id, poll_interval_s)
     executed = 0
     idle_polls = 0
     jitter_rng = random.Random()
     while max_tasks is None or executed < max_tasks:
-        task = queue.claim(worker_id) or queue.steal(worker_id)
+        task = taker.next_task()
         if task is None:
-            if drain:
+            if drain and not taker.seen:
                 break
             delay = min(poll_interval_s, (poll_interval_s / 16) * 2 ** idle_polls)
             idle_polls = min(idle_polls + 1, 8)
@@ -431,7 +479,7 @@ def run_worker(
             continue
         idle_polls = 0
         try:
-            _run_task(queue, task, worker_id)
+            taker.run(task)
         except Exception:
             if task.lease_path is not None:
                 raise  # not the cell: the lease could not be settled
@@ -458,17 +506,20 @@ class QueueBackend:
     workers:
         Local worker processes to spawn for this sweep (each runs
         ``python -m repro worker <queue-dir> --drain`` and exits when the
-        spool is empty).  ``None`` or ``0`` spawns none.  Whenever no local
-        worker is running -- none were spawned, or all have exited (warned
-        once, with their exit codes) -- the coordinator itself claims (or,
-        with none left, steals) and runs tasks between polls, while still
-        absorbing parts contributed by external workers -- so a bare
-        ``QueueBackend(dir)`` works standalone and speeds up the moment
-        extra machines join.
+        spool is empty); any still running once the sweep ends are
+        stopped.  ``None`` or ``0`` spawns none.  Whenever no local worker
+        is running -- none were spawned, or all have exited (warned once,
+        with their exit codes) -- the coordinator itself claims (or, with
+        none left, steals, with a worker's patience) and runs tasks between
+        polls, while still absorbing parts contributed by external workers
+        -- so a bare ``QueueBackend(dir)`` works standalone and speeds up
+        the moment extra machines join.  A cell it runs blocks its polls
+        for that cell's time.
     poll_interval_s / wait_timeout_s:
         Parts-listing poll cadence, and an optional hard bound on how long
         to wait without any progress (``None`` = forever; useful for
-        unattended CI).
+        unattended CI).  The bound must outlast a cell, and the patience
+        before a steal.
     """
 
     def __init__(
@@ -523,17 +574,6 @@ class QueueBackend:
             log.close()
         return procs
 
-    def _deliver(
-        self,
-        row: ResultRow,
-        cells: Sequence[Cell],
-        on_result: OnResult,
-    ) -> None:
-        # One part-file can satisfy several labels (fingerprint-identical
-        # cells under different scenario names); rebind per requester.
-        for label, config in cells:
-            on_result(_rebind_row(row, label, config.name))
-
     def execute(self, pending: List[Cell], on_result: OnResult) -> int:
         queue = self.queue
         by_fp: Dict[str, List[Cell]] = {}
@@ -549,7 +589,10 @@ class QueueBackend:
                 row = queue.part_row(fingerprint)
                 if row is None:
                     continue  # stale code, or not readable here yet: next poll
-                self._deliver(row, by_fp[fingerprint], on_result)
+                # One part can satisfy several labels (fingerprint-identical
+                # cells under different scenario names): rebind per requester.
+                for label, config in by_fp[fingerprint]:
+                    on_result(_rebind_row(row, label, config.name))
                 outstanding.discard(fingerprint)
                 found = True
             return found
@@ -563,6 +606,7 @@ class QueueBackend:
             queue.enqueue(label, config)
 
         procs = self._spawn_workers() if (self.workers and outstanding) else []
+        taker = _Taker(queue, self._worker_id, self.poll_interval_s)
         warned = False
         last_progress = time.monotonic()
         try:
@@ -584,8 +628,9 @@ class QueueBackend:
                     # No local worker is running (none spawned, or all have
                     # exited): claim instead of just waiting, and with
                     # nothing to claim, steal -- a task leased by a worker
-                    # that died is run again here.
-                    task = queue.claim(self._worker_id) or queue.steal(self._worker_id)
+                    # that died is run again here, once it has stayed
+                    # unsettled for longer than the taker's patience.
+                    task = taker.next_task()
                     if task is not None:
                         if procs and not warned:
                             warned = True
@@ -597,7 +642,7 @@ class QueueBackend:
                                 RuntimeWarning,
                                 stacklevel=3,
                             )
-                        _run_task(queue, task, self._worker_id)
+                        taker.run(task)
                         progressed = True
 
                 if progressed:
@@ -613,17 +658,17 @@ class QueueBackend:
                     )
                 time.sleep(self.poll_interval_s)
         finally:
+            # Every cell of this sweep has its part, or the sweep failed.
+            # A local worker still running is waiting a lease out, running
+            # a settled cell again, or running another sweep's cell: stop
+            # it now.  A lease it leaves behind is stolen later, like any
+            # dead worker's.
             for proc in procs:
-                if proc.poll() is None:
-                    # Drain-mode workers exit on their own once the spool is
-                    # empty; an abnormal coordinator exit must not leave
-                    # them running forever.
-                    try:
-                        proc.wait(timeout=2 * self.poll_interval_s + 5.0)
-                    except subprocess.TimeoutExpired:
-                        proc.terminate()
-                        try:
-                            proc.wait(timeout=5.0)
-                        except subprocess.TimeoutExpired:
-                            proc.kill()
+                proc.terminate()  # a no-op on a worker that has exited
+            for proc in procs:
+                try:
+                    proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
         return max(1, len(procs))

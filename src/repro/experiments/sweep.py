@@ -98,10 +98,15 @@ def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
     """Write ``payload`` to ``path`` through a temp file and a rename, so a
     concurrent reader sees the old file or the new one, never half of one.
     The temp name is the writer's own (process and thread), so two writers
-    of one path never share a temp file."""
+    of one path never share a temp file, and a write that is interrupted
+    removes it."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    tmp.replace(path)
+    try:
+        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _CODE_FINGERPRINT: Optional[str] = None

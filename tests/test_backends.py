@@ -5,10 +5,12 @@ serial-vs-queue equality)."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 
 from concurrent.futures import BrokenExecutor
@@ -414,6 +416,26 @@ class TestTaskQueue:
         assert all(queue.steal(worker).fingerprint == fp for worker, fp in first.items())
         assert queue.counts()["leases"] == 2
 
+    def test_a_lease_is_due_once_seen_unsettled_for_the_patience(self, tmp_path):
+        # With a memory of first sightings, a steal takes a lease only once
+        # it has stayed unsettled that long by the stealer's own clock; the
+        # memory keeps exactly the leases still unsettled.
+        queue = TaskQueue(tmp_path / "q")
+        young, old = tiny_config(seed=1), tiny_config(seed=2)
+        for config in (young, old):
+            queue.enqueue(config.name, config)
+            queue.claim("remote")
+        seen = {}
+        assert queue.steal("w2", seen, patience_s=5.0) is None
+        assert set(seen) == {young.fingerprint(), old.fingerprint()}
+        seen[old.fingerprint()] -= 6.0
+        stolen = queue.steal("w2", seen, patience_s=5.0)
+        assert stolen is not None and stolen.fingerprint == old.fingerprint()
+        queue.complete(stolen, _run_cell((stolen.label, stolen.config)))
+        assert queue.steal("w2", seen, patience_s=5.0) is None
+        assert set(seen) == {young.fingerprint()}
+        assert queue.counts() == {"tasks": 0, "leases": 1, "parts": 1, "failed": 0}
+
     def test_claim_retires_a_done_task_and_leases_the_next(self, tmp_path):
         # A pending task whose part is already on disk (written after the
         # task was spooled, by anything that shares parts/) is retired on
@@ -615,6 +637,48 @@ class TestRunWorker:
             run_sweep(configs, workers=1).rows
         )
 
+    @pytest.mark.parametrize("remote_finishes", [True, False])
+    def test_an_idle_worker_waits_its_longest_cell_before_stealing(
+        self, tmp_path, monkeypatch, remote_finishes
+    ):
+        # On a fake clock: the worker runs a 10 s cell, then finds only a
+        # lease a remote worker holds.  It steals that lease only once it
+        # has seen it unsettled for 10 s, its own longest cell; a remote
+        # that finishes 5 s in is waited out, not run again.
+        queue = TaskQueue(tmp_path / "q")
+        held, pending = tiny_config(seed=1), tiny_config(seed=2)
+        queue.enqueue("held", held)
+        remote = queue.claim("remote")
+        queue.enqueue("pending", pending)
+        rows = {label: _run_cell((label, config)) for label, config in
+                (("held", held), ("pending", pending))}
+        clock = {"now": 0.0}
+        ran = []
+
+        def sleep(seconds):
+            clock["now"] += seconds
+            if remote_finishes and clock["now"] >= 15.0 and remote.lease_path is not None:
+                queue.complete(remote, rows["held"])
+
+        def ten_second_cell(cell):
+            ran.append((cell[0], clock["now"]))
+            clock["now"] += 10.0
+            return rows[cell[0]]
+
+        fake_time = types.SimpleNamespace(
+            monotonic=lambda: clock["now"], sleep=sleep, time=time.time,
+        )
+        monkeypatch.setattr("repro.experiments.queue.time", fake_time)
+        monkeypatch.setattr("repro.experiments.queue._run_cell", ten_second_cell)
+        executed = run_worker(queue, drain=True, worker_id="w1", poll_interval_s=0.5)
+        assert ran[0] == ("pending", 0.0)
+        if remote_finishes:
+            assert executed == 1 and len(ran) == 1
+        else:
+            assert executed == 2 and ran[1][0] == "held"
+            assert 20.0 <= ran[1][1] < 20.5
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 2, "failed": 0}
+
     def test_idle_polls_back_off_exponentially_with_jitter(self, tmp_path, monkeypatch):
         # An idle (non-drain) worker must not hammer the queue at a fixed
         # cadence: sleeps start at poll/16 and double toward the configured
@@ -759,9 +823,9 @@ class TestQueueBackend:
                 return None
             return task
 
-        def recording_steal(self, worker_id):
+        def recording_steal(self, worker_id, *due):
             steals.append(sorted(self.pending()))
-            return original_steal(self, worker_id)
+            return original_steal(self, worker_id, *due)
 
         monkeypatch.setattr(runner_mod, "run_experiment", counting_run)
         monkeypatch.setattr(TaskQueue, "claim", claim_write_part_and_die)
@@ -792,6 +856,39 @@ class TestQueueBackend:
         assert time.monotonic() - started < 2.5
         assert sweep.rows == run_sweep({"cell": config}, workers=1).rows
         assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
+
+    def test_local_workers_still_running_are_stopped_at_once(self, tmp_path, monkeypatch):
+        # Both local workers are busy with something that outlasts the
+        # sweep (a settled cell run again, say).  Once every part is in,
+        # the coordinator stops them instead of waiting them out.
+        configs = tiny_cells(2)
+        parts = [_run_cell((label, config)) for label, config in configs.items()]
+        queue = TaskQueue(tmp_path / "q")
+        procs = []
+
+        def spawn_busy_workers(self):
+            procs.extend(
+                subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+                for _ in range(self.workers)
+            )
+            return procs
+
+        real_sleep = time.sleep
+
+        def remote_writes_every_part(seconds):
+            for row in parts:
+                queue.parts.put(row)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(QueueBackend, "_spawn_workers", spawn_busy_workers)
+        monkeypatch.setattr("repro.experiments.queue.time.sleep", remote_writes_every_part)
+        started = time.monotonic()
+        queued = run_sweep(
+            configs, backend=QueueBackend(tmp_path / "q", workers=2, wait_timeout_s=30),
+        )
+        assert time.monotonic() - started < 3.0
+        assert [proc.returncode for proc in procs] == [-signal.SIGTERM] * 2
+        assert queued.rows == run_sweep(configs, workers=1).rows
 
     def test_coordinator_claims_once_every_worker_has_exited(self, tmp_path, monkeypatch):
         # Local workers that die before draining anything leave the
@@ -827,11 +924,11 @@ class TestQueueBackend:
         assert time.monotonic() - started < 5
 
     def test_part_is_delivered_while_another_lease_is_held(self, tmp_path, monkeypatch):
-        # Two remote workers hold both leases, and a local worker is still
-        # running, so the coordinator neither claims nor steals.  One remote
-        # worker writes its part and has not dropped its lease yet; the
-        # coordinator delivers that row at its next poll, while the other
-        # lease is still held -- it does not wait for the spool to drain.
+        # Two remote workers hold both leases.  One writes its part and has
+        # not dropped its lease yet; the coordinator delivers that row at
+        # its next poll, while the other lease is still held -- it does not
+        # wait for the spool to drain, and does not run a live lease again
+        # on sight.
         cells = sorted(tiny_cells(2).items(), key=lambda cell: cell[1].fingerprint())
         (label_a, config_a), (label_b, config_b) = cells
         queue = TaskQueue(tmp_path / "q")
@@ -855,26 +952,18 @@ class TestQueueBackend:
             if row.label == label_a:
                 queue.complete(task_b, _run_cell((label_b, config_b)))
 
-        class RunningWorker:
-            returncode = None
+        ran = []
 
-            def poll(self):
-                return None
-
-            def wait(self, timeout=None):
-                return 0
-
-        def steal_forbidden(self, worker_id):
-            raise AssertionError("the coordinator stole while a local worker ran")
+        def recording_run_cell(cell):
+            ran.append(cell[0])
+            return _run_cell(cell)
 
         monkeypatch.setattr("repro.experiments.queue.time.sleep", remote_a_writes_its_part)
-        monkeypatch.setattr(QueueBackend, "_spawn_workers", lambda self: [RunningWorker()])
-        monkeypatch.setattr(TaskQueue, "steal", steal_forbidden)
-        backend = QueueBackend(
-            tmp_path / "q", workers=1, poll_interval_s=0.01, wait_timeout_s=5,
-        )
+        monkeypatch.setattr("repro.experiments.queue._run_cell", recording_run_cell)
+        backend = QueueBackend(tmp_path / "q", poll_interval_s=0.01, wait_timeout_s=5)
         backend.execute(cells, on_result)
         assert delivered == [(label_a, True), (label_b, False)]
+        assert ran == []
 
     def test_part_unreadable_when_announced_is_read_again(self, tmp_path, monkeypatch):
         # An NFS client can cache a part as missing and keep answering so
@@ -957,6 +1046,29 @@ class TestWorkerCli:
         out = capsys.readouterr().out
         assert "2 cell(s) executed" in out
         assert queue.counts()["parts"] == 2
+
+    def test_sigterm_stops_a_worker_cleanly(self, tmp_path):
+        # How a coordinator stops a local worker once its sweep ends: the
+        # worker unwinds as from Ctrl-C and says so, instead of dying
+        # wherever the signal lands.
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", str(tmp_path / "q"), "--poll", "0.05"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            assert "draining" in proc.stdout.readline()
+            proc.terminate()
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert "stopped; spool now" in out and "Traceback" not in out
 
     def test_run_with_queue_backend_and_follow(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -1063,6 +1175,22 @@ class TestPartFiles:
         assert queue.lease_path(config.fingerprint()).exists()
         assert queue.part_row(config.fingerprint()) is None
         assert queue.steal("w2").fingerprint == config.fingerprint()
+
+    def test_an_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # A worker stopped between writing its temp file and renaming it
+        # into place removes the temp file: a drained spool holds nothing
+        # but its entries.
+        from pathlib import Path
+
+        from repro.experiments.sweep import _write_json_atomic
+
+        def stopped(self, target):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "replace", stopped)
+        with pytest.raises(KeyboardInterrupt):
+            _write_json_atomic(tmp_path / "entry.json", {"row": 1})
+        assert list(tmp_path.iterdir()) == []
 
     def test_complete_lists_the_part_before_it_drops_the_lease(self, tmp_path, monkeypatch):
         # The order both pollers rely on: by the time complete() drops the

@@ -83,7 +83,7 @@ RULES = (
         "a part file on disk is the one sign that a cell completed, and both pollers "
         "list parts/: the parts/MANIFEST log, its PartsTail (with the rescans, "
         "force_scan and forget() it had already lost), its appends and the drained() "
-        "fallback for lost lines were deleted; worker and coordinator share one _run_task",
+        "fallback for lost lines were deleted; worker and coordinator share one _Taker",
         ("tail.poll(force_scan=True)", "rescan_every=10", "self._polls_since_scan",
          "_execute_task(task)", "def forget(self, name):", "tail = PartsTail(queue)",
          "self._append_manifest(fp)", "queue.manifest_path", "def drained(self) -> bool:"),
