@@ -43,31 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.incast import IncastParams
 
 
-#: Config fields that never influence the physics of a run *or* the cached
-#: row contents, and are therefore excluded from the canonical serialization
-#: (and the fingerprint): ``name`` is cosmetic.
-_NON_PHYSICAL_FIELDS = ("name",)
-
-#: ``field -> value at which the field is left out of the canonical dict``.
-#: A field may be listed only if a run at the listed value is byte-identical
-#: (events and :class:`~repro.experiments.results.ResultRow`) to a run from
-#: before the field existed; every other value is fingerprinted.  The
-#: mechanism exists because the fingerprint is part of the row and row
-#: digests are pinned (``tests/test_fabric_golden.py``,
-#: ``benchmarks/e2e/baseline.json``) -- see "What is in a fingerprint" in
-#: ``docs/architecture.md``.  The values are the *raw* knobs, never derived
-#: ones, so a fingerprint cannot depend on what is registered in a process.
-_OMITTED_AT: Dict[str, Any] = {
-    "fabric_digests": False,
-    "ring_switches": 3,
-    "wan_delay_s": 1e-3,
-    "c_latency_ratios": False,
-    # Only per-packet ACKs match pre-knob runs; the default of 4 does not.
-    "ack_coalesce_n": 1,
-    "fault_plan": None,
-}
-
-
 #: The shortest CNP spacing: an absolute time, so where the derived
 #: physics stops scaling with the time unit.
 CNP_INTERVAL_FLOOR_S = 5e-6
@@ -190,21 +165,19 @@ class ExperimentConfig:
     #: QuantileDigest`s, exported on :class:`~repro.experiments.results.
     #: ResultRow` and pooled by ``aggregate_rows``.  Pure observation (no
     #: event, ordering or RNG impact: results are byte-identical either
-    #: way), but it changes what the cached *row* carries, so it is
-    #: fingerprinted: a digest-collecting sweep never gets served
-    #: digest-less rows.
+    #: way), but it changes what the *row* carries.
     fabric_digests: bool = False
     #: Collect per-flow c-latency ratios (FCT divided by the speed-of-light
     #: lower bound: the path's one-way propagation delay from the topology's
     #: hop delays), the "Towards a Speed of Light Internet" metric for
     #: propagation-dominated fabrics.  Streaming digest only (no event,
     #: ordering or RNG impact), but like ``fabric_digests`` it changes what
-    #: the cached row carries.
+    #: the row carries.
     c_latency_ratios: bool = False
     #: Deterministic fault schedule (:class:`repro.faults.FaultPlan`).
     #: ``None`` -- and an *empty* plan, which normalizes to ``None`` -- run
     #: fault-free.  A non-empty plan changes both the physics and what the
-    #: cached row carries (recovery observables).
+    #: row carries (recovery observables).
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -383,8 +356,8 @@ class ExperimentConfig:
         """*Every* field as JSON-safe values -- the wire format a work-queue
         task file carries to a worker on another machine.
 
-        Unlike :meth:`to_canonical_dict` this keeps the non-physical fields
-        (``name`` binds the aggregation cell on the rebuilt side) and
+        Unlike :meth:`to_canonical_dict` this keeps ``name`` (it binds the
+        aggregation cell on the rebuilt side) and
         preserves declaration order.  Nested dataclasses collapse to dicts
         and :meth:`from_dict` coerces them back, so ``from_dict(to_dict())``
         reconstructs an equal config with a byte-identical
@@ -402,14 +375,11 @@ class ExperimentConfig:
     # Stable serialization (sweep cache keys)
     # ------------------------------------------------------------------
     def to_canonical_dict(self) -> Dict[str, Any]:
-        """All simulation-relevant fields as JSON-safe values, stably ordered.
-
-        Nested dataclasses (e.g. :class:`IncastParams`) collapse to sorted
-        dicts, so two configs that would run identical simulations serialize
-        identically across processes and Python versions.  Left out are the
-        :data:`_NON_PHYSICAL_FIELDS` (including them would make physically
-        identical simulations miss the sweep cache) and every field sitting
-        at its :data:`_OMITTED_AT` value.
+        """Every field but the cosmetic ``name`` as JSON-safe values, stably
+        ordered: nested dataclasses (e.g. :class:`IncastParams`) collapse to
+        sorted dicts, so one config serializes identically across processes
+        and Python versions.  Leaving ``name`` out lets preset cells under
+        different labels share one cache entry.
         """
         # Only the nested dataclasses need converting: ``_canonical`` builds
         # every dict and list afresh, so no deep copy of the config is made.
@@ -417,14 +387,7 @@ class ExperimentConfig:
         for name in _FIELD_NAMES:
             value = getattr(self, name)
             payload[name] = asdict(value) if is_dataclass(value) else value
-        for field_name in _NON_PHYSICAL_FIELDS:
-            del payload[field_name]
-        for field_name, omitted_at in _OMITTED_AT.items():
-            if payload[field_name] == omitted_at:
-                del payload[field_name]
-        if "ack_coalesce_n" not in payload:
-            # The flush timeout of a window that never coalesces is inert.
-            del payload["ack_coalesce_us"]
+        del payload["name"]
         return _canonical(payload)
 
     def fingerprint(self) -> str:

@@ -4,8 +4,8 @@
 worker processes and stores in the on-disk cache: plain strings, numbers,
 booleans and JSON-safe digest payloads only, so it pickles in microseconds
 and round-trips through JSON.  It carries serialized
-:class:`~repro.metrics.sketch.QuantileDigest` sketches of the FCT, slowdown
-and single-packet-latency distributions so tail metrics survive process
+:class:`~repro.metrics.sketch.QuantileDigest` sketches of the FCT and
+single-packet-latency distributions so tail metrics survive process
 boundaries, disk caching and seed aggregation; the sketch module is imported
 only when a digest view decodes one, so reading and reporting rows loads it
 only when a report needs a distribution.
@@ -100,7 +100,6 @@ class ResultRow:
     #: are unhashable) so rows stay usable in sets/dict keys; they still
     #: participate in ``==``.
     fct_digest: Optional[Dict[str, Any]] = field(default=None, hash=False)
-    slowdown_digest: Optional[Dict[str, Any]] = field(default=None, hash=False)
     #: Digest over single-packet message FCTs only (Figure 8's metric).
     single_packet_digest: Optional[Dict[str, Any]] = field(default=None, hash=False)
     #: §4.4 fabric observability (``ExperimentConfig.fabric_digests``):
@@ -164,11 +163,6 @@ class ResultRow:
     def fct_distribution(self) -> Optional[QuantileDigest]:
         """The FCT digest, deserialized (``None`` on pre-digest rows)."""
         return _decode(self.fct_digest)
-
-    @cached_property
-    def slowdown_distribution(self) -> Optional[QuantileDigest]:
-        """The slowdown digest, deserialized."""
-        return _decode(self.slowdown_digest)
 
     @cached_property
     def single_packet_distribution(self) -> Optional[QuantileDigest]:

@@ -252,7 +252,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # An empty stream digest is falsy and stored as None; the fabric,
         # recovery and c-latency digests are None exactly when not collected.
         fct_digest=_payload(stats.fct_digest or None),
-        slowdown_digest=_payload(stats.slowdown_digest or None),
         single_packet_digest=_payload(stats.single_packet_digest or None),
         queue_depth_digest=_payload(collector.fabric_queue_depth_digest()),
         pfc_pause_digest=_payload(collector.fabric_pfc_pause_digest()),

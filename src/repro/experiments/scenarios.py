@@ -401,19 +401,19 @@ _paper_scenario(
 # ---------------------------------------------------------------------------
 # §2 PFC pathologies: circular buffer-dependency deadlock
 # ---------------------------------------------------------------------------
-# A ring of switches with the ``circular`` workload: every receiver is fed
-# at full rate from two different upstream switches, so once the per-sender
-# load crosses 0.5 the inter-switch input buffers fill, every switch pauses
-# both upstream switches and the node-level PFC wait-for graph closes into
-# a cycle -- the online detector (repro.sim.deadlock) reports it as
-# ``deadlock_events`` / ``min_time_to_deadlock_s``.  The cycles are pause
-# states, not buffer dependencies: every path crosses one inter-switch link,
-# so no port-level cycle forms and every flow finishes.  IRN runs the
-# identical fabric lossless-off: it drops and retransmits instead of
-# pausing, so its count is an exact zero.
+# A ring of six switches, four hosts each, with the ``circular`` workload:
+# every receiver is fed at full rate from three different upstream
+# switches, and paths cross up to three inter-switch links, so under
+# RoCE+PFC the paused ports close a circular buffer dependency and the
+# fabric wedges -- at every load row, with most of the 180 flows never
+# finishing (ten finish at 90 % on seed 1).  The online detector
+# (repro.sim.deadlock) reports the pause cycles as ``deadlock_events`` /
+# ``min_time_to_deadlock_s``.  IRN runs the identical fabric lossless-off:
+# it drops and retransmits instead of pausing, finishes every flow, and its
+# count is an exact zero.
 _paper_scenario(
     "pfc_deadlock",
-    "§2 CBD: circular ring fabric, cycles in RoCE+PFC's node-level pause graph, none under IRN",
+    "§2 CBD: 6-switch ring, RoCE+PFC wedges with most flows unfinished, IRN finishes all",
     {
         "RoCE (with PFC)": _scheme("roce", pfc=True),
         "IRN (without PFC)": _scheme("irn", pfc=False),
@@ -421,10 +421,10 @@ _paper_scenario(
     rows=_load_rows((0.3, 0.6, 0.9)),
     defaults=dict(
         topology="ring",
-        ring_switches=3,
+        ring_switches=6,
         workload="circular",
-        num_hosts=9,
-        num_flows=60,
+        num_hosts=24,
+        num_flows=180,
         fixed_size_bytes=100_000,
         target_load=0.9,
     ),

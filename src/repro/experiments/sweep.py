@@ -89,9 +89,9 @@ Cell = Tuple[str, ExperimentConfig]
 OnResult = Callable[[ResultRow], None]
 
 #: Bumped whenever the ``ResultRow`` schema or run semantics change in a way
-#: that invalidates previously cached rows.  (2: rows carry quantile-digest
-#: payloads for FCT / slowdown / single-packet latency.)
-CACHE_SCHEMA_VERSION = 2
+#: that invalidates previously cached rows.  (3: rows no longer carry a
+#: slowdown digest, and every config field but ``name`` is fingerprinted.)
+CACHE_SCHEMA_VERSION = 3
 
 
 def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:

@@ -9,7 +9,7 @@ bottleneck rate).
 Completions feed streaming accumulators (:class:`GroupStats`, one per
 workload group plus one over all flows): a count, left-to-right running sums
 for the means, and mergeable :class:`~repro.metrics.sketch.QuantileDigest`
-sketches of the FCT, slowdown and single-packet latency distributions.  They
+sketches of the FCT and single-packet latency distributions.  They
 are the only representation of a run's flow-level metrics: compact,
 serializable and mergeable across seed replicas, and what
 :class:`~repro.experiments.results.ResultRow` exports through the sweep
@@ -45,7 +45,6 @@ class GroupStats:
     fct_sum: float = 0.0
     slowdown_sum: float = 0.0
     fct_digest: QuantileDigest = field(default_factory=QuantileDigest)
-    slowdown_digest: QuantileDigest = field(default_factory=QuantileDigest)
     #: FCTs of single-packet messages only (Figure 8's latency metric).
     single_packet_digest: QuantileDigest = field(default_factory=QuantileDigest)
 
@@ -54,11 +53,6 @@ class GroupStats:
         self.fct_sum += fct
         self.slowdown_sum += slowdown
         self.fct_digest.add(fct)
-        # A degenerate zero-ideal-FCT flow reports an infinite slowdown; it
-        # still poisons the mean (as it always did) but cannot enter the
-        # digest, which only admits finite samples.
-        if math.isfinite(slowdown):
-            self.slowdown_digest.add(slowdown)
         if single_packet:
             self.single_packet_digest.add(fct)
 

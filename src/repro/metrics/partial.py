@@ -9,14 +9,14 @@ while the sweep is still running.
 :class:`PartialAggregator` is the incremental engine both paths share.  Rows
 are absorbed one at a time; per cell it keeps the replica scalars, the summed
 fabric counters and one *merged* :class:`~repro.metrics.sketch.QuantileDigest`
-per distribution (FCT, slowdown tails are already inside the FCT digest,
-single-packet latency, and -- when runs collect them -- queue depth and PFC
-pause durations).  Because digest merges are commutative and associative,
-``snapshot()`` after N rows reports the *true pooled* percentiles over every
-flow of every row absorbed so far -- not a mean of per-row tails -- and the
-final snapshot is exactly what ``aggregate_rows`` computes over the complete
-row set.  ``aggregate_rows`` is in fact implemented as "absorb everything,
-then snapshot", so the two can never drift.
+per distribution (FCT, single-packet latency, and -- when runs collect them
+-- queue depth and PFC pause durations).  Because digest merges are
+commutative and associative, ``snapshot()`` after N rows reports the *true
+pooled* percentiles over every flow of every row absorbed so far -- not a
+mean of per-row tails -- and the final snapshot is exactly what
+``aggregate_rows`` computes over the complete row set.  ``aggregate_rows``
+is in fact implemented as "absorb everything, then snapshot", so the two can
+never drift.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ scheduler cores.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Optional
 
 from repro.metrics.sketch import QuantileDigest
@@ -35,6 +34,19 @@ _DATA = PacketType.DATA
 
 #: Fraction of the best pre-fault bin goodput that counts as "recovered".
 RECOVERY_GOODPUT_FRACTION = 0.9
+
+
+def _bin_index(t: float, bin_s: float) -> int:
+    """The ``k`` with ``k * bin_s <= t < (k + 1) * bin_s`` in floats: the
+    bin whose reported start, ``k * bin_s``, is the last at or before ``t``.
+    ``int(t / bin_s)`` alone can be one off either way (a delivery at
+    exactly ``49 * 1e-4`` divides to 48.99...)."""
+    k = int(t / bin_s)
+    if k * bin_s > t:
+        return k - 1
+    if (k + 1) * bin_s <= t:
+        return k + 1
+    return k
 
 
 class _DownlinkTap:
@@ -78,7 +90,7 @@ class RecoveryTracker:
 
     def on_data_delivered(self, packet: Packet) -> None:
         now = self.sim.now
-        index = int(now / self.bin_s)
+        index = _bin_index(now, self.bin_s)
         self._bins[index] = self._bins.get(index, 0.0) + packet.payload_bytes
         last = self._last_delivery.get(packet.flow_id)
         if last is not None:
@@ -120,7 +132,7 @@ class RecoveryTracker:
             return None
         if not self._bins:
             return None
-        reference_end = int(first_fault_start_s / self.bin_s)
+        reference_end = _bin_index(first_fault_start_s, self.bin_s)
         reference = max(
             (self._bins.get(index, 0.0) for index in range(reference_end)),
             default=0.0,
@@ -128,7 +140,10 @@ class RecoveryTracker:
         if reference <= 0.0:
             return None
         threshold = RECOVERY_GOODPUT_FRACTION * reference
-        start_index = math.ceil(last_fault_end_s / self.bin_s)
+        # The first bin that starts at or after the last fault's end.
+        start_index = _bin_index(last_fault_end_s, self.bin_s)
+        if start_index * self.bin_s < last_fault_end_s:
+            start_index += 1
         last_index = max(self._bins)
         for index in range(start_index, last_index + 1):
             if self._bins.get(index, 0.0) >= threshold:

@@ -59,11 +59,13 @@ def tail_fractions(start_fraction: float = 0.90, points: int = 50) -> List[float
 
 
 def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean (raises on empty input)."""
+    """Arithmetic mean (raises on empty input).  ``math.fsum``, not
+    ``sum``: CPython 3.12 made ``sum()`` of floats compensated, so a plain
+    sum would read differently on the interpreters CI runs."""
     values = list(values)
     if not values:
         raise ValueError("cannot take the mean of an empty sequence")
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def stderr(values: Iterable[float]) -> float:
@@ -77,8 +79,8 @@ def stderr(values: Iterable[float]) -> float:
         raise ValueError("cannot take the standard error of an empty sequence")
     if n < 2:
         return 0.0
-    m = sum(values) / n
-    variance = sum((v - m) ** 2 for v in values) / (n - 1)
+    m = math.fsum(values) / n
+    variance = math.fsum((v - m) ** 2 for v in values) / (n - 1)
     return math.sqrt(variance / n)
 
 

@@ -14,9 +14,10 @@ toward it drains each inter-switch input at half the arrival rate -- the
 input buffers fill, each switch pauses both upstream switches, and the pause
 wait-for graph contains the cycle ``s0 -> s1 -> ... -> s0`` the deadlock
 detector reports.  Offered load per sender is ``target_load`` of the host
-link, so the cycle only closes once ``2 * target_load > 1``: sweeping load
-across that boundary produces the phase transition the ``pfc_deadlock``
-scenario plots.
+link, so with two senders per switch the cycle only closes once
+``2 * target_load > 1``.  The ``pfc_deadlock`` scenario runs four hosts on
+each of six switches, where paths cross several inter-switch links:
+RoCE+PFC wedges there at every load it sweeps (0.3 to 0.9).
 
 Flow sizes are fixed (``config.fixed_size_bytes``): steady packet trains,
 not a heavy-tailed mix, keep the overload sustained instead of bursty.

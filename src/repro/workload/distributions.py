@@ -69,7 +69,7 @@ class HeavyTailedSizes:
                 (0.35, 1_000 * self.scale, 200_000 * self.scale),   # mid-size flows
                 (0.15, 200_000 * self.scale, 3_000_000 * self.scale),  # storage/background
             )
-        total = sum(p for p, _, _ in self.bands)
+        total = math.fsum(p for p, _, _ in self.bands)
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"band probabilities must sum to 1 (got {total})")
 
@@ -84,7 +84,7 @@ class HeavyTailedSizes:
         return max(1, int(_log_uniform(rng, low, high)))
 
     def mean_bytes(self) -> float:
-        return sum(p * _log_uniform_mean(low, high) for p, low, high in self.bands)
+        return math.fsum(p * _log_uniform_mean(low, high) for p, low, high in self.bands)
 
 
 @dataclass

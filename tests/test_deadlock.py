@@ -1,6 +1,6 @@
 """PFC deadlock detection: the paper's §2 circular buffer dependency.
 
-The deterministic scenario: a 3-switch ring (``repro.topology.cyclic``)
+The first end-to-end case: a 3-switch ring (``repro.topology.cyclic``)
 carrying the ``circular`` workload, which feeds every receiver at full rate
 from two different upstream switches.  Under RoCE with PFC the pause
 wait-for graph closes into the cycle ``s0 -> s1 -> s2 -> s0`` again and
@@ -12,9 +12,10 @@ rather than circular *buffer* dependencies; the two-switch counter-example
 below is the smallest case of the gap.  Under IRN (no PFC) packets drop and
 retransmit instead, so the detector must stay silent forever.
 
-A 6-switch ring does wedge: there paths cross several inter-switch links,
-and under RoCE+PFC the same few flows have finished at a 2 ms and at a
-20 ms horizon, while IRN without PFC finishes them all.
+The registered ``pfc_deadlock`` scenario runs a 6-switch ring, which does
+wedge: there paths cross several inter-switch links, and under RoCE+PFC the
+same few flows have finished at a 2 ms and at a 20 ms horizon, while IRN
+without PFC finishes them all.
 """
 
 import pytest
@@ -136,18 +137,13 @@ def test_irn_never_deadlocks_on_the_same_ring():
 
 
 # ---------------------------------------------------------------------------
-# A ring that wedges: pfc_deadlock's 90% row on six switches
+# A ring that wedges: the registered pfc_deadlock scenario on six switches
 # ---------------------------------------------------------------------------
-#: ``pfc_deadlock``'s cells moved onto a ring where paths cross several
-#: inter-switch links.  The registered spec stays on its 3-ring.
-WEDGE_RING = dict(ring_switches=6, num_hosts=24, num_flows=180)
-
-
 @pytest.fixture(scope="module")
 def wedged_ring():
-    """RoCE+PFC at a 2 ms and a 20 ms horizon and IRN without PFC at 20 ms,
-    on the 6-ring (about 1.2 s in all)."""
-    cells = scenario("pfc_deadlock").configs(**WEDGE_RING)
+    """``pfc_deadlock``'s 90% row: RoCE+PFC at a 2 ms and a 20 ms horizon
+    and IRN without PFC at 20 ms (about 1.2 s in all)."""
+    cells = scenario("pfc_deadlock").configs()
     roce, irn = cells["90%|RoCE (with PFC)"], cells["90%|IRN (without PFC)"]
     return {
         "roce_2ms": run_experiment(roce.with_overrides(max_sim_time_s=0.002)).to_row(),
@@ -165,6 +161,18 @@ def test_roce_with_pfc_wedges_for_good_on_a_six_switch_ring(wedged_ring):
     assert long.packets_dropped == 0 and long.pause_frames > 0
 
 
+def test_roce_with_pfc_wedges_at_every_registered_load():
+    # The scenario's description says so: no load row drains.
+    cells = scenario("pfc_deadlock").configs(max_sim_time_s=0.002)
+    roce = {label: config for label, config in cells.items() if "RoCE" in label}
+    assert len(roce) == 3
+    for label, config in roce.items():
+        assert (config.ring_switches, config.num_hosts) == (6, 24)
+        row = run_experiment(config).to_row(label=label)
+        assert row.flows_completed < row.flows_total == 180, label
+        assert row.packets_dropped == 0 and row.deadlock_events > 0, label
+
+
 def test_irn_without_pfc_finishes_every_flow_on_the_same_ring(wedged_ring):
     irn = wedged_ring["irn_20ms"]
     assert irn.flows_completed == irn.flows_total == 180
@@ -174,7 +182,7 @@ def test_irn_without_pfc_finishes_every_flow_on_the_same_ring(wedged_ring):
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 3(a): headline statistics average completed flows only, so "
     "the wedged RoCE+PFC scores 3.03 over its 10 finished flows against "
-    "IRN's 31.18 over all 180"))
+    "IRN's 30.72 over all 180"))
 def test_a_wedged_scheme_does_not_score_a_lower_slowdown(wedged_ring):
     roce, irn = wedged_ring["roce_20ms"], wedged_ring["irn_20ms"]
     assert roce.avg_slowdown >= irn.avg_slowdown

@@ -5,12 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.experiments.config import (
-    _OMITTED_AT,
-    CNP_INTERVAL_FLOOR_S,
-    ExperimentConfig,
-    Physics,
-)
+from repro.experiments.config import CNP_INTERVAL_FLOOR_S, ExperimentConfig, Physics
 from repro.experiments.scenarios import SCALED_DEFAULTS, incast_rows, scenario
 from repro.faults import FaultPlan, LinkFlap, PacketCorruption
 from repro.topology.registry import TOPOLOGIES
@@ -136,17 +131,13 @@ class TestAckCoalescingKnobs:
         assert payload["ack_coalesce_n"] == 4
         assert payload["ack_coalesce_us"] == 25.0
 
-    def test_per_packet_configs_collapse_onto_pre_knob_fingerprints(self):
-        """n=1 is byte-identical to pre-knob physics: both keys (the then
-        irrelevant flush timeout too) drop out of the canonical dict, so
-        these configs still hit rows cached before the knobs existed."""
+    def test_per_packet_configs_hash_both_knobs_as_written(self):
+        """n=1 is hashed like any other window, and the flush timeout stays
+        in the canonical dict although a window of one never waits on it:
+        the fingerprint is the config as written."""
         payload = ExperimentConfig(ack_coalesce_n=1).to_canonical_dict()
-        assert "ack_coalesce_n" not in payload
-        assert "ack_coalesce_us" not in payload
-        # The flush timeout is inert without a window; it must not split
-        # fingerprints of physically identical per-packet runs.
-        same = ExperimentConfig(ack_coalesce_n=1, ack_coalesce_us=60.0)
-        assert same.fingerprint() == ExperimentConfig(ack_coalesce_n=1).fingerprint()
+        assert payload["ack_coalesce_n"] == 1
+        assert payload["ack_coalesce_us"] == 25.0
 
     def test_fingerprint_uses_raw_knob_not_scheme_capped_value(self):
         # Timely's metadata caps the *effective* window at 1, but the
@@ -234,8 +225,8 @@ class TestFingerprintCoverage:
     while it can change a byte of the row lets the cache serve a row some
     other setting produced."""
 
-    #: One value per field, neither its default nor its ``_OMITTED_AT``
-    #: value.  A new field without an entry fails here until it has one.
+    #: One value per field, other than its default.  A new field without
+    #: an entry fails here until it has one.
     OTHER_VALUE = {
         "topology": "star",
         "fat_tree_k": 6,
@@ -284,7 +275,6 @@ class TestFingerprintCoverage:
         value = self.OTHER_VALUE[field.name]
         base = ExperimentConfig()
         assert value != getattr(base, field.name)
-        assert value != _OMITTED_AT.get(field.name, object())
         changed = ExperimentConfig(**{field.name: value})
         assert changed.fingerprint() != base.fingerprint()
 
@@ -293,14 +283,39 @@ class TestFingerprintCoverage:
                 == ExperimentConfig(name="b").fingerprint())
         assert len(fields(ExperimentConfig)) == len(self.OTHER_VALUE) + 1
 
+    def test_canonical_dict_is_every_field_but_name(self):
+        payload = ExperimentConfig().to_canonical_dict()
+        assert set(payload) == {f.name for f in fields(ExperimentConfig)} - {"name"}
+
+    #: ``(field, value, other value, overrides)``: each value a field used
+    #: to be left out of the fingerprint at, so it is hashed like any other.
+    FORMERLY_OMITTED = [
+        ("fabric_digests", False, True, {}),
+        ("ring_switches", 3, 4, {}),
+        ("wan_delay_s", 1e-3, 2e-3, {}),
+        ("c_latency_ratios", False, True, {}),
+        ("fault_plan", None,
+         FaultPlan(faults=(LinkFlap(src="s0", dst="s1", start_s=1e-4, end_s=2e-4),)), {}),
+        ("ack_coalesce_us", 25.0, 60.0, {"ack_coalesce_n": 1}),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, value, other, overrides", FORMERLY_OMITTED,
+        ids=[case[0] for case in FORMERLY_OMITTED],
+    )
+    def test_formerly_omitted_values_are_hashed(self, name, value, other, overrides):
+        config = ExperimentConfig(**{**overrides, name: value})
+        assert name in config.to_canonical_dict()
+        moved = ExperimentConfig(**{**overrides, name: other})
+        assert moved.fingerprint() != config.fingerprint()
+
 
 class TestFaultPlanFingerprint:
     """Fault plans and the cache-key contract.
 
     A non-empty plan changes the simulated physics, so it must key its own
-    cache entries; an empty plan is physically inert and must collapse onto
-    the fault-free fingerprint so pre-fault-injection warm caches stay
-    valid.
+    cache entries; an empty plan normalizes to ``None``, so it shares the
+    fault-free fingerprint.
     """
 
     PLAN = FaultPlan(
@@ -310,9 +325,9 @@ class TestFaultPlanFingerprint:
         )
     )
 
-    def test_absent_plan_is_fingerprint_neutral(self):
+    def test_absent_plan_is_hashed_as_none(self):
         payload = ExperimentConfig().to_canonical_dict()
-        assert "fault_plan" not in payload
+        assert payload["fault_plan"] is None
 
     def test_empty_plan_collapses_onto_fault_free_fingerprint(self):
         # __post_init__ normalizes an empty plan to None, so the canonical

@@ -1,11 +1,11 @@
 """Golden ResultRow pins for the fabric per-hop path.
 
-Recorded at commit d61a419 (the parent of the per-hop fast-path rewrite),
-*before* ``repro.sim`` was touched: sha256 over the whole serialized
-:class:`ResultRow` -- headline metrics, fabric counters, digest payloads and
-``events_processed``, floats kept to 12 significant digits -- for a small
-matrix that puts a cell on each side of every condition the switch fast path
-tests:
+Recorded at commit 66fbd00 with the full-config fingerprint: sha256 over
+the whole serialized :class:`ResultRow` -- headline metrics, fabric
+counters, digest payloads and ``events_processed``, floats kept to 12
+significant digits -- for a small matrix that puts a cell on each side of
+every condition the switch fast path tests, and one cell on each
+transport variant's loss path:
 
 * ``fig1`` both cells (PFC thresholds on / drops on, idle and busy ports mixed),
 * ``fig9`` ``M=15`` both cells (queues that never idle: almost no cut-through),
@@ -16,11 +16,7 @@ tests:
   what covers the armed wake-up pull: every committed packet hits the batch
   limit, so the pull must be armed),
 * ``availability_flap`` (fault and recovery taps wrapping ``receive``),
-* one ``fabric_digests=True`` cell (the queue-depth sample values).
-
-Nine more cells were added later, recorded at commit 8f225a5 (the parent of
-the single-scheduler change) so they also prove that change moved nothing:
-
+* one ``fabric_digests=True`` cell (the queue-depth sample values),
 * ``wan_incast``, all four cells at seed 1 (long-haul delays 100x and 1000x
   the intra-DC hop, c-latency digests),
 * the ``cross_dc`` "IRN ... 1000x" cell (two fat trees bridged by long-haul
@@ -29,37 +25,21 @@ the single-scheduler change) so they also prove that change moved nothing:
   the coalesced default, 40 flows, seed 1),
 * ``availability_flap`` IRN and RoCE cells carrying one window of each of
   the four fault kinds (``FAULT_PLAN``: flap, corruption, degraded link,
-  pause storm; 40 flows, seed 1).
-
-The two ``jumbo-*`` cells (``fig1`` at a 9000 B MTU, 60 flows, seed 1: the
-jumbo-MTU PFC headroom derivation) were recorded at commit ab3df27, the
-parent of the removal of the byte-capped departure batch and the pacing
-quantum, so they also prove that removal moved nothing.
-
-Seven cells, one per transport variant or transport setting the cells
-above leave out, were recorded at commit 122207c, the parent of the
-one-builder-per-run transport wiring, so they also prove that change moved
-nothing.  Each drops or retransmits, so its variant-specific path runs:
-
-* ``fig7`` "IRN with Go-Back-N" (80 flows, seed 2) and "IRN without
-  BDP-FC" (40 flows, seed 1),
-* ``no_sack`` "IRN without SACK" (80 flows, seed 2),
-* ``fig11`` "iWARP" (80 flows, seed 2),
-* ``fig12`` "IRN (worst-case overheads)" (80 flows, seed 2: retransmissions
-  that pay the PCIe fetch delay),
-* ``fig3`` "RoCE without PFC" and ``fig10`` "Resilient RoCE" (40 flows,
-  seed 1: RoCE's go-back-N with ACKs and a fixed timeout).
-
-Seven pins were re-recorded with IRN's §3.1 loss-recovery fix, which
-changes which packets an IRN-family sender resends: in SACK mode the
-cumulative-ack packet is resent only after a timeout fired on it or once
-a higher PSN is selectively acked, not each time an ACK advances it during
-recovery.  They are ``faults-irn``, ``fig11-iwarp``,
-``fig12-irn-worst-case``, ``fig9-irn-m15``, ``flap-irn``, ``jumbo-irn``
-and ``spray-irn``; the other 28 did not move.
+  pause storm; 40 flows, seed 1),
+* the two ``jumbo-*`` cells (``fig1`` at a 9000 B MTU, 60 flows, seed 1:
+  the jumbo-MTU PFC headroom derivation),
+* one cell per transport variant or setting the cells above leave out, each
+  of which drops or retransmits, so its variant-specific path runs:
+  ``fig7`` "IRN with Go-Back-N" (80 flows, seed 2) and "IRN without BDP-FC"
+  (40 flows, seed 1), ``no_sack`` "IRN without SACK" (80 flows, seed 2),
+  ``fig11`` "iWARP" (80 flows, seed 2), ``fig12`` "IRN (worst-case
+  overheads)" (80 flows, seed 2: retransmissions that pay the PCIe fetch
+  delay), ``fig3`` "RoCE without PFC" and ``fig10`` "Resilient RoCE" (40
+  flows, seed 1: RoCE's go-back-N with ACKs and a fixed timeout).
 
 A pin that moves means an event, an RNG draw or a ``(time, seq)`` ordering
-moved.  ``python -m tests.test_fabric_golden`` prints the table again.
+moved, or the row or the fingerprint rule changed.  ``python -m
+tests.test_fabric_golden`` prints the table again.
 
 Why 12 digits: the simulation itself is bit-identical on CPython 3.10 to
 3.13.  ``avg_fct_s`` and ``avg_slowdown`` used to be ``sum(...) / n``, and
@@ -154,41 +134,41 @@ CELLS = {
 }
 
 PINS = {
-    "fig1-roce-s1": "50b8e55b5da7f95dfd7aae5557d3fa7b97b833f8a6db0d899437368c5ae266a3",
-    "fig1-irn-s1": "0eb56609dc13543e0e34f5ad97ac9dc27dff448fdb9ff4f413e357824278c34a",
-    "fig1-roce-s2": "5c7fb16581cd6bcbb5bbb319650f00b54207aa12db57506aeea17c24625fc24a",
-    "fig1-irn-s2": "cbe638df6e76f675a4797e0301426fb239af7c5eebdf843131729615cc085acd",
-    "fig9-roce-m15": "ee4db7d4c64e43418a37c88a21703b1fcca4a05202cddd828a67c84138979e13",
-    "fig9-irn-m15": "685ccd2ecb747e2a6ebb6322d31e55beeb458caa31e5183bf34fc25e47a976bd",
-    "fig4-roce-dcqcn": "7a166a8c2b00e38fb3a071da5071b8f834449e90343eb9a47001cddc9b585d09",
-    "fig4-irn-dcqcn": "de07abe8b02ff16819c5e5929643a87ea1a9468035fda79eaae8e4164b8b80cf",
-    "fig4-irn-timely": "045d5d5bfaa52d9c12b99eed34eccc4a5f2bc0f2b11a869f49b356fd8437a86b",
-    "spray-irn": "ed1fc522b8bef792b8cbc6c21dc5987244fc37b51fd51977b1531dd1a2b0bed4",
-    "spray-roce": "d8d1ce10696a0f1a8b58b9fbd027fb290064f7d19f70f6060bedd5238dfa3828",
-    "jumbo-roce": "954675d633550e417c8f37f907f6d60310be97516a750e3050f44af82c83fdd6",
-    "jumbo-irn": "15cb76943f1eba984de53a5dc99839ed603c260b7fc026454691ace4214fd998",
-    "batch1-roce": "f02f145b6d5343c607308ab4fe3f8e0f99bdcada29739df4aefde48cb05bef95",
-    "batch1-irn": "774bd491dda584a808e8eb89ac7fe6ea07103cb4c0627e97f38f4a4a82b6d295",
-    "flap-roce": "6c9908eebcada24e80e39f7bc41159ac8a7f06b4b7cb8bf130c94f64bc79e5b9",
-    "flap-irn": "7296538a816c64dc9629e8ba0d8f45517df8daa105e420de138a7c16daa79d94",
-    "digests-roce": "756cf5ad3979184d5db65261113396dca8015e2ed8628a888377797f246a0776",
-    "digests-irn": "4f5095a642d8e2274c09aadef19c0eb90d67a30925ce805488928ef0ef1fd4db",
-    "wan-incast-roce-100x": "4e29b4fcd83f730199fc63ee5fe1896b7605c83f40165565cbeae7f20102985f",
-    "wan-incast-irn-100x": "c73da1581e717c1eaa483fe71e8b043d7c40b9ade23332fe4362df76c11cf471",
-    "wan-incast-roce-1000x": "675b4fee21a90ef67db8b7c7057ccdc1083fdc5d75f119997b1601c9441a4b71",
-    "wan-incast-irn-1000x": "27af787b70c141e652d214c244cb983ec1f4ab3df791d3448e162e09122d8627",
-    "cross-dc-irn-1000x": "3c2a7ad1992046a02e1a96107facc4c854a7501bede49822755845b05495b460",
-    "fig1-irn-ack1": "4fd4c5c96b44b9221a7a9b7095a1754bd039aace97b0864923e2e3a933954099",
-    "fig1-irn-ack4": "b2dec669b5e29cc90ac99817a7ba63fd8edb6f2977279f4fdedb586bae695672",
-    "faults-roce": "b4c1d48ca2aa889448f2870dbc0bda003deaea35bd1cc660c112fb6bafd45226",
-    "faults-irn": "9210c7b481b38fa2a934e4e14375ea5992400bf8313ba4e7479eaa0a2efb6f82",
-    "fig7-irn-go-back-n": "23451c7b9ea26d893e4333e7217a5da576297baf3925d947d94aa2f03a6aad90",
-    "fig7-irn-no-bdpfc": "6b93e325f6f7ec9a3ccc3e76577429562fc71e816789168870e7902e089624c3",
-    "no-sack-irn": "f1ad6fa8c091e8fb932b338f69b3bb6bc7687b8a4b02625f27e08863dfea285e",
-    "fig11-iwarp": "1a3266c86c8d701671f578ec37234ec68fbb4c94d4f524bbca73cc6bb5569e12",
-    "fig12-irn-worst-case": "3119eac2ef04eb1641dd53b0fa85c35f89bd65b6c13975595cf4c10b3f980b17",
-    "fig3-roce-no-pfc": "bc0b4f7485ef49750555ed22b8771afdddc5866d0742762c8df75792db47c492",
-    "fig10-resilient-roce": "8ca0498a45b3b172689df9b3a473c59dc593c01f36cafa8d3555add2b65b7ea2",
+    "fig1-roce-s1": "655dcc16aeaf2e770d6ff7ebce21d9325f950ac79de634263e3561b07926f969",
+    "fig1-irn-s1": "059af1c84051e04c03d9dfd8a6801b5100c0c6c0d9c15528ab9023e50add5910",
+    "fig1-roce-s2": "2e8e75083ab44b26ea9288ccd4de8a0703aa23a9a0e7c5dbf9be453243a520e1",
+    "fig1-irn-s2": "f40c2b0afb6d6d7389dbea1416e65fbe56accbbf5920132281c10395c7e2fa5a",
+    "fig9-roce-m15": "0e34a042f10ca6bd02cd32acc8168da3270cc17ed032c9aa2024cdc092a3e5c1",
+    "fig9-irn-m15": "c52bf19cb92411229a462cdcc02e57276e87793e74be1fcf5623a253101ee87e",
+    "fig4-roce-dcqcn": "c7108bbe0872c7d007adc0d31715a87e6b52eedfb0facc2043f280ce44039a04",
+    "fig4-irn-dcqcn": "bfbc2a4c31604f7d52c5e48c4a04ff71e7178a5a17f02501584362363d21d4c1",
+    "fig4-irn-timely": "9a7198cc43531706a50aa02f9dccabdbefaa8c7bb3548d7a50ebc63ac8a75c55",
+    "spray-irn": "5ac5710624e5958dd2d6410bef2e679f05b0a7bd3c472d66ce22424603e7a44f",
+    "spray-roce": "a706970b3bb6e11596574b0969d48040ca37230d738b5238507c6f0bb2e7fa2a",
+    "jumbo-roce": "bce1be26d306bd91ed163950c3f0bbfba2048ad49921ce2863058df7b77d569e",
+    "jumbo-irn": "1e911e526f698ab3ac7d775f4c98baab943d94e3a1c71c6f3165610ca20dfb51",
+    "batch1-roce": "ddb36633432f86c24300f5ff783b050fd10114f3873ae392d31382c9d112fb7f",
+    "batch1-irn": "34f4d84c0eaf15c52d648f1209382b7a5b3c33a050c5902835541cb43c28000b",
+    "flap-roce": "4e0e1b9b555794e5c7847bfef3a3ac608ce299cd08880bf7ae4bf136e3a8c52e",
+    "flap-irn": "a346870f52471b374eeea62a40abd3b72bacdf23345939b0583547034c326ce9",
+    "digests-roce": "12ebfd3513f81ed6dc7fa5d0c3ddfa51bf91608a3f025702cd05b2dde1c39621",
+    "digests-irn": "2e1e1ae3742398180665ed1e06d2d502ae8ed786a4ce2a158d973a495ca6dff5",
+    "wan-incast-roce-100x": "19b718621e019bcc48c7c3f53bce2e44cc61264869966801a54a6676bd24ffb2",
+    "wan-incast-irn-100x": "2f4703665cc9bf9fa6f99a105566183edec8509bef59e5330a9610c27f20bf33",
+    "wan-incast-roce-1000x": "a1be7759c3a6e3e3cbf54bbf5ff58ca7c87e11f56d314e8ddfce85a3fac6cd88",
+    "wan-incast-irn-1000x": "35f239cff96980a20373d7c2811f9bfcef8931b07f118f787171deb1de3e7cab",
+    "cross-dc-irn-1000x": "76aea2396eedbe857e97ee05964d67c3b7efa571858a2b566f64a3f04ff3345a",
+    "fig1-irn-ack1": "b3072ef962d38f2a87f42eb83983d010fe0e38d1aeb5dd90f28149546e6b1cd8",
+    "fig1-irn-ack4": "531710ae29b0bf0e38040c009a5f0f9d96458f8314757eab2f7a1f08ca8053db",
+    "faults-roce": "30512e0c73b27943478db5eca3cde81947513d0b853b9e1a6a4e5c0af8ad0b9f",
+    "faults-irn": "324052c76b040c45c184f422f17d2f21b75b35e6a516a096222c379963a52e09",
+    "fig7-irn-go-back-n": "ceb70bc3c59496605142ad7fb127ca6094509336a537879169adf719c80389d4",
+    "fig7-irn-no-bdpfc": "6cbe0b6a90dd6a2195ee00bc2676b18765d59f6d99fea2dbf9025de45e289c1d",
+    "no-sack-irn": "0df2f72590fc654a1057914288c325b3648f4e8aa0f4d13dca862412a1568692",
+    "fig11-iwarp": "f5b78de23ba747b7b80879250be7239e1abe685c5fa5bf2095009672becfe1b2",
+    "fig12-irn-worst-case": "0e7aa183726d580f750d909be063542d4a9795e6d2b2269ae77926954aeb23c4",
+    "fig3-roce-no-pfc": "fe277306f6b6e74d6d1f9cf48d7c24cc37ef75ee3b9cfd45fab5c5e00668a048",
+    "fig10-resilient-roce": "7261888b4056fc53695abdf604f15193f9788be43c55e898139b3e5de81d511e",
 }
 
 

@@ -5,6 +5,9 @@ pure-unit; engine-level behavior is pinned on small dumbbell experiments --
 the same topology the ``availability_*`` scenario family sweeps.
 """
 
+import math
+import types
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -181,6 +184,50 @@ class TestFaultEngineRuns:
         assert result.recovery_time_s >= 0.0
         row = result.to_row(label="flap")
         assert row.stall_digest is not None
+
+
+# ---------------------------------------------------------------------------
+# Recovery bins: one float grid, k * bin_s <= t < (k + 1) * bin_s
+# ---------------------------------------------------------------------------
+class TestRecoveryBins:
+    BIN_S = 1e-4
+    #: ``49 * 1e-4 / 1e-4`` is 48.99999999999999: the first k at this bin
+    #: width where ``int(t / bin_s)`` disagrees with the bin start ``k * bin_s``.
+    EDGE = 49 * BIN_S
+
+    def _tracker(self, deliveries):
+        sim = types.SimpleNamespace(now=0.0)
+        tracker = RecoveryTracker(sim, bin_s=self.BIN_S, stall_threshold_s=1.0)
+        for flow_id, now in enumerate(deliveries):
+            sim.now = now
+            tracker.on_data_delivered(_frame(flow_id))
+        return tracker
+
+    @pytest.mark.parametrize("now, index", [
+        (math.nextafter(EDGE, 0.0), 48),
+        (EDGE, 49),
+        (math.nextafter(EDGE, 1.0), 49),
+    ])
+    def test_a_delivery_lands_in_the_bin_whose_start_it_has_reached(self, now, index):
+        assert set(self._tracker([now])._bins) == {index}
+
+    def test_recovery_is_read_on_the_same_grid(self):
+        # A full bin before the fault, one right at the fault's end.
+        tracker = self._tracker([10 * self.BIN_S, self.EDGE])
+        assert tracker.recovery_time_s(20 * self.BIN_S, self.EDGE) == 0.0
+        # Ending one ULP later, the fault overlaps bin 49: no later bin
+        # recovers.
+        assert tracker.recovery_time_s(20 * self.BIN_S, math.nextafter(self.EDGE, 1.0)) is None
+
+    def test_the_reference_ends_at_the_bin_the_fault_starts_in(self):
+        # One frame in bin 48, one in bin 60, the fault over by bin 55.
+        tracker = self._tracker([math.nextafter(self.EDGE, 0.0), 60 * self.BIN_S])
+        # A fault starting at bin 49's start leaves bin 48 as the reference.
+        assert tracker.recovery_time_s(self.EDGE, 55 * self.BIN_S) == pytest.approx(
+            5 * self.BIN_S)
+        # One ULP earlier it starts inside bin 48: no pre-fault bin is left.
+        assert tracker.recovery_time_s(
+            math.nextafter(self.EDGE, 0.0), 55 * self.BIN_S) is None
 
 
 # ---------------------------------------------------------------------------

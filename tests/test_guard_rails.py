@@ -208,6 +208,17 @@ RULES = (
          "sender.go_back_events", "from repro.core.roce import RoceSender"),
     ),
     Rule(
+        "fingerprint-is-the-config",
+        r"_OMITTED_AT|slowdown_digest|slowdown_distribution",
+        EVERYWHERE,
+        "a config's fingerprint hashes every field but name, as written, so no "
+        "field is left out at a listed value; the exclusion table and the per-flow "
+        "slowdown digest nothing read (avg_slowdown stays) were deleted",
+        ("_OMITTED_AT = {", "payload.pop(name) if value == _OMITTED_AT[name]",
+         "row.slowdown_digest", "stats.slowdown_digest.add(slowdown)",
+         "row.slowdown_distribution.percentile(0.99)"),
+    ),
+    Rule(
         "one-event-shape",
         r"class Event\b|\.cancelled\b|\.cancel\(\)",
         HOT_PATH,

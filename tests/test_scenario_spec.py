@@ -86,11 +86,11 @@ class TestSpecConfigs:
 
     def test_every_preset_fingerprint_is_pinned(self):
         # Every replica of every shipped scenario, in registry order:
-        # scenario, label, cell name and config fingerprint.  The digest was
-        # recorded before the component fields became plain strings and the
-        # fingerprint omissions became a table; it moves only when a preset
-        # or the fingerprint rule changes, and then every cached row and
-        # pinned row digest moves with it.
+        # scenario, label, cell name and config fingerprint.  Recorded at
+        # commit 66fbd00 with the full-config fingerprint (every field but
+        # name) and pfc_deadlock on its 6-switch ring; it moves only when a
+        # preset or the fingerprint rule changes, and then every cached row
+        # and pinned row digest moves with it.
         names = SHIPPED_SCENARIOS
         # The presets register when repro.experiments is imported, so they
         # come before anything another test module registered.
@@ -107,7 +107,7 @@ class TestSpecConfigs:
                 )
         assert (len(names), cells, replicas) == (26, 134, 402)
         assert digest.hexdigest() == (
-            "b70f4a93349e469e2bbf1433be84c8f3feaed459c3997e591fd5a884d1b64841"
+            "0b66b98c4e629686720ca2cfb657cbb927ef8bef05d3736ba685ca26a78f2173"
         )
 
     @pytest.mark.parametrize("field, spelling", [

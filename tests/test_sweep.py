@@ -166,7 +166,6 @@ class TestResultRow:
         assert result.summary == MetricSummary(0.0, 0.0, 0.0, 0)
         assert result.completion_fraction() == 0.0
         assert result.fct_digest is None
-        assert result.slowdown_digest is None
         assert result.single_packet_digest is None
 
     def test_carries_latency_digests(self):
@@ -178,9 +177,6 @@ class TestResultRow:
         assert fct.is_exact
         assert row.fct_percentile(0.99) == result.summary.tail_fct
         assert fct.mean == pytest.approx(result.summary.avg_fct)
-        slowdowns = row.slowdown_distribution
-        assert slowdowns is not None
-        assert slowdowns.mean == pytest.approx(result.summary.avg_slowdown)
         # 20 kB flows are multi-packet: no single-packet digest.
         assert row.single_packet_count == 0
         with pytest.raises(ValueError, match="no single-packet digest"):
@@ -194,7 +190,7 @@ class TestResultRow:
 
     @pytest.fixture(scope="class", params=["all_digests", "no_digests"])
     def digest_row(self, request):
-        """A row with all eight digest fields set (exact-mode and
+        """A row with all seven digest fields set (exact-mode and
         bucket-mode payloads, whose bucket pairs are nested lists), or with
         every one of them ``None``."""
         from repro.metrics.sketch import QuantileDigest
@@ -207,7 +203,7 @@ class TestResultRow:
 
         row = run_experiment(tiny_config()).to_row()
         digests = [name for name in row.to_dict() if name.endswith("_digest")]
-        assert len(digests) == 8
+        assert len(digests) == 7
         exact = payload([0.5, 1.5, 2.5], max_exact=16)
         bucketed = payload([0.001 * n for n in range(1, 200)], max_exact=8)
         assert exact["exact"] and bucketed["buckets"]
@@ -575,8 +571,7 @@ class TestAggregation:
         # aggregate fine, just without pooled percentiles.
         row = run_experiment(tiny_config()).to_row()
         legacy = ResultRow.from_dict(
-            {**row.to_dict(), "fct_digest": None, "slowdown_digest": None,
-             "single_packet_digest": None}
+            {**row.to_dict(), "fct_digest": None, "single_packet_digest": None}
         )
         (record,) = aggregate_rows([legacy], by=("transport",))
         assert record["replicas"] == 1

@@ -32,7 +32,7 @@ SCHEMES = {
 
 #: Digests of times (scale by 1/F) and of dimensionless values (unchanged).
 TIME_DIGESTS = ("fct_digest", "single_packet_digest", "pfc_pause_digest")
-UNIT_FREE_DIGESTS = ("slowdown_digest", "queue_depth_digest")
+UNIT_FREE_DIGESTS = ("queue_depth_digest",)
 #: Row fields that name the run rather than measure it.
 IDENTITY = ("label", "name", "fingerprint")
 
