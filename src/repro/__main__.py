@@ -44,7 +44,10 @@ row axis would collapse the sweep, so the CLI warns when that happens.)
 Each sub-command imports what it runs when it is dispatched, never
 ``repro.api``: ``list`` and a fully cached ``run`` load no simulator,
 ``run`` and ``worker`` load it when their first uncached cell executes, and
-only ``serve`` loads ``http.server``.
+only ``serve`` loads the results server, which reads each request head off
+the socket itself (at most 64 KiB and 100 header lines, within a socket
+timeout), answers in one write and sends a JSON error for anything but an
+HTTP/1.x ``GET``.
 """
 
 from __future__ import annotations
@@ -300,8 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve warm sweep-cache results over HTTP",
-        description="Long-lived stdlib-http.server results service over a "
-        "warm sweep cache: GET /scenarios (catalog), "
+        description="Long-lived results service over a warm sweep cache, "
+        "on a stdlib socket server that reads each request head (at most "
+        "64 KiB, 100 header lines, within a 10 s socket timeout) and answers "
+        "in one write, with a JSON error for anything but an HTTP/1.x GET: "
+        "GET /scenarios (catalog), "
         "/scenarios/<name>/aggregate, /scenarios/<name>/cdf, "
         "/cells/<fingerprint>, and -- with --queue-dir -- live "
         "/scenarios/<name>/follow streams over a draining work queue.  "

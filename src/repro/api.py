@@ -34,8 +34,10 @@ Importing this module loads the whole *simulation* surface (so the first
 ``run_experiment`` call imports nothing); the work-queue and results-service
 names (``QueueBackend``, ``TaskQueue``, ``run_worker``, ``ResultsService``,
 ``make_server``, ``catalog_entries``, ``format_catalog``) resolve on first
-use, so a script that only simulates never loads ``http.server`` or the
-queue machinery.
+use, so a script that only simulates never loads the results server (a
+socket server that reads each request head itself, within its caps and
+socket timeout, and answers in one write, with JSON errors) or the queue
+machinery.
 """
 
 from __future__ import annotations

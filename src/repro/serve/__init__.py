@@ -4,9 +4,15 @@ See :mod:`repro.serve.server` for the endpoint map and consistency
 contract, :mod:`repro.serve.catalog` for the shared CLI/HTTP scenario
 catalog, and :mod:`repro.serve.streams` for the live-follow SSE generator.
 
+The server (:class:`~repro.serve.server.ResultsServer`) is a stdlib
+``socketserver.ThreadingTCPServer``.  Its handler reads each request head
+off the socket into one buffer (at most 64 KiB and 100 header lines), with
+one socket timeout bounding every read and write, and answers with one
+write; anything but an HTTP/1.x ``GET`` gets the service's JSON error body.
+
 The command-line options are defined here, not beside the server, so that
 ``python -m repro`` can build its ``serve`` sub-parser without importing
-``http.server``.
+the server and the cache and aggregation layers it loads.
 """
 
 from repro._lazy import lazy_exports

@@ -1,7 +1,7 @@
 """Always-warm HTTP results service over a sweep cache (``repro serve``).
 
 Every figure/table the paper grid produces becomes *a URL*: a long-lived
-:class:`~http.server.ThreadingHTTPServer` process (stdlib only, zero new
+:class:`~socketserver.ThreadingTCPServer` process (stdlib only, zero new
 dependencies) exposes the warm :class:`~repro.experiments.sweep.ResultCache`
 and :class:`~repro.metrics.partial.PartialAggregator` over JSON, so the
 read path is a stat of the cache plus a stored body -- never a simulation.
@@ -56,6 +56,14 @@ Consistency contract
   bodies once per set of registered specs.
 * **Connections.**  Handler threads are reused, but a connection that
   finds none idle gets a new one: nothing queues behind a busy thread.
+* **One read, one write.**  The handler reads the request head off the
+  socket into one buffer (at most 64 KiB and 100 header lines, ended by a
+  blank line) and answers with one ``sendall`` of the status line, the
+  headers and the body; ``/follow`` sends each event with one more.  Only
+  an HTTP/1.x ``GET`` is served: anything else gets the JSON error body
+  (400 malformed, 414 or 431 over a cap, 501 another method, 505 another
+  version).  :data:`SOCKET_TIMEOUT_S` bounds every read and write, so a
+  client that stalls frees its thread.
 * **Bit-identical parity.**  Aggregate records equal the offline batch
   ``spec.aggregate(spec.sweep(...))`` output bit for bit: cached rows are
   re-sorted into the canonical batch absorption order
@@ -67,8 +75,11 @@ from __future__ import annotations
 import json
 import math
 import signal
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from pathlib import Path
 from queue import SimpleQueue
 from typing import (
@@ -563,45 +574,174 @@ class ResultsService:
 # HTTP transport
 # ---------------------------------------------------------------------------
 
-class ResultsRequestHandler(BaseHTTPRequestHandler):
-    """Routes GETs onto the :class:`ResultsService` owned by the server."""
+#: Bounds every read and write on a client connection, and the arrival of
+#: the whole request head: a client that sends nothing, stops mid-head or
+#: stops reading frees its handler thread.
+SOCKET_TIMEOUT_S = 10.0
+#: The request head -- its request line and header lines, through the last
+#: one's newline -- holds at most this many bytes and header lines.
+MAX_HEAD_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
 
-    server_version = "repro-serve/1.0"
+_SERVER_HEADER = f"Server: repro-serve/1.0 Python/{sys.version.split()[0]}\r\n"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (None, "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+#: Access-log lines escape control characters and backslashes, as the
+#: stdlib's do, so a request line cannot forge a log line.
+_LOG_ESCAPES = str.maketrans({
+    **{code: f"\\x{code:02x}" for code in (*range(0x20), *range(0x7F, 0xA0))},
+    ord("\\"): "\\\\",
+})
+
+
+def _http_date(timestamp: Optional[float] = None) -> str:
+    """``timestamp`` (default: now) as ``email.utils.formatdate(usegmt=True)``
+    writes it, with the same English day and month names."""
+    t = time.gmtime(timestamp)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class ResultsRequestHandler(socketserver.BaseRequestHandler):
+    """Reads one request head off the socket, routes a ``GET`` onto the
+    :class:`ResultsService` owned by the server and answers with one write.
+
+    The head is read into one buffer up to its blank line (CRLF or LF):
+    at most :data:`MAX_HEAD_BYTES` and :data:`MAX_HEADER_LINES` header
+    lines, all of it within :data:`SOCKET_TIMEOUT_S`.  Every request but
+    an HTTP/1.x ``GET`` is answered with the service's JSON error body:
+    400 for a malformed line or header, 414 for a request line over the
+    cap, 431 for a head or header count over it, 501 for another method
+    and 505 for another HTTP version.  Headers are checked for form and
+    otherwise ignored; the answer is HTTP/1.0 and the connection closes.
+    """
+
+    #: The request line as received, for the access log.
+    requestline = ""
 
     @property
     def service(self) -> ResultsService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def setup(self) -> None:
+        self.request.settimeout(SOCKET_TIMEOUT_S)
+
+    def handle(self) -> None:
+        try:
+            try:
+                request = self._read_request()
+                if request is not None:
+                    self._route(*request)
+            except ServiceError as exc:
+                self._send_json(exc.status, exc.payload)
+            except (BrokenPipeError, ConnectionResetError, TimeoutError):
+                raise  # the client's fault, not the service's: no 500
+            except Exception as exc:  # pragma: no cover - defensive 500
+                self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+        except TimeoutError as exc:
+            self.log_message("Request timed out: %r", exc)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-request or mid-response
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "quiet", False):
+        """The stdlib's access-log line on stderr, unless ``--quiet``."""
+        if self.server.quiet:  # type: ignore[attr-defined]
             return
-        super().log_message(format, *args)
+        now = time.localtime()
+        sys.stderr.write(
+            f"{self.client_address[0]} - - [{now.tm_mday:02d}/{_MONTHS[now.tm_mon]}/"
+            f"{now.tm_year:04d} {now.tm_hour:02d}:{now.tm_min:02d}:{now.tm_sec:02d}] "
+            f"{(format % args).translate(_LOG_ESCAPES)}\n"
+        )
+
+    # -- requests -------------------------------------------------------
+    def _read_head(self) -> Optional[bytes]:
+        """The request head up to its blank line, which it leaves out;
+        ``None`` when the client closed without sending a byte."""
+        sock = self.request
+        deadline = time.monotonic() + SOCKET_TIMEOUT_S
+        received = b""
+        while True:
+            chunk = sock.recv(MAX_HEAD_BYTES)
+            if not chunk:
+                if received:
+                    raise ServiceError(400, "the request head ended before its blank line")
+                return None
+            # A blank line may straddle two reads: search from the last
+            # line end already received.
+            search = max(len(received) - 2, 0)
+            received += chunk
+            end = min((at for at in (received.find(b"\n\n", search),
+                                     received.find(b"\n\r\n", search)) if at >= 0),
+                      default=MAX_HEAD_BYTES)
+            if end < MAX_HEAD_BYTES:
+                if sock.gettimeout() != SOCKET_TIMEOUT_S:
+                    sock.settimeout(SOCKET_TIMEOUT_S)  # for the answer's write
+                return received[:end]
+            if len(received) > MAX_HEAD_BYTES:
+                if received.find(b"\n", 0, MAX_HEAD_BYTES) < 0:
+                    raise ServiceError(414, f"the request line is over {MAX_HEAD_BYTES} bytes")
+                raise ServiceError(431, f"the request head is over {MAX_HEAD_BYTES} bytes")
+            # The whole head, not each read, must arrive in time.
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("the request head took too long")
+            sock.settimeout(left)
+
+    def _read_request(self) -> Optional[Tuple[List[str], Dict[str, str]]]:
+        """The path segments and query parameters of the ``GET`` read off
+        the socket (``None`` when the client sent nothing)."""
+        head = self._read_head()
+        if head is None:
+            return None
+        line, *headers = head.split(b"\n")
+        self.requestline = line.rstrip(b"\r").decode("iso-8859-1")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise ServiceError(400, f"bad request line {self.requestline!r}")
+        method, target, version = words
+        major, dot, minor = version[len("HTTP/"):].partition(".")
+        if not (version.startswith("HTTP/") and dot and major.isdecimal()
+                and minor.isdecimal() and len(major) <= 10 and len(minor) <= 10):
+            raise ServiceError(400, f"bad HTTP version {version!r}")
+        if int(major) != 1:
+            raise ServiceError(505, f"{version} is not served; send HTTP/1.0 or HTTP/1.1")
+        if len(headers) > MAX_HEADER_LINES:
+            raise ServiceError(431, f"more than {MAX_HEADER_LINES} header lines")
+        for header in headers:
+            name, colon, _ = header.partition(b":")
+            if not colon or name.split() != [name]:
+                raise ServiceError(400, f"bad header line {header.decode('iso-8859-1')!r}")
+        if method != "GET":
+            raise ServiceError(501, f"method {method!r} is not served; the service answers GET")
+        if target.startswith("//"):
+            target = "/" + target.lstrip("/")
+        parsed = urlsplit(target)
+        segments = [unquote(part) for part in parsed.path.split("/") if part]
+        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
+        return segments, params
 
     # -- responses ------------------------------------------------------
+    def _send(self, status: int, headers: str, body: bytes = b"") -> None:
+        """One write: the status line, ``Server``, ``Date``, ``headers``
+        (CRLF-ended lines), the blank line and ``body``."""
+        self.log_message('"%s" %s %s', self.requestline, status, "-")
+        self.request.sendall(
+            f"HTTP/1.0 {status} {_REASONS[status]}\r\n{_SERVER_HEADER}"
+            f"Date: {_http_date()}\r\n{headers}\r\n".encode("latin-1") + body
+        )
+
     def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status, f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n", body
+        )
 
     def _send_json(self, status: int, payload: Any) -> None:
         self._send_body(status, _json_body(payload), JSON_TYPE)
 
     # -- routing --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
-        parsed = urlsplit(self.path)
-        segments = [unquote(part) for part in parsed.path.split("/") if part]
-        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        try:
-            self._route(segments, params)
-        except ServiceError as exc:
-            self._send_json(exc.status, exc.payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response
-        except Exception as exc:  # pragma: no cover - defensive 500
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
     def _route(self, segments: List[str], params: Dict[str, str]) -> None:
         text = params.get("format") == "text"
         if not segments:
@@ -692,17 +832,13 @@ class ResultsRequestHandler(BaseHTTPRequestHandler):
             # event instead of severing the socket mid-stream.
             should_stop=shutting_down.is_set if shutting_down is not None else None,
         )
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-        try:
-            for event, payload in events:
-                chunk = f"event: {event}\ndata: {json.dumps(payload)}\n\n"
-                self.wfile.write(chunk.encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # follower disconnected; the queue drains regardless
+        self._send(200, "Content-Type: text/event-stream; charset=utf-8\r\n"
+                        "Cache-Control: no-cache\r\n")
+        # A follower that disconnects or stops reading ends the stream (see
+        # ``handle``); the queue drains regardless.
+        for event, payload in events:
+            chunk = f"event: {event}\ndata: {json.dumps(payload)}\n\n"
+            self.request.sendall(chunk.encode("utf-8"))
 
 
 def _flag(params: Dict[str, str], key: str) -> bool:
@@ -730,15 +866,16 @@ def _number(
     return value
 
 
-class ResultsServer(ThreadingHTTPServer):
-    """A threading HTTP server owning one :class:`ResultsService`.
+class ResultsServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server owning one :class:`ResultsService`, whose
+    connections :class:`ResultsRequestHandler` serves.
 
     Handler threads are reused: a connection goes to a thread idle since
     its last one, or to a new thread when none is idle, so no connection
     ever waits behind a busy one (a ``/follow`` stream or a stalled client
-    holds only its own thread).  Handler threads are daemons, as in
-    :class:`~http.server.ThreadingHTTPServer`; :meth:`server_close` also
-    releases the idle ones.
+    holds only its own thread, and a stalled one only until
+    :data:`SOCKET_TIMEOUT_S`).  Handler threads are daemons;
+    :meth:`server_close` also releases the idle ones.
 
     Shuts down gracefully: :meth:`request_shutdown` (also wired to
     SIGTERM/SIGINT by :func:`run_from_args`) flips the ``shutting_down``
@@ -748,6 +885,7 @@ class ResultsServer(ThreadingHTTPServer):
     return.
     """
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(

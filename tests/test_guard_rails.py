@@ -278,6 +278,16 @@ RULES = (
          "config.effective_header_bytes()", "config.effective_ack_coalesce_n()"),
     ),
     Rule(
+        "no-http-server",
+        r"http\.server|BaseHTTPRequestHandler|ThreadingHTTPServer",
+        ("src/repro",),
+        "repro serve reads each request head off the socket and answers in one write; "
+        "the stdlib handler read through buffered files, parsed headers with the email "
+        "package, had no socket timeout and cost a third of the server's import",
+        ("from http.server import HTTPServer", "class H(BaseHTTPRequestHandler):",
+         "class S(ThreadingHTTPServer):"),
+    ),
+    Rule(
         "no-facade-imports-in-src",
         r"^(from|import) repro\.api",
         ("src/repro",),

@@ -150,6 +150,19 @@ class TestReadPathsLoadNoSimulator:
         assert "repro.experiments.queue" not in report["modules"]
 
 
+class TestTheServiceSpeaksHttpOverAPlainSocket:
+    def test_the_server_loads_no_stdlib_http_stack(self):
+        # ``repro serve`` reads requests off the socket itself: the stdlib
+        # handler's chain (``http.client``, ``ssl``, ``email``) cost about
+        # a third of its import.
+        report = modules_after("""
+            import repro.serve.server
+            report = {}
+        """)
+        stack = {"http.server", "http.client", "ssl", "email"}
+        assert not stack & set(report["modules"])
+
+
 class TestConfigImportsItsTypesWhereItUsesThem:
     def test_coercions_and_switch_config_from_the_config_module_alone(self):
         report = modules_after("""

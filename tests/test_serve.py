@@ -5,6 +5,7 @@ live follow streams over a real multi-worker queue drain."""
 
 import json
 import os
+import re
 import socket
 import sys
 import threading
@@ -24,6 +25,7 @@ from repro.serve import (
     format_catalog,
     make_server,
 )
+import repro.serve.server as server_module
 from repro.serve.streams import follow_scenario
 
 #: Star-topology defaults that simulate in a few milliseconds per cell.
@@ -761,6 +763,197 @@ class TestConnections:
         assert not any(thread.is_alive() for thread in clients)
         assert not errors, errors
         assert sorted(finished) == list(range(16))
+
+
+def raw_exchange(srv, data=b"", half_close=False):
+    """Send ``data`` on a new connection (then ``SHUT_WR`` if
+    ``half_close``) and read to the server's close: ``(bytes, seconds)``.
+
+    A server that answers before reading everything may reset the
+    connection under a client still sending; the answer is read anyway."""
+    began = time.monotonic()
+    with socket.create_connection(srv.server_address[:2], timeout=5) as connection:
+        try:
+            connection.sendall(data)
+            if half_close:
+                connection.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        response = b""
+        try:
+            while chunk := connection.recv(65536):
+                response += chunk
+        except ConnectionResetError:
+            pass
+    return response, time.monotonic() - began
+
+
+def split_response(response):
+    """``(status line, [(header name, value)], body)`` of one answer."""
+    head, _, body = response.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    return status_line, [tuple(line.split(": ", 1)) for line in lines], body
+
+
+@pytest.fixture()
+def short_timeout(monkeypatch):
+    """Every socket read and write of the server bounded at half a second."""
+    monkeypatch.setattr(server_module, "SOCKET_TIMEOUT_S", 0.5)
+    return 0.5
+
+
+class TestHostileClients:
+    """Clients that stall, half-close or send what the service does not
+    serve: each is answered or closed in bounded time, and ``/healthz``
+    answers meanwhile."""
+
+    def test_silent_and_half_head_clients_are_closed_at_the_timeout(
+        self, server, short_timeout
+    ):
+        address = server.server_address[:2]
+        began = time.monotonic()
+        silent = socket.create_connection(address, timeout=5)
+        half = socket.create_connection(address, timeout=5)
+        try:
+            half.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            # Both hold a handler thread; a third client is not held up.
+            assert get(server, "/healthz")[0] == 200
+            assert silent.recv(1024) == b""
+            assert half.recv(1024) == b""
+            closed_after = time.monotonic() - began
+        finally:
+            silent.close()
+            half.close()
+        assert 0.8 * short_timeout <= closed_after < short_timeout + 2.0
+        assert get(server, "/healthz")[0] == 200
+
+    def test_a_dripping_head_is_closed_at_the_timeout(self, server, short_timeout):
+        """Each byte arrives well within the timeout, but the head as a
+        whole must arrive within it too."""
+        stop = threading.Event()
+        with socket.create_connection(server.server_address[:2], timeout=5) as connection:
+
+            def drip():
+                for byte in b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 10:
+                    if stop.wait(short_timeout / 5):
+                        return
+                    try:
+                        connection.send(bytes([byte]))
+                    except OSError:
+                        return
+
+            dripper = threading.Thread(target=drip)
+            began = time.monotonic()
+            dripper.start()
+            try:
+                try:
+                    assert connection.recv(1024) == b""
+                except ConnectionResetError:
+                    pass  # a byte landed after the close
+                closed_after = time.monotonic() - began
+            finally:
+                stop.set()
+                dripper.join()
+        assert 0.8 * short_timeout <= closed_after < short_timeout + 2.0
+
+    def test_a_half_closed_head_is_answered_without_waiting(self, server, short_timeout):
+        response, seconds = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n", half_close=True
+        )
+        status_line, _, body = split_response(response)
+        # An answer, not the timeout's silent close.
+        assert status_line == "HTTP/1.0 400 Bad Request"
+        assert "blank line" in json.loads(body)["error"]
+        assert seconds < short_timeout + 2.0
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "414 Request-URI Too Long"),
+        (b"GET / HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n",
+         "431 Request Header Fields Too Large"),
+        (b"GET / HTTP/1.1\r\n" + (b"X-Pad: " + b"p" * 7_000 + b"\r\n") * 10 + b"\r\n",
+         "431 Request Header Fields Too Large"),
+        (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n", "501 Not Implemented"),
+        (b"HEAD /healthz HTTP/1.1\r\n\r\n", "501 Not Implemented"),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", "505 HTTP Version Not Supported"),
+        (b"GET /healthz\r\n\r\n", "400 Bad Request"),
+        (b"GET /healthz HTTP/1.x\r\n\r\n", "400 Bad Request"),
+        (b"hello\r\n\r\n", "400 Bad Request"),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", "400 Bad Request"),
+        (b"GET /healthz HTTP/1.1\r\nBad Name: x\r\n\r\n", "400 Bad Request"),
+    ], ids=["request-line-70k", "101-headers", "head-70k", "post", "head", "http2",
+            "no-version", "bad-version", "one-word", "no-colon", "space-in-name"])
+    def test_unserved_requests_get_a_json_error(self, server, short_timeout,
+                                                request_bytes, status):
+        response, seconds = raw_exchange(server, request_bytes)
+        status_line, headers, body = split_response(response)
+        assert status_line == f"HTTP/1.0 {status}"
+        assert [name for name, _ in headers] == [
+            "Server", "Date", "Content-Type", "Content-Length"]
+        assert dict(headers)["Content-Type"] == "application/json; charset=utf-8"
+        assert int(dict(headers)["Content-Length"]) == len(body)
+        assert isinstance(json.loads(body)["error"], str)
+        assert seconds < short_timeout + 2.0
+
+    def test_a_head_ended_by_bare_newlines_is_served(self, server, short_timeout):
+        response, _ = raw_exchange(server, b"GET /healthz HTTP/1.0\nHost: x\n\n")
+        assert split_response(response)[0] == "HTTP/1.0 200 OK"
+
+
+class TestWireFormat:
+    """What the transport writes: the status line, the headers today's
+    clients get in their order, and the service's bytes as the body."""
+
+    DATE = re.compile(
+        r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+        r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT"
+    )
+
+    def test_each_route_is_one_answer_with_the_service_body(self, server, warm):
+        _, sweep = warm
+        service = server.service
+        fingerprint = next(iter(sweep.rows.values())).fingerprint
+        service.aggregate_body("serve_tiny")  # the answer below is the warm body
+        expected = {
+            "/healthz": (b'{"status": "ok", "shutting_down": false}\n', server_module.JSON_TYPE),
+            f"/cells/{fingerprint}": (service.cell_body(fingerprint), server_module.JSON_TYPE),
+            "/scenarios/serve_tiny/aggregate": (
+                service.aggregate_body("serve_tiny"), server_module.JSON_TYPE),
+            "/scenarios/serve_tiny/aggregate?format=text": (
+                service.aggregate_text_body("serve_tiny"), server_module.TEXT_TYPE),
+        }
+        for path, (body, content_type) in expected.items():
+            response, _ = raw_exchange(server, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            status_line, headers, got = split_response(response)
+            assert status_line == "HTTP/1.0 200 OK", path
+            assert [name for name, _ in headers] == [
+                "Server", "Date", "Content-Type", "Content-Length"], path
+            values = dict(headers)
+            assert values["Server"] == f"repro-serve/1.0 Python/{sys.version.split()[0]}"
+            assert self.DATE.fullmatch(values["Date"]), values["Date"]
+            assert values["Content-Type"] == content_type
+            assert values["Content-Length"] == str(len(body))
+            assert got == body, path
+
+    def test_the_date_header_is_the_email_utils_form(self):
+        from email.utils import formatdate
+
+        for timestamp in (0.0, 951_782_400.5, 1_700_000_000.0, time.time()):
+            assert server_module._http_date(timestamp) == formatdate(timestamp, usegmt=True)
+
+    def test_the_access_log_line_keeps_the_stdlib_form(self, warm, capsys):
+        srv = make_server(warm[0], port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        try:
+            raw_exchange(srv, b"GET /healthz HTTP/1.0\r\n\r\n")
+            raw_exchange(srv, b"GET /\x01 HTTP/1.0\r\n\r\n")
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        lines = capsys.readouterr().err.splitlines()
+        stamp = r"127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4} \d\d:\d\d:\d\d\] "
+        assert re.fullmatch(stamp + r'"GET /healthz HTTP/1\.0" 200 -', lines[0]), lines
+        # Control characters are escaped, so a request cannot forge a line.
+        assert re.fullmatch(stamp + r'"GET /\\x01 HTTP/1\.0" 404 -', lines[1]), lines
 
 
 class TestFollow:
