@@ -182,10 +182,13 @@ class _CellState:
 class PartialAggregator:
     """Incrementally folds rows into per-cell aggregate records.
 
-    Rows sharing the ``by`` fields form one cell.  :meth:`add` is O(1) per
-    row (amortized); :meth:`snapshot` renders the current per-cell records in
-    first-seen cell order -- the exact shape (and, over the full row set, the
-    exact values) of :func:`~repro.experiments.sweep.aggregate_rows`.
+    Rows sharing the ``by`` fields form one cell.  Absorbing a row merges
+    its digests into the cell's; :meth:`add` then also renders the updated
+    cell's record (its percentiles read the merged digests), which
+    :meth:`add_all` leaves to the one :meth:`snapshot` after it.
+    :meth:`snapshot` renders the current per-cell records in first-seen cell
+    order -- the exact shape (and, over the full row set, the exact values)
+    of :func:`~repro.experiments.sweep.aggregate_rows`.
     """
 
     def __init__(self, by: Sequence[str] = ("transport", "congestion_control", "pfc_enabled")) -> None:
@@ -199,18 +202,26 @@ class PartialAggregator:
             raise ValueError(f"unknown ResultRow field(s) in 'by': {sorted(invalid)}")
         self._cells: Dict[Tuple[Any, ...], _CellState] = {}
 
-    def add(self, row: "ResultRow") -> Dict[str, Any]:
-        """Absorb one row; returns the *updated* cell's current record."""
-        key = tuple(getattr(row, name) for name in self.by)
+    def key(self, row: "ResultRow") -> Tuple[Any, ...]:
+        """The cell ``row`` belongs to: its values of the ``by`` fields."""
+        return tuple(getattr(row, name) for name in self.by)
+
+    def _absorb(self, row: "ResultRow") -> _CellState:
+        key = self.key(row)
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = _CellState(key)
         cell.absorb(row)
-        return cell.record(self.by)
+        return cell
+
+    def add(self, row: "ResultRow") -> Dict[str, Any]:
+        """Absorb one row; returns the *updated* cell's current record."""
+        return self._absorb(row).record(self.by)
 
     def add_all(self, rows: Iterable["ResultRow"]) -> "PartialAggregator":
+        """Absorb every row, rendering no record (see :meth:`snapshot`)."""
         for row in rows:
-            self.add(row)
+            self._absorb(row)
         return self
 
     def snapshot(self) -> List[Dict[str, Any]]:

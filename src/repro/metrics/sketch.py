@@ -43,8 +43,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.metrics.stats import percentile as _exact_percentile
-from repro.metrics.stats import tail_fractions
+from repro.metrics.stats import sorted_percentile, tail_fractions
 
 __all__ = ["QuantileDigest", "merge_digest_dicts"]
 
@@ -83,6 +82,7 @@ class QuantileDigest:
         "_zeros",
         "_exact",
         "_buckets",
+        "_sorted",
     )
 
     def __init__(
@@ -107,6 +107,11 @@ class QuantileDigest:
         self._exact: Optional[List[float]] = []
         #: ``bucket index -> count`` once condensed; ``None`` in exact mode.
         self._buckets: Optional[Dict[int, int]] = None
+        #: ``(count, samples)``: exact mode's samples, zeros included, as
+        #: ``percentile`` sorted them when the digest held ``count``.  Every
+        #: ``add`` and every non-empty ``merge`` moves the count, so a sort
+        #: taken at another count is stale; ingestion never touches this.
+        self._sorted: Tuple[int, List[float]] = (0, [])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,6 +193,7 @@ class QuantileDigest:
             buckets[index] = buckets.get(index, 0) + 1
         self._exact = None
         self._buckets = buckets
+        self._sorted = (0, [])
 
     # ------------------------------------------------------------------
     # Merging
@@ -258,9 +264,13 @@ class QuantileDigest:
             raise ValueError("cannot take a percentile of an empty digest")
 
         if self._exact is not None:
-            # Delegating keeps the bit-identity contract with the exact
-            # serial computation by construction.
-            return _exact_percentile([0.0] * self._zeros + self._exact, fraction)
+            # The rule of ``stats.percentile``, over one sort per set of
+            # samples: a tail CDF asks for many fractions of the same set.
+            sorted_at, ordered = self._sorted
+            if sorted_at != self._count:
+                ordered = sorted([0.0] * self._zeros + self._exact)
+                self._sorted = (self._count, ordered)
+            return sorted_percentile(ordered, fraction)
 
         assert self._buckets is not None
         rank = fraction * (self._count - 1)

@@ -20,7 +20,12 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         raise ValueError("cannot take a percentile of an empty sequence")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be within [0, 1]")
-    ordered = sorted(values)
+    return sorted_percentile(sorted(values), fraction)
+
+
+def sorted_percentile(ordered: Sequence[float], fraction: float) -> float:
+    """:func:`percentile` of values already sorted ascending, unchecked:
+    ``ordered`` must be non-empty and ``fraction`` within [0, 1]."""
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)

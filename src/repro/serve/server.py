@@ -53,7 +53,12 @@ Consistency contract
   Across states, each file is parsed once per version (its signature
   record), so a moved state reads only the files that moved; a
   ``/cells`` body is encoded once per file version, and the ``/scenarios``
-  bodies once per set of registered specs.
+  bodies once per set of registered specs.  Each aggregation cell's record
+  and JSON are kept under its member rows (file versions), and each row's
+  default-tail ``/cdf`` cell under its label and row, so a moved state
+  aggregates and encodes only the cells whose files moved; the
+  ``/aggregate`` and ``/cdf`` bodies are joined from those pieces, byte
+  for byte what ``json.dumps`` gives for the whole.
 * **Connections.**  Handler threads are reused, but a connection that
   finds none idle gets a new one: nothing queues behind a busy thread.
 * **One read, one write.**  The handler reads the request head off the
@@ -100,6 +105,7 @@ from repro.serve.catalog import catalog_entries, format_catalog, registered_scen
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.queue import TaskQueue
     from repro.experiments.results import ResultRow
+    from repro.metrics.sketch import QuantileDigest
 
 __all__ = [
     "DEFAULT_PORT",
@@ -139,6 +145,15 @@ def _text_body(text: str) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _joined_body(envelope: Dict[str, Any], field: str, items: List[str]) -> bytes:
+    """``_json_body({**envelope, field: [...]})`` from the list's items
+    already encoded: ``json.dumps`` writes a list as its items' own
+    encodings joined by ``", "``, so the bytes are the same.  ``envelope``
+    is not empty and has no ``field``, which goes last."""
+    head = json.dumps(envelope)[:-1]
+    return f'{head}, "{field}": [{", ".join(items)}]}}\n'.encode("utf-8")
+
+
 #: What one cache state's store holds under a key: the state's cache
 #: signature under ``"signature"``, and anything built from that state (see
 #: :meth:`ResultsService._view`).
@@ -175,6 +190,55 @@ class _Scan(NamedTuple):
     stale: List["ResultRow"]
     #: ``current`` keyed and ordered as the report CLI's loader keys them.
     labelled: Dict[str, "ResultRow"]
+
+
+class _Aggregate(NamedTuple):
+    """One scenario's ``/aggregate`` answer under one cache state."""
+
+    #: Every field but ``records``, saying ``"warm": false``.
+    envelope: Dict[str, Any]
+    records: List[Dict[str, Any]]
+    #: ``json.dumps`` of each record.
+    encoded: List[str]
+
+
+class _CellRecord(NamedTuple):
+    """One aggregation cell's record and its JSON, under the ``by`` fields
+    and the member rows, in canonical batch order, it was built from.  A
+    row is the one parse of its file version, so the rows name the
+    versions the record read."""
+
+    by: Tuple[str, ...]
+    rows: Tuple["ResultRow", ...]
+    record: Dict[str, Any]
+    encoded: str
+
+
+class _CdfCell(NamedTuple):
+    """One row's default-tail ``/cdf`` cell as JSON, under its label (the
+    key it is stored by) and the row it was built from."""
+
+    row: "ResultRow"
+    encoded: str
+
+
+def _same_rows(built: Tuple["ResultRow", ...], rows: List["ResultRow"]) -> bool:
+    return len(built) == len(rows) and all(a is b for a, b in zip(built, rows))
+
+
+def _cdf_cell(
+    label: str, row: "ResultRow", digest: "QuantileDigest", start_fraction: float, points: int
+) -> Dict[str, Any]:
+    """One row's entry in a ``/cdf`` body."""
+    return {
+        "label": label,
+        "name": row.name,
+        "fingerprint": row.fingerprint,
+        "count": digest.count,
+        "points": [
+            [value, fraction] for value, fraction in digest.tail_cdf(start_fraction, points)
+        ],
+    }
 
 
 class ResultsService:
@@ -223,6 +287,13 @@ class ResultsService:
         #: is read again only once its signature record moved.  Each scan
         #: replaces it with the versions its signature lists.
         self._files: Dict[str, _Version] = {}
+        #: ``spec.name -> {cell key: _CellRecord}`` and ``spec.name ->
+        #: {label: _CdfCell}``, across cache states: a moved state builds
+        #: only the aggregation cells and ``/cdf`` cells whose rows moved.
+        #: Each ``/aggregate`` or default ``/cdf`` build replaces its
+        #: scenario's dict with the entries it used.
+        self._cell_records: Dict[str, Dict[Tuple[Any, ...], _CellRecord]] = {}
+        self._cdf_cells: Dict[str, Dict[str, _CdfCell]] = {}
         #: ``spec.name -> (spec, cell names)``; a re-registered spec is a
         #: new object, so it expands again.
         self._cell_names: Dict[str, Tuple[ScenarioSpec, Tuple[str, ...]]] = {}
@@ -369,11 +440,11 @@ class ResultsService:
     # Every stored key names the scenario by ``spec.name``, never by the
     # URL segment: lookups ignore case, so keying by the segment would
     # store one copy per spelling.
-    def _aggregate(self, store: Store, spec: ScenarioSpec) -> Tuple[Dict[str, Any], bool]:
-        """``(response, warm)``; the stored response says ``"warm": false``."""
+    def _aggregate(self, store: Store, spec: ScenarioSpec) -> Tuple[_Aggregate, bool]:
+        """``(aggregate, warm)`` for the scenario under the store's state."""
         name = spec.name
 
-        def build() -> Dict[str, Any]:
+        def build() -> _Aggregate:
             names = self.cell_names(spec)
             fresh, stale = self._scenario_rows(store, names)
             if not fresh:
@@ -392,19 +463,42 @@ class ResultsService:
                     hint=f"warm the cache with: python -m repro run {name} "
                          f"--cache {self.cache_dir}",
                 )
-            ordered = rows_in_batch_order(fresh, names)
-            records = PartialAggregator(spec.aggregate_by).add_all(ordered).snapshot()
-            return {
+            cells = self._cells(spec, rows_in_batch_order(fresh, names))
+            envelope = {
                 "scenario": spec.name,
                 "aggregate_by": list(spec.aggregate_by),
-                "replica_rows": len(ordered),
+                "replica_rows": len(fresh),
                 "stale_rows": stale,
                 "code": code_fingerprint(),
                 "warm": False,
-                "records": records,
             }
+            return _Aggregate(
+                envelope, [cell.record for cell in cells], [cell.encoded for cell in cells]
+            )
 
         return _memo(store, ("aggregate", name), build)
+
+    def _cells(self, spec: ScenarioSpec, ordered: List["ResultRow"]) -> List[_CellRecord]:
+        """The aggregation cells of ``ordered`` (canonical batch order), in
+        first-seen order: a cell whose ``by`` fields and member rows are the
+        ones its stored record was built from keeps that record, any other
+        is absorbed and encoded now."""
+        by = tuple(spec.aggregate_by)
+        cell_key = PartialAggregator(by).key
+        members: Dict[Tuple[Any, ...], List["ResultRow"]] = {}
+        for row in ordered:
+            members.setdefault(cell_key(row), []).append(row)
+        known = self._cell_records.get(spec.name, {})
+        cells: Dict[Tuple[Any, ...], _CellRecord] = {}
+        for key, rows in members.items():
+            cell = known.get(key)
+            if cell is None or cell.by != by or not _same_rows(cell.rows, rows):
+                # A cell's record reads only its own rows, in their order.
+                (record,) = PartialAggregator(by).add_all(rows).snapshot()
+                cell = _CellRecord(by, tuple(rows), record, json.dumps(record))
+            cells[key] = cell
+        self._cell_records[spec.name] = cells
+        return list(cells.values())
 
     def aggregate(self, name: str) -> Dict[str, Any]:
         """The scenario's pooled per-cell aggregate records (warm-reused).
@@ -412,22 +506,26 @@ class ResultsService:
         Bit-identical to ``spec.aggregate(spec.sweep(...))`` over the same
         rows: fresh cached rows are absorbed in canonical batch order.
         """
-        response, warm = self._aggregate(self._view(), self.spec(name))
-        return {**response, "warm": warm}
+        aggregate, warm = self._aggregate(self._view(), self.spec(name))
+        return {**aggregate.envelope, "warm": warm, "records": aggregate.records}
 
     def aggregate_body(self, name: str) -> bytes:
-        """:meth:`aggregate` as a JSON body, encoded once per cache state.
+        """:meth:`aggregate` as a JSON body, joined once per cache state
+        from the records' stored encodings.
 
-        A miss encodes both envelopes: this answer's, and the stored
+        A miss joins both envelopes: this answer's, and the stored
         ``"warm": true`` one that every later request in the state gets.
         """
         spec, store = self.spec(name), self._view()
         key = ("body", "aggregate", spec.name)
         if key in store:
             return store[key]
-        response, warm = self._aggregate(store, spec)
-        stored = store.setdefault(key, _json_body({**response, "warm": True}))
-        return stored if warm else _json_body(response)
+        aggregate, warm = self._aggregate(store, spec)
+        envelope, encoded = aggregate.envelope, aggregate.encoded
+        stored = store.setdefault(
+            key, _joined_body({**envelope, "warm": True}, "records", encoded)
+        )
+        return stored if warm else _joined_body(envelope, "records", encoded)
 
     def aggregate_text(self, name: str, cdf: bool = False) -> str:
         """The offline-report rendering of the scenario's cached rows.
@@ -489,32 +587,33 @@ class ResultsService:
         self, name: str, start_fraction: float = CDF_START, points: int = CDF_POINTS
     ) -> bytes:
         """:meth:`cdf` as a JSON body.  Only the default tail's is stored,
-        so no choice of ``?start=`` / ``?points=`` grows the store."""
+        so no choice of ``?start=`` / ``?points=`` grows the store; it is
+        joined from each row's cell, encoded once per label and row."""
         spec, store = self.spec(name), self._view()
-
-        def render() -> bytes:
-            cells = [
-                {
-                    "label": label,
-                    "name": row.name,
-                    "fingerprint": row.fingerprint,
-                    "count": digest.count,
-                    "points": [
-                        [value, fraction]
-                        for value, fraction in digest.tail_cdf(start_fraction, points)
-                    ],
-                }
-                for label, row, digest in self._cdf_rows(store, spec)
-            ]
+        if (start_fraction, points) != (CDF_START, CDF_POINTS):
             return _json_body({
                 "scenario": spec.name,
                 "start_fraction": start_fraction,
                 "points": points,
-                "cells": cells,
+                "cells": [
+                    _cdf_cell(*plottable, start_fraction, points)
+                    for plottable in self._cdf_rows(store, spec)
+                ],
             })
 
-        if (start_fraction, points) != (CDF_START, CDF_POINTS):
-            return render()
+        def render() -> bytes:
+            known = self._cdf_cells.get(spec.name, {})
+            cells: Dict[str, _CdfCell] = {}
+            for label, row, digest in self._cdf_rows(store, spec):
+                built = known.get(label)
+                if built is None or built.row is not row:
+                    cell = _cdf_cell(label, row, digest, CDF_START, CDF_POINTS)
+                    built = _CdfCell(row, json.dumps(cell))
+                cells[label] = built
+            self._cdf_cells[spec.name] = cells
+            envelope = {"scenario": spec.name, "start_fraction": CDF_START, "points": CDF_POINTS}
+            return _joined_body(envelope, "cells", [built.encoded for built in cells.values()])
+
         return _memo(store, ("body", "cdf", spec.name), render)[0]
 
     def cdf_text_body(self, name: str) -> bytes:

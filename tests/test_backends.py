@@ -20,7 +20,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import QueueBackend, TaskQueue, run_worker
 from repro.experiments.sweep import ResultCache, _run_cell, aggregate_rows, run_sweep
-from repro.metrics.partial import PartialAggregator
+from repro.metrics.partial import PartialAggregator, _CellState
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -223,6 +223,21 @@ class TestPartialAggregator:
     def test_unknown_by_field_rejected(self):
         with pytest.raises(ValueError, match="unknown ResultRow field"):
             PartialAggregator(by=("nope",))
+
+    @pytest.mark.parametrize("by", [("name",), ("transport", "pfc_enabled")])
+    def test_add_all_renders_no_record_and_snapshots_as_add(self, by, monkeypatch):
+        rows = list(run_sweep(tiny_cells(6), workers=1).rows.values())
+        one_by_one = PartialAggregator(by)
+        for row in rows:
+            one_by_one.add(row)
+        rendered = []
+        record = _CellState.record
+        monkeypatch.setattr(
+            _CellState, "record", lambda cell, by: rendered.append(cell.key) or record(cell, by)
+        )
+        batch = PartialAggregator(by).add_all(rows)
+        assert rendered == []
+        assert batch.snapshot() == one_by_one.snapshot() == aggregate_rows(rows, by=by)
 
 
 class TestTaskQueue:

@@ -32,7 +32,8 @@ ablation, one sender state machine in two settings -- run the same slice:
 With PFC on, a second flow ``h2 -> h1`` fills the ``s0 -> h1`` port in
 front of a victim of N packets: nothing is dropped, and the timeouts either
 flow fires are pinned as today's RTO rule gives them, beside a control that
-halves RTO_low and does time out.
+halves RTO_low and does time out.  The fan-in slice fills the port from
+every other host (``h2`` and ``h3``) and is pinned the same way.
 
 Recovery time is measured per lost packet, from the arrival of its dropped
 copy to the arrival of its delivered copy, in units of the slice's base RTT
@@ -327,34 +328,42 @@ def test_go_back_n_tail_loss_waits_for_its_timer(transport, timer, base_rtt_s):
 
 #: The victim's packets: N, so every timer it arms is RTO_low.
 VICTIM_PACKETS = 3
-#: The competing flow's packets: it keeps the s0 -> h1 port busy for the
+#: Each competing flow's packets: it keeps the s0 -> h1 port busy for the
 #: victim's whole life.
 FILLER_PACKETS = 200
 
 
-class _TwoFlowRun:
-    """IRN with PFC on the star: the victim flow h0 -> h1 and a second flow
-    h2 -> h1 that fills the ``s0 -> h1`` port, both built by the registered
-    ``irn`` builder from one config, so both run the derived timers."""
+class _FilledPortRun:
+    """IRN with PFC on the star: the victim flow h0 -> h1 and ``fillers``
+    flows h2 -> h1, h3 -> h1, ... that fill the ``s0 -> h1`` port, all built
+    by the registered ``irn`` builder from one config, so all run the
+    derived timers."""
 
-    def __init__(self, config):
+    def __init__(self, config, fillers=1):
         sim = Simulator(seed=1)
         network = build_star(sim, config.num_hosts, config.link_bandwidth_bps,
                              config.link_delay_s, switch_config=config.switch_config())
         endpoints = TRANSPORTS.get(config.transport)(config)
+        flows = [(f"h{2 + index}", FILLER_PACKETS) for index in range(fillers)]
+        flows.append(("h0", VICTIM_PACKETS))
         pairs = []
-        for flow_id, src, packets in ((1, "h2", FILLER_PACKETS), (2, "h0", VICTIM_PACKETS)):
+        for flow_id, (src, packets) in enumerate(flows, start=1):
             flow = Flow(flow_id, src, "h1", packets * config.mtu_bytes)
             sender, receiver = endpoints(sim, network.hosts[src], flow, None, None, None, None)
             network.hosts["h1"].register_receiver(receiver)
             pairs.append((sender, receiver))
-        for (sender, _), src in zip(pairs, ("h2", "h0")):
+        for (sender, _), (src, _) in zip(pairs, flows):
             network.hosts[src].register_sender(sender)
         sim.run_until_idle()
         assert all(sender.completed and receiver.completed for sender, receiver in pairs)
-        (self.filler, _), (self.victim, _) = pairs
+        *self.fillers, self.victim = (sender for sender, _ in pairs)
         self.switch_drops = sum(switch.packets_dropped
                                 for switch in network.switches.values())
+
+    @property
+    def timeouts(self):
+        """Timeouts fired per flow: each filler's, then the victim's."""
+        return tuple(sender.timeouts_fired for sender in (*self.fillers, self.victim))
 
 
 def _pfc_config(**overrides):
@@ -380,9 +389,9 @@ def test_a_filled_port_times_the_victim_out_with_nothing_lost(coalesce, timeouts
     assert 1.0 < physics.rto_low_s / drain_s < 1.2
     assert VICTIM_PACKETS <= config.rto_low_threshold_packets
 
-    run = _TwoFlowRun(config)
+    run = _FilledPortRun(config)
     assert run.switch_drops == 0
-    assert (run.filler.timeouts_fired, run.victim.timeouts_fired) == timeouts
+    assert run.timeouts == timeouts
 
 
 @pytest.mark.parametrize("coalesce, timeouts", [
@@ -394,6 +403,32 @@ def test_at_half_the_derived_rto_low_the_slice_times_out(coalesce, timeouts):
     round trips behind the filler reach about RTO_low, so halving it makes
     the timer fire with no frame dropped."""
     derived = _pfc_config(**coalesce).physics().rto_low_s
-    run = _TwoFlowRun(_pfc_config(rto_low_s=derived / 2, **coalesce))
+    run = _FilledPortRun(_pfc_config(rto_low_s=derived / 2, **coalesce))
     assert run.switch_drops == 0
-    assert (run.filler.timeouts_fired, run.victim.timeouts_fired) == timeouts
+    assert run.timeouts == timeouts
+
+
+# Fan-in: both other hosts fill the victim's port, the most this star can
+# send into it at the radix that keeps RTO_low at 1.08 buffer drains (the
+# RTOs grow with the radix: on an 8-host star RTO_low is 2.4 drains).
+@pytest.mark.parametrize("coalesce, timeouts", [
+    ({}, (0, 0, 0)),
+    ({"ack_coalesce_n": 1}, (0, 0, 0)),
+], ids=["default-coalescing", "per-packet-acks"])
+def test_a_port_filled_by_fan_in_times_nothing_out_with_nothing_lost(coalesce, timeouts):
+    run = _FilledPortRun(_pfc_config(**coalesce), fillers=2)
+    assert run.switch_drops == 0
+    assert run.timeouts == timeouts
+
+
+@pytest.mark.parametrize("coalesce, timeouts", [
+    ({}, (0, 1, 1)),
+    ({"ack_coalesce_n": 1}, (1, 1, 1)),
+], ids=["default-coalescing", "per-packet-acks"])
+def test_at_half_the_derived_rto_low_the_fan_in_slice_times_out(coalesce, timeouts):
+    """The fan-in slice's control: at half RTO_low the victim and the
+    fillers time out with no frame dropped."""
+    derived = _pfc_config(**coalesce).physics().rto_low_s
+    run = _FilledPortRun(_pfc_config(rto_low_s=derived / 2, **coalesce), fillers=2)
+    assert run.switch_drops == 0
+    assert run.timeouts == timeouts

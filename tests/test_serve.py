@@ -3,21 +3,26 @@ the offline CLIs, warm bodies and their invalidation, the zero-simulation
 guarantee, stale-code 409s, concurrent readers, reused handler threads, and
 live follow streams over a real multi-worker queue drain."""
 
+import hashlib
 import json
 import os
 import re
+import shutil
 import socket
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.queue import TaskQueue, run_worker
 from repro.experiments.spec import ScenarioSpec, register_scenario
 from repro.experiments.sweep import ResultCache, aggregate_rows, run_sweep
+import repro.experiments.sweep as sweep_module
 from repro.serve import (
     ResultsService,
     ServiceError,
@@ -577,6 +582,167 @@ class TestCellBodies:
         assert service.cell_body(fingerprint) == first
         assert reads == []
         assert service.cell(fingerprint)["row"] == json.loads(first)["row"]
+
+
+#: Every body a state move must leave as a fresh service's: ``(method,
+#: args)`` on :class:`ResultsService`; ``/aggregate`` twice, for its warm
+#: envelope.
+INCREMENTAL_FORMS = [
+    ("aggregate_body", ()),
+    ("aggregate_body", ()),
+    ("aggregate_text_body", (False,)),
+    ("aggregate_text_body", (True,)),
+    ("cdf_body", ()),
+    ("cdf_body", (0.5, 7)),
+    ("cdf_text_body", ()),
+]
+
+#: ``avg_slowdown`` values of one length: a rewrite among them keeps the
+#: file's size.
+SAME_LENGTH_SLOWDOWNS = (11.25, 98.75, 42.25, 77.75)
+
+#: A write to the cache, and a draw that picks its row and values.
+CACHE_STEP = st.tuples(
+    st.sampled_from(["new", "rewrite", "delete", "keep-mtime", "stale", "duplicate-label"]),
+    st.integers(0, 2**16),
+)
+
+
+def served(service, fingerprints):
+    """Every scenario body and every ``/cells`` answer, errors as
+    ``(status, payload)``."""
+    answers = []
+    for method, args in INCREMENTAL_FORMS:
+        try:
+            answers.append(getattr(service, method)("serve_tiny", *args))
+        except ServiceError as err:
+            answers.append((err.status, err.payload))
+    return answers + [cell_answer(service, fp) for fp in fingerprints]
+
+
+class TestIncrementalRebuild:
+    """A service kept across cache writes keeps each aggregation cell's
+    record and each row's ``/cdf`` cell across states: after any sequence
+    of writes, every body it serves is a fresh service's, byte for byte."""
+
+    @staticmethod
+    def write(cache, row, code=None, keep_mtime=False):
+        """Store ``row``, written by ``code`` (default: this tree); with
+        ``keep_mtime`` the file's mtime is set back, as ``cp -p`` does.
+        The cache is read by its files' stat records, whose timestamps
+        move at the kernel's clock tick: a write that left the record as
+        it was is made again once a tick has passed."""
+        path = cache.path_for(row.fingerprint)
+        before = path.stat() if path.exists() else None
+        while True:
+            if code is None:
+                cache.put(row)
+            else:
+                saved = sweep_module._CODE_FINGERPRINT
+                sweep_module._CODE_FINGERPRINT = code
+                try:
+                    cache.put(row)
+                finally:
+                    sweep_module._CODE_FINGERPRINT = saved
+            if keep_mtime and before is not None:
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            if before is None or cache.file_key(row.fingerprint) != (
+                path.name, before.st_mtime_ns, before.st_size, before.st_ctime_ns
+            ):
+                return
+            time.sleep(0.005)
+
+    def apply(self, cache, step, draw, originals, counter):
+        """One cache write; returns the fingerprint it wrote, if any.  A
+        ``stale`` step adds a row on an even draw and makes a row stale on
+        an odd one."""
+        rows = cache.rows() or originals
+        row = rows[draw % len(rows)]
+        payload = row.to_dict()
+        if step in ("new", "duplicate-label") or (step == "stale" and draw % 2 == 0):
+            fingerprint = hashlib.sha256(f"row-{counter}".encode()).hexdigest()
+            payload.update(fingerprint=fingerprint, seed=draw % 5)
+            if step != "duplicate-label":
+                payload["label"] = f"{row.label} new-{counter}"
+        if step == "delete" and cache.rows():
+            cache.path_for(row.fingerprint).unlink()
+            return None
+        if step in ("rewrite", "new"):
+            scale = 1.0 + draw % 7 / 8
+            digest = dict(payload["single_packet_digest"])
+            digest.update(
+                exact=[value * scale for value in digest["exact"]],
+                min=digest["min"] * scale, max=digest["max"] * scale,
+                sum=digest["sum"] * scale,
+            )
+            payload["single_packet_digest"] = digest
+        payload["avg_slowdown"] = SAME_LENGTH_SLOWDOWNS[draw % len(SAME_LENGTH_SLOWDOWNS)]
+        self.write(
+            cache, type(row).from_dict(payload),
+            code="another-tree" if step == "stale" else None,
+            keep_mtime=step == "keep-mtime",
+        )
+        return payload["fingerprint"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.lists(CACHE_STEP, min_size=1, max_size=8))
+    def test_every_body_after_every_write_is_a_fresh_services(self, warm, steps):
+        with tempfile.TemporaryDirectory() as scratch:
+            cache_dir = os.path.join(scratch, "cache")
+            shutil.copytree(warm[0], cache_dir)
+            cache = ResultCache(cache_dir)
+            originals = cache.rows()
+            fingerprints = [row.fingerprint for row in originals]
+            service = ResultsService(cache_dir)
+            served(service, fingerprints)
+            for counter, (step, draw) in enumerate(steps):
+                added = self.apply(cache, step, draw, originals, counter)
+                if added is not None and added not in fingerprints:
+                    fingerprints.append(added)
+                assert served(service, fingerprints) == served(
+                    ResultsService(cache_dir), fingerprints
+                ), steps[: counter + 1]
+
+    def test_readers_racing_writes_settle_on_a_fresh_services_bodies(self, private):
+        """Readers on several threads rebuild the kept cells while rows are
+        rewritten under them; once the writes stop, every body is a fresh
+        service's.  A lost update to the cell memos would leave one stale."""
+        service, cache = private
+        rows = cache.rows()
+        done = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not done.is_set():
+                    served(service, [])
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for index in range(40):
+                row = rows[index % len(rows)]
+                self.write(cache, type(row).from_dict({
+                    **row.to_dict(),
+                    "avg_slowdown": SAME_LENGTH_SLOWDOWNS[index % len(SAME_LENGTH_SLOWDOWNS)],
+                }))
+            done.set()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(reader.is_alive() for reader in readers)
+        fresh = ResultsService(service.cache_dir)
+        for reader in (service, fresh):  # both warm: ``/aggregate`` says so
+            served(reader, [])
+        assert served(service, []) == served(fresh, [])
 
 
 class TestWarmReportRows:

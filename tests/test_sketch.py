@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics.sketch import QuantileDigest, merge_digest_dicts
 from repro.metrics.stats import percentile
@@ -71,6 +72,63 @@ class TestExactMode:
         digest = digest_of([1.0])
         with pytest.raises(ValueError):
             digest.percentile(1.5)
+
+
+#: One step on a digest: absorb a sample, merge a digest of samples,
+#: condense, or replace the digest by its copy or its round trip.
+_SAMPLE = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+_DIGEST_STEP = st.one_of(
+    st.tuples(st.just("add"), _SAMPLE),
+    st.tuples(st.just("merge"), st.lists(_SAMPLE, max_size=6)),
+    st.tuples(st.sampled_from(["condense", "copy", "from_dict"]), st.none()),
+)
+
+
+class TestSortedSamples:
+    """Exact mode sorts its samples once per set of them: a percentile
+    asked after any step reads the samples as they are after it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_DIGEST_STEP, max_size=25))
+    def test_every_percentile_after_every_step_is_the_exact_rule(self, steps):
+        digest, samples = QuantileDigest(max_exact=16), []
+        for op, arg in steps:
+            if op == "add":
+                digest.add(arg)
+                samples.append(arg)
+            elif op == "merge":
+                digest.merge(digest_of(arg, max_exact=16))
+                samples.extend(arg)
+            elif op == "condense":
+                if digest.is_exact:
+                    digest._condense()
+            elif op == "copy":
+                digest = digest.copy()
+            else:
+                digest = QuantileDigest.from_dict(digest.to_dict())
+            if not samples:
+                continue
+            for fraction in FRACTIONS:
+                if digest.is_exact:
+                    assert digest.percentile(fraction) == percentile(samples, fraction)
+                else:
+                    fresh = QuantileDigest.from_dict(digest.to_dict())
+                    assert digest.percentile(fraction) == fresh.percentile(fraction)
+
+    def test_a_tail_cdf_sorts_once(self, monkeypatch):
+        import repro.metrics.sketch as sketch
+
+        digest = digest_of(uniform_samples(1000))
+        calls = []
+        monkeypatch.setattr(sketch, "sorted", lambda values: calls.append(1) or sorted(values),
+                            raising=False)
+        points = digest.tail_cdf(0.0, 1000)
+        assert calls == [1]
+        values = uniform_samples(1000)
+        assert points == [(percentile(values, fraction), fraction) for _, fraction in points]
+        digest.add(1.0)
+        digest.tail_cdf()
+        assert calls == [1, 1]
 
 
 class TestBucketMode:
