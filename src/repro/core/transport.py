@@ -144,6 +144,9 @@ class BaseSender:
         # not yet fired, not cancelled).
         self._rto_event = None
         self._pacing_event = None
+        #: When the retransmission timer expires.  A live ``_rto_event`` is
+        #: due at or before it (see :meth:`_arm_rto`).
+        self._rto_deadline = _INF
 
     # ------------------------------------------------------------------
     # Interface used by the host NIC
@@ -275,19 +278,34 @@ class BaseSender:
         raise NotImplementedError
 
     def _arm_rto(self, now: float, restart: bool = False) -> None:
+        """Arm the retransmission timer, or with ``restart`` move its deadline.
+
+        A restart (every ACK that moves ``snd_una``) only moves
+        :attr:`_rto_deadline` while the pending event is due at or before
+        it; :meth:`_rto_fired` then wakes early and re-arms at the deadline.
+        Only a deadline earlier than the pending event (RTO_low replacing
+        RTO_high, an adaptive RTO that shrank) cancels and reschedules, so
+        the heap holds one live RTO event per sender instead of a
+        tombstone per ACK.
+        """
         if not self.config.timeouts_enabled or self.completed:
             return
-        if self._rto_event is not None:
-            if not restart:
-                return
-            self.sim.cancel(self._rto_event)
+        event = self._rto_event
+        if event is not None and not restart:
+            return
         delay = self._rto_value(now)
         if self.config.ack_coalesce_n > 1:
             # A coalescing receiver may legitimately sit on the ACK for up
             # to the flush timeout; budget it into the RTO (as RFC 6298
             # stacks do for delayed ACKs) or that wait reads as a loss.
             delay += self.config.ack_coalesce_s
-        self._rto_event = self.sim.schedule(delay, self._rto_fired)
+        sim = self.sim
+        deadline = self._rto_deadline = sim.now + delay
+        if event is not None:
+            if event[0] <= deadline:
+                return
+            sim.cancel(event)
+        self._rto_event = sim.schedule_at(deadline, self._rto_fired)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
@@ -297,6 +315,10 @@ class BaseSender:
     def _rto_fired(self) -> None:
         self._rto_event = None
         if self.completed or self.snd_una >= self.num_packets:
+            return
+        if self.sim.now < self._rto_deadline:
+            # An ACK moved the deadline after this event was scheduled.
+            self._rto_event = self.sim.schedule_at(self._rto_deadline, self._rto_fired)
             return
         self.timeouts_fired += 1
         self._handle_timeout(self.sim.now)

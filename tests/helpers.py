@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
+import repro.core.iwarp  # noqa: F401  (every BaseSender subclass, for recording_timeouts)
 from repro.core.registry import TRANSPORTS
-from repro.core.transport import Flow
+from repro.core.transport import BaseSender, Flow
 from repro.experiments.config import ExperimentConfig
 from repro.sim.packet import Packet, PacketType
 
@@ -78,3 +81,76 @@ def drain(sender, now: float, limit: int = 10_000) -> list:
             break
         packets.append(packet)
     return packets
+
+
+# ---------------------------------------------------------------------------
+# The retransmission timer as it was before an ACK moved only its deadline
+# ---------------------------------------------------------------------------
+
+def _eager_arm_rto(self, now: float, restart: bool = False) -> None:
+    """``BaseSender._arm_rto`` before the deadline: a restart cancels the
+    pending event and schedules a new one."""
+    if not self.config.timeouts_enabled or self.completed:
+        return
+    if self._rto_event is not None:
+        if not restart:
+            return
+        self.sim.cancel(self._rto_event)
+    delay = self._rto_value(now)
+    if self.config.ack_coalesce_n > 1:
+        delay += self.config.ack_coalesce_s
+    self._rto_event = self.sim.schedule(delay, self._rto_fired)
+
+
+def _eager_rto_fired(self) -> None:
+    """``BaseSender._rto_fired`` before the deadline: every firing is a timeout."""
+    self._rto_event = None
+    if self.completed or self.snd_una >= self.num_packets:
+        return
+    self.timeouts_fired += 1
+    self._handle_timeout(self.sim.now)
+    if self.cc is not None:
+        self.cc.on_timeout(self.sim.now)
+    self._arm_rto(self.sim.now)
+    self.host.notify_ready(self.flow_id)
+
+
+@contextlib.contextmanager
+def eager_rto():
+    """Patch the eager reference timer over every sender (the oracle)."""
+    with mock.patch.object(BaseSender, "_arm_rto", _eager_arm_rto), \
+            mock.patch.object(BaseSender, "_rto_fired", _eager_rto_fired):
+        yield
+
+
+def _sender_classes(cls=BaseSender):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _sender_classes(sub)
+
+
+@contextlib.contextmanager
+def recording_timeouts():
+    """Yield a list that collects ``(flow_id, time)`` of every timeout a
+    sender handles (once per timeout, however many ``_handle_timeout``
+    overrides it passes through)."""
+    handled = []
+    depth = [0]
+
+    def wrap(original):
+        def handle_timeout(self, now):
+            if not depth[0]:
+                handled.append((self.flow_id, now))
+            depth[0] += 1
+            try:
+                original(self, now)
+            finally:
+                depth[0] -= 1
+        return handle_timeout
+
+    with contextlib.ExitStack() as patches:
+        for cls in _sender_classes():
+            if "_handle_timeout" in vars(cls):
+                patches.enter_context(mock.patch.object(
+                    cls, "_handle_timeout", wrap(vars(cls)["_handle_timeout"])))
+        yield handled

@@ -1,9 +1,13 @@
 """Golden ResultRow pins for the fabric per-hop path.
 
-Recorded at commit 66fbd00 with the full-config fingerprint: sha256 over
-the whole serialized :class:`ResultRow` -- headline metrics, fabric
-counters, digest payloads and ``events_processed``, floats kept to 12
-significant digits -- for a small matrix that puts a cell on each side of
+Recorded at commit 66fbd00 with the full-config fingerprint; the 21 pins
+of cells that arm a retransmission timer were re-recorded on top of
+ec05945, when an ACK began to move the timer's deadline instead of its
+event (each moved only through ``events_processed``: the timer's early
+wake-ups are processed events).  A pin is sha256 over the whole
+serialized :class:`ResultRow` -- headline metrics, fabric counters,
+digest payloads and ``events_processed``, floats kept to 12 significant
+digits -- for a small matrix that puts a cell on each side of
 every condition the switch fast path tests, and one cell on each
 transport variant's loss path:
 
@@ -135,40 +139,40 @@ CELLS = {
 
 PINS = {
     "fig1-roce-s1": "655dcc16aeaf2e770d6ff7ebce21d9325f950ac79de634263e3561b07926f969",
-    "fig1-irn-s1": "059af1c84051e04c03d9dfd8a6801b5100c0c6c0d9c15528ab9023e50add5910",
+    "fig1-irn-s1": "c368626e910d0a90e68d25c65f869ff2cb4313850bc7369c06ddbed4d1ae2508",
     "fig1-roce-s2": "2e8e75083ab44b26ea9288ccd4de8a0703aa23a9a0e7c5dbf9be453243a520e1",
-    "fig1-irn-s2": "f40c2b0afb6d6d7389dbea1416e65fbe56accbbf5920132281c10395c7e2fa5a",
+    "fig1-irn-s2": "e635d650db46ed7b4751a1f334e7da35e86ff4210cfb0daabb067e2471a75568",
     "fig9-roce-m15": "0e34a042f10ca6bd02cd32acc8168da3270cc17ed032c9aa2024cdc092a3e5c1",
-    "fig9-irn-m15": "c52bf19cb92411229a462cdcc02e57276e87793e74be1fcf5623a253101ee87e",
+    "fig9-irn-m15": "13814345f2bf629122decb7e32fcfe1e3557197e5291819d34c80c9b4fac464e",
     "fig4-roce-dcqcn": "c7108bbe0872c7d007adc0d31715a87e6b52eedfb0facc2043f280ce44039a04",
-    "fig4-irn-dcqcn": "bfbc2a4c31604f7d52c5e48c4a04ff71e7178a5a17f02501584362363d21d4c1",
-    "fig4-irn-timely": "9a7198cc43531706a50aa02f9dccabdbefaa8c7bb3548d7a50ebc63ac8a75c55",
-    "spray-irn": "5ac5710624e5958dd2d6410bef2e679f05b0a7bd3c472d66ce22424603e7a44f",
+    "fig4-irn-dcqcn": "8a5b34af7ec78622c91144932eab0aff77d8a118de8db70bfaf14a8d10715d41",
+    "fig4-irn-timely": "6afc52a99d62cc7310e2e69ba1f26bb451364145157748efca2bbf13033a01ce",
+    "spray-irn": "9e4ec1857aedf5cd76fe303d8488f862143d5898f520327733cdccc14f086811",
     "spray-roce": "a706970b3bb6e11596574b0969d48040ca37230d738b5238507c6f0bb2e7fa2a",
     "jumbo-roce": "bce1be26d306bd91ed163950c3f0bbfba2048ad49921ce2863058df7b77d569e",
-    "jumbo-irn": "1e911e526f698ab3ac7d775f4c98baab943d94e3a1c71c6f3165610ca20dfb51",
+    "jumbo-irn": "6880a741a9bfb264977bc2af3e4291a52dcde7c38d357a424e7d5c89643e7a16",
     "batch1-roce": "ddb36633432f86c24300f5ff783b050fd10114f3873ae392d31382c9d112fb7f",
-    "batch1-irn": "34f4d84c0eaf15c52d648f1209382b7a5b3c33a050c5902835541cb43c28000b",
+    "batch1-irn": "061060866f392c44ccabe03265307ffe7a89f070c80cefa491fadeac0729e61c",
     "flap-roce": "4e0e1b9b555794e5c7847bfef3a3ac608ce299cd08880bf7ae4bf136e3a8c52e",
-    "flap-irn": "a346870f52471b374eeea62a40abd3b72bacdf23345939b0583547034c326ce9",
+    "flap-irn": "5be3c328d6219dd2dd1c93971bf7a121bf8b5c0483fa8eec9544c35f1cc35d6e",
     "digests-roce": "12ebfd3513f81ed6dc7fa5d0c3ddfa51bf91608a3f025702cd05b2dde1c39621",
-    "digests-irn": "2e1e1ae3742398180665ed1e06d2d502ae8ed786a4ce2a158d973a495ca6dff5",
+    "digests-irn": "85e8108b603c6c61b98e7698f600885fb46af62473cc2432f96c612f208051cb",
     "wan-incast-roce-100x": "19b718621e019bcc48c7c3f53bce2e44cc61264869966801a54a6676bd24ffb2",
-    "wan-incast-irn-100x": "2f4703665cc9bf9fa6f99a105566183edec8509bef59e5330a9610c27f20bf33",
+    "wan-incast-irn-100x": "acf4b31323c9eb65d67a59084904914fbed9d597532412f21f384f741fdb5a78",
     "wan-incast-roce-1000x": "a1be7759c3a6e3e3cbf54bbf5ff58ca7c87e11f56d314e8ddfce85a3fac6cd88",
     "wan-incast-irn-1000x": "35f239cff96980a20373d7c2811f9bfcef8931b07f118f787171deb1de3e7cab",
     "cross-dc-irn-1000x": "76aea2396eedbe857e97ee05964d67c3b7efa571858a2b566f64a3f04ff3345a",
-    "fig1-irn-ack1": "b3072ef962d38f2a87f42eb83983d010fe0e38d1aeb5dd90f28149546e6b1cd8",
-    "fig1-irn-ack4": "531710ae29b0bf0e38040c009a5f0f9d96458f8314757eab2f7a1f08ca8053db",
+    "fig1-irn-ack1": "592e64ff138ec11704dee6c7ce93f7e4fcb2e47b8cf05683447638c30b83bb5d",
+    "fig1-irn-ack4": "229cfc633d9b78c3a099e1f4cd4226c4c6a642dde30e324b0fcda7ed6c32bd39",
     "faults-roce": "30512e0c73b27943478db5eca3cde81947513d0b853b9e1a6a4e5c0af8ad0b9f",
-    "faults-irn": "324052c76b040c45c184f422f17d2f21b75b35e6a516a096222c379963a52e09",
-    "fig7-irn-go-back-n": "ceb70bc3c59496605142ad7fb127ca6094509336a537879169adf719c80389d4",
-    "fig7-irn-no-bdpfc": "6cbe0b6a90dd6a2195ee00bc2676b18765d59f6d99fea2dbf9025de45e289c1d",
-    "no-sack-irn": "0df2f72590fc654a1057914288c325b3648f4e8aa0f4d13dca862412a1568692",
-    "fig11-iwarp": "f5b78de23ba747b7b80879250be7239e1abe685c5fa5bf2095009672becfe1b2",
-    "fig12-irn-worst-case": "0e7aa183726d580f750d909be063542d4a9795e6d2b2269ae77926954aeb23c4",
-    "fig3-roce-no-pfc": "fe277306f6b6e74d6d1f9cf48d7c24cc37ef75ee3b9cfd45fab5c5e00668a048",
-    "fig10-resilient-roce": "7261888b4056fc53695abdf604f15193f9788be43c55e898139b3e5de81d511e",
+    "faults-irn": "f09fdd4a34ca6d9fafd42d2253848159dc974dc4890587946850ffb7377eee1e",
+    "fig7-irn-go-back-n": "eee8ef4ed409860a1a4762d61a04863c1d3fe029eefe715e8d9f397e90bdd9af",
+    "fig7-irn-no-bdpfc": "47806ddcf886f9c1ef382ed6da80e2f290d557c1f09fc620bcb38794f33b2841",
+    "no-sack-irn": "d6f13a670fccf75806d91bab4840176f31c2f7af412d9b8563c4da114131e1e9",
+    "fig11-iwarp": "4805f45011b75a813cda71ff074e912776869f83fc47d58b0c69ce8a24148d3b",
+    "fig12-irn-worst-case": "8aac56fe62626e0f52798b156b91c56733344184cb27df4cc5386cb323ef2426",
+    "fig3-roce-no-pfc": "01fba8a9590b3219403c0f6edd71107db62f381409a5bad4f6a01885b9ae8677",
+    "fig10-resilient-roce": "bb5a4fee391d8fa4508728158e8151eed2ca47eb2a45673517df70ab896fd59c",
 }
 
 

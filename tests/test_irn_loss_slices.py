@@ -33,7 +33,10 @@ With PFC on, a second flow ``h2 -> h1`` fills the ``s0 -> h1`` port in
 front of a victim of N packets: nothing is dropped, and the timeouts either
 flow fires are pinned as today's RTO rule gives them, beside a control that
 halves RTO_low and does time out.  The fan-in slice fills the port from
-every other host (``h2`` and ``h3``) and is pinned the same way.
+every other host (``h2`` and ``h3``) and is pinned the same way.  The
+two-hop slice runs on the two-switch line instead, where a pause spreads
+back from the congested switch to the host behind the other one; it is
+pinned the same way, and also against the eager retransmission timer.
 
 Recovery time is measured per lost packet, from the arrival of its dropped
 copy to the arrival of its delivered copy, in units of the slice's base RTT
@@ -48,7 +51,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.sim.engine import Simulator
 from repro.sim.link import DEFAULT_PORT_BATCH
 from repro.sim.packet import PacketType
+from repro.topology.registry import TOPOLOGIES
 from repro.topology.simple import build_star
+
+from tests.helpers import eager_rto, recording_timeouts
 
 #: Packets in the flow: several BDP-FC windows (5 packets here).
 FLOW_PACKETS = 30
@@ -430,5 +436,106 @@ def test_at_half_the_derived_rto_low_the_fan_in_slice_times_out(coalesce, timeou
     fillers time out with no frame dropped."""
     derived = _pfc_config(**coalesce).physics().rto_low_s
     run = _FilledPortRun(_pfc_config(rto_low_s=derived / 2, **coalesce), fillers=2)
+    assert run.switch_drops == 0
+    assert run.timeouts == timeouts
+
+
+# ---------------------------------------------------------------------------
+# Two switches, PFC on: a pause that spreads back over two hops
+# ---------------------------------------------------------------------------
+
+#: ``(src, dst, packets)`` on the registered ``dumbbell`` with four hosts
+#: (h0, h1 on s0; h2, h3 on s1).  h2 -> h3 fills the s1 -> h3 port, and
+#: three flows h0 -> h3 cross s0 -> s1 into it.  They share h0's uplink, so
+#: they never load s0 -> s1 past its rate: s0 -> s1 backs up only when s1
+#: pauses it, and then s0 pauses h0.  The victim h0 -> h2 (N packets, so
+#: every timer it arms is RTO_low) never crosses the congested port; it
+#: waits behind the pause two hops back.
+LINE_FLOWS = (
+    [("h2", "h3", FILLER_PACKETS)] + [("h0", "h3", FILLER_PACKETS)] * 3
+    + [("h0", "h2", VICTIM_PACKETS)]
+)
+
+
+class _LineRun:
+    """``LINE_FLOWS`` on the two-switch line, every flow built by the
+    registered ``irn`` builder from one config."""
+
+    def __init__(self, config):
+        sim = Simulator(seed=1)
+        network = TOPOLOGIES.get(config.topology)(sim, config, config.switch_config())
+        endpoints = TRANSPORTS.get(config.transport)(config)
+        self.senders = []
+        for flow_id, (src, dst, packets) in enumerate(LINE_FLOWS, start=1):
+            flow = Flow(flow_id, src, dst, packets * config.mtu_bytes)
+            sender, receiver = endpoints(sim, network.hosts[src], flow, None, None, None, None)
+            network.hosts[dst].register_receiver(receiver)
+            network.hosts[src].register_sender(sender)
+            self.senders.append(sender)
+        with recording_timeouts() as handled:
+            sim.run_until_idle()
+        assert all(sender.completed for sender in self.senders)
+        #: ``(flow_id, time)`` of every timeout handled.
+        self.handled = handled
+        self.switch_drops = sum(switch.packets_dropped
+                                for switch in network.switches.values())
+        self.pause_frames = {name: switch.pause_frames_sent
+                             for name, switch in network.switches.items()}
+
+    @property
+    def timeouts(self):
+        """Timeouts fired per flow, in ``LINE_FLOWS`` order (victim last)."""
+        return tuple(sender.timeouts_fired for sender in self.senders)
+
+
+def _line_config(**overrides):
+    # The dumbbell's switches have radix 4, so RTO_low stands to a buffer
+    # drain as on the star slices above.
+    return ExperimentConfig(topology="dumbbell", num_hosts=4, transport="irn",
+                            pfc_enabled=True, **overrides)
+
+
+def _line_run(config):
+    """The two-hop slice, checked against ``tests.helpers.eager_rto`` (a
+    restart cancels and reschedules the event): every timeout is handled by
+    the same flow at the same time, and drops and pauses agree."""
+    run = _LineRun(config)
+    with eager_rto():
+        eager = _LineRun(config)
+    assert run.handled == eager.handled
+    assert (run.timeouts, run.switch_drops, run.pause_frames) == (
+        eager.timeouts, eager.switch_drops, eager.pause_frames)
+    return run
+
+
+# Pinned as today's RTO rule gives them, like the star slices.  Unlike
+# them, this slice times out at the derived RTO_low with nothing dropped:
+# with per-packet ACKs two of h0's fillers do.
+@pytest.mark.parametrize("coalesce, timeouts", [
+    ({}, (0, 0, 0, 0, 0)),
+    ({"ack_coalesce_n": 1}, (0, 0, 1, 1, 0)),
+], ids=["default-coalescing", "per-packet-acks"])
+def test_a_pause_spread_over_two_hops_with_nothing_lost(coalesce, timeouts):
+    config = _line_config(**coalesce)
+    physics = config.physics()
+    drain_s = physics.buffer_bytes * 8 / config.link_bandwidth_bps
+    assert 1.0 < physics.rto_low_s / drain_s < 1.2
+    assert VICTIM_PACKETS <= config.rto_low_threshold_packets
+
+    run = _line_run(config)
+    assert run.switch_drops == 0
+    assert run.pause_frames["s1"] > 0 and run.pause_frames["s0"] > 0
+    assert run.timeouts == timeouts
+
+
+@pytest.mark.parametrize("coalesce, timeouts", [
+    ({}, (0, 0, 1, 1, 1)),
+    ({"ack_coalesce_n": 1}, (0, 2, 3, 2, 2)),
+], ids=["default-coalescing", "per-packet-acks"])
+def test_at_half_the_derived_rto_low_the_two_hop_slice_times_out(coalesce, timeouts):
+    """The two-hop slice's control: at half RTO_low the victim times out
+    too, still with no frame dropped."""
+    derived = _line_config(**coalesce).physics().rto_low_s
+    run = _line_run(_line_config(rto_low_s=derived / 2, **coalesce))
     assert run.switch_drops == 0
     assert run.timeouts == timeouts

@@ -1,17 +1,23 @@
 """Unit tests for IRN's transport logic: SACK recovery, BDP-FC, dual timeouts."""
 
+from unittest import mock
+
 import pytest
 
 from repro.congestion.dcqcn import Dcqcn
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
-from repro.core.transport import Flow
+from repro.core.transport import BaseSender, Flow
+from repro.experiments.runner import run_experiment
+from repro.experiments.spec import scenario
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import EcnConfig, SwitchConfig
 from repro.topology.simple import build_star
 
-from tests.helpers import FakeHost, ack, drain, make_flow, nack, registered_endpoints
+from tests.helpers import (
+    FakeHost, ack, drain, eager_rto, make_flow, nack, recording_timeouts, registered_endpoints,
+)
 
 
 def make_sender(size_bytes=10_000, bdp_cap=8, sim=None, **config_kwargs):
@@ -305,7 +311,8 @@ class TestIrnReceiver:
 
 
 class TestTimerHandles:
-    """A transport's timer handle is ``None`` unless its event is live."""
+    """A transport's timer handle is ``None`` unless its event is live, and
+    a live retransmission event is due at or before the sender's deadline."""
 
     def test_handles_are_none_or_live_after_every_event(self):
         # One switch, PFC and ECN on.  h0 sends IRN paced by DCQCN with a
@@ -345,23 +352,106 @@ class TestTimerHandles:
 
         downlink.arrive = drop_once
 
+        # A timeout is handled only when the clock has reached the deadline.
+        handled = []
+        handle_timeout = IrnSender._handle_timeout
+
+        def note_deadline(sender, now):
+            handled.append((now, sim.now, sender._rto_deadline))
+            handle_timeout(sender, now)
+
         seen = {"_rto_event": [], "_pacing_event": [], "_ack_timer": []}
-        while sim.pending_events:
-            sim.run(max_events=1)
-            for endpoint, name in ((irn, "_rto_event"), (irn, "_pacing_event"),
-                                   (roce, "_rto_event"), (roce, "_pacing_event"),
-                                   (irn_rx, "_ack_timer"), (roce_rx, "_ack_timer")):
-                handle = getattr(endpoint, name)
-                if handle is not None:
-                    assert handle[4] is False, (sim.now, endpoint, name)
-                    seen[name].append(handle)
+        with mock.patch.object(IrnSender, "_handle_timeout", note_deadline):
+            while sim.pending_events:
+                sim.run(max_events=1)
+                for endpoint, name in ((irn, "_rto_event"), (irn, "_pacing_event"),
+                                       (roce, "_rto_event"), (roce, "_pacing_event"),
+                                       (irn_rx, "_ack_timer"), (roce_rx, "_ack_timer")):
+                    handle = getattr(endpoint, name)
+                    if handle is not None:
+                        assert handle[4] is False, (sim.now, endpoint, name)
+                        seen[name].append(handle)
+                if irn._rto_event is not None:
+                    assert irn._rto_event[0] <= irn._rto_deadline, sim.now
 
         assert irn.completed and irn_rx.completed and roce_rx.completed
         assert len(dropped) == 1 and irn.timeouts_fired > 0
         assert irn_rx.acks_coalesced > 0 and irn_rx.ack_flush_timeouts > 0
         assert irn_rx.cnps_sent > 0
+        assert len(handled) == irn.timeouts_fired
+        assert all(now == clock == deadline for now, clock, deadline in handled), handled
         # Every kind of handle was cancelled while live at least once: the
-        # RTO by a restart or completion, the pacing wake-up by completion,
-        # and the coalescing timer by a count flush.
+        # RTO by an earlier deadline or completion, the pacing wake-up by
+        # completion, and the coalescing timer by a count flush.
         for name, handles in seen.items():
             assert any(handle[4] for handle in handles), name
+
+    def test_an_ack_moves_the_deadline_not_the_event(self):
+        """The count guard: on fig1's IRN cell (60 flows, seed 2, six
+        timeouts) the senders receive 591 control frames and schedule 115
+        RTO events, under a quarter.  The eager timer, which cancels and
+        schedules on every ACK that moves ``snd_una``, schedules 586."""
+        config = scenario("fig1").configs(num_flows=60, seed=2)["IRN (without PFC)"]
+        counts = {"rto": 0, "control": 0}
+        schedule_at = Simulator.schedule_at
+        on_control = BaseSender.on_control
+
+        def count_rto(sim, time, fn, *args):
+            counts["rto"] += getattr(fn, "__func__", None) is BaseSender._rto_fired
+            return schedule_at(sim, time, fn, *args)
+
+        def count_control(sender, packet, now):
+            counts["control"] += 1
+            on_control(sender, packet, now)
+
+        def scheduled():
+            counts.update(rto=0, control=0)
+            with mock.patch.object(Simulator, "schedule_at", count_rto), \
+                    mock.patch.object(BaseSender, "on_control", count_control):
+                assert run_experiment(config).timeouts == 6
+            return counts["rto"], counts["control"]
+
+        rto, control = scheduled()
+        assert (rto, control) == (115, 591)
+        assert 4 * rto < control
+        with eager_rto():
+            assert scheduled() == (586, 591)
+
+
+#: One small cell per sender that arms a retransmission timer, each of which
+#: times out: ``(scenario, cell label, num_flows, seed)``.
+EAGER_ORACLE_CELLS = [
+    ("fig1", "IRN (without PFC)", 60, 2),
+    ("fig4", "IRN +timely", 60, 2),
+    ("fig4", "IRN +dcqcn", 60, 2),
+    ("fig7", "IRN with Go-Back-N", 60, 2),
+    ("no_sack", "IRN without SACK", 60, 2),
+    ("fig11", "iWARP", 60, 2),
+    ("fig3", "RoCE without PFC", 40, 2),
+    ("availability_flap", "4 flaps|IRN (without PFC)", 60, 2),
+]
+
+
+class TestDeadlineMatchesTheEagerTimer:
+    """The oracle: ``tests.helpers.eager_rto`` puts back the timer that
+    cancels and reschedules on every restart.  Moving the deadline instead
+    changes no row field but ``events_processed`` (each early wake-up is a
+    processed event), and every timeout is handled by the same flow at the
+    same time."""
+
+    @staticmethod
+    def _run(scenario_name, label, num_flows, seed):
+        config = scenario(scenario_name).configs(num_flows=num_flows, seed=seed)[label]
+        with recording_timeouts() as handled:
+            row = run_experiment(config).to_row(label=label).to_dict()
+        return row, handled
+
+    @pytest.mark.parametrize("cell", EAGER_ORACLE_CELLS, ids=lambda cell: cell[1])
+    def test_rows_and_timeouts_match(self, cell):
+        row, handled = self._run(*cell)
+        with eager_rto():
+            eager_row, eager_handled = self._run(*cell)
+        assert row["timeouts"] > 0
+        assert handled == eager_handled
+        assert row.pop("events_processed") >= eager_row.pop("events_processed")
+        assert row == eager_row
