@@ -5,59 +5,56 @@ within a flow.  This ablation runs IRN over per-packet spraying and checks
 that every flow still completes, while go-back-N RoCE pays a heavy
 retransmission penalty under the same reordering.
 
-Both schemes run over a three-seed axis (spray routing is installed after
-network build, so this benchmark drives the runner internals directly rather
-than going through ``run_sweep``); the retransmission comparison sums over
-the replicas.
+Both schemes run Figure 1's cells (80 flows) on seeds 1-3 through
+``run_experiment``, with spraying installed the way
+``tests/test_integration.py`` and the golden ``spray-*`` cells install it:
+the routing is rebuilt once the fabric is built.  The patch lives in this
+process, so the cells run here, not on a worker pool.  Spraying hashes
+``Packet.uid``, a process-wide counter, so the counter restarts once for
+the whole ablation: its rows do not depend on which tests ran before.  The
+retransmission comparison sums over the replicas.
 """
 
-from repro.experiments import scenarios
-from repro.experiments.runner import _build_network, _generate_flows, _FlowLauncher
-from repro.metrics.collector import MetricsCollector
-from repro.sim.engine import Simulator
+import itertools
+from unittest import mock
 
-SEEDS = scenarios.scenario("fig1").seeds
+from repro.experiments import runner, scenarios
+from repro.sim import packet
+
+SEEDS = (1, 2, 3)
+SCHEMES = {"IRN": "IRN (without PFC)", "RoCE": "RoCE (with PFC)"}
+_build_network = runner._build_network
 
 
-def _run_with_spray(config):
-    """Run one experiment with per-packet-spray routing installed."""
-    sim = Simulator(seed=config.seed)
+def _build_and_spray(sim, config):
     network = _build_network(sim, config)
     network.build_routing(packet_spray=True)
-    collector = MetricsCollector(network, mtu_bytes=config.mtu_bytes,
-                                 header_bytes=config.physics().header_bytes)
-    launcher = _FlowLauncher(sim, network, config, collector)
-    flows = _generate_flows(config, network)
-    for flow in flows:
-        sim.schedule_at(flow.start_time, launcher.launch, flow)
-    sim.run(until=config.max_sim_time_s, max_events=config.max_events)
-    completed = sum(1 for flow in flows if flow.completed)
-    retransmissions = sum(sender.retransmissions for sender in launcher.senders)
-    return completed / len(flows), retransmissions
+    return network
 
 
 def test_packet_spray_reordering_ablation(benchmark):
     def run_all():
-        outcomes = {"irn": [], "roce": []}
-        for seed in SEEDS:
-            cells = scenarios.scenario("fig1").configs(num_flows=80, seed=seed)
-            outcomes["irn"].append(_run_with_spray(cells["IRN (without PFC)"]))
-            outcomes["roce"].append(_run_with_spray(cells["RoCE (with PFC)"]))
-        return outcomes
+        results = {scheme: [] for scheme in SCHEMES}
+        with mock.patch.object(runner, "_build_network", _build_and_spray), \
+                mock.patch.object(packet, "_packet_ids", itertools.count()):
+            for seed in SEEDS:
+                cells = scenarios.scenario("fig1").configs(num_flows=80, seed=seed)
+                for scheme, label in SCHEMES.items():
+                    results[scheme].append(runner.run_experiment(cells[label]))
+        return results
 
-    outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    irn_rtx = sum(rtx for _, rtx in outcomes["irn"])
-    roce_rtx = sum(rtx for _, rtx in outcomes["roce"])
     print("\n=== Ablation: per-packet spraying (packet reordering) ===")
-    for seed, (done, rtx) in zip(SEEDS, outcomes["irn"]):
-        print(f"IRN  (no PFC) seed={seed}: completed={done:.0%} retransmissions={rtx}")
-    for seed, (done, rtx) in zip(SEEDS, outcomes["roce"]):
-        print(f"RoCE (PFC)    seed={seed}: completed={done:.0%} retransmissions={rtx}")
+    for scheme, runs in results.items():
+        for seed, result in zip(SEEDS, runs):
+            print(f"{scheme:<4} seed={seed}: completed={result.completion_fraction():.0%} "
+                  f"retransmissions={result.retransmissions}")
 
     # IRN tolerates reordering: every flow completes in every replica, and
     # spurious retransmissions stay far below go-back-N's redundant resends
     # summed over the replicas.
-    for done, _ in outcomes["irn"]:
-        assert done == 1.0
-    assert roce_rtx > irn_rtx
+    for result in results["IRN"]:
+        assert result.completion_fraction() == 1.0
+    assert (sum(result.retransmissions for result in results["RoCE"])
+            > sum(result.retransmissions for result in results["IRN"]))

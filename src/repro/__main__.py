@@ -63,7 +63,6 @@ from repro.serve import add_serve_arguments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ScenarioSpec
-    from repro.experiments.sweep import SweepResult
 
 
 def _parse_set_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
@@ -94,29 +93,6 @@ def _positive_seconds(raw: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {raw}")
     return value
-
-
-def _print_report(spec: ScenarioSpec, sweep: SweepResult, show_cdf: bool) -> None:
-    from repro.metrics.report import (
-        format_aggregate_table,
-        format_incast_table,
-        format_metric_table,
-        format_single_packet_cdfs,
-    )
-
-    print(format_metric_table(f"{spec.name}: per-run metrics", sweep.rows))
-    if any(row.incast_rct_s is not None for row in sweep.rows.values()):
-        print()
-        print(format_incast_table(f"{spec.name}: incast", sweep.rows))
-    if len(sweep.rows) > len(spec.variants) * len(spec.row_labels() or (None,)):
-        # Seed replicas present: fold them into per-cell aggregates.
-        print()
-        print(f"=== {spec.name}: per-cell aggregates over seed replicas ===")
-        print(format_aggregate_table(spec.aggregate(sweep), label_keys=spec.aggregate_by))
-    if show_cdf:
-        for block in format_single_packet_cdfs(sweep.rows):
-            print()
-            print(block)
 
 
 def _make_follow_printer(spec: ScenarioSpec):
@@ -195,7 +171,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"({executed} simulated, {served} from cache, "
           f"{sweep.workers_used} worker{'s' if sweep.workers_used != 1 else ''})")
     print()
-    _print_report(spec, sweep, show_cdf=args.cdf)
+    from repro.metrics.report import format_run_report
+
+    print(format_run_report(spec, sweep, cdf=args.cdf))
     return 0
 
 

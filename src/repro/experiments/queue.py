@@ -10,11 +10,10 @@ Task lifecycle (all transitions are atomic renames or atomic
 write-temp-then-rename, so concurrent workers never observe half states)::
 
     tasks/<fp>.json  --claim-->  leases/<fp>.json  --complete-->  parts/<fp>.json
-                                   |      ^         (ResultRow part-file)
-                                   |      |
+                                   |      |         (ResultRow part-file)
                                    |      +--steal when tasks/ is empty
-                                   |         and the lease is due
-                                   |         (run again; the lease stays)
+                                   |         and the lease is due: rename to
+                                   |         leases/<fp>@<worker>.json, run again
                                    +--fail------>  failed/<fp>.json
 
 * ``tasks/`` holds pending work: one JSON file per cell, named by the
@@ -26,20 +25,23 @@ write-temp-then-rename, so concurrent workers never observe half states)::
   concurrent claimer can win the rename -- then stamps the lease with its
   identity.  While ``tasks/`` holds work, no cell runs twice.
 * A worker that finds ``tasks/`` empty *steals*: it runs any leased cell
-  whose part does not read and that it has seen unsettled, by its own
+  whose part does not read and whose lease file it has seen, by its own
   clock, for longer than its patience (its own longest cell, and at least
   two poll intervals), taking leases in an order of its own so idle
-  workers spread over them.  The lease stays as it is; the first
-  :meth:`TaskQueue.complete` or :meth:`TaskQueue.fail` drops it.  There is
-  no lease timeout and no liveness signal: cells are deterministic, so a
-  second run writes a byte-identical part -- wasteful at worst, never
-  wrong -- and a worker that died mid-cell costs one patience and one cell
-  time.  The costs, all at a sweep's tail: a live cell that outlasts every
-  cell an idle worker has run is run again by it; an abandoned lease is
-  run by each idle worker that finds it due, at most (workers - 1) extra
-  runs, and a cell that kills its own process (out of memory, say) kills
-  each worker that steals it; and a ``--drain`` worker waits until every
-  lease is settled or due, time a batch scheduler bills to its job.
+  workers spread over them.  It claims the steal by renaming the lease to
+  ``<fp>@<worker>.json``, its content untouched: one rival wins the
+  rename, and every other idle worker sees a lease file it has not seen
+  before and starts its patience afresh.  The first
+  :meth:`TaskQueue.complete` or :meth:`TaskQueue.fail` drops the cell's
+  lease, whatever its name.  There is no lease timeout and no liveness
+  signal: cells are deterministic, so a second run writes a byte-identical
+  part -- wasteful at worst, never wrong -- and a worker that died mid-cell
+  costs one patience and one cell time.  The costs, all at a sweep's
+  tail: a live cell that outlasts every cell an idle worker has run is run
+  again by it; an abandoned lease is run once more per patience that it
+  stays unsettled, so a cell that kills its own process (out of memory,
+  say) kills one worker per patience; and a ``--drain`` worker waits until
+  every lease is settled or due, time a batch scheduler bills to its job.
 * A finished cell becomes a *part-file*: ``parts/`` is a
   :class:`~repro.experiments.sweep.ResultCache` (:attr:`TaskQueue.parts`),
   so a part is a sweep-cache entry -- same ``{schema, code, row}`` envelope,
@@ -106,7 +108,8 @@ class Task:
     fingerprint: str
     label: str
     config: ExperimentConfig
-    #: The lease this process drops once the cell is settled.
+    #: The lease file this process holds, claimed or stolen; ``None`` once
+    #: the cell is settled.
     lease_path: Optional[Path] = None
 
     def to_payload(self) -> Dict[str, Any]:
@@ -164,6 +167,12 @@ class TaskQueue:
     def lease_path(self, fingerprint: str) -> Path:
         return self._spool_path(self.leases_dir, fingerprint)
 
+    def leases(self, fingerprint: str) -> List[Path]:
+        """The cell's lease files on disk: the claimed ``<fp>.json`` and any
+        stolen ``<fp>@<worker>.json``."""
+        self._spool_path(self.leases_dir, fingerprint)  # refuses a non-fingerprint
+        return sorted(self.leases_dir.glob(f"{fingerprint}*.json"))
+
     def part_path(self, fingerprint: str) -> Path:
         return self._spool_path(self.parts_dir, fingerprint)
 
@@ -192,12 +201,8 @@ class TaskQueue:
             if self.part_row(task.fingerprint) is not None:
                 return False
             part.unlink(missing_ok=True)  # stale part: recompute
-        for existing in (
-            self.task_path(task.fingerprint),
-            self.lease_path(task.fingerprint),
-        ):
-            if existing.exists():
-                return False
+        if self.task_path(task.fingerprint).exists() or self.leases(task.fingerprint):
+            return False
         _write_json_atomic(self.task_path(task.fingerprint), task.to_payload())
         return True
 
@@ -227,7 +232,7 @@ class TaskQueue:
                 path.rename(lease)
             except (FileNotFoundError, PermissionError):
                 continue  # another worker won the rename
-            task = self._leased_task(lease, worker_id)
+            task = self._leased_task(lease, fingerprint, worker_id)
             if task is None:
                 continue
             _write_json_atomic(
@@ -248,46 +253,54 @@ class TaskQueue:
 
         Called only once :meth:`claim` finds ``tasks/`` empty.  Leases are
         taken in an order of ``worker_id``'s own, so idle workers spread
-        over abandoned leases.  The lease is neither renamed nor rewritten:
-        whoever settles the cell first drops it.  A lease whose part reads
-        is unlinked on sight.  Names and payloads are checked as in
-        :meth:`claim`.  ``seen`` maps each unsettled lease to the
-        :func:`time.monotonic` reading at which this stealer first saw it
-        (kept here to the leases still unsettled); a lease is due once
-        ``patience_s`` has passed since.  No other host's clock is read.
+        over abandoned leases.  The steal is one atomic rename of the lease
+        to ``<fp>@<worker_id>.json`` (its content is not rewritten): of
+        several stealers only one wins it.  A lease whose part reads is
+        unlinked on sight.  Names and payloads are checked as in
+        :meth:`claim`.  ``seen`` maps each unsettled lease file, by name
+        stem, to the :func:`time.monotonic` reading at which this stealer
+        first saw it (kept here to the files still unsettled); a lease is
+        due once ``patience_s`` has passed since, so a lease another worker
+        has just stolen is new here and waits a full patience.  No other
+        host's clock is read.
         """
         now = time.monotonic()
         unsettled = []
         for lease in self.leases_dir.glob("*.json"):
-            if not is_fingerprint(lease.stem):
+            fingerprint = lease.stem.partition("@")[0]
+            if not is_fingerprint(fingerprint):
                 continue  # not a lease this queue wrote
-            if self.part_row(lease.stem) is not None:
+            if self.part_row(fingerprint) is not None:
                 lease.unlink(missing_ok=True)
                 continue
-            unsettled.append(lease)
+            unsettled.append((fingerprint, lease))
         seen = {} if seen is None else seen
-        held = {lease.stem for lease in unsettled}
-        for fingerprint in set(seen) - held:
-            del seen[fingerprint]
-        for fingerprint in held:
-            seen.setdefault(fingerprint, now)
-        unsettled.sort(key=lambda path: hashlib.sha256(f"{worker_id}/{path.stem}".encode()).digest())
-        for lease in unsettled:
+        held = {lease.stem for _, lease in unsettled}
+        for stem in set(seen) - held:
+            del seen[stem]
+        for stem in held:
+            seen.setdefault(stem, now)
+        unsettled.sort(key=lambda item: hashlib.sha256(f"{worker_id}/{item[0]}".encode()).digest())
+        holder = "".join(char if char.isalnum() or char in "-_." else "_" for char in worker_id)
+        for fingerprint, lease in unsettled:
             if now - seen[lease.stem] < patience_s:
                 continue
-            task = self._leased_task(lease, worker_id)
+            stolen = lease.with_name(f"{fingerprint}@{holder}.json")
+            try:
+                lease.rename(stolen)
+            except (FileNotFoundError, PermissionError):
+                continue  # another worker stole or settled it first
+            task = self._leased_task(stolen, fingerprint, worker_id)
             if task is not None:
                 return task
-            del seen[lease.stem]  # settled meanwhile, or now a failure marker
         return None
 
-    def _leased_task(self, lease: Path, worker_id: str) -> Optional[Task]:
-        """The task in ``lease``, a file named for its fingerprint; ``None``
+    def _leased_task(self, lease: Path, fingerprint: str, worker_id: str) -> Optional[Task]:
+        """The task in ``lease``, a lease file of ``fingerprint``; ``None``
         when the file has gone (its cell was settled meanwhile) or does not
         hold that task.  A payload that does not parse, or names another
         fingerprint, becomes a failure marker and its lease is dropped: an
         unreadable task surfaces as an error, not a hang."""
-        fingerprint = lease.stem
         try:
             text = lease.read_text()
         except FileNotFoundError:
@@ -310,12 +323,16 @@ class TaskQueue:
 
     def complete(self, task: Task, row: ResultRow) -> None:
         """Publish ``row`` as the task's durable part-file, then drop the
-        lease -- in that order, so a part that cannot be written (full disk,
-        read-only spool) raises with the lease still held, for a steal to
-        run again."""
+        cell's lease, claimed or stolen -- in that order, so a part that
+        cannot be written (full disk, read-only spool) raises with the
+        lease still held, for a steal to run again."""
         self.parts.put(row)
+        self._drop_leases(task)
+
+    def _drop_leases(self, task: Task) -> None:
         if task.lease_path is not None:
-            task.lease_path.unlink(missing_ok=True)
+            for lease in self.leases(task.fingerprint):
+                lease.unlink(missing_ok=True)
             task.lease_path = None
 
     def fail(self, task: Task, error: BaseException, worker_id: str = "?") -> None:
@@ -329,9 +346,7 @@ class TaskQueue:
                 "error": f"{type(error).__name__}: {error}",
             },
         )
-        if task.lease_path is not None:
-            task.lease_path.unlink(missing_ok=True)
-            task.lease_path = None
+        self._drop_leases(task)
 
     # ------------------------------------------------------------------
     # Results
@@ -365,7 +380,7 @@ class TaskQueue:
         has finished with, or whose worker died between writing the part and
         dropping the lease."""
         return {
-            path.stem
+            path.stem.partition("@")[0]
             for spool in (self.tasks_dir, self.leases_dir)
             for path in spool.glob("*.json")
         }

@@ -14,6 +14,11 @@ incast figure, a set of *rows* (the swept parameter).  Resolve one by name::
 the cells; ``spec.with_rows(...)`` sweeps a different parameter range
 (:func:`incast_rows` builds Figure 9's rows for other fan-ins).
 
+Each paper preset also carries the paper's claims about it
+(:class:`~repro.experiments.spec.Claim`), each bound with the benchmark-scale
+run it was set on: fewer flows than the preset, and for some figures a
+different load or other rows.  ``benchmarks/test_claims.py`` checks them.
+
 The *scaled default scenario* mirrors the paper's default (three-tier
 fat-tree, heavy-tailed workload at 70% load, buffers of twice the BDP, ECMP)
 but shrinks the fabric and flow sizes so a pure-Python packet simulation
@@ -22,9 +27,9 @@ finishes in seconds; see README.md for the substitution rationale.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.experiments.spec import ScenarioSpec, register_scenario, scenario
+from repro.experiments.spec import Claim, ClaimRun, ScenarioSpec, register_scenario, scenario
 
 __all__ = [
     "DEFAULT_NUM_FLOWS",
@@ -54,6 +59,21 @@ SCALED_DEFAULTS: Dict[str, Any] = dict(
     flow_size_scale=DEFAULT_SIZE_SCALE,
     seed=1,
 )
+
+
+def _run(rows: Optional[Dict[str, Dict[str, Any]]] = None, **overrides: Any) -> ClaimRun:
+    """A claim run over the presets' seeds 1-3."""
+    return ClaimRun(rows, overrides, (1, 2, 3))
+
+
+def _claims(figure: str, paper: str, run: ClaimRun, *comparisons: Tuple) -> Tuple[Claim, ...]:
+    """``(metric, left, relation, factor, right)`` comparisons as claims on
+    one figure's finding, all measured on ``run``."""
+    return tuple(Claim(*comparison, paper, figure, run) for comparison in comparisons)
+
+
+#: The run most §4 figure claims were set on: 120 flows at the preset load.
+_FLOWS_120 = _run(num_flows=120)
 
 
 def _scheme(
@@ -97,6 +117,16 @@ _paper_scenario(
         "IRN (without PFC)": _scheme("irn", pfc=False),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 1",
+        "IRN without PFC is 2.8-3.7x better than RoCE with PFC on average slowdown, "
+        "average FCT and 99th-percentile FCT",
+        _FLOWS_120,
+        ("avg_slowdown_mean", "IRN (without PFC)", "<=", 1, "RoCE (with PFC)"),
+        ("fct_p99_s", "IRN (without PFC)", "<=", 1.5, "RoCE (with PFC)"),
+        ("pause_frames_total", "IRN (without PFC)", "==", 1, 0),
+        ("packets_dropped_total", "RoCE (with PFC)", "==", 1, 0),
+    ),
 )
 
 _paper_scenario(
@@ -107,6 +137,13 @@ _paper_scenario(
         "IRN (without PFC)": _scheme("irn", pfc=False),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 2",
+        "enabling PFC degrades IRN by 1.5-2x (head-of-line blocking, congestion spreading)",
+        _FLOWS_120,
+        ("avg_fct_s_mean", "IRN (without PFC)", "<=", 1.25, "IRN with PFC"),
+        ("avg_slowdown_mean", "IRN (without PFC)", "<=", 1.25, "IRN with PFC"),
+    ),
 )
 
 _paper_scenario(
@@ -117,6 +154,19 @@ _paper_scenario(
         "RoCE without PFC": _scheme("roce", pfc=False),
     },
     seeds=(1, 2, 3),
+    # At 90 % load: go-back-N's cost on a lossy fabric grows with congestion.
+    # The last two claims are together "> 10 x max(1, RoCE+PFC's)".
+    claims=_claims(
+        "Figure 3",
+        "RoCE degrades by 1.5-3x without PFC: go-back-N wastes bandwidth on "
+        "redundant retransmissions",
+        _run(num_flows=150, target_load=0.9),
+        ("avg_fct_s_mean", "RoCE without PFC", ">", 1.2, "RoCE (with PFC)"),
+        ("tail_fct_s_mean", "RoCE without PFC", ">", 1.2, "RoCE (with PFC)"),
+        ("avg_slowdown_mean", "RoCE without PFC", ">", 1, "RoCE (with PFC)"),
+        ("retransmissions_total", "RoCE without PFC", ">", 10, "RoCE (with PFC)"),
+        ("retransmissions_total", "RoCE without PFC", ">", 10, 1),
+    ),
 )
 
 
@@ -141,6 +191,13 @@ _paper_scenario(
         _scheme("irn", pfc=False), "IRN",
     ),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 4",
+        "with Timely or DCQCN, IRN stays 1.5-2.2x better than RoCE on all three metrics",
+        _FLOWS_120,
+        *(("avg_slowdown_mean", f"IRN +{cc}", "<=", 1.15, f"RoCE +{cc}")
+          for cc in ("timely", "dcqcn")),
+    ),
 )
 
 _paper_scenario(
@@ -151,6 +208,14 @@ _paper_scenario(
         _scheme("irn", pfc=False), "IRN",
     ),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 5",
+        "with Timely or DCQCN, PFC barely changes IRN (at most < 1 % better, ~3.4 % worse)",
+        _FLOWS_120,
+        *(("avg_fct_s_mean", f"IRN +{cc}", relation, factor, f"IRN with PFC +{cc}")
+          for cc in ("timely", "dcqcn")
+          for relation, factor in ((">=", 0.7), ("<=", 1.3))),
+    ),
 )
 
 _paper_scenario(
@@ -161,6 +226,21 @@ _paper_scenario(
         _scheme("roce", pfc=False), "RoCE without PFC",
     ),
     seeds=(1, 2, 3),
+    # The mechanism: the lossless fabric pauses and never drops; the lossy
+    # one exposes go-back-N to drops whenever the CC fails to prevent them.
+    claims=_claims(
+        "Figure 6",
+        "RoCE still needs PFC with Timely or DCQCN: enabling it improves RoCE by 1.35-3.5x",
+        _run(num_flows=100, target_load=0.9),
+        *((metric, f"RoCE {left} PFC +{cc}", relation, 1, right)
+          for cc in ("timely", "dcqcn")
+          for metric, left, relation, right in (
+              ("packets_dropped_total", "with", "==", 0),
+              ("pause_frames_total", "without", "==", 0),
+              ("packets_dropped_total", "without", ">=", f"RoCE with PFC +{cc}"),
+              ("retransmissions_total", "without", ">=", f"RoCE with PFC +{cc}"),
+          )),
+    ),
 )
 
 
@@ -176,6 +256,16 @@ _paper_scenario(
         "IRN without BDP-FC": _scheme("irn_no_bdpfc"),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 7",
+        "go-back-N in place of SACK recovery hurts more than removing BDP-FC; "
+        "both are worse than IRN",
+        _FLOWS_120,
+        ("avg_fct_s_mean", "IRN with Go-Back-N", ">=", 0.95, "IRN"),
+        ("avg_fct_s_mean", "IRN without BDP-FC", ">=", 0.95, "IRN"),
+        ("retransmissions_total", "IRN with Go-Back-N", ">", 1, "IRN"),
+        ("packets_dropped_total", "IRN without BDP-FC", ">=", 1, "IRN"),
+    ),
 )
 
 _paper_scenario(
@@ -186,6 +276,13 @@ _paper_scenario(
         "IRN without SACK": _scheme("irn_no_sack"),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "§4.3(2)",
+        "selective retransmission without SACK state degrades by up to 75 % with "
+        "multiple losses in a window",
+        _FLOWS_120,
+        ("retransmissions_total", "IRN without SACK", ">=", 1, "IRN"),
+    ),
 )
 
 
@@ -205,6 +302,18 @@ _paper_scenario(
         )
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 8",
+        "IRN without PFC has a lower single-packet tail latency than RoCE with PFC "
+        "under every congestion control",
+        _run(num_flows=100),
+        *(("single_packet_flows", f"{label} +{cc}", ">", 1, 0)
+          for cc in ("none", "timely", "dcqcn")
+          for label in ("RoCE (with PFC)", "IRN with PFC", "IRN (without PFC)")),
+        *(("single_packet_p99_s", f"IRN (without PFC) +{cc}", "<=", 1.5,
+           f"RoCE (with PFC) +{cc}")
+          for cc in ("none", "timely", "dcqcn")),
+    ),
 )
 
 
@@ -240,6 +349,14 @@ _paper_scenario(
     cell_label="{variant} {row}",
     name_template="incast-{transport}-m{incast.fan_in}",
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 9",
+        "incast is PFC's best case, yet IRN's request completion time stays within "
+        "~2.5 % of RoCE's",
+        _run(incast_rows((5, 10), total_bytes=2_000_000)),
+        *(("incast_rct_s", f"IRN M={fan_in}", "<=", 1.3, f"RoCE M={fan_in}")
+          for fan_in in (5, 10)),
+    ),
 )
 
 _paper_scenario(
@@ -259,6 +376,15 @@ _paper_scenario(
         },
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "§4.4.3",
+        "with cross traffic IRN wins on the incast RCT (4-30 %) and on the background "
+        "workload (32-87 %)",
+        _run(num_flows=60, incast={
+            "total_bytes": 1_500_000, "fan_in": 8, "destination": "h0", "start_time": 1e-4,
+        }),
+        ("background_avg_slowdown", "IRN (without PFC)", "<=", 1.2, "RoCE (with PFC)"),
+    ),
 )
 
 
@@ -273,6 +399,14 @@ _paper_scenario(
         "IRN": _scheme("irn", pfc=False),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 10",
+        "IRN without congestion control beats Resilient RoCE: its loss recovery and "
+        "BDP-FC handle the drops DCQCN fails to prevent",
+        _FLOWS_120,
+        ("avg_slowdown_mean", "IRN", "<=", 1.1, "Resilient RoCE"),
+        ("avg_fct_s_mean", "IRN", "<=", 1.1, "Resilient RoCE"),
+    ),
 )
 
 _paper_scenario(
@@ -284,6 +418,14 @@ _paper_scenario(
         "IRN + AIMD": _scheme("irn", cc="aimd"),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 11",
+        "IRN's BDP-FC in place of slow start gives a 21 % smaller average slowdown than "
+        "iWARP; IRN + AIMD 44 % smaller slowdown and 11 % smaller FCT",
+        _FLOWS_120,
+        ("avg_slowdown_mean", "IRN", "<=", 1, "iWARP"),
+        ("avg_slowdown_mean", "IRN + AIMD", "<=", 1.1, "iWARP"),
+    ),
 )
 
 _paper_scenario(
@@ -295,6 +437,14 @@ _paper_scenario(
         "IRN (worst-case overheads)": _scheme("irn", worst_case_overheads=True),
     },
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Figure 12",
+        "16 bytes more header per packet and a 2 us PCIe fetch per retransmission cost "
+        "IRN 4-7 %, leaving it 35-63 % better than RoCE with PFC",
+        _FLOWS_120,
+        ("avg_fct_s_mean", "IRN (worst-case overheads)", "<=", 1.15, "IRN (no overheads)"),
+        ("avg_slowdown_mean", "IRN (worst-case overheads)", "<=", 1.1, "RoCE (with PFC)"),
+    ),
 )
 
 
@@ -334,12 +484,36 @@ def _threshold_rows(n_values: Iterable[int]) -> Dict[str, Dict[str, Any]]:
     return {f"N={n}": {"rto_low_threshold_packets": n} for n in n_values}
 
 
+def _irn_vs_roce_pfc(factor: float, rows: Iterable[str]) -> Tuple[Tuple, ...]:
+    """IRN's average slowdown within ``factor`` of RoCE+PFC's, per row."""
+    return tuple(("avg_slowdown_mean", f"{row}|IRN", "<=", factor, f"{row}|RoCE+PFC")
+                 for row in rows)
+
+
+def _spread_within(metric: str, factor: float, labels: Iterable[str]) -> Tuple[Tuple, ...]:
+    """``max <= factor * min`` of ``metric`` over ``labels``, as its pairwise claims."""
+    labels = tuple(labels)
+    return tuple((metric, a, "<=", factor, b) for a in labels for b in labels if a != b)
+
+
+def _all_flows(total: int, rows: Iterable[str]) -> Tuple[Tuple, ...]:
+    """IRN finishes ``total`` flows over the replicas of each row."""
+    return tuple(("num_flows_total", f"{row}|IRN", "==", 1, total) for row in rows)
+
+
 _paper_scenario(
     "table3",
     "Table 3: link utilization sweep",
     COMPARISON_TRIPLE,
     rows=_load_rows((0.3, 0.5, 0.7, 0.9)),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Table 3",
+        "IRN without PFC beats RoCE with PFC at every load from 30 % to 90 %, by more "
+        "as the load grows",
+        _run(_load_rows((0.3, 0.6, 0.9)), num_flows=90),
+        *_irn_vs_roce_pfc(1.25, ("30%", "60%", "90%")),
+    ),
 )
 
 _paper_scenario(
@@ -348,6 +522,12 @@ _paper_scenario(
     COMPARISON_TRIPLE,
     rows=_bandwidth_rows((5, 10, 25)),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Table 4",
+        "IRN's advantage over RoCE with PFC persists at 10, 40 and 100 Gbps",
+        _run(num_flows=90),
+        *_irn_vs_roce_pfc(1.3, ("5Gbps", "10Gbps", "25Gbps")),
+    ),
 )
 
 _paper_scenario(
@@ -356,6 +536,12 @@ _paper_scenario(
     COMPARISON_TRIPLE,
     rows=_arity_rows((4, 6)),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Table 5",
+        "the trends are unchanged from 54 to 250 servers",
+        _run(num_flows=80),
+        *_irn_vs_roce_pfc(1.3, ("k=4 (16 hosts)", "k=6 (54 hosts)")),
+    ),
 )
 
 _paper_scenario(
@@ -371,6 +557,15 @@ _paper_scenario(
         },
     },
     seeds=(1, 2, 3),
+    # Without single-packet RPCs, the uniform mix's average FCT is its large
+    # flows'.
+    claims=_claims(
+        "Table 6",
+        "the key trends hold for the heavy-tailed mix and a uniform storage workload",
+        _run(num_flows=80),
+        *_irn_vs_roce_pfc(1.3, ("Heavy-tailed", "Uniform")),
+        ("avg_fct_s_mean", "Uniform|IRN", ">", 1, "Heavy-tailed|IRN"),
+    ),
 )
 
 _paper_scenario(
@@ -379,6 +574,13 @@ _paper_scenario(
     COMPARISON_TRIPLE,
     rows=_buffer_rows((15_000, 30_000, 60_000)),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Table 7",
+        "smaller buffers make PFC pause more, so enabling PFC costs IRN more",
+        _run(num_flows=90),
+        *_all_flows(270, ("15KB", "30KB", "60KB")),
+        ("pause_frames_total", "15KB|RoCE+PFC", ">=", 1, "60KB|RoCE+PFC"),
+    ),
 )
 
 _paper_scenario(
@@ -387,6 +589,15 @@ _paper_scenario(
     COMPARISON_TRIPLE,
     rows=_rto_rows((320e-6, 640e-6, 1280e-6)),
     seeds=(1, 2, 3),
+    # The claim rows are the RTO_high that physics() derives for this
+    # table's defaults, and twice and four times it.
+    claims=_claims(
+        "Table 8",
+        "RTO_high at 2x and 4x its ideal value changes the results only marginally",
+        _run(_rto_rows((7.8e-05, 0.000156, 0.000312)), num_flows=90),
+        *_all_flows(270, ("78us", "156us", "312us")),
+        *_spread_within("avg_fct_s_mean", 2.0, ("78us|IRN", "156us|IRN", "312us|IRN")),
+    ),
 )
 
 _paper_scenario(
@@ -395,6 +606,12 @@ _paper_scenario(
     COMPARISON_TRIPLE,
     rows=_threshold_rows((3, 10, 15)),
     seeds=(1, 2, 3),
+    claims=_claims(
+        "Table 9",
+        "raising the RTO_low threshold N from 3 to 10 or 15 makes very small differences",
+        _run(_threshold_rows((3, 15)), num_flows=90),
+        *_spread_within("avg_fct_s_mean", 1.5, ("N=3|IRN", "N=15|IRN")),
+    ),
 )
 
 

@@ -11,6 +11,12 @@ be shipped to other processes or machines as the unit of sweep work.
 Cells are built as ``defaults < row < variant < call overrides`` (rightmost
 wins).
 
+A spec may also carry the paper's *claims* about its cells: each
+:class:`Claim` is one comparison (``left <relation> factor * right`` on one
+metric) together with the :class:`ClaimRun` it was measured on, so "run X
+to check claim Y" is data on the spec.  ``benchmarks/test_claims.py`` sweeps
+every claim run and checks every claim.
+
 Specs register themselves in the :data:`SCENARIOS` registry; resolve one
 with :func:`scenario` (or :func:`repro.api.load_scenario`)::
 
@@ -30,6 +36,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -44,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SCENARIOS",
+    "Claim",
+    "ClaimRun",
     "ScenarioSpec",
     "auto_cell_name",
     "register_scenario",
@@ -60,8 +69,65 @@ def auto_cell_name(transport: str, congestion_control: str, pfc_enabled: bool) -
 
 def replica_label(label: str, seed: int) -> str:
     """The label of one seed replica of a cell (``"<label> [seed=N]"``);
-    benchmark assertions index results by this exact format."""
+    a claim's row-field metric averages a cell's replicas by this exact
+    format."""
     return f"{label} [seed={seed}]"
+
+
+class ClaimRun(NamedTuple):
+    """The run a claim was measured on: ``rows`` replace the spec's own
+    (:meth:`ScenarioSpec.with_rows`; ``None`` keeps them), ``overrides``
+    apply to every cell, and ``seeds`` is the replica axis."""
+
+    rows: Optional[Dict[str, Dict[str, Any]]]
+    overrides: Dict[str, Any]
+    seeds: Tuple[int, ...]
+
+
+#: ``left <relation> factor * right``, by relation.
+_RELATIONS = {
+    "<": lambda left, bound: left < bound,
+    "<=": lambda left, bound: left <= bound,
+    "==": lambda left, bound: left == bound,
+    ">=": lambda left, bound: left >= bound,
+    ">": lambda left, bound: left > bound,
+}
+
+
+class Claim(NamedTuple):
+    """One comparison the paper makes, as ``left <relation> factor * right``.
+
+    ``metric`` is a column of an aggregate record
+    (:func:`~repro.experiments.sweep.aggregate_rows`: ``avg_slowdown_mean``,
+    ``fct_p99_s``, ``pause_frames_total`` ...) or a
+    :class:`~repro.experiments.results.ResultRow` field, averaged over the
+    cell's replicas (``incast_rct_s``).  ``left`` is a cell label of the
+    run; ``right`` is a cell label or a constant.  ``paper`` is the paper's
+    own finding and ``figure`` where it is stated, both transcribed
+    (unverified offline); ``run`` is the run the bound was set on.
+    """
+
+    metric: str
+    left: str
+    relation: str
+    factor: float
+    right: Union[str, float]
+    paper: str
+    figure: str
+    run: ClaimRun
+
+    def holds(self, left: float, right: float) -> bool:
+        """Whether the operands ``left`` and ``right`` satisfy the claim."""
+        return _RELATIONS[self.relation](left, self.factor * right)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {**self._asdict(), "run": _json_safe(self.run._asdict())}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "Claim":
+        run = data["run"]
+        return cls(**{**data, "run": ClaimRun(**{**run, "seeds": tuple(run["seeds"])})})
+
 
 #: Valid override keys: every ExperimentConfig field (including ``name``).
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -156,6 +222,9 @@ class ScenarioSpec:
     aggregate_by:
         :class:`~repro.experiments.results.ResultRow` fields that define an
         aggregation cell for :func:`~repro.experiments.sweep.aggregate_rows`.
+    claims:
+        The paper's claims about this scenario, each with the run it was
+        measured on (see :class:`Claim`).  They change no cell.
     """
 
     name: str
@@ -167,6 +236,7 @@ class ScenarioSpec:
     name_template: Optional[str] = None
     seeds: Optional[Tuple[int, ...]] = None
     aggregate_by: Tuple[str, ...] = ("name",)
+    claims: Tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.variants:
@@ -187,6 +257,12 @@ class ScenarioSpec:
             _check_override_keys(f"scenario {self.name!r} variant {label!r}", overrides)
         for label, overrides in (self.rows or {}).items():
             _check_override_keys(f"scenario {self.name!r} row {label!r}", overrides)
+        object.__setattr__(self, "claims", tuple(self.claims))
+        for claim in self.claims:
+            if claim.relation not in _RELATIONS:
+                raise ValueError(f"scenario {self.name!r}: claim relation "
+                                 f"{claim.relation!r} is not one of {sorted(_RELATIONS)}")
+            _check_override_keys(f"scenario {self.name!r} claim run", claim.run.overrides)
 
     # ------------------------------------------------------------------
     # Shape
@@ -220,6 +296,24 @@ class ScenarioSpec:
     def with_rows(self, rows: Mapping[str, Mapping[str, Any]]) -> "ScenarioSpec":
         """A copy sweeping different rows (custom utilizations, fan-ins ...)."""
         return replace(self, rows={label: dict(ov) for label, ov in rows.items()})
+
+    def claim_runs(self) -> List[Tuple[ClaimRun, List[Claim]]]:
+        """Every distinct run of :attr:`claims` with the claims measured on
+        it, in declaration order."""
+        runs: List[Tuple[ClaimRun, List[Claim]]] = []
+        for claim in self.claims:
+            for run, claims in runs:
+                if run == claim.run:
+                    claims.append(claim)
+                    break
+            else:
+                runs.append((claim.run, [claim]))
+        return runs
+
+    def for_run(self, run: ClaimRun) -> "ScenarioSpec":
+        """This spec with ``run``'s rows (the cells ``run`` sweeps, before
+        its overrides and seeds)."""
+        return self if run.rows is None else self.with_rows(run.rows)
 
     # ------------------------------------------------------------------
     # Config construction
@@ -400,6 +494,7 @@ class ScenarioSpec:
         payload = asdict(self)
         payload["seeds"] = list(self.seeds) if self.seeds is not None else None
         payload["aggregate_by"] = list(self.aggregate_by)
+        payload["claims"] = [claim.to_dict() for claim in self.claims]
         return payload
 
     @classmethod
@@ -410,6 +505,7 @@ class ScenarioSpec:
             payload["seeds"] = tuple(payload["seeds"])
         if payload.get("aggregate_by") is not None:
             payload["aggregate_by"] = tuple(payload["aggregate_by"])
+        payload["claims"] = tuple(Claim.from_dict(claim) for claim in payload.get("claims", ()))
         return cls(**payload)
 
 

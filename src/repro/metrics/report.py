@@ -1,11 +1,14 @@
 """Paper-style report rendering from results, rows and warm sweep caches.
 
-One place for the table/CDF formatting that ``benchmarks/conftest.py`` and
-the ``examples/`` scripts used to each reimplement.  Every formatter returns
-a string (callers print it) and reads :class:`~repro.experiments.results.ResultRow`
-records -- ``.summary``, ``.drop_rate``, ``.pause_frames``,
-``.retransmissions`` -- whether cached or fresh from ``run_experiment``
-(whose :class:`~repro.experiments.runner.ExperimentResult` is a row).
+One place for the table/CDF formatting of ``python -m repro run``, the
+claim benchmark (``benchmarks/test_claims.py``), the results service and the
+``examples/`` scripts: :func:`format_run_report` is the whole report a run
+prints, for the CLI and the benchmark alike.  Every formatter returns a
+string (callers print it) and reads
+:class:`~repro.experiments.results.ResultRow` records -- ``.summary``,
+``.drop_rate``, ``.pause_frames``, ``.retransmissions`` -- whether cached or
+fresh from ``run_experiment`` (whose
+:class:`~repro.experiments.runner.ExperimentResult` is a row).
 
 Because :class:`ResultRow` round-trips through the sweep cache with its
 quantile digests intact, a full report (headline tables *and* Figure 8-style
@@ -24,6 +27,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ResultRow
+    from repro.experiments.spec import ScenarioSpec
+    from repro.experiments.sweep import SweepResult
     from repro.metrics.sketch import QuantileDigest
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "format_incast_table",
     "format_tail_cdf",
     "format_single_packet_cdfs",
+    "format_run_report",
     "label_rows",
     "load_cached_rows",
     "render_cache_report",
@@ -183,6 +189,23 @@ def format_single_packet_cdfs(rows: "Mapping[str, ResultRow]") -> List[str]:
             digest, title=f"{label}: single-packet latency tail ({digest.count} msgs)"
         ))
     return blocks
+
+
+def format_run_report(spec: "ScenarioSpec", sweep: "SweepResult", cdf: bool = False) -> str:
+    """What ``python -m repro run`` prints after its summary line: the
+    per-run table, the incast table when a row has one, the per-cell
+    aggregates when seed replicas are present and, with ``cdf``, the
+    single-packet tail CDFs."""
+    parts = [format_metric_table(f"{spec.name}: per-run metrics", sweep.rows)]
+    if any(row.incast_rct_s is not None for row in sweep.rows.values()):
+        parts.append(format_incast_table(f"{spec.name}: incast", sweep.rows))
+    if len(sweep.rows) > len(spec.variants) * len(spec.row_labels() or (None,)):
+        # Seed replicas present: fold them into per-cell aggregates.
+        table = format_aggregate_table(spec.aggregate(sweep), label_keys=spec.aggregate_by)
+        parts.append(f"=== {spec.name}: per-cell aggregates over seed replicas ===\n{table}")
+    if cdf:
+        parts.extend(format_single_packet_cdfs(sweep.rows))
+    return "\n\n".join(parts)
 
 
 # ---------------------------------------------------------------------------

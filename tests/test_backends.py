@@ -354,8 +354,9 @@ class TestTaskQueue:
 
     def test_an_abandoned_lease_is_stolen_as_it_is(self, tmp_path):
         # A worker claimed the cell and died.  With tasks/ empty, any other
-        # worker runs it again at once: the steal neither renames nor
-        # rewrites the lease, and completing drops it.
+        # worker runs it again at once: the steal renames the lease to a
+        # name carrying the stealer's id but does not rewrite it, and
+        # completing drops it.
         queue = TaskQueue(tmp_path / "q")
         config = tiny_config()
         queue.enqueue("cell", config)
@@ -365,14 +366,43 @@ class TestTaskQueue:
         assert queue.claim("w2") is None
         retry = queue.steal("w2")
         assert retry is not None and retry.label == "cell" and retry.config == config
-        assert retry.lease_path == lease
-        assert (lease.read_bytes(), lease.stat().st_mtime_ns) == before
-        assert json.loads(lease.read_text())["worker"] == "crashed-worker"
+        assert retry.lease_path.name == f"{config.fingerprint()}@w2.json"
+        assert queue.leases(config.fingerprint()) == [retry.lease_path]
+        stolen = retry.lease_path
+        assert (stolen.read_bytes(), stolen.stat().st_mtime_ns) == before
+        assert json.loads(stolen.read_text())["worker"] == "crashed-worker"
+        assert queue.pending() == {config.fingerprint()}
         row = _run_cell((retry.label, retry.config))
         queue.complete(retry, row)
         assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
         assert queue.part_row(config.fingerprint()) == row
         assert queue.steal("w2") is None
+
+    def test_a_stolen_lease_is_new_to_every_rival(self, tmp_path):
+        # Two idle workers find one abandoned lease due at once.  One wins
+        # the rename; to the other the renamed lease is a file it has just
+        # first seen, so it waits a full patience before it steals in turn
+        # (the first stealer died too), and the cell runs once per patience,
+        # not once per idle worker.  Either holder's completion drops it.
+        queue = TaskQueue(tmp_path / "q")
+        config = tiny_config()
+        fingerprint = config.fingerprint()
+        queue.enqueue("cell", config)
+        claimed = queue.claim("dead-worker")
+        seen_1, seen_2 = {}, {}
+        assert queue.steal("w1", seen_1, 5.0) is None and queue.steal("w2", seen_2, 5.0) is None
+        seen_1[fingerprint] -= 6.0
+        seen_2[fingerprint] -= 6.0
+        first = queue.steal("w1", seen_1, 5.0)
+        assert first.lease_path.name == f"{fingerprint}@w1.json"
+        assert queue.steal("w2", seen_2, 5.0) is None
+        assert set(seen_2) == {f"{fingerprint}@w1"}
+        seen_2[f"{fingerprint}@w1"] -= 6.0
+        second = queue.steal("w2", seen_2, 5.0)
+        assert queue.leases(fingerprint) == [second.lease_path]
+        assert second.lease_path.name == f"{fingerprint}@w2.json"
+        queue.complete(claimed, _run_cell((claimed.label, claimed.config)))
+        assert queue.counts() == {"tasks": 0, "leases": 0, "parts": 1, "failed": 0}
 
     def test_late_completion_after_a_steal_is_idempotent(self, tmp_path):
         queue = TaskQueue(tmp_path / "q")
@@ -415,7 +445,7 @@ class TestTaskQueue:
         )
         stolen = queue.steal("w2")
         assert stolen is not None and stolen.fingerprint == config.fingerprint()
-        assert queue.lease_path(config.fingerprint()).exists()
+        assert queue.leases(config.fingerprint()) == [stolen.lease_path]
 
     def test_each_worker_steals_in_its_own_order(self, tmp_path):
         # Two idle workers facing two abandoned leases should start on

@@ -296,6 +296,19 @@ RULES = (
         ("from repro.api import run_sweep", "import repro.api"),
     ),
     Rule(
+        "claims-are-data",
+        r"aggregate_by_scheme|print_ratio_rows|print_metric_table|BENCH_FLOWS"
+        r"|assert_all_completed|run_scenarios|^def test_(fig|table)[0-9]",
+        ("benchmarks",),
+        "the paper's claims are data on the specs (ScenarioSpec.claims) and one test, "
+        "benchmarks/test_claims.py, sweeps and checks every claim run: the per-figure "
+        "modules and their shared helpers were deleted",
+        ("aggregates = aggregate_by_scheme(base, results)", 'print_ratio_rows("Table 3", rows)',
+         'print_metric_table("Figure 1", results)', "BENCH_FLOWS = 120",
+         "assert_all_completed(results)", "results = run_scenarios(benchmark, configs)",
+         "def test_fig1_irn_vs_roce(benchmark):", "def test_table3_link_utilization_sweep():"),
+    ),
+    Rule(
         "no-negated-workflow-commands",
         r"(^\s*(-\s+)?(run:\s*['\"]?)?|(&&|\|\||;)\s*|\b(do|then|else)\s+|\{\s+)!\s",
         (".github/workflows/*.yml",),

@@ -200,6 +200,24 @@ class TestPacketModules:
         out = TimeoutModule().process(ctx, fired_with_rto_low=False)
         assert not out.acted
 
+    def test_a_lossy_trace_exercises_the_bitmap_datapath(self):
+        # Table 2's modules on a synthetic requester/responder trace in which
+        # every 7th packet arrives out of order: the bitmap operations run.
+        ctx = QpContext(bdp_cap=128)
+        receive_data, tx_free, receive_ack = ReceiveDataModule(), TxFreeModule(), ReceiveAckModule()
+        for i in range(2000):
+            tx_free.process(ctx, new_packets_available=True)
+            last = i % 3 == 0
+            if i % 7 == 6:
+                receive_data.process(ctx, psn=ctx.expected_psn + 1, last_of_message=last)
+                receive_ack.process(ctx, cumulative_ack=ctx.snd_una, sack_psn=ctx.snd_una + 1,
+                                    is_nack=True)
+            else:
+                receive_data.process(ctx, psn=ctx.expected_psn, last_of_message=last)
+                receive_ack.process(ctx, cumulative_ack=min(ctx.snd_nxt, ctx.snd_una + 1),
+                                    sack_psn=None, is_nack=False)
+        assert ctx.find_first_zero_ops > 0 and ctx.shift_ops > 0
+
 
 class TestNicStateOverhead:
     def test_paper_default_is_within_claimed_range(self):
@@ -214,6 +232,9 @@ class TestNicStateOverhead:
 
     def test_bitmaps_dominate_per_qp_overhead(self):
         overhead = compute_state_overhead(NicStateParams(link_bandwidth_bps=40e9))
+        # §6.1: five BDP-sized bitmaps of 128 bits each at 40 Gbps.
+        assert overhead.bitmap_bits_each == 128
+        assert overhead.per_qp_bitmap_bits == 640
         assert overhead.per_qp_bitmap_bits == 5 * overhead.bitmap_bits_each
         assert overhead.per_qp_bitmap_bits > overhead.per_qp_state_bits
 
@@ -236,6 +257,11 @@ class TestFpgaModel:
         assert receive_data.lut_fraction == pytest.approx(0.0193, rel=0.01)
         assert receive_data.latency_ns == pytest.approx(16.5)
         assert receive_data.throughput_mpps == pytest.approx(45.45)
+        # Every module: < 1 % of the flip-flops, < 2 % of the LUTs, <= 16.5 ns.
+        for row in model.table():
+            assert row.flip_flop_fraction < 0.01, row.name
+            assert row.lut_fraction < 0.02, row.name
+            assert row.latency_ns <= 16.5 + 1e-9, row.name
 
     def test_totals_match_paper_summary(self):
         totals = FpgaSynthesisModel(128).totals()
@@ -270,6 +296,9 @@ class TestNicPipelineModel:
         roce = table["Mellanox MCX416A-BCAT (RoCE)"]
         assert iwarp.latency_us > 2.5 * roce.latency_us
         assert roce.message_rate_mpps > 3.5 * iwarp.message_rate_mpps
+        # Table 1's shape: ~3x the latency, ~4.5x lower message rate.
+        assert iwarp.latency_us / roce.latency_us == pytest.approx(3.0, rel=0.35)
+        assert roce.message_rate_mpps / iwarp.message_rate_mpps == pytest.approx(4.5, rel=0.35)
 
     def test_absolute_numbers_near_table1(self):
         table = raw_performance_table()

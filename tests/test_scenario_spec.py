@@ -1,6 +1,7 @@
 """Tests for the declarative scenario layer: ScenarioSpec, the SCENARIOS
 registry, the repro.api facade and the ``python -m repro`` CLI."""
 
+import dataclasses
 import enum
 import hashlib
 import json
@@ -9,7 +10,10 @@ import pytest
 
 import repro.api as api
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.results import ResultRow
 from repro.experiments.spec import SCENARIOS, ScenarioSpec, register_scenario, scenario
+from repro.metrics.partial import PartialAggregator
+from repro.metrics.sketch import QuantileDigest
 from repro.registry import UnknownNameError
 
 #: Every figure/table scenario shipped with the paper presets.
@@ -184,7 +188,7 @@ class TestSpecConfigs:
 
 
 class TestSpecSerialization:
-    @pytest.mark.parametrize("name", PAPER_SCENARIOS)
+    @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
     def test_json_roundtrip_preserves_spec_and_configs(self, name):
         spec = scenario(name)
         payload = json.dumps(spec.to_dict())          # must be JSON-safe
@@ -208,6 +212,63 @@ class TestSpecSerialization:
     def test_from_dict_rejects_extra_keys(self):
         with pytest.raises(TypeError):
             ScenarioSpec.from_dict({"name": "x", "variants": {"v": {}}, "bogus": 1})
+
+
+def _aggregate_columns() -> frozenset:
+    """Every column an aggregate record can carry: those of one row with
+    every optional field set, digests included."""
+    digest = QuantileDigest()
+    digest.add(1.0)
+    row = ResultRow(**{
+        field.name: digest.to_dict() if field.name.endswith("_digest") else 1
+        for field in dataclasses.fields(ResultRow)
+    })
+    return frozenset(PartialAggregator(by=("name",)).add(row))
+
+
+METRICS = _aggregate_columns() | frozenset(ResultRow.__dataclass_fields__)
+
+
+def claim_errors(spec: ScenarioSpec) -> list:
+    """What of ``spec``'s claims would not resolve on its runs' cells."""
+    errors = []
+    for run, claims in spec.claim_runs():
+        labels = spec.for_run(run).configs(**run.overrides)
+        for claim in claims:
+            cells = [claim.left] + ([claim.right] if isinstance(claim.right, str) else [])
+            errors += [f"{spec.name}: no cell {label!r}" for label in cells if label not in labels]
+            if claim.metric not in METRICS:
+                errors.append(f"{spec.name}: no metric {claim.metric!r}")
+    return errors
+
+
+class TestClaims:
+    """The claims resolve on their runs without simulating anything;
+    ``benchmarks/test_claims.py`` checks them on the runs."""
+
+    @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+    def test_every_claim_names_cells_and_a_metric_of_its_run(self, name):
+        spec = scenario(name)
+        assert bool(spec.claims) == (name in PAPER_SCENARIOS)
+        assert claim_errors(spec) == []
+
+    @pytest.mark.parametrize("change, error", [
+        (dict(left="IRN (withuot PFC)"), "no cell 'IRN (withuot PFC)'"),
+        (dict(right="RoCE"), "no cell 'RoCE'"),
+        (dict(metric="avg_slowdown_means"), "no metric 'avg_slowdown_means'"),
+    ])
+    def test_a_misspelled_claim_is_caught(self, change, error):
+        spec = scenario("fig1")
+        bad = dataclasses.replace(spec, claims=(spec.claims[0]._replace(**change),))
+        assert claim_errors(bad) == [f"fig1: {error}"]
+
+    def test_an_unknown_relation_or_run_field_is_refused(self):
+        claim = scenario("fig1").claims[0]
+        with pytest.raises(ValueError, match="claim relation"):
+            ScenarioSpec(name="x", variants={"v": {}}, claims=(claim._replace(relation="=<"),))
+        bad_run = claim.run._replace(overrides={"num_flowz": 1})
+        with pytest.raises(ValueError, match="unknown ExperimentConfig field"):
+            ScenarioSpec(name="x", variants={"v": {}}, claims=(claim._replace(run=bad_run),))
 
 
 class TestSeedsAndSweep:
