@@ -10,16 +10,14 @@ Both schemes run Figure 1's cells (80 flows) on seeds 1-3 through
 ``tests/test_integration.py`` and the golden ``spray-*`` cells install it:
 the routing is rebuilt once the fabric is built.  The patch lives in this
 process, so the cells run here, not on a worker pool.  Spraying hashes
-``Packet.uid``, a process-wide counter, so the counter restarts once for
-the whole ablation: its rows do not depend on which tests ran before.  The
-retransmission comparison sums over the replicas.
+``Packet.uid``, which ``run_experiment`` numbers from zero in every run, so
+each row is a function of its config.  The retransmission comparison sums
+over the replicas.
 """
 
-import itertools
 from unittest import mock
 
 from repro.experiments import runner, scenarios
-from repro.sim import packet
 
 SEEDS = (1, 2, 3)
 SCHEMES = {"IRN": "IRN (without PFC)", "RoCE": "RoCE (with PFC)"}
@@ -35,8 +33,7 @@ def _build_and_spray(sim, config):
 def test_packet_spray_reordering_ablation(benchmark):
     def run_all():
         results = {scheme: [] for scheme in SCHEMES}
-        with mock.patch.object(runner, "_build_network", _build_and_spray), \
-                mock.patch.object(packet, "_packet_ids", itertools.count()):
+        with mock.patch.object(runner, "_build_network", _build_and_spray):
             for seed in SEEDS:
                 cells = scenarios.scenario("fig1").configs(num_flows=80, seed=seed)
                 for scheme, label in SCHEMES.items():

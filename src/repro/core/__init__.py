@@ -6,9 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TRANSPORTS": "repro.core.registry",
     "register_transport": "repro.core.registry",
     "Flow": "repro.core.transport",
-    "BaseSender": "repro.core.transport",
-    "BaseReceiver": "repro.core.transport",
-    "TransportConfig": "repro.core.transport",
     "IrnConfig": "repro.core.irn",
     "IrnSender": "repro.core.irn",
     "IrnReceiver": "repro.core.irn",

@@ -17,12 +17,13 @@ host is passed only to wire the sender's NIC callbacks.
 
 The six built-ins are ``irn``, ``roce``, ``iwarp`` and the §4.3
 factor-analysis ablations ``irn_go_back_n``, ``irn_no_bdpfc`` and
-``irn_no_sack``; :mod:`repro.core.registry` declares them by name.  Every
-receiver is an :class:`~repro.core.irn.IrnReceiver`, so they share one
-pairing helper, :func:`_pair`.  Only iWARP has its own sender class; the
-other five are :class:`~repro.core.irn.IrnSender` settings -- RoCE is IRN
-with go-back-N, no BDP-FC cap and one timeout -- and differ only in the
-transport config and whether the receiver accepts out-of-order packets.
+``irn_no_sack``; :mod:`repro.core.registry` declares them by name.  Each
+is an :class:`~repro.core.irn.IrnConfig` paired by :func:`_pair` with a
+sender class and an :class:`~repro.core.irn.IrnReceiver`, which discards
+out-of-order packets exactly under go-back-N.  Five are
+:class:`~repro.core.irn.IrnSender` settings -- RoCE is IRN with go-back-N,
+no BDP-FC cap and one timeout -- and differ only in the config; iWARP's
+:class:`~repro.core.iwarp.TcpSender` subclasses the same sender.
 
 A transport registered from outside this package follows the same shape::
 
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
 from repro.core.iwarp import TcpConfig, TcpSender
 from repro.core.registry import Endpoints, register_transport
-from repro.core.transport import BaseReceiver, BaseSender, Flow, FlowCallback, TransportConfig
+from repro.core.transport import Flow, FlowCallback
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congestion.base import CongestionControl
@@ -55,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.host import Host
 
 
-def _pair(sender_class: Type[BaseSender], config: TransportConfig, accept_ooo: bool) -> Endpoints:
+def _pair(sender_class: Type[IrnSender], config: IrnConfig) -> Endpoints:
     """Endpoints pairing ``sender_class`` with an :class:`IrnReceiver`."""
 
     def endpoints(
@@ -66,7 +67,7 @@ def _pair(sender_class: Type[BaseSender], config: TransportConfig, accept_ooo: b
         cnp_interval_s: Optional[float],
         on_sender_complete: Optional[FlowCallback],
         on_receiver_complete: Optional[FlowCallback],
-    ) -> Tuple[BaseSender, BaseReceiver]:
+    ) -> Tuple[IrnSender, IrnReceiver]:
         sender = sender_class(
             sim, src_host, flow, config,
             congestion_control=congestion_control,
@@ -76,7 +77,6 @@ def _pair(sender_class: Type[BaseSender], config: TransportConfig, accept_ooo: b
             sim, flow, config,
             on_complete=on_receiver_complete,
             cnp_interval_s=cnp_interval_s,
-            accept_ooo=accept_ooo,
         )
         return sender, receiver
 
@@ -108,7 +108,7 @@ def _build_roce(config: Any) -> Endpoints:
         generate_acks=needs_acks,
         timeouts_enabled=not config.pfc_enabled,
     )
-    return _pair(IrnSender, roce_config, accept_ooo=False)
+    return _pair(IrnSender, roce_config)
 
 
 @register_transport("iwarp")
@@ -126,7 +126,7 @@ def _build_iwarp(config: Any) -> Endpoints:
         ack_coalesce_n=physics.ack_coalesce_n,
         ack_coalesce_s=physics.ack_coalesce_s,
     )
-    return _pair(TcpSender, tcp_config, accept_ooo=True)
+    return _pair(TcpSender, tcp_config)
 
 
 def _irn_config(config: Any) -> IrnConfig:
@@ -148,17 +148,15 @@ def _irn_config(config: Any) -> IrnConfig:
     )
 
 
-def _register_irn_variant(name: str, accept_ooo: bool = True, **changes: Any) -> None:
+def _register_irn_variant(name: str, **changes: Any) -> None:
     """IRN and its §4.3 factor-analysis variants share one builder body."""
 
     @register_transport(name)
     def _build_irn(config: Any) -> Endpoints:
-        return _pair(IrnSender, dataclasses.replace(_irn_config(config), **changes), accept_ooo)
+        return _pair(IrnSender, dataclasses.replace(_irn_config(config), **changes))
 
 
 _register_irn_variant("irn")
-# The go-back-N variant keeps the RoCE-style receiver that discards
-# out-of-order packets; all other variants accept them.
-_register_irn_variant("irn_go_back_n", accept_ooo=False, loss_recovery=LossRecovery.GO_BACK_N)
+_register_irn_variant("irn_go_back_n", loss_recovery=LossRecovery.GO_BACK_N)
 _register_irn_variant("irn_no_bdpfc", bdp_fc_enabled=False)
 _register_irn_variant("irn_no_sack", loss_recovery=LossRecovery.SELECTIVE_NO_SACK)

@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, Tuple
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.transport import BaseReceiver, BaseSender
+    from repro.core.irn import IrnReceiver, IrnSender
 
 __all__ = ["TRANSPORTS", "register_transport"]
 
 #: ``endpoints(sim, src_host, flow, ...) -> (sender, receiver)``, once per flow.
-Endpoints = Callable[..., Tuple["BaseSender", "BaseReceiver"]]
+Endpoints = Callable[..., Tuple["IrnSender", "IrnReceiver"]]
 #: ``(config) -> endpoints``, once per run.
 EndpointBuilder = Callable[[Any], Endpoints]
 

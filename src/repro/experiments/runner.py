@@ -26,19 +26,22 @@ the cache, reports, the results service) stays importable without it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.congestion.factory import make_congestion_control
 from repro.congestion.registry import CONGESTION_SCHEMES
+from repro.core.irn import IrnReceiver, IrnSender
 from repro.core.registry import TRANSPORTS
-from repro.core.transport import BaseReceiver, BaseSender, Flow
+from repro.core.transport import Flow
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import _FIELD_NAMES, ResultRow
 from repro.faults import FaultEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.sketch import QuantileDigest
 from repro.metrics.stats import MetricSummary
+from repro.sim import packet as packet_module
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.topology.registry import TOPOLOGIES
@@ -88,8 +91,8 @@ class _FlowLauncher:
         self.sim = sim
         self.network = network
         self.collector = collector
-        self.senders: List[BaseSender] = []
-        self.receivers: List[BaseReceiver] = []
+        self.senders: List[IrnSender] = []
+        self.receivers: List[IrnReceiver] = []
         self._endpoints = TRANSPORTS.get(config.transport)(config)
         physics = config.physics()
         self._cnp_interval = physics.cnp_interval_s
@@ -149,6 +152,9 @@ def _generate_flows(config: ExperimentConfig, network: Network) -> List[Flow]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one simulation described by ``config`` and collect its metrics."""
+    # Packet spraying hashes ``Packet.uid``: number this run's packets from
+    # zero, so its row does not depend on what the process built before it.
+    packet_module._packet_ids = itertools.count()
     sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     physics = config.physics()

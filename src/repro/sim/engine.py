@@ -35,7 +35,7 @@ class Simulator:
     Pending events live in one binary heap.  Cancelled events are
     *tombstones*: they stay in the heap and are discarded when they reach
     the head.  A transport keeps one live retransmission event per sender,
-    and an ACK moves only its deadline (``BaseSender._arm_rto``), so the
+    and an ACK moves only its deadline (``IrnSender._arm_rto``), so the
     simulation cancels rarely: at completion, when a deadline moves
     earlier, and for ACK-flush and pacing timers.  On the ``fig4`` cells of
     the e2e benchmark's ``cc_fattree`` (60 flows, seeds 1-5, sampled every

@@ -35,6 +35,7 @@ CONTROL_FRAME_BYTES = 64
 PFC_FRAME_BYTES = 64
 
 
+#: Numbers ``Packet.uid``; ``run_experiment`` restarts it for every run.
 _packet_ids = itertools.count()
 
 # Looking a member up on the Enum class costs about as much as storing five

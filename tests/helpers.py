@@ -9,9 +9,10 @@ import sys
 import textwrap
 from unittest import mock
 
-import repro.core.iwarp  # noqa: F401  (every BaseSender subclass, for recording_timeouts)
+import repro.core.iwarp  # noqa: F401  (every IrnSender subclass, for recording_timeouts)
+from repro.core.irn import IrnSender
 from repro.core.registry import TRANSPORTS
-from repro.core.transport import BaseSender, Flow
+from repro.core.transport import Flow
 from repro.experiments.config import ExperimentConfig
 from repro.sim.packet import Packet, PacketType
 
@@ -88,7 +89,7 @@ def drain(sender, now: float, limit: int = 10_000) -> list:
 # ---------------------------------------------------------------------------
 
 def _eager_arm_rto(self, now: float, restart: bool = False) -> None:
-    """``BaseSender._arm_rto`` before the deadline: a restart cancels the
+    """``IrnSender._arm_rto`` before the deadline: a restart cancels the
     pending event and schedules a new one."""
     if not self.config.timeouts_enabled or self.completed:
         return
@@ -103,7 +104,7 @@ def _eager_arm_rto(self, now: float, restart: bool = False) -> None:
 
 
 def _eager_rto_fired(self) -> None:
-    """``BaseSender._rto_fired`` before the deadline: every firing is a timeout."""
+    """``IrnSender._rto_fired`` before the deadline: every firing is a timeout."""
     self._rto_event = None
     if self.completed or self.snd_una >= self.num_packets:
         return
@@ -118,14 +119,14 @@ def _eager_rto_fired(self) -> None:
 @contextlib.contextmanager
 def eager_rto():
     """Patch the eager reference timer over every sender (the oracle)."""
-    with mock.patch.object(BaseSender, "_arm_rto", _eager_arm_rto), \
-            mock.patch.object(BaseSender, "_rto_fired", _eager_rto_fired):
+    with mock.patch.object(IrnSender, "_arm_rto", _eager_arm_rto), \
+            mock.patch.object(IrnSender, "_rto_fired", _eager_rto_fired):
         yield
 
 
-def _sender_classes(cls=BaseSender):
+def _sender_classes(cls=IrnSender):
+    yield cls
     for sub in cls.__subclasses__():
-        yield sub
         yield from _sender_classes(sub)
 
 

@@ -8,7 +8,7 @@ event-count reduction, byte-identity at ``ack_coalesce_n=1``, correctness
 under loss, and the engine accounting identity with coalescing timers live.
 """
 
-from repro.core.irn import IrnConfig, IrnReceiver
+from repro.core.irn import IrnConfig, IrnReceiver, IrnSender
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import Simulator
@@ -278,16 +278,14 @@ class TestPerPacketPacing:
     def test_only_rate_based_senders_schedule_pacing_wake_ups(self, monkeypatch):
         # DCQCN paces once CNPs cut a rate; each wake-up is the sender's own
         # engine event.  Without congestion control nothing is paced.
-        from repro.core.transport import BaseSender
-
         fired = []
-        original = BaseSender._pacing_fired
+        original = IrnSender._pacing_fired
 
         def counting(sender):
             fired.append(sender)
             original(sender)
 
-        monkeypatch.setattr(BaseSender, "_pacing_fired", counting)
+        monkeypatch.setattr(IrnSender, "_pacing_fired", counting)
         run_experiment(_e2e_config())
         assert fired == []
         run_experiment(_e2e_config(congestion_control="dcqcn"))

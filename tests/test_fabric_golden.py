@@ -56,7 +56,6 @@ pins hold on every interpreter CI runs.
 
 import contextlib
 import hashlib
-import itertools
 import json
 from unittest import mock
 
@@ -64,7 +63,6 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.spec import scenario
-from repro.sim import packet as packet_module
 
 
 def _spray(network):
@@ -200,9 +198,7 @@ def _digest(name):
             return network
 
         patch = mock.patch.object(runner, "_build_network", build_and_tweak)
-    # Packet spraying hashes ``Packet.uid``, a process-wide counter: start it
-    # from zero so the row does not depend on which tests ran before.
-    with patch, mock.patch.object(packet_module, "_packet_ids", itertools.count()):
+    with patch:
         row = runner.run_experiment(config).to_row(label=label)
     payload = json.dumps(_canonical(row.to_dict()), sort_keys=True).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -129,8 +129,8 @@ RULES = (
         (*NOT_BENCHMARKS, "docs", "README.md", ".github"),
         "a sweep's cells are the label -> config mapping ScenarioSpec.configs() and "
         ".replicated() return: the axes grid, run_sweep's other input shapes and its "
-        "'name #2' relabelling were deleted, and RoCE's responder is "
-        "IrnReceiver(accept_ooo=False), not a subclass",
+        "'name #2' relabelling were deleted, and RoCE's responder is IrnReceiver "
+        "under go-back-N, not a subclass",
         ("grid = ParameterGrid(base, axes)", "cells = _normalize_cells(configs)",
          "receiver = RoceReceiver(sim, flow)"),
     ),
@@ -206,6 +206,16 @@ RULES = (
         "go_back_events stat (recovery_episodes counts the same) were deleted",
         ("sender = RoceSender(sim, host, flow, config)", "RoceConfig(mtu_bytes=1000)",
          "sender.go_back_events", "from repro.core.roce import RoceSender"),
+    ),
+    Rule(
+        "one-transport-machine",
+        r"\bclass (BaseSender|BaseReceiver|TransportConfig)\b|\baccept_ooo\b",
+        EVERYWHERE,
+        "IrnSender, IrnReceiver and IrnConfig are the whole transport machine (TcpSender "
+        "subclasses the sender), and the receiver discards out-of-order packets exactly "
+        "under go-back-N: the abstract base layer and the accept_ooo knob were deleted",
+        ("class BaseSender:", "class BaseReceiver:", "class TransportConfig:",
+         "IrnReceiver(sim, flow, config, accept_ooo=False)"),
     ),
     Rule(
         "fingerprint-is-the-config",

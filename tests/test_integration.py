@@ -249,3 +249,27 @@ class TestFatTreeIntegration:
         assert sprayed.completion_fraction() == 1.0
         # Per-packet paths are not per-flow paths: the run is not ECMP's.
         assert sprayed.to_row() != run_experiment(config).to_row()
+
+    def test_a_sprayed_row_does_not_depend_on_process_history(self):
+        # Spraying hashes ``Packet.uid``.  Without a per-run restart of the
+        # count, this cell read 838, 757, 784 and 712 retransmissions in
+        # four process histories.
+        from repro.experiments import runner as runner_module
+        from repro.sim.packet import Packet, PacketType
+
+        build = runner_module._build_network
+
+        def build_and_spray(sim, cfg):
+            network = build(sim, cfg)
+            network.build_routing(packet_spray=True)
+            return network
+
+        config = scenario("fig1").configs(num_flows=80, seed=2)["IRN (without PFC)"]
+        rows = []
+        with mock.patch.object(runner_module, "_build_network", build_and_spray):
+            for unrelated in (1, 1_000):
+                for _ in range(unrelated):
+                    Packet(PacketType.DATA, 0, "h0", "h1")
+                rows.append(run_experiment(config).to_row())
+        assert rows[0].retransmissions > 0
+        assert rows[0] == rows[1]

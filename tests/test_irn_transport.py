@@ -6,7 +6,7 @@ import pytest
 
 from repro.congestion.dcqcn import Dcqcn
 from repro.core.irn import IrnConfig, IrnReceiver, IrnSender, LossRecovery
-from repro.core.transport import BaseSender, Flow
+from repro.core.transport import Flow
 from repro.experiments.runner import run_experiment
 from repro.experiments.spec import scenario
 from repro.sim.engine import Simulator
@@ -301,7 +301,8 @@ class TestIrnReceiver:
     def test_gbn_receiver_discards_ooo_and_nacks_once(self):
         sim = Simulator()
         flow = make_flow(5_000)
-        receiver = IrnReceiver(sim, flow, IrnConfig(mtu_bytes=1000), accept_ooo=False)
+        config = IrnConfig(mtu_bytes=1000, loss_recovery=LossRecovery.GO_BACK_N)
+        receiver = IrnReceiver(sim, flow, config)
         receiver.on_data(data(flow, 0), now=0.0)
         first = receiver.on_data(data(flow, 2), now=1e-6)
         second = receiver.on_data(data(flow, 3), now=2e-6)
@@ -394,10 +395,10 @@ class TestTimerHandles:
         config = scenario("fig1").configs(num_flows=60, seed=2)["IRN (without PFC)"]
         counts = {"rto": 0, "control": 0}
         schedule_at = Simulator.schedule_at
-        on_control = BaseSender.on_control
+        on_control = IrnSender.on_control
 
         def count_rto(sim, time, fn, *args):
-            counts["rto"] += getattr(fn, "__func__", None) is BaseSender._rto_fired
+            counts["rto"] += getattr(fn, "__func__", None) is IrnSender._rto_fired
             return schedule_at(sim, time, fn, *args)
 
         def count_control(sender, packet, now):
@@ -407,7 +408,7 @@ class TestTimerHandles:
         def scheduled():
             counts.update(rto=0, control=0)
             with mock.patch.object(Simulator, "schedule_at", count_rto), \
-                    mock.patch.object(BaseSender, "on_control", count_control):
+                    mock.patch.object(IrnSender, "on_control", count_control):
                 assert run_experiment(config).timeouts == 6
             return counts["rto"], counts["control"]
 
